@@ -84,7 +84,11 @@ def main():
     )
     lio.write_hr(reduced, out / "hr_top6.json", overwrite=True)
 
-    window = f"{args.zpl - 1.0}:{args.zpl + 0.06}"
+    # the ladder reaches 14 quanta of the highest of the six modes; oracle
+    # wants every line 10 gamma inside the window and smears the 14-quanta
+    # lines over 8 sigma sqrt(14) (gamma = 1 meV, sigma = 2 meV by default)
+    reach_mev = 14.0 * float(reduced.omegas_mev.max()) + 10.0 + 16.0 * math.sqrt(14.0)
+    window = f"{args.zpl - reach_mev / 1000.0}:{args.zpl + 0.06}"
     run(
         [
             "spectrum",

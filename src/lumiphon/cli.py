@@ -260,7 +260,7 @@ def cmd_spectrum(args) -> int:
     sd = vibronic.spectral_density(hr, args.sigma)
     reach = max(zpl_mev - window[0] * 1000.0, abs(window[1] * 1000.0 - zpl_mev))
     tgrid = vibronic.make_time_grid(
-        omega_max, hr.total, args.gamma, reach, args.time_step, args.time_span
+        sd.omega_max_mev, hr.total, args.gamma, reach, args.time_step, args.time_span
     )
     gf = vibronic.generating_function(sd, tgrid)
     ls = vibronic.lineshape(gf, config)

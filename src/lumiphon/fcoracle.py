@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .errors import (
     CapTooSmallWarning,
@@ -22,7 +21,7 @@ from .errors import (
     NegativeFrequency,
     TooManyModes,
 )
-from .model import HRDecomposition, _own
+from .model import HRDecomposition, _own, _uniform_step
 
 MAX_MODES = 8
 MAX_CAP = 24
@@ -175,10 +174,7 @@ def broadened_oracle_spectrum(
     grid = np.asarray(grid_ev, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise InputError("grid must be a 1-d array")
-    steps = np.diff(grid)
-    if np.any(steps <= 0) or not np.allclose(steps, steps[0], rtol=1e-9, atol=0):
-        raise InputError("grid must be uniform and ascending")
-    step_ev = float(steps[0])
+    step_ev = _uniform_step(grid, "grid")
     gamma_ev = gamma_mev / 1000.0
     lines_ev = zpl_ev - ladder.energies_mev / 1000.0
     # lines of appreciable weight must sit inside the grid by 10 gamma;
@@ -228,7 +224,13 @@ def broadened_oracle_spectrum(
             nk = int(math.ceil(8.0 * sg / step_ev))
             kernel = np.exp(-0.5 * ((np.arange(-nk, nk + 1) * step_ev) / sg) ** 2)
             kernel /= kernel.sum()
-            sub = fftconvolve(sub, kernel, mode="same")
+            # linear convolution by a zero-padded real FFT; the kernel is
+            # centred, so the same-size result starts nk samples in
+            nfft = 1 << (sub.size + 2 * nk - 1).bit_length()
+            full = np.fft.irfft(
+                np.fft.rfft(sub, nfft) * np.fft.rfft(kernel, nfft), nfft
+            )
+            sub = full[nk : nk + sub.size]
         out += sub
     values = out[npad : npad + grid.size]
 

@@ -46,6 +46,24 @@ def _require_finite(a, name):
         raise NonFiniteValue(f"{name}[{idx}] is not finite")
 
 
+def _uniform_step(x, name):
+    """First step of the uniform ascending 1-d grid x; InputError otherwise.
+
+    x = (arange(n) + c) * dt rounds each point to its own ulp, so a step
+    carries the rounding of the grid's largest value: at 2^24 points that
+    exceeds 1e-9 of dt.  Each step may therefore deviate from the first by
+    1e-9 of it or by 4 eps max |x|, whichever is larger.
+    """
+    steps = np.diff(x)
+    step = float(steps[0])
+    # an ascending grid is largest in magnitude at one of its ends
+    tol = max(1e-9 * abs(step), 4.0 * np.finfo(float).eps * max(abs(x[0]), abs(x[-1])))
+    lo, hi = float(steps.min()), float(steps.max())
+    if not (lo > 0 and hi - step <= tol and step - lo <= tol):  # NaN fails too
+        raise InputError(f"{name} must be uniform and ascending")
+    return step
+
+
 @dataclass(frozen=True, eq=False)
 class CrystalStructure:
     """Supercell: lattice rows are cell vectors in A, positions Cartesian A."""
@@ -295,9 +313,7 @@ class SpectralDensity:
             raise DimensionMismatch("grid and values must be matching 1-d arrays")
         _require_finite(g, "grid_mev")
         _require_finite(v, "values")
-        steps = np.diff(g)
-        if np.any(steps <= 0) or not np.allclose(steps, steps[0], rtol=1e-9, atol=0):
-            raise InputError("grid must be uniform and ascending")
+        _uniform_step(g, "grid")
         if np.any(v < 0):
             raise InputError("spectral density must be non-negative")
         integral = float(np.trapezoid(v, g))
@@ -309,6 +325,11 @@ class SpectralDensity:
     @property
     def step_mev(self):
         return float(self.grid_mev[1] - self.grid_mev[0])
+
+    @property
+    def omega_max_mev(self):
+        """Largest |energy| on the grid: the top of the spectral content."""
+        return float(np.max(np.abs(self.grid_mev)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -329,9 +350,7 @@ class GeneratingFunction:
         _require_finite(t, "time_fs")
         if not np.all(np.isfinite(g)):
             raise NonFiniteValue("generating function has non-finite values")
-        steps = np.diff(t)
-        if not np.allclose(steps, steps[0], rtol=1e-9, atol=0):
-            raise InputError("time grid must be uniform")
+        _uniform_step(t, "time grid")
         i0 = int(np.argmin(np.abs(t)))
         if t[i0] != 0.0:
             raise InputError("time grid must contain t = 0")

@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.signal import czt
 
 from . import units
 from .errors import (
@@ -46,11 +44,23 @@ from .model import (
     LineshapeConfig,
     PhononBasis,
     SpectralDensity,
+    _uniform_step,
 )
 from .phonons import ZERO_MODE_MEV
 
 #: Modes with S_k below this are left out of peak labelling.
 LABEL_SK_FLOOR = 1e-4
+
+#: Smallest FFT block of the chirp-z convolution.
+_CZT_BLOCK = 1 << 16
+
+# Cubic B-spline interpolation: the coefficients are the samples filtered
+# by the inverse of (1, 4, 1)/6, whose taps are sqrt(3) z1^|j| with
+# z1 = sqrt(3) - 2; past 28 taps they fall below 1e-16.
+_SPLINE_TAPS = 28
+_SPLINE_PREFILTER = math.sqrt(3.0) * (math.sqrt(3.0) - 2.0) ** np.abs(
+    np.arange(-_SPLINE_TAPS, _SPLINE_TAPS + 1)
+)
 
 
 def _masses_3n(masses, dim):
@@ -119,7 +129,12 @@ def qk_from_forces(basis: PhononBasis, force_delta: ForceDelta, masses) -> np.nd
 
 
 def partial_hr(qk, omegas_mev) -> HRDecomposition:
-    """S_k = omega_k q_k^2 / (2 hbar), dimensionless, plus the total."""
+    """S_k = omega_k q_k^2 / (2 hbar), dimensionless, plus the total.
+
+    Modes at or below ZERO_MODE_MEV (the rigid translations and rotations)
+    get S_k = 0, as on the force route, so both routes report one total;
+    their q_k is kept.
+    """
     q = np.asarray(qk, dtype=float)
     w = np.asarray(omegas_mev, dtype=float)
     if q.shape != w.shape or q.ndim != 1:
@@ -129,6 +144,7 @@ def partial_hr(qk, omegas_mev) -> HRDecomposition:
         raise NegativeFrequency(f"omega[{i}] = {w[i]:.4f} meV is negative")
     w_clamped = np.clip(w, 0.0, None)
     sk = units.omega_radfs(w_clamped) * q * q / (2.0 * units.HBAR_AMU_A2_FS)
+    sk[w_clamped <= ZERO_MODE_MEV] = 0.0
     order = np.argsort(w_clamped, kind="stable")
     sk_sorted = sk[order]
     return HRDecomposition(
@@ -174,6 +190,16 @@ def spectral_density(
     return SpectralDensity(grid, vals, sigma_mev, float(math.fsum(sks.tolist())))
 
 
+def _nyquist_need_mev(omega_max_mev, s_total, reach_mev):
+    """Nyquist energy a lineshape needs: the output reach and the
+    multi-phonon support omega_max * max(10 S, 10).
+
+    make_time_grid sizes the grid with it and lineshape checks the grid
+    against it, both from the top of the spectral-density grid.
+    """
+    return max(reach_mev, omega_max_mev * max(10.0 * s_total, 10.0))
+
+
 def make_time_grid(
     omega_max_mev: float,
     s_total: float,
@@ -185,15 +211,15 @@ def make_time_grid(
     """Symmetric power-of-two time grid adequate for the FFT lineshape.
 
     The step keeps the Nyquist energy above both the multi-phonon support
-    (max phonon energy times max(10*S, 10)) and any explicitly requested
-    reach; the span covers 25 damping constants hbar/gamma by default.
+    (omega_max times max(10*S, 10)) and any explicitly requested reach; the
+    span covers 25 damping constants hbar/gamma by default.  lineshape
+    takes omega_max from the spectral density (SpectralDensity.omega_max_mev),
+    so pass that value for a grid it accepts at any S.
     """
     if gamma_mev <= 0:
         raise NonPositiveGamma(f"gamma must be positive, got {gamma_mev}")
     window = max(reach_mev, 10.0 * gamma_mev)
-    need = window
-    if omega_max_mev > 0:
-        need = max(need, omega_max_mev * max(10.0 * s_total, 10.0))
+    need = _nyquist_need_mev(omega_max_mev, s_total, window)
     # Lorentzian tails beyond the Nyquist energy fold back into the output
     # window; push the Nyquist energy out until the folded weight over the
     # window stays below ~2e-6 in L1
@@ -222,6 +248,27 @@ def make_time_grid(
     return (np.arange(n) - n // 2) * dt
 
 
+def _chirp_z(x, m, w):
+    """sum_j x[j] w^(j k) for k = 0 .. m-1, by Bluestein's algorithm.
+
+    The chirp w^(k^2/2) turns the sum into a convolution with 1/chirp
+    (Rabiner, Schafer and Rader, Bell Syst. Tech. J. 48, 1249 (1969)).  The
+    convolution runs overlap-save in FFT blocks of at least _CZT_BLOCK
+    points, which stay in cache where one FFT over all m points does not.
+    """
+    n = x.size
+    k = np.arange(max(m, n))
+    chirp = w ** (k**2 / 2.0)
+    size = 1 << (min(max(_CZT_BLOCK, 4 * n), n + m - 1) - 1).bit_length()
+    step = size - n + 1  # outputs per block
+    blocks = -(-m // step)
+    kernel = np.zeros(blocks * step + n - 1, dtype=complex)
+    kernel[: n + m - 1] = 1.0 / np.concatenate((chirp[n - 1 : 0 : -1], chirp[:m]))
+    segments = np.lib.stride_tricks.sliding_window_view(kernel, size)[::step]
+    y = np.fft.ifft(np.fft.fft(segments) * np.fft.fft(x * chirp[:n], size))
+    return y[:, n - 1 :].reshape(-1)[:m] * chirp[:m]
+
+
 def generating_function(sd: SpectralDensity, time_fs) -> GeneratingFunction:
     """G(t) = exp(S(t) - S(0)) with S(t) the quadrature Fourier transform.
 
@@ -233,14 +280,11 @@ def generating_function(sd: SpectralDensity, time_fs) -> GeneratingFunction:
     t = np.asarray(time_fs, dtype=float)
     if t.ndim != 1 or t.size < 4:
         raise DimensionMismatch("time grid must be a 1-d array")
-    steps = np.diff(t)
-    if np.any(steps <= 0) or not np.allclose(steps, steps[0], rtol=1e-9, atol=0):
-        raise InputError("time grid must be uniform and ascending")
-    dt = float(steps[0])
+    dt = _uniform_step(t, "time grid")
     i0 = int(np.argmin(np.abs(t)))
     if t[i0] != 0.0:
         raise InputError("time grid must contain t = 0 exactly")
-    omega_max = float(np.max(np.abs(sd.grid_mev)))
+    omega_max = sd.omega_max_mev
     if omega_max > 0 and dt > math.pi * units.HBAR_MEV_FS / omega_max:
         raise AliasedGrid(
             f"time step {dt:.4f} fs aliases spectral content up to {omega_max:.1f} meV"
@@ -257,8 +301,8 @@ def generating_function(sd: SpectralDensity, time_fs) -> GeneratingFunction:
     dw = sd.step_mev / units.HBAR_MEV_FS
     t_half = dt * np.arange(half)
     # sum_i coeff_i exp(-i w_i t_j): chirp-z over the uniform spectral grid
-    s_half = np.exp(-1j * omega_lo * t_half) * czt(
-        coeff, m=half, w=complex(math.cos(dw * dt), -math.sin(dw * dt)), a=1.0 + 0.0j
+    s_half = np.exp(-1j * omega_lo * t_half) * _chirp_z(
+        coeff, half, complex(math.cos(dw * dt), -math.sin(dw * dt))
     )
     diff_half = s_half - s0
     diff_half[0] = 0.0  # S(0) - S(0) is identically zero
@@ -266,39 +310,63 @@ def generating_function(sd: SpectralDensity, time_fs) -> GeneratingFunction:
 
     vals = np.empty(n, dtype=complex)
     vals[i0:] = g_half[: n - i0]
-    vals[: i0 + 1] = np.conj(g_half[: i0 + 1])[::-1]
-    return GeneratingFunction(t, vals, s0, omega_max)
+    np.conjugate(g_half[i0::-1], out=vals[: i0 + 1])
+    return GeneratingFunction(t, vals, sd.total, omega_max)
 
 
 def _fft_spectral_function(gf: GeneratingFunction, gamma_mev: float):
     """FFT of the damped generating function.
 
-    Returns the released-energy axis (meV, ascending, 0 at the zero-phonon
-    line) and the real spectral density A per meV, unit integral.
+    Returns the energy step (meV) and the real spectral density A per meV,
+    unit integral, in FFT order: A[k] is the density at the released energy
+    k * step (0 at the zero-phonon line), periodic in A.size * step.
     """
     t = gf.time_fs
     n = t.size
     dt = gf.dt_fs
-    damped = gf.values * np.exp(-gamma_mev * np.abs(t) / units.HBAR_MEV_FS)
-    # sum_j g_j exp(+i E t_j / hbar) with t_j = (j - n/2) dt
-    spec = np.fft.ifft(damped) * n
+    # sum_j g_j exp(+i E t_j / hbar) with t_j = (j - n/2) dt, damped
+    spec = np.fft.ifft(gf.values * np.exp(-gamma_mev * np.abs(t) / units.HBAR_MEV_FS)) * n
     k = np.fft.fftfreq(n, d=1.0 / n)
     e_rel = 2.0 * math.pi * units.HBAR_MEV_FS * k / (n * dt)
     phase = np.exp(-1j * e_rel * (n // 2) * dt / units.HBAR_MEV_FS)
     a = (dt / (2.0 * math.pi * units.HBAR_MEV_FS)) * phase * spec
-    order = np.argsort(e_rel, kind="stable")
-    e_rel = e_rel[order]
-    a = a[order]
     resid = float(np.max(np.abs(a.imag)))
     if resid > 1e-9:
         raise NumericalError(f"spectral function imaginary residue {resid:.3e} > 1e-9")
     a = a.real
-    integral = float(np.trapezoid(a, e_rel))
+    step = 2.0 * math.pi * units.HBAR_MEV_FS / (n * dt)
+    # trapezoid over the ascending energies, whose two ends sit mid-array
+    integral = step * (float(np.sum(a)) - 0.5 * (a[(n - 1) // 2] + a[(n + 1) // 2]))
     if abs(integral - 1.0) > 1e-6:
         raise NumericalError(
             f"spectral function integral {integral!r} deviates from 1 by > 1e-6"
         )
-    return e_rel, a / integral
+    return step, a / integral
+
+
+def _periodic_spline(y, step, x):
+    """Interpolating cubic spline through y[j] at j * step, evaluated at x.
+
+    y is one period of periodic samples, so node indices wrap.  Only the
+    B-spline coefficients of the nodes next to x are formed, at a cost
+    that follows the span of x, not the size of y.
+    """
+    u = np.asarray(x, dtype=float) / step
+    i = np.floor(u)
+    t = u - i
+    i = i.astype(np.int64)
+    lo, hi = int(i.min()), int(i.max())
+    # coef[j] is the coefficient of node lo - 1 + j
+    nodes = np.arange(lo - 1 - _SPLINE_TAPS, hi + 3 + _SPLINE_TAPS) % y.size
+    coef = np.convolve(y[nodes], _SPLINE_PREFILTER, mode="valid")
+    j = i - lo
+    s = 1.0 - t
+    return (
+        coef[j] * (s * s * s)
+        + coef[j + 1] * (4.0 - 3.0 * t * t * (1.0 + s))
+        + coef[j + 2] * (4.0 - 3.0 * s * s * (1.0 + t))
+        + coef[j + 3] * (t * t * t)
+    ) / 6.0
 
 
 def default_window_mev(zpl_mev, omega_max_mev, s_total, gamma_mev, sigma_mev):
@@ -342,19 +410,22 @@ def lineshape(gf: GeneratingFunction, config: LineshapeConfig) -> Lineshape:
         raise InputError(
             "window must stay at positive emission energies when omega_cubed is on"
         )
-    nyquist_mev = math.pi * units.HBAR_MEV_FS / dt
-    support = gf.omega_max_mev * max(10.0 * gf.s_total, 10.0)
-    reach = max(zpl_mev - lo_mev, abs(zpl_mev - hi_mev), support)
+    # from the step over the whole grid: one difference carries the rounding
+    # of the largest |t|, 1.6e-11 relative at 2^20 points
+    nyquist_mev = math.pi * units.HBAR_MEV_FS * (t.size - 1) / float(t[-1] - t[0])
+    reach = _nyquist_need_mev(
+        gf.omega_max_mev, gf.s_total, max(zpl_mev - lo_mev, abs(zpl_mev - hi_mev))
+    )
     if nyquist_mev < reach * (1.0 - 1e-12):
         raise AliasedGrid(
             f"time step {dt:.4f} fs gives Nyquist {nyquist_mev:.0f} meV, "
             f"below the required {reach:.0f} meV"
         )
 
-    e_rel, a_full = _fft_spectral_function(gf, config.gamma_mev)
+    fft_step, a_full = _fft_spectral_function(gf, config.gamma_mev)
     npts = int(math.floor((hi_mev - lo_mev) / config.step_mev + 1e-9)) + 1
     energy_mev = lo_mev + config.step_mev * np.arange(npts)
-    a_win = CubicSpline(e_rel, a_full)(zpl_mev - energy_mev)
+    a_win = _periodic_spline(a_full, fft_step, zpl_mev - energy_mev)
     low = float(np.min(a_win))
     if low < -1e-9:
         raise NumericalError(
@@ -407,10 +478,15 @@ def effective_mode_report(
     candidates the largest S_k wins.  Modes with S_k < 1e-4 never label a
     peak.  Returned sorted by S_k, strongest first.
     """
-    candidates = (
-        np.arange(hr.nmodes) if lvm_indices is None else np.asarray(lvm_indices, int)
-    )
-    candidates = candidates[hr.sk[candidates] >= LABEL_SK_FLOOR]
+    eligible = hr.sk >= LABEL_SK_FLOOR
+    if lvm_indices is not None:
+        listed = np.zeros(hr.nmodes, dtype=bool)
+        listed[np.asarray(lvm_indices, int)] = True
+        eligible &= listed
+    candidates = np.flatnonzero(eligible)
+    omegas = hr.omegas_mev[candidates]
+    sks = hr.sk[candidates]
+    free = np.ones(candidates.size, dtype=bool)
     if match_tol_mev is None:
         match_tol_mev = max(3.0 * ls.gamma_mev, 5.0)
     e = ls.energy_ev
@@ -422,18 +498,15 @@ def effective_mode_report(
     peaks = peaks[np.argsort(y[peaks], kind="stable")[::-1]]
 
     labels: List[PeakLabel] = []
-    used: set = set()
     for p in peaks:
         offset = (ls.zpl_ev - e[p]) * 1000.0
-        near = [
-            int(k)
-            for k in candidates
-            if abs(hr.omegas_mev[k] - offset) <= match_tol_mev and int(k) not in used
-        ]
-        if not near:
+        near = free & (np.abs(omegas - offset) <= match_tol_mev)
+        if not near.any():
             continue
-        best = max(near, key=lambda k: (hr.sk[k], -k))
-        used.add(best)
-        labels.append(PeakLabel(offset, float(hr.sk[best]), best, float(e[p])))
+        # candidates ascend by index, so argmax breaks S_k ties to the lowest
+        best = int(np.argmax(np.where(near, sks, -np.inf)))
+        free[best] = False
+        k = int(candidates[best])
+        labels.append(PeakLabel(offset, float(hr.sk[k]), k, float(e[p])))
     labels.sort(key=lambda pl: -pl.sk)
     return labels

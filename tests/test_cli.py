@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -258,6 +263,64 @@ def test_spectrum_window_excluding_support_exit_2(tmp_path, capsys):
     )
     assert code == 2
     assert not (tmp_path / "spec.tsv").exists()
+
+
+def test_spectrum_default_grid_at_large_s(tmp_path, capsys):
+    # at S = 30 the multi-phonon support, not the window, sets the Nyquist
+    # energy; the time grid must be sized from the same omega_max that
+    # lineshape checks it against
+    omegas = np.linspace(5.0, 180.0, 24)
+    sks = 30.0 * omegas**2 / np.sum(omegas**2)
+    qk = np.sqrt(2.0 * units.HBAR_AMU_A2_FS * sks / units.omega_radfs(omegas))
+    hr_path = tmp_path / "hr.json"
+    lio.write_hr(partial_hr(qk, omegas), hr_path)
+    code = main(
+        ["spectrum", "--hr", str(hr_path), "--zpl", "2.6", "--out", str(tmp_path / "s.tsv")]
+    )
+    assert code == 0, capsys.readouterr().err
+
+
+def test_hr_spectrum_oracle_import_no_scipy(tmp_path):
+    # hr, spectrum and oracle run on numpy alone: scipy serves the tests only
+    root = pathlib.Path(__file__).resolve().parent.parent
+    demo, out = tmp_path / "demo", tmp_path / "out"
+    subprocess.run(
+        [sys.executable, str(root / "scripts" / "make_demo_inputs.py"), "--out", str(demo)],
+        check=True,
+        capture_output=True,
+    )
+    out.mkdir()
+    s = str(demo / "structure.json")
+    assert main(
+        ["modes", "--structure", s, "--hessian", str(demo / "hessian.json"),
+         "--asr", "--out", str(out / "modes.json")]
+    ) == 0
+    script = f"""
+import json, math, sys
+import numpy as np
+from lumiphon import io as lio
+from lumiphon.cli import main
+from lumiphon.model import HRDecomposition
+out = {str(out)!r}
+assert main(["hr", "--structure", {s!r}, "--modes", out + "/modes.json",
+             "--pair", {str(demo / "pair.json")!r}, "--out", out + "/hr.json"]) == 0
+assert main(["spectrum", "--hr", out + "/hr.json", "--zpl", "2.6",
+             "--out", out + "/spectrum.tsv", "--peaks", out + "/peaks.tsv"]) == 0
+hr = lio.parse_hr(lio.load_document(out + "/hr.json"))
+top = np.sort(np.argsort(hr.sk)[-4:])
+lio.write_hr(HRDecomposition(hr.omegas_mev[top], hr.qk[top], hr.sk[top],
+                             math.fsum(hr.sk[top].tolist())), out + "/top.json")
+assert main(["oracle", "--hr", out + "/top.json", "--zpl", "2.6", "--max-quanta", "8",
+             "--window", "1.0:2.66", "--out", out + "/oracle.tsv"]) == 0
+with open(out + "/modules.json", "w") as fh:
+    json.dump(sorted(m for m in sys.modules if m.startswith("scipy")), fh)
+"""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads((out / "modules.json").read_text()) == []
 
 
 def test_oracle_two_mode_tail(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lumiphon import units
+from lumiphon import units, vibronic
 from lumiphon.errors import (
     AliasedGrid,
     GridTooNarrow,
@@ -18,11 +18,17 @@ from lumiphon.model import (
     ForceDelta,
     GeometryPair,
     Hessian,
+    HRDecomposition,
+    Lineshape,
     LineshapeConfig,
     PhononBasis,
 )
 from lumiphon.phonons import apply_asr, diagonalize, symmetrize
 from lumiphon.vibronic import (
+    LABEL_SK_FLOOR,
+    PeakLabel,
+    _chirp_z,
+    _periodic_spline,
     effective_mode_report,
     generating_function,
     lineshape,
@@ -111,6 +117,23 @@ def test_force_route_matches_displacement_route():
     qf = qk_from_forces(basis, force, structure.masses)
     live = basis.omegas_mev > 0.01
     np.testing.assert_allclose(qf[live], qd[live], rtol=1e-8)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_pair_and_force_routes_report_one_total(seed):
+    # the rigid rotations of a free cluster sit below ZERO_MODE_MEV: the
+    # force route cannot see them, so neither route may give them S_k
+    structure, hessian = random_cluster_structure(6, seed=seed)
+    hessian = symmetrize(hessian)
+    hessian, _ = apply_asr(hessian, structure.masses)
+    basis = diagonalize(hessian, structure)
+    rng = np.random.default_rng(seed)
+    delta = rng.normal(scale=0.02, size=(6, 3))
+    pair = GeometryPair(structure.positions, structure.positions + delta)
+    force = ForceDelta(hessian.matrix @ delta.reshape(-1))
+    by_pair = partial_hr(qk_from_displacement(basis, pair, structure.masses), basis.omegas_mev)
+    by_force = partial_hr(qk_from_forces(basis, force, structure.masses), basis.omegas_mev)
+    assert by_pair.total == pytest.approx(by_force.total, rel=1e-12)
 
 
 def test_force_route_zero_forces(diatomic):
@@ -259,6 +282,73 @@ def test_generating_function_aliased_grid():
     coarse = (np.arange(64) - 32) * 20.0
     with pytest.raises(AliasedGrid):
         generating_function(sd, coarse)
+
+
+@pytest.mark.parametrize(
+    "n, m, theta, block",
+    [
+        (50, 300, 0.0137, 1 << 16),
+        (300, 50, 0.0137, 1 << 16),
+        (1, 7, 0.0137, 1 << 16),
+        (50, 300, 0.0137, 64),  # two overlap-save blocks
+        (120, 900, 0.005, 64),  # three blocks of 512, sized by 4 n
+    ],
+)
+def test_chirp_z_matches_direct_sum(n, m, theta, block, monkeypatch):
+    monkeypatch.setattr(vibronic, "_CZT_BLOCK", block)
+    rng = np.random.default_rng(n + m)
+    x = rng.normal(size=n)
+    w = complex(math.cos(theta), -math.sin(theta))
+    k = np.arange(m)
+    direct = sum(x[j] * np.exp(-1j * theta * j * k) for j in range(n))
+    got = _chirp_z(x, m, w)
+    assert np.max(np.abs(got - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+
+def test_chirp_z_blocks_match_one_long_convolution():
+    # at m ~ 1e5 the chirp w^(k^2/2) itself rounds by ~1e-9 against a
+    # direct sum; the blocked convolution must add nothing to that, so it
+    # is held against the single-FFT chirp-z with the same chirp
+    from scipy.signal import czt
+
+    x = np.random.default_rng(3).random(1000)
+    theta = 2.3e-5
+    w = complex(math.cos(theta), -math.sin(theta))
+    ref = czt(x, m=150_001, w=w, a=1.0 + 0.0j)
+    got = _chirp_z(x, 150_001, w)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _periodic_samples(n):
+    rng = np.random.default_rng(n)
+    phase = 2.0 * math.pi * np.arange(n) / n
+    return np.sin(3.0 * phase) + 0.5 * np.cos(17.0 * phase) + 0.1 * rng.normal(size=n)
+
+
+def test_periodic_spline_matches_cubic_spline_interior():
+    from scipy.interpolate import CubicSpline
+
+    n, step = 400, 0.37
+    y = _periodic_samples(n)
+    # 100 samples from either end the not-a-knot ends weigh in below 1e-50
+    x = np.random.default_rng(1).uniform(100 * step, 300 * step, 500)
+    x[:2] = 100 * step, 300 * step  # exactly on nodes too
+    ref = CubicSpline(step * np.arange(n), y)(x)
+    got = _periodic_spline(y, step, x)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(y))
+
+
+def test_periodic_spline_wrapping_window_matches_periodic_cubic_spline():
+    from scipy.interpolate import CubicSpline
+
+    n, step = 400, 0.37
+    y = _periodic_samples(n)
+    period = n * step
+    ref_spline = CubicSpline(step * np.arange(n + 1), np.append(y, y[0]), bc_type="periodic")
+    x = np.linspace(-30.5 * step, 40.25 * step, 700)  # straddles the wrap at 0
+    got = _periodic_spline(y, step, x)
+    ref = ref_spline(np.mod(x, period))
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(y))
 
 
 # ---------------------------------------------------------------- lineshape
@@ -448,3 +538,63 @@ def test_effective_mode_report_ordering_and_floor():
 
     lvm_only = effective_mode_report(hr, ls, lvm_indices=[2, 3, 4])
     assert [p.mode_index for p in lvm_only] == [3, 4]
+
+
+def _reference_mode_report(hr, ls, lvm_indices=None, match_tol_mev=None):
+    """The labelling loop as first written: one Python pass per peak and mode."""
+    candidates = (
+        np.arange(hr.nmodes) if lvm_indices is None else np.asarray(lvm_indices, int)
+    )
+    candidates = candidates[hr.sk[candidates] >= LABEL_SK_FLOOR]
+    if match_tol_mev is None:
+        match_tol_mev = max(3.0 * ls.gamma_mev, 5.0)
+    e = ls.energy_ev
+    y = ls.intensity
+    below = e < ls.zpl_ev - 2.0 * ls.gamma_mev / 1000.0
+    interior = np.zeros(e.size, dtype=bool)
+    interior[1:-1] = (y[1:-1] >= y[2:]) & (y[1:-1] > y[:-2])
+    peaks = np.nonzero(interior & below)[0]
+    peaks = peaks[np.argsort(y[peaks], kind="stable")[::-1]]
+
+    labels = []
+    used = set()
+    for p in peaks:
+        offset = (ls.zpl_ev - e[p]) * 1000.0
+        near = [
+            int(k)
+            for k in candidates
+            if abs(hr.omegas_mev[k] - offset) <= match_tol_mev and int(k) not in used
+        ]
+        if not near:
+            continue
+        best = max(near, key=lambda k: (hr.sk[k], -k))
+        used.add(best)
+        labels.append(PeakLabel(offset, float(hr.sk[best]), best, float(e[p])))
+    labels.sort(key=lambda pl: -pl.sk)
+    return labels
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(0, 40), min_size=1, max_size=14),
+    st.lists(st.sampled_from([0.0, 5e-5, 0.01, 0.1, 0.1, 0.3, 0.3]), min_size=14, max_size=14),
+    st.lists(st.integers(0, 6), min_size=4, max_size=60),
+    st.sampled_from([0.1, 0.5, 1.0, 2.0]),
+    st.sampled_from([None, 0.5, 1.0, 2.5]),
+    st.one_of(st.none(), st.lists(st.integers(0, 13), max_size=8)),
+)
+def test_effective_mode_report_matches_reference_loop(
+    mode_mev, sk_pool, heights, gamma, tol, lvm
+):
+    # integer mode energies and intensities on a 1 meV grid give exact ties
+    # in S_k, in peak height and in the distance of modes from a peak
+    omegas = np.sort(np.array(mode_mev, dtype=float))
+    sks = np.array(sk_pool[: omegas.size])
+    hr = HRDecomposition(omegas, np.zeros_like(omegas), sks, math.fsum(sks.tolist()))
+    energy = 2.0 - 0.001 * np.arange(len(heights), 0, -1)
+    raw = np.array(heights, dtype=float) + 0.5
+    ls = Lineshape(energy, raw / np.trapezoid(raw, energy), 2.0, gamma, 1.0)
+    lvm = None if lvm is None else [k for k in lvm if k < hr.nmodes]
+    assert effective_mode_report(hr, ls, lvm, tol) == _reference_mode_report(
+        hr, ls, lvm, tol
+    )
