@@ -31,7 +31,11 @@ class HashMismatch(InputError):
 
 
 class NonFiniteValue(InputError):
-    pass
+    """NaN, infinity or a number past the float range; may carry a locus."""
+
+    def __init__(self, message, locus=None):
+        self.locus = locus
+        super().__init__(message)
 
 
 class ParseError(InputError):
@@ -79,10 +83,6 @@ class NonPositiveGamma(InputError):
 
 
 class GridTooNarrow(InputError):
-    pass
-
-
-class IndexOutOfRange(InputError):
     pass
 
 

@@ -11,7 +11,9 @@ rename; existing files are only replaced when overwrite is set.
 
 from __future__ import annotations
 
+import base64
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -50,7 +52,7 @@ SCHEMAS = {
     "hessian": "hessian/1",
     "geometry_pair": "geometry_pair/1",
     "force_delta": "force_delta/1",
-    "phonon_basis": "phonon_basis/1",
+    "phonon_basis": "phonon_basis/2",
     "hr": "hr/1",
     "defects": "defects/1",
     "dissociation": "dissociation/1",
@@ -82,6 +84,8 @@ def loads_strict(text: str, source: str = "<string>"):
         raise ParseError(
             f"{source}: {exc.msg}", locus=f"line {exc.lineno}, column {exc.colno}"
         ) from None
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise ParseError(f"{source}: {exc}") from None
 
 
 def load_document(path):
@@ -95,14 +99,16 @@ def load_document(path):
 
 # ------------------------------------------------------------- doc access
 
-def _expect_schema(doc, kind):
+def _expect_schema(doc, kind, older=()):
+    """Check the schema field; `older` lists earlier versions still read."""
     if not isinstance(doc, dict):
         raise ParseError(f"expected an object for a {kind} document", locus="/")
     got = doc.get("schema")
-    if got != SCHEMAS[kind]:
+    if got != SCHEMAS[kind] and got not in older:
         raise ParseError(
             f"expected schema {SCHEMAS[kind]!r}, got {got!r}", locus="/schema"
         )
+    return got
 
 
 def _field(doc, key, path=""):
@@ -114,9 +120,13 @@ def _field(doc, key, path=""):
 def _number(value, locus):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"expected a number, got {value!r}", locus=locus)
-    if not math.isfinite(value):
-        raise NonFiniteValue(f"non-finite number at {locus}")
-    return float(value)
+    try:
+        out = float(value)
+    except OverflowError:  # an integer past the float range
+        out = math.inf
+    if not math.isfinite(out):
+        raise NonFiniteValue(f"non-finite number at {locus}", locus=locus)
+    return out
 
 
 def _integer(value, locus):
@@ -125,16 +135,63 @@ def _integer(value, locus):
     return value
 
 
+_NUMBER_TYPES = frozenset((float, int))  # exact types: bool is not a number here
+
+
 def _matrix(value, rows, cols, locus):
     if not isinstance(value, list) or len(value) != rows:
         raise ParseError(f"expected {rows} rows", locus=locus)
-    out = np.empty((rows, cols))
     for i, row in enumerate(value):
         if not isinstance(row, list) or len(row) != cols:
             raise ParseError(f"expected {cols} numbers per row", locus=f"{locus}/{i}")
+    if _NUMBER_TYPES.issuperset(map(type, itertools.chain.from_iterable(value))):
+        try:
+            out = np.array(value, dtype=float).reshape(rows, cols)
+        except OverflowError:  # an integer past the float range
+            pass
+        else:
+            if np.isfinite(out).all():
+                return out
+    # failure path: the element loop names the first offending entry
+    out = np.empty((rows, cols))
+    for i, row in enumerate(value):
         for j, x in enumerate(row):
             out[i, j] = _number(x, f"{locus}/{i}/{j}")
     return out
+
+
+def _binary_matrix(value, rows, cols, locus):
+    """A row-major little-endian float64 block: dtype, shape and base64."""
+    if not isinstance(value, dict):
+        raise ParseError("expected an object with dtype, shape and base64", locus=locus)
+    dtype = _field(value, "dtype", locus)
+    if dtype != "<f8":
+        raise ParseError(f"dtype must be '<f8', got {dtype!r}", locus=f"{locus}/dtype")
+    shape = _field(value, "shape", locus)
+    if shape != [rows, cols] or not all(type(n) is int for n in shape):
+        raise ParseError(f"shape must be [{rows}, {cols}], got {shape!r}", locus=f"{locus}/shape")
+    text = _field(value, "base64", locus)
+    if not isinstance(text, str):
+        raise ParseError("base64 must be a string", locus=f"{locus}/base64")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:
+        raise ParseError(f"invalid base64: {exc}", locus=f"{locus}/base64") from None
+    if len(raw) != rows * cols * 8:
+        raise ParseError(
+            f"payload has {len(raw)} bytes, shape needs {rows * cols * 8}",
+            locus=f"{locus}/base64",
+        )
+    return np.frombuffer(raw, dtype="<f8").reshape(rows, cols)
+
+
+def _binary_block(matrix):
+    data = np.ascontiguousarray(matrix, dtype="<f8")
+    return {
+        "dtype": "<f8",
+        "shape": list(data.shape),
+        "base64": base64.b64encode(data.tobytes()).decode("ascii"),
+    }
 
 
 # ------------------------------------------------------------- structure
@@ -306,13 +363,15 @@ def write_force_delta(delta: ForceDelta, path, overwrite=False):
 # ---------------------------------------------------------- phonon basis
 
 def parse_phonon_basis(doc) -> Tuple[PhononBasis, dict]:
-    _expect_schema(doc, "phonon_basis")
+    """Read `phonon_basis/2`, or the older `phonon_basis/1` with inline vectors."""
+    schema = _expect_schema(doc, "phonon_basis", older=("phonon_basis/1",))
     omegas = _field(doc, "omegas_mev")
     if not isinstance(omegas, list) or not omegas:
         raise ParseError("omegas_mev must be a non-empty list", locus="/omegas_mev")
     nm = len(omegas)
     w = np.array([_number(x, f"/omegas_mev/{i}") for i, x in enumerate(omegas)])
-    vectors = _matrix(_field(doc, "vectors"), nm, nm, "/vectors")
+    read = _matrix if schema == "phonon_basis/1" else _binary_matrix
+    vectors = read(_field(doc, "vectors"), nm, nm, "/vectors")
     cutoff = _number(doc.get("cutoff_bulk_mev", 115.0), "/cutoff_bulk_mev")
     provenance = doc.get("provenance", {})
     if not isinstance(provenance, dict):
@@ -327,7 +386,7 @@ def write_phonon_basis(
         "schema": SCHEMAS["phonon_basis"],
         "cutoff_bulk_mev": float(basis.cutoff_bulk_mev),
         "omegas_mev": basis.omegas_mev.tolist(),
-        "vectors": basis.vectors.tolist(),
+        "vectors": _binary_block(basis.vectors),
         "provenance": provenance or {},
     }
     _write_json(doc, path, overwrite)

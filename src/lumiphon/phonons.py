@@ -13,7 +13,6 @@ import numpy as np
 from . import units
 from .errors import (
     DimensionMismatch,
-    IndexOutOfRange,
     InputError,
     NonConvergence,
 )
@@ -69,16 +68,18 @@ def apply_asr(hessian: Hessian, masses) -> tuple[Hessian, AsrReport]:
     d = _mass_weight(hessian.matrix, masses_3n)
     t = _translation_basis(masses_3n)
 
-    def _residuals(mat):
-        res = np.linalg.norm(mat @ t.T, axis=0)
+    def _residuals(dt):
+        res = np.linalg.norm(dt, axis=0)
         return units.HBAR_MEV_FS * np.sqrt(res * units.EV_PER_AMU_A2)
 
-    pre = _residuals(d)
-    proj = np.eye(hessian.dim) - t.T @ t
-    d_clean = proj @ d @ proj
+    dt = d @ t.T
+    pre = _residuals(dt)
+    # (I - T^T T) D (I - T^T T) expanded, with T D = (D T^T)^T as D is
+    # symmetric: the rank-3 projection costs O(N^2) instead of O(N^3)
+    d_clean = d - dt @ t - t.T @ dt.T + t.T @ ((t @ dt) @ t)
     d_clean = 0.5 * (d_clean + d_clean.T)
     # the projection cannot increase a residual; clamp matmul noise
-    post = np.minimum(_residuals(d_clean), pre)
+    post = np.minimum(_residuals(d_clean @ t.T), pre)
 
     sq = np.sqrt(masses_3n)
     h_clean = d_clean * np.outer(sq, sq)
@@ -137,24 +138,12 @@ def classify_lvm(basis: PhononBasis, cutoff_mev: float = 115.0) -> List[int]:
     return [int(i) for i in np.nonzero(basis.omegas_mev > cutoff_mev)[0]]
 
 
-def localization(basis: PhononBasis, mode_index: int) -> float:
-    """Inverse participation ratio of one mode, in [1/N, 1].
+def localization_table(basis: PhononBasis) -> np.ndarray:
+    """Inverse participation ratio of every mode, each in [1/N, 1].
 
     Computed from per-atom weights p_a = sum_i v_ai^2 as sum_a p_a^2;
     a mode living on a single atom scores 1, a uniform mode scores 1/N.
     """
-    if not 0 <= mode_index < basis.nmodes:
-        raise IndexOutOfRange(
-            f"mode index {mode_index} outside 0..{basis.nmodes - 1}"
-        )
-    v = basis.vectors[mode_index].reshape(-1, 3)
-    weights = np.sum(v * v, axis=1)
-    total = float(np.sum(weights))
-    return float(np.sum((weights / total) ** 2))
-
-
-def localization_table(basis: PhononBasis) -> np.ndarray:
-    """IPR of every mode (vectorized form of :func:`localization`)."""
     v = basis.vectors.reshape(basis.nmodes, -1, 3)
     weights = np.sum(v * v, axis=2)
     weights /= np.sum(weights, axis=1, keepdims=True)

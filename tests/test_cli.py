@@ -120,6 +120,27 @@ def test_modes_missing_file_exit_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "digits,message",
+    [
+        (401, "non-finite number at /matrix/1/4"),  # past the float range
+        (4301, "hessian.json"),  # past Python's integer digit limit
+    ],
+)
+def test_modes_huge_integer_exit_2(tmp_path, capsys, digits, message):
+    _, spath, hpath = _write_diatomic(tmp_path)
+    doc = json.loads(hpath.read_text())
+    doc["matrix"][1][4] = "@huge@"
+    hpath.write_text(json.dumps(doc).replace('"@huge@"', "1" + "0" * (digits - 1)))
+    out = tmp_path / "modes.json"
+    code = main(
+        ["modes", "--structure", str(spath), "--hessian", str(hpath), "--out", str(out)]
+    )
+    assert code == 2
+    assert not out.exists()
+    assert message in capsys.readouterr().err
+
+
 def _prepare_modes(tmp_path, spring=4.2):
     structure, spath, hpath = _write_diatomic(tmp_path, spring)
     modes = tmp_path / "modes.json"

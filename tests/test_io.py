@@ -1,4 +1,9 @@
+import base64
+import json
 import math
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -20,6 +25,7 @@ from lumiphon.model import (
     ForceDelta,
     HostReference,
     HRDecomposition,
+    PhononBasis,
     structure_checksum,
 )
 from lumiphon.phonons import diagonalize
@@ -121,6 +127,78 @@ def test_hessian_hash_mismatch_detected():
     doc = {"schema": "hessian/1", "structure_hash": "deadbeef", "matrix": np.eye(6).tolist()}
     with pytest.raises(HashMismatch):
         lio.parse_hessian(doc, structure)
+
+
+# ------------------------------------------------ error loci of dense matrices
+
+OVER_RANGE_INT = "1" + "0" * 400
+
+# JSON literal put at entry (2, 3), and the error the parse must raise there
+BAD_ENTRIES = [
+    ('"1.0"', ParseError),
+    ("true", ParseError),
+    ("null", ParseError),
+    ("[1]", ParseError),
+    ("1e999", NonFiniteValue),
+    (OVER_RANGE_INT, NonFiniteValue),
+]
+
+
+def _doc_with_bad_entry(doc, field, literal):
+    """Serialize `doc` with `literal` spliced in at doc[field][2][3]."""
+    rows = [list(r) for r in doc[field]]
+    rows[2][3] = "@bad@"
+    text = json.dumps(dict(doc, **{field: rows})).replace('"@bad@"', literal)
+    return lio.loads_strict(text)
+
+
+def _per_element_error(rows, locus):
+    """Reference: what one `_number` call per element raises first."""
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            try:
+                lio._number(x, f"{locus}/{i}/{j}")
+            except (ParseError, NonFiniteValue) as exc:
+                return type(exc), exc.locus
+    return None
+
+
+def _six_mode_basis_v1():
+    return {
+        "schema": "phonon_basis/1",
+        "omegas_mev": [0.0, 0.0, 0.0, 10.0, 20.0, 30.0],
+        "vectors": np.eye(6).tolist(),
+    }
+
+
+@pytest.mark.parametrize("literal,error", BAD_ENTRIES)
+def test_hessian_matrix_bad_entry_locus(literal, error):
+    structure = lio.parse_structure(STRUCTURE_DOC)
+    doc = {"schema": "hessian/1", "matrix": np.eye(6).tolist()}
+    doc = _doc_with_bad_entry(doc, "matrix", literal)
+    with pytest.raises(error) as err:
+        lio.parse_hessian(doc, structure)
+    assert err.value.locus == "/matrix/2/3"
+    assert _per_element_error(doc["matrix"], "/matrix") == (error, "/matrix/2/3")
+
+
+@pytest.mark.parametrize("literal,error", BAD_ENTRIES)
+def test_basis_v1_vectors_bad_entry_locus(literal, error):
+    doc = _doc_with_bad_entry(_six_mode_basis_v1(), "vectors", literal)
+    with pytest.raises(error) as err:
+        lio.parse_phonon_basis(doc)
+    assert err.value.locus == "/vectors/2/3"
+    assert _per_element_error(doc["vectors"], "/vectors") == (error, "/vectors/2/3")
+
+
+def test_matrix_mixed_ints_and_floats_parse_exactly():
+    structure = lio.parse_structure(STRUCTURE_DOC)
+    matrix = np.eye(6).tolist()
+    matrix[0][1] = 3
+    matrix[1][0] = 2.0**-1074
+    matrix[4][5] = -0.0
+    hessian = lio.parse_hessian({"schema": "hessian/1", "matrix": matrix}, structure)
+    assert hessian.matrix.tobytes() == np.array(matrix, dtype=float).tobytes()
 
 
 # ----------------------------------------------------------------- pair etc.
@@ -227,6 +305,118 @@ def test_basis_roundtrip_bit_exact(tmp_path, diatomic):
     assert np.array_equal(back.omegas_mev, basis.omegas_mev)
     assert np.array_equal(back.vectors, basis.vectors)
     assert provenance["hessian_sha256"] == "abc"
+
+
+def _adversarial_basis():
+    """Six orthonormal modes holding -0.0, a subnormal and imaginary modes."""
+    rng = np.random.default_rng(3)
+    vectors = np.zeros((6, 6))
+    vectors[:3, :3] = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+    vectors[3:, 3:] = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+    vectors[0, 4] = -0.0
+    vectors[1, 5] = 2.0**-1074
+    omegas = np.array([-12.5, -1e-3, -0.0, 2.0**-1074, 1.0 / 3.0, 40.0 * math.pi])
+    return PhononBasis(omegas, vectors, 117.25)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype="<f8").tobytes()
+
+
+def test_basis_v2_roundtrip_bit_exact(tmp_path):
+    basis = _adversarial_basis()
+    path = tmp_path / "b.json"
+    lio.write_phonon_basis(basis, path, {"note": "x"})
+    doc = lio.load_document(path)
+    assert doc["schema"] == "phonon_basis/2"
+    assert doc["vectors"]["dtype"] == "<f8" and doc["vectors"]["shape"] == [6, 6]
+    assert isinstance(doc["omegas_mev"], list)
+    back, provenance = lio.parse_phonon_basis(doc)
+    assert _bits(back.omegas_mev) == _bits(basis.omegas_mev)
+    assert _bits(back.vectors) == _bits(basis.vectors)
+    assert back.cutoff_bulk_mev == 117.25
+    assert provenance == {"note": "x"}
+
+
+def test_basis_v1_still_read_bit_exact():
+    basis = _adversarial_basis()
+    doc = {
+        "schema": "phonon_basis/1",
+        "cutoff_bulk_mev": basis.cutoff_bulk_mev,
+        "omegas_mev": basis.omegas_mev.tolist(),
+        "vectors": basis.vectors.tolist(),
+    }
+    back, _ = lio.parse_phonon_basis(lio.loads_strict(json.dumps(doc)))
+    assert _bits(back.omegas_mev) == _bits(basis.omegas_mev)
+    assert _bits(back.vectors) == _bits(basis.vectors)
+
+
+def _v2_doc():
+    basis = _adversarial_basis()
+    return {
+        "schema": "phonon_basis/2",
+        "omegas_mev": basis.omegas_mev.tolist(),
+        "vectors": {
+            "dtype": "<f8",
+            "shape": [6, 6],
+            "base64": base64.b64encode(_bits(basis.vectors)).decode("ascii"),
+        },
+    }
+
+
+@pytest.mark.parametrize(
+    "change,locus",
+    [
+        ({"dtype": ">f8"}, "/vectors/dtype"),
+        ({"shape": [6, 3]}, "/vectors/shape"),
+        ({"shape": [36]}, "/vectors/shape"),
+        ({"shape": [6.0, 6.0]}, "/vectors/shape"),
+        ({"base64": "!" + _v2_doc()["vectors"]["base64"][1:]}, "/vectors/base64"),
+        ({"base64": _v2_doc()["vectors"]["base64"][:-4]}, "/vectors/base64"),
+        ({"base64": None}, "/vectors/base64"),
+    ],
+)
+def test_basis_v2_rejects_malformed_vectors(change, locus):
+    doc = _v2_doc()
+    doc["vectors"].update(change)
+    with pytest.raises(ParseError) as err:
+        lio.parse_phonon_basis(doc)
+    assert err.value.locus == locus
+
+
+def test_basis_v2_rejects_nan_payload():
+    doc = _v2_doc()
+    vectors = _adversarial_basis().vectors.copy()
+    vectors[2, 3] = math.nan
+    doc["vectors"]["base64"] = base64.b64encode(_bits(vectors)).decode("ascii")
+    with pytest.raises(NonFiniteValue) as err:
+        lio.parse_phonon_basis(doc)
+    assert "vectors[2,3]" in str(err.value)
+
+
+def test_compare_mode_tables_reads_v1_and_v2(tmp_path):
+    root = pathlib.Path(__file__).resolve().parent.parent
+    basis = _adversarial_basis()
+    v1, v2 = tmp_path / "v1.json", tmp_path / "v2.json"
+    v1.write_text(
+        json.dumps(
+            {
+                "schema": "phonon_basis/1",
+                "omegas_mev": basis.omegas_mev.tolist(),
+                "vectors": basis.vectors.tolist(),
+            }
+        )
+    )
+    lio.write_phonon_basis(basis, v2)
+    done = subprocess.run(
+        [sys.executable, str(root / "scripts" / "compare_mode_tables.py"),
+         str(v1), str(v2), "--cutoff", "100"],
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    rows = [ln for ln in done.stdout.splitlines() if not ln.startswith("#")]
+    assert rows == ["125.664\t125.664\t0.000"]
 
 
 def test_hr_roundtrip_bit_exact(tmp_path):

@@ -2,17 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lumiphon import units
-from lumiphon.errors import DimensionMismatch, IndexOutOfRange, InputError
+from lumiphon.errors import DimensionMismatch, InputError
 from lumiphon.model import CrystalStructure, Hessian, PhononBasis
 from lumiphon.phonons import (
     apply_asr,
     classify_lvm,
     diagonalize,
-    localization,
     localization_table,
     symmetrize,
 )
@@ -76,6 +75,46 @@ def test_asr_applied_flag_on_zero_hessian():
     )
     _, report = apply_asr(Hessian(np.zeros((6, 6))), structure.masses)
     assert report.applied is False
+
+
+def _mass_weighted_translations(masses_3n):
+    t = np.zeros((3, masses_3n.size))
+    for axis in range(3):
+        t[axis, axis::3] = np.sqrt(masses_3n[axis::3] / np.sum(masses_3n[axis::3]))
+    return t
+
+
+def _dense_projector_asr(matrix, masses_3n):
+    """Reference ASR: (I - T^T T) D (I - T^T T) with the dense projector."""
+    inv = 1.0 / np.sqrt(masses_3n)
+    d = matrix * np.outer(inv, inv)
+    t = _mass_weighted_translations(masses_3n)
+    proj = np.eye(d.shape[0]) - t.T @ t
+    d_clean = proj @ d @ proj
+    d_clean = 0.5 * (d_clean + d_clean.T)
+    return d_clean / np.outer(inv, inv)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    natoms=st.integers(2, 100),
+    seed=st.integers(0, 2**32 - 1),
+    log_scale=st.floats(-3.0, 3.0),
+)
+def test_asr_rank3_update_matches_dense_projector(natoms, seed, log_scale):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(3 * natoms, 3 * natoms)) * 10.0**log_scale
+    h = 0.5 * (a + a.T)
+    masses = rng.uniform(1.0, 240.0, size=natoms)
+    clean, report = apply_asr(Hessian(h), masses)
+    masses_3n = np.repeat(masses, 3)
+    scale = np.max(np.abs(h))
+    assert np.max(np.abs(clean.matrix - _dense_projector_asr(h, masses_3n))) <= 1e-13 * scale
+    assert np.all(report.post_norms_mev <= report.pre_norms_mev)
+    # the mass-weighted translations are null vectors of the result
+    inv = 1.0 / np.sqrt(masses_3n)
+    null = clean.matrix * np.outer(inv, inv) @ _mass_weighted_translations(masses_3n).T
+    assert np.max(np.abs(null)) <= 1e-13 * np.max(np.abs(h * np.outer(inv, inv)))
 
 
 # ------------------------------------------------------------ diagonalize
@@ -196,7 +235,7 @@ def test_ipr_single_atom():
     vec = np.zeros(6)
     vec[0] = 1.0
     basis = PhononBasis(np.zeros(6), np.vstack([vec, np.eye(6)[1:]]))
-    assert localization(basis, 0) == pytest.approx(1.0)
+    assert localization_table(basis)[0] == pytest.approx(1.0)
 
 
 def test_ipr_uniform_and_pair():
@@ -210,8 +249,9 @@ def test_ipr_uniform_and_pair():
     # sign), giving an orthonormal completion of v0, v1
     q, _ = np.linalg.qr(np.column_stack([v0, v1, np.eye(3 * n)]))
     basis = PhononBasis(np.zeros(3 * n), q.T)
-    assert localization(basis, 0) == pytest.approx(1.0 / n)
-    assert localization(basis, 1) == pytest.approx(0.5)
+    table = localization_table(basis)
+    assert table[0] == pytest.approx(1.0 / n)
+    assert table[1] == pytest.approx(0.5)
 
 
 def test_ipr_bounds_and_table(small_cluster):
@@ -221,10 +261,6 @@ def test_ipr_bounds_and_table(small_cluster):
     assert table.shape == (basis.nmodes,)
     assert np.all(table >= 1.0 / basis.natoms - 1e-12)
     assert np.all(table <= 1.0 + 1e-12)
-    for k in (0, basis.nmodes - 1):
-        assert localization(basis, k) == pytest.approx(table[k])
-    with pytest.raises(IndexOutOfRange):
-        localization(basis, basis.nmodes)
 
 
 def test_apply_asr_rejects_bad_masses(small_cluster):
