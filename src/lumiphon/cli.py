@@ -79,7 +79,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=float, default=0.1, help="output step in meV")
     p.add_argument("--no-omega-cubed", action="store_true")
     p.add_argument("--time-step", type=float, help="override the time step in fs")
-    p.add_argument("--time-span", type=float, help="override the time span in fs")
+    p.add_argument(
+        "--time-span",
+        type=float,
+        help="override the time span of the sideband transform in fs "
+        "(default min(25 hbar/gamma, 7.74 hbar/sigma))",
+    )
     p.add_argument("--cutoff", type=float, default=115.0, help="LVM cutoff in meV")
     p.add_argument("--out", required=True, help="spectrum TSV")
     p.add_argument("--peaks", help="labelled sideband peaks TSV")
@@ -251,8 +256,6 @@ def cmd_spectrum(args) -> int:
         zpl_ev=args.zpl,
         gamma_mev=args.gamma,
         sigma_mev=args.sigma,
-        time_step_fs=args.time_step,
-        time_span_fs=args.time_span,
         window_ev=window,
         step_mev=args.step,
         omega_cubed=not args.no_omega_cubed,
@@ -260,7 +263,8 @@ def cmd_spectrum(args) -> int:
     sd = vibronic.spectral_density(hr, args.sigma)
     reach = max(zpl_mev - window[0] * 1000.0, abs(window[1] * 1000.0 - zpl_mev))
     tgrid = vibronic.make_time_grid(
-        sd.omega_max_mev, hr.total, args.gamma, reach, args.time_step, args.time_span
+        sd.omega_max_mev, hr.total, args.gamma, reach, args.time_step, args.time_span,
+        sigma_mev=args.sigma,
     )
     gf = vibronic.generating_function(sd, tgrid)
     ls = vibronic.lineshape(gf, config)

@@ -645,23 +645,27 @@ def _fmt(value) -> str:
     return "%.9g" % (v + 0.0)  # normalizes -0.0
 
 
-def write_table_tsv(path, header_lines: Sequence[str], col_names: Sequence[str], rows, overwrite=False):
-    """Deterministic TSV: '#' headers, 9 significant digits, LF endings."""
+def _write_tsv(path, header_lines, col_names, body, overwrite):
     lines = [f"# {h}" for h in header_lines]
     lines.append("# columns: " + "\t".join(col_names))
-    for row in rows:
-        lines.append("\t".join(_fmt(v) for v in row))
+    lines.extend(body)
     _write_text("\n".join(lines) + "\n", path, overwrite)
 
 
+def write_table_tsv(path, header_lines: Sequence[str], col_names: Sequence[str], rows, overwrite=False):
+    """Deterministic TSV: '#' headers, 9 significant digits, LF endings."""
+    body = ["\t".join(_fmt(v) for v in row) for row in rows]
+    _write_tsv(path, header_lines, col_names, body, overwrite)
+
+
 def write_spectrum_tsv(path, energy_ev, intensity, header_lines=(), overwrite=False):
-    write_table_tsv(
-        path,
-        header_lines,
-        ("energy_ev", "intensity_per_ev"),
-        zip(np.asarray(energy_ev).tolist(), np.asarray(intensity).tolist()),
-        overwrite,
-    )
+    """write_table_tsv's format for two float columns, in one pass."""
+    rows = np.column_stack((np.asarray(energy_ev, float), np.asarray(intensity, float)))
+    if not np.all(np.isfinite(rows)):
+        raise NonFiniteValue("refusing to write a non-finite value")
+    # + 0.0 normalizes -0.0, as _fmt does
+    body = ["%.9g\t%.9g" % (e, i) for e, i in (rows + 0.0).tolist()]
+    _write_tsv(path, header_lines, ("energy_ev", "intensity_per_ev"), body, overwrite)
 
 
 def write_stem_tsv(path, hr: HRDecomposition, header_lines=(), overwrite=False):

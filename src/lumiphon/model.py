@@ -334,12 +334,17 @@ class SpectralDensity:
 
 @dataclass(frozen=True, eq=False)
 class GeneratingFunction:
-    """G(t) = exp(S(t) - S(0)) on a symmetric uniform time grid (fs)."""
+    """G(t) = exp(S(t) - S(0)) on a symmetric uniform time grid (fs).
+
+    recurrence_fs is the time at which the quadrature's first recurrence
+    of S(t) sets in; infinite when there is none.
+    """
 
     time_fs: np.ndarray
     values: np.ndarray
     s_total: float
     omega_max_mev: float
+    recurrence_fs: float = math.inf
 
     def __post_init__(self):
         object.__setattr__(self, "time_fs", _own(self.time_fs))
@@ -402,8 +407,6 @@ class LineshapeConfig:
     zpl_ev: float
     gamma_mev: float = 1.0
     sigma_mev: float = 2.0
-    time_step_fs: Optional[float] = None
-    time_span_fs: Optional[float] = None
     window_ev: Optional[Tuple[float, float]] = None
     step_mev: float = 0.1
     refractive_index: Optional[float] = None

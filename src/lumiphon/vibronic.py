@@ -4,8 +4,13 @@ The chain implemented here: project the excited-minus-ground geometry
 change (or force change) onto the phonon modes to get per-mode
 displacements q_k, form partial factors S_k = omega_k q_k^2 / (2 hbar),
 smear them into a spectral density S(hw), Fourier it into S(t), build the
-generating function G(t) = exp(S(t) - S(0)), and FFT the damped G into the
-normalized emission lineshape anchored at the zero-phonon line.
+generating function G(t) = exp(S(t) - S(0)) and split it as
+G(t) = e^{-S} + [G(t) - e^{-S}] (Huang and Rhys, Proc. R. Soc. A 204, 406
+(1950)).  The constant term is the zero-phonon line: damped by
+e^{-gamma|t|/hbar} it is a Lorentzian of weight e^{-S}, written in closed
+form.  The bracket is the phonon sideband; S(t) is Gaussian-smeared, so the
+bracket dies within a few hbar/sigma, and only it goes through the FFT, on
+a time grid whose span follows sigma rather than gamma.
 
 Conventions: q_k in amu^1/2 * A against unit-norm mass-weighted mode
 vectors; the force route divides the force change by sqrt(mass) and by the
@@ -53,6 +58,14 @@ LABEL_SK_FLOOR = 1e-4
 
 #: Smallest FFT block of the chirp-z convolution.
 _CZT_BLOCK = 1 << 16
+
+#: |G(t) - e^{-S}| <= |S(t)| <= S exp(-sigma^2 t^2 / 2 hbar^2), which falls
+#: below 1e-13 S past this many hbar/sigma.
+_SIDEBAND_SPAN = math.sqrt(2.0 * math.log(1e13))
+
+#: The damped sideband must be below e^{-_DAMPING_FLOOR} where the time
+#: grid ends and where a recurrence of the spectral quadrature begins.
+_DAMPING_FLOOR = 10.0
 
 # Cubic B-spline interpolation: the coefficients are the samples filtered
 # by the inverse of (1, 4, 1)/6, whose taps are sqrt(3) z1^|j| with
@@ -207,14 +220,17 @@ def make_time_grid(
     reach_mev: float = 0.0,
     time_step_fs: Optional[float] = None,
     time_span_fs: Optional[float] = None,
+    sigma_mev: Optional[float] = None,
 ) -> np.ndarray:
-    """Symmetric power-of-two time grid adequate for the FFT lineshape.
+    """Symmetric power-of-two time grid adequate for the FFT sideband.
 
     The step keeps the Nyquist energy above both the multi-phonon support
-    (omega_max times max(10*S, 10)) and any explicitly requested reach; the
-    span covers 25 damping constants hbar/gamma by default.  lineshape
-    takes omega_max from the spectral density (SpectralDensity.omega_max_mev),
-    so pass that value for a grid it accepts at any S.
+    (omega_max times max(10*S, 10)) and any explicitly requested reach.
+    The span is 25 damping constants hbar/gamma, cut with sigma given to
+    the sqrt(2 ln 1e13) hbar/sigma within which G(t) - e^{-S} falls below
+    1e-13 S; time_span_fs overrides either.  lineshape takes omega_max
+    from the spectral density (SpectralDensity.omega_max_mev), so pass that
+    value for a grid it accepts at any S.
     """
     if gamma_mev <= 0:
         raise NonPositiveGamma(f"gamma must be positive, got {gamma_mev}")
@@ -234,16 +250,15 @@ def make_time_grid(
         raise AliasedGrid(
             f"time step {dt:.4f} fs too coarse; need <= {dt_nyquist:.4f} fs"
         )
-    span = (
-        time_span_fs
-        if time_span_fs is not None
-        else 25.0 * units.HBAR_MEV_FS / gamma_mev
-    )
-    if span < 10.0 * units.HBAR_MEV_FS / gamma_mev * (1.0 - 1e-12):
-        raise AliasedGrid(
-            f"time span {span:.1f} fs covers fewer than 10 damping constants "
-            f"({10.0 * units.HBAR_MEV_FS / gamma_mev:.1f} fs)"
-        )
+    span = 25.0 * units.HBAR_MEV_FS / gamma_mev
+    if sigma_mev is not None:
+        if sigma_mev <= 0:
+            raise InputError(f"sigma must be positive, got {sigma_mev}")
+        span = min(span, _SIDEBAND_SPAN * units.HBAR_MEV_FS / sigma_mev)
+    if time_span_fs is not None:
+        span = time_span_fs
+    if span <= 0:
+        raise InputError(f"time span must be positive, got {span}")
     n = 1 << max(4, int(math.ceil(math.log2(2.0 * span / dt))))
     return (np.arange(n) - n // 2) * dt
 
@@ -275,7 +290,9 @@ def generating_function(sd: SpectralDensity, time_fs) -> GeneratingFunction:
     S(t) is evaluated on the non-negative half of the (arithmetic) time
     grid with a chirp-z transform and mirrored through S(-t) = conj(S(t)),
     so time reversal holds exactly; the identically-zero difference at
-    t = 0 is pinned, keeping G(0) = 1 exact.
+    t = 0 is pinned, keeping G(0) = 1 exact.  The quadrature over the
+    spectral grid of step D makes |S(t)| periodic in 2 pi hbar / D; the
+    result records where the first recurrence rises above 1e-13 S.
     """
     t = np.asarray(time_fs, dtype=float)
     if t.ndim != 1 or t.size < 4:
@@ -311,37 +328,52 @@ def generating_function(sd: SpectralDensity, time_fs) -> GeneratingFunction:
     vals = np.empty(n, dtype=complex)
     vals[i0:] = g_half[: n - i0]
     np.conjugate(g_half[i0::-1], out=vals[: i0 + 1])
-    return GeneratingFunction(t, vals, sd.total, omega_max)
+    recurrence = units.HBAR_MEV_FS * (
+        2.0 * math.pi / sd.step_mev - _SIDEBAND_SPAN / sd.sigma_mev
+    )
+    return GeneratingFunction(t, vals, sd.total, omega_max, recurrence)
 
 
-def _fft_spectral_function(gf: GeneratingFunction, gamma_mev: float):
-    """FFT of the damped generating function.
+def _fft_spectral_function(gf: GeneratingFunction, gamma_mev: float, resolution_mev: float):
+    """Phonon sideband: the FFT of the damped bracket [G(t) - e^{-S}].
 
-    Returns the energy step (meV) and the real spectral density A per meV,
-    unit integral, in FFT order: A[k] is the density at the released energy
-    k * step (0 at the zero-phonon line), periodic in A.size * step.
+    Returns the energy step (meV, at most resolution_mev), the real
+    sideband density per meV in FFT order (entry k at the released energy
+    k * step, periodic in its size * step) and the zero-phonon weight e^{-S}.
     """
-    t = gf.time_fs
-    n = t.size
+    n = gf.time_fs.size
     dt = gf.dt_fs
-    # sum_j g_j exp(+i E t_j / hbar) with t_j = (j - n/2) dt, damped
-    spec = np.fft.ifft(gf.values * np.exp(-gamma_mev * np.abs(t) / units.HBAR_MEV_FS)) * n
-    k = np.fft.fftfreq(n, d=1.0 / n)
-    e_rel = 2.0 * math.pi * units.HBAR_MEV_FS * k / (n * dt)
-    phase = np.exp(-1j * e_rel * (n // 2) * dt / units.HBAR_MEV_FS)
-    a = (dt / (2.0 * math.pi * units.HBAR_MEV_FS)) * phase * spec
+    i0 = int(np.argmin(np.abs(gf.time_fs)))
+    zpl_weight = math.exp(-gf.s_total)
+    # t_j = (j - i0) dt on the step G was evaluated with, not time_fs,
+    # whose large |t| carry rounding
+    damping = np.exp(-gamma_mev * dt / units.HBAR_MEV_FS * np.abs(np.arange(n) - i0))
+    bracket = (gf.values - zpl_weight) * damping
+    edge = max(1, n // 16)
+    tail = max(float(np.max(np.abs(bracket[:edge]))), float(np.max(np.abs(bracket[-edge:]))))
+    if tail > math.exp(-_DAMPING_FLOOR):
+        raise AliasedGrid(
+            f"damped sideband still reaches {tail:.2e} at the ends of the time grid "
+            f"({-float(gf.time_fs[0]):.0f} fs); increase the time span"
+        )
+    period_fs = 2.0 * math.pi * units.HBAR_MEV_FS / resolution_mev
+    size = max(n, 1 << max(0, math.ceil(math.log2(period_fs / dt))))
+    padded = np.zeros(size, dtype=complex)
+    padded[: n - i0] = bracket[i0:]
+    padded[size - i0 :] = bracket[:i0]
+    # sum_j b_j exp(+i E_k t_j / hbar) with E_k = k * step
+    a = np.fft.ifft(padded) * (size * dt / (2.0 * math.pi * units.HBAR_MEV_FS))
     resid = float(np.max(np.abs(a.imag)))
     if resid > 1e-9:
         raise NumericalError(f"spectral function imaginary residue {resid:.3e} > 1e-9")
     a = a.real
-    step = 2.0 * math.pi * units.HBAR_MEV_FS / (n * dt)
-    # trapezoid over the ascending energies, whose two ends sit mid-array
-    integral = step * (float(np.sum(a)) - 0.5 * (a[(n - 1) // 2] + a[(n + 1) // 2]))
+    step = 2.0 * math.pi * units.HBAR_MEV_FS / (size * dt)
+    integral = step * float(np.sum(a)) + zpl_weight
     if abs(integral - 1.0) > 1e-6:
         raise NumericalError(
             f"spectral function integral {integral!r} deviates from 1 by > 1e-6"
         )
-    return step, a / integral
+    return step, a, zpl_weight
 
 
 def _periodic_spline(y, step, x):
@@ -381,21 +413,34 @@ def default_window_mev(zpl_mev, omega_max_mev, s_total, gamma_mev, sigma_mev):
 def lineshape(gf: GeneratingFunction, config: LineshapeConfig) -> Lineshape:
     """Normalized emission lineshape from the generating function.
 
-    A(E_zpl - hw) is the FFT of G(t) e^{-gamma|t|/hbar}; the emission
-    intensity is C * E^3 * A (or C * A with omega_cubed off), renormalized
-    to unit integral over the output window.  The refractive index and
-    transition dipole scale the unnormalized intensity only, so they drop
-    out of the result.
+    A(E_zpl - hw) is the transform of G(t) e^{-gamma|t|/hbar}: the
+    zero-phonon Lorentzian e^{-S} (gamma/pi) / (hw^2 + gamma^2) in closed
+    form plus the FFT of the damped bracket [G(t) - e^{-S}], zero-padded to
+    an energy step of max(sigma, gamma)/16 and splined onto the output
+    grid.  The output step must not exceed gamma, or the Lorentzian is
+    undersampled.  The emission intensity is C * E^3 * A (or C * A with
+    omega_cubed off), renormalized to unit integral over the output window.
+    The refractive index and transition dipole scale the unnormalized
+    intensity only, so they drop out of the result.
     """
-    if config.gamma_mev <= 0:
-        raise NonPositiveGamma(f"gamma must be positive, got {config.gamma_mev}")
+    gamma = config.gamma_mev
+    if gamma <= 0:
+        raise NonPositiveGamma(f"gamma must be positive, got {gamma}")
+    if config.step_mev > gamma:
+        raise InputError(
+            f"output step {config.step_mev:g} meV (--step) exceeds gamma {gamma:g} meV "
+            "(--gamma) and would undersample the zero-phonon line"
+        )
     zpl_mev = config.zpl_ev * 1000.0
     t = gf.time_fs
     dt = gf.dt_fs
-    span = min(-float(t[0]), float(t[-1]) + dt)
-    if span < 10.0 * units.HBAR_MEV_FS / config.gamma_mev * (1.0 - 1e-12):
+    span = max(-float(t[0]), float(t[-1]))
+    onset = gf.recurrence_fs
+    if span > onset and gamma * onset / units.HBAR_MEV_FS < _DAMPING_FLOOR:
         raise AliasedGrid(
-            f"time span {span:.1f} fs covers fewer than 10 damping constants"
+            f"time span {span:.0f} fs (--time-span) reaches the recurrence of the "
+            f"spectral quadrature at {onset:.0f} fs, where damping by gamma = "
+            f"{gamma:g} meV leaves more than e^-{_DAMPING_FLOOR:g}"
         )
     if config.window_ev is not None:
         lo_mev, hi_mev = (
@@ -404,7 +449,7 @@ def lineshape(gf: GeneratingFunction, config: LineshapeConfig) -> Lineshape:
         )
     else:
         lo_mev, hi_mev = default_window_mev(
-            zpl_mev, gf.omega_max_mev, gf.s_total, config.gamma_mev, config.sigma_mev
+            zpl_mev, gf.omega_max_mev, gf.s_total, gamma, config.sigma_mev
         )
     if config.omega_cubed and lo_mev <= 0:
         raise InputError(
@@ -422,10 +467,15 @@ def lineshape(gf: GeneratingFunction, config: LineshapeConfig) -> Lineshape:
             f"below the required {reach:.0f} meV"
         )
 
-    fft_step, a_full = _fft_spectral_function(gf, config.gamma_mev)
+    fft_step, sideband, zpl_weight = _fft_spectral_function(
+        gf, gamma, max(config.sigma_mev, gamma) / 16.0
+    )
     npts = int(math.floor((hi_mev - lo_mev) / config.step_mev + 1e-9)) + 1
     energy_mev = lo_mev + config.step_mev * np.arange(npts)
-    a_win = _periodic_spline(a_full, fft_step, zpl_mev - energy_mev)
+    released = zpl_mev - energy_mev
+    a_win = _periodic_spline(sideband, fft_step, released) + zpl_weight * (
+        gamma / math.pi
+    ) / (released * released + gamma * gamma)
     low = float(np.min(a_win))
     if low < -1e-9:
         raise NumericalError(
@@ -448,7 +498,7 @@ def lineshape(gf: GeneratingFunction, config: LineshapeConfig) -> Lineshape:
         energy_ev,
         weighted / norm,
         config.zpl_ev,
-        config.gamma_mev,
+        gamma,
         1.0 / (norm * scale),
         config.omega_cubed,
     )

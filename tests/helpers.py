@@ -101,3 +101,33 @@ def extract_peak_weights(
 def lorentzian_ev(x_ev, center_ev, gamma_mev):
     g = gamma_mev / 1000.0
     return (g / math.pi) / ((x_ev - center_ev) ** 2 + g * g)
+
+
+HBAR_MEV_FS = 658.2119569  # hbar in meV fs (CODATA 2018), kept apart from lumiphon.units
+
+
+def recurrence_free_spectrum(
+    omegas_mev, sks, zpl_ev, gamma_mev, sigma_mev, energy_ev, bin_mev, size=1 << 18
+):
+    """Zero-temperature A(E) per meV at energy_ev, with no quadrature in S(t).
+
+    S(t) = exp(-sigma^2 t^2 / 2 hbar^2) sum_k S_k exp(-i w_k t / hbar) is the
+    exact transform of the Gaussian-smeared sticks, so it never recurs.  The
+    damped G(t) = exp(S(t) - S) e^{-gamma|t|/hbar}, zero-phonon line included,
+    goes through one FFT of `size` points on energy bins bin_mev apart;
+    every released energy zpl - E must be a whole number of bins.
+    """
+    sks = np.asarray(sks, dtype=float)
+    dt = 2.0 * math.pi * HBAR_MEV_FS / (size * bin_mev)
+    t = dt * np.arange(size // 2 + 1)
+    s_t = np.zeros(t.size, dtype=complex)
+    for w, s in zip(omegas_mev, sks):
+        s_t += s * np.exp(-1j * w * t / HBAR_MEV_FS)
+    s_t *= np.exp(-0.5 * (sigma_mev * t / HBAR_MEV_FS) ** 2)
+    g = np.exp(s_t - sks.sum() - gamma_mev * t / HBAR_MEV_FS)
+    g = np.concatenate((g, np.conj(g[-2:0:-1])))  # G(-t) = conj G(t)
+    a = np.fft.ifft(g).real * size * dt / (2.0 * math.pi * HBAR_MEV_FS)
+    bins = (zpl_ev - np.asarray(energy_ev)) * 1000.0 / bin_mev
+    k = np.rint(bins).astype(int)
+    assert np.max(np.abs(bins - k)) < 1e-3, "energies must fall on the bins"
+    return a[k % size]

@@ -23,7 +23,7 @@ from lumiphon.model import (
 )
 from lumiphon.vibronic import partial_hr
 
-from helpers import isotropic_pair_hessian, lorentzian_ev
+from helpers import isotropic_pair_hessian, lorentzian_ev, recurrence_free_spectrum
 
 
 def _write_diatomic(tmp_path, spring=4.2):
@@ -299,6 +299,74 @@ def test_spectrum_default_grid_at_large_s(tmp_path, capsys):
         ["spectrum", "--hr", str(hr_path), "--zpl", "2.6", "--out", str(tmp_path / "s.tsv")]
     )
     assert code == 0, capsys.readouterr().err
+
+
+def _write_generated_hr(tmp_path, nmodes, s_total, seed, band, pin_band=False):
+    # couplings grow with mode energy, as in a defect's local distortion
+    rng = np.random.default_rng(seed)
+    omegas = np.sort(rng.uniform(*band, size=nmodes))
+    if pin_band:
+        omegas[0], omegas[-1] = band
+    weights = rng.exponential(size=nmodes) * (omegas / band[1]) ** 2
+    sks = s_total * weights / weights.sum()
+    qk = np.sqrt(2.0 * units.HBAR_AMU_A2_FS * sks / units.omega_radfs(omegas))
+    path = tmp_path / "hr.json"
+    lio.write_hr(partial_hr(qk, omegas), path)
+    return omegas, sks, path
+
+
+def test_spectrum_small_gamma_sideband_has_no_comb(tmp_path, capsys):
+    # at gamma = 0.1 meV a transform over 25 hbar/gamma reaches the
+    # recurrences of S(t) on the sigma/5 spectral grid (10.3 ps at
+    # sigma = 2 meV) and writes the sideband as a comb 0.4 meV apart
+    omegas, sks, hr_path = _write_generated_hr(tmp_path, 64, 1.0, 5, (10.0, 100.0))
+    out = tmp_path / "s.tsv"
+    code = main(
+        ["spectrum", "--hr", str(hr_path), "--zpl", "2.0", "--gamma", "0.1",
+         "--window", "1.4:2.03", "--no-omega-cubed", "--out", str(out)]
+    )
+    assert code == 0, capsys.readouterr().err
+    e, y = lio.read_spectrum_tsv(out)
+    ref = recurrence_free_spectrum(omegas, sks, 2.0, 0.1, 2.0, e, bin_mev=0.025)
+    ref /= np.trapezoid(ref, e)
+    assert float(np.trapezoid(np.abs(y - ref), e)) < 1e-5
+
+
+@pytest.mark.parametrize("s_total,gamma", [(20.0, 1.0), (3.0, 0.01)])
+def test_spectrum_where_a_recurrence_lifted_g_above_one(tmp_path, capsys, s_total, gamma):
+    # on these documents a transform reaching the first recurrence of S(t)
+    # gave |G| > 1 and exit 2
+    _, _, hr_path = _write_generated_hr(tmp_path, 64, s_total, 1, (5.0, 180.0), True)
+    out = tmp_path / "s.tsv"
+    code = main(
+        ["spectrum", "--hr", str(hr_path), "--zpl", "2.6", "--gamma", f"{gamma:g}",
+         "--step", f"{min(gamma, 0.1):g}", "--out", str(out)]
+    )
+    assert code == 0, capsys.readouterr().err
+    e, y = lio.read_spectrum_tsv(out)
+    assert float(np.trapezoid(y, e)) == pytest.approx(1.0, abs=1e-6)
+
+
+def test_spectrum_step_above_gamma_exit_2(tmp_path, capsys):
+    hr_path = _write_single_mode_hr(tmp_path, 0.5, 100.0)
+    argv = ["spectrum", "--hr", str(hr_path), "--zpl", "2.0", "--gamma", "0.01",
+            "--window", "1.85:2.01", "--out", str(tmp_path / "s.tsv")]
+    assert main(argv + ["--step", "0.1"]) == 2
+    err = capsys.readouterr().err
+    assert "--step" in err and "--gamma" in err
+    assert not (tmp_path / "s.tsv").exists()
+    assert main(argv + ["--step", "0.01"]) == 0
+
+
+def test_spectrum_time_span_reaching_recurrence_exit_3(tmp_path, capsys):
+    _, _, hr_path = _write_generated_hr(tmp_path, 64, 1.0, 5, (10.0, 100.0))
+    code = main(
+        ["spectrum", "--hr", str(hr_path), "--zpl", "2.0", "--gamma", "0.1",
+         "--time-span", "200000", "--out", str(tmp_path / "s.tsv")]
+    )
+    assert code == 3
+    assert "--time-span" in capsys.readouterr().err
+    assert not (tmp_path / "s.tsv").exists()
 
 
 def test_hr_spectrum_oracle_import_no_scipy(tmp_path):

@@ -519,6 +519,40 @@ def test_tsv_nine_significant_digits(tmp_path):
     assert row == "0.333333333\t0"
 
 
+@pytest.mark.parametrize(
+    "column",
+    [
+        [-0.0, 0.0, -1e-300, 5e-324, -2.5e-310],  # signed zeros and subnormals
+        [1e300, -1e-300, 1.7976931348623157e308, 2.2250738585072014e-308],
+        [1.0, 2.0, -7.0, 123456789.0, 1234567890123.0],  # integers as floats
+        [1.0 / 3.0, 2.6, 0.1 + 0.2, -123.456789012, 9.999999995e-5],
+    ],
+)
+def test_spectrum_tsv_matches_per_value_table_format(tmp_path, column):
+    e = np.linspace(0.5, 3.0, len(column))
+    y = np.array(column)
+    header = ("one-pass writer",)
+    lio.write_spectrum_tsv(tmp_path / "fast.tsv", e, y, header)
+    lio.write_table_tsv(
+        tmp_path / "slow.tsv", header, ("energy_ev", "intensity_per_ev"), zip(e, y)
+    )
+    lio.write_spectrum_tsv(tmp_path / "swapped.tsv", y, e, header)
+    lio.write_table_tsv(
+        tmp_path / "swapped_slow.tsv", header, ("energy_ev", "intensity_per_ev"), zip(y, e)
+    )
+    assert (tmp_path / "fast.tsv").read_bytes() == (tmp_path / "slow.tsv").read_bytes()
+    assert (tmp_path / "swapped.tsv").read_bytes() == (
+        tmp_path / "swapped_slow.tsv"
+    ).read_bytes()
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+def test_spectrum_tsv_refuses_non_finite_energy(tmp_path, bad):
+    with pytest.raises(NonFiniteValue):
+        lio.write_spectrum_tsv(tmp_path / "bad.tsv", np.array([1.0, bad]), np.ones(2))
+    assert not (tmp_path / "bad.tsv").exists()
+
+
 def test_spectrum_read_back(tmp_path):
     path = tmp_path / "s.tsv"
     e = np.array([1.0, 1.1])

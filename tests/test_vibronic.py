@@ -453,6 +453,56 @@ def test_lineshape_time_span_floor():
         lineshape(gf, LineshapeConfig(zpl_ev=2.0, gamma_mev=1.0))
 
 
+def test_lineshape_refuses_grid_reaching_quadrature_recurrence():
+    # sigma = 2 meV: S(t) on the sigma/5 spectral grid recurs at 10.3 ps,
+    # where damping by gamma = 0.1 meV has only reached e^-1.6
+    hr = _single_mode_hr(0.5, 20.0)
+    sd = spectral_density(hr, 2.0)
+    config = LineshapeConfig(zpl_ev=2.0, gamma_mev=0.1, window_ev=(1.9, 2.01))
+    long_grid = make_time_grid(sd.omega_max_mev, hr.total, 0.1, reach_mev=100.0)
+    with pytest.raises(AliasedGrid, match="recurrence"):
+        lineshape(generating_function(sd, long_grid), config)
+    grid = make_time_grid(sd.omega_max_mev, hr.total, 0.1, reach_mev=100.0, sigma_mev=2.0)
+    assert grid.size < long_grid.size
+    lineshape(generating_function(sd, grid), config)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.integers(1, 64),
+    st.floats(1e-3, 20.0),
+    st.floats(0.01, 1.0),
+    st.floats(0.5, 4.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_split_sideband_contracts_on_generated_documents(nmodes, s_total, gamma, sigma, seed):
+    rng = np.random.default_rng(seed)
+    omegas = rng.uniform(10.0, 120.0, size=nmodes)
+    weights = rng.exponential(size=nmodes)
+    sks = s_total * weights / weights.sum()
+    hr = partial_hr(np.sqrt(2.0 * units.HBAR_AMU_A2_FS * sks / units.omega_radfs(omegas)), omegas)
+    sd = spectral_density(hr, sigma)
+    tgrid = make_time_grid(sd.omega_max_mev, hr.total, gamma, sigma_mev=sigma)
+    # the sigma-bounded span never costs more points than 25 hbar/gamma at 1 meV
+    assert tgrid.size <= make_time_grid(sd.omega_max_mev, hr.total, 1.0).size
+    gf = generating_function(sd, tgrid)
+    assert gf.values[tgrid.size // 2] == 1.0
+    # by the end of the grid the sideband has died: G is down to the ZPL weight
+    zpl = math.exp(-hr.total)
+    assert abs(gf.values[0] - zpl) <= 1e-8 * hr.total
+    resolution = max(sigma, gamma) / 16.0
+    step, sideband, zpl_weight = vibronic._fft_spectral_function(gf, gamma, resolution)
+    assert step <= resolution
+    assert zpl_weight == pytest.approx(zpl, rel=1e-12)
+    assert step * math.fsum(sideband.tolist()) == pytest.approx(1.0 - zpl, abs=1e-9)
+    # undamped, the sideband has a first moment: sum S_k hbar w_k
+    step, sideband, _ = vibronic._fft_spectral_function(gf, 1e-12, resolution)
+    released = np.fft.fftfreq(sideband.size, 1.0 / sideband.size) * step
+    released[sideband.size // 2] = 0.0  # the unpaired Nyquist bin
+    first = step * math.fsum((released * sideband).tolist())
+    assert first == pytest.approx(float(np.dot(hr.sk, hr.omegas_mev)), rel=1e-8)
+
+
 def test_degenerate_mode_mixing_invariance():
     # rotating a degenerate pair must leave total S and the spectrum alone
     structure = CrystalStructure(np.eye(3) * 8, ("C",), [12.0], [[0, 0, 0]])
