@@ -64,6 +64,20 @@ def _uniform_step(x, name):
     return step
 
 
+def _require_step_within_gamma(step_mev, gamma_mev):
+    """InputError unless the output step resolves the zero-phonon Lorentzian.
+
+    Sampled at a step above its half-width gamma, the zero-phonon line's
+    area depends on where the samples fall.  The 1e-9 slack absorbs the
+    rounding of a step read back from a grid.
+    """
+    if step_mev > gamma_mev * (1.0 + 1e-9):
+        raise InputError(
+            f"output step {step_mev:g} meV (--step) exceeds gamma {gamma_mev:g} meV "
+            "(--gamma) and would undersample the zero-phonon line"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class CrystalStructure:
     """Supercell: lattice rows are cell vectors in A, positions Cartesian A."""

@@ -49,6 +49,7 @@ from .model import (
     LineshapeConfig,
     PhononBasis,
     SpectralDensity,
+    _require_step_within_gamma,
     _uniform_step,
 )
 from .phonons import ZERO_MODE_MEV
@@ -62,6 +63,13 @@ _CZT_BLOCK = 1 << 16
 #: |G(t) - e^{-S}| <= |S(t)| <= S exp(-sigma^2 t^2 / 2 hbar^2), which falls
 #: below 1e-13 S past this many hbar/sigma.
 _SIDEBAND_SPAN = math.sqrt(2.0 * math.log(1e13))
+
+#: The multi-phonon support of the time step covers every replica until
+#: the Poisson weight beyond it is below this.
+_REPLICA_TAIL = 1e-12
+
+#: Largest time grid make_time_grid builds: 128 MB per float array.
+MAX_TIME_POINTS = 1 << 24
 
 #: The damped sideband must be below e^{-_DAMPING_FLOOR} where the time
 #: grid ends and where a recurrence of the spectral quadrature begins.
@@ -205,12 +213,24 @@ def spectral_density(
 
 def _nyquist_need_mev(omega_max_mev, s_total, reach_mev):
     """Nyquist energy a lineshape needs: the output reach and the
-    multi-phonon support omega_max * max(10 S, 10).
+    multi-phonon support omega_max * max(10 S, 10, n), with n the replica
+    count past which the Poisson tail of weight is below _REPLICA_TAIL.
 
-    make_time_grid sizes the grid with it and lineshape checks the grid
-    against it, both from the top of the spectral-density grid.
+    n exceeds 10 S only for S below about 1.7 (n = 14 at S = 1); without
+    it the first replica beyond 10 quanta folds back across the Nyquist
+    energy.  make_time_grid sizes the grid with this rule and lineshape
+    checks the grid against it, both from the top of the spectral-density
+    grid.
     """
-    return max(reach_mev, omega_max_mev * max(10.0 * s_total, 10.0))
+    term = math.exp(-s_total)  # Poisson weight of n replicas, from n = 0
+    left = 1.0 - term
+    n = 0
+    # e^{-S} underflows past S = 745, where 10 S covers the tail anyway
+    while left >= _REPLICA_TAIL and term > 0.0:
+        n += 1
+        term *= s_total / n
+        left -= term
+    return max(reach_mev, omega_max_mev * max(10.0 * s_total, 10.0, float(n)))
 
 
 def make_time_grid(
@@ -225,12 +245,13 @@ def make_time_grid(
     """Symmetric power-of-two time grid adequate for the FFT sideband.
 
     The step keeps the Nyquist energy above both the multi-phonon support
-    (omega_max times max(10*S, 10)) and any explicitly requested reach.
+    (_nyquist_need_mev) and any explicitly requested reach.
     The span is 25 damping constants hbar/gamma, cut with sigma given to
     the sqrt(2 ln 1e13) hbar/sigma within which G(t) - e^{-S} falls below
     1e-13 S; time_span_fs overrides either.  lineshape takes omega_max
     from the spectral density (SpectralDensity.omega_max_mev), so pass that
-    value for a grid it accepts at any S.
+    value for a grid it accepts at any S.  A grid of more than
+    MAX_TIME_POINTS points is refused before it is allocated.
     """
     if gamma_mev <= 0:
         raise NonPositiveGamma(f"gamma must be positive, got {gamma_mev}")
@@ -259,7 +280,13 @@ def make_time_grid(
         span = time_span_fs
     if span <= 0:
         raise InputError(f"time span must be positive, got {span}")
-    n = 1 << max(4, int(math.ceil(math.log2(2.0 * span / dt))))
+    cells = 2.0 * span / dt
+    if not cells <= MAX_TIME_POINTS:  # NaN and inf fail too
+        raise InputError(
+            f"time span {span:.6g} fs (--time-span) at step {dt:.4g} fs (--time-step) "
+            f"needs more than the {MAX_TIME_POINTS} time points allowed"
+        )
+    n = 1 << max(4, int(math.ceil(math.log2(cells))))
     return (np.arange(n) - n // 2) * dt
 
 
@@ -426,11 +453,7 @@ def lineshape(gf: GeneratingFunction, config: LineshapeConfig) -> Lineshape:
     gamma = config.gamma_mev
     if gamma <= 0:
         raise NonPositiveGamma(f"gamma must be positive, got {gamma}")
-    if config.step_mev > gamma:
-        raise InputError(
-            f"output step {config.step_mev:g} meV (--step) exceeds gamma {gamma:g} meV "
-            "(--gamma) and would undersample the zero-phonon line"
-        )
+    _require_step_within_gamma(config.step_mev, gamma)
     zpl_mev = config.zpl_ev * 1000.0
     t = gf.time_fs
     dt = gf.dt_fs

@@ -369,6 +369,19 @@ def test_spectrum_time_span_reaching_recurrence_exit_3(tmp_path, capsys):
     assert not (tmp_path / "s.tsv").exists()
 
 
+def test_spectrum_time_span_beyond_grid_limit_exit_2(tmp_path, capsys):
+    # 2^32 time points at this step: refused before any array is built
+    _, _, hr_path = _write_generated_hr(tmp_path, 64, 1.0, 5, (10.0, 100.0))
+    code = main(
+        ["spectrum", "--hr", str(hr_path), "--zpl", "2.0", "--gamma", "0.1",
+         "--time-span", "1e9", "--out", str(tmp_path / "s.tsv")]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--time-span" in err and "--time-step" in err and str(1 << 24) in err
+    assert not (tmp_path / "s.tsv").exists()
+
+
 def test_hr_spectrum_oracle_import_no_scipy(tmp_path):
     # hr, spectrum and oracle run on numpy alone: scipy serves the tests only
     root = pathlib.Path(__file__).resolve().parent.parent
@@ -441,6 +454,27 @@ def test_oracle_two_mode_tail(tmp_path, capsys):
     tail = float(stdout.split("tail = ")[1].split()[0])
     assert tail < 1e-8
     assert sticks.exists()
+
+
+def test_oracle_step_above_gamma_exit_2(tmp_path, capsys):
+    omegas, sks = np.array([60.0, 90.0]), np.array([0.6, 0.4])
+    hr_path = tmp_path / "hr.json"
+    lio.write_hr(
+        partial_hr(np.sqrt(2.0 * units.HBAR_AMU_A2_FS * sks / units.omega_radfs(omegas)), omegas),
+        hr_path,
+    )
+    out = tmp_path / "oracle.tsv"
+    argv = ["oracle", "--hr", str(hr_path), "--zpl", "2.0", "--gamma", "0.01",
+            "--window", "1.0:2.01", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "--step" in err and "--gamma" in err
+    assert not out.exists()
+    assert main(argv + ["--step", "0.01"]) == 0
+    e, y = lio.read_spectrum_tsv(out)
+    near = np.abs(e - 2.0) <= 20 * 0.01e-3
+    area = float(np.trapezoid(y[near], e[near]))
+    assert area == pytest.approx(math.exp(-1.0) * 2.0 / math.pi * math.atan(20.0), rel=0.01)
 
 
 def test_oracle_cap_zero_single_stick(tmp_path, capsys):

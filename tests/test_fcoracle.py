@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import voigt_profile
 
 from lumiphon import units
@@ -154,6 +157,112 @@ def test_voigt_smearing_matches_direct_sum():
         sg = sigma / 1000.0 * math.sqrt(n) if n else 1e-13
         direct += w * voigt_profile(grid - center, sg, gamma / 1000.0)
     assert np.max(np.abs(spec.intensity - direct)) < 1e-6 * direct.max()
+
+
+def _chunk_expression_reference(ladder, gamma_mev, grid, zpl_ev, sigma_mev, min_weight):
+    """The broadened intensity as summed before the column tiles: one fresh
+    (chunk, points) expression per row chunk, same padding and smearing."""
+    step_ev = float(grid[1] - grid[0])
+    gamma_ev, sigma_ev = gamma_mev / 1000.0, sigma_mev / 1000.0
+    lines_ev = zpl_ev - ladder.energies_mev / 1000.0
+    totals = ladder.quanta.sum(axis=1)
+    pad_ev = 10.0 * gamma_ev + (
+        8.0 * sigma_ev * math.sqrt(max(int(totals.max()), 1)) if sigma_mev > 0 else 0.0
+    )
+    npad = int(math.ceil(pad_ev / step_ev)) + 1
+    padded = np.concatenate(
+        [
+            grid[0] - step_ev * np.arange(npad, 0, -1),
+            grid,
+            grid[-1] + step_ev * np.arange(1, npad + 1),
+        ]
+    )
+    out = np.zeros(padded.size)
+    keep = ladder.weights >= min_weight
+    for q in np.unique(totals[keep]):
+        sel = keep & (totals == q)
+        wts, ens = ladder.weights[sel], lines_ev[sel]
+        sub = np.zeros(padded.size)
+        chunk = max(1, 4_000_000 // padded.size)
+        for i in range(0, wts.size, chunk):
+            sub += (
+                wts[i : i + chunk, None]
+                * (gamma_ev / math.pi)
+                / ((padded[None, :] - ens[i : i + chunk, None]) ** 2 + gamma_ev**2)
+            ).sum(axis=0)
+        if sigma_mev > 0 and q > 0:
+            sg = sigma_ev * math.sqrt(float(q))
+            nk = int(math.ceil(8.0 * sg / step_ev))
+            kernel = np.exp(-0.5 * ((np.arange(-nk, nk + 1) * step_ev) / sg) ** 2)
+            kernel /= kernel.sum()
+            nfft = 1 << (sub.size + 2 * nk - 1).bit_length()
+            full = np.fft.irfft(np.fft.rfft(sub, nfft) * np.fft.rfft(kernel, nfft), nfft)
+            sub = full[nk : nk + sub.size]
+        out += sub
+    return out[npad : npad + grid.size]
+
+
+# groups of about 1000 lines against a 666-row chunk on 5998 padded points
+# (two row chunks, four column tiles, the last one ragged); seventeen
+# groups on 24,272 points; a single line (a chunk far above the line count)
+@example(nmodes=2, cap=2, nlines=3000, gamma=0.05, sigma=4.0, min_weight=0.0,
+         step_fraction=0.5, seed=1)
+@example(nmodes=8, cap=16, nlines=1500, gamma=0.05, sigma=4.0, min_weight=1e-12,
+         step_fraction=0.5, seed=1)
+@example(nmodes=1, cap=0, nlines=1, gamma=3.0, sigma=0.0, min_weight=1e-12,
+         step_fraction=1.0, seed=2)
+@settings(max_examples=30, deadline=None)
+@given(
+    nmodes=st.integers(1, 8),
+    cap=st.integers(0, 16),
+    nlines=st.integers(1, 3000),
+    gamma=st.floats(0.05, 3.0),
+    sigma=st.one_of(st.just(0.0), st.floats(0.5, 4.0)),
+    min_weight=st.sampled_from([0.0, 1e-12]),
+    step_fraction=st.floats(0.5, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_broadening_bit_identical_to_chunk_expression(
+    nmodes, cap, nlines, gamma, sigma, min_weight, step_fraction, seed
+):
+    rng = np.random.default_rng(seed)
+    omegas = rng.uniform(1.0, 30.0, size=nmodes)
+    quanta = rng.multinomial(rng.integers(0, cap + 1, size=nlines), np.full(nmodes, 1.0 / nmodes))
+    # weights over 16 decades, so that min_weight = 1e-12 drops some lines
+    weights = 10.0 ** rng.uniform(-16.0, 0.0, size=nlines)
+    weights /= weights.sum()
+    energies = quanta @ omegas
+    ladder = FCLadder(
+        quanta, weights, energies, omegas, np.ones(nmodes), cap,
+        max(0.0, 1.0 - math.fsum(weights.tolist())),
+    )
+    zpl, step_ev = 2.0, step_fraction * gamma / 1000.0
+    lo = zpl - (float(energies.max()) + 12.0 * gamma) / 1000.0
+    npts = int((zpl + 12.0 * gamma / 1000.0 - lo) / step_ev) + 1
+    grid = lo + step_ev * np.arange(npts)
+    spec = broadened_oracle_spectrum(ladder, gamma, grid, zpl, sigma, min_weight)
+    ref = _chunk_expression_reference(ladder, gamma, grid, zpl, sigma, min_weight)
+    assert np.array_equal(spec.intensity, ref)
+
+
+def test_broadening_memory_stays_below_one_parent_chunk():
+    # the six strongest-coupled modes of the demo at seed 1, capped at 14
+    # quanta on its oracle window: about 6,600 lines on 24,041 padded points
+    hr = _hr(
+        [60.3, 64.8, 68.1, 75.5, 121.6, 129.5],
+        [0.040, 0.079, 0.067, 0.023, 0.025, 0.095],
+    )
+    ladder = enumerate_fc(hr, cap=14)
+    assert 6000 < ladder.nlines < 7000
+    grid = 0.4 + 1e-4 * np.arange(22601)
+    tracemalloc.start()
+    try:
+        broadened_oracle_spectrum(ladder, 1.0, grid, 2.6, sigma_mev=2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one row chunk of the former expression alone held 4e6 float64
+    assert peak < 4_000_000 * 8
 
 
 def test_ladder_balance_invariant_enforced():
