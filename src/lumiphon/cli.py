@@ -168,10 +168,7 @@ def cmd_modes(args) -> int:
         hessian, report = phonons.apply_asr(hessian, structure.masses)
         provenance["pre_asr_norms_mev"] = report.pre_norms_mev.tolist()
         provenance["post_asr_norms_mev"] = report.post_norms_mev.tolist()
-    import dataclasses
-
-    basis = phonons.diagonalize(hessian, structure)
-    basis = dataclasses.replace(basis, cutoff_bulk_mev=args.cutoff)
+    basis = phonons.diagonalize(hessian, structure, args.cutoff)
     lvm = phonons.classify_lvm(basis, args.cutoff)
     provenance["lvm_indices"] = lvm
     ipr = phonons.localization_table(basis)

@@ -18,6 +18,7 @@ import json
 import math
 import os
 import tempfile
+from json.encoder import encode_basestring_ascii
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -645,39 +646,38 @@ def _fmt(value) -> str:
     return "%.9g" % (v + 0.0)  # normalizes -0.0
 
 
-def _write_tsv(path, header_lines, col_names, body, overwrite):
-    lines = [f"# {h}" for h in header_lines]
-    lines.append("# columns: " + "\t".join(col_names))
-    lines.extend(body)
-    _write_text("\n".join(lines) + "\n", path, overwrite)
+def _write_tsv(path, header_lines, col_names, body: str, overwrite):
+    head = [f"# {h}" for h in header_lines]
+    head.append("# columns: " + "\t".join(col_names))
+    _write_text("\n".join(head) + "\n" + body, path, overwrite)
 
 
 def write_table_tsv(path, header_lines: Sequence[str], col_names: Sequence[str], rows, overwrite=False):
     """Deterministic TSV: '#' headers, 9 significant digits, LF endings."""
-    body = ["\t".join(_fmt(v) for v in row) for row in rows]
+    body = "".join("\t".join(_fmt(v) for v in row) + "\n" for row in rows)
     _write_tsv(path, header_lines, col_names, body, overwrite)
+
+
+def _float_rows(*columns) -> str:
+    """write_table_tsv's body for equal-length float columns, in one format call."""
+    rows = np.column_stack([np.asarray(c, float) for c in columns])
+    if not np.all(np.isfinite(rows)):
+        raise NonFiniteValue("refusing to write a non-finite value")
+    line = "\t".join(["%.9g"] * len(columns)) + "\n"
+    # + 0.0 normalizes -0.0, as _fmt does
+    return (line * rows.shape[0]) % tuple((rows + 0.0).ravel().tolist())
 
 
 def write_spectrum_tsv(path, energy_ev, intensity, header_lines=(), overwrite=False):
     """write_table_tsv's format for two float columns, in one pass."""
-    rows = np.column_stack((np.asarray(energy_ev, float), np.asarray(intensity, float)))
-    if not np.all(np.isfinite(rows)):
-        raise NonFiniteValue("refusing to write a non-finite value")
-    # + 0.0 normalizes -0.0, as _fmt does
-    body = ["%.9g\t%.9g" % (e, i) for e, i in (rows + 0.0).tolist()]
+    body = _float_rows(energy_ev, intensity)
     _write_tsv(path, header_lines, ("energy_ev", "intensity_per_ev"), body, overwrite)
 
 
 def write_stem_tsv(path, hr: HRDecomposition, header_lines=(), overwrite=False):
     """Partial-HR stem data: mode energy, S_k, running cumulative sum."""
-    cumulative = np.cumsum(hr.sk)
-    write_table_tsv(
-        path,
-        header_lines,
-        ("omega_mev", "sk", "cumulative"),
-        zip(hr.omegas_mev.tolist(), hr.sk.tolist(), cumulative.tolist()),
-        overwrite,
-    )
+    body = _float_rows(hr.omegas_mev, hr.sk, np.cumsum(hr.sk))
+    _write_tsv(path, header_lines, ("omega_mev", "sk", "cumulative"), body, overwrite)
 
 
 def read_spectrum_tsv(path):
@@ -695,12 +695,17 @@ def read_spectrum_tsv(path):
                         f"{path}: expected 2 columns", locus=f"line {ln}"
                     )
                 try:
-                    energies.append(float(parts[0]))
-                    intensities.append(float(parts[1]))
+                    energy, intensity = float(parts[0]), float(parts[1])
                 except ValueError:
                     raise ParseError(
                         f"{path}: not a number", locus=f"line {ln}"
                     ) from None
+                if not (math.isfinite(energy) and math.isfinite(intensity)):
+                    raise NonFiniteValue(
+                        f"{path}: non-finite number at line {ln}", locus=f"line {ln}"
+                    )
+                energies.append(energy)
+                intensities.append(intensity)
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc.strerror}") from None
     return np.array(energies), np.array(intensities)
@@ -733,10 +738,94 @@ def _write_text(text: str, path, overwrite):
     _atomic_write(text.encode("utf-8"), path)
 
 
+def _json_float(value):
+    if not math.isfinite(value):
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    return float.__repr__(value)
+
+
+# how `json` writes each scalar type; subclasses of str, int and float
+# are written as their base type
+_JSON_SCALARS = {
+    str: encode_basestring_ascii,
+    type(None): lambda value: "null",
+    bool: lambda value: "true" if value else "false",
+    int: int.__repr__,
+    float: _json_float,
+}
+
+
+def _json_scalar(value):
+    """The function that writes `value` if it is a JSON scalar, else None."""
+    encode = _JSON_SCALARS.get(type(value))
+    if encode is None:
+        for kind in (str, int, float):
+            if isinstance(value, kind):
+                return _JSON_SCALARS[kind]
+    return encode
+
+
+def _json_pieces(value, newline, out):
+    """Append the text of `value`, which sits after the line break `newline`, to `out`.
+
+    The pieces join to `json.dumps(value, indent=1, allow_nan=False)`; a list
+    of plain numbers, such as a Hessian row, is written in one join instead
+    of the pure-Python encoder's generator step per number.
+    """
+    encode = _json_scalar(value)
+    if encode is not None:
+        out.append(encode(value))
+        return
+    inner = newline + " "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        try:
+            plain = _NUMBER_TYPES.issuperset(map(type, value)) and all(
+                map(math.isfinite, value)
+            )
+        except OverflowError:  # an integer past the float range
+            plain = False
+        if plain:
+            out.append("[" + inner)
+            out.append(("," + inner).join(map(repr, value)))
+        else:
+            prefix = "[" + inner
+            for item in value:
+                out.append(prefix)
+                _json_pieces(item, inner, out)
+                prefix = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        prefix = "{" + inner
+        for key, item in value.items():
+            if isinstance(key, str):
+                name = key
+            else:
+                encode = _json_scalar(key)
+                if encode is None:
+                    raise TypeError(
+                        f"keys must be str, int, float, bool or None, not {type(key).__name__}"
+                    )
+                name = encode(key)
+            out.append(prefix + encode_basestring_ascii(name) + ": ")
+            _json_pieces(item, inner, out)
+            prefix = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _write_json(doc, path, overwrite):
     _check_target(path, overwrite)
+    out = []
     try:
-        text = json.dumps(doc, indent=1, allow_nan=False)
+        _json_pieces(doc, "\n", out)
     except ValueError as exc:
         raise NonFiniteValue(f"refusing to write {path}: {exc}") from None
-    _atomic_write((text + "\n").encode("utf-8"), path)
+    out.append("\n")
+    _atomic_write("".join(out).encode("utf-8"), path)

@@ -87,7 +87,9 @@ def apply_asr(hessian: Hessian, masses) -> tuple[Hessian, AsrReport]:
     return Hessian(h_clean, hessian.structure_hash), AsrReport(pre, post, applied)
 
 
-def diagonalize(hessian: Hessian, structure: CrystalStructure) -> PhononBasis:
+def diagonalize(
+    hessian: Hessian, structure: CrystalStructure, cutoff_bulk_mev: float = 115.0
+) -> PhononBasis:
     """Eigendecompose the mass-weighted Hessian into a PhononBasis.
 
     Eigenvalues lambda (eV/(amu A^2)) map to hbar*omega = hbar*sqrt(lambda)
@@ -130,7 +132,7 @@ def diagonalize(hessian: Hessian, structure: CrystalStructure) -> PhononBasis:
 
     omegas = units.hbar_omega_from_eigenvalue(lam)
     order = np.argsort(omegas, kind="stable")
-    return PhononBasis(omegas[order], vecs[order])
+    return PhononBasis(omegas[order], vecs[order], cutoff_bulk_mev)
 
 
 def classify_lvm(basis: PhononBasis, cutoff_mev: float = 115.0) -> List[int]:

@@ -19,6 +19,7 @@ from lumiphon.model import (
     GeometryPair,
     Hessian,
     HostReference,
+    PhononBasis,
     structure_checksum,
 )
 from lumiphon.vibronic import partial_hr
@@ -73,6 +74,20 @@ def test_modes_diatomic_asr(tmp_path, capsys):
     assert np.sum(np.abs(basis.omegas_mev) < 0.01) == 3
     assert provenance["asr_applied"] is True
     assert table.exists()
+
+
+def test_modes_builds_the_basis_once(tmp_path, monkeypatch):
+    checks = []
+    check = PhononBasis._check_orthonormal
+    monkeypatch.setattr(
+        PhononBasis, "_check_orthonormal", lambda self: checks.append(check(self))
+    )
+    _, spath, hpath = _write_diatomic(tmp_path)
+    out = tmp_path / "modes.json"
+    args = ["modes", "--structure", str(spath), "--hessian", str(hpath), "--cutoff", "50"]
+    assert main([*args, "--out", str(out)]) == 0
+    assert len(checks) == 1
+    assert lio.load_document(out)["cutoff_bulk_mev"] == 50.0
 
 
 def test_modes_lvm_table_fixture(tmp_path):
@@ -568,6 +583,27 @@ def test_oracle_compare_grid_mismatch_exit_2(tmp_path, capsys):
         ]
     )
     assert code == 2
+
+
+def test_oracle_compare_non_finite_spectrum_exit_2(tmp_path, capsys):
+    hr_path = _write_single_mode_hr(tmp_path, 0.8, 140.0)
+    window, step = "0.3:2.06", "0.2"
+    spec = tmp_path / "spec.tsv"
+    common = ["--hr", str(hr_path), "--zpl", "2.0", "--window", window, "--step", step]
+    assert main(["spectrum", *common, "--no-omega-cubed", "--out", str(spec)]) == 0
+    lines = spec.read_text().splitlines(keepends=True)
+    row = next(i for i, ln in enumerate(lines) if not ln.startswith("#")) + 3
+    lines[row] = lines[row].split("\t")[0] + "\tnan\n"
+    spec.write_text("".join(lines))
+    capsys.readouterr()
+    code = main(
+        ["oracle", *common, "--max-quanta", "14", "--out", str(tmp_path / "oracle.tsv"),
+         "--compare", str(spec)]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert str(spec) in captured.err and f"line {row + 1}" in captured.err
+    assert "l1_distance" not in captured.out
 
 
 def test_oracle_too_many_modes_exit_2(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import base64
+import enum
 import json
 import math
 import pathlib
@@ -7,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lumiphon import io as lio
 from lumiphon.errors import (
@@ -469,6 +472,168 @@ def test_dissociation_roundtrip(tmp_path):
     assert lio.parse_dissociation_table(lio.load_document(path)) == rows
 
 
+# ------------------------------------------------------------- JSON writer
+
+def _reference_json(doc):
+    """The layout every JSON document is written in: json's pure-Python encoder."""
+    return json.dumps(doc, indent=1, allow_nan=False)
+
+
+def _encoded(doc):
+    out = []
+    lio._json_pieces(doc, "\n", out)
+    return "".join(out)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_JSON_NUMBERS = st.one_of(
+    _FINITE,
+    st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e-7, 1e22, 0.1]),
+    st.integers(min_value=-(2**80), max_value=2**80),  # beyond 2^63
+    _FINITE.map(np.float64),
+)
+_JSON_KEYS = st.one_of(st.text(), _JSON_NUMBERS, st.booleans(), st.none())
+_JSON_DOCS = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        _JSON_NUMBERS,
+        st.text(),  # non-ASCII, quotes, backslashes and control characters
+        st.lists(st.one_of(_JSON_NUMBERS, st.booleans())),  # number rows
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(_JSON_KEYS, inner, max_size=5),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_DOCS)
+def test_json_writer_matches_reference_encoder(doc):
+    assert _encoded(doc) == _reference_json(doc)
+
+
+_Charge = enum.IntEnum("_Charge", "PLUS")
+
+
+class _Label(str):
+    pass
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {},
+        [],
+        (),
+        {"a": [], "b": {}, "c": [[]]},
+        [1, 2.5, -0.0, True, None, 2**70],
+        {1: "int key", 2.5: "float", True: "bool", None: "none"},
+        {"row": [np.float64(0.1), 3, float(2**60)]},
+        "top-level é \"string\"\n",
+        np.float64(-1.5),
+        [10**400],  # an integer past the float range takes the element path
+        {_Charge.PLUS: [_Charge.PLUS, _Label("C2")], _Label("k"): _Label("v")},
+    ],
+)
+def test_json_writer_matches_reference_edge_cases(doc, tmp_path):
+    path = tmp_path / "doc.json"
+    lio._write_json(doc, path, overwrite=False)
+    assert path.read_text() == _reference_json(doc) + "\n"
+
+
+_BAD_FLOATS = [float("nan"), float("inf"), float("-inf")]
+
+
+@pytest.mark.parametrize("bad", _BAD_FLOATS)
+@pytest.mark.parametrize(
+    "place",
+    [
+        lambda x: x,
+        lambda x: [1.0, x],
+        lambda x: {"a": {"b": [[0.5, 2, x]]}},
+        lambda x: {"a": [{"b": x}]},
+        lambda x: {x: 1.0},
+        lambda x: ({"ok": [1, 2]}, [np.float64(x)]),
+    ],
+)
+def test_json_writer_refuses_non_finite_at_any_depth(tmp_path, bad, place):
+    doc = place(bad)
+    with pytest.raises(ValueError):
+        _reference_json(doc)
+    path = tmp_path / "bad.json"
+    with pytest.raises(NonFiniteValue, match="refusing to write"):
+        lio._write_json(doc, path, overwrite=False)
+    assert not path.exists()
+
+
+def _basis_with_provenance(provenance, path):
+    basis = PhononBasis(np.array([1.0, 2.0, 3.0]), np.eye(3))
+    lio.write_phonon_basis(basis, path, provenance)
+
+
+def _defects_with(path, host_energy_ev=-100.0, delta_ev=0.0):
+    host = HostReference(host_energy_ev, 0.0, 3.0, {"C": ChemicalPotential(-9.0, delta_ev)})
+    lio.write_defect_table(host, [DefectEntry("x", 0, -95.0)], path)
+
+
+def _dissociation_with(path, cluster_energy_ev):
+    row = {
+        "label": "t",
+        "cluster_energy_ev": cluster_energy_ev,
+        "fragment_energy_ev": -50.0,
+        "released_energy_ev": -10.0,
+    }
+    lio.write_dissociation_table([row], path)
+
+
+@pytest.mark.parametrize("bad", _BAD_FLOATS)
+@pytest.mark.parametrize(
+    "write",
+    [
+        lambda p, x: _basis_with_provenance({"deep": [{"norms": [0.1, x]}]}, p),
+        lambda p, x: _defects_with(p, host_energy_ev=x),
+        lambda p, x: _defects_with(p, delta_ev=x),
+        _dissociation_with,
+    ],
+    ids=["basis-provenance", "defects-host", "defects-potential", "dissociation"],
+)
+def test_writers_refuse_non_finite(tmp_path, bad, write):
+    """Writers whose models admit a non-finite value; the others refuse it at construction."""
+    path = tmp_path / "bad.json"
+    with pytest.raises(NonFiniteValue, match="refusing to write"):
+        write(path, bad)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "value", [np.int64(3), object(), b"bytes"], ids=["int64", "object", "bytes"]
+)
+@pytest.mark.parametrize("where", ["list", "row", "value", "key"])
+def test_json_writer_raises_type_error_like_reference(tmp_path, value, where):
+    doc = {
+        "list": lambda: {"p": [value]},
+        "row": lambda: {"p": [1.0, 2.0, value]},
+        "value": lambda: {"p": {"q": value}},
+        "key": lambda: {"p": {value: 1}},
+    }[where]()
+    with pytest.raises(TypeError):
+        _reference_json(doc)
+    path = tmp_path / "bad.json"
+    with pytest.raises(TypeError):
+        lio._write_json(doc, path, overwrite=False)
+    assert not path.exists()
+
+
+def test_phonon_basis_writer_raises_type_error_on_numpy_integer(tmp_path):
+    with pytest.raises(TypeError):
+        _basis_with_provenance({"lvm_indices": [np.int64(5)]}, tmp_path / "b.json")
+    assert not (tmp_path / "b.json").exists()
+
+
 # ------------------------------------------------------------ strict loading
 
 def test_duplicate_json_keys_rejected():
@@ -576,6 +741,9 @@ def test_stem_tsv_cumulative(tmp_path):
     )
     path = tmp_path / "stem.tsv"
     lio.write_stem_tsv(path, hr)
+    table = [[50.0, 0.25, 0.25], [150.0, 0.5, 0.75]]
+    lio.write_table_tsv(tmp_path / "slow.tsv", (), ("omega_mev", "sk", "cumulative"), table)
+    assert path.read_bytes() == (tmp_path / "slow.tsv").read_bytes()
     rows = [
         ln.split("\t")
         for ln in path.read_text().splitlines()
