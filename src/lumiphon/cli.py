@@ -314,6 +314,16 @@ def cmd_oracle(args) -> int:
         window = args.window
     npts = int(np.floor((window[1] - window[0]) / (args.step / 1000.0) + 1e-9)) + 1
     grid = window[0] + (args.step / 1000.0) * np.arange(npts)
+    if args.compare:
+        # check the comparison spectrum before any output is written
+        other_e, other_i = lio.read_spectrum_tsv(args.compare)
+        if other_e.shape != grid.shape or not np.allclose(
+            other_e, grid, rtol=0, atol=1e-9
+        ):
+            raise InputError(
+                f"{args.compare} is sampled on a different grid; "
+                "regenerate both spectra with the same window and step"
+            )
     spec = fcoracle.broadened_oracle_spectrum(
         ladder, args.gamma, grid, args.zpl, args.sigma
     )
@@ -344,14 +354,6 @@ def cmd_oracle(args) -> int:
         )
     print(f"lines = {ladder.nlines}  tail = {ladder.tail:.9g}")
     if args.compare:
-        other_e, other_i = lio.read_spectrum_tsv(args.compare)
-        if other_e.shape != spec.energy_ev.shape or not np.allclose(
-            other_e, spec.energy_ev, rtol=0, atol=1e-9
-        ):
-            raise InputError(
-                f"{args.compare} is sampled on a different grid; "
-                "regenerate both spectra with the same window and step"
-            )
         a = spec.intensity / np.trapezoid(spec.intensity, spec.energy_ev)
         b = other_i / np.trapezoid(other_i, other_e)
         l1 = float(np.trapezoid(np.abs(a - b), spec.energy_ev))

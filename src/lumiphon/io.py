@@ -417,8 +417,8 @@ def write_hr(hr: HRDecomposition, path, overwrite=False):
         "schema": SCHEMAS["hr"],
         "total": float(hr.total),
         "entries": [
-            {"omega_mev": float(w), "qk": float(q), "sk": float(s)}
-            for w, q, s in zip(hr.omegas_mev, hr.qk, hr.sk)
+            {"omega_mev": w, "qk": q, "sk": s}
+            for w, q, s in zip(hr.omegas_mev.tolist(), hr.qk.tolist(), hr.sk.tolist())
         ],
     }
     _write_json(doc, path, overwrite)
@@ -765,12 +765,46 @@ def _json_scalar(value):
     return encode
 
 
+def _all_finite(numbers):
+    """True if every number, a float or an int, is finite."""
+    try:
+        return all(map(math.isfinite, numbers))
+    except OverflowError:  # an integer past the float range
+        return False
+
+
+def _record_rows(records, inner):
+    """The rows of a list of flat dicts as `json` writes them, else None.
+
+    Applies when every record has the same str keys in the same order and
+    every value is a finite float or int (hr/1 entries): one template per
+    record, filled by a single `%` over the flattened values.
+    """
+    keys = list(records[0])
+    if not (
+        keys
+        and {str}.issuperset(map(type, keys))
+        and all(map(keys.__eq__, map(list, records)))
+    ):
+        return None
+    values = list(itertools.chain.from_iterable(map(dict.values, records)))
+    if not (_NUMBER_TYPES.issuperset(map(type, values)) and _all_finite(values)):
+        return None
+    field = inner + " "
+    # a key's `%` must not read as a directive
+    names = [encode_basestring_ascii(key).replace("%", "%%") for key in keys]
+    record = "{" + field + ("," + field).join(n + ": %r" for n in names) + inner + "}"
+    return ("," + inner).join([record] * len(records)) % tuple(values)
+
+
 def _json_pieces(value, newline, out):
     """Append the text of `value`, which sits after the line break `newline`, to `out`.
 
     The pieces join to `json.dumps(value, indent=1, allow_nan=False)`; a list
-    of plain numbers, such as a Hessian row, is written in one join instead
-    of the pure-Python encoder's generator step per number.
+    of plain numbers, such as a Hessian row, is written in one join, and a
+    list of same-key numeric records, such as hr/1 entries, through one
+    record template, instead of the pure-Python encoder's generator step
+    per number.
     """
     encode = _json_scalar(value)
     if encode is not None:
@@ -781,15 +815,15 @@ def _json_pieces(value, newline, out):
         if not value:
             out.append("[]")
             return
-        try:
-            plain = _NUMBER_TYPES.issuperset(map(type, value)) and all(
-                map(math.isfinite, value)
-            )
-        except OverflowError:  # an integer past the float range
-            plain = False
-        if plain:
+        kinds = set(map(type, value))
+        rows = None
+        if kinds <= _NUMBER_TYPES and _all_finite(value):
+            rows = ("," + inner).join(map(repr, value))
+        elif kinds == {dict}:
+            rows = _record_rows(value, inner)
+        if rows is not None:
             out.append("[" + inner)
-            out.append(("," + inner).join(map(repr, value)))
+            out.append(rows)
         else:
             prefix = "[" + inner
             for item in value:
@@ -828,4 +862,6 @@ def _write_json(doc, path, overwrite):
     except ValueError as exc:
         raise NonFiniteValue(f"refusing to write {path}: {exc}") from None
     out.append("\n")
-    _atomic_write("".join(out).encode("utf-8"), path)
+    text = "".join(out)
+    out.clear()  # hold two copies of the text while encoding, not three
+    _atomic_write(text.encode("utf-8"), path)

@@ -299,6 +299,8 @@ class HRDecomposition:
             raise InputError(f"sk[{i}] is negative")
         if np.any(np.diff(w) < 0):
             raise InputError("entries must be sorted ascending by omega")
+        if not math.isfinite(self.total):
+            raise NonFiniteValue(f"total {self.total!r} is not finite")
         tot = math.fsum(s.tolist())
         if abs(tot - self.total) > 1e-12 * max(1.0, abs(tot)):
             raise InputError(

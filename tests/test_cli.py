@@ -550,6 +550,7 @@ def test_oracle_compare_against_spectrum(tmp_path, capsys):
         ]
     )
     assert code == 0
+    assert (tmp_path / "oracle.tsv").exists()
     l1 = float(capsys.readouterr().out.split("l1_distance = ")[1].split()[0])
     assert l1 < 1e-4
 
@@ -583,6 +584,7 @@ def test_oracle_compare_grid_mismatch_exit_2(tmp_path, capsys):
         ]
     )
     assert code == 2
+    assert not (tmp_path / "oracle.tsv").exists()
 
 
 def test_oracle_compare_non_finite_spectrum_exit_2(tmp_path, capsys):
@@ -604,6 +606,7 @@ def test_oracle_compare_non_finite_spectrum_exit_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert str(spec) in captured.err and f"line {row + 1}" in captured.err
     assert "l1_distance" not in captured.out
+    assert not (tmp_path / "oracle.tsv").exists()
 
 
 def test_oracle_too_many_modes_exit_2(tmp_path, capsys):

@@ -493,6 +493,42 @@ _JSON_NUMBERS = st.one_of(
     _FINITE.map(np.float64),
 )
 _JSON_KEYS = st.one_of(st.text(), _JSON_NUMBERS, st.booleans(), st.none())
+_RECORD_KEYS = st.one_of(st.text(), st.sampled_from(["%", "a%r", "%(x)s", "%%d", '"q"', "é"]))
+_RECORD_NUMBERS = st.one_of(  # the exact float and int values records are written from
+    _FINITE,
+    st.sampled_from([-0.0, 5e-324, 1e16, 1e-7, 0.1]),
+    st.integers(min_value=-(2**80), max_value=2**80),
+)
+
+
+@st.composite
+def _record_lists(draw, inner):
+    """Lists of dicts sharing one key list, now and then broken in one way.
+
+    Most draws are what hr/1 entries look like; the rest carry a bool, None,
+    str, `numpy.float64` or nested document as a value, the keys in another
+    order, or fewer keys (down to an empty dict).
+    """
+    keys = draw(st.lists(_RECORD_KEYS, max_size=4, unique=True))
+    odd = st.one_of(
+        st.booleans(), st.none(), st.text(), _FINITE.map(np.float64), inner
+    )
+    records = []
+    for _ in range(draw(st.integers(1, 5))):
+        order = keys
+        if draw(st.integers(0, 9)) == 0:
+            order = draw(st.permutations(keys))
+        elif draw(st.integers(0, 9)) == 0:
+            order = keys[: draw(st.integers(0, len(keys)))]
+        records.append(
+            {
+                key: draw(odd if draw(st.integers(0, 19)) == 0 else _RECORD_NUMBERS)
+                for key in order
+            }
+        )
+    return tuple(records) if draw(st.booleans()) else records
+
+
 _JSON_DOCS = st.recursive(
     st.one_of(
         st.none(),
@@ -505,6 +541,7 @@ _JSON_DOCS = st.recursive(
         st.lists(inner, max_size=5),
         st.lists(inner, max_size=5).map(tuple),
         st.dictionaries(_JSON_KEYS, inner, max_size=5),
+        _record_lists(inner),  # hr/1 entries, and records nested in records
     ),
     max_leaves=25,
 )
@@ -537,6 +574,13 @@ class _Label(str):
         np.float64(-1.5),
         [10**400],  # an integer past the float range takes the element path
         {_Charge.PLUS: [_Charge.PLUS, _Label("C2")], _Label("k"): _Label("v")},
+        # records: a key that reads as a `%` directive, and the ones that
+        # must leave the record template for the element path
+        [{"a%r": 1.0}],
+        [{"a": 1.0}, {"b": 1.0}],
+        [{"a": True}],
+        [{"a": 10**400}],
+        [{1: 2.0}],
     ],
 )
 def test_json_writer_matches_reference_edge_cases(doc, tmp_path):
@@ -632,6 +676,51 @@ def test_phonon_basis_writer_raises_type_error_on_numpy_integer(tmp_path):
     with pytest.raises(TypeError):
         _basis_with_provenance({"lvm_indices": [np.int64(5)]}, tmp_path / "b.json")
     assert not (tmp_path / "b.json").exists()
+
+
+def _generated_hr(nmodes=1536, seed=7):
+    rng = np.random.default_rng(seed)
+    sk = rng.uniform(0.0, 0.01, nmodes)
+    return HRDecomposition(
+        np.sort(rng.uniform(5.0, 180.0, nmodes)),
+        rng.normal(size=nmodes),
+        sk,
+        math.fsum(sk.tolist()),
+    )
+
+
+def _write_manifest(path):
+    data = path.with_name("input.json")
+    data.write_text("{}")
+    manifest = lio.build_manifest([data], "0.1.0", "hr --out x", "1970-01-01T00:00:00Z")
+    lio.write_manifest(manifest, path)
+
+
+# every public JSON writer, called as write(path, structure, hessian, pair)
+_WRITERS = {
+    "structure": lambda p, s, h, pair: lio.write_structure(s, p),
+    "hessian": lambda p, s, h, pair: lio.write_hessian(h, p),
+    "geometry_pair": lambda p, s, h, pair: lio.write_geometry_pair(pair, p),
+    "force_delta": lambda p, s, h, pair: lio.write_force_delta(
+        ForceDelta(np.array([0.1, -0.2, 0.3, 1e-17, 2.0**-33, -0.0])), p
+    ),
+    "phonon_basis": lambda p, s, h, pair: lio.write_phonon_basis(
+        diagonalize(h, s), p, {"hessian_sha256": "abc"}
+    ),
+    "hr": lambda p, s, h, pair: lio.write_hr(_generated_hr(), p),
+    "defects": lambda p, s, h, pair: _defects_with(p),
+    "dissociation": lambda p, s, h, pair: _dissociation_with(p, -64.0),
+    "manifest": lambda p, s, h, pair: _write_manifest(p),
+}
+
+
+@pytest.mark.parametrize("kind", list(_WRITERS))
+def test_every_writer_keeps_the_documented_layout(tmp_path, kind, diatomic, displaced_pair):
+    """Each writer's file is `json.dumps(doc, indent=1, allow_nan=False)` and a newline."""
+    path = tmp_path / f"{kind}.json"
+    _WRITERS[kind](path, *diatomic, displaced_pair)
+    text = path.read_text()
+    assert text == _reference_json(json.loads(text)) + "\n"
 
 
 # ------------------------------------------------------------ strict loading

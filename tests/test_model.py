@@ -138,6 +138,13 @@ def test_hr_decomposition_invariants():
         HRDecomposition(np.array([1.0, 2.0]), np.zeros(2), np.array([0.1, 0.2]), 0.4)
 
 
+@pytest.mark.parametrize("total", [float("nan"), float("inf"), float("-inf")])
+def test_hr_decomposition_refuses_non_finite_total(total):
+    # NaN compares False against any tolerance, so it needs its own check
+    with pytest.raises(NonFiniteValue, match="total"):
+        HRDecomposition(np.array([50.0]), np.array([0.1]), np.array([0.2]), total)
+
+
 def test_lineshape_config_validation():
     with pytest.raises(NonPositiveGamma):
         LineshapeConfig(zpl_ev=2.0, gamma_mev=0.0)
