@@ -186,12 +186,19 @@ def _binary_matrix(value, rows, cols, locus):
     return np.frombuffer(raw, dtype="<f8").reshape(rows, cols)
 
 
+class _Base64Text(str):
+    """Base64 text, which needs no JSON escapes: written without the scan."""
+
+    __slots__ = ()
+
+
 def _binary_block(matrix):
     data = np.ascontiguousarray(matrix, dtype="<f8")
     return {
         "dtype": "<f8",
         "shape": list(data.shape),
-        "base64": base64.b64encode(data.tobytes()).decode("ascii"),
+        # decoded first, so the bytes are gone before the copy into the subclass
+        "base64": _Base64Text(base64.b64encode(data).decode("ascii")),
     }
 
 
@@ -744,10 +751,11 @@ def _json_float(value):
     return float.__repr__(value)
 
 
-# how `json` writes each scalar type; subclasses of str, int and float
-# are written as their base type
+# how `json` writes each scalar type; other subclasses of str, int and
+# float are written as their base type
 _JSON_SCALARS = {
     str: encode_basestring_ascii,
+    _Base64Text: lambda value: "".join(('"', value, '"')),  # one copy, where + makes two
     type(None): lambda value: "null",
     bool: lambda value: "true" if value else "false",
     int: int.__repr__,

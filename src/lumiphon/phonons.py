@@ -48,6 +48,14 @@ def _mass_weight(matrix, masses_3n):
     return matrix * np.outer(inv, inv)
 
 
+def _orient_rows(vecs):
+    """Negate, in place, each row whose first entry above 1e-12 max|row| is negative."""
+    mag = np.abs(vecs)
+    first = np.argmax(mag > 1e-12 * np.max(mag, axis=1, keepdims=True), axis=1)
+    flip = vecs[np.arange(vecs.shape[0]), first] < 0
+    np.negative(vecs, out=vecs, where=flip[:, None])
+
+
 def apply_asr(hessian: Hessian, masses) -> tuple[Hessian, AsrReport]:
     """Project rigid translations out of the dynamical matrix.
 
@@ -106,8 +114,8 @@ def diagonalize(
         raise InputError("diagonalize requires a symmetrized hessian")
 
     masses_3n = structure.mass_vector_3n()
+    # a bitwise-symmetric H times outer(m^-1/2, m^-1/2) stays bitwise symmetric
     d = _mass_weight(hessian.matrix, masses_3n)
-    d = 0.5 * (d + d.T)
     try:
         lam, vecs = np.linalg.eigh(d)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
@@ -123,13 +131,7 @@ def diagonalize(
                 f"eigenvector residual {worst:.3e} exceeds {RESIDUAL_TOL:.0e}*||D||"
             )
 
-    # deterministic sign convention
-    for k in range(vecs.shape[0]):
-        v = vecs[k]
-        nz = np.nonzero(np.abs(v) > 1e-12 * np.max(np.abs(v)))[0]
-        if nz.size and v[nz[0]] < 0:
-            vecs[k] = -v
-
+    _orient_rows(vecs)
     omegas = units.hbar_omega_from_eigenvalue(lam)
     order = np.argsort(omegas, kind="stable")
     return PhononBasis(omegas[order], vecs[order], cutoff_bulk_mev)

@@ -326,6 +326,13 @@ def _bits(a):
     return np.ascontiguousarray(a, dtype="<f8").tobytes()
 
 
+def test_binary_block_encodes_the_row_major_bits():
+    m = _adversarial_basis().vectors.T  # not C-contiguous
+    text = lio._binary_block(m)["base64"]
+    assert type(text) is lio._Base64Text
+    assert text == base64.b64encode(_bits(m)).decode("ascii")
+
+
 def test_basis_v2_roundtrip_bit_exact(tmp_path):
     basis = _adversarial_basis()
     path = tmp_path / "b.json"
@@ -581,6 +588,8 @@ class _Label(str):
         [{"a": True}],
         [{"a": 10**400}],
         [{1: 2.0}],
+        # base64 text skips the escape scan
+        lio._binary_block(np.arange(6.0).reshape(2, 3).T),
     ],
 )
 def test_json_writer_matches_reference_edge_cases(doc, tmp_path):

@@ -9,6 +9,8 @@ from lumiphon import units
 from lumiphon.errors import DimensionMismatch, InputError
 from lumiphon.model import CrystalStructure, Hessian, PhononBasis
 from lumiphon.phonons import (
+    _mass_weight,
+    _orient_rows,
     apply_asr,
     classify_lvm,
     diagonalize,
@@ -198,6 +200,44 @@ def test_spectrum_invariant_under_atom_permutation():
     np.testing.assert_allclose(
         basis2.omegas_mev, basis.omegas_mev, rtol=1e-9, atol=1e-4
     )
+
+
+def _orient_rows_loop(vecs):
+    """Reference sign convention: the per-row loop diagonalize used to run."""
+    for k in range(vecs.shape[0]):
+        v = vecs[k]
+        nz = np.nonzero(np.abs(v) > 1e-12 * np.max(np.abs(v)))[0]
+        if nz.size and v[nz[0]] < 0:
+            vecs[k] = -v
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.integers(1, 12),
+    cols=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+    zeros=st.floats(0.0, 0.9),
+)
+def test_vectorized_sign_convention_matches_loop(rows, cols, seed, zeros):
+    rng = np.random.default_rng(seed)
+    # leading zeros, signed zeros and entries below 1e-12 of the row maximum
+    v = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-15, 3, size=(rows, cols))
+    v[rng.random((rows, cols)) < zeros] = 0.0
+    v[rng.random((rows, cols)) < 0.1] = -0.0
+    ref = v.copy()
+    _orient_rows_loop(ref)
+    _orient_rows(v)
+    assert v.tobytes() == ref.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(natoms=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
+def test_mass_weighting_keeps_bitwise_symmetry(natoms, seed):
+    # diagonalize relies on it instead of symmetrizing the dynamical matrix
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(3 * natoms, 3 * natoms))
+    d = _mass_weight(0.5 * (a + a.T), np.repeat(rng.uniform(1.0, 240.0, natoms), 3))
+    assert d.tobytes() == np.ascontiguousarray(d.T).tobytes()
 
 
 def test_deterministic_sign_convention(small_cluster):

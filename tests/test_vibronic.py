@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,12 +11,15 @@ from lumiphon.errors import (
     AliasedGrid,
     GridTooNarrow,
     ImaginaryModePresent,
+    InputError,
     NegativeFrequency,
+    NumericalError,
 )
 from lumiphon.fcoracle import broadened_oracle_spectrum, enumerate_fc
 from lumiphon.model import (
     CrystalStructure,
     ForceDelta,
+    GeneratingFunction,
     GeometryPair,
     Hessian,
     HRDecomposition,
@@ -467,23 +471,31 @@ def test_lineshape_refuses_grid_reaching_quadrature_recurrence():
     lineshape(generating_function(sd, grid), config)
 
 
-@settings(max_examples=20, deadline=None)
-@given(
+# generated HR documents: modes, total S, gamma and sigma (meV), seed
+_GENERATED_DOCUMENTS = given(
     st.integers(1, 64),
     st.floats(1e-3, 20.0),
     st.floats(0.01, 1.0),
     st.floats(0.5, 4.0),
     st.integers(0, 2**32 - 1),
 )
-# S = 1: a time step covering 10 quanta folds the 12-phonon replica back
-# across the Nyquist energy and moves the first moment by -2.1e-8
-@example(nmodes=1, s_total=1.0, gamma=0.5, sigma=1.0, seed=0)
-def test_split_sideband_contracts_on_generated_documents(nmodes, s_total, gamma, sigma, seed):
+
+
+def _generated_hr(nmodes, s_total, seed):
     rng = np.random.default_rng(seed)
     omegas = rng.uniform(10.0, 120.0, size=nmodes)
     weights = rng.exponential(size=nmodes)
     sks = s_total * weights / weights.sum()
-    hr = partial_hr(np.sqrt(2.0 * units.HBAR_AMU_A2_FS * sks / units.omega_radfs(omegas)), omegas)
+    return partial_hr(np.sqrt(2.0 * units.HBAR_AMU_A2_FS * sks / units.omega_radfs(omegas)), omegas)
+
+
+@settings(max_examples=20, deadline=None)
+@_GENERATED_DOCUMENTS
+# S = 1: a time step covering 10 quanta folds the 12-phonon replica back
+# across the Nyquist energy and moves the first moment by -2.1e-8
+@example(nmodes=1, s_total=1.0, gamma=0.5, sigma=1.0, seed=0)
+def test_split_sideband_contracts_on_generated_documents(nmodes, s_total, gamma, sigma, seed):
+    hr = _generated_hr(nmodes, s_total, seed)
     sd = spectral_density(hr, sigma)
     tgrid = make_time_grid(sd.omega_max_mev, hr.total, gamma, sigma_mev=sigma)
     # the sigma-bounded span never costs more points than 25 hbar/gamma at 1 meV
@@ -504,6 +516,82 @@ def test_split_sideband_contracts_on_generated_documents(nmodes, s_total, gamma,
     released[sideband.size // 2] = 0.0  # the unpaired Nyquist bin
     first = step * math.fsum((released * sideband).tolist())
     assert first == pytest.approx(float(np.dot(hr.sk, hr.omegas_mev)), rel=1e-8)
+
+
+def _complex_padded_sideband(gf, gamma_mev, resolution_mev):
+    """The former transform: the whole damped bracket, zero-padded, through
+    a complex inverse FFT.  Returns the energy step and the complex result."""
+    n = gf.time_fs.size
+    dt = gf.dt_fs
+    i0 = n // 2
+    zpl_weight = math.exp(-gf.s_total)
+    damping = np.exp(-gamma_mev * dt / units.HBAR_MEV_FS * np.abs(np.arange(n) - i0))
+    bracket = (gf.values - zpl_weight) * damping
+    period_fs = 2.0 * math.pi * units.HBAR_MEV_FS / resolution_mev
+    size = max(n, 1 << max(0, math.ceil(math.log2(period_fs / dt))))
+    padded = np.zeros(size, dtype=complex)
+    padded[: n - i0] = bracket[i0:]
+    padded[size - i0 :] = bracket[:i0]
+    a = np.fft.ifft(padded) * (size * dt / (2.0 * math.pi * units.HBAR_MEV_FS))
+    return 2.0 * math.pi * units.HBAR_MEV_FS / (size * dt), a
+
+
+@settings(max_examples=20, deadline=None)
+@_GENERATED_DOCUMENTS
+@example(nmodes=1, s_total=1.0, gamma=0.5, sigma=1.0, seed=0)
+def test_real_half_transform_matches_complex_padded_transform(
+    nmodes, s_total, gamma, sigma, seed
+):
+    hr = _generated_hr(nmodes, s_total, seed)
+    sd = spectral_density(hr, sigma)
+    gf = generating_function(sd, make_time_grid(sd.omega_max_mev, hr.total, gamma, sigma_mev=sigma))
+    resolution = max(sigma, gamma) / 16.0
+    step, sideband, _ = vibronic._fft_spectral_function(gf, gamma, resolution)
+    ref_step, ref = _complex_padded_sideband(gf, gamma, resolution)
+    assert step == ref_step
+    # the real transform drops the unpaired sample at t = -(n/2) dt, which
+    # shifts each bin by at most its damped bracket times dt / (2 pi hbar)
+    n, dt = gf.time_fs.size, gf.dt_fs
+    unpaired = (
+        abs(gf.values[0] - math.exp(-hr.total))
+        * math.exp(-gamma * dt / units.HBAR_MEV_FS * (n // 2))
+        * dt
+        / (2.0 * math.pi * units.HBAR_MEV_FS)
+    )
+    peak = float(np.max(np.abs(ref.real)))
+    assert float(np.max(np.abs(sideband - ref.real))) <= unpaired + 1e-12 * peak
+
+
+def test_lineshape_transform_memory_below_two_padded_complex_arrays():
+    # S = 10 at 200 meV, gamma = 1 meV: a 2^16-point time grid padded to
+    # 2^19 points for the 0.125 meV energy step
+    hr = _single_mode_hr(10.0, 200.0)
+    sd = spectral_density(hr, 2.0)
+    gf = generating_function(sd, make_time_grid(sd.omega_max_mev, hr.total, 1.0, sigma_mev=2.0))
+    step, _, _ = vibronic._fft_spectral_function(gf, 1.0, 2.0 / 16.0)
+    size = round(2.0 * math.pi * units.HBAR_MEV_FS / (step * gf.dt_fs))
+    assert size == 1 << 19
+    config = LineshapeConfig(zpl_ev=2.0, gamma_mev=1.0, sigma_mev=2.0)
+    tracemalloc.start()
+    try:
+        lineshape(gf, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 16 * size
+
+
+def test_non_hermitian_generating_function_refused():
+    t = (np.arange(16) - 8) * 1.0
+    g = np.ones(16, dtype=complex)
+    g[0] = 0.3 + 0.2j  # t = -8 has no partner on the grid
+    g[10] = g[6] = 0.5 + 0.1j
+    with pytest.raises(NumericalError, match="Hermitian"):
+        GeneratingFunction(t, g, 1.0, 100.0)
+    g[6] = 0.5 - 0.1j
+    GeneratingFunction(t, g, 1.0, 100.0)
+    with pytest.raises(InputError, match="symmetric"):
+        GeneratingFunction(t + 2.0, g, 1.0, 100.0)
 
 
 def test_degenerate_mode_mixing_invariance():
