@@ -239,32 +239,16 @@ def cmd_spectrum(args) -> int:
     from .model import LineshapeConfig
 
     hr = lio.parse_hr(lio.load_document(args.hr))
-    zpl_mev = args.zpl * 1000.0
-    live = hr.sk > 0.0
-    omega_max = float(hr.omegas_mev[live].max()) if np.any(live) else 0.0
-    if args.window is None:
-        lo_mev, hi_mev = vibronic.default_window_mev(
-            zpl_mev, omega_max, hr.total, args.gamma, args.sigma
-        )
-        window = (lo_mev / 1000.0, hi_mev / 1000.0)
-    else:
-        window = args.window
     config = LineshapeConfig(
         zpl_ev=args.zpl,
         gamma_mev=args.gamma,
         sigma_mev=args.sigma,
-        window_ev=window,
+        window_ev=args.window,
         step_mev=args.step,
         omega_cubed=not args.no_omega_cubed,
     )
-    sd = vibronic.spectral_density(hr, args.sigma)
-    reach = max(zpl_mev - window[0] * 1000.0, abs(window[1] * 1000.0 - zpl_mev))
-    tgrid = vibronic.make_time_grid(
-        sd.omega_max_mev, hr.total, args.gamma, reach, args.time_step, args.time_span,
-        sigma_mev=args.sigma,
-    )
-    gf = vibronic.generating_function(sd, tgrid)
-    ls = vibronic.lineshape(gf, config)
+    window = vibronic.spectrum_window(hr, config)
+    ls = vibronic.emission(hr, config, args.time_step, args.time_span)
     lvm = [int(k) for k in np.nonzero(hr.omegas_mev > args.cutoff)[0]]
     peaks = vibronic.effective_mode_report(hr, ls, lvm or None)
     header = (

@@ -12,7 +12,6 @@ rename; existing files are only replaced when overwrite is set.
 from __future__ import annotations
 
 import base64
-import hashlib
 import itertools
 import json
 import math
@@ -587,6 +586,8 @@ def write_dissociation_table(rows, path, overwrite=False):
 # ---------------------------------------------------------------- manifest
 
 def sha256_file(path) -> str:
+    import hashlib
+
     h = hashlib.sha256()
     try:
         with open(path, "rb") as fh:

@@ -13,7 +13,6 @@ Sign conventions fixed here once:
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -23,12 +22,10 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    HashMismatch,
     InputError,
     NonFiniteValue,
     NonPositiveGamma,
     NumericalError,
-    SpeciesMismatch,
 )
 
 
@@ -135,6 +132,8 @@ class CrystalStructure:
 
 def structure_checksum(structure: CrystalStructure) -> str:
     """sha256 over a canonical textual form; binds Hessians to a structure."""
+    import hashlib
+
     doc = {
         "lattice": structure.lattice.tolist(),
         "species": list(structure.species),
@@ -412,7 +411,6 @@ class Lineshape:
     intensity: np.ndarray
     zpl_ev: float
     gamma_mev: float
-    norm_constant: float
     omega_cubed: bool = True
 
     def __post_init__(self):
@@ -432,20 +430,13 @@ class Lineshape:
 
 @dataclass(frozen=True)
 class LineshapeConfig:
-    """Knobs for the emission-lineshape evaluation.
-
-    refractive_index and dipole_magnitude only scale the physical
-    prefactor of the unnormalized intensity; the normalized output is
-    independent of both.
-    """
+    """Knobs for the emission-lineshape evaluation."""
 
     zpl_ev: float
     gamma_mev: float = 1.0
     sigma_mev: float = 2.0
     window_ev: Optional[Tuple[float, float]] = None
     step_mev: float = 0.1
-    refractive_index: Optional[float] = None
-    dipole_magnitude: Optional[float] = None
     omega_cubed: bool = True
 
     def __post_init__(self):
@@ -571,54 +562,3 @@ class Manifest:
     tool_version: str
     command_line: str
     timestamp_utc: str
-
-
-@dataclass(frozen=True)
-class ValidatedBundle:
-    """Structure, Hessian and geometry pair proven mutually consistent."""
-
-    structure: CrystalStructure
-    hessian: Hessian
-    pair: Optional[GeometryPair] = None
-    metadata: Mapping[str, str] = field(default_factory=dict)
-
-    def __post_init__(self):
-        object.__setattr__(self, "metadata", dict(self.metadata))
-
-
-def validate_bundle(
-    structure: CrystalStructure,
-    hessian: Hessian,
-    pair: Optional[GeometryPair] = None,
-    metadata: Optional[Mapping[str, str]] = None,
-) -> ValidatedBundle:
-    """Cross-check dimensions, species and checksums; atom order is canonical.
-
-    Force-threshold provenance (relaxation tolerances of either geometry)
-    belongs in ``metadata``; it is recorded, not enforced.
-    """
-    n = structure.natoms
-    if hessian.dim != 3 * n:
-        raise DimensionMismatch(
-            f"hessian is {hessian.dim}x{hessian.dim} but structure has {n} atoms "
-            f"(expected {3 * n})"
-        )
-    if hessian.structure_hash:
-        expect = structure_checksum(structure)
-        if hessian.structure_hash != expect:
-            raise HashMismatch(
-                "hessian was computed for a different structure "
-                f"(hash {hessian.structure_hash[:12]}... != {expect[:12]}...)"
-            )
-    if pair is not None:
-        if pair.natoms != n:
-            raise DimensionMismatch(
-                f"geometry pair has {pair.natoms} atoms, structure has {n}"
-            )
-        if pair.species is not None:
-            for i, (a, b) in enumerate(zip(pair.species, structure.species)):
-                if a != b:
-                    raise SpeciesMismatch(
-                        f"species[{i}]: pair has {a!r}, structure has {b!r}"
-                    )
-    return ValidatedBundle(structure, hessian, pair, dict(metadata or {}))

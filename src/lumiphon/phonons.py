@@ -18,9 +18,6 @@ from .errors import (
 )
 from .model import AsrReport, CrystalStructure, Hessian, PhononBasis
 
-#: Modes with |omega| at or below this are treated as rigid translations.
-ZERO_MODE_MEV = 0.01
-
 #: Residual contract of the eigendecomposition, relative to ||D||.
 RESIDUAL_TOL = 1e-8
 

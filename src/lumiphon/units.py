@@ -20,6 +20,10 @@ EV_PER_AMU_A2 = 9.64853322e-3
 # hbar in amu*A^2/fs (action units matching q_k in amu^1/2 * A)
 HBAR_AMU_A2_FS = HBAR_MEV_FS * 1e-3 * EV_PER_AMU_A2
 
+#: Modes with |omega| at or below this (meV) are treated as rigid
+#: translations and rotations.
+ZERO_MODE_MEV = 0.01
+
 # e^2/(4 pi eps0) in eV*A
 COULOMB_EV_A = 14.399645478
 

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,7 +53,7 @@ from .model import (
     _require_step_within_gamma,
     _uniform_step,
 )
-from .phonons import ZERO_MODE_MEV
+from .units import ZERO_MODE_MEV
 
 #: Modes with S_k below this are left out of peak labelling.
 LABEL_SK_FLOOR = 1e-4
@@ -68,6 +68,9 @@ _SIDEBAND_SPAN = math.sqrt(2.0 * math.log(1e13))
 #: The multi-phonon support of the time step covers every replica until
 #: the Poisson weight beyond it is below this.
 _REPLICA_TAIL = 1e-12
+
+#: Largest block of Gaussian rows spectral_density sums at once, in float64.
+_DENSITY_BLOCK = 1 << 18
 
 #: Largest time grid make_time_grid builds: 128 MB per float array.
 MAX_TIME_POINTS = 1 << 24
@@ -174,10 +177,6 @@ def partial_hr(qk, omegas_mev) -> HRDecomposition:
     )
 
 
-def _gaussian(x, mu, sigma):
-    return np.exp(-0.5 * ((x - mu) / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
-
-
 def spectral_density(
     hr: HRDecomposition, sigma_mev: float, grid_mev: Optional[np.ndarray] = None
 ) -> SpectralDensity:
@@ -206,9 +205,25 @@ def spectral_density(
             raise GridTooNarrow(
                 f"grid [{grid[0]}, {grid[-1]}] must span [{lo_req}, {hi_req}] meV"
             )
+    # one row of s_k * Gaussian per mode, a block of rows at a time; row 0
+    # of each block carries the running sum, and a reduction over axis 0
+    # adds the rows in order, so the sum is the mode-by-mode one bit for bit
+    rows = max(1, _DENSITY_BLOCK // grid.size - 1)
+    norm = sigma_mev * math.sqrt(2.0 * math.pi)
     vals = np.zeros_like(grid)
-    for w0, s in zip(omegas, sks):
-        vals += s * _gaussian(grid, w0, sigma_mev)
+    for start in range(0, omegas.size, rows):
+        w0 = omegas[start : start + rows, None]
+        block = np.empty((w0.shape[0] + 1, grid.size))
+        block[0] = vals
+        g = block[1:]
+        np.subtract(grid, w0, out=g)
+        g /= sigma_mev
+        np.square(g, out=g)
+        g *= -0.5
+        np.exp(g, out=g)
+        g /= norm
+        g *= sks[start : start + rows, None]
+        vals = np.add.reduce(block, axis=0)
     return SpectralDensity(grid, vals, sigma_mev, float(math.fsum(sks.tolist())))
 
 
@@ -439,6 +454,45 @@ def default_window_mev(zpl_mev, omega_max_mev, s_total, gamma_mev, sigma_mev):
     return lo, zpl_mev + above
 
 
+def spectrum_window(hr: HRDecomposition, config: LineshapeConfig) -> Tuple[float, float]:
+    """Output window (lo, hi) in eV: config.window_ev, or by default the
+    default_window_mev of the largest coupled mode."""
+    if config.window_ev is not None:
+        return config.window_ev
+    live = hr.sk > 0.0
+    omega_max = float(hr.omegas_mev[live].max()) if np.any(live) else 0.0
+    lo_mev, hi_mev = default_window_mev(
+        config.zpl_ev * 1000.0, omega_max, hr.total, config.gamma_mev, config.sigma_mev
+    )
+    return lo_mev / 1000.0, hi_mev / 1000.0
+
+
+def emission(
+    hr: HRDecomposition,
+    config: LineshapeConfig,
+    time_step_fs: Optional[float] = None,
+    time_span_fs: Optional[float] = None,
+) -> Lineshape:
+    """Emission lineshape of a coupling document: the whole spectrum pipeline.
+
+    Resolves the window (spectrum_window), smears the sticks into S(hw),
+    builds the sigma-bounded time grid whose Nyquist energy covers the
+    multi-phonon support and the window's reach from the ZPL, then G(t) and
+    the lineshape.  time_step_fs and time_span_fs override the time grid
+    (make_time_grid).
+    """
+    window = spectrum_window(hr, config)
+    zpl_mev = config.zpl_ev * 1000.0
+    sd = spectral_density(hr, config.sigma_mev)
+    reach = max(zpl_mev - window[0] * 1000.0, abs(window[1] * 1000.0 - zpl_mev))
+    tgrid = make_time_grid(
+        sd.omega_max_mev, hr.total, config.gamma_mev, reach, time_step_fs, time_span_fs,
+        sigma_mev=config.sigma_mev,
+    )
+    gf = generating_function(sd, tgrid)
+    return lineshape(gf, replace(config, window_ev=window))
+
+
 def lineshape(gf: GeneratingFunction, config: LineshapeConfig) -> Lineshape:
     """Normalized emission lineshape from the generating function.
 
@@ -446,12 +500,14 @@ def lineshape(gf: GeneratingFunction, config: LineshapeConfig) -> Lineshape:
     zero-phonon Lorentzian e^{-S} (gamma/pi) / (hw^2 + gamma^2) in closed
     form plus the real inverse FFT of the t >= 0 half of the damped bracket
     [G(t) - e^{-S}] (the bracket is Hermitian), zero-padded to an energy
-    step of max(sigma, gamma)/16 and splined onto the output grid.  The output step must not exceed gamma, or the Lorentzian is
-    undersampled.  The emission intensity is C * E^3 * A (or C * A with
-    omega_cubed off), renormalized to unit integral over the output window.
-    The refractive index and transition dipole scale the unnormalized
-    intensity only, so they drop out of the result.
+    step of max(sigma, gamma)/16 and splined onto the output grid, which
+    config.window_ev must give (emission resolves a default).  The output
+    step must not exceed gamma, or the Lorentzian is undersampled.  The
+    emission intensity E^3 * A (or A with omega_cubed off) is normalized to
+    unit integral over the output window.
     """
+    if config.window_ev is None:
+        raise InputError("lineshape needs an output window; emission resolves the default")
     gamma = config.gamma_mev
     if gamma <= 0:
         raise NonPositiveGamma(f"gamma must be positive, got {gamma}")
@@ -467,15 +523,7 @@ def lineshape(gf: GeneratingFunction, config: LineshapeConfig) -> Lineshape:
             f"spectral quadrature at {onset:.0f} fs, where damping by gamma = "
             f"{gamma:g} meV leaves more than e^-{_DAMPING_FLOOR:g}"
         )
-    if config.window_ev is not None:
-        lo_mev, hi_mev = (
-            config.window_ev[0] * 1000.0,
-            config.window_ev[1] * 1000.0,
-        )
-    else:
-        lo_mev, hi_mev = default_window_mev(
-            zpl_mev, gf.omega_max_mev, gf.s_total, gamma, config.sigma_mev
-        )
+    lo_mev, hi_mev = config.window_ev[0] * 1000.0, config.window_ev[1] * 1000.0
     if config.omega_cubed and lo_mev <= 0:
         raise InputError(
             "window must stay at positive emission energies when omega_cubed is on"
@@ -510,21 +558,10 @@ def lineshape(gf: GeneratingFunction, config: LineshapeConfig) -> Lineshape:
             f"window [{lo_mev / 1000.0}, {hi_mev / 1000.0}] eV captures less than "
             "0.1% of the emission"
         )
-    # the physical prefactor (refractive index, dipole) scales the
-    # unnormalized intensity and its integral alike, so it only shows up
-    # in the normalization constant, never in the normalized curve
-    scale = (config.refractive_index or 1.0) * (config.dipole_magnitude or 1.0) ** 2
     energy_ev = energy_mev / 1000.0
     weighted = a_win * (energy_ev**3 if config.omega_cubed else 1.0)
     norm = float(np.trapezoid(weighted, energy_ev))
-    return Lineshape(
-        energy_ev,
-        weighted / norm,
-        config.zpl_ev,
-        gamma,
-        1.0 / (norm * scale),
-        config.omega_cubed,
-    )
+    return Lineshape(energy_ev, weighted / norm, config.zpl_ev, gamma, config.omega_cubed)
 
 
 @dataclass(frozen=True)

@@ -35,9 +35,7 @@ from lumiphon.model import (
 )
 from lumiphon.phonons import apply_asr, classify_lvm, diagonalize, symmetrize
 from lumiphon.vibronic import (
-    generating_function,
-    lineshape,
-    make_time_grid,
+    emission,
     partial_hr,
     qk_from_displacement,
     qk_from_forces,
@@ -63,15 +61,6 @@ def _hr_from_sks(omegas, sks):
 
 
 def _pipeline(hr, zpl_ev, gamma_mev, sigma_mev, window_ev, step_mev, omega_cubed=False):
-    sd = spectral_density(hr, sigma_mev)
-    live = hr.sk > 0
-    omega_max = float(hr.omegas_mev[live].max()) if np.any(live) else 0.0
-    reach = max(
-        zpl_ev * 1000.0 - window_ev[0] * 1000.0,
-        abs(window_ev[1] * 1000.0 - zpl_ev * 1000.0),
-    )
-    tgrid = make_time_grid(omega_max, hr.total, gamma_mev, reach)
-    gf = generating_function(sd, tgrid)
     config = LineshapeConfig(
         zpl_ev=zpl_ev,
         gamma_mev=gamma_mev,
@@ -80,7 +69,7 @@ def _pipeline(hr, zpl_ev, gamma_mev, sigma_mev, window_ev, step_mev, omega_cubed
         step_mev=step_mev,
         omega_cubed=omega_cubed,
     )
-    return sd, lineshape(gf, config)
+    return emission(hr, config)
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +79,7 @@ def test_poisson_ladder():
     start = time.monotonic()
     s, omega, zpl, gamma, sigma = 2.0, 150.0, 3.0, 1.0, 0.1
     hr = _hr_from_sks([omega], [s])
-    _, ls = _pipeline(hr, zpl, gamma, sigma, (zpl - 2.1, zpl + 0.08), 0.1)
+    ls = _pipeline(hr, zpl, gamma, sigma, (zpl - 2.1, zpl + 0.08), 0.1)
     weights = extract_peak_weights(
         ls.energy_ev, ls.intensity, zpl, omega, gamma, sigma, nmax=12
     )
@@ -111,7 +100,7 @@ def test_oracle_equivalence():
     zpl, gamma, sigma, step = 3.0, 1.0, 2.0, 0.1
     window = (zpl - 2.45, zpl + 0.1)
     hr = _hr_from_sks(omegas, sks)
-    _, ls = _pipeline(hr, zpl, gamma, sigma, window, step)
+    ls = _pipeline(hr, zpl, gamma, sigma, window, step)
 
     ladder = enumerate_fc(hr, cap=20)
     oracle = broadened_oracle_spectrum(
@@ -170,9 +159,8 @@ def test_spectral_bookkeeping(name, omegas, sks):
     hr = _hr_from_sks(omegas, sks)
     zpl = 3.0
     span = max(omegas) * (hr.total + 6.0 * math.sqrt(hr.total) + 4.0) / 1000.0
-    sd, ls = _pipeline(
-        hr, zpl, 1.0, 2.0, (zpl - span - 0.1, zpl + 0.06), 0.2
-    )
+    sd = spectral_density(hr, 2.0)
+    ls = _pipeline(hr, zpl, 1.0, 2.0, (zpl - span - 0.1, zpl + 0.06), 0.2)
     s_int = float(np.trapezoid(sd.values, sd.grid_mev))
     l_int = float(np.trapezoid(ls.intensity, ls.energy_ev))
     assert abs(s_int - hr.total) < 1e-6 * hr.total

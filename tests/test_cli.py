@@ -440,6 +440,23 @@ with open(out + "/modules.json", "w") as fh:
     assert json.loads((out / "modules.json").read_text()) == []
 
 
+def test_spectrum_import_path_skips_phonons_and_hashlib():
+    # the modules spectrum imports load neither the lattice dynamics nor
+    # hashlib, which only modes' provenance and manifests use
+    root = pathlib.Path(__file__).resolve().parent.parent
+    script = """
+import sys
+import lumiphon.cli, lumiphon.io, lumiphon.vibronic
+print(sorted(m for m in ("lumiphon.phonons", "hashlib") if m in sys.modules))
+"""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 def test_oracle_two_mode_tail(tmp_path, capsys):
     hr = partial_hr(
         np.sqrt(

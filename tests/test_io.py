@@ -24,6 +24,7 @@ from lumiphon.errors import (
 )
 from lumiphon.model import (
     ChemicalPotential,
+    CrystalStructure,
     DefectEntry,
     ForceDelta,
     HostReference,
@@ -128,6 +129,15 @@ def test_hessian_dimension_mismatch():
 def test_hessian_hash_mismatch_detected():
     structure = lio.parse_structure(STRUCTURE_DOC)
     doc = {"schema": "hessian/1", "structure_hash": "deadbeef", "matrix": np.eye(6).tolist()}
+    with pytest.raises(HashMismatch):
+        lio.parse_hessian(doc, structure)
+    # the checksum binds the masses: a Hessian of the same sites at doubled
+    # masses is refused
+    heavier = CrystalStructure(
+        structure.lattice, structure.species, structure.masses * 2.0, structure.positions
+    )
+    doc["structure_hash"] = structure_checksum(heavier)
+    assert doc["structure_hash"] != structure_checksum(structure)
     with pytest.raises(HashMismatch):
         lio.parse_hessian(doc, structure)
 

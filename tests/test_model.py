@@ -6,11 +6,9 @@ from hypothesis import strategies as st
 from lumiphon import units
 from lumiphon.errors import (
     DimensionMismatch,
-    HashMismatch,
     InputError,
     NonFiniteValue,
     NonPositiveGamma,
-    SpeciesMismatch,
 )
 from lumiphon.model import (
     CrystalStructure,
@@ -21,8 +19,6 @@ from lumiphon.model import (
     LineshapeConfig,
     PhononBasis,
     _uniform_step,
-    structure_checksum,
-    validate_bundle,
 )
 
 
@@ -35,30 +31,9 @@ def test_unit_table_consistency():
     np.testing.assert_allclose(back, w, rtol=1e-12, atol=1e-15)
 
 
-def test_validate_bundle_consistent(diatomic, displaced_pair):
-    structure, hessian = diatomic
-    bundle = validate_bundle(structure, hessian, displaced_pair)
-    assert bundle.structure is structure
-    assert bundle.pair is displaced_pair
-
-
-def test_validate_bundle_records_metadata(diatomic, displaced_pair):
-    # relaxation thresholds travel as provenance, they are not enforced
-    structure, hessian = diatomic
-    meta = {"ground_force_threshold_ev_a": "0.01", "excited_force_threshold_ev_a": "0.02"}
-    bundle = validate_bundle(structure, hessian, displaced_pair, metadata=meta)
-    assert bundle.metadata == meta
-
-
 def test_hessian_dimension_not_divisible_by_three():
     with pytest.raises(DimensionMismatch):
         Hessian(np.zeros((5, 5)))
-
-
-def test_bundle_dimension_mismatch(diatomic):
-    structure, _ = diatomic
-    with pytest.raises(DimensionMismatch):
-        validate_bundle(structure, Hessian(np.zeros((9, 9))))
 
 
 def test_pair_nan_rejected():
@@ -67,27 +42,6 @@ def test_pair_nan_rejected():
     with pytest.raises(NonFiniteValue) as err:
         GeometryPair(np.zeros((2, 3)), bad)
     assert "excited" in str(err.value)
-
-
-def test_bundle_species_mismatch(diatomic):
-    structure, hessian = diatomic
-    pair = GeometryPair(structure.positions, structure.positions, ("C", "Si"))
-    with pytest.raises(SpeciesMismatch) as err:
-        validate_bundle(structure, hessian, pair)
-    assert "[1]" in str(err.value)
-
-
-def test_bundle_hash_binding(diatomic, displaced_pair):
-    structure, hessian = diatomic
-    other = CrystalStructure(
-        structure.lattice,
-        structure.species,
-        structure.masses * 2.0,
-        structure.positions,
-    )
-    assert structure_checksum(other) != structure_checksum(structure)
-    with pytest.raises(HashMismatch):
-        validate_bundle(other, hessian, displaced_pair)
 
 
 def test_structure_invariants():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -34,6 +35,7 @@ from lumiphon.vibronic import (
     _chirp_z,
     _periodic_spline,
     effective_mode_report,
+    emission,
     generating_function,
     lineshape,
     make_time_grid,
@@ -53,10 +55,6 @@ def _single_mode_hr(s, omega_mev, mass=12.0):
 
 def _single_mode_lineshape(s, omega_mev, zpl_ev, gamma_mev, sigma_mev, window_ev, step_mev=0.1):
     hr = _single_mode_hr(s, omega_mev)
-    sd = spectral_density(hr, sigma_mev)
-    reach = max(zpl_ev * 1000 - window_ev[0] * 1000, window_ev[1] * 1000 - zpl_ev * 1000)
-    tgrid = make_time_grid(omega_mev, hr.total, gamma_mev, reach)
-    gf = generating_function(sd, tgrid)
     config = LineshapeConfig(
         zpl_ev=zpl_ev,
         gamma_mev=gamma_mev,
@@ -65,7 +63,7 @@ def _single_mode_lineshape(s, omega_mev, zpl_ev, gamma_mev, sigma_mev, window_ev
         step_mev=step_mev,
         omega_cubed=False,
     )
-    return hr, lineshape(gf, config)
+    return hr, emission(hr, config)
 
 
 # --------------------------------------------------------------- q_k routes
@@ -250,6 +248,37 @@ def test_spectral_density_grid_too_narrow():
         spectral_density(hr, 2.0, grid_mev=np.arange(140.0, 160.0, 0.4))
 
 
+def _mode_by_mode_density(hr, sigma_mev, grid):
+    """The former sum: one Gaussian per coupled mode, added in mode order."""
+    vals = np.zeros_like(grid)
+    live = hr.sk > 0.0
+    for w0, s in zip(hr.omegas_mev[live], hr.sk[live]):
+        gauss = np.exp(-0.5 * ((grid - w0) / sigma_mev) ** 2)
+        vals += s * (gauss / (sigma_mev * math.sqrt(2.0 * math.pi)))
+    return vals
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 600),
+    st.floats(0.05, 5.0),
+    st.integers(0, 2**32 - 1),
+    st.one_of(st.none(), st.tuples(st.sampled_from([5, 7, 10]), st.floats(0.0, 30.0))),
+)
+def test_spectral_density_is_the_mode_by_mode_sum(nmodes, sigma, seed, own_grid):
+    # at sigma = 0.05 meV a block holds about 20 modes, so many blocks chain
+    rng = np.random.default_rng(seed)
+    omegas = rng.uniform(10.0, 120.0, size=nmodes)
+    sks = rng.exponential(size=nmodes) * (rng.random(nmodes) > 0.2)
+    hr = partial_hr(np.sqrt(2.0 * units.HBAR_AMU_A2_FS * sks / units.omega_radfs(omegas)), omegas)
+    grid = None
+    if own_grid is not None:
+        per_sigma, pad = own_grid
+        grid = np.arange(10.0 - 7.0 * sigma - pad, 120.0 + 7.0 * sigma + pad, sigma / per_sigma)
+    sd = spectral_density(hr, sigma, grid)
+    assert np.array_equal(sd.values, _mode_by_mode_density(hr, sigma, sd.grid_mev))
+
+
 # ------------------------------------------------------- generating function
 
 def test_generating_function_no_coupling():
@@ -419,24 +448,6 @@ def test_lineshape_support_is_red_shifted():
     assert tail < 0.02
 
 
-def test_lineshape_prefactor_independence():
-    s, omega, zpl = 0.8, 120.0, 1.9
-    hr = _single_mode_hr(s, omega)
-    sd = spectral_density(hr, 2.0)
-    tgrid = make_time_grid(omega, s, 1.0, reach_mev=1200.0)
-    gf = generating_function(sd, tgrid)
-    base = dict(
-        zpl_ev=zpl, gamma_mev=1.0, sigma_mev=2.0, window_ev=(zpl - 1.0, zpl + 0.06)
-    )
-    a = lineshape(gf, LineshapeConfig(**base))
-    b = lineshape(
-        gf,
-        LineshapeConfig(**base, refractive_index=2.65, dipole_magnitude=7.0),
-    )
-    assert np.array_equal(a.intensity, b.intensity)
-    assert a.norm_constant != b.norm_constant
-
-
 def test_lineshape_window_excluding_support():
     hr = partial_hr(np.zeros(1), np.array([100.0]))
     sd = spectral_density(hr, 2.0)
@@ -454,6 +465,9 @@ def test_lineshape_time_span_floor():
     t = (np.arange(4096) - 2048) * 0.5  # ~1 ps: far below 10 hbar/gamma
     gf = generating_function(sd, t)
     with pytest.raises(AliasedGrid):
+        lineshape(gf, LineshapeConfig(zpl_ev=2.0, gamma_mev=1.0, window_ev=(1.9, 2.01)))
+    # the default window is emission's to resolve
+    with pytest.raises(InputError, match="window"):
         lineshape(gf, LineshapeConfig(zpl_ev=2.0, gamma_mev=1.0))
 
 
@@ -562,6 +576,41 @@ def test_real_half_transform_matches_complex_padded_transform(
     assert float(np.max(np.abs(sideband - ref.real))) <= unpaired + 1e-12 * peak
 
 
+def _stage_chain(hr, config):
+    """The spectrum pipeline as the command line once assembled it, stage by
+    stage: the default window from the largest coupled mode, S(hw), the
+    sigma-bounded time grid, G(t) and the lineshape."""
+    zpl_mev = config.zpl_ev * 1000.0
+    live = hr.sk > 0.0
+    omega_max = float(hr.omegas_mev[live].max()) if np.any(live) else 0.0
+    lo_mev, hi_mev = vibronic.default_window_mev(
+        zpl_mev, omega_max, hr.total, config.gamma_mev, config.sigma_mev
+    )
+    window = (lo_mev / 1000.0, hi_mev / 1000.0)
+    sd = spectral_density(hr, config.sigma_mev)
+    reach = max(zpl_mev - window[0] * 1000.0, abs(window[1] * 1000.0 - zpl_mev))
+    tgrid = make_time_grid(
+        sd.omega_max_mev, hr.total, config.gamma_mev, reach, sigma_mev=config.sigma_mev
+    )
+    gf = generating_function(sd, tgrid)
+    return window, lineshape(gf, dataclasses.replace(config, window_ev=window))
+
+
+@settings(max_examples=20, deadline=None)
+@_GENERATED_DOCUMENTS
+def test_emission_is_the_stage_chain_on_generated_documents(nmodes, s_total, gamma, sigma, seed):
+    hr = _generated_hr(nmodes, s_total, seed)
+    config = LineshapeConfig(zpl_ev=3.0, gamma_mev=gamma, sigma_mev=sigma, step_mev=gamma)
+    window, ref = _stage_chain(hr, config)
+    assert vibronic.spectrum_window(hr, config) == window
+    ls = emission(hr, config)
+    assert np.array_equal(ls.energy_ev, ref.energy_ev)
+    assert np.array_equal(ls.intensity, ref.intensity)
+    assert (ls.zpl_ev, ls.gamma_mev, ls.omega_cubed) == (ref.zpl_ev, ref.gamma_mev, ref.omega_cubed)
+    # Lineshape accepted it: unit integral within 1e-6
+    assert abs(float(np.trapezoid(ls.intensity, ls.energy_ev)) - 1.0) <= 1e-6
+
+
 def test_lineshape_transform_memory_below_two_padded_complex_arrays():
     # S = 10 at 200 meV, gamma = 1 meV: a 2^16-point time grid padded to
     # 2^19 points for the 0.125 meV energy step
@@ -571,7 +620,8 @@ def test_lineshape_transform_memory_below_two_padded_complex_arrays():
     step, _, _ = vibronic._fft_spectral_function(gf, 1.0, 2.0 / 16.0)
     size = round(2.0 * math.pi * units.HBAR_MEV_FS / (step * gf.dt_fs))
     assert size == 1 << 19
-    config = LineshapeConfig(zpl_ev=2.0, gamma_mev=1.0, sigma_mev=2.0)
+    # the ladder reaches below 1 meV, where the default window stops
+    config = LineshapeConfig(zpl_ev=2.0, gamma_mev=1.0, sigma_mev=2.0, window_ev=(0.001, 2.062))
     tracemalloc.start()
     try:
         lineshape(gf, config)
@@ -734,7 +784,7 @@ def test_effective_mode_report_matches_reference_loop(
     hr = HRDecomposition(omegas, np.zeros_like(omegas), sks, math.fsum(sks.tolist()))
     energy = 2.0 - 0.001 * np.arange(len(heights), 0, -1)
     raw = np.array(heights, dtype=float) + 0.5
-    ls = Lineshape(energy, raw / np.trapezoid(raw, energy), 2.0, gamma, 1.0)
+    ls = Lineshape(energy, raw / np.trapezoid(raw, energy), 2.0, gamma)
     lvm = None if lvm is None else [k for k in lvm if k < hr.nmodes]
     assert effective_mode_report(hr, ls, lvm, tol) == _reference_mode_report(
         hr, ls, lvm, tol
