@@ -12,6 +12,7 @@ any BLAS library loads.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -34,13 +35,24 @@ def _pin_threads(n: int):
         os.environ[var] = str(n)
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of every float flag: nan and inf exit 2 naming the flag."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _parse_window(text: str):
     try:
         lo, hi = text.split(":")
-        return float(lo), float(hi)
-    except ValueError:
+        return _finite_float(lo), _finite_float(hi)
+    except (ValueError, argparse.ArgumentTypeError):
         raise argparse.ArgumentTypeError(
-            f"window must look like LO:HI in eV, got {text!r}"
+            f"window must look like LO:HI in eV with finite LO and HI, got {text!r}"
         ) from None
 
 
@@ -56,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--structure", required=True)
     p.add_argument("--hessian", required=True)
     p.add_argument("--asr", action="store_true", help="enforce the acoustic sum rule")
-    p.add_argument("--cutoff", type=float, default=115.0, help="bulk cutoff in meV")
+    p.add_argument("--cutoff", type=_finite_float, default=115.0, help="bulk cutoff in meV")
     p.add_argument("--out", required=True, help="phonon basis JSON")
     p.add_argument("--table", help="per-mode TSV (energy, localization, LVM flag)")
     p.set_defaults(func=cmd_modes)
@@ -72,37 +84,37 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="emission lineshape from a coupling document")
     p.add_argument("--hr", required=True)
-    p.add_argument("--zpl", type=float, required=True, help="zero-phonon line in eV")
-    p.add_argument("--gamma", type=float, default=1.0, help="Lorentzian damping in meV")
-    p.add_argument("--sigma", type=float, default=2.0, help="mode smearing in meV")
+    p.add_argument("--zpl", type=_finite_float, required=True, help="zero-phonon line in eV")
+    p.add_argument("--gamma", type=_finite_float, default=1.0, help="Lorentzian damping in meV")
+    p.add_argument("--sigma", type=_finite_float, default=2.0, help="mode smearing in meV")
     p.add_argument("--window", type=_parse_window, help="output window LO:HI in eV")
-    p.add_argument("--step", type=float, default=0.1, help="output step in meV")
+    p.add_argument("--step", type=_finite_float, default=0.1, help="output step in meV")
     p.add_argument("--no-omega-cubed", action="store_true")
-    p.add_argument("--time-step", type=float, help="override the time step in fs")
+    p.add_argument("--time-step", type=_finite_float, help="override the time step in fs")
     p.add_argument(
         "--time-span",
-        type=float,
+        type=_finite_float,
         help="override the time span of the sideband transform in fs "
         "(default min(25 hbar/gamma, 7.74 hbar/sigma))",
     )
-    p.add_argument("--cutoff", type=float, default=115.0, help="LVM cutoff in meV")
+    p.add_argument("--cutoff", type=_finite_float, default=115.0, help="LVM cutoff in meV")
     p.add_argument("--out", required=True, help="spectrum TSV")
     p.add_argument("--peaks", help="labelled sideband peaks TSV")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("oracle", help="brute-force ladder spectrum for few modes")
     p.add_argument("--hr", required=True)
-    p.add_argument("--zpl", type=float, required=True)
-    p.add_argument("--gamma", type=float, default=1.0)
+    p.add_argument("--zpl", type=_finite_float, required=True)
+    p.add_argument("--gamma", type=_finite_float, default=1.0)
     p.add_argument(
         "--sigma",
-        type=float,
+        type=_finite_float,
         default=2.0,
         help="per-line quanta-scaled smearing in meV; 0 for pure Lorentzians",
     )
     p.add_argument("--max-quanta", type=int, default=16)
     p.add_argument("--window", type=_parse_window)
-    p.add_argument("--step", type=float, default=0.1)
+    p.add_argument("--step", type=_finite_float, default=0.1)
     p.add_argument("--out", required=True)
     p.add_argument("--sticks", help="stick list TSV with quanta labels")
     p.add_argument("--compare", help="spectrum TSV to measure an L1 distance against")
@@ -113,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--envelope", required=True, help="envelope samples TSV")
     p.add_argument("--transitions", required=True, help="transition levels TSV")
     p.add_argument("--windows", help="stability windows TSV")
-    p.add_argument("--fermi-step", type=float, default=1.0, help="sampling step in meV")
+    p.add_argument("--fermi-step", type=_finite_float, default=1.0, help="sampling step in meV")
     p.set_defaults(func=cmd_thermo)
 
     p = sub.add_parser("dissoc", help="single-atom removal energies")

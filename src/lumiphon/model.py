@@ -62,15 +62,6 @@ def _uniform_step(x, name):
     return step
 
 
-def _grid_step(x):
-    """Step of the uniform grid x over its whole length.
-
-    One difference carries the rounding of the grid's largest value, up to
-    about 3e-10 relative at 2^22 points; the whole-grid step does not.
-    """
-    return float(x[-1] - x[0]) / (x.size - 1)
-
-
 def _require_step_within_gamma(step_mev, gamma_mev):
     """InputError unless the output step resolves the zero-phonon Lorentzian.
 
@@ -357,50 +348,59 @@ class SpectralDensity:
         return float(np.max(np.abs(self.grid_mev)))
 
 
-@dataclass(frozen=True, eq=False)
-class GeneratingFunction:
-    """G(t) = exp(S(t) - S(0)) on a uniform time grid (fs) with t = 0 at n // 2.
+@dataclass(frozen=True)
+class TimeGrid:
+    """Symmetric time grid t_j = (j - n // 2) dt, j = 0 .. n - 1, in fs.
 
-    G is Hermitian, G(-t) = conj G(t): every sample paired across t = 0
-    must equal the conjugate of its partner exactly (NumericalError
-    otherwise), so the sideband transform reads the t >= 0 half alone.
-    dt_fs is the step over the whole grid (_grid_step).
-    recurrence_fs is the time at which the quadrature's first recurrence
-    of S(t) sets in; infinite when there is none.
+    vibronic.make_time_grid builds it, and checks every contract of the
+    grid there and only there.  No array is held: dt is the step over the
+    whole grid, (t[-1] - t[0]) / (n - 1) of the points built from the
+    requested step, which unlike one difference carries no rounding of the
+    grid's largest value.  gamma_mev and reach_mev are the damping and the
+    largest |E - E_zpl| (meV) whose lineshape the grid resolves.
     """
 
-    time_fs: np.ndarray
+    n: int
+    dt: float
+    gamma_mev: float
+    reach_mev: float
+
+    def __len__(self):
+        return self.n
+
+
+@dataclass(frozen=True, eq=False)
+class GeneratingFunction:
+    """G(t) = exp(S(t) - S(0)) on a TimeGrid, t = 0 at index n // 2.
+
+    G(0) must be exactly 1 and |G| at most 1 (InputError otherwise).  G is
+    Hermitian, G(-t) = conj G(t): every sample paired across t = 0 must
+    equal the conjugate of its partner exactly (NumericalError otherwise),
+    so the sideband transform reads the t >= 0 half alone.  s_total is the
+    S of the zero-phonon weight e^{-S}.
+    """
+
+    grid: TimeGrid
     values: np.ndarray
     s_total: float
-    omega_max_mev: float
-    recurrence_fs: float = math.inf
 
     def __post_init__(self):
-        object.__setattr__(self, "time_fs", _own(self.time_fs))
         object.__setattr__(self, "values", _own(self.values, dtype=complex))
-        t, g = self.time_fs, self.values
-        if t.ndim != 1 or t.shape != g.shape or t.size < 4:
-            raise DimensionMismatch("time grid and values must be matching 1-d arrays")
-        _require_finite(t, "time_fs")
+        g = self.values
+        if g.shape != (len(self.grid),):
+            raise DimensionMismatch(
+                f"{g.size} values for a time grid of {len(self.grid)} points"
+            )
         if not np.all(np.isfinite(g)):
             raise NonFiniteValue("generating function has non-finite values")
-        _uniform_step(t, "time grid")
-        i0 = int(np.argmin(np.abs(t)))
-        if t[i0] != 0.0:
-            raise InputError("time grid must contain t = 0")
-        if i0 != t.size // 2:
-            raise InputError("time grid must be symmetric about t = 0")
+        i0 = g.size // 2
         if g[i0] != 1.0 + 0.0j:
             raise InputError(f"G(0) must be exactly 1, got {g[i0]!r}")
         if np.max(np.abs(g)) > 1.0 + 1e-9:
             raise InputError("generating function magnitude exceeds 1")
-        m = t.size - 1 - i0  # t = -(n/2) dt of an even grid has no partner
+        m = g.size - 1 - i0  # t = -(n/2) dt of an even grid has no partner
         if not np.array_equal(g[i0:], np.conj(g[i0 - m : i0 + 1][::-1])):
             raise NumericalError("generating function is not Hermitian: G(-t) != conj G(t)")
-
-    @property
-    def dt_fs(self):
-        return _grid_step(self.time_fs)
 
 
 @dataclass(frozen=True, eq=False)

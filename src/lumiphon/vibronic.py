@@ -49,9 +49,8 @@ from .model import (
     LineshapeConfig,
     PhononBasis,
     SpectralDensity,
-    _grid_step,
+    TimeGrid,
     _require_step_within_gamma,
-    _uniform_step,
 )
 from .units import ZERO_MODE_MEV
 
@@ -72,7 +71,7 @@ _REPLICA_TAIL = 1e-12
 #: Largest block of Gaussian rows spectral_density sums at once, in float64.
 _DENSITY_BLOCK = 1 << 18
 
-#: Largest time grid make_time_grid builds: 128 MB per float array.
+#: Largest time grid make_time_grid accepts: 128 MB per float array over it.
 MAX_TIME_POINTS = 1 << 24
 
 #: The damped sideband must be below e^{-_DAMPING_FLOOR} where the time
@@ -234,9 +233,8 @@ def _nyquist_need_mev(omega_max_mev, s_total, reach_mev):
 
     n exceeds 10 S only for S below about 1.7 (n = 14 at S = 1); without
     it the first replica beyond 10 quanta folds back across the Nyquist
-    energy.  make_time_grid sizes the grid with this rule and lineshape
-    checks the grid against it, both from the top of the spectral-density
-    grid.
+    energy.  make_time_grid alone applies this rule, from the top of the
+    spectral-density grid and its total S.
     """
     term = math.exp(-s_total)  # Poisson weight of n replicas, from n = 0
     left = 1.0 - term
@@ -250,48 +248,51 @@ def _nyquist_need_mev(omega_max_mev, s_total, reach_mev):
 
 
 def make_time_grid(
-    omega_max_mev: float,
-    s_total: float,
+    sd: SpectralDensity,
     gamma_mev: float,
     reach_mev: float = 0.0,
     time_step_fs: Optional[float] = None,
     time_span_fs: Optional[float] = None,
-    sigma_mev: Optional[float] = None,
-) -> np.ndarray:
-    """Symmetric power-of-two time grid adequate for the FFT sideband.
+) -> TimeGrid:
+    """Symmetric power-of-two time grid for the sideband of sd damped by gamma.
 
-    The step keeps the Nyquist energy above both the multi-phonon support
-    (_nyquist_need_mev) and any explicitly requested reach.
-    The span is 25 damping constants hbar/gamma, cut with sigma given to
-    the sqrt(2 ln 1e13) hbar/sigma within which G(t) - e^{-S} falls below
-    1e-13 S; time_span_fs overrides either.  lineshape takes omega_max
-    from the spectral density (SpectralDensity.omega_max_mev), so pass that
-    value for a grid it accepts at any S.  A grid of more than
-    MAX_TIME_POINTS points is refused before it is allocated.
+    The one place the time grid's contracts are checked; no array is built.
+    - Step: the Nyquist energy covers the multi-phonon support of sd
+      (_nyquist_need_mev, from sd's top energy and total S), the reach
+      (largest |E - E_zpl| of the output window, at least 10 gamma), the
+      Lorentzian tails that would fold back into that window, and 4 times
+      sd's top energy.  A coarser time_step_fs is refused (AliasedGrid).
+    - Span: min(25 hbar/gamma, _SIDEBAND_SPAN hbar/sigma), past which
+      G(t) - e^{-S} is below 1e-13 S; time_span_fs overrides it.  More than
+      MAX_TIME_POINTS points are refused (InputError).
+    - Recurrence: on sd's spectral grid of step D, S(t) recurs from
+      hbar (2 pi / D - _SIDEBAND_SPAN / sigma); a grid reaching past that
+      onset is refused (AliasedGrid) unless gamma damps it below
+      e^-_DAMPING_FLOOR there.
+    The grid records gamma and the reach it was built for; lineshape
+    refuses a config with another gamma or a window reaching further.
     """
     if gamma_mev <= 0:
         raise NonPositiveGamma(f"gamma must be positive, got {gamma_mev}")
-    window = max(reach_mev, 10.0 * gamma_mev)
-    need = _nyquist_need_mev(omega_max_mev, s_total, window)
+    reach = max(reach_mev, 10.0 * gamma_mev)
+    need = _nyquist_need_mev(sd.omega_max_mev, sd.total, reach)
     # Lorentzian tails beyond the Nyquist energy fold back into the output
     # window; push the Nyquist energy out until the folded weight over the
     # window stays below ~2e-6 in L1
-    need = max(need, math.sqrt(2.0 * window * gamma_mev / (math.pi * 2e-6)))
+    need = max(need, math.sqrt(2.0 * reach * gamma_mev / (math.pi * 2e-6)))
+    need = max(need, 4.0 * sd.omega_max_mev)
     dt_nyquist = math.pi * units.HBAR_MEV_FS / need
-    if omega_max_mev > 0:
-        dt_nyquist = min(dt_nyquist, math.pi * units.HBAR_MEV_FS / (4.0 * omega_max_mev))
     dt = time_step_fs if time_step_fs is not None else dt_nyquist
     if dt <= 0:
         raise InputError(f"time step must be positive, got {dt}")
     if dt > dt_nyquist * (1.0 + 1e-12):
         raise AliasedGrid(
-            f"time step {dt:.4f} fs too coarse; need <= {dt_nyquist:.4f} fs"
+            f"time step {dt:.4f} fs (--time-step) too coarse; need <= {dt_nyquist:.4f} fs"
         )
-    span = 25.0 * units.HBAR_MEV_FS / gamma_mev
-    if sigma_mev is not None:
-        if sigma_mev <= 0:
-            raise InputError(f"sigma must be positive, got {sigma_mev}")
-        span = min(span, _SIDEBAND_SPAN * units.HBAR_MEV_FS / sigma_mev)
+    span = min(
+        25.0 * units.HBAR_MEV_FS / gamma_mev,
+        _SIDEBAND_SPAN * units.HBAR_MEV_FS / sd.sigma_mev,
+    )
     if time_span_fs is not None:
         span = time_span_fs
     if span <= 0:
@@ -303,7 +304,16 @@ def make_time_grid(
             f"needs more than the {MAX_TIME_POINTS} time points allowed"
         )
     n = 1 << max(4, int(math.ceil(math.log2(cells))))
-    return (np.arange(n) - n // 2) * dt
+    # -t[0] and t[-1] of the points (arange(n) - n // 2) * dt, rounded alike
+    half_span, last = (n // 2) * dt, (n - 1 - n // 2) * dt
+    onset = units.HBAR_MEV_FS * (2.0 * math.pi / sd.step_mev - _SIDEBAND_SPAN / sd.sigma_mev)
+    if half_span > onset and gamma_mev * onset / units.HBAR_MEV_FS < _DAMPING_FLOOR:
+        raise AliasedGrid(
+            f"time span {half_span:.0f} fs (--time-span) reaches the recurrence of the "
+            f"spectral quadrature at {onset:.0f} fs, where damping by gamma = "
+            f"{gamma_mev:g} meV leaves more than e^-{_DAMPING_FLOOR:g}"
+        )
+    return TimeGrid(n, (last + half_span) / (n - 1), gamma_mev, reach)
 
 
 def _chirp_z(x, m, w):
@@ -327,37 +337,25 @@ def _chirp_z(x, m, w):
     return y[:, n - 1 :].reshape(-1)[:m] * chirp[:m]
 
 
-def generating_function(sd: SpectralDensity, time_fs) -> GeneratingFunction:
-    """G(t) = exp(S(t) - S(0)) with S(t) the quadrature Fourier transform.
+def generating_function(sd: SpectralDensity, grid: TimeGrid) -> GeneratingFunction:
+    """G(t) = exp(S(t) - S(0)) on grid, S(t) the quadrature Fourier transform.
 
-    S(t) is evaluated on the non-negative half of the (arithmetic) time
-    grid with a chirp-z transform and mirrored through S(-t) = conj(S(t)),
-    so time reversal holds exactly; the identically-zero difference at
-    t = 0 is pinned, keeping G(0) = 1 exact.  The quadrature over the
-    spectral grid of step D makes |S(t)| periodic in 2 pi hbar / D; the
-    result records where the first recurrence rises above 1e-13 S.
+    S(t) is evaluated at t = j dt for j = 0 .. n // 2 with a chirp-z
+    transform and mirrored through S(-t) = conj(S(t)), so time reversal
+    holds exactly; the identically-zero difference at t = 0 is pinned,
+    keeping G(0) = 1 exact.  make_time_grid(sd, ...) has checked the grid
+    against sd: its step resolves sd's top energy, and its span stays clear
+    of the quadrature's recurrence unless the damping covers it.
     """
-    t = np.asarray(time_fs, dtype=float)
-    if t.ndim != 1 or t.size < 4:
-        raise DimensionMismatch("time grid must be a 1-d array")
-    _uniform_step(t, "time grid")
-    dt = _grid_step(t)
-    i0 = int(np.argmin(np.abs(t)))
-    if t[i0] != 0.0:
-        raise InputError("time grid must contain t = 0 exactly")
-    omega_max = sd.omega_max_mev
-    if omega_max > 0 and dt > math.pi * units.HBAR_MEV_FS / omega_max:
-        raise AliasedGrid(
-            f"time step {dt:.4f} fs aliases spectral content up to {omega_max:.1f} meV"
-        )
     weights = np.full(sd.grid_mev.size, sd.step_mev)
     weights[0] *= 0.5
     weights[-1] *= 0.5
     coeff = weights * sd.values
     s0 = float(np.sum(coeff))
 
-    n = t.size
-    half = max(i0, n - 1 - i0) + 1  # t = 0, dt, ..., covers both wings
+    n, dt = len(grid), grid.dt
+    i0 = n // 2
+    half = i0 + 1  # t = 0, dt, ..., i0 dt covers both wings
     omega_lo = float(sd.grid_mev[0]) / units.HBAR_MEV_FS
     dw = sd.step_mev / units.HBAR_MEV_FS
     t_half = dt * np.arange(half)
@@ -372,10 +370,7 @@ def generating_function(sd: SpectralDensity, time_fs) -> GeneratingFunction:
     vals = np.empty(n, dtype=complex)
     vals[i0:] = g_half[: n - i0]
     np.conjugate(g_half[i0::-1], out=vals[: i0 + 1])
-    recurrence = units.HBAR_MEV_FS * (
-        2.0 * math.pi / sd.step_mev - _SIDEBAND_SPAN / sd.sigma_mev
-    )
-    return GeneratingFunction(t, vals, sd.total, omega_max, recurrence)
+    return GeneratingFunction(grid, vals, sd.total)
 
 
 def _fft_spectral_function(gf: GeneratingFunction, gamma_mev: float, resolution_mev: float):
@@ -392,11 +387,9 @@ def _fft_spectral_function(gf: GeneratingFunction, gamma_mev: float, resolution_
     sideband density per meV in FFT order (entry k at the released energy
     k * step, periodic in its size * step) and the zero-phonon weight e^{-S}.
     """
-    n = gf.time_fs.size
-    dt = gf.dt_fs
+    n, dt = len(gf.grid), gf.grid.dt
     zpl_weight = math.exp(-gf.s_total)
-    # t = 0 sits at n // 2; t_j = j dt on the step G was evaluated with,
-    # not time_fs, whose large |t| carry rounding
+    # t = 0 sits at n // 2; t_j = j dt on the step G was evaluated with
     bracket = gf.values[n // 2 :] - zpl_weight
     bracket *= np.exp(-gamma_mev * dt / units.HBAR_MEV_FS * np.arange(bracket.size))
     edge = max(1, n // 16)
@@ -404,7 +397,7 @@ def _fft_spectral_function(gf: GeneratingFunction, gamma_mev: float, resolution_
     if tail > math.exp(-_DAMPING_FLOOR):
         raise AliasedGrid(
             f"damped sideband still reaches {tail:.2e} at the ends of the time grid "
-            f"({-float(gf.time_fs[0]):.0f} fs); increase the time span"
+            f"({(n // 2) * dt:.0f} fs); lengthen it with --time-span"
         )
     period_fs = 2.0 * math.pi * units.HBAR_MEV_FS / resolution_mev
     size = max(n, 1 << max(0, math.ceil(math.log2(period_fs / dt))))
@@ -467,6 +460,12 @@ def spectrum_window(hr: HRDecomposition, config: LineshapeConfig) -> Tuple[float
     return lo_mev / 1000.0, hi_mev / 1000.0
 
 
+def _reach_mev(zpl_ev, window_ev):
+    """Largest |E - E_zpl| of the window, in meV."""
+    zpl_mev = zpl_ev * 1000.0
+    return max(zpl_mev - window_ev[0] * 1000.0, abs(window_ev[1] * 1000.0 - zpl_mev))
+
+
 def emission(
     hr: HRDecomposition,
     config: LineshapeConfig,
@@ -478,18 +477,15 @@ def emission(
     Resolves the window (spectrum_window), smears the sticks into S(hw),
     builds the sigma-bounded time grid whose Nyquist energy covers the
     multi-phonon support and the window's reach from the ZPL, then G(t) and
-    the lineshape.  time_step_fs and time_span_fs override the time grid
-    (make_time_grid).
+    the lineshape.  time_step_fs and time_span_fs override the time grid,
+    which make_time_grid checks.
     """
     window = spectrum_window(hr, config)
-    zpl_mev = config.zpl_ev * 1000.0
     sd = spectral_density(hr, config.sigma_mev)
-    reach = max(zpl_mev - window[0] * 1000.0, abs(window[1] * 1000.0 - zpl_mev))
-    tgrid = make_time_grid(
-        sd.omega_max_mev, hr.total, config.gamma_mev, reach, time_step_fs, time_span_fs,
-        sigma_mev=config.sigma_mev,
+    grid = make_time_grid(
+        sd, config.gamma_mev, _reach_mev(config.zpl_ev, window), time_step_fs, time_span_fs
     )
-    gf = generating_function(sd, tgrid)
+    gf = generating_function(sd, grid)
     return lineshape(gf, replace(config, window_ev=window))
 
 
@@ -501,41 +497,30 @@ def lineshape(gf: GeneratingFunction, config: LineshapeConfig) -> Lineshape:
     form plus the real inverse FFT of the t >= 0 half of the damped bracket
     [G(t) - e^{-S}] (the bracket is Hermitian), zero-padded to an energy
     step of max(sigma, gamma)/16 and splined onto the output grid, which
-    config.window_ev must give (emission resolves a default).  The output
-    step must not exceed gamma, or the Lorentzian is undersampled.  The
-    emission intensity E^3 * A (or A with omega_cubed off) is normalized to
-    unit integral over the output window.
+    config.window_ev must give (emission resolves a default).  gf's time
+    grid must have been built (make_time_grid) for config's gamma and a
+    reach covering the window, or AliasedGrid.  The output step must not
+    exceed gamma, or the Lorentzian is undersampled.  The emission
+    intensity E^3 * A (or A with omega_cubed off) is normalized to unit
+    integral over the output window.
     """
     if config.window_ev is None:
         raise InputError("lineshape needs an output window; emission resolves the default")
     gamma = config.gamma_mev
-    if gamma <= 0:
-        raise NonPositiveGamma(f"gamma must be positive, got {gamma}")
+    grid = gf.grid
+    reach = _reach_mev(config.zpl_ev, config.window_ev)
+    if gamma != grid.gamma_mev or reach > grid.reach_mev:
+        raise AliasedGrid(
+            f"time grid built for gamma {grid.gamma_mev:g} meV and reach "
+            f"{grid.reach_mev:g} meV cannot give gamma {gamma:g} meV over reach "
+            f"{reach:g} meV"
+        )
     _require_step_within_gamma(config.step_mev, gamma)
     zpl_mev = config.zpl_ev * 1000.0
-    t = gf.time_fs
-    dt = gf.dt_fs
-    span = max(-float(t[0]), float(t[-1]))
-    onset = gf.recurrence_fs
-    if span > onset and gamma * onset / units.HBAR_MEV_FS < _DAMPING_FLOOR:
-        raise AliasedGrid(
-            f"time span {span:.0f} fs (--time-span) reaches the recurrence of the "
-            f"spectral quadrature at {onset:.0f} fs, where damping by gamma = "
-            f"{gamma:g} meV leaves more than e^-{_DAMPING_FLOOR:g}"
-        )
     lo_mev, hi_mev = config.window_ev[0] * 1000.0, config.window_ev[1] * 1000.0
     if config.omega_cubed and lo_mev <= 0:
         raise InputError(
             "window must stay at positive emission energies when omega_cubed is on"
-        )
-    nyquist_mev = math.pi * units.HBAR_MEV_FS / dt
-    reach = _nyquist_need_mev(
-        gf.omega_max_mev, gf.s_total, max(zpl_mev - lo_mev, abs(zpl_mev - hi_mev))
-    )
-    if nyquist_mev < reach * (1.0 - 1e-12):
-        raise AliasedGrid(
-            f"time step {dt:.4f} fs gives Nyquist {nyquist_mev:.0f} meV, "
-            f"below the required {reach:.0f} meV"
         )
 
     fft_step, sideband, zpl_weight = _fft_spectral_function(
@@ -550,7 +535,7 @@ def lineshape(gf: GeneratingFunction, config: LineshapeConfig) -> Lineshape:
     low = float(np.min(a_win))
     if low < -1e-9:
         raise NumericalError(
-            f"windowed intensity dips to {low:.3e}; increase the time span"
+            f"windowed intensity dips to {low:.3e}; lengthen the time grid with --time-span"
         )
     a_win = np.clip(a_win, 0.0, None)
     if float(np.trapezoid(a_win, energy_mev)) < 1e-3:

@@ -397,6 +397,71 @@ def test_spectrum_time_span_beyond_grid_limit_exit_2(tmp_path, capsys):
     assert not (tmp_path / "s.tsv").exists()
 
 
+def test_spectrum_time_step_refusals(tmp_path, capsys):
+    _, _, hr_path = _write_generated_hr(tmp_path, 64, 1.0, 5, (10.0, 100.0))
+    argv = ["spectrum", "--hr", str(hr_path), "--zpl", "2.0", "--out", str(tmp_path / "s.tsv")]
+    # 20 fs resolves 103 meV, far below the multi-phonon support
+    assert main(argv + ["--time-step", "20"]) == 3
+    err = capsys.readouterr().err
+    assert "too coarse" in err and "--time-step" in err
+    assert main(argv + ["--time-step", "0"]) == 2
+    assert "time step must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "s.tsv").exists()
+
+
+def test_spectrum_time_span_refusals(tmp_path, capsys):
+    _, _, hr_path = _write_generated_hr(tmp_path, 64, 1.0, 5, (10.0, 100.0))
+    argv = ["spectrum", "--hr", str(hr_path), "--zpl", "2.0", "--out", str(tmp_path / "s.tsv")]
+    # 50 fs: the sideband, damped by gamma = 1 meV, has not died at the ends
+    assert main(argv + ["--time-span", "50"]) == 3
+    err = capsys.readouterr().err
+    assert "damped sideband" in err and "--time-span" in err
+    assert main(argv + ["--time-span", "-5"]) == 2
+    assert "time span must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "s.tsv").exists()
+
+
+def test_spectrum_recurrence_refused_before_step_above_gamma(tmp_path, capsys):
+    # make_time_grid refuses a span reaching the quadrature's recurrence
+    # before lineshape compares --step with --gamma
+    _, _, hr_path = _write_generated_hr(tmp_path, 64, 1.0, 5, (10.0, 100.0))
+    code = main(
+        ["spectrum", "--hr", str(hr_path), "--zpl", "2.0", "--gamma", "0.1", "--step", "0.5",
+         "--time-span", "200000", "--out", str(tmp_path / "s.tsv")]
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "recurrence" in err and "--time-span" in err
+    assert not (tmp_path / "s.tsv").exists()
+
+
+_REQUIRED_FLAGS = {
+    "modes": ["--structure", "s.json", "--hessian", "h.json", "--out", "m.json"],
+    "spectrum": ["--hr", "hr.json", "--zpl", "2.0", "--out", "s.tsv"],
+    "oracle": ["--hr", "hr.json", "--zpl", "2.0", "--out", "o.tsv"],
+    "thermo": ["--defects", "d.json", "--envelope", "e.tsv", "--transitions", "t.tsv"],
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "command, flag",
+    [("modes", "--cutoff")]
+    + [("spectrum", f) for f in ("--zpl", "--gamma", "--sigma", "--window", "--step",
+                                 "--time-step", "--time-span", "--cutoff")]
+    + [("oracle", f) for f in ("--zpl", "--gamma", "--sigma", "--window", "--step")]
+    + [("thermo", "--fermi-step")],
+)
+def test_non_finite_float_flag_exit_2(tmp_path, monkeypatch, capsys, command, flag, value):
+    monkeypatch.chdir(tmp_path)
+    text = f"{value}:2.0" if flag == "--window" else value
+    with pytest.raises(SystemExit) as exc:
+        main([command, *_REQUIRED_FLAGS[command], flag, text])
+    assert exc.value.code == 2
+    assert f"argument {flag}: " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_hr_spectrum_oracle_import_no_scipy(tmp_path):
     # hr, spectrum and oracle run on numpy alone: scipy serves the tests only
     root = pathlib.Path(__file__).resolve().parent.parent

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from lumiphon import units, vibronic
 from lumiphon.errors import (
     AliasedGrid,
+    DimensionMismatch,
     GridTooNarrow,
     ImaginaryModePresent,
     InputError,
@@ -27,6 +28,7 @@ from lumiphon.model import (
     Lineshape,
     LineshapeConfig,
     PhononBasis,
+    TimeGrid,
 )
 from lumiphon.phonons import apply_asr, diagonalize, symmetrize
 from lumiphon.vibronic import (
@@ -281,11 +283,15 @@ def test_spectral_density_is_the_mode_by_mode_sum(nmodes, sigma, seed, own_grid)
 
 # ------------------------------------------------------- generating function
 
+def _unchecked_grid(n, dt):
+    """t_j = (j - n // 2) dt, built directly: make_time_grid's checks skipped."""
+    return TimeGrid(n, dt, gamma_mev=1.0, reach_mev=0.0)
+
+
 def test_generating_function_no_coupling():
     hr = partial_hr(np.zeros(2), np.array([50.0, 150.0]))
     sd = spectral_density(hr, 2.0)
-    t = (np.arange(64) - 32) * 1.0
-    gf = generating_function(sd, t)
+    gf = generating_function(sd, _unchecked_grid(64, 1.0))
     assert np.array_equal(gf.values, np.ones(64, dtype=complex))
 
 
@@ -295,7 +301,7 @@ def test_generating_function_single_mode_closed_form():
     hr = _single_mode_hr(s, omega)
     sd = spectral_density(hr, sigma)
     t = (np.arange(301) - 150) * 1.0
-    gf = generating_function(sd, t)
+    gf = generating_function(sd, _unchecked_grid(301, 1.0))
     exact = np.exp(s * (np.exp(-1j * units.omega_radfs(omega) * t) - 1.0))
     assert np.max(np.abs(gf.values - exact)) < 1e-6
 
@@ -303,18 +309,19 @@ def test_generating_function_single_mode_closed_form():
 def test_generating_function_time_reversal():
     hr = partial_hr(np.array([0.05, 0.02]), np.array([60.0, 140.0]))
     sd = spectral_density(hr, 2.0)
-    t = (np.arange(257) - 128) * 0.5
-    gf = generating_function(sd, t)
+    gf = generating_function(sd, _unchecked_grid(257, 0.5))
     np.testing.assert_allclose(
         gf.values[::-1], np.conj(gf.values), rtol=0, atol=1e-14
     )
 
 
-def test_generating_function_aliased_grid():
+def test_make_time_grid_refuses_aliasing_step():
+    # 20 fs resolves 103 meV, below the 150 meV mode itself
     sd = spectral_density(_single_mode_hr(1.0, 150.0), 2.0)
-    coarse = (np.arange(64) - 32) * 20.0
-    with pytest.raises(AliasedGrid):
-        generating_function(sd, coarse)
+    with pytest.raises(AliasedGrid, match="--time-step"):
+        make_time_grid(sd, 1.0, time_step_fs=20.0)
+    with pytest.raises(InputError, match="time step must be positive"):
+        make_time_grid(sd, 1.0, time_step_fs=0.0)
 
 
 @pytest.mark.parametrize(
@@ -390,8 +397,7 @@ def test_lineshape_no_coupling_is_lorentzian():
     hr = partial_hr(np.zeros(1), np.array([100.0]))
     sd = spectral_density(hr, 2.0)
     zpl, gamma = 2.0, 1.0
-    tgrid = make_time_grid(0.0, 0.0, gamma, reach_mev=600.0)
-    gf = generating_function(sd, tgrid)
+    gf = generating_function(sd, make_time_grid(sd, gamma, reach_mev=600.0))
     config = LineshapeConfig(
         zpl_ev=zpl,
         gamma_mev=gamma,
@@ -451,8 +457,7 @@ def test_lineshape_support_is_red_shifted():
 def test_lineshape_window_excluding_support():
     hr = partial_hr(np.zeros(1), np.array([100.0]))
     sd = spectral_density(hr, 2.0)
-    tgrid = make_time_grid(0.0, 0.0, 1.0, reach_mev=3000.0)
-    gf = generating_function(sd, tgrid)
+    gf = generating_function(sd, make_time_grid(sd, 1.0, reach_mev=3000.0))
     config = LineshapeConfig(
         zpl_ev=2.0, gamma_mev=1.0, window_ev=(0.2, 0.5), step_mev=0.5
     )
@@ -462,27 +467,37 @@ def test_lineshape_window_excluding_support():
 
 def test_lineshape_time_span_floor():
     sd = spectral_density(_single_mode_hr(0.5, 100.0), 2.0)
-    t = (np.arange(4096) - 2048) * 0.5  # ~1 ps: far below 10 hbar/gamma
-    gf = generating_function(sd, t)
-    with pytest.raises(AliasedGrid):
+    # under 1 ps: far below 10 hbar/gamma
+    gf = generating_function(sd, make_time_grid(sd, 1.0, 100.0, time_span_fs=600.0))
+    with pytest.raises(AliasedGrid, match="--time-span"):
         lineshape(gf, LineshapeConfig(zpl_ev=2.0, gamma_mev=1.0, window_ev=(1.9, 2.01)))
     # the default window is emission's to resolve
     with pytest.raises(InputError, match="window"):
         lineshape(gf, LineshapeConfig(zpl_ev=2.0, gamma_mev=1.0))
 
 
-def test_lineshape_refuses_grid_reaching_quadrature_recurrence():
+def test_make_time_grid_refuses_span_reaching_quadrature_recurrence():
     # sigma = 2 meV: S(t) on the sigma/5 spectral grid recurs at 10.3 ps,
-    # where damping by gamma = 0.1 meV has only reached e^-1.6
+    # where damping by gamma = 0.1 meV has only reached e^-1.6; a span of
+    # 25 hbar/gamma (165 ps) reaches it, the default sigma-bounded one not
     hr = _single_mode_hr(0.5, 20.0)
     sd = spectral_density(hr, 2.0)
+    with pytest.raises(AliasedGrid, match="recurrence.*gamma = 0.1 meV"):
+        make_time_grid(sd, 0.1, 100.0, time_span_fs=25.0 * units.HBAR_MEV_FS / 0.1)
+    grid = make_time_grid(sd, 0.1, 100.0)
     config = LineshapeConfig(zpl_ev=2.0, gamma_mev=0.1, window_ev=(1.9, 2.01))
-    long_grid = make_time_grid(sd.omega_max_mev, hr.total, 0.1, reach_mev=100.0)
-    with pytest.raises(AliasedGrid, match="recurrence"):
-        lineshape(generating_function(sd, long_grid), config)
-    grid = make_time_grid(sd.omega_max_mev, hr.total, 0.1, reach_mev=100.0, sigma_mev=2.0)
-    assert grid.size < long_grid.size
     lineshape(generating_function(sd, grid), config)
+
+
+def test_lineshape_refuses_grid_built_for_another_gamma_or_reach():
+    sd = spectral_density(_single_mode_hr(0.5, 100.0), 2.0)
+    gf = generating_function(sd, make_time_grid(sd, 1.0, reach_mev=150.0))
+    config = LineshapeConfig(zpl_ev=2.0, gamma_mev=1.0, window_ev=(1.85, 2.01))
+    lineshape(gf, config)
+    with pytest.raises(AliasedGrid, match="gamma"):
+        lineshape(gf, dataclasses.replace(config, gamma_mev=0.5, step_mev=0.05))
+    with pytest.raises(AliasedGrid, match="reach"):
+        lineshape(gf, dataclasses.replace(config, window_ev=(1.8, 2.01)))
 
 
 # generated HR documents: modes, total S, gamma and sigma (meV), seed
@@ -511,11 +526,9 @@ def _generated_hr(nmodes, s_total, seed):
 def test_split_sideband_contracts_on_generated_documents(nmodes, s_total, gamma, sigma, seed):
     hr = _generated_hr(nmodes, s_total, seed)
     sd = spectral_density(hr, sigma)
-    tgrid = make_time_grid(sd.omega_max_mev, hr.total, gamma, sigma_mev=sigma)
-    # the sigma-bounded span never costs more points than 25 hbar/gamma at 1 meV
-    assert tgrid.size <= make_time_grid(sd.omega_max_mev, hr.total, 1.0).size
+    tgrid = make_time_grid(sd, gamma)
     gf = generating_function(sd, tgrid)
-    assert gf.values[tgrid.size // 2] == 1.0
+    assert gf.values[len(tgrid) // 2] == 1.0
     # by the end of the grid the sideband has died: G is down to the ZPL weight
     zpl = math.exp(-hr.total)
     assert abs(gf.values[0] - zpl) <= 1e-8 * hr.total
@@ -532,11 +545,60 @@ def test_split_sideband_contracts_on_generated_documents(nmodes, s_total, gamma,
     assert first == pytest.approx(float(np.dot(hr.sk, hr.omegas_mev)), rel=1e-8)
 
 
+@settings(max_examples=25, deadline=None)
+@_GENERATED_DOCUMENTS
+@example(nmodes=1, s_total=1.0, gamma=0.5, sigma=1.0, seed=0)
+def test_time_grid_contracts_on_generated_documents(nmodes, s_total, gamma, sigma, seed):
+    hr = _generated_hr(nmodes, s_total, seed)
+    sd = spectral_density(hr, sigma)
+    config = LineshapeConfig(zpl_ev=3.0, gamma_mev=gamma, sigma_mev=sigma, step_mev=gamma)
+    reach = vibronic._reach_mev(config.zpl_ev, vibronic.spectrum_window(hr, config))
+    grid = make_time_grid(sd, gamma, reach)
+    n, dt = len(grid), grid.dt
+    assert (grid.gamma_mev, grid.reach_mev) == (gamma, max(reach, 10.0 * gamma))
+    # the Nyquist energy covers the multi-phonon support and the reach
+    need = vibronic._nyquist_need_mev(sd.omega_max_mev, sd.total, reach)
+    assert math.pi * units.HBAR_MEV_FS / dt >= need * (1.0 - 1e-12)
+    # the smallest power of two (at least 16, at most the limit) covering
+    # the sigma-bounded span; even, so every t > 0 has its -t
+    span = min(25.0 / gamma, vibronic._SIDEBAND_SPAN / sigma) * units.HBAR_MEV_FS
+    assert n & (n - 1) == 0 and 16 <= n <= vibronic.MAX_TIME_POINTS
+    assert n >= 2.0 * span / dt * (1.0 - 1e-9)
+    assert n == 16 or n < 4.0 * span / dt * (1.0 + 1e-9)
+    # dt is the whole-grid step of the points the requested step builds
+    step = dt * (0.3 + 0.7 * (seed % 1000) / 1000.0)
+    fine = make_time_grid(sd, gamma, reach, time_step_fs=step)
+    t = (np.arange(len(fine)) - len(fine) // 2) * step
+    assert fine.dt == float(t[-1] - t[0]) / (t.size - 1)
+    # a span past the recurrence of S(t) on the spectral grid is refused
+    # exactly when gamma leaves more than e^-10 there
+    onset = units.HBAR_MEV_FS * (2.0 * math.pi / sd.step_mev - vibronic._SIDEBAND_SPAN / sigma)
+    if gamma * onset / units.HBAR_MEV_FS < 10.0:
+        with pytest.raises(AliasedGrid, match="recurrence"):
+            make_time_grid(sd, gamma, reach, time_span_fs=1.01 * onset)
+    else:
+        past = make_time_grid(sd, gamma, reach, time_span_fs=1.01 * onset)
+        assert (len(past) // 2) * past.dt > onset
+
+
+def test_make_time_grid_builds_no_array():
+    # 2^24 points, the limit: a grid of scalars, not 128 MB of times
+    sd = spectral_density(_single_mode_hr(1.0, 100.0), 2.0)
+    span = make_time_grid(sd, 1.0).dt * (1 << 23) * 0.999
+    tracemalloc.start()
+    try:
+        grid = make_time_grid(sd, 1.0, time_span_fs=span)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(grid) == vibronic.MAX_TIME_POINTS
+    assert peak < 1 << 16
+
+
 def _complex_padded_sideband(gf, gamma_mev, resolution_mev):
     """The former transform: the whole damped bracket, zero-padded, through
     a complex inverse FFT.  Returns the energy step and the complex result."""
-    n = gf.time_fs.size
-    dt = gf.dt_fs
+    n, dt = len(gf.grid), gf.grid.dt
     i0 = n // 2
     zpl_weight = math.exp(-gf.s_total)
     damping = np.exp(-gamma_mev * dt / units.HBAR_MEV_FS * np.abs(np.arange(n) - i0))
@@ -558,14 +620,14 @@ def test_real_half_transform_matches_complex_padded_transform(
 ):
     hr = _generated_hr(nmodes, s_total, seed)
     sd = spectral_density(hr, sigma)
-    gf = generating_function(sd, make_time_grid(sd.omega_max_mev, hr.total, gamma, sigma_mev=sigma))
+    gf = generating_function(sd, make_time_grid(sd, gamma))
     resolution = max(sigma, gamma) / 16.0
     step, sideband, _ = vibronic._fft_spectral_function(gf, gamma, resolution)
     ref_step, ref = _complex_padded_sideband(gf, gamma, resolution)
     assert step == ref_step
     # the real transform drops the unpaired sample at t = -(n/2) dt, which
     # shifts each bin by at most its damped bracket times dt / (2 pi hbar)
-    n, dt = gf.time_fs.size, gf.dt_fs
+    n, dt = len(gf.grid), gf.grid.dt
     unpaired = (
         abs(gf.values[0] - math.exp(-hr.total))
         * math.exp(-gamma * dt / units.HBAR_MEV_FS * (n // 2))
@@ -589,10 +651,7 @@ def _stage_chain(hr, config):
     window = (lo_mev / 1000.0, hi_mev / 1000.0)
     sd = spectral_density(hr, config.sigma_mev)
     reach = max(zpl_mev - window[0] * 1000.0, abs(window[1] * 1000.0 - zpl_mev))
-    tgrid = make_time_grid(
-        sd.omega_max_mev, hr.total, config.gamma_mev, reach, sigma_mev=config.sigma_mev
-    )
-    gf = generating_function(sd, tgrid)
+    gf = generating_function(sd, make_time_grid(sd, config.gamma_mev, reach))
     return window, lineshape(gf, dataclasses.replace(config, window_ev=window))
 
 
@@ -616,12 +675,12 @@ def test_lineshape_transform_memory_below_two_padded_complex_arrays():
     # 2^19 points for the 0.125 meV energy step
     hr = _single_mode_hr(10.0, 200.0)
     sd = spectral_density(hr, 2.0)
-    gf = generating_function(sd, make_time_grid(sd.omega_max_mev, hr.total, 1.0, sigma_mev=2.0))
-    step, _, _ = vibronic._fft_spectral_function(gf, 1.0, 2.0 / 16.0)
-    size = round(2.0 * math.pi * units.HBAR_MEV_FS / (step * gf.dt_fs))
-    assert size == 1 << 19
     # the ladder reaches below 1 meV, where the default window stops
     config = LineshapeConfig(zpl_ev=2.0, gamma_mev=1.0, sigma_mev=2.0, window_ev=(0.001, 2.062))
+    gf = generating_function(sd, make_time_grid(sd, 1.0, vibronic._reach_mev(2.0, config.window_ev)))
+    step, _, _ = vibronic._fft_spectral_function(gf, 1.0, 2.0 / 16.0)
+    size = round(2.0 * math.pi * units.HBAR_MEV_FS / (step * gf.grid.dt))
+    assert size == 1 << 19
     tracemalloc.start()
     try:
         lineshape(gf, config)
@@ -632,16 +691,19 @@ def test_lineshape_transform_memory_below_two_padded_complex_arrays():
 
 
 def test_non_hermitian_generating_function_refused():
-    t = (np.arange(16) - 8) * 1.0
+    grid = _unchecked_grid(16, 1.0)
     g = np.ones(16, dtype=complex)
     g[0] = 0.3 + 0.2j  # t = -8 has no partner on the grid
     g[10] = g[6] = 0.5 + 0.1j
     with pytest.raises(NumericalError, match="Hermitian"):
-        GeneratingFunction(t, g, 1.0, 100.0)
+        GeneratingFunction(grid, g, 1.0)
     g[6] = 0.5 - 0.1j
-    GeneratingFunction(t, g, 1.0, 100.0)
-    with pytest.raises(InputError, match="symmetric"):
-        GeneratingFunction(t + 2.0, g, 1.0, 100.0)
+    GeneratingFunction(grid, g, 1.0)
+    # t = 0 is sample n // 2 of every TimeGrid: G shifted off it is refused
+    with pytest.raises(InputError, match="G\\(0\\)"):
+        GeneratingFunction(grid, np.roll(g, 2), 1.0)
+    with pytest.raises(DimensionMismatch):
+        GeneratingFunction(grid, g[1:], 1.0)
 
 
 def test_degenerate_mode_mixing_invariance():
@@ -664,8 +726,7 @@ def test_degenerate_mode_mixing_invariance():
         qk = qk_from_displacement(b, pair, structure.masses)
         hr = partial_hr(qk, b.omegas_mev)
         sd = spectral_density(hr, 2.0)
-        tgrid = make_time_grid(150.0, hr.total, 1.0, reach_mev=800.0)
-        gf = generating_function(sd, tgrid)
+        gf = generating_function(sd, make_time_grid(sd, 1.0, reach_mev=800.0))
         ls = lineshape(
             gf,
             LineshapeConfig(
@@ -697,8 +758,7 @@ def test_effective_mode_report_ordering_and_floor():
     hr = partial_hr(qk, omegas)
     zpl, gamma, sigma = 2.2, 1.0, 0.5
     sd = spectral_density(hr, sigma)
-    tgrid = make_time_grid(176.0, hr.total, gamma, reach_mev=1600.0)
-    gf = generating_function(sd, tgrid)
+    gf = generating_function(sd, make_time_grid(sd, gamma, reach_mev=1600.0))
     ls = lineshape(
         gf,
         LineshapeConfig(
