@@ -25,6 +25,12 @@ from .model import HRDecomposition, _own, _require_step_within_gamma, _uniform_s
 
 MAX_MODES = 8
 MAX_CAP = 24
+#: Candidate lines one mode's expansion may hold: the lines so far times
+#: the mode's admissible quanta, about 17 bytes of scratch each.
+MAX_LINES = 2**22
+#: Line-point pairs one broadening may sum (lines times padded points),
+#: about 20 s of work.
+MAX_LINE_POINTS = 2**33
 
 #: Quanta vectors whose partial weight falls below this are pruned.
 PRUNE_WEIGHT = 1e-16
@@ -32,22 +38,23 @@ PRUNE_WEIGHT = 1e-16
 
 @dataclass(frozen=True, eq=False)
 class FCLadder:
-    """Enumerated emission lines: quanta vectors, weights, phonon energies."""
+    """Enumerated emission lines: quanta vectors, weights, phonon energies.
 
-    quanta: np.ndarray  # (L, M) ints
+    quanta holds one uint8 row per line (the cap is at most MAX_CAP = 24)
+    and one column per coupled mode of omegas_mev.
+    """
+
+    quanta: np.ndarray  # (L, M) uint8
     weights: np.ndarray  # (L,)
     energies_mev: np.ndarray  # (L,) energy released to phonons
     omegas_mev: np.ndarray  # (M,)
-    sks: np.ndarray  # (M,)
-    cap: int
     tail: float  # 1 - sum(weights), never renormalized away
 
     def __post_init__(self):
-        object.__setattr__(self, "quanta", _own(self.quanta, dtype=int))
+        object.__setattr__(self, "quanta", _own(self.quanta, dtype=np.uint8))
         object.__setattr__(self, "weights", _own(self.weights))
         object.__setattr__(self, "energies_mev", _own(self.energies_mev))
         object.__setattr__(self, "omegas_mev", _own(self.omegas_mev))
-        object.__setattr__(self, "sks", _own(self.sks))
         balance = math.fsum(self.weights.tolist()) + self.tail
         if abs(balance - 1.0) > 1e-10:
             raise InputError(f"weights + tail = {balance!r}, expected 1")
@@ -61,8 +68,14 @@ def enumerate_fc(hr: HRDecomposition, cap: int) -> FCLadder:
     """Enumerate all quanta vectors with total quanta <= cap.
 
     Modes with S_k = 0 contribute only the zero-quanta factor and are
-    dropped from the vectors.  Enumeration is lexicographic with early
-    pruning of branches whose partial weight is already below 1e-16; the
+    dropped from the vectors.  The ladder grows mode by mode from the
+    single zero-quanta line: every line is crossed with the quanta q <= cap
+    of the next mode in ascending order, and a candidate is kept when its
+    weight (the product of Poisson factors exp(-S) S^q / q!, multiplied
+    in mode order) is at least PRUNE_WEIGHT and its total quanta at most
+    cap.  Lines therefore come in lexicographic order of their uint8 quanta
+    vectors, with energies summed in mode order.  A mode whose candidates
+    would exceed MAX_LINES raises InputError before they are built.  The
     pruned and capped mass is reported as the tail, and a warning is
     emitted when it exceeds 1e-6.
     """
@@ -77,54 +90,38 @@ def enumerate_fc(hr: HRDecomposition, cap: int) -> FCLadder:
     if m > MAX_MODES:
         raise TooManyModes(f"{m} coupled modes exceed the enumeration limit {MAX_MODES}")
 
-    pois = [
-        np.array([math.exp(-s) * s**q / math.factorial(q) for q in range(cap + 1)])
-        for s in sks
-    ]
-    quanta, weights, energies = [], [], []
-    vec = np.zeros(m, dtype=int)
+    quanta = np.zeros((1, 0), dtype=np.uint8)
+    weights, energies = np.ones(1), np.zeros(1)
+    for k, (s, omega) in enumerate(zip(sks, omegas)):
+        pois = np.array(
+            [math.exp(-s) * s**q / math.factorial(q) for q in range(cap + 1)]
+        )
+        # weights never exceed 1, so a factor below PRUNE_WEIGHT prunes every line
+        qs = np.flatnonzero(pois >= PRUNE_WEIGHT).astype(np.uint8)
+        if weights.size * qs.size > MAX_LINES:
+            raise InputError(
+                f"mode {k + 1} of {m} would expand {weights.size} lines into "
+                f"{weights.size * qs.size} candidates, above the limit of "
+                f"{MAX_LINES}; lower --max-quanta"
+            )
+        cand = np.multiply.outer(weights, pois[qs])
+        used = quanta.sum(axis=1, dtype=np.uint8)
+        keep = (cand >= PRUNE_WEIGHT) & (np.add.outer(used, qs) <= cap)
+        weights = cand[keep]
+        del cand
+        counts = keep.sum(axis=1)
+        q = np.broadcast_to(qs, keep.shape)[keep]
+        energies = np.repeat(energies, counts) + q * omega
+        quanta = np.column_stack([np.repeat(quanta, counts, axis=0), q])
 
-    def walk(k, weight, energy, used):
-        if k == m:
-            quanta.append(vec.copy())
-            weights.append(weight)
-            energies.append(energy)
-            return
-        for q in range(cap + 1 - used):
-            w = weight * pois[k][q]
-            if w < PRUNE_WEIGHT:
-                if q >= sks[k]:
-                    break  # factors only decrease from here on
-                continue
-            vec[k] = q
-            walk(k + 1, w, energy + q * omegas[k], used + q)
-        vec[k] = 0
-
-    if m == 0:
-        quanta.append(np.zeros(0, dtype=int))
-        weights.append(1.0)
-        energies.append(0.0)
-    else:
-        walk(0, 1.0, 0.0, 0)
-
-    weights = np.array(weights)
-    tail = 1.0 - math.fsum(weights.tolist())
-    tail = max(tail, 0.0)
+    tail = max(1.0 - math.fsum(weights.tolist()), 0.0)
     if tail > 1e-6:
         warnings.warn(
             f"enumeration cap {cap} leaves tail mass {tail:.3e}",
             CapTooSmallWarning,
             stacklevel=2,
         )
-    return FCLadder(
-        np.array(quanta, dtype=int).reshape(len(weights), m),
-        weights,
-        np.array(energies),
-        omegas,
-        sks,
-        cap,
-        tail,
-    )
+    return FCLadder(quanta, weights, energies, omegas, tail)
 
 
 def first_moment_mev(ladder: FCLadder) -> float:
@@ -165,7 +162,9 @@ def broadened_oracle_spectrum(
     reported, never folded back in.  Lines below min_weight are skipped in
     the evaluation (their aggregate is bounded by nlines * min_weight, so
     1e-12 is safely below any stated tolerance); the analytic window mass
-    still counts every line.  The grid step must not exceed gamma.
+    still counts every line.  The grid step must not exceed gamma, and the
+    summed lines times the padded points must not exceed MAX_LINE_POINTS
+    (InputError, raised before any scratch is allocated).
 
     Lines are summed in row chunks of 4e6 // (padded points) lines, one
     column tile of 2^20 // chunk points at a time, in one scratch buffer
@@ -201,14 +200,20 @@ def broadened_oracle_spectrum(
             f"weight {lost:.3e} (need lines +- 10 gamma inside)"
         )
 
-    totals = ladder.quanta.sum(axis=1) if ladder.quanta.size else np.zeros(
-        ladder.nlines, dtype=int
-    )
+    totals = ladder.quanta.sum(axis=1)
     sigma_ev = sigma_mev / 1000.0
     pad_ev = 10.0 * gamma_ev + (
         8.0 * sigma_ev * math.sqrt(max(int(totals.max()), 1)) if sigma_mev > 0 else 0.0
     )
     npad = int(math.ceil(pad_ev / step_ev)) + 1
+    keep = ladder.weights >= min_weight
+    nkeep, npoints = int(np.count_nonzero(keep)), grid.size + 2 * npad
+    if nkeep * npoints > MAX_LINE_POINTS:
+        raise InputError(
+            f"broadening {nkeep} lines over {npoints} points exceeds the limit of "
+            f"{MAX_LINE_POINTS} line-points; lower --max-quanta, narrow --window "
+            "or raise --step"
+        )
     padded = np.concatenate(
         [
             grid[0] - step_ev * np.arange(npad, 0, -1),
@@ -218,7 +223,6 @@ def broadened_oracle_spectrum(
     )
 
     out = np.zeros(padded.size)
-    keep = ladder.weights >= min_weight
     # the row chunk fixes which lines each column sums, and in what order;
     # the column tile only bounds the scratch buffer, reused throughout
     chunk = max(1, 4_000_000 // padded.size)

@@ -688,6 +688,13 @@ def write_stem_tsv(path, hr: HRDecomposition, header_lines=(), overwrite=False):
     _write_tsv(path, header_lines, ("omega_mev", "sk", "cumulative"), body, overwrite)
 
 
+def tsv_rounding(values):
+    """Largest change the tables' %.9g makes to each value: half a unit in
+    its ninth significant digit."""
+    with np.errstate(divide="ignore"):
+        return 0.5 * 10.0 ** (np.floor(np.log10(np.abs(values))) - 8)
+
+
 def read_spectrum_tsv(path):
     """Read back a two-column spectrum written by write_spectrum_tsv."""
     energies, intensities = [], []

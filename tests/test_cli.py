@@ -691,6 +691,70 @@ def test_oracle_compare_non_finite_spectrum_exit_2(tmp_path, capsys):
     assert not (tmp_path / "oracle.tsv").exists()
 
 
+def test_oracle_compare_non_round_window(tmp_path, capsys):
+    # a 16-digit window edge: spectrum writes its energies at 9 significant
+    # digits, up to 5e-9 eV from the grid oracle builds
+    hr_path = _write_single_mode_hr(tmp_path, 0.8, 140.0)
+    window = "0.8736560765229056:2.66"
+    spec = tmp_path / "spec.tsv"
+    common = ["--hr", str(hr_path), "--zpl", "2.6"]
+    assert main(
+        ["spectrum", *common, "--no-omega-cubed", "--window", window, "--out", str(spec)]
+    ) == 0
+    capsys.readouterr()
+    oracle = ["oracle", *common, "--out", str(tmp_path / "oracle.tsv"), "--compare", str(spec)]
+    assert main([*oracle, "--window", window]) == 0
+    l1 = float(capsys.readouterr().out.split("l1_distance = ")[1].split()[0])
+    assert l1 < 1e-4
+    # the same number of points, shifted by one 0.1 meV step
+    (tmp_path / "oracle.tsv").unlink()
+    assert main([*oracle, "--window", "0.8737560765229056:2.6601"]) == 2
+    assert "different grid" in capsys.readouterr().err
+    assert not (tmp_path / "oracle.tsv").exists()
+
+
+def _write_eight_mode_hr(tmp_path, sk):
+    omegas = np.linspace(20.0, 160.0, 8)
+    sks = np.full(8, sk)
+    hr = partial_hr(
+        np.sqrt(2.0 * units.HBAR_AMU_A2_FS * sks / units.omega_radfs(omegas)), omegas
+    )
+    path = tmp_path / "hr8.json"
+    lio.write_hr(hr, path)
+    return path
+
+
+def test_oracle_ladder_above_line_limit_exit_2(tmp_path, capsys):
+    from lumiphon.fcoracle import MAX_LINES
+
+    hr_path = _write_eight_mode_hr(tmp_path, 1.0)
+    code = main(
+        ["oracle", "--hr", str(hr_path), "--zpl", "4.0", "--max-quanta", "24",
+         "--out", str(tmp_path / "o.tsv")]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--max-quanta" in err and str(MAX_LINES) in err
+    assert not (tmp_path / "o.tsv").exists()
+
+
+@pytest.mark.filterwarnings("ignore::lumiphon.errors.CapTooSmallWarning")
+def test_oracle_broadening_above_work_limit_exit_2(tmp_path, capsys):
+    from lumiphon.fcoracle import MAX_LINE_POINTS
+
+    # 43,758 lines on about 276,000 padded points
+    hr_path = _write_eight_mode_hr(tmp_path, 0.3)
+    code = main(
+        ["oracle", "--hr", str(hr_path), "--zpl", "3.0", "--max-quanta", "10",
+         "--step", "0.01", "--out", str(tmp_path / "o.tsv")]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    for name in ("--max-quanta", "--window", "--step", str(MAX_LINE_POINTS)):
+        assert name in err
+    assert not (tmp_path / "o.tsv").exists()
+
+
 def test_oracle_too_many_modes_exit_2(tmp_path, capsys):
     omegas = np.linspace(50.0, 180.0, 9)
     sks = np.full(9, 0.1)
@@ -793,6 +857,45 @@ def test_dissoc_fixture(tmp_path):
     assert table[0][2] == "true"
     assert float(table[1][1]) == pytest.approx(-0.13)
     assert table[1][2] == "false"
+
+
+@pytest.mark.parametrize("flag", [["--threads", "2"], ["--no-deterministic"]])
+def test_removed_run_flags_exit_2(tmp_path, flag):
+    dpath = _write_defects(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["dissoc", "--energies", str(dpath), "--out", str(tmp_path / "d.tsv"), *flag])
+    assert exc.value.code == 2
+
+
+def test_main_pins_blas_to_one_thread(tmp_path, monkeypatch):
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "4")
+    dpath = _write_defects(tmp_path)
+    assert main(
+        ["thermo", "--defects", str(dpath), "--envelope", str(tmp_path / "e.tsv"),
+         "--transitions", str(tmp_path / "t.tsv")]
+    ) == 0
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        assert os.environ[var] == "1"
+
+
+def test_demo_scripts_run_end_to_end(tmp_path):
+    root = pathlib.Path(__file__).resolve().parent.parent
+    demo, out = tmp_path / "demo", tmp_path / "demo_out"
+    subprocess.run(
+        [sys.executable, str(root / "scripts" / "make_demo_inputs.py"), "--out", str(demo)],
+        check=True,
+        capture_output=True,
+    )
+    done = subprocess.run(
+        [sys.executable, str(root / "scripts" / "run_demo.py"), "--demo", str(demo),
+         "--out", str(out)],
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    l1 = float(done.stdout.split("l1_distance = ")[1].split()[0])
+    assert l1 < 1e-4
 
 
 def test_manifest_written_deterministically(tmp_path):

@@ -1,5 +1,7 @@
 import math
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,13 +12,16 @@ from scipy.special import voigt_profile
 from lumiphon import units
 from lumiphon.errors import CapTooSmallWarning, GridTooNarrow, InputError, TooManyModes
 from lumiphon.fcoracle import (
+    MAX_LINE_POINTS,
+    MAX_LINES,
+    PRUNE_WEIGHT,
     FCLadder,
     broadened_oracle_spectrum,
     enumerate_fc,
     first_moment_mev,
 )
-from lumiphon.model import HRDecomposition
-from lumiphon.vibronic import partial_hr
+from lumiphon.model import HRDecomposition, LineshapeConfig
+from lumiphon.vibronic import emission, partial_hr
 
 from helpers import poisson_weight
 
@@ -233,8 +238,7 @@ def test_broadening_bit_identical_to_chunk_expression(
     weights /= weights.sum()
     energies = quanta @ omegas
     ladder = FCLadder(
-        quanta, weights, energies, omegas, np.ones(nmodes), cap,
-        max(0.0, 1.0 - math.fsum(weights.tolist())),
+        quanta, weights, energies, omegas, max(0.0, 1.0 - math.fsum(weights.tolist()))
     )
     zpl, step_ev = 2.0, step_fraction * gamma / 1000.0
     lo = zpl - (float(energies.max()) + 12.0 * gamma) / 1000.0
@@ -272,7 +276,165 @@ def test_ladder_balance_invariant_enforced():
             np.array([0.5]),
             np.array([0.0]),
             np.array([100.0]),
-            np.array([0.7]),
-            cap=4,
             tail=0.0,
         )
+
+
+def _walk_reference(hr, cap):
+    """The ladder as the former recursive walk enumerated it: depth first
+    over the coupled modes, q ascending, a branch cut once its weight falls
+    below PRUNE_WEIGHT at q >= S_k.  Returns quanta, weights, energies, tail."""
+    live = hr.sk > 0.0
+    omegas, sks = hr.omegas_mev[live], hr.sk[live]
+    m = omegas.size
+    pois = [
+        np.array([math.exp(-s) * s**q / math.factorial(q) for q in range(cap + 1)])
+        for s in sks
+    ]
+    quanta, weights, energies = [], [], []
+    vec = np.zeros(m, dtype=int)
+
+    def walk(k, weight, energy, used):
+        if k == m:
+            quanta.append(vec.copy())
+            weights.append(weight)
+            energies.append(energy)
+            return
+        for q in range(cap + 1 - used):
+            w = weight * pois[k][q]
+            if w < PRUNE_WEIGHT:
+                if q >= sks[k]:
+                    break
+                continue
+            vec[k] = q
+            walk(k + 1, w, energy + q * omegas[k], used + q)
+        vec[k] = 0
+
+    if m == 0:
+        quanta.append(np.zeros(0, dtype=int))
+        weights.append(1.0)
+        energies.append(0.0)
+    else:
+        walk(0, 1.0, 0.0, 0)
+    weights = np.array(weights)
+    tail = max(1.0 - math.fsum(weights.tolist()), 0.0)
+    return np.array(quanta, dtype=int).reshape(len(weights), m), weights, np.array(energies), tail
+
+
+def _ladder_size_bound(sks, cap):
+    """Lines a ladder can hold: the product of each coupled mode's quanta
+    with a factor above PRUNE_WEIGHT, and at most C(cap + m, m)."""
+    admissible = [
+        sum(math.exp(-s) * s**q / math.factorial(q) >= PRUNE_WEIGHT for q in range(cap + 1))
+        for s in sks
+        if s > 0.0
+    ]
+    return min(math.prod(admissible), math.comb(cap + len(admissible), len(admissible)))
+
+
+# exp(-S) S^3 / 3! is exactly PRUNE_WEIGHT at this S, so the three-quanta
+# line sits on the prune boundary; the walk keeps it
+@example(m=1, omegas=[50.0] * 8, sks=[8.434350365739523e-06] * 8, cap=5)
+@example(m=2, omegas=[20.0, 90.0] * 4, sks=[0.0002213486324054305, 1.0] * 4, cap=24)
+@example(m=0, omegas=[0.0] * 8, sks=[1.0] * 8, cap=3)
+@example(m=3, omegas=[0.0, 40.0, 40.0] * 3, sks=[5.0, 0.0, 1e-17] * 3, cap=0)
+@settings(max_examples=300, deadline=None)
+@given(
+    m=st.integers(0, 8),
+    omegas=st.lists(st.floats(0.0, 200.0), min_size=8, max_size=8),
+    sks=st.lists(st.floats(0.0, 5.0), min_size=8, max_size=8),
+    cap=st.integers(0, 24),
+)
+def test_enumeration_bit_identical_to_recursive_walk(m, omegas, sks, cap):
+    omegas, sks = np.sort(np.array(omegas[:m])), np.array(sks[:m])
+    # lower the cap until the ladder is small enough for the Python walk
+    while _ladder_size_bound(sks, cap) > 20_000:
+        cap -= 1
+    hr = HRDecomposition(omegas, np.zeros(m), sks, math.fsum(sks.tolist()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CapTooSmallWarning)
+        ladder = enumerate_fc(hr, cap)
+    quanta, weights, energies, tail = _walk_reference(hr, cap)
+    assert ladder.quanta.dtype == np.uint8
+    assert ladder.quanta.shape == quanta.shape
+    assert np.array_equal(ladder.quanta, quanta)
+    assert np.array_equal(ladder.weights, weights)
+    assert np.array_equal(ladder.energies_mev, energies)
+    assert ladder.tail == tail
+
+
+@pytest.mark.parametrize("sk", [1.0, 3.0])
+def test_eight_mode_cap_24_ladder_refused_before_it_grows(sk):
+    # the walk took 24.8 s and 638 MB on this document at S_k = 1 and ran
+    # out of memory at S_k = 3
+    omegas = np.linspace(20.0, 160.0, 8)
+    hr = HRDecomposition(omegas, np.zeros(8), np.full(8, sk), 8.0 * sk)
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(InputError, match=f"limit of {MAX_LINES}; lower --max-quanta"):
+            enumerate_fc(hr, 24)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 2.0
+    assert peak < 256e6
+
+
+def test_broadening_refuses_work_above_the_limit_before_allocating():
+    nlines, npoints = 200_000, 50_000
+    assert nlines * npoints > MAX_LINE_POINTS
+    omegas = np.array([0.01])
+    quanta = np.zeros((nlines, 1), dtype=np.uint8)
+    weights = np.full(nlines, 1.0 / nlines)
+    ladder = FCLadder(quanta, weights, np.zeros(nlines), omegas, 0.0)
+    grid = 1.5 + 1e-5 * np.arange(npoints)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match="--max-quanta.*--window.*--step"):
+            broadened_oracle_spectrum(ladder, 1.0, grid, 1.75)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # per-line arrays only: below the 8 MB scratch buffer of the chunk loop
+    assert peak < 2**20 * 8
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    omegas=st.lists(st.floats(30.0, 180.0), min_size=1, max_size=5),
+    shares=st.lists(st.floats(0.1, 1.0), min_size=5, max_size=5),
+    s_total=st.floats(0.3, 3.3),
+    gamma=st.sampled_from([0.3, 1.0, 3.0]),
+    sigma=st.sampled_from([0.5, 2.0, 4.0]),
+)
+def test_oracle_contract_on_generated_documents(omegas, shares, s_total, gamma, sigma):
+    """FFT lineshape vs broadened ladder, L1 < 1e-4 on a 0.1 meV grid."""
+    omegas = np.sort(np.array(omegas))
+    shares = np.array(shares[: omegas.size])
+    hr = _hr(omegas, s_total * shares / shares.sum())
+    s = hr.total
+    # the smallest cap whose Poisson tail is below 1e-10
+    cap = next(
+        n
+        for n in range(25)
+        if 1.0 - math.fsum(math.exp(-s) * s**q / math.factorial(q) for q in range(n + 1))
+        < 1e-10
+    )
+    ladder = enumerate_fc(hr, cap)
+    # the window holds every line above 1e-14, its Lorentzian and its smearing
+    zpl = 4.0
+    far = float(ladder.energies_mev[ladder.weights >= 1e-14].max())
+    window = (zpl - (far + 10.0 * gamma + 8.0 * sigma * math.sqrt(cap) + 5.0) / 1000.0, zpl + 0.1)
+    config = LineshapeConfig(
+        zpl_ev=zpl, gamma_mev=gamma, sigma_mev=sigma, window_ev=window, step_mev=0.1,
+        omega_cubed=False,
+    )
+    ls = emission(hr, config)
+    oracle = broadened_oracle_spectrum(
+        ladder, gamma, ls.energy_ev, zpl, sigma_mev=sigma, min_weight=1e-12
+    )
+    a = ls.intensity / np.trapezoid(ls.intensity, ls.energy_ev)
+    b = oracle.intensity / np.trapezoid(oracle.intensity, ls.energy_ev)
+    assert float(np.trapezoid(np.abs(a - b), ls.energy_ev)) < 1e-4
