@@ -82,7 +82,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hr", required=True)
     p.add_argument("--zpl", type=_finite_float, required=True, help="zero-phonon line in eV")
     p.add_argument("--gamma", type=_finite_float, default=1.0, help="Lorentzian damping in meV")
-    p.add_argument("--sigma", type=_finite_float, default=2.0, help="mode smearing in meV")
+    p.add_argument(
+        "--sigma",
+        type=_finite_float,
+        default=2.0,
+        help="mode smearing in meV; S(hw) is sampled at a step of sigma/10 to sigma/5, "
+        "and a sigma needing an FFT of S(t) over 2^24 points is refused",
+    )
     p.add_argument("--window", type=_parse_window, help="output window LO:HI in eV")
     p.add_argument("--step", type=_finite_float, default=0.1, help="output step in meV")
     p.add_argument("--no-omega-cubed", action="store_true")
@@ -276,6 +282,7 @@ def cmd_oracle(args) -> int:
     from . import fcoracle
     from . import io as lio
     from . import vibronic
+    from .model import output_grid
 
     hr = lio.parse_hr(lio.load_document(args.hr))
     if args.sigma < 0:
@@ -290,14 +297,14 @@ def cmd_oracle(args) -> int:
         window = (lo_mev / 1000.0, hi_mev / 1000.0)
     else:
         window = args.window
-    npts = int(np.floor((window[1] - window[0]) / (args.step / 1000.0) + 1e-9)) + 1
-    grid = window[0] + (args.step / 1000.0) * np.arange(npts)
+    # in meV as spectrum builds it, so both grids are bit-identical
+    grid = output_grid(window[0] * 1000.0, window[1] * 1000.0, args.step, "--step", "--window")
+    grid /= 1000.0
     if args.compare:
         # check the comparison spectrum before any output is written
         other_e, other_i = lio.read_spectrum_tsv(args.compare)
-        # energies read back carry the table's 9-digit rounding; spectrum
-        # computes the same grid in another order, a few ulps apart
-        slack = lio.tsv_rounding(grid) + 4.0 * np.spacing(np.abs(grid))
+        # energies read back carry the table's 9-digit rounding
+        slack = lio.tsv_rounding(grid)
         if other_e.shape != grid.shape or np.any(np.abs(other_e - grid) > slack):
             raise InputError(
                 f"{args.compare} is sampled on a different grid; "
@@ -346,15 +353,15 @@ def cmd_thermo(args) -> int:
 
     from . import energetics
     from . import io as lio
+    from .model import output_grid
 
     host, entries = lio.parse_defect_table(lio.load_document(args.defects))
     labels = []
     for e in entries:
         if e.label not in labels:
             labels.append(e.label)
-    step_ev = args.fermi_step / 1000.0
-    npts = int(np.floor(host.gap_ev / step_ev + 1e-9)) + 1
-    fermi = np.minimum(step_ev * np.arange(npts), host.gap_ev)
+    fermi_mev = output_grid(0.0, host.gap_ev * 1000.0, args.fermi_step, "--fermi-step", "gap")
+    fermi = np.minimum(fermi_mev / 1000.0, host.gap_ev)
     header = (
         f"lumiphon thermo v{__version__}",
         f"gap_ev = {host.gap_ev:.9g} ; vbm_ev = {host.vbm_ev:.9g} ; "

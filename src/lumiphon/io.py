@@ -735,16 +735,18 @@ def _check_target(path, overwrite):
 
 def _atomic_write(data: bytes, path):
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
-    try:
+    tmp = None
+    try:  # mkstemp fails on a missing or unwritable directory
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
         os.replace(tmp, path)
     except OSError as exc:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+        if tmp is not None:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
         raise IoFailure(f"cannot write {path}: {exc.strerror}") from None
 
 

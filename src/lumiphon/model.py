@@ -20,6 +20,7 @@ from typing import Mapping, Optional, Tuple, Union
 
 import numpy as np
 
+from . import units
 from .errors import (
     DimensionMismatch,
     InputError,
@@ -74,6 +75,28 @@ def _require_step_within_gamma(step_mev, gamma_mev):
             f"output step {step_mev:g} meV (--step) exceeds gamma {gamma_mev:g} meV "
             "(--gamma) and would undersample the zero-phonon line"
         )
+
+
+#: Largest output grid: 20 times the 200,501 points of the largest benchmark spectrum.
+MAX_OUTPUT_POINTS = 1 << 22
+
+
+def output_grid(lo_mev, hi_mev, step_mev, step_flag, range_flag):
+    """lo + step * arange(n) in meV, n = floor((hi - lo) / step + 1e-9) + 1:
+    the output grid of spectrum, oracle and thermo.  Before building it,
+    InputError naming the flag for step <= 0, lo >= hi or n > MAX_OUTPUT_POINTS.
+    """
+    if not step_mev > 0:
+        raise InputError(f"step {step_mev:g} meV ({step_flag}) must be positive")
+    if not lo_mev < hi_mev:
+        raise InputError(f"range {lo_mev:g} to {hi_mev:g} meV ({range_flag}) is empty")
+    cells = (hi_mev - lo_mev) / step_mev + 1e-9
+    if not cells < MAX_OUTPUT_POINTS:
+        raise InputError(
+            f"range {lo_mev:g} to {hi_mev:g} meV ({range_flag}) at step {step_mev:g} meV "
+            f"({step_flag}) needs more than the {MAX_OUTPUT_POINTS} output points allowed"
+        )
+    return lo_mev + step_mev * np.arange(int(math.floor(cells)) + 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,10 +221,9 @@ class PhononBasis:
             gram = v @ v.T
             dev = float(np.max(np.abs(gram - np.eye(n))))
         else:
-            # large bases: full diagonal plus a deterministic off-diagonal sample
+            # large bases: full diagonal plus 256 evenly spaced rows
             dev = float(np.max(np.abs(np.einsum("ij,ij->i", v, v) - 1.0)))
-            rng = np.random.default_rng(0)
-            rows = rng.choice(n, size=min(n, 256), replace=False)
+            rows = np.arange(256) * n // 256
             block = v[rows] @ v.T
             block[np.arange(rows.size), rows] -= 1.0
             dev = max(dev, float(np.max(np.abs(block))))
@@ -318,7 +340,6 @@ class SpectralDensity:
 
     grid_mev: np.ndarray
     values: np.ndarray
-    sigma_mev: float
     total: float
 
     def __post_init__(self):
@@ -342,11 +363,6 @@ class SpectralDensity:
     def step_mev(self):
         return float(self.grid_mev[1] - self.grid_mev[0])
 
-    @property
-    def omega_max_mev(self):
-        """Largest |energy| on the grid: the top of the spectral content."""
-        return float(np.max(np.abs(self.grid_mev)))
-
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -358,15 +374,22 @@ class TimeGrid:
     requested step, which unlike one difference carries no rounding of the
     grid's largest value.  gamma_mev and reach_mev are the damping and the
     largest |E - E_zpl| (meV) whose lineshape the grid resolves.
+    S(t) on it is one real FFT of length fft_size = N over a spectral
+    density sampled at spectral_step_mev, D = 2 pi hbar / (N dt).
     """
 
     n: int
     dt: float
     gamma_mev: float
     reach_mev: float
+    fft_size: int
 
     def __len__(self):
         return self.n
+
+    @property
+    def spectral_step_mev(self):
+        return 2.0 * math.pi * units.HBAR_MEV_FS / (self.fft_size * self.dt)
 
 
 @dataclass(frozen=True, eq=False)
@@ -446,12 +469,10 @@ class LineshapeConfig:
             raise InputError(f"zpl must be positive, got {self.zpl_ev}")
         if self.sigma_mev <= 0:
             raise InputError(f"sigma must be positive, got {self.sigma_mev}")
-        if self.step_mev <= 0:
-            raise InputError(f"step must be positive, got {self.step_mev}")
         if self.window_ev is not None:
             lo, hi = self.window_ev
             if not (lo < hi):
-                raise InputError(f"window must satisfy lo < hi, got {self.window_ev}")
+                raise InputError(f"window (--window) must satisfy lo < hi, got {self.window_ev}")
 
 
 @dataclass(frozen=True)

@@ -51,14 +51,12 @@ from .model import (
     SpectralDensity,
     TimeGrid,
     _require_step_within_gamma,
+    output_grid,
 )
 from .units import ZERO_MODE_MEV
 
 #: Modes with S_k below this are left out of peak labelling.
 LABEL_SK_FLOOR = 1e-4
-
-#: Smallest FFT block of the chirp-z convolution.
-_CZT_BLOCK = 1 << 16
 
 #: |G(t) - e^{-S}| <= |S(t)| <= S exp(-sigma^2 t^2 / 2 hbar^2), which falls
 #: below 1e-13 S past this many hbar/sigma.
@@ -71,7 +69,8 @@ _REPLICA_TAIL = 1e-12
 #: Largest block of Gaussian rows spectral_density sums at once, in float64.
 _DENSITY_BLOCK = 1 << 18
 
-#: Largest time grid make_time_grid accepts: 128 MB per float array over it.
+#: Largest time grid, and largest FFT of S(t), that make_time_grid accepts:
+#: 128 MB per float array over it.
 MAX_TIME_POINTS = 1 << 24
 
 #: The damped sideband must be below e^{-_DAMPING_FLOOR} where the time
@@ -176,13 +175,10 @@ def partial_hr(qk, omegas_mev) -> HRDecomposition:
     )
 
 
-def spectral_density(
-    hr: HRDecomposition, sigma_mev: float, grid_mev: Optional[np.ndarray] = None
-) -> SpectralDensity:
-    """Smear the stick decomposition with Gaussians of width sigma.
-
-    The grid (auto-built if omitted) must span every contributing mode by
-    at least 6 sigma on each side so the integral reproduces the total.
+def spectral_density(hr: HRDecomposition, sigma_mev: float, step_mev: float) -> SpectralDensity:
+    """Smear the stick decomposition with Gaussians of width sigma, sampled
+    at step_mev (a time grid's spectral_step_mev) from 6 sigma below every
+    contributing mode to 6 sigma above, so the integral reproduces the total.
     """
     if sigma_mev <= 0:
         raise InputError(f"sigma must be positive, got {sigma_mev}")
@@ -190,20 +186,12 @@ def spectral_density(
     omegas = hr.omegas_mev[live]
     sks = hr.sk[live]
     if omegas.size == 0:
-        grid = np.arange(0.0, 12.0 * sigma_mev, sigma_mev / 5.0)
-        return SpectralDensity(grid, np.zeros_like(grid), sigma_mev, 0.0)
+        grid = np.arange(0.0, 12.0 * sigma_mev, step_mev)
+        return SpectralDensity(grid, np.zeros_like(grid), 0.0)
     lo_req = float(omegas.min() - 6.0 * sigma_mev)
     hi_req = float(omegas.max() + 6.0 * sigma_mev)
-    if grid_mev is None:
-        step = sigma_mev / 5.0
-        n = int(math.ceil((hi_req - lo_req) / step)) + 1
-        grid = lo_req + step * np.arange(n)
-    else:
-        grid = np.asarray(grid_mev, dtype=float)
-        if grid[0] > lo_req or grid[-1] < hi_req:
-            raise GridTooNarrow(
-                f"grid [{grid[0]}, {grid[-1]}] must span [{lo_req}, {hi_req}] meV"
-            )
+    n = int(math.ceil((hi_req - lo_req) / step_mev)) + 1
+    grid = lo_req + step_mev * np.arange(n)
     # one row of s_k * Gaussian per mode, a block of rows at a time; row 0
     # of each block carries the running sum, and a reduction over axis 0
     # adds the rows in order, so the sum is the mode-by-mode one bit for bit
@@ -223,7 +211,7 @@ def spectral_density(
         g /= norm
         g *= sks[start : start + rows, None]
         vals = np.add.reduce(block, axis=0)
-    return SpectralDensity(grid, vals, sigma_mev, float(math.fsum(sks.tolist())))
+    return SpectralDensity(grid, vals, float(math.fsum(sks.tolist())))
 
 
 def _nyquist_need_mev(omega_max_mev, s_total, reach_mev):
@@ -234,7 +222,7 @@ def _nyquist_need_mev(omega_max_mev, s_total, reach_mev):
     n exceeds 10 S only for S below about 1.7 (n = 14 at S = 1); without
     it the first replica beyond 10 quanta folds back across the Nyquist
     energy.  make_time_grid alone applies this rule, from the top of the
-    spectral-density grid and its total S.
+    spectral content and the document's total S.
     """
     term = math.exp(-s_total)  # Poisson weight of n replicas, from n = 0
     left = 1.0 - term
@@ -247,40 +235,51 @@ def _nyquist_need_mev(omega_max_mev, s_total, reach_mev):
     return max(reach_mev, omega_max_mev * max(10.0 * s_total, 10.0, float(n)))
 
 
+def _top_coupled_mev(hr: HRDecomposition) -> float:
+    """Energy of the highest mode with S_k > 0 (0 when none is coupled)."""
+    live = hr.sk > 0.0
+    return float(hr.omegas_mev[live].max()) if np.any(live) else 0.0
+
+
 def make_time_grid(
-    sd: SpectralDensity,
+    hr: HRDecomposition,
+    sigma_mev: float,
     gamma_mev: float,
     reach_mev: float = 0.0,
     time_step_fs: Optional[float] = None,
     time_span_fs: Optional[float] = None,
 ) -> TimeGrid:
-    """Symmetric power-of-two time grid for the sideband of sd damped by gamma.
+    """Symmetric power-of-two time grid for hr's sideband, smeared by sigma
+    and damped by gamma, with the length N of the FFT of S(t) on it.
 
     The one place the time grid's contracts are checked; no array is built.
-    - Step: the Nyquist energy covers the multi-phonon support of sd
-      (_nyquist_need_mev, from sd's top energy and total S), the reach
+    The spectral content tops out at the highest coupled mode + 6 sigma.
+    - Step: the Nyquist energy covers the multi-phonon support
+      (_nyquist_need_mev, from that top and hr's total S), the reach
       (largest |E - E_zpl| of the output window, at least 10 gamma), the
       Lorentzian tails that would fold back into that window, and 4 times
-      sd's top energy.  A coarser time_step_fs is refused (AliasedGrid).
+      the top.  A coarser time_step_fs is refused (AliasedGrid).
     - Span: min(25 hbar/gamma, _SIDEBAND_SPAN hbar/sigma), past which
-      G(t) - e^{-S} is below 1e-13 S; time_span_fs overrides it.  More than
-      MAX_TIME_POINTS points are refused (InputError).
-    - Recurrence: on sd's spectral grid of step D, S(t) recurs from
+      G(t) - e^{-S} is below 1e-13 S; time_span_fs overrides it.
+    - N: the smallest power of two with D = 2 pi hbar / (N dt) <= sigma/5.
+      More time or FFT points than MAX_TIME_POINTS are refused (InputError).
+    - Recurrence: S(t) sampled at step D recurs from
       hbar (2 pi / D - _SIDEBAND_SPAN / sigma); a grid reaching past that
       onset is refused (AliasedGrid) unless gamma damps it below
       e^-_DAMPING_FLOOR there.
-    The grid records gamma and the reach it was built for; lineshape
+    The grid records gamma, the reach it was built for and N; lineshape
     refuses a config with another gamma or a window reaching further.
     """
     if gamma_mev <= 0:
         raise NonPositiveGamma(f"gamma must be positive, got {gamma_mev}")
+    top = _top_coupled_mev(hr) + 6.0 * sigma_mev
     reach = max(reach_mev, 10.0 * gamma_mev)
-    need = _nyquist_need_mev(sd.omega_max_mev, sd.total, reach)
+    need = _nyquist_need_mev(top, hr.total, reach)
     # Lorentzian tails beyond the Nyquist energy fold back into the output
     # window; push the Nyquist energy out until the folded weight over the
     # window stays below ~2e-6 in L1
     need = max(need, math.sqrt(2.0 * reach * gamma_mev / (math.pi * 2e-6)))
-    need = max(need, 4.0 * sd.omega_max_mev)
+    need = max(need, 4.0 * top)
     dt_nyquist = math.pi * units.HBAR_MEV_FS / need
     dt = time_step_fs if time_step_fs is not None else dt_nyquist
     if dt <= 0:
@@ -291,7 +290,7 @@ def make_time_grid(
         )
     span = min(
         25.0 * units.HBAR_MEV_FS / gamma_mev,
-        _SIDEBAND_SPAN * units.HBAR_MEV_FS / sd.sigma_mev,
+        _SIDEBAND_SPAN * units.HBAR_MEV_FS / sigma_mev,
     )
     if time_span_fs is not None:
         span = time_span_fs
@@ -306,63 +305,57 @@ def make_time_grid(
     n = 1 << max(4, int(math.ceil(math.log2(cells))))
     # -t[0] and t[-1] of the points (arange(n) - n // 2) * dt, rounded alike
     half_span, last = (n // 2) * dt, (n - 1 - n // 2) * dt
-    onset = units.HBAR_MEV_FS * (2.0 * math.pi / sd.step_mev - _SIDEBAND_SPAN / sd.sigma_mev)
+    dt = (last + half_span) / (n - 1)
+    # N >= fft_cells keeps the spectral step D = 2 pi hbar / (N dt) <= sigma/5
+    fft_cells = 2.0 * math.pi * units.HBAR_MEV_FS / (dt * sigma_mev / 5.0)
+    if not fft_cells <= MAX_TIME_POINTS:
+        raise InputError(
+            f"sigma {sigma_mev:.4g} meV (--sigma) at time step {dt:.4g} fs (--time-step) "
+            f"needs an FFT of S(t) over more than the {MAX_TIME_POINTS} points allowed"
+        )
+    fft_size = 1 << (math.ceil(fft_cells) - 1).bit_length()
+    onset = fft_size * dt - _SIDEBAND_SPAN * units.HBAR_MEV_FS / sigma_mev
     if half_span > onset and gamma_mev * onset / units.HBAR_MEV_FS < _DAMPING_FLOOR:
         raise AliasedGrid(
             f"time span {half_span:.0f} fs (--time-span) reaches the recurrence of the "
             f"spectral quadrature at {onset:.0f} fs, where damping by gamma = "
             f"{gamma_mev:g} meV leaves more than e^-{_DAMPING_FLOOR:g}"
         )
-    return TimeGrid(n, (last + half_span) / (n - 1), gamma_mev, reach)
-
-
-def _chirp_z(x, m, w):
-    """sum_j x[j] w^(j k) for k = 0 .. m-1, by Bluestein's algorithm.
-
-    The chirp w^(k^2/2) turns the sum into a convolution with 1/chirp
-    (Rabiner, Schafer and Rader, Bell Syst. Tech. J. 48, 1249 (1969)).  The
-    convolution runs overlap-save in FFT blocks of at least _CZT_BLOCK
-    points, which stay in cache where one FFT over all m points does not.
-    """
-    n = x.size
-    k = np.arange(max(m, n))
-    chirp = w ** (k**2 / 2.0)
-    size = 1 << (min(max(_CZT_BLOCK, 4 * n), n + m - 1) - 1).bit_length()
-    step = size - n + 1  # outputs per block
-    blocks = -(-m // step)
-    kernel = np.zeros(blocks * step + n - 1, dtype=complex)
-    kernel[: n + m - 1] = 1.0 / np.concatenate((chirp[n - 1 : 0 : -1], chirp[:m]))
-    segments = np.lib.stride_tricks.sliding_window_view(kernel, size)[::step]
-    y = np.fft.ifft(np.fft.fft(segments) * np.fft.fft(x * chirp[:n], size))
-    return y[:, n - 1 :].reshape(-1)[:m] * chirp[:m]
+    return TimeGrid(n, dt, gamma_mev, reach, fft_size)
 
 
 def generating_function(sd: SpectralDensity, grid: TimeGrid) -> GeneratingFunction:
     """G(t) = exp(S(t) - S(0)) on grid, S(t) the quadrature Fourier transform.
 
-    S(t) is evaluated at t = j dt for j = 0 .. n // 2 with a chirp-z
-    transform and mirrored through S(-t) = conj(S(t)), so time reversal
-    holds exactly; the identically-zero difference at t = 0 is pinned,
-    keeping G(0) = 1 exact.  make_time_grid(sd, ...) has checked the grid
-    against sd: its step resolves sd's top energy, and its span stays clear
-    of the quadrature's recurrence unless the damping covers it.
+    sd must be sampled at the grid's spectral step D (AliasedGrid
+    otherwise): then D dt N = 2 pi hbar, and S(t_j) = sum_i c_i e^{-i w_i t_j}
+    at w_i = w_0 + i D / hbar is e^{-i w_0 t_j} times entry j mod N of one
+    real FFT of the quadrature weights c_i.  S(t) is formed for t = j dt,
+    j = 0 .. n // 2, and mirrored through S(-t) = conj(S(t)), so time
+    reversal holds exactly; the identically-zero difference at t = 0 is
+    pinned, keeping G(0) = 1 exact.
     """
-    weights = np.full(sd.grid_mev.size, sd.step_mev)
-    weights[0] *= 0.5
-    weights[-1] *= 0.5
-    coeff = weights * sd.values
+    step = grid.spectral_step_mev
+    if abs(sd.step_mev - step) > 1e-9 * step:
+        raise AliasedGrid(
+            f"spectral density sampled at {sd.step_mev:.6g} meV; the time grid "
+            f"needs its spectral step {step:.6g} meV"
+        )
+    coeff = sd.step_mev * sd.values  # trapezoid weights: halved at both ends
+    coeff[[0, -1]] *= 0.5
     s0 = float(np.sum(coeff))
 
-    n, dt = len(grid), grid.dt
+    n, dt, fft_size = len(grid), grid.dt, grid.fft_size
     i0 = n // 2
     half = i0 + 1  # t = 0, dt, ..., i0 dt covers both wings
+    # N D >= 8 times the top of sd, which spans at most twice it: the FFT
+    # pads coeff.  coeff is real, so DFT entry N - k is entry k conjugated
+    k = np.arange(half) % fft_size
+    upper = k > fft_size // 2
+    s_half = np.fft.rfft(coeff, fft_size)[np.where(upper, fft_size - k, k)]
+    np.conjugate(s_half, out=s_half, where=upper)
     omega_lo = float(sd.grid_mev[0]) / units.HBAR_MEV_FS
-    dw = sd.step_mev / units.HBAR_MEV_FS
-    t_half = dt * np.arange(half)
-    # sum_i coeff_i exp(-i w_i t_j): chirp-z over the uniform spectral grid
-    s_half = np.exp(-1j * omega_lo * t_half) * _chirp_z(
-        coeff, half, complex(math.cos(dw * dt), -math.sin(dw * dt))
-    )
+    s_half *= np.exp(-1j * omega_lo * (dt * np.arange(half)))
     diff_half = s_half - s0
     diff_half[0] = 0.0  # S(0) - S(0) is identically zero
     g_half = np.exp(diff_half)
@@ -452,10 +445,8 @@ def spectrum_window(hr: HRDecomposition, config: LineshapeConfig) -> Tuple[float
     default_window_mev of the largest coupled mode."""
     if config.window_ev is not None:
         return config.window_ev
-    live = hr.sk > 0.0
-    omega_max = float(hr.omegas_mev[live].max()) if np.any(live) else 0.0
     lo_mev, hi_mev = default_window_mev(
-        config.zpl_ev * 1000.0, omega_max, hr.total, config.gamma_mev, config.sigma_mev
+        config.zpl_ev * 1000.0, _top_coupled_mev(hr), hr.total, config.gamma_mev, config.sigma_mev
     )
     return lo_mev / 1000.0, hi_mev / 1000.0
 
@@ -474,17 +465,16 @@ def emission(
 ) -> Lineshape:
     """Emission lineshape of a coupling document: the whole spectrum pipeline.
 
-    Resolves the window (spectrum_window), smears the sticks into S(hw),
-    builds the sigma-bounded time grid whose Nyquist energy covers the
-    multi-phonon support and the window's reach from the ZPL, then G(t) and
-    the lineshape.  time_step_fs and time_span_fs override the time grid,
-    which make_time_grid checks.
+    Resolves the window (spectrum_window), builds the sigma-bounded time
+    grid whose Nyquist energy covers the multi-phonon support and the
+    window's reach from the ZPL, smears the sticks into S(hw) at the grid's
+    spectral step, then G(t) and the lineshape.  time_step_fs and
+    time_span_fs override the time grid, which make_time_grid checks.
     """
     window = spectrum_window(hr, config)
-    sd = spectral_density(hr, config.sigma_mev)
-    grid = make_time_grid(
-        sd, config.gamma_mev, _reach_mev(config.zpl_ev, window), time_step_fs, time_span_fs
-    )
+    reach = _reach_mev(config.zpl_ev, window)
+    grid = make_time_grid(hr, config.sigma_mev, config.gamma_mev, reach, time_step_fs, time_span_fs)
+    sd = spectral_density(hr, config.sigma_mev, grid.spectral_step_mev)
     gf = generating_function(sd, grid)
     return lineshape(gf, replace(config, window_ev=window))
 
@@ -496,7 +486,8 @@ def lineshape(gf: GeneratingFunction, config: LineshapeConfig) -> Lineshape:
     zero-phonon Lorentzian e^{-S} (gamma/pi) / (hw^2 + gamma^2) in closed
     form plus the real inverse FFT of the t >= 0 half of the damped bracket
     [G(t) - e^{-S}] (the bracket is Hermitian), zero-padded to an energy
-    step of max(sigma, gamma)/16 and splined onto the output grid, which
+    step of max(sigma, gamma)/16 and splined onto the output grid
+    (output_grid of config.window_ev at config.step_mev), which
     config.window_ev must give (emission resolves a default).  gf's time
     grid must have been built (make_time_grid) for config's gamma and a
     reach covering the window, or AliasedGrid.  The output step must not
@@ -522,12 +513,11 @@ def lineshape(gf: GeneratingFunction, config: LineshapeConfig) -> Lineshape:
         raise InputError(
             "window must stay at positive emission energies when omega_cubed is on"
         )
+    energy_mev = output_grid(lo_mev, hi_mev, config.step_mev, "--step", "--window")
 
     fft_step, sideband, zpl_weight = _fft_spectral_function(
         gf, gamma, max(config.sigma_mev, gamma) / 16.0
     )
-    npts = int(math.floor((hi_mev - lo_mev) / config.step_mev + 1e-9)) + 1
-    energy_mev = lo_mev + config.step_mev * np.arange(npts)
     released = zpl_mev - energy_mev
     a_win = _periodic_spline(sideband, fft_step, released) + zpl_weight * (
         gamma / math.pi

@@ -35,7 +35,9 @@ from lumiphon.model import (
 )
 from lumiphon.phonons import apply_asr, classify_lvm, diagonalize, symmetrize
 from lumiphon.vibronic import (
+    _reach_mev,
     emission,
+    make_time_grid,
     partial_hr,
     qk_from_displacement,
     qk_from_forces,
@@ -159,8 +161,10 @@ def test_spectral_bookkeeping(name, omegas, sks):
     hr = _hr_from_sks(omegas, sks)
     zpl = 3.0
     span = max(omegas) * (hr.total + 6.0 * math.sqrt(hr.total) + 4.0) / 1000.0
-    sd = spectral_density(hr, 2.0)
-    ls = _pipeline(hr, zpl, 1.0, 2.0, (zpl - span - 0.1, zpl + 0.06), 0.2)
+    window = (zpl - span - 0.1, zpl + 0.06)
+    grid = make_time_grid(hr, 2.0, 1.0, _reach_mev(zpl, window))
+    sd = spectral_density(hr, 2.0, grid.spectral_step_mev)
+    ls = _pipeline(hr, zpl, 1.0, 2.0, window, 0.2)
     s_int = float(np.trapezoid(sd.values, sd.grid_mev))
     l_int = float(np.trapezoid(ls.intensity, ls.energy_ev))
     assert abs(s_int - hr.total) < 1e-6 * hr.total

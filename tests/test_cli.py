@@ -867,6 +867,59 @@ def test_removed_run_flags_exit_2(tmp_path, flag):
     assert exc.value.code == 2
 
 
+def _limit_address_space():
+    # 3 GB: a refusal that regresses into a huge allocation fails the case
+    # with a MemoryError instead of exhausting the machine
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+
+@pytest.mark.parametrize(
+    "command, extra, named",
+    [
+        ("spectrum", ["--step", "1e-9"], "--step"),
+        ("spectrum", ["--step", "0"], "--step"),
+        ("spectrum", ["--sigma", "1e-6"], "--sigma"),
+        ("oracle", ["--step", "1e-12"], "--step"),
+        ("oracle", ["--step", "0"], "--step"),
+        ("oracle", ["--step", "-0.1"], "--step"),
+        ("oracle", ["--window", "2.7:2.5"], "--window"),
+        ("thermo", ["--fermi-step", "1e-9"], "--fermi-step"),
+        ("thermo", ["--fermi-step", "0"], "--fermi-step"),
+        ("thermo", ["--fermi-step", "-1"], "--fermi-step"),
+        ("dissoc", ["--out", "missing/ed.tsv"], "missing/ed.tsv"),
+    ],
+)
+def test_refusals_exit_2_naming_the_flag_before_allocating(tmp_path, command, extra, named):
+    root = pathlib.Path(__file__).resolve().parent.parent
+    hr_path = _write_single_mode_hr(tmp_path, 0.8, 140.0)
+    rows = [{"label": "c", "cluster_energy_ev": -64.0, "fragment_energy_ev": -50.0,
+             "released_energy_ev": -10.0}]
+    lio.write_dissociation_table(rows, tmp_path / "ed.json")
+    argv = {
+        "spectrum": ["--hr", str(hr_path), "--zpl", "2.6", "--out", "out.tsv"],
+        "oracle": ["--hr", str(hr_path), "--zpl", "2.6", "--out", "out.tsv"],
+        "thermo": ["--defects", str(_write_defects(tmp_path)), "--envelope", "out.tsv",
+                   "--transitions", "trans.tsv"],
+        "dissoc": ["--energies", str(tmp_path / "ed.json"), "--out", "out.tsv"],
+    }[command]
+    before = set(tmp_path.iterdir())
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "lumiphon", command, *argv, *extra],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        preexec_fn=_limit_address_space,
+        timeout=60,
+    )
+    assert done.returncode == 2, done.stderr
+    assert named in done.stderr
+    assert set(tmp_path.iterdir()) == before
+
+
 def test_main_pins_blas_to_one_thread(tmp_path, monkeypatch):
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, "4")

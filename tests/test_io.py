@@ -843,6 +843,13 @@ def test_overwrite_protection(tmp_path):
         lio.write_spectrum_tsv(path, np.array([1.0]), np.array([1.0]))
 
 
+def test_write_into_missing_directory_is_io_failure(tmp_path):
+    path = tmp_path / "missing" / "x.tsv"
+    with pytest.raises(IoFailure, match=str(path)):
+        lio.write_spectrum_tsv(path, np.array([1.0]), np.array([1.0]))
+    assert not (tmp_path / "missing").exists()
+
+
 def test_stem_tsv_cumulative(tmp_path):
     hr = HRDecomposition(
         np.array([50.0, 150.0]), np.zeros(2), np.array([0.25, 0.5]), 0.75

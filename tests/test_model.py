@@ -17,8 +17,10 @@ from lumiphon.model import (
     Hessian,
     HRDecomposition,
     LineshapeConfig,
+    MAX_OUTPUT_POINTS,
     PhononBasis,
     _uniform_step,
+    output_grid,
 )
 
 
@@ -81,6 +83,40 @@ def test_phonon_basis_rejects_non_orthonormal():
     vecs[0, 1] = 1e-4
     with pytest.raises(InputError):
         PhononBasis(np.zeros(3), vecs)
+
+
+def test_large_phonon_basis_orthonormality_sample():
+    # above 768 modes the Gram matrix is checked on 256 evenly spaced rows,
+    # row 0 among them: a dense reflection I - 2 u u^T is orthonormal
+    n = 1536
+    u = np.random.default_rng(7).normal(size=n)
+    u /= np.linalg.norm(u)
+    vecs = np.eye(n) - 2.0 * np.outer(u, u)
+    PhononBasis(np.zeros(n), vecs)
+    # row 0 tilted by 1e-6 toward row 1 keeps its unit norm
+    eps = 1e-6
+    vecs[0] = np.cos(eps) * vecs[0] + np.sin(eps) * vecs[1]
+    with pytest.raises(InputError, match="orthonormal"):
+        PhononBasis(np.zeros(n), vecs)
+
+
+def test_output_grid_rule_and_refusals():
+    grid = output_grid(1.0, 2.0, 0.1, "--step", "--window")
+    assert grid.size == 11 and grid[0] == 1.0 and grid[-1] == pytest.approx(2.0)
+    assert output_grid(0.0, 0.25, 0.1, "--step", "--window").size == 3
+    for lo, hi, step, flag in [
+        (1.0, 2.0, 0.0, "--step"),
+        (1.0, 2.0, -0.1, "--step"),
+        (2.0, 1.0, 0.1, "--window"),
+        (1.0, 1.0, 0.1, "--window"),
+        (0.0, 1.0, 1.0 / MAX_OUTPUT_POINTS, "--step"),
+        (0.0, 1.0, 1e-300, "--step"),
+    ]:
+        with pytest.raises(InputError, match=flag):
+            output_grid(lo, hi, step, "--step", "--window")
+    assert output_grid(0.0, 1.0, 1.0 / (MAX_OUTPUT_POINTS - 2), "--step", "--window").size == (
+        MAX_OUTPUT_POINTS - 1
+    )
 
 
 def test_hr_decomposition_invariants():

@@ -34,7 +34,6 @@ from lumiphon.phonons import apply_asr, diagonalize, symmetrize
 from lumiphon.vibronic import (
     LABEL_SK_FLOOR,
     PeakLabel,
-    _chirp_z,
     _periodic_spline,
     effective_mode_report,
     emission,
@@ -224,13 +223,13 @@ def test_partial_hr_negative_frequency():
 # ---------------------------------------------------------- spectral density
 
 def test_spectral_density_integral_single_mode():
-    sd = spectral_density(_single_mode_hr(2.0, 150.0), sigma_mev=2.0)
+    sd = spectral_density(_single_mode_hr(2.0, 150.0), sigma_mev=2.0, step_mev=0.4)
     assert float(np.trapezoid(sd.values, sd.grid_mev)) == pytest.approx(2.0, abs=2e-6)
 
 
 def test_spectral_density_linearity():
     hr = partial_hr(np.array([0.02, 0.03]), np.array([80.0, 160.0]))
-    sd = spectral_density(hr, sigma_mev=2.0)
+    sd = spectral_density(hr, sigma_mev=2.0, step_mev=0.4)
     assert float(np.trapezoid(sd.values, sd.grid_mev)) == pytest.approx(
         hr.total, rel=1e-6
     )
@@ -239,15 +238,9 @@ def test_spectral_density_linearity():
 def test_spectral_density_peak_value():
     # resolved-sigma limit: the peak reaches S / (sigma sqrt(2 pi))
     sigma = 2.0
-    sd = spectral_density(_single_mode_hr(2.0, 150.0), sigma)
+    sd = spectral_density(_single_mode_hr(2.0, 150.0), sigma, sigma / 5.0)
     peak = float(sd.values.max())
     assert peak == pytest.approx(2.0 / (sigma * math.sqrt(2 * math.pi)), rel=1e-9)
-
-
-def test_spectral_density_grid_too_narrow():
-    hr = _single_mode_hr(1.0, 150.0)
-    with pytest.raises(GridTooNarrow):
-        spectral_density(hr, 2.0, grid_mev=np.arange(140.0, 160.0, 0.4))
 
 
 def _mode_by_mode_density(hr, sigma_mev, grid):
@@ -265,51 +258,56 @@ def _mode_by_mode_density(hr, sigma_mev, grid):
     st.integers(1, 600),
     st.floats(0.05, 5.0),
     st.integers(0, 2**32 - 1),
-    st.one_of(st.none(), st.tuples(st.sampled_from([5, 7, 10]), st.floats(0.0, 30.0))),
+    st.sampled_from([5, 7, 10]),
 )
-def test_spectral_density_is_the_mode_by_mode_sum(nmodes, sigma, seed, own_grid):
+def test_spectral_density_is_the_mode_by_mode_sum(nmodes, sigma, seed, per_sigma):
     # at sigma = 0.05 meV a block holds about 20 modes, so many blocks chain
     rng = np.random.default_rng(seed)
     omegas = rng.uniform(10.0, 120.0, size=nmodes)
     sks = rng.exponential(size=nmodes) * (rng.random(nmodes) > 0.2)
     hr = partial_hr(np.sqrt(2.0 * units.HBAR_AMU_A2_FS * sks / units.omega_radfs(omegas)), omegas)
-    grid = None
-    if own_grid is not None:
-        per_sigma, pad = own_grid
-        grid = np.arange(10.0 - 7.0 * sigma - pad, 120.0 + 7.0 * sigma + pad, sigma / per_sigma)
-    sd = spectral_density(hr, sigma, grid)
+    sd = spectral_density(hr, sigma, sigma / per_sigma)
     assert np.array_equal(sd.values, _mode_by_mode_density(hr, sigma, sd.grid_mev))
 
 
 # ------------------------------------------------------- generating function
 
-def _unchecked_grid(n, dt):
-    """t_j = (j - n // 2) dt, built directly: make_time_grid's checks skipped."""
-    return TimeGrid(n, dt, gamma_mev=1.0, reach_mev=0.0)
+def _unchecked_grid(n, dt, sigma_mev):
+    """t_j = (j - n // 2) dt, built directly: make_time_grid's checks skipped.
+    The FFT length is the smallest power of two whose spectral step is at
+    most sigma/5."""
+    cells = 2.0 * math.pi * units.HBAR_MEV_FS / (dt * sigma_mev / 5.0)
+    return TimeGrid(n, dt, 1.0, 0.0, 1 << (math.ceil(cells) - 1).bit_length())
+
+
+def _generating_function(hr, sigma_mev, gamma_mev, reach_mev=0.0, **grid_args):
+    """The emission chain up to G(t): time grid, S(hw) at its step, G(t)."""
+    grid = make_time_grid(hr, sigma_mev, gamma_mev, reach_mev, **grid_args)
+    return generating_function(spectral_density(hr, sigma_mev, grid.spectral_step_mev), grid)
 
 
 def test_generating_function_no_coupling():
     hr = partial_hr(np.zeros(2), np.array([50.0, 150.0]))
-    sd = spectral_density(hr, 2.0)
-    gf = generating_function(sd, _unchecked_grid(64, 1.0))
-    assert np.array_equal(gf.values, np.ones(64, dtype=complex))
+    gf = _generating_function(hr, 2.0, 1.0)
+    assert np.array_equal(gf.values, np.ones(len(gf.grid), dtype=complex))
 
 
 def test_generating_function_single_mode_closed_form():
     s, omega = 1.3, 150.0
     sigma = 0.005  # essentially a stick on the 150 fs window below
     hr = _single_mode_hr(s, omega)
-    sd = spectral_density(hr, sigma)
+    grid = _unchecked_grid(301, 1.0, sigma)
+    sd = spectral_density(hr, sigma, grid.spectral_step_mev)
     t = (np.arange(301) - 150) * 1.0
-    gf = generating_function(sd, _unchecked_grid(301, 1.0))
+    gf = generating_function(sd, grid)
     exact = np.exp(s * (np.exp(-1j * units.omega_radfs(omega) * t) - 1.0))
     assert np.max(np.abs(gf.values - exact)) < 1e-6
 
 
 def test_generating_function_time_reversal():
     hr = partial_hr(np.array([0.05, 0.02]), np.array([60.0, 140.0]))
-    sd = spectral_density(hr, 2.0)
-    gf = generating_function(sd, _unchecked_grid(257, 0.5))
+    grid = _unchecked_grid(257, 0.5, 2.0)
+    gf = generating_function(spectral_density(hr, 2.0, grid.spectral_step_mev), grid)
     np.testing.assert_allclose(
         gf.values[::-1], np.conj(gf.values), rtol=0, atol=1e-14
     )
@@ -317,46 +315,22 @@ def test_generating_function_time_reversal():
 
 def test_make_time_grid_refuses_aliasing_step():
     # 20 fs resolves 103 meV, below the 150 meV mode itself
-    sd = spectral_density(_single_mode_hr(1.0, 150.0), 2.0)
+    hr = _single_mode_hr(1.0, 150.0)
     with pytest.raises(AliasedGrid, match="--time-step"):
-        make_time_grid(sd, 1.0, time_step_fs=20.0)
+        make_time_grid(hr, 2.0, 1.0, time_step_fs=20.0)
     with pytest.raises(InputError, match="time step must be positive"):
-        make_time_grid(sd, 1.0, time_step_fs=0.0)
+        make_time_grid(hr, 2.0, 1.0, time_step_fs=0.0)
 
 
-@pytest.mark.parametrize(
-    "n, m, theta, block",
-    [
-        (50, 300, 0.0137, 1 << 16),
-        (300, 50, 0.0137, 1 << 16),
-        (1, 7, 0.0137, 1 << 16),
-        (50, 300, 0.0137, 64),  # two overlap-save blocks
-        (120, 900, 0.005, 64),  # three blocks of 512, sized by 4 n
-    ],
-)
-def test_chirp_z_matches_direct_sum(n, m, theta, block, monkeypatch):
-    monkeypatch.setattr(vibronic, "_CZT_BLOCK", block)
-    rng = np.random.default_rng(n + m)
-    x = rng.normal(size=n)
-    w = complex(math.cos(theta), -math.sin(theta))
-    k = np.arange(m)
-    direct = sum(x[j] * np.exp(-1j * theta * j * k) for j in range(n))
-    got = _chirp_z(x, m, w)
-    assert np.max(np.abs(got - direct)) <= 1e-12 * np.max(np.abs(direct))
-
-
-def test_chirp_z_blocks_match_one_long_convolution():
-    # at m ~ 1e5 the chirp w^(k^2/2) itself rounds by ~1e-9 against a
-    # direct sum; the blocked convolution must add nothing to that, so it
-    # is held against the single-FFT chirp-z with the same chirp
-    from scipy.signal import czt
-
-    x = np.random.default_rng(3).random(1000)
-    theta = 2.3e-5
-    w = complex(math.cos(theta), -math.sin(theta))
-    ref = czt(x, m=150_001, w=w, a=1.0 + 0.0j)
-    got = _chirp_z(x, 150_001, w)
-    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+def test_generating_function_refuses_grid_built_for_another_sigma():
+    hr = _single_mode_hr(1.0, 150.0)
+    grid = make_time_grid(hr, 2.0, 1.0)
+    generating_function(spectral_density(hr, 2.0, grid.spectral_step_mev), grid)
+    other = make_time_grid(hr, 1.0, 1.0)
+    with pytest.raises(AliasedGrid, match="spectral step"):
+        generating_function(spectral_density(hr, 1.0, other.spectral_step_mev), grid)
+    with pytest.raises(AliasedGrid, match="spectral step"):
+        generating_function(spectral_density(hr, 2.0, 0.4), grid)
 
 
 def _periodic_samples(n):
@@ -395,9 +369,8 @@ def test_periodic_spline_wrapping_window_matches_periodic_cubic_spline():
 
 def test_lineshape_no_coupling_is_lorentzian():
     hr = partial_hr(np.zeros(1), np.array([100.0]))
-    sd = spectral_density(hr, 2.0)
     zpl, gamma = 2.0, 1.0
-    gf = generating_function(sd, make_time_grid(sd, gamma, reach_mev=600.0))
+    gf = _generating_function(hr, 2.0, gamma, reach_mev=600.0)
     config = LineshapeConfig(
         zpl_ev=zpl,
         gamma_mev=gamma,
@@ -456,8 +429,7 @@ def test_lineshape_support_is_red_shifted():
 
 def test_lineshape_window_excluding_support():
     hr = partial_hr(np.zeros(1), np.array([100.0]))
-    sd = spectral_density(hr, 2.0)
-    gf = generating_function(sd, make_time_grid(sd, 1.0, reach_mev=3000.0))
+    gf = _generating_function(hr, 2.0, 1.0, reach_mev=3000.0)
     config = LineshapeConfig(
         zpl_ev=2.0, gamma_mev=1.0, window_ev=(0.2, 0.5), step_mev=0.5
     )
@@ -466,9 +438,8 @@ def test_lineshape_window_excluding_support():
 
 
 def test_lineshape_time_span_floor():
-    sd = spectral_density(_single_mode_hr(0.5, 100.0), 2.0)
     # under 1 ps: far below 10 hbar/gamma
-    gf = generating_function(sd, make_time_grid(sd, 1.0, 100.0, time_span_fs=600.0))
+    gf = _generating_function(_single_mode_hr(0.5, 100.0), 2.0, 1.0, 100.0, time_span_fs=600.0)
     with pytest.raises(AliasedGrid, match="--time-span"):
         lineshape(gf, LineshapeConfig(zpl_ev=2.0, gamma_mev=1.0, window_ev=(1.9, 2.01)))
     # the default window is emission's to resolve
@@ -477,21 +448,19 @@ def test_lineshape_time_span_floor():
 
 
 def test_make_time_grid_refuses_span_reaching_quadrature_recurrence():
-    # sigma = 2 meV: S(t) on the sigma/5 spectral grid recurs at 10.3 ps,
-    # where damping by gamma = 0.1 meV has only reached e^-1.6; a span of
-    # 25 hbar/gamma (165 ps) reaches it, the default sigma-bounded one not
+    # sigma = 2 meV: S(t) on a spectral grid of step sigma/10 to sigma/5
+    # recurs after 10.3 to 20.7 ps, where damping by gamma = 0.1 meV has
+    # reached at most e^-3.1; a span of 25 hbar/gamma (165 ps) reaches it,
+    # the default sigma-bounded one not
     hr = _single_mode_hr(0.5, 20.0)
-    sd = spectral_density(hr, 2.0)
     with pytest.raises(AliasedGrid, match="recurrence.*gamma = 0.1 meV"):
-        make_time_grid(sd, 0.1, 100.0, time_span_fs=25.0 * units.HBAR_MEV_FS / 0.1)
-    grid = make_time_grid(sd, 0.1, 100.0)
+        make_time_grid(hr, 2.0, 0.1, 100.0, time_span_fs=25.0 * units.HBAR_MEV_FS / 0.1)
     config = LineshapeConfig(zpl_ev=2.0, gamma_mev=0.1, window_ev=(1.9, 2.01))
-    lineshape(generating_function(sd, grid), config)
+    lineshape(_generating_function(hr, 2.0, 0.1, 100.0), config)
 
 
 def test_lineshape_refuses_grid_built_for_another_gamma_or_reach():
-    sd = spectral_density(_single_mode_hr(0.5, 100.0), 2.0)
-    gf = generating_function(sd, make_time_grid(sd, 1.0, reach_mev=150.0))
+    gf = _generating_function(_single_mode_hr(0.5, 100.0), 2.0, 1.0, reach_mev=150.0)
     config = LineshapeConfig(zpl_ev=2.0, gamma_mev=1.0, window_ev=(1.85, 2.01))
     lineshape(gf, config)
     with pytest.raises(AliasedGrid, match="gamma"):
@@ -525,10 +494,8 @@ def _generated_hr(nmodes, s_total, seed):
 @example(nmodes=1, s_total=1.0, gamma=0.5, sigma=1.0, seed=0)
 def test_split_sideband_contracts_on_generated_documents(nmodes, s_total, gamma, sigma, seed):
     hr = _generated_hr(nmodes, s_total, seed)
-    sd = spectral_density(hr, sigma)
-    tgrid = make_time_grid(sd, gamma)
-    gf = generating_function(sd, tgrid)
-    assert gf.values[len(tgrid) // 2] == 1.0
+    gf = _generating_function(hr, sigma, gamma)
+    assert gf.values[len(gf.grid) // 2] == 1.0
     # by the end of the grid the sideband has died: G is down to the ZPL weight
     zpl = math.exp(-hr.total)
     assert abs(gf.values[0] - zpl) <= 1e-8 * hr.total
@@ -550,15 +517,23 @@ def test_split_sideband_contracts_on_generated_documents(nmodes, s_total, gamma,
 @example(nmodes=1, s_total=1.0, gamma=0.5, sigma=1.0, seed=0)
 def test_time_grid_contracts_on_generated_documents(nmodes, s_total, gamma, sigma, seed):
     hr = _generated_hr(nmodes, s_total, seed)
-    sd = spectral_density(hr, sigma)
     config = LineshapeConfig(zpl_ev=3.0, gamma_mev=gamma, sigma_mev=sigma, step_mev=gamma)
     reach = vibronic._reach_mev(config.zpl_ev, vibronic.spectrum_window(hr, config))
-    grid = make_time_grid(sd, gamma, reach)
+    grid = make_time_grid(hr, sigma, gamma, reach)
     n, dt = len(grid), grid.dt
     assert (grid.gamma_mev, grid.reach_mev) == (gamma, max(reach, 10.0 * gamma))
-    # the Nyquist energy covers the multi-phonon support and the reach
-    need = vibronic._nyquist_need_mev(sd.omega_max_mev, sd.total, reach)
+    # the Nyquist energy covers the multi-phonon support, up to 6 sigma
+    # above the highest mode, and the reach; so does every sample of S(hw)
+    top = float(hr.omegas_mev.max()) + 6.0 * sigma
+    need = vibronic._nyquist_need_mev(top, hr.total, reach)
     assert math.pi * units.HBAR_MEV_FS / dt >= need * (1.0 - 1e-12)
+    sd = spectral_density(hr, sigma, grid.spectral_step_mev)
+    assert sd.grid_mev[-1] <= top + grid.spectral_step_mev
+    # the FFT of S(t): the smallest power of two whose spectral step is at
+    # most sigma/5, so the step lies in (sigma/10, sigma/5]
+    fft, spectral = grid.fft_size, grid.spectral_step_mev
+    assert fft & (fft - 1) == 0 and fft <= vibronic.MAX_TIME_POINTS
+    assert sigma / 10.0 < spectral <= sigma / 5.0 * (1.0 + 1e-12)
     # the smallest power of two (at least 16, at most the limit) covering
     # the sigma-bounded span; even, so every t > 0 has its -t
     span = min(25.0 / gamma, vibronic._SIDEBAND_SPAN / sigma) * units.HBAR_MEV_FS
@@ -567,32 +542,83 @@ def test_time_grid_contracts_on_generated_documents(nmodes, s_total, gamma, sigm
     assert n == 16 or n < 4.0 * span / dt * (1.0 + 1e-9)
     # dt is the whole-grid step of the points the requested step builds
     step = dt * (0.3 + 0.7 * (seed % 1000) / 1000.0)
-    fine = make_time_grid(sd, gamma, reach, time_step_fs=step)
+    fine = make_time_grid(hr, sigma, gamma, reach, time_step_fs=step)
     t = (np.arange(len(fine)) - len(fine) // 2) * step
     assert fine.dt == float(t[-1] - t[0]) / (t.size - 1)
     # a span past the recurrence of S(t) on the spectral grid is refused
     # exactly when gamma leaves more than e^-10 there
-    onset = units.HBAR_MEV_FS * (2.0 * math.pi / sd.step_mev - vibronic._SIDEBAND_SPAN / sigma)
+    onset = units.HBAR_MEV_FS * (2.0 * math.pi / spectral - vibronic._SIDEBAND_SPAN / sigma)
     if gamma * onset / units.HBAR_MEV_FS < 10.0:
         with pytest.raises(AliasedGrid, match="recurrence"):
-            make_time_grid(sd, gamma, reach, time_span_fs=1.01 * onset)
+            make_time_grid(hr, sigma, gamma, reach, time_span_fs=1.01 * onset)
     else:
-        past = make_time_grid(sd, gamma, reach, time_span_fs=1.01 * onset)
+        past = make_time_grid(hr, sigma, gamma, reach, time_span_fs=1.01 * onset)
         assert (len(past) // 2) * past.dt > onset
 
 
+def _assert_s_is_the_direct_quadrature_sum(sd, gf):
+    """S(t) - S(0) from G(t) matches sum_i c_i exp(-i w_i t) - S(0) within
+    1e-12 S(0) at 200 times from t = 0 to the end of the grid."""
+    n, dt, fft = len(gf.grid), gf.grid.dt, gf.grid.fft_size
+    coeff = np.full(sd.grid_mev.size, sd.step_mev) * sd.values
+    coeff[[0, -1]] *= 0.5
+    s0 = math.fsum(coeff.tolist())
+    # at w_i = w_lo + i D / hbar with D dt N = 2 pi hbar the phase of sample
+    # i at t_j is w_lo t_j + 2 pi (i j mod N) / N, reduced in integers so
+    # that it does not round with t
+    j = np.unique(np.linspace(0, n // 2 - 1, 200).astype(np.int64))
+    phase = 2.0 * math.pi * (np.outer(j, np.arange(coeff.size)) % fft) / fft
+    omega_lo = float(sd.grid_mev[0]) / units.HBAR_MEV_FS
+    direct = np.exp(-1j * omega_lo * dt * j) * (np.exp(-1j * phase) @ coeff)
+    # G(t) = exp(S(t) - S(0)): its log gives S(t) - S(0) up to 2 pi i
+    diff = np.log(gf.values[n // 2 + j]) - (direct - s0)
+    diff.imag = (diff.imag + math.pi) % (2.0 * math.pi) - math.pi
+    assert float(np.max(np.abs(diff))) <= 1e-12 * s0
+
+
+@settings(max_examples=20, deadline=None)
+@_GENERATED_DOCUMENTS
+@example(nmodes=1, s_total=1.0, gamma=0.5, sigma=1.0, seed=0)
+def test_fft_of_s_matches_the_direct_quadrature_sum(nmodes, s_total, gamma, sigma, seed):
+    hr = _generated_hr(nmodes, s_total, seed)
+    grid = make_time_grid(hr, sigma, gamma)
+    sd = spectral_density(hr, sigma, grid.spectral_step_mev)
+    _assert_s_is_the_direct_quadrature_sum(sd, generating_function(sd, grid))
+
+
+def test_fft_of_s_is_read_periodically_past_its_period():
+    # a span of 1.5 periods N dt, allowed because gamma = 1 meV damps the
+    # recurrence: S(t_j) is read from DFT entries j mod N, mirrored above N/2
+    hr = _single_mode_hr(1.0, 100.0)
+    default = make_time_grid(hr, 2.0, 1.0)
+    grid = make_time_grid(hr, 2.0, 1.0, time_span_fs=1.5 * default.fft_size * default.dt)
+    assert len(grid) // 2 > grid.fft_size
+    sd = spectral_density(hr, 2.0, grid.spectral_step_mev)
+    _assert_s_is_the_direct_quadrature_sum(sd, generating_function(sd, grid))
+
+
 def test_make_time_grid_builds_no_array():
-    # 2^24 points, the limit: a grid of scalars, not 128 MB of times
-    sd = spectral_density(_single_mode_hr(1.0, 100.0), 2.0)
-    span = make_time_grid(sd, 1.0).dt * (1 << 23) * 0.999
+    # an FFT of 2^24 points, the limit, on 2^23 times, and 2^24 times whose
+    # recurrence gamma damps: grids of scalars, not 128 MB arrays
+    hr = _single_mode_hr(1.0, 100.0)
+    limit = vibronic.MAX_TIME_POINTS
+    step = 2.0 * math.pi * units.HBAR_MEV_FS / (2.0 / 5.0 * 0.999 * limit)
+    span = make_time_grid(hr, 2.0, 1.0).dt * (limit // 2) * 0.999
     tracemalloc.start()
     try:
-        grid = make_time_grid(sd, 1.0, time_span_fs=span)
+        by_fft = make_time_grid(hr, 2.0, 1.0, time_step_fs=step)
+        by_span = make_time_grid(hr, 2.0, 1.0, time_span_fs=span)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(grid) == vibronic.MAX_TIME_POINTS
+    assert (by_fft.fft_size, len(by_fft)) == (limit, limit // 2)
+    assert len(by_span) == limit and by_span.fft_size < limit
     assert peak < 1 << 16
+    # one more power of two is refused, naming the flags that set it
+    with pytest.raises(InputError, match="--sigma.*--time-step"):
+        make_time_grid(hr, 2.0, 1.0, time_step_fs=0.99 * step)
+    with pytest.raises(InputError, match="--sigma"):
+        make_time_grid(hr, 1e-6, 1.0)
 
 
 def _complex_padded_sideband(gf, gamma_mev, resolution_mev):
@@ -619,8 +645,7 @@ def test_real_half_transform_matches_complex_padded_transform(
     nmodes, s_total, gamma, sigma, seed
 ):
     hr = _generated_hr(nmodes, s_total, seed)
-    sd = spectral_density(hr, sigma)
-    gf = generating_function(sd, make_time_grid(sd, gamma))
+    gf = _generating_function(hr, sigma, gamma)
     resolution = max(sigma, gamma) / 16.0
     step, sideband, _ = vibronic._fft_spectral_function(gf, gamma, resolution)
     ref_step, ref = _complex_padded_sideband(gf, gamma, resolution)
@@ -639,9 +664,9 @@ def test_real_half_transform_matches_complex_padded_transform(
 
 
 def _stage_chain(hr, config):
-    """The spectrum pipeline as the command line once assembled it, stage by
-    stage: the default window from the largest coupled mode, S(hw), the
-    sigma-bounded time grid, G(t) and the lineshape."""
+    """The spectrum pipeline assembled stage by stage: the default window
+    from the largest coupled mode, the sigma-bounded time grid, S(hw) at
+    its spectral step, G(t) and the lineshape."""
     zpl_mev = config.zpl_ev * 1000.0
     live = hr.sk > 0.0
     omega_max = float(hr.omegas_mev[live].max()) if np.any(live) else 0.0
@@ -649,9 +674,10 @@ def _stage_chain(hr, config):
         zpl_mev, omega_max, hr.total, config.gamma_mev, config.sigma_mev
     )
     window = (lo_mev / 1000.0, hi_mev / 1000.0)
-    sd = spectral_density(hr, config.sigma_mev)
     reach = max(zpl_mev - window[0] * 1000.0, abs(window[1] * 1000.0 - zpl_mev))
-    gf = generating_function(sd, make_time_grid(sd, config.gamma_mev, reach))
+    grid = make_time_grid(hr, config.sigma_mev, config.gamma_mev, reach)
+    sd = spectral_density(hr, config.sigma_mev, grid.spectral_step_mev)
+    gf = generating_function(sd, grid)
     return window, lineshape(gf, dataclasses.replace(config, window_ev=window))
 
 
@@ -674,10 +700,9 @@ def test_lineshape_transform_memory_below_two_padded_complex_arrays():
     # S = 10 at 200 meV, gamma = 1 meV: a 2^16-point time grid padded to
     # 2^19 points for the 0.125 meV energy step
     hr = _single_mode_hr(10.0, 200.0)
-    sd = spectral_density(hr, 2.0)
     # the ladder reaches below 1 meV, where the default window stops
     config = LineshapeConfig(zpl_ev=2.0, gamma_mev=1.0, sigma_mev=2.0, window_ev=(0.001, 2.062))
-    gf = generating_function(sd, make_time_grid(sd, 1.0, vibronic._reach_mev(2.0, config.window_ev)))
+    gf = _generating_function(hr, 2.0, 1.0, vibronic._reach_mev(2.0, config.window_ev))
     step, _, _ = vibronic._fft_spectral_function(gf, 1.0, 2.0 / 16.0)
     size = round(2.0 * math.pi * units.HBAR_MEV_FS / (step * gf.grid.dt))
     assert size == 1 << 19
@@ -691,7 +716,7 @@ def test_lineshape_transform_memory_below_two_padded_complex_arrays():
 
 
 def test_non_hermitian_generating_function_refused():
-    grid = _unchecked_grid(16, 1.0)
+    grid = _unchecked_grid(16, 1.0, 2.0)
     g = np.ones(16, dtype=complex)
     g[0] = 0.3 + 0.2j  # t = -8 has no partner on the grid
     g[10] = g[6] = 0.5 + 0.1j
@@ -725,8 +750,7 @@ def test_degenerate_mode_mixing_invariance():
     for b in (basis, mixed):
         qk = qk_from_displacement(b, pair, structure.masses)
         hr = partial_hr(qk, b.omegas_mev)
-        sd = spectral_density(hr, 2.0)
-        gf = generating_function(sd, make_time_grid(sd, 1.0, reach_mev=800.0))
+        gf = _generating_function(hr, 2.0, 1.0, reach_mev=800.0)
         ls = lineshape(
             gf,
             LineshapeConfig(
@@ -757,8 +781,7 @@ def test_effective_mode_report_ordering_and_floor():
     qk = np.sqrt(2.0 * units.HBAR_AMU_A2_FS * sks / w_radfs)
     hr = partial_hr(qk, omegas)
     zpl, gamma, sigma = 2.2, 1.0, 0.5
-    sd = spectral_density(hr, sigma)
-    gf = generating_function(sd, make_time_grid(sd, gamma, reach_mev=1600.0))
+    gf = _generating_function(hr, sigma, gamma, reach_mev=1600.0)
     ls = lineshape(
         gf,
         LineshapeConfig(
