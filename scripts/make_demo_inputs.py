@@ -30,6 +30,11 @@ from lumiphon.energetics import carbon_rich_potentials
 
 
 def spring_network(positions, springs):
+    """Central-force spring network Hessian (eV/A^2), translation invariant.
+
+    positions: (N, 3) array; springs: iterable of (a, b, k) index pairs with
+    spring constant k; blocks are k * outer(nhat, nhat) along the bond.
+    """
     n = positions.shape[0]
     h = np.zeros((3 * n, 3 * n))
     for a, b, k in springs:

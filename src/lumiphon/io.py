@@ -17,7 +17,6 @@ import json
 import math
 import os
 import tempfile
-from json.encoder import encode_basestring_ascii
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -26,6 +25,7 @@ from .errors import (
     DimensionMismatch,
     DuplicateEntry,
     HashMismatch,
+    InputError,
     IoFailure,
     NonFiniteValue,
     ParseError,
@@ -185,22 +185,6 @@ def _binary_matrix(value, rows, cols, locus):
     return np.frombuffer(raw, dtype="<f8").reshape(rows, cols)
 
 
-class _Base64Text(str):
-    """Base64 text, which needs no JSON escapes: written without the scan."""
-
-    __slots__ = ()
-
-
-def _binary_block(matrix):
-    data = np.ascontiguousarray(matrix, dtype="<f8")
-    return {
-        "dtype": "<f8",
-        "shape": list(data.shape),
-        # decoded first, so the bytes are gone before the copy into the subclass
-        "base64": _Base64Text(base64.b64encode(data).decode("ascii")),
-    }
-
-
 # ------------------------------------------------------------- structure
 
 def parse_structure(doc) -> CrystalStructure:
@@ -255,9 +239,20 @@ def write_structure(structure: CrystalStructure, path, overwrite=False):
 
 # --------------------------------------------------------------- hessian
 
+#: Largest Hessian dimension 3N read (2048 atoms).  `modes` peaks at about
+#: 11 times the 8 * (3N)^2 bytes of the matrix (210 MB at 3N = 1536), so
+#: this bounds a call at about 3.3 GB.
+MAX_HESSIAN_DIM = 6144
+
+
 def parse_hessian(doc, structure: CrystalStructure) -> Hessian:
     _expect_schema(doc, "hessian")
     n3 = 3 * structure.natoms
+    if n3 > MAX_HESSIAN_DIM:
+        raise InputError(
+            f"hessian dimension 3N = {n3} exceeds the limit MAX_HESSIAN_DIM = "
+            f"{MAX_HESSIAN_DIM} ({MAX_HESSIAN_DIM // 3} atoms)"
+        )
     if "matrix" in doc and "triplets" in doc:
         raise ParseError("give either matrix or triplets, not both", locus="/")
     if "matrix" in doc:
@@ -389,14 +384,20 @@ def parse_phonon_basis(doc) -> Tuple[PhononBasis, dict]:
 def write_phonon_basis(
     basis: PhononBasis, path, provenance: Optional[dict] = None, overwrite=False
 ):
+    _check_target(path, overwrite)
+    vectors = np.ascontiguousarray(basis.vectors, dtype="<f8")
     doc = {
         "schema": SCHEMAS["phonon_basis"],
         "cutoff_bulk_mev": float(basis.cutoff_bulk_mev),
         "omegas_mev": basis.omegas_mev.tolist(),
-        "vectors": _binary_block(basis.vectors),
+        "vectors": {"dtype": "<f8", "shape": list(vectors.shape), "base64": ""},
         "provenance": provenance or {},
     }
-    _write_json(doc, path, overwrite)
+    # base64 needs no JSON escapes, so the payload skips the encoder's scan:
+    # it is spliced in at the vectors' empty base64 field, the first in the
+    # text because provenance comes after the vectors
+    head, tail = _dumps(doc, path).encode("ascii").split(b'"base64":""', 1)
+    _atomic_write([head, b'"base64":"', base64.b64encode(vectors), b'"', tail, b"\n"], path)
 
 
 # ------------------------------------------------------------------- HR
@@ -733,13 +734,14 @@ def _check_target(path, overwrite):
         raise IoFailure(f"{path} exists; pass overwrite to replace it")
 
 
-def _atomic_write(data: bytes, path):
+def _atomic_write(chunks, path):
+    """Write the byte strings `chunks` to `path` through a temp file and a rename."""
     directory = os.path.dirname(os.path.abspath(path))
     tmp = None
     try:  # mkstemp fails on a missing or unwritable directory
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except OSError as exc:
         if tmp is not None:
@@ -752,134 +754,17 @@ def _atomic_write(data: bytes, path):
 
 def _write_text(text: str, path, overwrite):
     _check_target(path, overwrite)
-    _atomic_write(text.encode("utf-8"), path)
+    _atomic_write([text.encode("utf-8")], path)
 
 
-def _json_float(value):
-    if not math.isfinite(value):
-        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-    return float.__repr__(value)
-
-
-# how `json` writes each scalar type; other subclasses of str, int and
-# float are written as their base type
-_JSON_SCALARS = {
-    str: encode_basestring_ascii,
-    _Base64Text: lambda value: "".join(('"', value, '"')),  # one copy, where + makes two
-    type(None): lambda value: "null",
-    bool: lambda value: "true" if value else "false",
-    int: int.__repr__,
-    float: _json_float,
-}
-
-
-def _json_scalar(value):
-    """The function that writes `value` if it is a JSON scalar, else None."""
-    encode = _JSON_SCALARS.get(type(value))
-    if encode is None:
-        for kind in (str, int, float):
-            if isinstance(value, kind):
-                return _JSON_SCALARS[kind]
-    return encode
-
-
-def _all_finite(numbers):
-    """True if every number, a float or an int, is finite."""
+def _dumps(doc, path) -> str:
+    """One-line JSON through json's C encoder; a NaN or infinity is refused."""
     try:
-        return all(map(math.isfinite, numbers))
-    except OverflowError:  # an integer past the float range
-        return False
-
-
-def _record_rows(records, inner):
-    """The rows of a list of flat dicts as `json` writes them, else None.
-
-    Applies when every record has the same str keys in the same order and
-    every value is a finite float or int (hr/1 entries): one template per
-    record, filled by a single `%` over the flattened values.
-    """
-    keys = list(records[0])
-    if not (
-        keys
-        and {str}.issuperset(map(type, keys))
-        and all(map(keys.__eq__, map(list, records)))
-    ):
-        return None
-    values = list(itertools.chain.from_iterable(map(dict.values, records)))
-    if not (_NUMBER_TYPES.issuperset(map(type, values)) and _all_finite(values)):
-        return None
-    field = inner + " "
-    # a key's `%` must not read as a directive
-    names = [encode_basestring_ascii(key).replace("%", "%%") for key in keys]
-    record = "{" + field + ("," + field).join(n + ": %r" for n in names) + inner + "}"
-    return ("," + inner).join([record] * len(records)) % tuple(values)
-
-
-def _json_pieces(value, newline, out):
-    """Append the text of `value`, which sits after the line break `newline`, to `out`.
-
-    The pieces join to `json.dumps(value, indent=1, allow_nan=False)`; a list
-    of plain numbers, such as a Hessian row, is written in one join, and a
-    list of same-key numeric records, such as hr/1 entries, through one
-    record template, instead of the pure-Python encoder's generator step
-    per number.
-    """
-    encode = _json_scalar(value)
-    if encode is not None:
-        out.append(encode(value))
-        return
-    inner = newline + " "
-    if isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        kinds = set(map(type, value))
-        rows = None
-        if kinds <= _NUMBER_TYPES and _all_finite(value):
-            rows = ("," + inner).join(map(repr, value))
-        elif kinds == {dict}:
-            rows = _record_rows(value, inner)
-        if rows is not None:
-            out.append("[" + inner)
-            out.append(rows)
-        else:
-            prefix = "[" + inner
-            for item in value:
-                out.append(prefix)
-                _json_pieces(item, inner, out)
-                prefix = "," + inner
-        out.append(newline + "]")
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        prefix = "{" + inner
-        for key, item in value.items():
-            if isinstance(key, str):
-                name = key
-            else:
-                encode = _json_scalar(key)
-                if encode is None:
-                    raise TypeError(
-                        f"keys must be str, int, float, bool or None, not {type(key).__name__}"
-                    )
-                name = encode(key)
-            out.append(prefix + encode_basestring_ascii(name) + ": ")
-            _json_pieces(item, inner, out)
-            prefix = "," + inner
-        out.append(newline + "}")
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        return json.dumps(doc, separators=(",", ":"), allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteValue(f"refusing to write {path}: {exc}") from None
 
 
 def _write_json(doc, path, overwrite):
     _check_target(path, overwrite)
-    out = []
-    try:
-        _json_pieces(doc, "\n", out)
-    except ValueError as exc:
-        raise NonFiniteValue(f"refusing to write {path}: {exc}") from None
-    out.append("\n")
-    text = "".join(out)
-    out.clear()  # hold two copies of the text while encoding, not three
-    _atomic_write(text.encode("utf-8"), path)
+    _atomic_write([_dumps(doc, path).encode("ascii"), b"\n"], path)

@@ -88,8 +88,7 @@ def apply_asr(hessian: Hessian, masses) -> tuple[Hessian, AsrReport]:
 
     sq = np.sqrt(masses_3n)
     h_clean = d_clean * np.outer(sq, sq)
-    applied = bool(np.max(np.abs(h_clean - hessian.matrix)) > 1e-14)
-    return Hessian(h_clean, hessian.structure_hash), AsrReport(pre, post, applied)
+    return Hessian(h_clean, hessian.structure_hash), AsrReport(pre, post)
 
 
 def diagonalize(

@@ -5,7 +5,9 @@ Poisson factors, window integrals) so the tests never reuse the code paths
 they are checking.
 """
 
+import importlib.util
 import math
+import pathlib
 
 import numpy as np
 from scipy.special import voigt_profile
@@ -13,24 +15,17 @@ from scipy.special import voigt_profile
 from lumiphon.model import CrystalStructure, Hessian
 
 
-def spring_hessian(positions, springs, dim=None):
-    """Central-force spring network Hessian (eV/A^2), translation invariant.
+def _load_demo_inputs_script():
+    path = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "make_demo_inputs.py"
+    spec = importlib.util.spec_from_file_location("make_demo_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
-    springs: iterable of (a, b, k) index pairs with spring constant k;
-    blocks are k * outer(nhat, nhat) along the bond direction.
-    """
-    positions = np.asarray(positions, dtype=float)
-    n = positions.shape[0]
-    h = np.zeros((3 * n, 3 * n))
-    for a, b, k in springs:
-        d = positions[b] - positions[a]
-        nhat = d / np.linalg.norm(d)
-        block = k * np.outer(nhat, nhat)
-        h[3 * a : 3 * a + 3, 3 * b : 3 * b + 3] -= block
-        h[3 * b : 3 * b + 3, 3 * a : 3 * a + 3] -= block
-        h[3 * a : 3 * a + 3, 3 * a : 3 * a + 3] += block
-        h[3 * b : 3 * b + 3, 3 * b : 3 * b + 3] += block
-    return h
+
+# spring_hessian(positions, springs): the demo inputs' spring network, which
+# the benchmark's supercells use too
+spring_hessian = _load_demo_inputs_script().spring_network
 
 
 def isotropic_pair_hessian(k):

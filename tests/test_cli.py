@@ -1,3 +1,4 @@
+import base64
 import json
 import math
 import os
@@ -156,6 +157,31 @@ def test_modes_huge_integer_exit_2(tmp_path, capsys, digits, message):
     assert message in capsys.readouterr().err
 
 
+def _write_chain(tmp_path, natoms):
+    """A structure of `natoms` carbon atoms on a line."""
+    positions = [[0.1 * i, 0.0, 0.0] for i in range(natoms)]
+    structure = CrystalStructure(
+        np.eye(3) * (0.1 * natoms + 10.0), ("C",) * natoms, [12.011] * natoms, positions
+    )
+    spath = tmp_path / "structure.json"
+    lio.write_structure(structure, spath)
+    return structure, spath
+
+
+def test_modes_hessian_above_size_limit_exit_2(tmp_path, capsys):
+    natoms = lio.MAX_HESSIAN_DIM // 3 + 1
+    _, spath = _write_chain(tmp_path, natoms)
+    hpath = tmp_path / "hessian.json"
+    hpath.write_text(json.dumps({"schema": "hessian/1", "dim": 3 * natoms, "triplets": []}))
+    out = tmp_path / "modes.json"
+    code = main(
+        ["modes", "--structure", str(spath), "--hessian", str(hpath), "--out", str(out)]
+    )
+    assert code == 2
+    assert not out.exists()
+    assert "exceeds the limit MAX_HESSIAN_DIM = 6144" in capsys.readouterr().err
+
+
 def _prepare_modes(tmp_path, spring=4.2):
     structure, spath, hpath = _write_diatomic(tmp_path, spring)
     modes = tmp_path / "modes.json"
@@ -263,6 +289,39 @@ def test_hr_imaginary_basis_exit_3(tmp_path, capsys):
     )
     assert code == 3
     assert "imaginary" in capsys.readouterr().err.lower()
+
+
+def test_hr_basis_with_a_repeated_mode_exit_2(tmp_path, capsys):
+    # 1536 modes: each row has unit norm and row 2 repeats row 1, which a
+    # sample of the Gram matrix's rows can miss; hr would count S_1 twice
+    n = 1536
+    structure, spath = _write_chain(tmp_path, n // 3)
+    u = np.random.default_rng(5).normal(size=n)
+    u /= np.linalg.norm(u)
+    vectors = np.eye(n) - 2.0 * np.outer(u, u)
+    vectors[2] = vectors[1]
+    doc = {
+        "schema": "phonon_basis/2",
+        "omegas_mev": np.linspace(20.0, 160.0, n).tolist(),
+        "vectors": {
+            "dtype": "<f8",
+            "shape": [n, n],
+            "base64": base64.b64encode(vectors.astype("<f8").tobytes()).decode("ascii"),
+        },
+    }
+    modes = tmp_path / "modes.json"
+    modes.write_text(json.dumps(doc))
+    pair = GeometryPair(structure.positions, structure.positions, structure.species)
+    ppath = tmp_path / "pair.json"
+    lio.write_geometry_pair(pair, ppath)
+    out = tmp_path / "hr.json"
+    code = main(
+        ["hr", "--structure", str(spath), "--modes", str(modes), "--pair", str(ppath),
+         "--out", str(out)]
+    )
+    assert code == 2
+    assert not out.exists()
+    assert "not orthonormal" in capsys.readouterr().err
 
 
 def test_spectrum_no_coupling_lorentzian(tmp_path):

@@ -85,9 +85,9 @@ def test_phonon_basis_rejects_non_orthonormal():
         PhononBasis(np.zeros(3), vecs)
 
 
-def test_large_phonon_basis_orthonormality_sample():
-    # above 768 modes the Gram matrix is checked on 256 evenly spaced rows,
-    # row 0 among them: a dense reflection I - 2 u u^T is orthonormal
+def test_large_phonon_basis_orthonormality():
+    # every pair of rows is checked at every size: a dense reflection
+    # I - 2 u u^T is orthonormal
     n = 1536
     u = np.random.default_rng(7).normal(size=n)
     u /= np.linalg.norm(u)
@@ -95,7 +95,12 @@ def test_large_phonon_basis_orthonormality_sample():
     PhononBasis(np.zeros(n), vecs)
     # row 0 tilted by 1e-6 toward row 1 keeps its unit norm
     eps = 1e-6
-    vecs[0] = np.cos(eps) * vecs[0] + np.sin(eps) * vecs[1]
+    tilted = vecs.copy()
+    tilted[0] = np.cos(eps) * vecs[0] + np.sin(eps) * vecs[1]
+    with pytest.raises(InputError, match="orthonormal"):
+        PhononBasis(np.zeros(n), tilted)
+    # a repeated mode has unit norm and is orthogonal to every other row
+    vecs[2] = vecs[1]
     with pytest.raises(InputError, match="orthonormal"):
         PhononBasis(np.zeros(n), vecs)
 

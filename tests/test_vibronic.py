@@ -46,7 +46,13 @@ from lumiphon.vibronic import (
     spectral_density,
 )
 
-from helpers import extract_peak_weights, lorentzian_ev, poisson_weight, random_cluster_structure
+from helpers import (
+    extract_peak_weights,
+    lorentzian_ev,
+    poisson_weight,
+    random_cluster_structure,
+    spring_hessian,
+)
 
 
 def _single_mode_hr(s, omega_mev, mass=12.0):
@@ -137,6 +143,49 @@ def test_pair_and_force_routes_report_one_total(seed):
     by_pair = partial_hr(qk_from_displacement(basis, pair, structure.masses), basis.omegas_mev)
     by_force = partial_hr(qk_from_forces(basis, force, structure.masses), basis.omegas_mev)
     assert by_pair.total == pytest.approx(by_force.total, rel=1e-12)
+
+
+def _jittered_spring_network(natoms, seed):
+    """The first `natoms` points of a jittered cubic grid, 2.1 A apart, with
+    springs between first and second neighbours (as the benchmark's supercell)."""
+    rng = np.random.default_rng(seed)
+    side = math.ceil(natoms ** (1.0 / 3.0) - 1e-9)
+    grid = np.indices((side, side, side)).reshape(3, -1).T[:natoms]
+    positions = 2.1 * grid + rng.uniform(-0.2, 0.2, size=grid.shape)
+    species = tuple("Si" if s % 2 else "C" for s in grid.sum(axis=1))
+    masses = [12.011 if s == "C" else 28.085 for s in species]
+    structure = CrystalStructure(np.eye(3) * (2.1 * side + 10.0), species, masses, positions)
+    dist = np.linalg.norm(positions[:, None, :] - positions[None, :, :], axis=2)
+    a, b = np.nonzero(np.triu(dist < 3.3, k=1))
+    springs = zip(a.tolist(), b.tolist(), rng.uniform(2.0, 9.0, size=a.size).tolist())
+    return structure, Hessian(spring_hessian(positions, springs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(natoms=st.integers(2, 40), seed=st.integers(0, 2**32 - 1))
+def test_routes_agree_on_generated_spring_networks(natoms, seed):
+    structure, hessian = _jittered_spring_network(natoms, seed)
+    hessian, _ = apply_asr(symmetrize(hessian), structure.masses)
+    basis = diagonalize(hessian, structure)
+    delta = np.random.default_rng(seed + 1).normal(scale=0.01, size=(natoms, 3))
+    pair = GeometryPair(structure.positions, structure.positions + delta)
+    force = ForceDelta(hessian.matrix @ delta.reshape(-1))
+    qd = qk_from_displacement(basis, pair, structure.masses)
+    qf = qk_from_forces(basis, force, structure.masses)
+    live = basis.omegas_mev > units.ZERO_MODE_MEV
+    # the force route divides by lambda_k, so its rounding in q_k grows with
+    # lambda_max / lambda_k (up to 1e8 for the near-floppy modes of some
+    # networks) times |q|; 32 eps of it is about 15 times the worst excess
+    # over rtol 1e-8 seen in 8,190 draws
+    lam = units.eigenvalue_from_hbar_omega(basis.omegas_mev[live])
+    rounding = 32 * np.finfo(float).eps * lam.max() / lam * np.linalg.norm(qd)
+    err = np.abs(qf - qd)[live]
+    assert np.all(err <= 1e-8 * np.abs(qd[live]) + rounding)
+    by_pair = partial_hr(qd, basis.omegas_mev)
+    by_force = partial_hr(qf, basis.omegas_mev)
+    # S_k = omega_k q_k^2 / 2 hbar moves by 2 S_k dq_k / q_k
+    s_rounding = float(np.sum(2.0 * by_pair.sk[live] * rounding / np.abs(qd[live])))
+    assert abs(by_force.total - by_pair.total) <= 1e-12 * by_pair.total + s_rounding
 
 
 def test_force_route_zero_forces(diatomic):
