@@ -92,13 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=_parse_window, help="output window LO:HI in eV")
     p.add_argument("--step", type=_finite_float, default=0.1, help="output step in meV")
     p.add_argument("--no-omega-cubed", action="store_true")
-    p.add_argument("--time-step", type=_finite_float, help="override the time step in fs")
-    p.add_argument(
-        "--time-span",
-        type=_finite_float,
-        help="override the time span of the sideband transform in fs "
-        "(default min(25 hbar/gamma, 7.74 hbar/sigma))",
-    )
     p.add_argument("--cutoff", type=_finite_float, default=115.0, help="LVM cutoff in meV")
     p.add_argument("--out", required=True, help="spectrum TSV")
     p.add_argument("--peaks", help="labelled sideband peaks TSV")
@@ -156,7 +149,7 @@ def cmd_modes(args) -> int:
     from . import phonons
 
     structure = lio.parse_structure(lio.load_document(args.structure))
-    hessian = lio.parse_hessian(lio.load_document(args.hessian), structure)
+    hessian = lio.load_hessian(args.hessian, structure)
     hessian = phonons.symmetrize(hessian)
     provenance = {
         "hessian_sha256": lio.sha256_file(args.hessian),
@@ -248,7 +241,7 @@ def cmd_spectrum(args) -> int:
         omega_cubed=not args.no_omega_cubed,
     )
     window = vibronic.spectrum_window(hr, config)
-    ls = vibronic.emission(hr, config, args.time_step, args.time_span)
+    ls = vibronic.emission(hr, config)
     lvm = [int(k) for k in np.nonzero(hr.omegas_mev > args.cutoff)[0]]
     peaks = vibronic.effective_mode_report(hr, ls, lvm or None)
     header = (
@@ -292,7 +285,7 @@ def cmd_oracle(args) -> int:
     omega_max = float(ladder.omegas_mev.max()) if ladder.omegas_mev.size else 0.0
     if args.window is None:
         lo_mev, hi_mev = vibronic.default_window_mev(
-            zpl_mev, omega_max, hr.total, args.gamma, max(args.sigma, 1.0)
+            zpl_mev, omega_max, hr.total, args.gamma, args.sigma
         )
         window = (lo_mev / 1000.0, hi_mev / 1000.0)
     else:

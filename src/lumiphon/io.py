@@ -245,14 +245,22 @@ def write_structure(structure: CrystalStructure, path, overwrite=False):
 MAX_HESSIAN_DIM = 6144
 
 
-def parse_hessian(doc, structure: CrystalStructure) -> Hessian:
-    _expect_schema(doc, "hessian")
+def load_hessian(path, structure: CrystalStructure) -> Hessian:
+    """The hessian/1 document at path, for structure.  3N above
+    MAX_HESSIAN_DIM is refused before the file is opened."""
     n3 = 3 * structure.natoms
     if n3 > MAX_HESSIAN_DIM:
         raise InputError(
             f"hessian dimension 3N = {n3} exceeds the limit MAX_HESSIAN_DIM = "
             f"{MAX_HESSIAN_DIM} ({MAX_HESSIAN_DIM // 3} atoms)"
         )
+    return parse_hessian(load_document(path), structure)
+
+
+def parse_hessian(doc, structure: CrystalStructure) -> Hessian:
+    """A parsed hessian/1 document; load_hessian applies the size limit."""
+    _expect_schema(doc, "hessian")
+    n3 = 3 * structure.natoms
     if "matrix" in doc and "triplets" in doc:
         raise ParseError("give either matrix or triplets, not both", locus="/")
     if "matrix" in doc:

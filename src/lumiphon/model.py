@@ -363,7 +363,7 @@ class TimeGrid:
     vibronic.make_time_grid builds it, and checks every contract of the
     grid there and only there.  No array is held: dt is the step over the
     whole grid, (t[-1] - t[0]) / (n - 1) of the points built from the
-    requested step, which unlike one difference carries no rounding of the
+    Nyquist step, which unlike one difference carries no rounding of the
     grid's largest value.  gamma_mev and reach_mev are the damping and the
     largest |E - E_zpl| (meV) whose lineshape the grid resolves.
     S(t) on it is one real FFT of length fft_size = N over a spectral

@@ -69,12 +69,12 @@ _REPLICA_TAIL = 1e-12
 #: Largest block of Gaussian rows spectral_density sums at once, in float64.
 _DENSITY_BLOCK = 1 << 18
 
-#: Largest time grid, and largest FFT of S(t), that make_time_grid accepts:
-#: 128 MB per float array over it.
+#: Largest FFT of S(t) that make_time_grid accepts, 128 MB per float array
+#: over it; the time grid is at most half as long.
 MAX_TIME_POINTS = 1 << 24
 
 #: The damped sideband must be below e^{-_DAMPING_FLOOR} where the time
-#: grid ends and where a recurrence of the spectral quadrature begins.
+#: grid ends.
 _DAMPING_FLOOR = 10.0
 
 # Cubic B-spline interpolation: the coefficients are the samples filtered
@@ -246,27 +246,24 @@ def make_time_grid(
     sigma_mev: float,
     gamma_mev: float,
     reach_mev: float = 0.0,
-    time_step_fs: Optional[float] = None,
-    time_span_fs: Optional[float] = None,
 ) -> TimeGrid:
     """Symmetric power-of-two time grid for hr's sideband, smeared by sigma
     and damped by gamma, with the length N of the FFT of S(t) on it.
 
     The one place the time grid's contracts are checked; no array is built.
     The spectral content tops out at the highest coupled mode + 6 sigma.
-    - Step: the Nyquist energy covers the multi-phonon support
-      (_nyquist_need_mev, from that top and hr's total S), the reach
-      (largest |E - E_zpl| of the output window, at least 10 gamma), the
-      Lorentzian tails that would fold back into that window, and 4 times
-      the top.  A coarser time_step_fs is refused (AliasedGrid).
-    - Span: min(25 hbar/gamma, _SIDEBAND_SPAN hbar/sigma), past which
-      G(t) - e^{-S} is below 1e-13 S; time_span_fs overrides it.
+    - Step: the Nyquist step of an energy that covers the multi-phonon
+      support (_nyquist_need_mev, from that top and hr's total S), the
+      reach (largest |E - E_zpl| of the output window, at least 10 gamma),
+      the Lorentzian tails that would fold back into that window, and 4
+      times the top.
     - N: the smallest power of two with D = 2 pi hbar / (N dt) <= sigma/5.
-      More time or FFT points than MAX_TIME_POINTS are refused (InputError).
-    - Recurrence: S(t) sampled at step D recurs from
-      hbar (2 pi / D - _SIDEBAND_SPAN / sigma); a grid reaching past that
-      onset is refused (AliasedGrid) unless gamma damps it below
-      e^-_DAMPING_FLOOR there.
+      An FFT over more than MAX_TIME_POINTS is refused (InputError).
+    - Span: min(25 hbar/gamma, _SIDEBAND_SPAN hbar/sigma), past which
+      G(t) - e^{-S} is below 1e-13 S; n is the smallest power of two, at
+      least 16, covering twice it.  N dt >= 10 pi hbar/sigma is over twice
+      2 _SIDEBAND_SPAN hbar/sigma, so n <= N/2, and the grid ends before
+      S(t) sampled at step D recurs, from hbar (2 pi/D - _SIDEBAND_SPAN/sigma).
     The grid records gamma, the reach it was built for and N; lineshape
     refuses a config with another gamma or a window reaching further.
     """
@@ -280,48 +277,23 @@ def make_time_grid(
     # window stays below ~2e-6 in L1
     need = max(need, math.sqrt(2.0 * reach * gamma_mev / (math.pi * 2e-6)))
     need = max(need, 4.0 * top)
-    dt_nyquist = math.pi * units.HBAR_MEV_FS / need
-    dt = time_step_fs if time_step_fs is not None else dt_nyquist
-    if dt <= 0:
-        raise InputError(f"time step must be positive, got {dt}")
-    if dt > dt_nyquist * (1.0 + 1e-12):
-        raise AliasedGrid(
-            f"time step {dt:.4f} fs (--time-step) too coarse; need <= {dt_nyquist:.4f} fs"
-        )
-    span = min(
-        25.0 * units.HBAR_MEV_FS / gamma_mev,
-        _SIDEBAND_SPAN * units.HBAR_MEV_FS / sigma_mev,
-    )
-    if time_span_fs is not None:
-        span = time_span_fs
-    if span <= 0:
-        raise InputError(f"time span must be positive, got {span}")
-    cells = 2.0 * span / dt
-    if not cells <= MAX_TIME_POINTS:  # NaN and inf fail too
-        raise InputError(
-            f"time span {span:.6g} fs (--time-span) at step {dt:.4g} fs (--time-step) "
-            f"needs more than the {MAX_TIME_POINTS} time points allowed"
-        )
-    n = 1 << max(4, int(math.ceil(math.log2(cells))))
-    # -t[0] and t[-1] of the points (arange(n) - n // 2) * dt, rounded alike
-    half_span, last = (n // 2) * dt, (n - 1 - n // 2) * dt
-    dt = (last + half_span) / (n - 1)
+    dt = math.pi * units.HBAR_MEV_FS / need
     # N >= fft_cells keeps the spectral step D = 2 pi hbar / (N dt) <= sigma/5
     fft_cells = 2.0 * math.pi * units.HBAR_MEV_FS / (dt * sigma_mev / 5.0)
     if not fft_cells <= MAX_TIME_POINTS:
         raise InputError(
-            f"sigma {sigma_mev:.4g} meV (--sigma) at time step {dt:.4g} fs (--time-step) "
+            f"sigma {sigma_mev:.4g} meV (--sigma) at time step {dt:.4g} fs "
             f"needs an FFT of S(t) over more than the {MAX_TIME_POINTS} points allowed"
         )
     fft_size = 1 << (math.ceil(fft_cells) - 1).bit_length()
-    onset = fft_size * dt - _SIDEBAND_SPAN * units.HBAR_MEV_FS / sigma_mev
-    if half_span > onset and gamma_mev * onset / units.HBAR_MEV_FS < _DAMPING_FLOOR:
-        raise AliasedGrid(
-            f"time span {half_span:.0f} fs (--time-span) reaches the recurrence of the "
-            f"spectral quadrature at {onset:.0f} fs, where damping by gamma = "
-            f"{gamma_mev:g} meV leaves more than e^-{_DAMPING_FLOOR:g}"
-        )
-    return TimeGrid(n, dt, gamma_mev, reach, fft_size)
+    span = min(
+        25.0 * units.HBAR_MEV_FS / gamma_mev,
+        _SIDEBAND_SPAN * units.HBAR_MEV_FS / sigma_mev,
+    )
+    n = 1 << max(4, int(math.ceil(math.log2(2.0 * span / dt))))
+    # -t[0] and t[-1] of the points (arange(n) - n // 2) * dt, rounded alike
+    half_span, last = (n // 2) * dt, (n - 1 - n // 2) * dt
+    return TimeGrid(n, (last + half_span) / (n - 1), gamma_mev, reach, fft_size)
 
 
 def generating_function(sd: SpectralDensity, grid: TimeGrid) -> GeneratingFunction:
@@ -329,11 +301,11 @@ def generating_function(sd: SpectralDensity, grid: TimeGrid) -> GeneratingFuncti
 
     sd must be sampled at the grid's spectral step D (AliasedGrid
     otherwise): then D dt N = 2 pi hbar, and S(t_j) = sum_i c_i e^{-i w_i t_j}
-    at w_i = w_0 + i D / hbar is e^{-i w_0 t_j} times entry j mod N of one
-    real FFT of the quadrature weights c_i.  S(t) is formed for t = j dt,
-    j = 0 .. n // 2, and mirrored through S(-t) = conj(S(t)), so time
-    reversal holds exactly; the identically-zero difference at t = 0 is
-    pinned, keeping G(0) = 1 exact.
+    at w_i = w_0 + i D / hbar is e^{-i w_0 t_j} times entry j of one real
+    FFT of the quadrature weights c_i.  S(t) is formed for t = j dt,
+    j = 0 .. n // 2, below N / 2 as make_time_grid sizes N, and mirrored
+    through S(-t) = conj(S(t)), so time reversal holds exactly; the
+    identically-zero difference at t = 0 is pinned, keeping G(0) = 1 exact.
     """
     step = grid.spectral_step_mev
     if abs(sd.step_mev - step) > 1e-9 * step:
@@ -349,11 +321,8 @@ def generating_function(sd: SpectralDensity, grid: TimeGrid) -> GeneratingFuncti
     i0 = n // 2
     half = i0 + 1  # t = 0, dt, ..., i0 dt covers both wings
     # N D >= 8 times the top of sd, which spans at most twice it: the FFT
-    # pads coeff.  coeff is real, so DFT entry N - k is entry k conjugated
-    k = np.arange(half) % fft_size
-    upper = k > fft_size // 2
-    s_half = np.fft.rfft(coeff, fft_size)[np.where(upper, fft_size - k, k)]
-    np.conjugate(s_half, out=s_half, where=upper)
+    # pads coeff
+    s_half = np.fft.rfft(coeff, fft_size)[:half]
     omega_lo = float(sd.grid_mev[0]) / units.HBAR_MEV_FS
     s_half *= np.exp(-1j * omega_lo * (dt * np.arange(half)))
     diff_half = s_half - s0
@@ -390,7 +359,7 @@ def _fft_spectral_function(gf: GeneratingFunction, gamma_mev: float, resolution_
     if tail > math.exp(-_DAMPING_FLOOR):
         raise AliasedGrid(
             f"damped sideband still reaches {tail:.2e} at the ends of the time grid "
-            f"({(n // 2) * dt:.0f} fs); lengthen it with --time-span"
+            f"({(n // 2) * dt:.0f} fs), above e^-{_DAMPING_FLOOR:g}"
         )
     period_fs = 2.0 * math.pi * units.HBAR_MEV_FS / resolution_mev
     size = max(n, 1 << max(0, math.ceil(math.log2(period_fs / dt))))
@@ -457,23 +426,17 @@ def _reach_mev(zpl_ev, window_ev):
     return max(zpl_mev - window_ev[0] * 1000.0, abs(window_ev[1] * 1000.0 - zpl_mev))
 
 
-def emission(
-    hr: HRDecomposition,
-    config: LineshapeConfig,
-    time_step_fs: Optional[float] = None,
-    time_span_fs: Optional[float] = None,
-) -> Lineshape:
+def emission(hr: HRDecomposition, config: LineshapeConfig) -> Lineshape:
     """Emission lineshape of a coupling document: the whole spectrum pipeline.
 
     Resolves the window (spectrum_window), builds the sigma-bounded time
     grid whose Nyquist energy covers the multi-phonon support and the
     window's reach from the ZPL, smears the sticks into S(hw) at the grid's
-    spectral step, then G(t) and the lineshape.  time_step_fs and
-    time_span_fs override the time grid, which make_time_grid checks.
+    spectral step, then G(t) and the lineshape.
     """
     window = spectrum_window(hr, config)
     reach = _reach_mev(config.zpl_ev, window)
-    grid = make_time_grid(hr, config.sigma_mev, config.gamma_mev, reach, time_step_fs, time_span_fs)
+    grid = make_time_grid(hr, config.sigma_mev, config.gamma_mev, reach)
     sd = spectral_density(hr, config.sigma_mev, grid.spectral_step_mev)
     gf = generating_function(sd, grid)
     return lineshape(gf, replace(config, window_ev=window))
@@ -525,7 +488,7 @@ def lineshape(gf: GeneratingFunction, config: LineshapeConfig) -> Lineshape:
     low = float(np.min(a_win))
     if low < -1e-9:
         raise NumericalError(
-            f"windowed intensity dips to {low:.3e}; lengthen the time grid with --time-span"
+            f"windowed intensity dips to {low:.3e}, below the floor -1e-9"
         )
     a_win = np.clip(a_win, 0.0, None)
     if float(np.trapezoid(a_win, energy_mev)) < 1e-3:

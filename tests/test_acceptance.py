@@ -382,7 +382,7 @@ def test_roundtrip_all_schemas(tmp_path, diatomic, displaced_pair):
     checked.append("structure")
 
     lio.write_hessian(hessian, tmp_path / "h.json")
-    hback = lio.parse_hessian(lio.load_document(tmp_path / "h.json"), diatomic[0])
+    hback = lio.load_hessian(tmp_path / "h.json", diatomic[0])
     assert np.array_equal(hback.matrix, hessian.matrix)
     checked.append("hessian")
 

@@ -1,8 +1,11 @@
+import argparse
+import ast
 import base64
 import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -11,7 +14,7 @@ import pytest
 
 from lumiphon import io as lio
 from lumiphon import units
-from lumiphon.cli import main
+from lumiphon.cli import build_parser, main
 from lumiphon.model import (
     ChemicalPotential,
     CrystalStructure,
@@ -172,14 +175,17 @@ def test_modes_hessian_above_size_limit_exit_2(tmp_path, capsys):
     natoms = lio.MAX_HESSIAN_DIM // 3 + 1
     _, spath = _write_chain(tmp_path, natoms)
     hpath = tmp_path / "hessian.json"
-    hpath.write_text(json.dumps({"schema": "hessian/1", "dim": 3 * natoms, "triplets": []}))
     out = tmp_path / "modes.json"
-    code = main(
-        ["modes", "--structure", str(spath), "--hessian", str(hpath), "--out", str(out)]
-    )
-    assert code == 2
-    assert not out.exists()
-    assert "exceeds the limit MAX_HESSIAN_DIM = 6144" in capsys.readouterr().err
+    # refused before the Hessian file is read: one that is not JSON too
+    for text in (json.dumps({"schema": "hessian/1", "dim": 3 * natoms, "triplets": []}),
+                 "not a JSON document"):
+        hpath.write_text(text)
+        code = main(
+            ["modes", "--structure", str(spath), "--hessian", str(hpath), "--out", str(out)]
+        )
+        assert code == 2
+        assert not out.exists()
+        assert "exceeds the limit MAX_HESSIAN_DIM = 6144" in capsys.readouterr().err
 
 
 def _prepare_modes(tmp_path, spring=4.2):
@@ -223,9 +229,7 @@ def test_hr_zero_displacement(tmp_path, capsys):
 
 def test_hr_pair_and_forces_agree(tmp_path):
     structure, spath, modes = _prepare_modes(tmp_path)
-    hessian = lio.parse_hessian(
-        lio.load_document(tmp_path / "hessian.json"), structure
-    )
+    hessian = lio.load_hessian(tmp_path / "hessian.json", structure)
     rng = np.random.default_rng(8)
     delta = rng.normal(scale=0.02, size=(2, 3))
     pair = GeometryPair(
@@ -432,68 +436,6 @@ def test_spectrum_step_above_gamma_exit_2(tmp_path, capsys):
     assert main(argv + ["--step", "0.01"]) == 0
 
 
-def test_spectrum_time_span_reaching_recurrence_exit_3(tmp_path, capsys):
-    _, _, hr_path = _write_generated_hr(tmp_path, 64, 1.0, 5, (10.0, 100.0))
-    code = main(
-        ["spectrum", "--hr", str(hr_path), "--zpl", "2.0", "--gamma", "0.1",
-         "--time-span", "200000", "--out", str(tmp_path / "s.tsv")]
-    )
-    assert code == 3
-    assert "--time-span" in capsys.readouterr().err
-    assert not (tmp_path / "s.tsv").exists()
-
-
-def test_spectrum_time_span_beyond_grid_limit_exit_2(tmp_path, capsys):
-    # 2^32 time points at this step: refused before any array is built
-    _, _, hr_path = _write_generated_hr(tmp_path, 64, 1.0, 5, (10.0, 100.0))
-    code = main(
-        ["spectrum", "--hr", str(hr_path), "--zpl", "2.0", "--gamma", "0.1",
-         "--time-span", "1e9", "--out", str(tmp_path / "s.tsv")]
-    )
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "--time-span" in err and "--time-step" in err and str(1 << 24) in err
-    assert not (tmp_path / "s.tsv").exists()
-
-
-def test_spectrum_time_step_refusals(tmp_path, capsys):
-    _, _, hr_path = _write_generated_hr(tmp_path, 64, 1.0, 5, (10.0, 100.0))
-    argv = ["spectrum", "--hr", str(hr_path), "--zpl", "2.0", "--out", str(tmp_path / "s.tsv")]
-    # 20 fs resolves 103 meV, far below the multi-phonon support
-    assert main(argv + ["--time-step", "20"]) == 3
-    err = capsys.readouterr().err
-    assert "too coarse" in err and "--time-step" in err
-    assert main(argv + ["--time-step", "0"]) == 2
-    assert "time step must be positive" in capsys.readouterr().err
-    assert not (tmp_path / "s.tsv").exists()
-
-
-def test_spectrum_time_span_refusals(tmp_path, capsys):
-    _, _, hr_path = _write_generated_hr(tmp_path, 64, 1.0, 5, (10.0, 100.0))
-    argv = ["spectrum", "--hr", str(hr_path), "--zpl", "2.0", "--out", str(tmp_path / "s.tsv")]
-    # 50 fs: the sideband, damped by gamma = 1 meV, has not died at the ends
-    assert main(argv + ["--time-span", "50"]) == 3
-    err = capsys.readouterr().err
-    assert "damped sideband" in err and "--time-span" in err
-    assert main(argv + ["--time-span", "-5"]) == 2
-    assert "time span must be positive" in capsys.readouterr().err
-    assert not (tmp_path / "s.tsv").exists()
-
-
-def test_spectrum_recurrence_refused_before_step_above_gamma(tmp_path, capsys):
-    # make_time_grid refuses a span reaching the quadrature's recurrence
-    # before lineshape compares --step with --gamma
-    _, _, hr_path = _write_generated_hr(tmp_path, 64, 1.0, 5, (10.0, 100.0))
-    code = main(
-        ["spectrum", "--hr", str(hr_path), "--zpl", "2.0", "--gamma", "0.1", "--step", "0.5",
-         "--time-span", "200000", "--out", str(tmp_path / "s.tsv")]
-    )
-    assert code == 3
-    err = capsys.readouterr().err
-    assert "recurrence" in err and "--time-span" in err
-    assert not (tmp_path / "s.tsv").exists()
-
-
 _REQUIRED_FLAGS = {
     "modes": ["--structure", "s.json", "--hessian", "h.json", "--out", "m.json"],
     "spectrum": ["--hr", "hr.json", "--zpl", "2.0", "--out", "s.tsv"],
@@ -507,7 +449,7 @@ _REQUIRED_FLAGS = {
     "command, flag",
     [("modes", "--cutoff")]
     + [("spectrum", f) for f in ("--zpl", "--gamma", "--sigma", "--window", "--step",
-                                 "--time-step", "--time-span", "--cutoff")]
+                                 "--cutoff")]
     + [("oracle", f) for f in ("--zpl", "--gamma", "--sigma", "--window", "--step")]
     + [("thermo", "--fermi-step")],
 )
@@ -660,40 +602,22 @@ def test_oracle_cap_zero_single_stick(tmp_path, capsys):
 
 
 def test_oracle_compare_against_spectrum(tmp_path, capsys):
-    hr_path = _write_single_mode_hr(tmp_path, 0.8, 140.0)
-    window, step = "0.3:2.06", "0.2"
+    # on a window given, and on the default window at a sigma below 1 meV,
+    # which both subcommands work out by one rule
     spec = tmp_path / "spec.tsv"
-    assert (
-        main(
-            [
-                "spectrum",
-                "--hr", str(hr_path),
-                "--zpl", "2.0",
-                "--no-omega-cubed",
-                "--window", window,
-                "--step", step,
-                "--out", str(spec),
-            ]
+    for omega, extra in ((140.0, ["--window", "0.3:2.06"]), (40.0, ["--sigma", "0.5"])):
+        hr_path = _write_single_mode_hr(tmp_path, 0.8, omega, f"hr_{omega:g}.json")
+        common = ["--hr", str(hr_path), "--zpl", "2.0", "--step", "0.2", *extra]
+        assert main(["spectrum", *common, "--no-omega-cubed", "--out", str(spec)]) == 0
+        capsys.readouterr()
+        code = main(
+            ["oracle", *common, "--max-quanta", "14", "--out", str(tmp_path / "oracle.tsv"),
+             "--compare", str(spec)]
         )
-        == 0
-    )
-    capsys.readouterr()
-    code = main(
-        [
-            "oracle",
-            "--hr", str(hr_path),
-            "--zpl", "2.0",
-            "--max-quanta", "14",
-            "--window", window,
-            "--step", step,
-            "--out", str(tmp_path / "oracle.tsv"),
-            "--compare", str(spec),
-        ]
-    )
-    assert code == 0
-    assert (tmp_path / "oracle.tsv").exists()
-    l1 = float(capsys.readouterr().out.split("l1_distance = ")[1].split()[0])
-    assert l1 < 1e-4
+        assert code == 0, capsys.readouterr().err
+        assert (tmp_path / "oracle.tsv").exists()
+        l1 = float(capsys.readouterr().out.split("l1_distance = ")[1].split()[0])
+        assert l1 < 1e-4
 
 
 def test_oracle_compare_grid_mismatch_exit_2(tmp_path, capsys):
@@ -924,6 +848,33 @@ def test_removed_run_flags_exit_2(tmp_path, flag):
     with pytest.raises(SystemExit) as exc:
         main(["dissoc", "--energies", str(dpath), "--out", str(tmp_path / "d.tsv"), *flag])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flag", ["--time-step", "--time-span"])
+def test_removed_time_grid_flags_exit_2(tmp_path, capsys, flag):
+    # the time grid is worked out from the document and the flags alone
+    hr_path = _write_single_mode_hr(tmp_path, 0.8, 140.0)
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--hr", str(hr_path), "--zpl", "2.0",
+              "--out", str(tmp_path / "s.tsv"), flag, "1"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_every_flag_the_sources_name_exists():
+    # an error or help message naming a flag no subcommand has misleads
+    root = pathlib.Path(__file__).resolve().parent.parent / "src" / "lumiphon"
+    named = set()
+    for path in sorted(root.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                named.update(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", node.value))
+    parser = build_parser()
+    options = set(parser._option_string_actions)
+    (subparsers,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for sub in subparsers.choices.values():
+        options.update(sub._option_string_actions)
+    assert named and named <= options, sorted(named - options)
 
 
 def _limit_address_space():

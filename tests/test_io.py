@@ -127,7 +127,7 @@ def test_hessian_dimension_mismatch():
 
 
 @pytest.mark.parametrize("layout", ["matrix", "triplets"])
-def test_hessian_above_size_limit_refused_before_allocating(layout):
+def test_hessian_above_size_limit_refused_before_allocating(tmp_path, layout):
     natoms = lio.MAX_HESSIAN_DIM // 3 + 1
     sites = [{"species": "C", "position": [0.1 * i, 0.0, 0.0]} for i in range(natoms)]
     structure = lio.parse_structure(dict(STRUCTURE_DOC, sites=sites))
@@ -135,10 +135,12 @@ def test_hessian_above_size_limit_refused_before_allocating(layout):
         "matrix": {"schema": "hessian/1", "matrix": []},
         "triplets": {"schema": "hessian/1", "dim": 3 * natoms, "triplets": []},
     }[layout]
+    path = tmp_path / "hessian.json"
+    path.write_text(json.dumps(doc))
     tracemalloc.start()
     try:
         with pytest.raises(InputError, match="MAX_HESSIAN_DIM = 6144"):
-            lio.parse_hessian(doc, structure)
+            lio.load_hessian(path, structure)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -308,7 +310,7 @@ def test_hessian_roundtrip_bit_exact(tmp_path, diatomic):
     structure, hessian = diatomic
     path = tmp_path / "h.json"
     lio.write_hessian(hessian, path)
-    back = lio.parse_hessian(lio.load_document(path), structure)
+    back = lio.load_hessian(path, structure)
     assert np.array_equal(back.matrix, hessian.matrix)
     assert back.structure_hash == hessian.structure_hash
 

@@ -329,9 +329,9 @@ def _unchecked_grid(n, dt, sigma_mev):
     return TimeGrid(n, dt, 1.0, 0.0, 1 << (math.ceil(cells) - 1).bit_length())
 
 
-def _generating_function(hr, sigma_mev, gamma_mev, reach_mev=0.0, **grid_args):
+def _generating_function(hr, sigma_mev, gamma_mev, reach_mev=0.0):
     """The emission chain up to G(t): time grid, S(hw) at its step, G(t)."""
-    grid = make_time_grid(hr, sigma_mev, gamma_mev, reach_mev, **grid_args)
+    grid = make_time_grid(hr, sigma_mev, gamma_mev, reach_mev)
     return generating_function(spectral_density(hr, sigma_mev, grid.spectral_step_mev), grid)
 
 
@@ -360,15 +360,6 @@ def test_generating_function_time_reversal():
     np.testing.assert_allclose(
         gf.values[::-1], np.conj(gf.values), rtol=0, atol=1e-14
     )
-
-
-def test_make_time_grid_refuses_aliasing_step():
-    # 20 fs resolves 103 meV, below the 150 meV mode itself
-    hr = _single_mode_hr(1.0, 150.0)
-    with pytest.raises(AliasedGrid, match="--time-step"):
-        make_time_grid(hr, 2.0, 1.0, time_step_fs=20.0)
-    with pytest.raises(InputError, match="time step must be positive"):
-        make_time_grid(hr, 2.0, 1.0, time_step_fs=0.0)
 
 
 def test_generating_function_refuses_grid_built_for_another_sigma():
@@ -487,25 +478,31 @@ def test_lineshape_window_excluding_support():
 
 
 def test_lineshape_time_span_floor():
-    # under 1 ps: far below 10 hbar/gamma
-    gf = _generating_function(_single_mode_hr(0.5, 100.0), 2.0, 1.0, 100.0, time_span_fs=600.0)
-    with pytest.raises(AliasedGrid, match="--time-span"):
+    # a hand-built grid 256 fs long, far below 10 hbar/gamma: the damped
+    # sideband has not died at its ends
+    hr = _single_mode_hr(0.5, 100.0)
+    grid = dataclasses.replace(_unchecked_grid(512, 1.0, 2.0), reach_mev=150.0)
+    gf = generating_function(spectral_density(hr, 2.0, grid.spectral_step_mev), grid)
+    with pytest.raises(AliasedGrid, match="damped sideband"):
         lineshape(gf, LineshapeConfig(zpl_ev=2.0, gamma_mev=1.0, window_ev=(1.9, 2.01)))
     # the default window is emission's to resolve
     with pytest.raises(InputError, match="window"):
         lineshape(gf, LineshapeConfig(zpl_ev=2.0, gamma_mev=1.0))
 
 
-def test_make_time_grid_refuses_span_reaching_quadrature_recurrence():
-    # sigma = 2 meV: S(t) on a spectral grid of step sigma/10 to sigma/5
-    # recurs after 10.3 to 20.7 ps, where damping by gamma = 0.1 meV has
-    # reached at most e^-3.1; a span of 25 hbar/gamma (165 ps) reaches it,
-    # the default sigma-bounded one not
-    hr = _single_mode_hr(0.5, 20.0)
-    with pytest.raises(AliasedGrid, match="recurrence.*gamma = 0.1 meV"):
-        make_time_grid(hr, 2.0, 0.1, 100.0, time_span_fs=25.0 * units.HBAR_MEV_FS / 0.1)
-    config = LineshapeConfig(zpl_ev=2.0, gamma_mev=0.1, window_ev=(1.9, 2.01))
-    lineshape(_generating_function(hr, 2.0, 0.1, 100.0), config)
+def test_lineshape_refuses_a_negative_dip():
+    # a hand-built G whose bracket is a difference of Gaussians in t, the
+    # narrower one (250 fs) broader in energy: from about 5 meV below the
+    # ZPL its sideband is negative by more than the gamma = 0.1 meV
+    # Lorentzian adds there
+    n, s = 4096, 1.0
+    grid = dataclasses.replace(_unchecked_grid(n, 1.0, 2.0), gamma_mev=0.1, reach_mev=100.0)
+    t = np.abs(np.arange(n) - n // 2) * grid.dt
+    bracket = 2.0 * np.exp(-0.5 * (t / 300.0) ** 2) - np.exp(-0.5 * (t / 250.0) ** 2)
+    g = math.exp(-s) + (1.0 - math.exp(-s)) * bracket
+    gf = GeneratingFunction(grid, g, s)
+    with pytest.raises(NumericalError, match="dips"):
+        lineshape(gf, LineshapeConfig(zpl_ev=2.0, gamma_mev=0.1, window_ev=(1.95, 2.01)))
 
 
 def test_lineshape_refuses_grid_built_for_another_gamma_or_reach():
@@ -589,20 +586,18 @@ def test_time_grid_contracts_on_generated_documents(nmodes, s_total, gamma, sigm
     assert n & (n - 1) == 0 and 16 <= n <= vibronic.MAX_TIME_POINTS
     assert n >= 2.0 * span / dt * (1.0 - 1e-9)
     assert n == 16 or n < 4.0 * span / dt * (1.0 + 1e-9)
-    # dt is the whole-grid step of the points the requested step builds
-    step = dt * (0.3 + 0.7 * (seed % 1000) / 1000.0)
-    fine = make_time_grid(hr, sigma, gamma, reach, time_step_fs=step)
-    t = (np.arange(len(fine)) - len(fine) // 2) * step
-    assert fine.dt == float(t[-1] - t[0]) / (t.size - 1)
-    # a span past the recurrence of S(t) on the spectral grid is refused
-    # exactly when gamma leaves more than e^-10 there
+    # dt is the whole-grid step of the points the Nyquist step builds, the
+    # Nyquist energy covering also the Lorentzian tails folding back into
+    # the window and 4 times the top
+    tails = math.sqrt(2.0 * grid.reach_mev * gamma / (math.pi * 2e-6))
+    nyquist = math.pi * units.HBAR_MEV_FS / max(need, tails, 4.0 * top)
+    t = (np.arange(n) - n // 2) * nyquist
+    assert dt == float(t[-1] - t[0]) / (n - 1)
+    # S(t) is read from the first half of its FFT alone, and the grid ends
+    # before S(t) on the spectral grid recurs
+    assert n // 2 <= fft // 2
     onset = units.HBAR_MEV_FS * (2.0 * math.pi / spectral - vibronic._SIDEBAND_SPAN / sigma)
-    if gamma * onset / units.HBAR_MEV_FS < 10.0:
-        with pytest.raises(AliasedGrid, match="recurrence"):
-            make_time_grid(hr, sigma, gamma, reach, time_span_fs=1.01 * onset)
-    else:
-        past = make_time_grid(hr, sigma, gamma, reach, time_span_fs=1.01 * onset)
-        assert (len(past) // 2) * past.dt > onset
+    assert (n // 2) * dt < onset
 
 
 def _assert_s_is_the_direct_quadrature_sum(sd, gf):
@@ -635,38 +630,24 @@ def test_fft_of_s_matches_the_direct_quadrature_sum(nmodes, s_total, gamma, sigm
     _assert_s_is_the_direct_quadrature_sum(sd, generating_function(sd, grid))
 
 
-def test_fft_of_s_is_read_periodically_past_its_period():
-    # a span of 1.5 periods N dt, allowed because gamma = 1 meV damps the
-    # recurrence: S(t_j) is read from DFT entries j mod N, mirrored above N/2
-    hr = _single_mode_hr(1.0, 100.0)
-    default = make_time_grid(hr, 2.0, 1.0)
-    grid = make_time_grid(hr, 2.0, 1.0, time_span_fs=1.5 * default.fft_size * default.dt)
-    assert len(grid) // 2 > grid.fft_size
-    sd = spectral_density(hr, 2.0, grid.spectral_step_mev)
-    _assert_s_is_the_direct_quadrature_sum(sd, generating_function(sd, grid))
-
-
 def test_make_time_grid_builds_no_array():
-    # an FFT of 2^24 points, the limit, on 2^23 times, and 2^24 times whose
-    # recurrence gamma damps: grids of scalars, not 128 MB arrays
+    # at gamma = 1 meV the Lorentzian tails set the Nyquist energy, 1784 meV,
+    # for any sigma below 4 meV, and N grows as 1/sigma: sigma = 1.5e-3 meV
+    # needs an FFT of 1.19e7 points, 2^24 at the limit, and 1e-3 meV one of
+    # 1.78e7, refused.  Grids of scalars, not 128 MB arrays
     hr = _single_mode_hr(1.0, 100.0)
     limit = vibronic.MAX_TIME_POINTS
-    step = 2.0 * math.pi * units.HBAR_MEV_FS / (2.0 / 5.0 * 0.999 * limit)
-    span = make_time_grid(hr, 2.0, 1.0).dt * (limit // 2) * 0.999
     tracemalloc.start()
     try:
-        by_fft = make_time_grid(hr, 2.0, 1.0, time_step_fs=step)
-        by_span = make_time_grid(hr, 2.0, 1.0, time_span_fs=span)
+        at_limit = make_time_grid(hr, 1.5e-3, 1.0)
+        with pytest.raises(InputError, match="--sigma"):
+            make_time_grid(hr, 1e-3, 1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (by_fft.fft_size, len(by_fft)) == (limit, limit // 2)
-    assert len(by_span) == limit and by_span.fft_size < limit
+    assert at_limit.fft_size == limit and len(at_limit) <= limit // 2
     assert peak < 1 << 16
-    # one more power of two is refused, naming the flags that set it
-    with pytest.raises(InputError, match="--sigma.*--time-step"):
-        make_time_grid(hr, 2.0, 1.0, time_step_fs=0.99 * step)
-    with pytest.raises(InputError, match="--sigma"):
+    with pytest.raises(InputError, match=f"--sigma.*{limit}"):
         make_time_grid(hr, 1e-6, 1.0)
 
 
