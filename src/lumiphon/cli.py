@@ -147,6 +147,7 @@ def _write_manifest(args, input_paths):
 def cmd_modes(args) -> int:
     from . import io as lio
     from . import phonons
+    from .model import classify_lvm
 
     structure = lio.parse_structure(lio.load_document(args.structure))
     hessian = lio.load_hessian(args.hessian, structure)
@@ -162,7 +163,7 @@ def cmd_modes(args) -> int:
         provenance["pre_asr_norms_mev"] = report.pre_norms_mev.tolist()
         provenance["post_asr_norms_mev"] = report.post_norms_mev.tolist()
     basis = phonons.diagonalize(hessian, structure, args.cutoff)
-    lvm = phonons.classify_lvm(basis, args.cutoff)
+    lvm = classify_lvm(basis.omegas_mev, args.cutoff)
     provenance["lvm_indices"] = lvm
     ipr = phonons.localization_table(basis)
     lio.write_phonon_basis(basis, args.out, provenance, overwrite=True)
@@ -225,24 +226,22 @@ def cmd_hr(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    import numpy as np
-
     from . import io as lio
     from . import vibronic
-    from .model import LineshapeConfig
+    from .model import LineshapeConfig, classify_lvm
 
     hr = lio.parse_hr(lio.load_document(args.hr))
+    window = vibronic.resolve_window(hr, args.zpl, args.gamma, args.sigma, args.window)
     config = LineshapeConfig(
         zpl_ev=args.zpl,
         gamma_mev=args.gamma,
         sigma_mev=args.sigma,
-        window_ev=args.window,
+        window_ev=window,
         step_mev=args.step,
         omega_cubed=not args.no_omega_cubed,
     )
-    window = vibronic.spectrum_window(hr, config)
     ls = vibronic.emission(hr, config)
-    lvm = [int(k) for k in np.nonzero(hr.omegas_mev > args.cutoff)[0]]
+    lvm = classify_lvm(hr.omegas_mev, args.cutoff)
     peaks = vibronic.effective_mode_report(hr, ls, lvm or None)
     header = (
         f"lumiphon spectrum v{__version__}",
@@ -275,24 +274,12 @@ def cmd_oracle(args) -> int:
     from . import fcoracle
     from . import io as lio
     from . import vibronic
-    from .model import output_grid
 
     hr = lio.parse_hr(lio.load_document(args.hr))
     if args.sigma < 0:
         raise InputError(f"sigma must be non-negative, got {args.sigma}")
-    ladder = fcoracle.enumerate_fc(hr, args.max_quanta)
-    zpl_mev = args.zpl * 1000.0
-    omega_max = float(ladder.omegas_mev.max()) if ladder.omegas_mev.size else 0.0
-    if args.window is None:
-        lo_mev, hi_mev = vibronic.default_window_mev(
-            zpl_mev, omega_max, hr.total, args.gamma, args.sigma
-        )
-        window = (lo_mev / 1000.0, hi_mev / 1000.0)
-    else:
-        window = args.window
-    # in meV as spectrum builds it, so both grids are bit-identical
-    grid = output_grid(window[0] * 1000.0, window[1] * 1000.0, args.step, "--step", "--window")
-    grid /= 1000.0
+    window = vibronic.resolve_window(hr, args.zpl, args.gamma, args.sigma, args.window)
+    _, grid = vibronic.energy_grid(window, args.step)
     if args.compare:
         # check the comparison spectrum before any output is written
         other_e, other_i = lio.read_spectrum_tsv(args.compare)
@@ -303,6 +290,7 @@ def cmd_oracle(args) -> int:
                 f"{args.compare} is sampled on a different grid; "
                 "regenerate both spectra with the same window and step"
             )
+    ladder = fcoracle.enumerate_fc(hr, args.max_quanta)
     spec = fcoracle.broadened_oracle_spectrum(
         ladder, args.gamma, grid, args.zpl, args.sigma
     )

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Tuple, Union
+from typing import List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -231,6 +231,12 @@ class PhononBasis:
         return self.nmodes // 3
 
 
+def classify_lvm(omegas_mev, cutoff_mev: float = 115.0) -> List[int]:
+    """Indices of the local vibrational modes, those strictly above the bulk
+    phonon cutoff, ascending: modes' LVM flags and spectrum's peak labels."""
+    return [int(i) for i in np.nonzero(np.asarray(omegas_mev) > cutoff_mev)[0]]
+
+
 @dataclass(frozen=True, eq=False)
 class GeometryPair:
     """Ground and excited geometries on the same atom ordering (A)."""
@@ -426,7 +432,6 @@ class Lineshape:
     intensity: np.ndarray
     zpl_ev: float
     gamma_mev: float
-    omega_cubed: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "energy_ev", _own(self.energy_ev))

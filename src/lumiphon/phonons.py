@@ -1,12 +1,10 @@
 """Lattice dynamics: Hessian -> phonon basis.
 
 Pipeline: symmetrize, optionally enforce the acoustic sum rule, mass-weight,
-diagonalize, then classify localized modes against the bulk cutoff.
+diagonalize.
 """
 
 from __future__ import annotations
-
-from typing import List
 
 import numpy as np
 
@@ -131,11 +129,6 @@ def diagonalize(
     omegas = units.hbar_omega_from_eigenvalue(lam)
     order = np.argsort(omegas, kind="stable")
     return PhononBasis(omegas[order], vecs[order], cutoff_bulk_mev)
-
-
-def classify_lvm(basis: PhononBasis, cutoff_mev: float = 115.0) -> List[int]:
-    """Indices of modes strictly above the bulk phonon cutoff, ascending."""
-    return [int(i) for i in np.nonzero(basis.omegas_mev > cutoff_mev)[0]]
 
 
 def localization_table(basis: PhononBasis) -> np.ndarray:

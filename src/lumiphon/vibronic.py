@@ -400,24 +400,31 @@ def _periodic_spline(y, step, x):
     ) / 6.0
 
 
-def default_window_mev(zpl_mev, omega_max_mev, s_total, gamma_mev, sigma_mev):
-    """Window wide enough for the replica ladder plus broadening tails."""
-    cover = s_total + 6.0 * math.sqrt(max(s_total, 0.0)) + 4.0
-    below = omega_max_mev * cover + 50.0 * gamma_mev + 6.0 * sigma_mev
+def resolve_window(
+    hr: HRDecomposition, zpl_ev, gamma_mev, sigma_mev, window_ev=None
+) -> Tuple[float, float]:
+    """Output window (lo, hi) in eV of spectrum and oracle: window_ev when
+    given, otherwise S + 6 sqrt(S) + 4 quanta of the top coupled mode plus
+    50 gamma + 6 sigma below the ZPL, 50 gamma + 6 sigma above it, with the
+    low end clamped at 1 meV.  sigma may be 0, as for oracle's pure
+    Lorentzians."""
+    if window_ev is not None:
+        return window_ev
+    zpl_mev = zpl_ev * 1000.0
+    cover = hr.total + 6.0 * math.sqrt(max(hr.total, 0.0)) + 4.0
+    below = _top_coupled_mev(hr) * cover + 50.0 * gamma_mev + 6.0 * sigma_mev
     above = 50.0 * gamma_mev + 6.0 * sigma_mev
-    lo = max(zpl_mev - below, 1.0)
-    return lo, zpl_mev + above
+    return max(zpl_mev - below, 1.0) / 1000.0, (zpl_mev + above) / 1000.0
 
 
-def spectrum_window(hr: HRDecomposition, config: LineshapeConfig) -> Tuple[float, float]:
-    """Output window (lo, hi) in eV: config.window_ev, or by default the
-    default_window_mev of the largest coupled mode."""
-    if config.window_ev is not None:
-        return config.window_ev
-    lo_mev, hi_mev = default_window_mev(
-        config.zpl_ev * 1000.0, _top_coupled_mev(hr), hr.total, config.gamma_mev, config.sigma_mev
+def energy_grid(window_ev, step_mev):
+    """(meV, eV) output energies on window_ev at step_mev: output_grid of
+    the window's ends in meV, and it over 1000, the grid that lineshape and
+    oracle both evaluate on."""
+    energy_mev = output_grid(
+        window_ev[0] * 1000.0, window_ev[1] * 1000.0, step_mev, "--step", "--window"
     )
-    return lo_mev / 1000.0, hi_mev / 1000.0
+    return energy_mev, energy_mev / 1000.0
 
 
 def _reach_mev(zpl_ev, window_ev):
@@ -429,17 +436,20 @@ def _reach_mev(zpl_ev, window_ev):
 def emission(hr: HRDecomposition, config: LineshapeConfig) -> Lineshape:
     """Emission lineshape of a coupling document: the whole spectrum pipeline.
 
-    Resolves the window (spectrum_window), builds the sigma-bounded time
-    grid whose Nyquist energy covers the multi-phonon support and the
-    window's reach from the ZPL, smears the sticks into S(hw) at the grid's
-    spectral step, then G(t) and the lineshape.
+    Resolves the default window (resolve_window) when config gives none,
+    builds the sigma-bounded time grid whose Nyquist energy covers the
+    multi-phonon support and the window's reach from the ZPL, smears the
+    sticks into S(hw) at the grid's spectral step, then G(t) and the
+    lineshape.
     """
-    window = spectrum_window(hr, config)
-    reach = _reach_mev(config.zpl_ev, window)
+    if config.window_ev is None:
+        window = resolve_window(hr, config.zpl_ev, config.gamma_mev, config.sigma_mev)
+        config = replace(config, window_ev=window)
+    reach = _reach_mev(config.zpl_ev, config.window_ev)
     grid = make_time_grid(hr, config.sigma_mev, config.gamma_mev, reach)
     sd = spectral_density(hr, config.sigma_mev, grid.spectral_step_mev)
     gf = generating_function(sd, grid)
-    return lineshape(gf, replace(config, window_ev=window))
+    return lineshape(gf, config)
 
 
 def lineshape(gf: GeneratingFunction, config: LineshapeConfig) -> Lineshape:
@@ -450,7 +460,7 @@ def lineshape(gf: GeneratingFunction, config: LineshapeConfig) -> Lineshape:
     form plus the real inverse FFT of the t >= 0 half of the damped bracket
     [G(t) - e^{-S}] (the bracket is Hermitian), zero-padded to an energy
     step of max(sigma, gamma)/16 and splined onto the output grid
-    (output_grid of config.window_ev at config.step_mev), which
+    (energy_grid of config.window_ev at config.step_mev), which
     config.window_ev must give (emission resolves a default).  gf's time
     grid must have been built (make_time_grid) for config's gamma and a
     reach covering the window, or AliasedGrid.  The output step must not
@@ -471,12 +481,12 @@ def lineshape(gf: GeneratingFunction, config: LineshapeConfig) -> Lineshape:
         )
     _require_step_within_gamma(config.step_mev, gamma)
     zpl_mev = config.zpl_ev * 1000.0
-    lo_mev, hi_mev = config.window_ev[0] * 1000.0, config.window_ev[1] * 1000.0
-    if config.omega_cubed and lo_mev <= 0:
+    lo_ev, hi_ev = config.window_ev
+    if config.omega_cubed and lo_ev <= 0:
         raise InputError(
             "window must stay at positive emission energies when omega_cubed is on"
         )
-    energy_mev = output_grid(lo_mev, hi_mev, config.step_mev, "--step", "--window")
+    energy_mev, energy_ev = energy_grid(config.window_ev, config.step_mev)
 
     fft_step, sideband, zpl_weight = _fft_spectral_function(
         gf, gamma, max(config.sigma_mev, gamma) / 16.0
@@ -493,13 +503,11 @@ def lineshape(gf: GeneratingFunction, config: LineshapeConfig) -> Lineshape:
     a_win = np.clip(a_win, 0.0, None)
     if float(np.trapezoid(a_win, energy_mev)) < 1e-3:
         raise GridTooNarrow(
-            f"window [{lo_mev / 1000.0}, {hi_mev / 1000.0}] eV captures less than "
-            "0.1% of the emission"
+            f"window [{lo_ev}, {hi_ev}] eV captures less than 0.1% of the emission"
         )
-    energy_ev = energy_mev / 1000.0
     weighted = a_win * (energy_ev**3 if config.omega_cubed else 1.0)
     norm = float(np.trapezoid(weighted, energy_ev))
-    return Lineshape(energy_ev, weighted / norm, config.zpl_ev, gamma, config.omega_cubed)
+    return Lineshape(energy_ev, weighted / norm, config.zpl_ev, gamma)
 
 
 @dataclass(frozen=True)

@@ -31,9 +31,10 @@ from lumiphon.model import (
     HRDecomposition,
     LineshapeConfig,
     PhononBasis,
+    classify_lvm,
     structure_checksum,
 )
-from lumiphon.phonons import apply_asr, classify_lvm, diagonalize, symmetrize
+from lumiphon.phonons import apply_asr, diagonalize, symmetrize
 from lumiphon.vibronic import (
     _reach_mev,
     emission,
@@ -227,7 +228,7 @@ def test_lvm_classification_reference():
     lvm_ref = [119.9, 126.2, 127.6, 159.9, 161.8]
     omegas = sorted([0.0, 0.0, 0.0, 30.0, 40.0, 70.0, 100.0] + lvm_ref)
     basis = PhononBasis(np.array(omegas), np.eye(len(omegas)))
-    idx = classify_lvm(basis, 115.0)
+    idx = classify_lvm(basis.omegas_mev, 115.0)
     assert len(idx) == 5
     assert sorted(round(float(basis.omegas_mev[i]), 1) for i in idx) == lvm_ref
     _report("lvm-classification", "5 modes above 115.0 meV")

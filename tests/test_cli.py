@@ -507,12 +507,12 @@ with open(out + "/modules.json", "w") as fh:
 
 
 def test_spectrum_import_path_skips_phonons_and_hashlib():
-    # the modules spectrum imports load neither the lattice dynamics nor
-    # hashlib, which only modes' provenance and manifests use
+    # the modules spectrum and oracle import load neither the lattice
+    # dynamics nor hashlib, which only modes' provenance and manifests use
     root = pathlib.Path(__file__).resolve().parent.parent
     script = """
 import sys
-import lumiphon.cli, lumiphon.io, lumiphon.vibronic
+import lumiphon.cli, lumiphon.fcoracle, lumiphon.io, lumiphon.vibronic
 print(sorted(m for m in ("lumiphon.phonons", "hashlib") if m in sys.modules))
 """
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
@@ -693,6 +693,76 @@ def test_oracle_compare_non_round_window(tmp_path, capsys):
     (tmp_path / "oracle.tsv").unlink()
     assert main([*oracle, "--window", "0.8737560765229056:2.6601"]) == 2
     assert "different grid" in capsys.readouterr().err
+    assert not (tmp_path / "oracle.tsv").exists()
+
+
+def test_spectrum_and_oracle_resolve_window_and_grid_once(tmp_path, monkeypatch):
+    from lumiphon import vibronic
+
+    resolve, build = vibronic.resolve_window, vibronic.energy_grid
+    calls = []
+
+    def resolving(hr, *flags):
+        calls.append(("resolve_window", flags))  # hr is the command's own parse
+        return resolve(hr, *flags)
+
+    def building(*args):
+        calls.append(("energy_grid", args))
+        return build(*args)
+
+    monkeypatch.setattr(vibronic, "resolve_window", resolving)
+    monkeypatch.setattr(vibronic, "energy_grid", building)
+    hr_path = _write_single_mode_hr(tmp_path, 0.5, 100.0)
+    hr = lio.parse_hr(lio.load_document(hr_path))
+    assert main(["spectrum", "--hr", str(hr_path), "--zpl", "2.0",
+                 "--out", str(tmp_path / "spec.tsv")]) == 0
+    window = resolve(hr, 2.0, 1.0, 2.0)
+    assert calls == [
+        ("resolve_window", (2.0, 1.0, 2.0, None)),
+        ("energy_grid", (window, 0.1)),
+    ]
+    # oracle's pure Lorentzians resolve by the same rule at sigma = 0
+    calls.clear()
+    oracle = tmp_path / "oracle.tsv"
+    assert main(["oracle", "--hr", str(hr_path), "--zpl", "2.0", "--sigma", "0",
+                 "--max-quanta", "12", "--out", str(oracle)]) == 0
+    window = resolve(hr, 2.0, 1.0, 0.0)
+    assert window[1] == (2000.0 + 50.0) / 1000.0
+    assert calls == [
+        ("resolve_window", (2.0, 1.0, 0.0, None)),
+        ("energy_grid", (window, 0.1)),
+    ]
+    energy, _ = lio.read_spectrum_tsv(oracle)
+    _, grid = build(window, 0.1)
+    assert energy.shape == grid.shape
+    assert np.all(np.abs(energy - grid) <= lio.tsv_rounding(grid))
+
+
+@pytest.mark.parametrize(
+    "extra, named",
+    [
+        (["--step", "0"], "--step"),
+        (["--step", "1e-12"], "--step"),
+        (["--window", "2.1:2.0"], "--window"),
+        (["--window", "1.7:2.06", "--step", "0.2", "--compare", "spec.tsv"], "different grid"),
+    ],
+    ids=["step-zero", "step-too-fine", "window-empty", "compare-other-grid"],
+)
+def test_oracle_refuses_bad_grid_before_enumerating(tmp_path, monkeypatch, capsys, extra, named):
+    from lumiphon import fcoracle
+
+    monkeypatch.chdir(tmp_path)
+    hr_path = _write_single_mode_hr(tmp_path, 0.8, 140.0)
+    common = ["--hr", str(hr_path), "--zpl", "2.0"]
+    assert main(
+        ["spectrum", *common, "--window", "1.7:2.06", "--step", "0.5", "--out", "spec.tsv"]
+    ) == 0
+    capsys.readouterr()
+    enumerated = []
+    monkeypatch.setattr(fcoracle, "enumerate_fc", lambda *args: enumerated.append(args))
+    assert main(["oracle", *common, *extra, "--out", "oracle.tsv"]) == 2
+    assert named in capsys.readouterr().err
+    assert enumerated == []
     assert not (tmp_path / "oracle.tsv").exists()
 
 

@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 
 from lumiphon import units
 from lumiphon.errors import DimensionMismatch, InputError
-from lumiphon.model import CrystalStructure, Hessian, PhononBasis
+from lumiphon.model import CrystalStructure, Hessian, PhononBasis, classify_lvm
 from lumiphon.phonons import (
     _mass_weight,
     _orient_rows,
     apply_asr,
-    classify_lvm,
     diagonalize,
     localization_table,
     symmetrize,
@@ -249,15 +248,15 @@ def _basis_with_omegas(omegas):
 def test_lvm_classification_reference_frequencies():
     omegas = sorted([0.0, 0.0, 0.0, 30.0, 40.0, 70.0, 100.0] + LVM_FIXTURE)
     basis = _basis_with_omegas(omegas)
-    idx = classify_lvm(basis, 115.0)
+    idx = classify_lvm(basis.omegas_mev, 115.0)
     assert len(idx) == 5
     assert [round(float(basis.omegas_mev[i]), 1) for i in idx] == LVM_FIXTURE
 
 
 def test_lvm_empty_and_boundary():
     basis = _basis_with_omegas([10.0, 50.0, 115.0])
-    assert classify_lvm(basis, 115.0) == []  # strict inequality at the cutoff
-    assert classify_lvm(basis, 49.0) == [1, 2]
+    assert classify_lvm(basis.omegas_mev, 115.0) == []  # strict inequality at the cutoff
+    assert classify_lvm(basis.omegas_mev, 49.0) == [1, 2]
 
 
 # ------------------------------------------------------------ localization

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -564,7 +565,8 @@ def test_split_sideband_contracts_on_generated_documents(nmodes, s_total, gamma,
 def test_time_grid_contracts_on_generated_documents(nmodes, s_total, gamma, sigma, seed):
     hr = _generated_hr(nmodes, s_total, seed)
     config = LineshapeConfig(zpl_ev=3.0, gamma_mev=gamma, sigma_mev=sigma, step_mev=gamma)
-    reach = vibronic._reach_mev(config.zpl_ev, vibronic.spectrum_window(hr, config))
+    window = vibronic.resolve_window(hr, config.zpl_ev, gamma, sigma)
+    reach = vibronic._reach_mev(config.zpl_ev, window)
     grid = make_time_grid(hr, sigma, gamma, reach)
     n, dt = len(grid), grid.dt
     assert (grid.gamma_mev, grid.reach_mev) == (gamma, max(reach, 10.0 * gamma))
@@ -695,15 +697,17 @@ def test_real_half_transform_matches_complex_padded_transform(
 
 def _stage_chain(hr, config):
     """The spectrum pipeline assembled stage by stage: the default window
-    from the largest coupled mode, the sigma-bounded time grid, S(hw) at
-    its spectral step, G(t) and the lineshape."""
+    (S + 6 sqrt(S) + 4 quanta of the largest coupled mode plus 50 gamma +
+    6 sigma below the ZPL, 50 gamma + 6 sigma above, at least 1 meV), the
+    sigma-bounded time grid, S(hw) at its spectral step, G(t) and the
+    lineshape."""
     zpl_mev = config.zpl_ev * 1000.0
     live = hr.sk > 0.0
     omega_max = float(hr.omegas_mev[live].max()) if np.any(live) else 0.0
-    lo_mev, hi_mev = vibronic.default_window_mev(
-        zpl_mev, omega_max, hr.total, config.gamma_mev, config.sigma_mev
-    )
-    window = (lo_mev / 1000.0, hi_mev / 1000.0)
+    cover = hr.total + 6.0 * math.sqrt(hr.total) + 4.0
+    below = omega_max * cover + 50.0 * config.gamma_mev + 6.0 * config.sigma_mev
+    above = 50.0 * config.gamma_mev + 6.0 * config.sigma_mev
+    window = (max(zpl_mev - below, 1.0) / 1000.0, (zpl_mev + above) / 1000.0)
     reach = max(zpl_mev - window[0] * 1000.0, abs(window[1] * 1000.0 - zpl_mev))
     grid = make_time_grid(hr, config.sigma_mev, config.gamma_mev, reach)
     sd = spectral_density(hr, config.sigma_mev, grid.spectral_step_mev)
@@ -717,13 +721,78 @@ def test_emission_is_the_stage_chain_on_generated_documents(nmodes, s_total, gam
     hr = _generated_hr(nmodes, s_total, seed)
     config = LineshapeConfig(zpl_ev=3.0, gamma_mev=gamma, sigma_mev=sigma, step_mev=gamma)
     window, ref = _stage_chain(hr, config)
-    assert vibronic.spectrum_window(hr, config) == window
+    assert vibronic.resolve_window(hr, config.zpl_ev, gamma, sigma) == window
     ls = emission(hr, config)
     assert np.array_equal(ls.energy_ev, ref.energy_ev)
     assert np.array_equal(ls.intensity, ref.intensity)
-    assert (ls.zpl_ev, ls.gamma_mev, ls.omega_cubed) == (ref.zpl_ev, ref.gamma_mev, ref.omega_cubed)
+    assert (ls.zpl_ev, ls.gamma_mev) == (ref.zpl_ev, ref.gamma_mev)
     # Lineshape accepted it: unit integral within 1e-6
     assert abs(float(np.trapezoid(ls.intensity, ls.energy_ev)) - 1.0) <= 1e-6
+
+
+def _recording(fn, calls):
+    """fn, appending the arguments and result of every call to calls."""
+
+    def record(*args):
+        result = fn(*args)
+        calls.append((args, result))
+        return result
+
+    return record
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    nmodes=st.integers(1, 64),
+    s_total=st.floats(0.1, 30.0),
+    gamma=st.floats(0.01, 1.0),
+    sigma=st.floats(0.5, 4.0),
+    zpl=st.floats(1.0, 4.0),
+    # an explicit window: from a fraction of the ZPL to some eV above it
+    explicit=st.none() | st.tuples(st.floats(0.001, 0.999), st.floats(0.005, 0.2)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(nmodes=1, s_total=30.0, gamma=0.01, sigma=0.5, zpl=1.0, explicit=None, seed=0)
+@example(nmodes=3, s_total=1.0, gamma=0.1, sigma=2.0, zpl=2.6, explicit=(0.8, 0.05), seed=1)
+def test_spectrum_and_oracle_share_window_and_grid_on_generated_documents(
+    nmodes, s_total, gamma, sigma, zpl, explicit, seed
+):
+    hr = _generated_hr(nmodes, s_total, seed)
+    window = None if explicit is None else (explicit[0] * zpl, zpl + explicit[1])
+    config = LineshapeConfig(
+        zpl_ev=zpl, gamma_mev=gamma, sigma_mev=sigma, window_ev=window, step_mev=gamma
+    )
+    windows, grids = [], []
+    with mock.patch.object(
+        vibronic, "resolve_window", _recording(vibronic.resolve_window, windows)
+    ), mock.patch.object(vibronic, "energy_grid", _recording(vibronic.energy_grid, grids)):
+        try:
+            ls = emission(hr, config)
+        except GridTooNarrow:
+            # the window's share of the emission is measured on the built
+            # grid; at S = 30 most of the sideband can lie below 0 eV
+            ls = None
+    # emission works out a default window, and only that, by the resolver
+    if window is None:
+        ((args, window),) = windows
+        assert args == (hr, zpl, gamma, sigma)
+    else:
+        assert windows == []
+    # and evaluates on the one grid the builder makes of it
+    ((args, (_, spectrum_grid)),) = grids
+    assert args == (window, gamma)
+    if ls is not None:
+        assert ls.energy_ev.tobytes() == spectrum_grid.tobytes()
+    # oracle for the same flags: the resolver, then the builder
+    oracle_window = vibronic.resolve_window(hr, zpl, gamma, sigma, config.window_ev)
+    assert oracle_window == window
+    _, oracle_grid = vibronic.energy_grid(oracle_window, gamma)
+    assert oracle_grid.tobytes() == spectrum_grid.tobytes()
+    # at sigma = 0 (oracle's pure Lorentzians) the default loses its 6 sigma margins
+    lo, hi = vibronic.resolve_window(hr, zpl, gamma, sigma)
+    lo0, hi0 = vibronic.resolve_window(hr, zpl, gamma, 0.0)
+    assert hi0 * 1000.0 == pytest.approx(hi * 1000.0 - 6.0 * sigma, rel=1e-12)
+    assert lo <= lo0 < hi0
 
 
 def test_lineshape_transform_memory_below_two_padded_complex_arrays():
