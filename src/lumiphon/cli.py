@@ -276,10 +276,8 @@ def cmd_oracle(args) -> int:
     from . import vibronic
 
     hr = lio.parse_hr(lio.load_document(args.hr))
-    if args.sigma < 0:
-        raise InputError(f"sigma must be non-negative, got {args.sigma}")
     window = vibronic.resolve_window(hr, args.zpl, args.gamma, args.sigma, args.window)
-    _, grid = vibronic.energy_grid(window, args.step)
+    _, grid = vibronic.energy_grid(window, args.step, args.gamma)
     if args.compare:
         # check the comparison spectrum before any output is written
         other_e, other_i = lio.read_spectrum_tsv(args.compare)
@@ -361,14 +359,13 @@ def cmd_thermo(args) -> int:
             )
         for charge, lo, hi in diagram.charge_windows():
             window_rows.append((label, charge, lo, hi))
-        if len(group) >= 3:
-            for row in energetics.charge_ordering_report(group, host):
-                if row.negative_u:
-                    notes.append(
-                        f"negative_u {label} {row.q_high}/{row.q_mid}/{row.q_low} "
-                        f"eps({row.q_high}/{row.q_mid}) = {row.eps_high_mid_ev:.9g} >= "
-                        f"eps({row.q_mid}/{row.q_low}) = {row.eps_mid_low_ev:.9g}"
-                    )
+        for row in energetics.charge_ordering_report(diagram):
+            if row.negative_u:
+                notes.append(
+                    f"negative_u {label} {row.q_high}/{row.q_mid}/{row.q_low} "
+                    f"eps({row.q_high}/{row.q_mid}) = {row.eps_high_mid_ev:.9g} >= "
+                    f"eps({row.q_mid}/{row.q_low}) = {row.eps_mid_low_ev:.9g}"
+                )
     lio.write_table_tsv(
         args.envelope, header, ("label", "fermi_ev", "formation_ev"), env_rows,
         overwrite=True,

@@ -239,26 +239,24 @@ class ChargeOrdering:
         return self.eps_high_mid_ev >= self.eps_mid_low_ev
 
 
-def charge_ordering_report(
-    entries: Sequence[DefectEntry], host: HostReference
-) -> List[ChargeOrdering]:
-    """Check ordering of adjacent transition levels for every charge triple."""
-    if not entries:
-        raise EmptyGroup("no charge states supplied")
-    by_charge = {}
-    for e in entries:
-        if e.charge in by_charge:
-            raise DuplicateEntry(f"duplicate charge state {e.charge}")
-        by_charge[e.charge] = formation_energy(e, host, 0.0)
-    charges = sorted(by_charge, reverse=True)
-    report = []
-    for q1, q2, q3 in zip(charges, charges[1:], charges[2:]):
-        eps12 = transition_level((q1, by_charge[q1]), (q2, by_charge[q2]))
-        eps23 = transition_level((q2, by_charge[q2]), (q3, by_charge[q3]))
-        report.append(
-            ChargeOrdering(entries[0].label, q1, q2, q3, eps12, eps23)
+def charge_ordering_report(diagram: StabilityDiagram) -> List[ChargeOrdering]:
+    """Check ordering of adjacent transition levels for every charge triple.
+
+    Reads the diagram's lines, sorted by falling charge with intercepts
+    E_f at E_Fermi = 0; fewer than three lines give no triple.
+    """
+    pairs = [(line.charge, line.intercept_ev) for line in diagram.lines]
+    return [
+        ChargeOrdering(
+            diagram.label,
+            high[0],
+            mid[0],
+            low[0],
+            transition_level(high, mid),
+            transition_level(mid, low),
         )
-    return report
+        for high, mid, low in zip(pairs, pairs[1:], pairs[2:])
+    ]
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from .errors import (
     NegativeFrequency,
     TooManyModes,
 )
-from .model import HRDecomposition, _own, _require_step_within_gamma, _uniform_step
+from .model import HRDecomposition, _own
 
 MAX_MODES = 8
 MAX_CAP = 24
@@ -162,9 +162,11 @@ def broadened_oracle_spectrum(
     reported, never folded back in.  Lines below min_weight are skipped in
     the evaluation (their aggregate is bounded by nlines * min_weight, so
     1e-12 is safely below any stated tolerance); the analytic window mass
-    still counts every line.  The grid step must not exceed gamma, and the
-    summed lines times the padded points must not exceed MAX_LINE_POINTS
-    (InputError, raised before any scratch is allocated).
+    still counts every line.  grid_ev is an output grid that
+    vibronic.energy_grid built and checked, its step against gamma too, and
+    vibronic.resolve_window checked gamma.  The summed lines times the
+    padded points must not exceed MAX_LINE_POINTS (InputError, raised
+    before any scratch is allocated).
 
     Lines are summed in row chunks of 4e6 // (padded points) lines, one
     column tile of 2^20 // chunk points at a time, in one scratch buffer
@@ -173,19 +175,10 @@ def broadened_oracle_spectrum(
     bit-identical to evaluating each whole chunk as one expression, which
     allocated two fresh 4e6-element (32 MB) arrays per chunk.
     """
-    if gamma_mev <= 0:
-        raise InputError(f"gamma must be positive, got {gamma_mev}")
     if min_weight < 0:
         raise InputError(f"min_weight must be non-negative, got {min_weight}")
     grid = np.asarray(grid_ev, dtype=float)
-    if grid.ndim != 1 or grid.size < 2:
-        raise InputError("grid must be a 1-d array")
-    step_ev = _uniform_step(grid, "grid")
-    # the step over the whole grid: one difference carries the rounding of
-    # the grid's largest energy
-    _require_step_within_gamma(
-        1000.0 * float(grid[-1] - grid[0]) / (grid.size - 1), gamma_mev
-    )
+    step_ev = float(grid[1] - grid[0])
     gamma_ev = gamma_mev / 1000.0
     lines_ev = zpl_ev - ladder.energies_mev / 1000.0
     # lines of appreciable weight must sit inside the grid by 10 gamma;

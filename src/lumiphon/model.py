@@ -25,7 +25,6 @@ from .errors import (
     DimensionMismatch,
     InputError,
     NonFiniteValue,
-    NonPositiveGamma,
     NumericalError,
 )
 
@@ -61,20 +60,6 @@ def _uniform_step(x, name):
     if not (lo > 0 and hi - step <= tol and step - lo <= tol):  # NaN fails too
         raise InputError(f"{name} must be uniform and ascending")
     return step
-
-
-def _require_step_within_gamma(step_mev, gamma_mev):
-    """InputError unless the output step resolves the zero-phonon Lorentzian.
-
-    Sampled at a step above its half-width gamma, the zero-phonon line's
-    area depends on where the samples fall.  The 1e-9 slack absorbs the
-    rounding of a step read back from a grid.
-    """
-    if step_mev > gamma_mev * (1.0 + 1e-9):
-        raise InputError(
-            f"output step {step_mev:g} meV (--step) exceeds gamma {gamma_mev:g} meV "
-            "(--gamma) and would undersample the zero-phonon line"
-        )
 
 
 #: Largest output grid: 20 times the 200,501 points of the largest benchmark spectrum.
@@ -450,26 +435,29 @@ class Lineshape:
 
 @dataclass(frozen=True)
 class LineshapeConfig:
-    """Knobs for the emission-lineshape evaluation."""
+    """Knobs for the emission-lineshape evaluation.
+
+    vibronic.resolve_window has checked zpl and gamma, and works out
+    window_ev; vibronic.energy_grid checks the window against step_mev and
+    gamma.  Here only what the generating-function route adds: a sigma
+    above 0, and with omega_cubed on a window above 0 eV.
+    """
 
     zpl_ev: float
+    window_ev: Tuple[float, float]
     gamma_mev: float = 1.0
     sigma_mev: float = 2.0
-    window_ev: Optional[Tuple[float, float]] = None
     step_mev: float = 0.1
     omega_cubed: bool = True
 
     def __post_init__(self):
-        if self.gamma_mev <= 0:
-            raise NonPositiveGamma(f"gamma must be positive, got {self.gamma_mev}")
-        if self.zpl_ev <= 0:
-            raise InputError(f"zpl must be positive, got {self.zpl_ev}")
-        if self.sigma_mev <= 0:
-            raise InputError(f"sigma must be positive, got {self.sigma_mev}")
-        if self.window_ev is not None:
-            lo, hi = self.window_ev
-            if not (lo < hi):
-                raise InputError(f"window (--window) must satisfy lo < hi, got {self.window_ev}")
+        if not self.sigma_mev > 0:
+            raise InputError(f"sigma {self.sigma_mev:g} meV (--sigma) must be positive")
+        if self.omega_cubed and not self.window_ev[0] > 0:
+            raise InputError(
+                f"window {self.window_ev[0]:g}:{self.window_ev[1]:g} eV (--window) must "
+                "stay above 0 eV unless --no-omega-cubed is given"
+            )
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -50,7 +50,6 @@ from .model import (
     PhononBasis,
     SpectralDensity,
     TimeGrid,
-    _require_step_within_gamma,
     output_grid,
 )
 from .units import ZERO_MODE_MEV
@@ -179,9 +178,8 @@ def spectral_density(hr: HRDecomposition, sigma_mev: float, step_mev: float) -> 
     """Smear the stick decomposition with Gaussians of width sigma, sampled
     at step_mev (a time grid's spectral_step_mev) from 6 sigma below every
     contributing mode to 6 sigma above, so the integral reproduces the total.
+    sigma > 0 is LineshapeConfig's to check.
     """
-    if sigma_mev <= 0:
-        raise InputError(f"sigma must be positive, got {sigma_mev}")
     live = hr.sk > 0.0
     omegas = hr.omegas_mev[live]
     sks = hr.sk[live]
@@ -266,9 +264,8 @@ def make_time_grid(
       S(t) sampled at step D recurs, from hbar (2 pi/D - _SIDEBAND_SPAN/sigma).
     The grid records gamma, the reach it was built for and N; lineshape
     refuses a config with another gamma or a window reaching further.
+    gamma > 0 is resolve_window's to check.
     """
-    if gamma_mev <= 0:
-        raise NonPositiveGamma(f"gamma must be positive, got {gamma_mev}")
     top = _top_coupled_mev(hr) + 6.0 * sigma_mev
     reach = max(reach_mev, 10.0 * gamma_mev)
     need = _nyquist_need_mev(top, hr.total, reach)
@@ -407,7 +404,17 @@ def resolve_window(
     given, otherwise S + 6 sqrt(S) + 4 quanta of the top coupled mode plus
     50 gamma + 6 sigma below the ZPL, 50 gamma + 6 sigma above it, with the
     low end clamped at 1 meV.  sigma may be 0, as for oracle's pure
-    Lorentzians."""
+    Lorentzians.
+
+    Both subcommands call it first, and it alone checks their flags zpl > 0,
+    gamma > 0 (NonPositiveGamma) and sigma >= 0, a given window too.
+    """
+    if not zpl_ev > 0:
+        raise InputError(f"zpl {zpl_ev:g} eV (--zpl) must be positive")
+    if not gamma_mev > 0:
+        raise NonPositiveGamma(f"gamma {gamma_mev:g} meV (--gamma) must be positive")
+    if not sigma_mev >= 0:
+        raise InputError(f"sigma {sigma_mev:g} meV (--sigma) must not be negative")
     if window_ev is not None:
         return window_ev
     zpl_mev = zpl_ev * 1000.0
@@ -417,13 +424,29 @@ def resolve_window(
     return max(zpl_mev - below, 1.0) / 1000.0, (zpl_mev + above) / 1000.0
 
 
-def energy_grid(window_ev, step_mev):
+def energy_grid(window_ev, step_mev, gamma_mev):
     """(meV, eV) output energies on window_ev at step_mev: output_grid of
     the window's ends in meV, and it over 1000, the grid that lineshape and
-    oracle both evaluate on."""
-    energy_mev = output_grid(
-        window_ev[0] * 1000.0, window_ev[1] * 1000.0, step_mev, "--step", "--window"
-    )
+    oracle both evaluate on.
+
+    The one check of the output grid, InputError naming the flag: a step
+    above 0, a non-empty window and at most MAX_OUTPUT_POINTS points
+    (output_grid), a step of at most gamma within 1e-9, and at least two
+    points.  Sampled at a step above its half-width gamma, the zero-phonon
+    line's area depends on where the samples fall.
+    """
+    if step_mev > gamma_mev * (1.0 + 1e-9):
+        raise InputError(
+            f"output step {step_mev:g} meV (--step) exceeds gamma {gamma_mev:g} meV "
+            "(--gamma) and would undersample the zero-phonon line"
+        )
+    lo_mev, hi_mev = window_ev[0] * 1000.0, window_ev[1] * 1000.0
+    energy_mev = output_grid(lo_mev, hi_mev, step_mev, "--step", "--window")
+    if energy_mev.size < 2:
+        raise InputError(
+            f"range {lo_mev:g} to {hi_mev:g} meV (--window) at step {step_mev:g} meV "
+            "(--step) holds one output point; at least 2 are needed"
+        )
     return energy_mev, energy_mev / 1000.0
 
 
@@ -436,40 +459,37 @@ def _reach_mev(zpl_ev, window_ev):
 def emission(hr: HRDecomposition, config: LineshapeConfig) -> Lineshape:
     """Emission lineshape of a coupling document: the whole spectrum pipeline.
 
-    Resolves the default window (resolve_window) when config gives none,
-    builds the sigma-bounded time grid whose Nyquist energy covers the
+    Builds, and so checks, the output grid (energy_grid) before any FFT
+    work, then the sigma-bounded time grid whose Nyquist energy covers the
     multi-phonon support and the window's reach from the ZPL, smears the
     sticks into S(hw) at the grid's spectral step, then G(t) and the
-    lineshape.
+    lineshape on the output grid.
     """
-    if config.window_ev is None:
-        window = resolve_window(hr, config.zpl_ev, config.gamma_mev, config.sigma_mev)
-        config = replace(config, window_ev=window)
+    energy = energy_grid(config.window_ev, config.step_mev, config.gamma_mev)
     reach = _reach_mev(config.zpl_ev, config.window_ev)
     grid = make_time_grid(hr, config.sigma_mev, config.gamma_mev, reach)
     sd = spectral_density(hr, config.sigma_mev, grid.spectral_step_mev)
     gf = generating_function(sd, grid)
-    return lineshape(gf, config)
+    return lineshape(gf, config, energy)
 
 
-def lineshape(gf: GeneratingFunction, config: LineshapeConfig) -> Lineshape:
+def lineshape(
+    gf: GeneratingFunction, config: LineshapeConfig, energy: Tuple[np.ndarray, np.ndarray]
+) -> Lineshape:
     """Normalized emission lineshape from the generating function.
 
     A(E_zpl - hw) is the transform of G(t) e^{-gamma|t|/hbar}: the
     zero-phonon Lorentzian e^{-S} (gamma/pi) / (hw^2 + gamma^2) in closed
     form plus the real inverse FFT of the t >= 0 half of the damped bracket
     [G(t) - e^{-S}] (the bracket is Hermitian), zero-padded to an energy
-    step of max(sigma, gamma)/16 and splined onto the output grid
-    (energy_grid of config.window_ev at config.step_mev), which
-    config.window_ev must give (emission resolves a default).  gf's time
-    grid must have been built (make_time_grid) for config's gamma and a
-    reach covering the window, or AliasedGrid.  The output step must not
-    exceed gamma, or the Lorentzian is undersampled.  The emission
-    intensity E^3 * A (or A with omega_cubed off) is normalized to unit
-    integral over the output window.
+    step of max(sigma, gamma)/16 and splined onto the output grid energy,
+    the (meV, eV) pair that energy_grid built and checked from config's
+    window, step and gamma.  LineshapeConfig has checked sigma and the
+    omega_cubed window.  gf's time grid must have been built
+    (make_time_grid) for config's gamma and a reach covering the window, or
+    AliasedGrid.  The emission intensity E^3 * A (or A with omega_cubed
+    off) is normalized to unit integral over the output window.
     """
-    if config.window_ev is None:
-        raise InputError("lineshape needs an output window; emission resolves the default")
     gamma = config.gamma_mev
     grid = gf.grid
     reach = _reach_mev(config.zpl_ev, config.window_ev)
@@ -479,14 +499,8 @@ def lineshape(gf: GeneratingFunction, config: LineshapeConfig) -> Lineshape:
             f"{grid.reach_mev:g} meV cannot give gamma {gamma:g} meV over reach "
             f"{reach:g} meV"
         )
-    _require_step_within_gamma(config.step_mev, gamma)
     zpl_mev = config.zpl_ev * 1000.0
-    lo_ev, hi_ev = config.window_ev
-    if config.omega_cubed and lo_ev <= 0:
-        raise InputError(
-            "window must stay at positive emission energies when omega_cubed is on"
-        )
-    energy_mev, energy_ev = energy_grid(config.window_ev, config.step_mev)
+    energy_mev, energy_ev = energy
 
     fft_step, sideband, zpl_weight = _fft_spectral_function(
         gf, gamma, max(config.sigma_mev, gamma) / 16.0
@@ -503,7 +517,8 @@ def lineshape(gf: GeneratingFunction, config: LineshapeConfig) -> Lineshape:
     a_win = np.clip(a_win, 0.0, None)
     if float(np.trapezoid(a_win, energy_mev)) < 1e-3:
         raise GridTooNarrow(
-            f"window [{lo_ev}, {hi_ev}] eV captures less than 0.1% of the emission"
+            f"window [{config.window_ev[0]}, {config.window_ev[1]}] eV captures less "
+            "than 0.1% of the emission"
         )
     weighted = a_win * (energy_ev**3 if config.omega_cubed else 1.0)
     norm = float(np.trapezoid(weighted, energy_ev))
@@ -524,13 +539,12 @@ def effective_mode_report(
     hr: HRDecomposition,
     ls: Lineshape,
     lvm_indices: Optional[Sequence[int]] = None,
-    match_tol_mev: Optional[float] = None,
 ) -> List[PeakLabel]:
     """Label sideband maxima with the strongest-coupling matching modes.
 
     Local maxima of the intensity below the ZPL are matched against modes
     (optionally restricted to a list of indices, e.g. the LVMs) whose
-    energy lies within the match tolerance of the peak offset; among the
+    energy lies within max(3 gamma, 5 meV) of the peak offset; among the
     candidates the largest S_k wins.  Modes with S_k < 1e-4 never label a
     peak.  Returned sorted by S_k, strongest first.
     """
@@ -543,8 +557,7 @@ def effective_mode_report(
     omegas = hr.omegas_mev[candidates]
     sks = hr.sk[candidates]
     free = np.ones(candidates.size, dtype=bool)
-    if match_tol_mev is None:
-        match_tol_mev = max(3.0 * ls.gamma_mev, 5.0)
+    match_tol_mev = max(3.0 * ls.gamma_mev, 5.0)
     e = ls.energy_ev
     y = ls.intensity
     below = e < ls.zpl_ev - 2.0 * ls.gamma_mev / 1000.0

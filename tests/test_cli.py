@@ -719,7 +719,7 @@ def test_spectrum_and_oracle_resolve_window_and_grid_once(tmp_path, monkeypatch)
     window = resolve(hr, 2.0, 1.0, 2.0)
     assert calls == [
         ("resolve_window", (2.0, 1.0, 2.0, None)),
-        ("energy_grid", (window, 0.1)),
+        ("energy_grid", (window, 0.1, 1.0)),
     ]
     # oracle's pure Lorentzians resolve by the same rule at sigma = 0
     calls.clear()
@@ -730,23 +730,34 @@ def test_spectrum_and_oracle_resolve_window_and_grid_once(tmp_path, monkeypatch)
     assert window[1] == (2000.0 + 50.0) / 1000.0
     assert calls == [
         ("resolve_window", (2.0, 1.0, 0.0, None)),
-        ("energy_grid", (window, 0.1)),
+        ("energy_grid", (window, 0.1, 1.0)),
     ]
     energy, _ = lio.read_spectrum_tsv(oracle)
-    _, grid = build(window, 0.1)
+    _, grid = build(window, 0.1, 1.0)
     assert energy.shape == grid.shape
     assert np.all(np.abs(energy - grid) <= lio.tsv_rounding(grid))
+
+
+# a window 0.05 meV wide holds one point at the default 0.1 meV step
+_ONE_POINT_WINDOW = (["--window", "1.5:1.50005"], ("--window", "--step"))
 
 
 @pytest.mark.parametrize(
     "extra, named",
     [
-        (["--step", "0"], "--step"),
-        (["--step", "1e-12"], "--step"),
-        (["--window", "2.1:2.0"], "--window"),
-        (["--window", "1.7:2.06", "--step", "0.2", "--compare", "spec.tsv"], "different grid"),
+        (["--step", "0"], ("--step",)),
+        (["--step", "1e-12"], ("--step",)),
+        (["--window", "2.1:2.0"], ("--window",)),
+        (["--window", "1.7:2.06", "--step", "0.2", "--compare", "spec.tsv"],
+         ("different grid",)),
+        (["--gamma", "0"], ("--gamma",)),
+        (["--zpl", "-1"], ("--zpl",)),
+        (["--sigma", "-1"], ("--sigma",)),
+        (["--step", "5"], ("--step", "--gamma")),
+        _ONE_POINT_WINDOW,
     ],
-    ids=["step-zero", "step-too-fine", "window-empty", "compare-other-grid"],
+    ids=["step-zero", "step-too-fine", "window-empty", "compare-other-grid", "gamma-zero",
+         "zpl-negative", "sigma-negative", "step-above-gamma", "window-one-point"],
 )
 def test_oracle_refuses_bad_grid_before_enumerating(tmp_path, monkeypatch, capsys, extra, named):
     from lumiphon import fcoracle
@@ -761,9 +772,40 @@ def test_oracle_refuses_bad_grid_before_enumerating(tmp_path, monkeypatch, capsy
     enumerated = []
     monkeypatch.setattr(fcoracle, "enumerate_fc", lambda *args: enumerated.append(args))
     assert main(["oracle", *common, *extra, "--out", "oracle.tsv"]) == 2
-    assert named in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert all(name in err for name in named), err
     assert enumerated == []
     assert not (tmp_path / "oracle.tsv").exists()
+
+
+@pytest.mark.parametrize(
+    "extra, named",
+    [
+        (["--step", "0"], ("--step",)),
+        (["--step", "5"], ("--step", "--gamma")),
+        (["--step", "1e-7"], ("--step", "--window")),
+        (["--window=-1:2.7"], ("--window",)),
+        (["--zpl", "0"], ("--zpl",)),
+        (["--gamma", "0"], ("--gamma",)),
+        (["--sigma", "0"], ("--sigma",)),
+        _ONE_POINT_WINDOW,
+    ],
+    ids=["step-zero", "step-above-gamma", "step-too-fine", "window-below-zero", "zpl-zero",
+         "gamma-zero", "sigma-zero", "window-one-point"],
+)
+def test_spectrum_refuses_bad_flags_before_any_fft(tmp_path, monkeypatch, capsys, extra, named):
+    from lumiphon import vibronic
+
+    monkeypatch.chdir(tmp_path)
+    hr_path = _write_single_mode_hr(tmp_path, 0.8, 140.0)
+    built = []
+    monkeypatch.setattr(vibronic, "generating_function", lambda *args: built.append(args))
+    assert main(["spectrum", "--hr", str(hr_path), "--zpl", "2.0", *extra,
+                 "--out", "spec.tsv"]) == 2
+    err = capsys.readouterr().err
+    assert all(name in err for name in named), err
+    assert built == []
+    assert not (tmp_path / "spec.tsv").exists()
 
 
 def _write_eight_mode_hr(tmp_path, sk):
@@ -947,6 +989,25 @@ def test_every_flag_the_sources_name_exists():
     assert named and named <= options, sorted(named - options)
 
 
+def test_no_module_level_import_goes_unused():
+    # deleting code leaves its imports behind: each name a module imports
+    # at its top level must be read somewhere in that module
+    root = pathlib.Path(__file__).resolve().parent.parent / "src" / "lumiphon"
+    unused = []
+    for path in sorted(root.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                names = [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unused += [f"{path.name}:{node.lineno} {n}" for n in names if n not in read]
+    assert unused == []
+
+
 def _limit_address_space():
     # 3 GB: a refusal that regresses into a huge allocation fails the case
     # with a MemoryError instead of exhausting the machine
@@ -969,6 +1030,19 @@ def _limit_address_space():
         ("thermo", ["--fermi-step", "0"], "--fermi-step"),
         ("thermo", ["--fermi-step", "-1"], "--fermi-step"),
         ("dissoc", ["--out", "missing/ed.tsv"], "missing/ed.tsv"),
+        ("spectrum", ["--step", "5"], "--step"),
+        ("spectrum", ["--step", "1e-7"], "--step"),
+        ("spectrum", ["--window=-1:2.7"], "--window"),
+        ("spectrum", ["--zpl", "0"], "--zpl"),
+        ("spectrum", ["--gamma", "0"], "--gamma"),
+        ("spectrum", ["--sigma", "0"], "--sigma"),
+        ("spectrum", ["--sigma", "0.0153", "--step", "0"], "--step"),
+        ("spectrum", ["--window", "1.5:1.50005"], "--window"),
+        ("oracle", ["--gamma", "0"], "--gamma"),
+        ("oracle", ["--zpl", "-1"], "--zpl"),
+        ("oracle", ["--sigma", "-1"], "--sigma"),
+        ("oracle", ["--step", "5"], "--step"),
+        ("oracle", ["--window", "1.5:1.50005"], "--window"),
     ],
 )
 def test_refusals_exit_2_naming_the_flag_before_allocating(tmp_path, command, extra, named):

@@ -151,15 +151,17 @@ def test_charge_ordering_flags_negative_u():
         _entry(q=0, energy=-95.0),   # E_f(0)=5.0 -> eps(+/0)=1.5
         _entry(q=-1, energy=-93.0),  # E_f(0)=7.0 -> eps(0/-)=2.0
     ]
-    report = charge_ordering_report(stable, HOST)
+    report = charge_ordering_report(stability_diagram(stable, HOST))
     assert len(report) == 1 and not report[0].negative_u
     inverted = [
         _entry(q=1, energy=-96.5),   # eps(+/0)=2.0
         _entry(q=0, energy=-94.5),   # E_f(0)=5.5
         _entry(q=-1, energy=-93.5),  # eps(0/-)=1.0 < eps(+/0): negative U
     ]
-    report = charge_ordering_report(inverted, HOST)
+    report = charge_ordering_report(stability_diagram(inverted, HOST))
     assert len(report) == 1 and report[0].negative_u
+    # two charge states give no triple
+    assert charge_ordering_report(stability_diagram(inverted[:2], HOST)) == []
 
 
 # ------------------------------------------------------------------ envelope

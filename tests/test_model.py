@@ -8,7 +8,6 @@ from lumiphon.errors import (
     DimensionMismatch,
     InputError,
     NonFiniteValue,
-    NonPositiveGamma,
 )
 from lumiphon.model import (
     CrystalStructure,
@@ -141,12 +140,16 @@ def test_hr_decomposition_refuses_non_finite_total(total):
 
 
 def test_lineshape_config_validation():
-    with pytest.raises(NonPositiveGamma):
-        LineshapeConfig(zpl_ev=2.0, gamma_mev=0.0)
-    with pytest.raises(InputError):
-        LineshapeConfig(zpl_ev=2.0, window_ev=(2.0, 1.0))
-    with pytest.raises(InputError):
-        LineshapeConfig(zpl_ev=-1.0)
+    # only what the generating-function route adds: vibronic.resolve_window
+    # checks zpl and gamma, vibronic.energy_grid the window and step
+    LineshapeConfig(zpl_ev=2.0, window_ev=(1.0, 2.1))
+    with pytest.raises(TypeError):
+        LineshapeConfig(zpl_ev=2.0)
+    with pytest.raises(InputError, match="--sigma"):
+        LineshapeConfig(zpl_ev=2.0, window_ev=(1.0, 2.1), sigma_mev=0.0)
+    with pytest.raises(InputError, match="--window"):
+        LineshapeConfig(zpl_ev=2.0, window_ev=(0.0, 2.1))
+    LineshapeConfig(zpl_ev=2.0, window_ev=(-1.0, 2.1), omega_cubed=False)
 
 
 def test_defect_entry_validation():

@@ -16,6 +16,7 @@ from lumiphon.errors import (
     ImaginaryModePresent,
     InputError,
     NegativeFrequency,
+    NonPositiveGamma,
     NumericalError,
 )
 from lumiphon.fcoracle import broadened_oracle_spectrum, enumerate_fc
@@ -336,6 +337,16 @@ def _generating_function(hr, sigma_mev, gamma_mev, reach_mev=0.0):
     return generating_function(spectral_density(hr, sigma_mev, grid.spectral_step_mev), grid)
 
 
+def _output_grid(config):
+    """The output grid emission builds for config."""
+    return vibronic.energy_grid(config.window_ev, config.step_mev, config.gamma_mev)
+
+
+def _lineshape(gf, config):
+    """lineshape of gf on config's output grid."""
+    return lineshape(gf, config, _output_grid(config))
+
+
 def test_generating_function_no_coupling():
     hr = partial_hr(np.zeros(2), np.array([50.0, 150.0]))
     gf = _generating_function(hr, 2.0, 1.0)
@@ -419,7 +430,7 @@ def test_lineshape_no_coupling_is_lorentzian():
         step_mev=0.1,
         omega_cubed=False,
     )
-    ls = lineshape(gf, config)
+    ls = _lineshape(gf, config)
     ref = lorentzian_ev(ls.energy_ev, zpl, gamma)
     ref /= np.trapezoid(ref, ls.energy_ev)
     l1 = float(np.trapezoid(np.abs(ls.intensity - ref), ls.energy_ev))
@@ -475,7 +486,7 @@ def test_lineshape_window_excluding_support():
         zpl_ev=2.0, gamma_mev=1.0, window_ev=(0.2, 0.5), step_mev=0.5
     )
     with pytest.raises(GridTooNarrow):
-        lineshape(gf, config)
+        _lineshape(gf, config)
 
 
 def test_lineshape_time_span_floor():
@@ -485,10 +496,7 @@ def test_lineshape_time_span_floor():
     grid = dataclasses.replace(_unchecked_grid(512, 1.0, 2.0), reach_mev=150.0)
     gf = generating_function(spectral_density(hr, 2.0, grid.spectral_step_mev), grid)
     with pytest.raises(AliasedGrid, match="damped sideband"):
-        lineshape(gf, LineshapeConfig(zpl_ev=2.0, gamma_mev=1.0, window_ev=(1.9, 2.01)))
-    # the default window is emission's to resolve
-    with pytest.raises(InputError, match="window"):
-        lineshape(gf, LineshapeConfig(zpl_ev=2.0, gamma_mev=1.0))
+        _lineshape(gf, LineshapeConfig(zpl_ev=2.0, gamma_mev=1.0, window_ev=(1.9, 2.01)))
 
 
 def test_lineshape_refuses_a_negative_dip():
@@ -503,17 +511,17 @@ def test_lineshape_refuses_a_negative_dip():
     g = math.exp(-s) + (1.0 - math.exp(-s)) * bracket
     gf = GeneratingFunction(grid, g, s)
     with pytest.raises(NumericalError, match="dips"):
-        lineshape(gf, LineshapeConfig(zpl_ev=2.0, gamma_mev=0.1, window_ev=(1.95, 2.01)))
+        _lineshape(gf, LineshapeConfig(zpl_ev=2.0, gamma_mev=0.1, window_ev=(1.95, 2.01)))
 
 
 def test_lineshape_refuses_grid_built_for_another_gamma_or_reach():
     gf = _generating_function(_single_mode_hr(0.5, 100.0), 2.0, 1.0, reach_mev=150.0)
     config = LineshapeConfig(zpl_ev=2.0, gamma_mev=1.0, window_ev=(1.85, 2.01))
-    lineshape(gf, config)
+    _lineshape(gf, config)
     with pytest.raises(AliasedGrid, match="gamma"):
-        lineshape(gf, dataclasses.replace(config, gamma_mev=0.5, step_mev=0.05))
+        _lineshape(gf, dataclasses.replace(config, gamma_mev=0.5, step_mev=0.05))
     with pytest.raises(AliasedGrid, match="reach"):
-        lineshape(gf, dataclasses.replace(config, window_ev=(1.8, 2.01)))
+        _lineshape(gf, dataclasses.replace(config, window_ev=(1.8, 2.01)))
 
 
 # generated HR documents: modes, total S, gamma and sigma (meV), seed
@@ -564,9 +572,7 @@ def test_split_sideband_contracts_on_generated_documents(nmodes, s_total, gamma,
 @example(nmodes=1, s_total=1.0, gamma=0.5, sigma=1.0, seed=0)
 def test_time_grid_contracts_on_generated_documents(nmodes, s_total, gamma, sigma, seed):
     hr = _generated_hr(nmodes, s_total, seed)
-    config = LineshapeConfig(zpl_ev=3.0, gamma_mev=gamma, sigma_mev=sigma, step_mev=gamma)
-    window = vibronic.resolve_window(hr, config.zpl_ev, gamma, sigma)
-    reach = vibronic._reach_mev(config.zpl_ev, window)
+    reach = vibronic._reach_mev(3.0, vibronic.resolve_window(hr, 3.0, gamma, sigma))
     grid = make_time_grid(hr, sigma, gamma, reach)
     n, dt = len(grid), grid.dt
     assert (grid.gamma_mev, grid.reach_mev) == (gamma, max(reach, 10.0 * gamma))
@@ -695,33 +701,42 @@ def test_real_half_transform_matches_complex_padded_transform(
     assert float(np.max(np.abs(sideband - ref.real))) <= unpaired + 1e-12 * peak
 
 
-def _stage_chain(hr, config):
-    """The spectrum pipeline assembled stage by stage: the default window
-    (S + 6 sqrt(S) + 4 quanta of the largest coupled mode plus 50 gamma +
-    6 sigma below the ZPL, 50 gamma + 6 sigma above, at least 1 meV), the
-    sigma-bounded time grid, S(hw) at its spectral step, G(t) and the
-    lineshape."""
-    zpl_mev = config.zpl_ev * 1000.0
+def _default_window(hr, zpl_ev, gamma_mev, sigma_mev):
+    """The default window: S + 6 sqrt(S) + 4 quanta of the largest coupled
+    mode plus 50 gamma + 6 sigma below the ZPL, 50 gamma + 6 sigma above,
+    at least 1 meV."""
+    zpl_mev = zpl_ev * 1000.0
     live = hr.sk > 0.0
     omega_max = float(hr.omegas_mev[live].max()) if np.any(live) else 0.0
     cover = hr.total + 6.0 * math.sqrt(hr.total) + 4.0
-    below = omega_max * cover + 50.0 * config.gamma_mev + 6.0 * config.sigma_mev
-    above = 50.0 * config.gamma_mev + 6.0 * config.sigma_mev
-    window = (max(zpl_mev - below, 1.0) / 1000.0, (zpl_mev + above) / 1000.0)
+    below = omega_max * cover + 50.0 * gamma_mev + 6.0 * sigma_mev
+    above = 50.0 * gamma_mev + 6.0 * sigma_mev
+    return max(zpl_mev - below, 1.0) / 1000.0, (zpl_mev + above) / 1000.0
+
+
+def _stage_chain(hr, config):
+    """The spectrum pipeline assembled stage by stage: the output grid, the
+    sigma-bounded time grid, S(hw) at its spectral step, G(t) and the
+    lineshape."""
+    zpl_mev, window = config.zpl_ev * 1000.0, config.window_ev
     reach = max(zpl_mev - window[0] * 1000.0, abs(window[1] * 1000.0 - zpl_mev))
+    energy = _output_grid(config)
     grid = make_time_grid(hr, config.sigma_mev, config.gamma_mev, reach)
     sd = spectral_density(hr, config.sigma_mev, grid.spectral_step_mev)
     gf = generating_function(sd, grid)
-    return window, lineshape(gf, dataclasses.replace(config, window_ev=window))
+    return lineshape(gf, config, energy)
 
 
 @settings(max_examples=20, deadline=None)
 @_GENERATED_DOCUMENTS
 def test_emission_is_the_stage_chain_on_generated_documents(nmodes, s_total, gamma, sigma, seed):
     hr = _generated_hr(nmodes, s_total, seed)
-    config = LineshapeConfig(zpl_ev=3.0, gamma_mev=gamma, sigma_mev=sigma, step_mev=gamma)
-    window, ref = _stage_chain(hr, config)
-    assert vibronic.resolve_window(hr, config.zpl_ev, gamma, sigma) == window
+    window = _default_window(hr, 3.0, gamma, sigma)
+    assert vibronic.resolve_window(hr, 3.0, gamma, sigma) == window
+    config = LineshapeConfig(
+        zpl_ev=3.0, window_ev=window, gamma_mev=gamma, sigma_mev=sigma, step_mev=gamma
+    )
+    ref = _stage_chain(hr, config)
     ls = emission(hr, config)
     assert np.array_equal(ls.energy_ev, ref.energy_ev)
     assert np.array_equal(ls.intensity, ref.intensity)
@@ -758,41 +773,61 @@ def test_spectrum_and_oracle_share_window_and_grid_on_generated_documents(
     nmodes, s_total, gamma, sigma, zpl, explicit, seed
 ):
     hr = _generated_hr(nmodes, s_total, seed)
-    window = None if explicit is None else (explicit[0] * zpl, zpl + explicit[1])
+    flag = None if explicit is None else (explicit[0] * zpl, zpl + explicit[1])
+    # spectrum resolves the window from its flags, a given one as it is
+    window = vibronic.resolve_window(hr, zpl, gamma, sigma, flag)
+    assert flag is None or window == flag
     config = LineshapeConfig(
         zpl_ev=zpl, gamma_mev=gamma, sigma_mev=sigma, window_ev=window, step_mev=gamma
     )
-    windows, grids = [], []
-    with mock.patch.object(
-        vibronic, "resolve_window", _recording(vibronic.resolve_window, windows)
-    ), mock.patch.object(vibronic, "energy_grid", _recording(vibronic.energy_grid, grids)):
+    grids = []
+    with mock.patch.object(vibronic, "energy_grid", _recording(vibronic.energy_grid, grids)):
         try:
             ls = emission(hr, config)
         except GridTooNarrow:
             # the window's share of the emission is measured on the built
             # grid; at S = 30 most of the sideband can lie below 0 eV
             ls = None
-    # emission works out a default window, and only that, by the resolver
-    if window is None:
-        ((args, window),) = windows
-        assert args == (hr, zpl, gamma, sigma)
-    else:
-        assert windows == []
-    # and evaluates on the one grid the builder makes of it
+    # emission evaluates on the one grid the builder makes of it
     ((args, (_, spectrum_grid)),) = grids
-    assert args == (window, gamma)
+    assert args == (window, gamma, gamma)
     if ls is not None:
         assert ls.energy_ev.tobytes() == spectrum_grid.tobytes()
     # oracle for the same flags: the resolver, then the builder
-    oracle_window = vibronic.resolve_window(hr, zpl, gamma, sigma, config.window_ev)
+    oracle_window = vibronic.resolve_window(hr, zpl, gamma, sigma, flag)
     assert oracle_window == window
-    _, oracle_grid = vibronic.energy_grid(oracle_window, gamma)
+    _, oracle_grid = vibronic.energy_grid(oracle_window, gamma, gamma)
     assert oracle_grid.tobytes() == spectrum_grid.tobytes()
     # at sigma = 0 (oracle's pure Lorentzians) the default loses its 6 sigma margins
     lo, hi = vibronic.resolve_window(hr, zpl, gamma, sigma)
     lo0, hi0 = vibronic.resolve_window(hr, zpl, gamma, 0.0)
     assert hi0 * 1000.0 == pytest.approx(hi * 1000.0 - 6.0 * sigma, rel=1e-12)
     assert lo <= lo0 < hi0
+
+
+def test_resolve_window_and_energy_grid_check_every_flag():
+    # spectrum and oracle call these two first; they alone check the flags
+    hr = _single_mode_hr(1.0, 100.0)
+    given = (1.0, 2.1)
+    with pytest.raises(InputError, match="--zpl"):
+        vibronic.resolve_window(hr, -1.0, 1.0, 2.0, given)
+    with pytest.raises(NonPositiveGamma, match="--gamma"):
+        vibronic.resolve_window(hr, 2.0, 0.0, 2.0, given)
+    with pytest.raises(InputError, match="--sigma"):
+        vibronic.resolve_window(hr, 2.0, 1.0, -1.0, given)
+    assert vibronic.resolve_window(hr, 2.0, 1.0, 0.0, given) == given
+    with pytest.raises(InputError, match="--window"):
+        vibronic.energy_grid((2.0, 1.0), 0.1, 1.0)
+    with pytest.raises(InputError, match="--step"):
+        vibronic.energy_grid(given, 0.0, 1.0)
+    # the step may exceed gamma by 1e-9 of it, no more
+    vibronic.energy_grid(given, 0.1 * (1.0 + 1e-10), 0.1)
+    with pytest.raises(InputError, match="--step.*--gamma"):
+        vibronic.energy_grid(given, 0.1 * (1.0 + 1e-8), 0.1)
+    with pytest.raises(InputError, match="--window.*--step"):
+        vibronic.energy_grid((1.5, 1.50005), 0.1, 1.0)
+    energy_mev, energy_ev = vibronic.energy_grid((1.5, 1.5001), 0.1, 1.0)
+    assert energy_mev.size == 2 and np.array_equal(energy_ev, energy_mev / 1000.0)
 
 
 def test_lineshape_transform_memory_below_two_padded_complex_arrays():
@@ -805,9 +840,10 @@ def test_lineshape_transform_memory_below_two_padded_complex_arrays():
     step, _, _ = vibronic._fft_spectral_function(gf, 1.0, 2.0 / 16.0)
     size = round(2.0 * math.pi * units.HBAR_MEV_FS / (step * gf.grid.dt))
     assert size == 1 << 19
+    energy = _output_grid(config)
     tracemalloc.start()
     try:
-        lineshape(gf, config)
+        lineshape(gf, config, energy)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -850,7 +886,7 @@ def test_degenerate_mode_mixing_invariance():
         qk = qk_from_displacement(b, pair, structure.masses)
         hr = partial_hr(qk, b.omegas_mev)
         gf = _generating_function(hr, 2.0, 1.0, reach_mev=800.0)
-        ls = lineshape(
+        ls = _lineshape(
             gf,
             LineshapeConfig(
                 zpl_ev=2.0, gamma_mev=1.0, window_ev=(1.4, 2.05), step_mev=0.2
@@ -881,7 +917,7 @@ def test_effective_mode_report_ordering_and_floor():
     hr = partial_hr(qk, omegas)
     zpl, gamma, sigma = 2.2, 1.0, 0.5
     gf = _generating_function(hr, sigma, gamma, reach_mev=1600.0)
-    ls = lineshape(
+    ls = _lineshape(
         gf,
         LineshapeConfig(
             zpl_ev=zpl,
@@ -913,14 +949,13 @@ def test_effective_mode_report_ordering_and_floor():
     assert [p.mode_index for p in lvm_only] == [3, 4]
 
 
-def _reference_mode_report(hr, ls, lvm_indices=None, match_tol_mev=None):
+def _reference_mode_report(hr, ls, lvm_indices=None):
     """The labelling loop as first written: one Python pass per peak and mode."""
     candidates = (
         np.arange(hr.nmodes) if lvm_indices is None else np.asarray(lvm_indices, int)
     )
     candidates = candidates[hr.sk[candidates] >= LABEL_SK_FLOOR]
-    if match_tol_mev is None:
-        match_tol_mev = max(3.0 * ls.gamma_mev, 5.0)
+    match_tol_mev = max(3.0 * ls.gamma_mev, 5.0)
     e = ls.energy_ev
     y = ls.intensity
     below = e < ls.zpl_ev - 2.0 * ls.gamma_mev / 1000.0
@@ -952,13 +987,11 @@ def _reference_mode_report(hr, ls, lvm_indices=None, match_tol_mev=None):
     st.lists(st.integers(0, 40), min_size=1, max_size=14),
     st.lists(st.sampled_from([0.0, 5e-5, 0.01, 0.1, 0.1, 0.3, 0.3]), min_size=14, max_size=14),
     st.lists(st.integers(0, 6), min_size=4, max_size=60),
-    st.sampled_from([0.1, 0.5, 1.0, 2.0]),
-    st.sampled_from([None, 0.5, 1.0, 2.5]),
+    # the match tolerance max(3 gamma, 5 meV) is 5 meV up to gamma = 5/3 meV
+    st.sampled_from([0.1, 0.5, 1.0, 2.0, 3.0]),
     st.one_of(st.none(), st.lists(st.integers(0, 13), max_size=8)),
 )
-def test_effective_mode_report_matches_reference_loop(
-    mode_mev, sk_pool, heights, gamma, tol, lvm
-):
+def test_effective_mode_report_matches_reference_loop(mode_mev, sk_pool, heights, gamma, lvm):
     # integer mode energies and intensities on a 1 meV grid give exact ties
     # in S_k, in peak height and in the distance of modes from a peak
     omegas = np.sort(np.array(mode_mev, dtype=float))
@@ -968,6 +1001,4 @@ def test_effective_mode_report_matches_reference_loop(
     raw = np.array(heights, dtype=float) + 0.5
     ls = Lineshape(energy, raw / np.trapezoid(raw, energy), 2.0, gamma)
     lvm = None if lvm is None else [k for k in lvm if k < hr.nmodes]
-    assert effective_mode_report(hr, ls, lvm, tol) == _reference_mode_report(
-        hr, ls, lvm, tol
-    )
+    assert effective_mode_report(hr, ls, lvm) == _reference_mode_report(hr, ls, lvm)
