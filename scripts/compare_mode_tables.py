@@ -16,6 +16,7 @@ import numpy as np
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from lumiphon import io as lio
+from lumiphon.model import classify_lvm
 
 
 def main():
@@ -28,7 +29,7 @@ def main():
     omegas = []
     for path in (args.basis_a, args.basis_b):
         basis, _ = lio.parse_phonon_basis(lio.load_document(path))
-        omegas.append(basis.omegas_mev[basis.omegas_mev > args.cutoff])
+        omegas.append(basis.omegas_mev[classify_lvm(basis.omegas_mev, args.cutoff)])
     a, b = omegas
     if a.size == 0 or b.size == 0:
         print(f"no modes above {args.cutoff} meV in one of the inputs")

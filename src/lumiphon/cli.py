@@ -151,7 +151,6 @@ def cmd_modes(args) -> int:
 
     structure = lio.parse_structure(lio.load_document(args.structure))
     hessian = lio.load_hessian(args.hessian, structure)
-    hessian = phonons.symmetrize(hessian)
     provenance = {
         "hessian_sha256": lio.sha256_file(args.hessian),
         "asr_applied": bool(args.asr),
@@ -159,7 +158,7 @@ def cmd_modes(args) -> int:
         "tool_version": __version__,
     }
     if args.asr:
-        hessian, report = phonons.apply_asr(hessian, structure.masses)
+        hessian, report = phonons.apply_asr(hessian, structure)
         provenance["pre_asr_norms_mev"] = report.pre_norms_mev.tolist()
         provenance["post_asr_norms_mev"] = report.post_norms_mev.tolist()
     basis = phonons.diagonalize(hessian, structure, args.cutoff)
@@ -190,22 +189,17 @@ def cmd_modes(args) -> int:
 def cmd_hr(args) -> int:
     from . import io as lio
     from . import vibronic
-    from .errors import DimensionMismatch
 
     if bool(args.pair) == bool(args.forces):
         raise InputError("give exactly one of --pair or --forces")
     structure = lio.parse_structure(lio.load_document(args.structure))
     basis, _ = lio.parse_phonon_basis(lio.load_document(args.modes))
-    if basis.nmodes != 3 * structure.natoms:
-        raise DimensionMismatch(
-            f"basis has {basis.nmodes} modes but structure has {structure.natoms} atoms"
-        )
     if args.pair:
         pair = lio.parse_geometry_pair(lio.load_document(args.pair), structure)
-        qk = vibronic.qk_from_displacement(basis, pair, structure.masses)
+        qk = vibronic.qk_from_displacement(basis, pair, structure)
     else:
         delta = lio.parse_force_delta(lio.load_document(args.forces), structure)
-        qk = vibronic.qk_from_forces(basis, delta, structure.masses)
+        qk = vibronic.qk_from_forces(basis, delta, structure)
     hr = vibronic.partial_hr(qk, basis.omegas_mev)
     lio.write_hr(hr, args.out, overwrite=True)
     if args.stem:
@@ -297,7 +291,7 @@ def cmd_oracle(args) -> int:
         f"zpl_ev = {args.zpl:.9g} ; gamma_mev = {args.gamma:.9g} ; "
         f"sigma_mev = {args.sigma:.9g} ; max_quanta = {args.max_quanta}",
         f"lines = {ladder.nlines} ; total_weight = {spec.total_weight:.9g} ; "
-        f"tail = {spec.tail:.9g}",
+        f"tail = {ladder.tail:.9g}",
     )
     lio.write_spectrum_tsv(args.out, spec.energy_ev, spec.intensity, header, overwrite=True)
     if args.sticks:

@@ -168,12 +168,6 @@ class StabilityDiagram:
     def charge_windows(self) -> List[Tuple[int, float, float]]:
         return [(s.line.charge, s.fermi_lo_ev, s.fermi_hi_ev) for s in self.segments]
 
-    def neutral_window(self):
-        for charge, lo, hi in self.charge_windows():
-            if charge == 0:
-                return lo, hi
-        return None
-
 
 def stability_diagram(
     entries: Sequence[DefectEntry], host: HostReference

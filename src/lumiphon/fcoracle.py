@@ -132,12 +132,11 @@ def first_moment_mev(ladder: FCLadder) -> float:
 
 @dataclass(frozen=True, eq=False)
 class OracleSpectrum:
-    """Broadened ladder on an energy grid; integral tracks 1 - tail."""
+    """Broadened ladder on an energy grid; integral tracks 1 - ladder.tail."""
 
     energy_ev: np.ndarray
     intensity: np.ndarray  # per eV
     total_weight: float
-    tail: float
     window_mass: float  # analytic in-window mass of the broadened lines
 
     def __post_init__(self):
@@ -151,18 +150,14 @@ def broadened_oracle_spectrum(
     grid_ev,
     zpl_ev: float,
     sigma_mev: float = 0.0,
-    min_weight: float = 0.0,
 ) -> OracleSpectrum:
     """Sum a Lorentzian of half-width gamma over every enumerated line.
 
     With sigma > 0 each line is additionally convolved with a Gaussian of
     width sigma * sqrt(total quanta), matching the smearing the
     generating-function route applies to the spectral density, so the two
-    routes become comparable profile by profile.  The tail mass is
-    reported, never folded back in.  Lines below min_weight are skipped in
-    the evaluation (their aggregate is bounded by nlines * min_weight, so
-    1e-12 is safely below any stated tolerance); the analytic window mass
-    still counts every line.  grid_ev is an output grid that
+    routes become comparable profile by profile.  The ladder's tail mass
+    is never folded back in.  grid_ev is an output grid that
     vibronic.energy_grid built and checked, its step against gamma too, and
     vibronic.resolve_window checked gamma.  The summed lines times the
     padded points must not exceed MAX_LINE_POINTS (InputError, raised
@@ -175,8 +170,6 @@ def broadened_oracle_spectrum(
     bit-identical to evaluating each whole chunk as one expression, which
     allocated two fresh 4e6-element (32 MB) arrays per chunk.
     """
-    if min_weight < 0:
-        raise InputError(f"min_weight must be non-negative, got {min_weight}")
     grid = np.asarray(grid_ev, dtype=float)
     step_ev = float(grid[1] - grid[0])
     gamma_ev = gamma_mev / 1000.0
@@ -199,11 +192,10 @@ def broadened_oracle_spectrum(
         8.0 * sigma_ev * math.sqrt(max(int(totals.max()), 1)) if sigma_mev > 0 else 0.0
     )
     npad = int(math.ceil(pad_ev / step_ev)) + 1
-    keep = ladder.weights >= min_weight
-    nkeep, npoints = int(np.count_nonzero(keep)), grid.size + 2 * npad
-    if nkeep * npoints > MAX_LINE_POINTS:
+    npoints = grid.size + 2 * npad
+    if ladder.nlines * npoints > MAX_LINE_POINTS:
         raise InputError(
-            f"broadening {nkeep} lines over {npoints} points exceeds the limit of "
+            f"broadening {ladder.nlines} lines over {npoints} points exceeds the limit of "
             f"{MAX_LINE_POINTS} line-points; lower --max-quanta, narrow --window "
             "or raise --step"
         )
@@ -222,8 +214,8 @@ def broadened_oracle_spectrum(
     cols = max(1, 2**20 // chunk)
     buf = np.empty((chunk, cols))
     acc = np.empty(cols)
-    for q in np.unique(totals[keep]):
-        sel = keep & (totals == q)
+    for q in np.unique(totals):
+        sel = totals == q
         heights = ladder.weights[sel, None] * (gamma_ev / math.pi)
         ens = lines_ev[sel, None]
         sub = np.zeros(padded.size)
@@ -264,6 +256,5 @@ def broadened_oracle_spectrum(
         grid,
         values,
         float(math.fsum(ladder.weights.tolist())),
-        ladder.tail,
         window_mass,
     )

@@ -167,9 +167,6 @@ class Hessian:
     def natoms(self):
         return self.dim // 3
 
-    def is_symmetric(self):
-        return bool(np.array_equal(self.matrix, self.matrix.T))
-
 
 #: Orthonormality slack allowed on stored eigenvector sets.
 ORTHONORMALITY_TOL = 1e-8

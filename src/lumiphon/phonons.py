@@ -1,7 +1,8 @@
 """Lattice dynamics: Hessian -> phonon basis.
 
-Pipeline: symmetrize, optionally enforce the acoustic sum rule, mass-weight,
-diagonalize.
+Pipeline: optionally enforce the acoustic sum rule, then diagonalize.  Both
+stages take the structure, which alone supplies the masses, and symmetrize
+the Hessian they are given before mass-weighting it.
 """
 
 from __future__ import annotations
@@ -9,11 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import units
-from .errors import (
-    DimensionMismatch,
-    InputError,
-    NonConvergence,
-)
+from .errors import DimensionMismatch, NonConvergence
 from .model import AsrReport, CrystalStructure, Hessian, PhononBasis
 
 #: Residual contract of the eigendecomposition, relative to ||D||.
@@ -51,24 +48,16 @@ def _orient_rows(vecs):
     np.negative(vecs, out=vecs, where=flip[:, None])
 
 
-def apply_asr(hessian: Hessian, masses) -> tuple[Hessian, AsrReport]:
-    """Project rigid translations out of the dynamical matrix.
+def apply_asr(hessian: Hessian, structure: CrystalStructure) -> tuple[Hessian, AsrReport]:
+    """Project rigid translations out of the dynamical matrix of (H + H^T)/2.
 
     The three mass-weighted translation vectors become exact null vectors;
     already translation-invariant Hessians pass through unchanged.  The
     report carries the translational residuals before and after, expressed
-    as equivalent mode energies in meV.
+    as equivalent mode energies in meV.  The result is bitwise symmetric.
     """
-    masses = np.asarray(masses, dtype=float)
-    masses_3n = np.repeat(masses, 3) if masses.size * 3 == hessian.dim else masses
-    if masses_3n.shape != (hessian.dim,):
-        raise DimensionMismatch(
-            f"got {masses.size} masses for a {hessian.dim}-dimensional hessian"
-        )
-    if not hessian.is_symmetric():
-        raise InputError("apply_asr requires a symmetrized hessian")
-
-    d = _mass_weight(hessian.matrix, masses_3n)
+    masses_3n = structure.mass_vector_3n()
+    d = _mass_weight(symmetrize(hessian).matrix, masses_3n)
     t = _translation_basis(masses_3n)
 
     def _residuals(dt):
@@ -92,7 +81,7 @@ def apply_asr(hessian: Hessian, masses) -> tuple[Hessian, AsrReport]:
 def diagonalize(
     hessian: Hessian, structure: CrystalStructure, cutoff_bulk_mev: float = 115.0
 ) -> PhononBasis:
-    """Eigendecompose the mass-weighted Hessian into a PhononBasis.
+    """Eigendecompose the mass-weighted (H + H^T)/2 into a PhononBasis.
 
     Eigenvalues lambda (eV/(amu A^2)) map to hbar*omega = hbar*sqrt(lambda)
     in meV, with lambda < 0 stored as negative meV.  Modes come out sorted
@@ -104,12 +93,8 @@ def diagonalize(
         raise DimensionMismatch(
             f"hessian dimension {hessian.dim} does not match {structure.natoms} atoms"
         )
-    if not hessian.is_symmetric():
-        raise InputError("diagonalize requires a symmetrized hessian")
-
-    masses_3n = structure.mass_vector_3n()
     # a bitwise-symmetric H times outer(m^-1/2, m^-1/2) stays bitwise symmetric
-    d = _mass_weight(hessian.matrix, masses_3n)
+    d = _mass_weight(symmetrize(hessian).matrix, structure.mass_vector_3n())
     try:
         lam, vecs = np.linalg.eigh(d)
     except np.linalg.LinAlgError as exc:  # pragma: no cover

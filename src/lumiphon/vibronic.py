@@ -41,6 +41,7 @@ from .errors import (
     ZeroFrequencyModeWarning,
 )
 from .model import (
+    CrystalStructure,
     ForceDelta,
     GeneratingFunction,
     GeometryPair,
@@ -85,15 +86,16 @@ _SPLINE_PREFILTER = math.sqrt(3.0) * (math.sqrt(3.0) - 2.0) ** np.abs(
 )
 
 
-def _masses_3n(masses, dim):
-    m = np.asarray(masses, dtype=float)
-    if m.size * 3 == dim:
-        m = np.repeat(m, 3)
-    if m.shape != (dim,):
-        raise DimensionMismatch(f"got {np.asarray(masses).size} masses for 3N = {dim}")
-    if np.any(m <= 0):
-        raise InputError("masses must be positive")
-    return m
+def _masses_3n(basis: PhononBasis, structure: CrystalStructure, change) -> np.ndarray:
+    """The structure's per-coordinate masses, once the basis and the geometry
+    or force change both span its 3N coordinates (DimensionMismatch)."""
+    n3 = 3 * structure.natoms
+    if basis.nmodes != n3 or change.size != n3:
+        raise DimensionMismatch(
+            f"basis has {basis.nmodes} modes and the change {change.size} coordinates, "
+            f"but structure has {structure.natoms} atoms (3N = {n3})"
+        )
+    return structure.mass_vector_3n()
 
 
 def _reject_imaginary(basis: PhononBasis):
@@ -105,19 +107,18 @@ def _reject_imaginary(basis: PhononBasis):
         )
 
 
-def qk_from_displacement(basis: PhononBasis, pair: GeometryPair, masses) -> np.ndarray:
+def qk_from_displacement(
+    basis: PhononBasis, pair: GeometryPair, structure: CrystalStructure
+) -> np.ndarray:
     """Per-mode displacements q_k = sum sqrt(m) * dR . e_k, in amu^1/2 A."""
     _reject_imaginary(basis)
-    m3 = _masses_3n(masses, basis.nmodes)
-    if pair.natoms * 3 != basis.nmodes:
-        raise DimensionMismatch(
-            f"pair has {pair.natoms} atoms but basis expects {basis.natoms}"
-        )
-    weighted = np.sqrt(m3) * pair.delta.reshape(-1)
-    return basis.vectors @ weighted
+    delta = pair.delta.reshape(-1)
+    return basis.vectors @ (np.sqrt(_masses_3n(basis, structure, delta)) * delta)
 
 
-def qk_from_forces(basis: PhononBasis, force_delta: ForceDelta, masses) -> np.ndarray:
+def qk_from_forces(
+    basis: PhononBasis, force_delta: ForceDelta, structure: CrystalStructure
+) -> np.ndarray:
     """q_k from the force change at fixed geometry.
 
     q_k = (1/lambda_k) * sum (F_e - F_g) / sqrt(m) . e_k with lambda_k the
@@ -127,12 +128,8 @@ def qk_from_forces(basis: PhononBasis, force_delta: ForceDelta, masses) -> np.nd
     if their projection is not negligible.
     """
     _reject_imaginary(basis)
-    m3 = _masses_3n(masses, basis.nmodes)
-    if force_delta.values.shape[0] != basis.nmodes:
-        raise DimensionMismatch(
-            f"force delta has {force_delta.natoms} atoms but basis expects {basis.natoms}"
-        )
-    proj = basis.vectors @ (force_delta.values / np.sqrt(m3))
+    f = force_delta.values
+    proj = basis.vectors @ (f / np.sqrt(_masses_3n(basis, structure, f)))
     lam = units.eigenvalue_from_hbar_omega(basis.omegas_mev)
     qk = np.zeros_like(proj)
     live = basis.omegas_mev > ZERO_MODE_MEV

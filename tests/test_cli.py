@@ -328,6 +328,27 @@ def test_hr_basis_with_a_repeated_mode_exit_2(tmp_path, capsys):
     assert "not orthonormal" in capsys.readouterr().err
 
 
+def test_hr_basis_from_another_structure_exit_2(tmp_path, capsys):
+    # the 6-mode diatomic basis against a 3-atom structure, by both routes
+    _, _, modes = _prepare_modes(tmp_path)
+    other = tmp_path / "other"
+    other.mkdir()
+    structure, spath = _write_chain(other, 3)
+    pair = GeometryPair(structure.positions, structure.positions + 0.01, structure.species)
+    ppath, fpath = other / "pair.json", other / "forces.json"
+    lio.write_geometry_pair(pair, ppath)
+    lio.write_force_delta(ForceDelta(np.full(9, 0.01)), fpath)
+    out = other / "hr.json"
+    for route in (["--pair", str(ppath)], ["--forces", str(fpath)]):
+        code = main(
+            ["hr", "--structure", str(spath), "--modes", str(modes), *route, "--out", str(out)]
+        )
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "basis has 6 modes" in err and "structure has 3 atoms" in err
+
+
 def test_spectrum_no_coupling_lorentzian(tmp_path):
     hr_path = _write_single_mode_hr(tmp_path, 0.0, 100.0)
     out = tmp_path / "spec.tsv"
@@ -1006,6 +1027,46 @@ def test_no_module_level_import_goes_unused():
                 continue
             unused += [f"{path.name}:{node.lineno} {n}" for n in names if n not in read]
     assert unused == []
+
+
+# public names that no program file calls, and why they stay
+UNCALLED_PUBLIC_NAMES = {
+    # the test reference of the first-moment contract, first moment = sum S_k omega_k
+    "first_moment_mev",
+    # the checker of a manifest's stored input checksums: safety code for
+    # whoever reruns a recorded command
+    "load_manifest",
+    "verify_manifest",
+}
+
+
+def test_every_public_name_is_referenced_by_the_program():
+    # a public function, class or method that only tests call is code no
+    # output depends on: src/, scripts/ or lumibench/ must name it somewhere
+    root = pathlib.Path(__file__).resolve().parent.parent
+    defined = []
+    for path in sorted((root / "src" / "lumiphon").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            for item in [node] + members:
+                if isinstance(item, (ast.FunctionDef, ast.ClassDef)):
+                    defined.append((path.name, item.lineno, item.name))
+    named = set()
+    for folder in ("src", "scripts", "lumibench"):
+        for path in sorted((root / folder).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    named.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    named.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    named.add(node.name)
+    unreferenced = [
+        f"{file}:{line} {name}"
+        for file, line, name in defined
+        if not name.startswith("_") and name not in named | UNCALLED_PUBLIC_NAMES
+    ]
+    assert unreferenced == []
 
 
 def _limit_address_space():

@@ -214,7 +214,7 @@ def test_neutral_window_report():
         _entry(q=-1, energy=-100.0 + 3.0 + 2.52),
     ]
     diagram = stability_diagram(entries, HOST)
-    lo, hi = diagram.neutral_window()
+    [(lo, hi)] = [(lo, hi) for q, lo, hi in diagram.charge_windows() if q == 0]
     assert lo == pytest.approx(1.54, abs=1e-12)
     assert hi == pytest.approx(2.52, abs=1e-12)
     assert [s.line.charge for s in diagram.segments] == [1, 0, -1]
@@ -236,7 +236,7 @@ def test_negative_u_middle_charge_skipped_on_envelope():
     ]
     diagram = stability_diagram(entries, HOST)
     assert 0 not in [s.line.charge for s in diagram.segments]
-    assert diagram.neutral_window() is None
+    assert 0 not in [q for q, _, _ in diagram.charge_windows()]
 
 
 # -------------------------------------------------------------- dissociation

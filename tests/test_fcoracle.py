@@ -137,7 +137,7 @@ def test_broadened_integral_tracks_window_mass():
     assert float(np.trapezoid(spec.intensity, grid)) == pytest.approx(
         spec.window_mass, abs=1e-6
     )
-    assert spec.total_weight == pytest.approx(1.0 - spec.tail, abs=1e-12)
+    assert spec.total_weight == pytest.approx(1.0 - ladder.tail, abs=1e-12)
 
 
 def test_broadened_grid_too_narrow():
@@ -164,7 +164,7 @@ def test_voigt_smearing_matches_direct_sum():
     assert np.max(np.abs(spec.intensity - direct)) < 1e-6 * direct.max()
 
 
-def _chunk_expression_reference(ladder, gamma_mev, grid, zpl_ev, sigma_mev, min_weight):
+def _chunk_expression_reference(ladder, gamma_mev, grid, zpl_ev, sigma_mev):
     """The broadened intensity as summed before the column tiles: one fresh
     (chunk, points) expression per row chunk, same padding and smearing."""
     step_ev = float(grid[1] - grid[0])
@@ -183,9 +183,8 @@ def _chunk_expression_reference(ladder, gamma_mev, grid, zpl_ev, sigma_mev, min_
         ]
     )
     out = np.zeros(padded.size)
-    keep = ladder.weights >= min_weight
-    for q in np.unique(totals[keep]):
-        sel = keep & (totals == q)
+    for q in np.unique(totals):
+        sel = totals == q
         wts, ens = ladder.weights[sel], lines_ev[sel]
         sub = np.zeros(padded.size)
         chunk = max(1, 4_000_000 // padded.size)
@@ -210,12 +209,9 @@ def _chunk_expression_reference(ladder, gamma_mev, grid, zpl_ev, sigma_mev, min_
 # groups of about 1000 lines against a 666-row chunk on 5998 padded points
 # (two row chunks, four column tiles, the last one ragged); seventeen
 # groups on 24,272 points; a single line (a chunk far above the line count)
-@example(nmodes=2, cap=2, nlines=3000, gamma=0.05, sigma=4.0, min_weight=0.0,
-         step_fraction=0.5, seed=1)
-@example(nmodes=8, cap=16, nlines=1500, gamma=0.05, sigma=4.0, min_weight=1e-12,
-         step_fraction=0.5, seed=1)
-@example(nmodes=1, cap=0, nlines=1, gamma=3.0, sigma=0.0, min_weight=1e-12,
-         step_fraction=1.0, seed=2)
+@example(nmodes=2, cap=2, nlines=3000, gamma=0.05, sigma=4.0, step_fraction=0.5, seed=1)
+@example(nmodes=8, cap=16, nlines=1500, gamma=0.05, sigma=4.0, step_fraction=0.5, seed=1)
+@example(nmodes=1, cap=0, nlines=1, gamma=3.0, sigma=0.0, step_fraction=1.0, seed=2)
 @settings(max_examples=30, deadline=None)
 @given(
     nmodes=st.integers(1, 8),
@@ -223,17 +219,15 @@ def _chunk_expression_reference(ladder, gamma_mev, grid, zpl_ev, sigma_mev, min_
     nlines=st.integers(1, 3000),
     gamma=st.floats(0.05, 3.0),
     sigma=st.one_of(st.just(0.0), st.floats(0.5, 4.0)),
-    min_weight=st.sampled_from([0.0, 1e-12]),
     step_fraction=st.floats(0.5, 1.0),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_broadening_bit_identical_to_chunk_expression(
-    nmodes, cap, nlines, gamma, sigma, min_weight, step_fraction, seed
+    nmodes, cap, nlines, gamma, sigma, step_fraction, seed
 ):
     rng = np.random.default_rng(seed)
     omegas = rng.uniform(1.0, 30.0, size=nmodes)
     quanta = rng.multinomial(rng.integers(0, cap + 1, size=nlines), np.full(nmodes, 1.0 / nmodes))
-    # weights over 16 decades, so that min_weight = 1e-12 drops some lines
     weights = 10.0 ** rng.uniform(-16.0, 0.0, size=nlines)
     weights /= weights.sum()
     energies = quanta @ omegas
@@ -244,8 +238,8 @@ def test_broadening_bit_identical_to_chunk_expression(
     lo = zpl - (float(energies.max()) + 12.0 * gamma) / 1000.0
     npts = int((zpl + 12.0 * gamma / 1000.0 - lo) / step_ev) + 1
     grid = lo + step_ev * np.arange(npts)
-    spec = broadened_oracle_spectrum(ladder, gamma, grid, zpl, sigma, min_weight)
-    ref = _chunk_expression_reference(ladder, gamma, grid, zpl, sigma, min_weight)
+    spec = broadened_oracle_spectrum(ladder, gamma, grid, zpl, sigma)
+    ref = _chunk_expression_reference(ladder, gamma, grid, zpl, sigma)
     assert np.array_equal(spec.intensity, ref)
 
 
@@ -433,7 +427,7 @@ def test_oracle_contract_on_generated_documents(omegas, shares, s_total, gamma, 
     )
     ls = emission(hr, config)
     oracle = broadened_oracle_spectrum(
-        ladder, gamma, ls.energy_ev, zpl, sigma_mev=sigma, min_weight=1e-12
+        ladder, gamma, ls.energy_ev, zpl, sigma_mev=sigma
     )
     a = ls.intensity / np.trapezoid(ls.intensity, ls.energy_ev)
     b = oracle.intensity / np.trapezoid(oracle.intensity, ls.energy_ev)

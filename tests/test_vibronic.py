@@ -81,7 +81,7 @@ def test_qk_zero_displacement(diatomic):
     structure, hessian = diatomic
     basis = diagonalize(hessian, structure)
     pair = GeometryPair(structure.positions, structure.positions)
-    qk = qk_from_displacement(basis, pair, structure.masses)
+    qk = qk_from_displacement(basis, pair, structure)
     assert np.array_equal(qk, np.zeros(6))
 
 
@@ -94,7 +94,7 @@ def test_qk_recovers_single_mode(diatomic):
     j = 5
     disp = c * basis.vectors[j].reshape(-1, 3)
     pair = GeometryPair(structure.positions, structure.positions + disp)
-    qk = qk_from_displacement(basis, pair, structure.masses)
+    qk = qk_from_displacement(basis, pair, structure)
     expected = np.zeros(6)
     expected[j] = math.sqrt(12.011) * c
     np.testing.assert_allclose(qk, expected, rtol=1e-10, atol=1e-14)
@@ -109,7 +109,7 @@ def test_qk_parseval_identity(seed):
     basis = diagonalize(symmetrize(hessian), structure)
     delta = rng.normal(scale=0.02, size=(5, 3))
     pair = GeometryPair(structure.positions, structure.positions + delta)
-    qk = qk_from_displacement(basis, pair, structure.masses)
+    qk = qk_from_displacement(basis, pair, structure)
     lhs = float(np.sum(qk * qk))
     rhs = float(np.sum(structure.mass_vector_3n() * delta.reshape(-1) ** 2))
     assert lhs == pytest.approx(rhs, rel=1e-10)
@@ -118,14 +118,14 @@ def test_qk_parseval_identity(seed):
 def test_force_route_matches_displacement_route():
     structure, hessian = random_cluster_structure(6, seed=21)
     hessian = symmetrize(hessian)
-    hessian, _ = apply_asr(hessian, structure.masses)
+    hessian, _ = apply_asr(hessian, structure)
     basis = diagonalize(hessian, structure)
     rng = np.random.default_rng(4)
     delta = rng.normal(scale=0.01, size=(6, 3))
     pair = GeometryPair(structure.positions, structure.positions + delta)
     force = ForceDelta(hessian.matrix @ delta.reshape(-1))
-    qd = qk_from_displacement(basis, pair, structure.masses)
-    qf = qk_from_forces(basis, force, structure.masses)
+    qd = qk_from_displacement(basis, pair, structure)
+    qf = qk_from_forces(basis, force, structure)
     live = basis.omegas_mev > 0.01
     np.testing.assert_allclose(qf[live], qd[live], rtol=1e-8)
 
@@ -136,14 +136,14 @@ def test_pair_and_force_routes_report_one_total(seed):
     # force route cannot see them, so neither route may give them S_k
     structure, hessian = random_cluster_structure(6, seed=seed)
     hessian = symmetrize(hessian)
-    hessian, _ = apply_asr(hessian, structure.masses)
+    hessian, _ = apply_asr(hessian, structure)
     basis = diagonalize(hessian, structure)
     rng = np.random.default_rng(seed)
     delta = rng.normal(scale=0.02, size=(6, 3))
     pair = GeometryPair(structure.positions, structure.positions + delta)
     force = ForceDelta(hessian.matrix @ delta.reshape(-1))
-    by_pair = partial_hr(qk_from_displacement(basis, pair, structure.masses), basis.omegas_mev)
-    by_force = partial_hr(qk_from_forces(basis, force, structure.masses), basis.omegas_mev)
+    by_pair = partial_hr(qk_from_displacement(basis, pair, structure), basis.omegas_mev)
+    by_force = partial_hr(qk_from_forces(basis, force, structure), basis.omegas_mev)
     assert by_pair.total == pytest.approx(by_force.total, rel=1e-12)
 
 
@@ -167,13 +167,13 @@ def _jittered_spring_network(natoms, seed):
 @given(natoms=st.integers(2, 40), seed=st.integers(0, 2**32 - 1))
 def test_routes_agree_on_generated_spring_networks(natoms, seed):
     structure, hessian = _jittered_spring_network(natoms, seed)
-    hessian, _ = apply_asr(symmetrize(hessian), structure.masses)
+    hessian, _ = apply_asr(symmetrize(hessian), structure)
     basis = diagonalize(hessian, structure)
     delta = np.random.default_rng(seed + 1).normal(scale=0.01, size=(natoms, 3))
     pair = GeometryPair(structure.positions, structure.positions + delta)
     force = ForceDelta(hessian.matrix @ delta.reshape(-1))
-    qd = qk_from_displacement(basis, pair, structure.masses)
-    qf = qk_from_forces(basis, force, structure.masses)
+    qd = qk_from_displacement(basis, pair, structure)
+    qf = qk_from_forces(basis, force, structure)
     live = basis.omegas_mev > units.ZERO_MODE_MEV
     # the force route divides by lambda_k, so its rounding in q_k grows with
     # lambda_max / lambda_k (up to 1e8 for the near-floppy modes of some
@@ -193,7 +193,7 @@ def test_routes_agree_on_generated_spring_networks(natoms, seed):
 def test_force_route_zero_forces(diatomic):
     structure, hessian = diatomic
     basis = diagonalize(hessian, structure)
-    qk = qk_from_forces(basis, ForceDelta(np.zeros(6)), structure.masses)
+    qk = qk_from_forces(basis, ForceDelta(np.zeros(6)), structure)
     assert np.array_equal(qk, np.zeros(6))
 
 
@@ -205,7 +205,7 @@ def test_force_route_1d_oscillator():
     structure = CrystalStructure(np.eye(3) * 8, ("C",), [mass], [[0, 0, 0]])
     basis = diagonalize(Hessian(np.eye(3) * k), structure)
     force = ForceDelta(np.array([k * dx, 0.0, 0.0]))
-    qk = qk_from_forces(basis, force, structure.masses)
+    qk = qk_from_forces(basis, force, structure)
     # the x-polarized mode is degenerate with y,z; compare the projection norm
     assert np.linalg.norm(qk) == pytest.approx(math.sqrt(mass) * dx, rel=1e-10)
 
@@ -216,13 +216,13 @@ def test_force_on_rigid_translations_warns(diatomic):
     from lumiphon.errors import ZeroFrequencyModeWarning
 
     structure, hessian = diatomic
-    clean, _ = apply_asr(hessian, structure.masses)
+    clean, _ = apply_asr(hessian, structure)
     basis = diagonalize(clean, structure)
     # a net force pushes on the translation modes, which cannot carry a
     # finite displacement; they are dropped with a warning
     net = np.tile([0.3, 0.0, 0.0], 2)
     with pytest.warns(ZeroFrequencyModeWarning):
-        qk = qk_from_forces(basis, ForceDelta(net), structure.masses)
+        qk = qk_from_forces(basis, ForceDelta(net), structure)
     dead = basis.omegas_mev <= 0.01
     assert np.all(qk[dead] == 0.0)
     # a force with no rigid component stays silent
@@ -230,7 +230,7 @@ def test_force_on_rigid_translations_warns(diatomic):
     clean_force = clean.matrix @ delta
     with _warnings.catch_warnings():
         _warnings.simplefilter("error", ZeroFrequencyModeWarning)
-        qk_from_forces(basis, ForceDelta(clean_force), structure.masses)
+        qk_from_forces(basis, ForceDelta(clean_force), structure)
 
 
 def test_imaginary_modes_rejected(diatomic):
@@ -238,9 +238,9 @@ def test_imaginary_modes_rejected(diatomic):
     unstable = diagonalize(Hessian(-hessian.matrix), structure)
     pair = GeometryPair(structure.positions, structure.positions)
     with pytest.raises(ImaginaryModePresent):
-        qk_from_displacement(unstable, pair, structure.masses)
+        qk_from_displacement(unstable, pair, structure)
     with pytest.raises(ImaginaryModePresent):
-        qk_from_forces(unstable, ForceDelta(np.zeros(6)), structure.masses)
+        qk_from_forces(unstable, ForceDelta(np.zeros(6)), structure)
 
 
 # --------------------------------------------------------------- partial HR
@@ -883,7 +883,7 @@ def test_degenerate_mode_mixing_invariance():
 
     out = []
     for b in (basis, mixed):
-        qk = qk_from_displacement(b, pair, structure.masses)
+        qk = qk_from_displacement(b, pair, structure)
         hr = partial_hr(qk, b.omegas_mev)
         gf = _generating_function(hr, 2.0, 1.0, reach_mev=800.0)
         ls = _lineshape(
