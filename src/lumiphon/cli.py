@@ -16,6 +16,7 @@ import argparse
 import math
 import os
 import sys
+import warnings
 
 from . import __version__
 from .errors import InputError, LumiphonError, NumericalError
@@ -420,7 +421,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     args.command_line = " ".join(argv if argv is not None else sys.argv[1:])
     try:
-        return args.func(args)
+        # a fresh filter state per call: warnings shown once per location
+        # in a process are shown again by the next call in the same process
+        with warnings.catch_warnings():
+            return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

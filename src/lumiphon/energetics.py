@@ -198,8 +198,8 @@ def stability_diagram(
         for line in lines:
             if line.charge >= active.charge:
                 continue
-            cross = (line.intercept_ev - active.intercept_ev) / (
-                active.charge - line.charge
+            cross = transition_level(
+                (line.charge, line.intercept_ev), (active.charge, active.intercept_ev)
             )
             if cross <= x or cross >= gap:
                 continue

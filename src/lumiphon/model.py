@@ -21,12 +21,7 @@ from typing import List, Mapping, Optional, Tuple, Union
 import numpy as np
 
 from . import units
-from .errors import (
-    DimensionMismatch,
-    InputError,
-    NonFiniteValue,
-    NumericalError,
-)
+from .errors import DimensionMismatch, InputError, NonFiniteValue
 
 
 def _own(a, dtype=float):
@@ -42,24 +37,6 @@ def _require_finite(a, name):
         bad = np.argwhere(~np.isfinite(a))[0]
         idx = ",".join(str(int(i)) for i in bad)
         raise NonFiniteValue(f"{name}[{idx}] is not finite")
-
-
-def _uniform_step(x, name):
-    """First step of the uniform ascending 1-d grid x; InputError otherwise.
-
-    x = (arange(n) + c) * dt rounds each point to its own ulp, so a step
-    carries the rounding of the grid's largest value: at 2^24 points that
-    exceeds 1e-9 of dt.  Each step may therefore deviate from the first by
-    1e-9 of it or by 4 eps max |x|, whichever is larger.
-    """
-    steps = np.diff(x)
-    step = float(steps[0])
-    # an ascending grid is largest in magnitude at one of its ends
-    tol = max(1e-9 * abs(step), 4.0 * np.finfo(float).eps * max(abs(x[0]), abs(x[-1])))
-    lo, hi = float(steps.min()), float(steps.max())
-    if not (lo > 0 and hi - step <= tol and step - lo <= tol):  # NaN fails too
-        raise InputError(f"{name} must be uniform and ascending")
-    return step
 
 
 #: Largest output grid: 20 times the 200,501 points of the largest benchmark spectrum.
@@ -316,32 +293,31 @@ class HRDecomposition:
 
 @dataclass(frozen=True, eq=False)
 class SpectralDensity:
-    """Smeared partial-HR spectrum S(hw) on a uniform meV grid, 1/meV."""
+    """Smeared partial-HR spectrum S(hw) in 1/meV: values[i] at energy
+    lo_mev + i * step_mev, the uniform grid vibronic.spectral_density
+    built, of which only its first energy and its step are kept."""
 
-    grid_mev: np.ndarray
+    lo_mev: float
+    step_mev: float
     values: np.ndarray
     total: float
 
     def __post_init__(self):
-        object.__setattr__(self, "grid_mev", _own(self.grid_mev))
         object.__setattr__(self, "values", _own(self.values))
-        g, v = self.grid_mev, self.values
-        if g.ndim != 1 or g.shape != v.shape or g.size < 2:
-            raise DimensionMismatch("grid and values must be matching 1-d arrays")
-        _require_finite(g, "grid_mev")
+        v = self.values
+        if v.ndim != 1 or v.size < 2:
+            raise DimensionMismatch("spectral density must be a 1-d array of 2 or more values")
         _require_finite(v, "values")
-        _uniform_step(g, "grid")
+        lo, step = self.lo_mev, self.step_mev
+        if not (math.isfinite(lo) and math.isfinite(step) and step > 0):
+            raise InputError(f"spectral grid from {lo!r} meV at step {step!r} meV must ascend")
         if np.any(v < 0):
             raise InputError("spectral density must be non-negative")
-        integral = float(np.trapezoid(v, g))
+        integral = float(np.trapezoid(v, dx=step))
         if self.total > 0 and abs(integral - self.total) > 1e-6 * self.total:
             raise InputError(
                 f"integral {integral!r} deviates from total S {self.total!r}"
             )
-
-    @property
-    def step_mev(self):
-        return float(self.grid_mev[1] - self.grid_mev[0])
 
 
 @dataclass(frozen=True)
@@ -374,13 +350,12 @@ class TimeGrid:
 
 @dataclass(frozen=True, eq=False)
 class GeneratingFunction:
-    """G(t) = exp(S(t) - S(0)) on a TimeGrid, t = 0 at index n // 2.
+    """G(t) = exp(S(t) - S(0)) at the t >= 0 points of a TimeGrid: values[j]
+    at t = j dt, j = 0 .. n - 1 - n // 2.  G(-t) = conj G(t) by definition,
+    so no negative time is stored.
 
-    G(0) must be exactly 1 and |G| at most 1 (InputError otherwise).  G is
-    Hermitian, G(-t) = conj G(t): every sample paired across t = 0 must
-    equal the conjugate of its partner exactly (NumericalError otherwise),
-    so the sideband transform reads the t >= 0 half alone.  s_total is the
-    S of the zero-phonon weight e^{-S}.
+    G(0) must be exactly 1 and |G| at most 1 (InputError otherwise).
+    s_total is the S of the zero-phonon weight e^{-S}.
     """
 
     grid: TimeGrid
@@ -390,20 +365,18 @@ class GeneratingFunction:
     def __post_init__(self):
         object.__setattr__(self, "values", _own(self.values, dtype=complex))
         g = self.values
-        if g.shape != (len(self.grid),):
+        n = len(self.grid)
+        times = n - n // 2
+        if g.shape != (times,):
             raise DimensionMismatch(
-                f"{g.size} values for a time grid of {len(self.grid)} points"
+                f"{g.size} values for the {times} times t >= 0 of a {n}-point time grid"
             )
         if not np.all(np.isfinite(g)):
             raise NonFiniteValue("generating function has non-finite values")
-        i0 = g.size // 2
-        if g[i0] != 1.0 + 0.0j:
-            raise InputError(f"G(0) must be exactly 1, got {g[i0]!r}")
+        if g[0] != 1.0 + 0.0j:
+            raise InputError(f"G(0) must be exactly 1, got {g[0]!r}")
         if np.max(np.abs(g)) > 1.0 + 1e-9:
             raise InputError("generating function magnitude exceeds 1")
-        m = g.size - 1 - i0  # t = -(n/2) dt of an even grid has no partner
-        if not np.array_equal(g[i0:], np.conj(g[i0 - m : i0 + 1][::-1])):
-            raise NumericalError("generating function is not Hermitian: G(-t) != conj G(t)")
 
 
 @dataclass(frozen=True, eq=False)

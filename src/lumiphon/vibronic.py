@@ -175,14 +175,16 @@ def spectral_density(hr: HRDecomposition, sigma_mev: float, step_mev: float) -> 
     """Smear the stick decomposition with Gaussians of width sigma, sampled
     at step_mev (a time grid's spectral_step_mev) from 6 sigma below every
     contributing mode to 6 sigma above, so the integral reproduces the total.
+    The density keeps the grid's first energy and its step grid[1] - grid[0],
+    which is what generating_function reads of it.
     sigma > 0 is LineshapeConfig's to check.
     """
     live = hr.sk > 0.0
     omegas = hr.omegas_mev[live]
     sks = hr.sk[live]
     if omegas.size == 0:
-        grid = np.arange(0.0, 12.0 * sigma_mev, step_mev)
-        return SpectralDensity(grid, np.zeros_like(grid), 0.0)
+        cells = math.ceil(12.0 * sigma_mev / step_mev)
+        return SpectralDensity(0.0, step_mev, np.zeros(cells), 0.0)
     lo_req = float(omegas.min() - 6.0 * sigma_mev)
     hi_req = float(omegas.max() + 6.0 * sigma_mev)
     n = int(math.ceil((hi_req - lo_req) / step_mev)) + 1
@@ -206,7 +208,9 @@ def spectral_density(hr: HRDecomposition, sigma_mev: float, step_mev: float) -> 
         g /= norm
         g *= sks[start : start + rows, None]
         vals = np.add.reduce(block, axis=0)
-    return SpectralDensity(grid, vals, float(math.fsum(sks.tolist())))
+    return SpectralDensity(
+        float(grid[0]), float(grid[1] - grid[0]), vals, float(math.fsum(sks.tolist()))
+    )
 
 
 def _nyquist_need_mev(omega_max_mev, s_total, reach_mev):
@@ -296,10 +300,10 @@ def generating_function(sd: SpectralDensity, grid: TimeGrid) -> GeneratingFuncti
     sd must be sampled at the grid's spectral step D (AliasedGrid
     otherwise): then D dt N = 2 pi hbar, and S(t_j) = sum_i c_i e^{-i w_i t_j}
     at w_i = w_0 + i D / hbar is e^{-i w_0 t_j} times entry j of one real
-    FFT of the quadrature weights c_i.  S(t) is formed for t = j dt,
-    j = 0 .. n // 2, below N / 2 as make_time_grid sizes N, and mirrored
-    through S(-t) = conj(S(t)), so time reversal holds exactly; the
-    identically-zero difference at t = 0 is pinned, keeping G(0) = 1 exact.
+    FFT of the quadrature weights c_i, w_0 = sd.lo_mev / hbar.  G is formed
+    at the grid's times t = j dt >= 0 alone, j < N / 2 as make_time_grid
+    sizes N; G(-t) = conj G(t) needs no samples.  The identically-zero
+    S(0) - S(0) is pinned, keeping G(0) = 1 exact.
     """
     step = grid.spectral_step_mev
     if abs(sd.step_mev - step) > 1e-9 * step:
@@ -311,33 +315,26 @@ def generating_function(sd: SpectralDensity, grid: TimeGrid) -> GeneratingFuncti
     coeff[[0, -1]] *= 0.5
     s0 = float(np.sum(coeff))
 
-    n, dt, fft_size = len(grid), grid.dt, grid.fft_size
-    i0 = n // 2
-    half = i0 + 1  # t = 0, dt, ..., i0 dt covers both wings
+    n, dt = len(grid), grid.dt
+    times = n - n // 2  # t = 0, dt, ..., the grid's last time
     # N D >= 8 times the top of sd, which spans at most twice it: the FFT
     # pads coeff
-    s_half = np.fft.rfft(coeff, fft_size)[:half]
-    omega_lo = float(sd.grid_mev[0]) / units.HBAR_MEV_FS
-    s_half *= np.exp(-1j * omega_lo * (dt * np.arange(half)))
-    diff_half = s_half - s0
-    diff_half[0] = 0.0  # S(0) - S(0) is identically zero
-    g_half = np.exp(diff_half)
-
-    vals = np.empty(n, dtype=complex)
-    vals[i0:] = g_half[: n - i0]
-    np.conjugate(g_half[i0::-1], out=vals[: i0 + 1])
-    return GeneratingFunction(grid, vals, sd.total)
+    s_t = np.fft.rfft(coeff, grid.fft_size)[:times]
+    omega_lo = sd.lo_mev / units.HBAR_MEV_FS
+    s_t *= np.exp(-1j * omega_lo * (dt * np.arange(times)))
+    diff = s_t - s0
+    diff[0] = 0.0  # S(0) - S(0) is identically zero
+    return GeneratingFunction(grid, np.exp(diff), sd.total)
 
 
 def _fft_spectral_function(gf: GeneratingFunction, gamma_mev: float, resolution_mev: float):
     """Phonon sideband: the FFT of the damped bracket [G(t) - e^{-S}].
 
-    G is Hermitian and the damping even in t, so the bracket is too and its
-    transform is real: one inverse real FFT of the t >= 0 half, zero-padded
-    by numpy to the transform size, gives it without the negative-time
-    samples.  The one unpaired sample at the grid's negative end,
-    t = -(n/2) dt, is dropped like the tails beyond the grid, which the
-    e^-10 check on the outer 1/16 of the grid bounds.
+    G(-t) = conj G(t) and the damping is even in t, so the bracket is
+    Hermitian and its transform real: one inverse real FFT of the bracket
+    at t >= 0, the samples gf holds, zero-padded by numpy to the transform
+    size.  The tails beyond the grid are dropped, which the e^-10 check on
+    the outer 1/16 of the grid bounds.
 
     Returns the energy step (meV, at most resolution_mev), the real
     sideband density per meV in FFT order (entry k at the released energy
@@ -345,8 +342,8 @@ def _fft_spectral_function(gf: GeneratingFunction, gamma_mev: float, resolution_
     """
     n, dt = len(gf.grid), gf.grid.dt
     zpl_weight = math.exp(-gf.s_total)
-    # t = 0 sits at n // 2; t_j = j dt on the step G was evaluated with
-    bracket = gf.values[n // 2 :] - zpl_weight
+    # t_j = j dt on the step G was evaluated with
+    bracket = gf.values - zpl_weight
     bracket *= np.exp(-gamma_mev * dt / units.HBAR_MEV_FS * np.arange(bracket.size))
     edge = max(1, n // 16)
     tail = float(np.max(np.abs(bracket[-edge:])))

@@ -166,7 +166,7 @@ def test_spectral_bookkeeping(name, omegas, sks):
     grid = make_time_grid(hr, 2.0, 1.0, _reach_mev(zpl, window))
     sd = spectral_density(hr, 2.0, grid.spectral_step_mev)
     ls = _pipeline(hr, zpl, 1.0, 2.0, window, 0.2)
-    s_int = float(np.trapezoid(sd.values, sd.grid_mev))
+    s_int = float(np.trapezoid(sd.values, dx=sd.step_mev))
     l_int = float(np.trapezoid(ls.intensity, ls.energy_ev))
     assert abs(s_int - hr.total) < 1e-6 * hr.total
     assert abs(l_int - 1.0) < 1e-6

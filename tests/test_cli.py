@@ -8,6 +8,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -620,6 +621,20 @@ def test_oracle_cap_zero_single_stick(tmp_path, capsys):
     assert float(rows[0][1]) == pytest.approx(math.exp(-1.3), rel=1e-9)
     tail = float(capsys.readouterr().out.split("tail = ")[1].split()[0])
     assert tail == pytest.approx(1.0 - math.exp(-1.3), rel=1e-9)
+
+
+def test_each_in_process_call_warns_as_if_run_alone(tmp_path):
+    # under the default filter a warning is shown once per code location per
+    # process; three oracle calls in one process each show their cap warning
+    from lumiphon.errors import CapTooSmallWarning
+
+    hr_path = _write_single_mode_hr(tmp_path, 1.3, 150.0)
+    argv = ["oracle", "--hr", str(hr_path), "--zpl", "2.0", "--max-quanta", "3",
+            "--out", str(tmp_path / "o.tsv")]
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter("default")
+        assert [main(argv) for _ in range(3)] == [0, 0, 0]
+    assert [w.category for w in shown] == [CapTooSmallWarning] * 3
 
 
 def test_oracle_compare_against_spectrum(tmp_path, capsys):

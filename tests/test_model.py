@@ -18,7 +18,6 @@ from lumiphon.model import (
     LineshapeConfig,
     MAX_OUTPUT_POINTS,
     PhononBasis,
-    _uniform_step,
     output_grid,
 )
 
@@ -173,14 +172,3 @@ def test_hr_total_matches_fsum(seed):
     hr = HRDecomposition(w, q, s, math.fsum(s.tolist()))
     assert hr.nmodes == n
 
-
-def test_uniform_step_tolerates_rounding_of_large_grids():
-    # far from the origin each point rounds to its own ulp, more than 1e-9
-    # of the step: the window of a 2^24-point time grid
-    dt = 0.0383
-    far = (np.arange(1000) + 2**23) * dt
-    assert _uniform_step(far, "time grid") == far[1] - far[0]
-    bent = np.arange(1000) * dt
-    bent[500:] += 1e-6 * dt
-    with pytest.raises(InputError, match="uniform"):
-        _uniform_step(bent, "time grid")

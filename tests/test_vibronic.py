@@ -30,6 +30,7 @@ from lumiphon.model import (
     Lineshape,
     LineshapeConfig,
     PhononBasis,
+    SpectralDensity,
     TimeGrid,
 )
 from lumiphon.phonons import apply_asr, diagonalize, symmetrize
@@ -165,6 +166,9 @@ def _jittered_spring_network(natoms, seed):
 
 @settings(max_examples=60, deadline=None)
 @given(natoms=st.integers(2, 40), seed=st.integers(0, 2**32 - 1))
+# S = 8.7e-9: the totals differ by 2.47e-19, more than the rounding part
+# of the bound (2.16e-19) but well within what the q_k bound allows
+@example(natoms=2, seed=4000)
 def test_routes_agree_on_generated_spring_networks(natoms, seed):
     structure, hessian = _jittered_spring_network(natoms, seed)
     hessian, _ = apply_asr(symmetrize(hessian), structure)
@@ -185,9 +189,10 @@ def test_routes_agree_on_generated_spring_networks(natoms, seed):
     assert np.all(err <= 1e-8 * np.abs(qd[live]) + rounding)
     by_pair = partial_hr(qd, basis.omegas_mev)
     by_force = partial_hr(qf, basis.omegas_mev)
-    # S_k = omega_k q_k^2 / 2 hbar moves by 2 S_k dq_k / q_k
-    s_rounding = float(np.sum(2.0 * by_pair.sk[live] * rounding / np.abs(qd[live])))
-    assert abs(by_force.total - by_pair.total) <= 1e-12 * by_pair.total + s_rounding
+    # S_k = omega_k q_k^2 / 2 hbar moves by 2 S_k dq_k / q_k, and dq_k is
+    # what the assertion above allows: 1e-8 |q_k| plus the rounding
+    slack = 2.0 * by_pair.sk[live] * (1e-8 + rounding / np.abs(qd[live]))
+    assert abs(by_force.total - by_pair.total) <= float(np.sum(slack))
 
 
 def test_force_route_zero_forces(diatomic):
@@ -275,13 +280,13 @@ def test_partial_hr_negative_frequency():
 
 def test_spectral_density_integral_single_mode():
     sd = spectral_density(_single_mode_hr(2.0, 150.0), sigma_mev=2.0, step_mev=0.4)
-    assert float(np.trapezoid(sd.values, sd.grid_mev)) == pytest.approx(2.0, abs=2e-6)
+    assert float(np.trapezoid(sd.values, dx=sd.step_mev)) == pytest.approx(2.0, abs=2e-6)
 
 
 def test_spectral_density_linearity():
     hr = partial_hr(np.array([0.02, 0.03]), np.array([80.0, 160.0]))
     sd = spectral_density(hr, sigma_mev=2.0, step_mev=0.4)
-    assert float(np.trapezoid(sd.values, sd.grid_mev)) == pytest.approx(
+    assert float(np.trapezoid(sd.values, dx=sd.step_mev)) == pytest.approx(
         hr.total, rel=1e-6
     )
 
@@ -292,6 +297,17 @@ def test_spectral_density_peak_value():
     sd = spectral_density(_single_mode_hr(2.0, 150.0), sigma, sigma / 5.0)
     peak = float(sd.values.max())
     assert peak == pytest.approx(2.0 / (sigma * math.sqrt(2 * math.pi)), rel=1e-9)
+
+
+
+@pytest.mark.parametrize(
+    "lo, step", [(0.0, 0.0), (0.0, -0.4), (0.0, math.nan), (0.0, math.inf), (math.nan, 0.4)]
+)
+def test_spectral_density_refuses_a_grid_that_does_not_ascend(lo, step):
+    # zero values with total 0 pass the integral check whatever the step
+    with pytest.raises(InputError, match="must ascend"):
+        SpectralDensity(lo, step, np.zeros(4), 0.0)
+    SpectralDensity(0.0, 0.4, np.zeros(4), 0.0)
 
 
 def _mode_by_mode_density(hr, sigma_mev, grid):
@@ -317,8 +333,19 @@ def test_spectral_density_is_the_mode_by_mode_sum(nmodes, sigma, seed, per_sigma
     omegas = rng.uniform(10.0, 120.0, size=nmodes)
     sks = rng.exponential(size=nmodes) * (rng.random(nmodes) > 0.2)
     hr = partial_hr(np.sqrt(2.0 * units.HBAR_AMU_A2_FS * sks / units.omega_radfs(omegas)), omegas)
-    sd = spectral_density(hr, sigma, sigma / per_sigma)
-    assert np.array_equal(sd.values, _mode_by_mode_density(hr, sigma, sd.grid_mev))
+    step = sigma / per_sigma
+    sd = spectral_density(hr, sigma, step)
+    # the grid it samples: 6 sigma beyond the outermost coupled modes (12
+    # sigma from 0 when none is), of which the density keeps the first
+    # energy and the first step
+    live = hr.omegas_mev[hr.sk > 0.0]
+    if live.size:
+        lo = float(live.min() - 6.0 * sigma)
+        grid = lo + step * np.arange(math.ceil((float(live.max() + 6.0 * sigma) - lo) / step) + 1)
+    else:
+        grid = np.arange(0.0, 12.0 * sigma, step)
+    assert (sd.lo_mev, sd.step_mev) == (grid[0], grid[1] - grid[0])
+    assert np.array_equal(sd.values, _mode_by_mode_density(hr, sigma, grid))
 
 
 # ------------------------------------------------------- generating function
@@ -350,7 +377,7 @@ def _lineshape(gf, config):
 def test_generating_function_no_coupling():
     hr = partial_hr(np.zeros(2), np.array([50.0, 150.0]))
     gf = _generating_function(hr, 2.0, 1.0)
-    assert np.array_equal(gf.values, np.ones(len(gf.grid), dtype=complex))
+    assert np.array_equal(gf.values, np.ones(len(gf.grid) // 2, dtype=complex))
 
 
 def test_generating_function_single_mode_closed_form():
@@ -359,19 +386,10 @@ def test_generating_function_single_mode_closed_form():
     hr = _single_mode_hr(s, omega)
     grid = _unchecked_grid(301, 1.0, sigma)
     sd = spectral_density(hr, sigma, grid.spectral_step_mev)
-    t = (np.arange(301) - 150) * 1.0
+    t = np.arange(151) * 1.0  # the grid's times t >= 0
     gf = generating_function(sd, grid)
     exact = np.exp(s * (np.exp(-1j * units.omega_radfs(omega) * t) - 1.0))
     assert np.max(np.abs(gf.values - exact)) < 1e-6
-
-
-def test_generating_function_time_reversal():
-    hr = partial_hr(np.array([0.05, 0.02]), np.array([60.0, 140.0]))
-    grid = _unchecked_grid(257, 0.5, 2.0)
-    gf = generating_function(spectral_density(hr, 2.0, grid.spectral_step_mev), grid)
-    np.testing.assert_allclose(
-        gf.values[::-1], np.conj(gf.values), rtol=0, atol=1e-14
-    )
 
 
 def test_generating_function_refuses_grid_built_for_another_sigma():
@@ -506,7 +524,7 @@ def test_lineshape_refuses_a_negative_dip():
     # Lorentzian adds there
     n, s = 4096, 1.0
     grid = dataclasses.replace(_unchecked_grid(n, 1.0, 2.0), gamma_mev=0.1, reach_mev=100.0)
-    t = np.abs(np.arange(n) - n // 2) * grid.dt
+    t = np.arange(n // 2) * grid.dt
     bracket = 2.0 * np.exp(-0.5 * (t / 300.0) ** 2) - np.exp(-0.5 * (t / 250.0) ** 2)
     g = math.exp(-s) + (1.0 - math.exp(-s)) * bracket
     gf = GeneratingFunction(grid, g, s)
@@ -550,10 +568,10 @@ def _generated_hr(nmodes, s_total, seed):
 def test_split_sideband_contracts_on_generated_documents(nmodes, s_total, gamma, sigma, seed):
     hr = _generated_hr(nmodes, s_total, seed)
     gf = _generating_function(hr, sigma, gamma)
-    assert gf.values[len(gf.grid) // 2] == 1.0
+    assert gf.values[0] == 1.0
     # by the end of the grid the sideband has died: G is down to the ZPL weight
     zpl = math.exp(-hr.total)
-    assert abs(gf.values[0] - zpl) <= 1e-8 * hr.total
+    assert abs(gf.values[-1] - zpl) <= 1e-8 * hr.total
     resolution = max(sigma, gamma) / 16.0
     step, sideband, zpl_weight = vibronic._fft_spectral_function(gf, gamma, resolution)
     assert step <= resolution
@@ -582,7 +600,7 @@ def test_time_grid_contracts_on_generated_documents(nmodes, s_total, gamma, sigm
     need = vibronic._nyquist_need_mev(top, hr.total, reach)
     assert math.pi * units.HBAR_MEV_FS / dt >= need * (1.0 - 1e-12)
     sd = spectral_density(hr, sigma, grid.spectral_step_mev)
-    assert sd.grid_mev[-1] <= top + grid.spectral_step_mev
+    assert sd.lo_mev + (sd.values.size - 1) * sd.step_mev <= top + grid.spectral_step_mev
     # the FFT of S(t): the smallest power of two whose spectral step is at
     # most sigma/5, so the step lies in (sigma/10, sigma/5]
     fft, spectral = grid.fft_size, grid.spectral_step_mev
@@ -612,7 +630,7 @@ def _assert_s_is_the_direct_quadrature_sum(sd, gf):
     """S(t) - S(0) from G(t) matches sum_i c_i exp(-i w_i t) - S(0) within
     1e-12 S(0) at 200 times from t = 0 to the end of the grid."""
     n, dt, fft = len(gf.grid), gf.grid.dt, gf.grid.fft_size
-    coeff = np.full(sd.grid_mev.size, sd.step_mev) * sd.values
+    coeff = np.full(sd.values.size, sd.step_mev) * sd.values
     coeff[[0, -1]] *= 0.5
     s0 = math.fsum(coeff.tolist())
     # at w_i = w_lo + i D / hbar with D dt N = 2 pi hbar the phase of sample
@@ -620,10 +638,10 @@ def _assert_s_is_the_direct_quadrature_sum(sd, gf):
     # that it does not round with t
     j = np.unique(np.linspace(0, n // 2 - 1, 200).astype(np.int64))
     phase = 2.0 * math.pi * (np.outer(j, np.arange(coeff.size)) % fft) / fft
-    omega_lo = float(sd.grid_mev[0]) / units.HBAR_MEV_FS
+    omega_lo = sd.lo_mev / units.HBAR_MEV_FS
     direct = np.exp(-1j * omega_lo * dt * j) * (np.exp(-1j * phase) @ coeff)
     # G(t) = exp(S(t) - S(0)): its log gives S(t) - S(0) up to 2 pi i
-    diff = np.log(gf.values[n // 2 + j]) - (direct - s0)
+    diff = np.log(gf.values[j]) - (direct - s0)
     diff.imag = (diff.imag + math.pi) % (2.0 * math.pi) - math.pi
     assert float(np.max(np.abs(diff))) <= 1e-12 * s0
 
@@ -660,18 +678,19 @@ def test_make_time_grid_builds_no_array():
 
 
 def _complex_padded_sideband(gf, gamma_mev, resolution_mev):
-    """The former transform: the whole damped bracket, zero-padded, through
-    a complex inverse FFT.  Returns the energy step and the complex result."""
+    """The former transform: the damped bracket at t >= 0 and its mirror
+    b(-t) = conj b(t), zero-padded, through a complex inverse FFT.  Returns
+    the energy step and the complex result."""
     n, dt = len(gf.grid), gf.grid.dt
-    i0 = n // 2
     zpl_weight = math.exp(-gf.s_total)
-    damping = np.exp(-gamma_mev * dt / units.HBAR_MEV_FS * np.abs(np.arange(n) - i0))
+    damping = np.exp(-gamma_mev * dt / units.HBAR_MEV_FS * np.arange(gf.values.size))
     bracket = (gf.values - zpl_weight) * damping
     period_fs = 2.0 * math.pi * units.HBAR_MEV_FS / resolution_mev
     size = max(n, 1 << max(0, math.ceil(math.log2(period_fs / dt))))
     padded = np.zeros(size, dtype=complex)
-    padded[: n - i0] = bracket[i0:]
-    padded[size - i0 :] = bracket[:i0]
+    last = bracket.size - 1
+    padded[: last + 1] = bracket
+    padded[size - last :] = np.conj(bracket[last:0:-1])
     a = np.fft.ifft(padded) * (size * dt / (2.0 * math.pi * units.HBAR_MEV_FS))
     return 2.0 * math.pi * units.HBAR_MEV_FS / (size * dt), a
 
@@ -688,17 +707,9 @@ def test_real_half_transform_matches_complex_padded_transform(
     step, sideband, _ = vibronic._fft_spectral_function(gf, gamma, resolution)
     ref_step, ref = _complex_padded_sideband(gf, gamma, resolution)
     assert step == ref_step
-    # the real transform drops the unpaired sample at t = -(n/2) dt, which
-    # shifts each bin by at most its damped bracket times dt / (2 pi hbar)
-    n, dt = len(gf.grid), gf.grid.dt
-    unpaired = (
-        abs(gf.values[0] - math.exp(-hr.total))
-        * math.exp(-gamma * dt / units.HBAR_MEV_FS * (n // 2))
-        * dt
-        / (2.0 * math.pi * units.HBAR_MEV_FS)
-    )
     peak = float(np.max(np.abs(ref.real)))
-    assert float(np.max(np.abs(sideband - ref.real))) <= unpaired + 1e-12 * peak
+    assert float(np.max(np.abs(ref.imag))) <= 1e-12 * peak
+    assert float(np.max(np.abs(sideband - ref.real))) <= 1e-12 * peak
 
 
 def _default_window(hr, zpl_ev, gamma_mev, sigma_mev):
@@ -850,20 +861,20 @@ def test_lineshape_transform_memory_below_two_padded_complex_arrays():
     assert peak < 2 * 16 * size
 
 
-def test_non_hermitian_generating_function_refused():
+def test_generating_function_holds_g_at_t_from_zero_only():
+    # G at the 8 times t >= 0 of a 16-point grid, t = 0 first
     grid = _unchecked_grid(16, 1.0, 2.0)
-    g = np.ones(16, dtype=complex)
-    g[0] = 0.3 + 0.2j  # t = -8 has no partner on the grid
-    g[10] = g[6] = 0.5 + 0.1j
-    with pytest.raises(NumericalError, match="Hermitian"):
-        GeneratingFunction(grid, g, 1.0)
-    g[6] = 0.5 - 0.1j
+    g = np.ones(8, dtype=complex)
+    g[3] = 0.5 + 0.1j
     GeneratingFunction(grid, g, 1.0)
-    # t = 0 is sample n // 2 of every TimeGrid: G shifted off it is refused
     with pytest.raises(InputError, match="G\\(0\\)"):
-        GeneratingFunction(grid, np.roll(g, 2), 1.0)
-    with pytest.raises(DimensionMismatch):
-        GeneratingFunction(grid, g[1:], 1.0)
+        GeneratingFunction(grid, np.roll(g, -3), 1.0)
+    g[5] = 0.9 + 0.5j
+    with pytest.raises(InputError, match="magnitude"):
+        GeneratingFunction(grid, g, 1.0)
+    # the whole symmetric grid is no longer what G holds
+    with pytest.raises(DimensionMismatch, match="t >= 0"):
+        GeneratingFunction(grid, np.ones(16, dtype=complex), 1.0)
 
 
 def test_degenerate_mode_mixing_invariance():
