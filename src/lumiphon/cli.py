@@ -151,7 +151,8 @@ def cmd_modes(args) -> int:
     from .model import classify_lvm
 
     structure = lio.parse_structure(lio.load_document(args.structure))
-    hessian = lio.load_hessian(args.hessian, structure)
+    # the Hessian record lives only until D is formed
+    d = phonons.dynamical_matrix(lio.load_hessian(args.hessian, structure), structure)
     provenance = {
         "hessian_sha256": lio.sha256_file(args.hessian),
         "asr_applied": bool(args.asr),
@@ -159,10 +160,10 @@ def cmd_modes(args) -> int:
         "tool_version": __version__,
     }
     if args.asr:
-        hessian, report = phonons.apply_asr(hessian, structure)
+        d, report = phonons.apply_asr(d, structure)
         provenance["pre_asr_norms_mev"] = report.pre_norms_mev.tolist()
         provenance["post_asr_norms_mev"] = report.post_norms_mev.tolist()
-    basis = phonons.diagonalize(hessian, structure, args.cutoff)
+    basis = phonons.diagonalize(d)
     lvm = classify_lvm(basis.omegas_mev, args.cutoff)
     provenance["lvm_indices"] = lvm
     ipr = phonons.localization_table(basis)

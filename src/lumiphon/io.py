@@ -239,9 +239,9 @@ def write_structure(structure: CrystalStructure, path, overwrite=False):
 
 # --------------------------------------------------------------- hessian
 
-#: Largest Hessian dimension 3N read (2048 atoms).  `modes` peaks at about
-#: 11 times the 8 * (3N)^2 bytes of the matrix (210 MB at 3N = 1536), so
-#: this bounds a call at about 3.3 GB.
+#: Largest Hessian dimension 3N read (2048 atoms).  `modes --asr` peaks at
+#: about 8.6 times the 8 * (3N)^2 bytes of the matrix (162 MB at 3N = 1536),
+#: so this bounds a call at about 2.6 GB.
 MAX_HESSIAN_DIM = 6144
 
 
@@ -382,11 +382,10 @@ def parse_phonon_basis(doc) -> Tuple[PhononBasis, dict]:
     w = np.array([_number(x, f"/omegas_mev/{i}") for i, x in enumerate(omegas)])
     read = _matrix if schema == "phonon_basis/1" else _binary_matrix
     vectors = read(_field(doc, "vectors"), nm, nm, "/vectors")
-    cutoff = _number(doc.get("cutoff_bulk_mev", 115.0), "/cutoff_bulk_mev")
     provenance = doc.get("provenance", {})
     if not isinstance(provenance, dict):
         raise ParseError("provenance must be an object", locus="/provenance")
-    return PhononBasis(w, vectors, cutoff), provenance
+    return PhononBasis(w, vectors), provenance
 
 
 def write_phonon_basis(
@@ -396,7 +395,6 @@ def write_phonon_basis(
     vectors = np.ascontiguousarray(basis.vectors, dtype="<f8")
     doc = {
         "schema": SCHEMAS["phonon_basis"],
-        "cutoff_bulk_mev": float(basis.cutoff_bulk_mev),
         "omegas_mev": basis.omegas_mev.tolist(),
         "vectors": {"dtype": "<f8", "shape": list(vectors.shape), "base64": ""},
         "provenance": provenance or {},

@@ -25,8 +25,8 @@ from .errors import DimensionMismatch, InputError, NonFiniteValue
 
 
 def _own(a, dtype=float):
-    """Copy to a fresh read-only array (callers keep their own mutable copy)."""
-    out = np.array(a, dtype=dtype)
+    """Fresh read-only C-ordered copy (callers keep their own mutable one)."""
+    out = np.array(a, dtype=dtype, order="C")
     out.setflags(write=False)
     return out
 
@@ -155,7 +155,6 @@ class PhononBasis:
 
     omegas_mev: np.ndarray
     vectors: np.ndarray  # (3N, 3N), row k is mode k, unit norm
-    cutoff_bulk_mev: float = 115.0
 
     def __post_init__(self):
         object.__setattr__(self, "omegas_mev", _own(self.omegas_mev))

@@ -1,8 +1,9 @@
 """Lattice dynamics: Hessian -> phonon basis.
 
-Pipeline: optionally enforce the acoustic sum rule, then diagonalize.  Both
-stages take the structure, which alone supplies the masses, and symmetrize
-the Hessian they are given before mass-weighting it.
+Pipeline: form the dynamical matrix D once, optionally project the rigid
+translations out of it (acoustic sum rule), then diagonalize it.  Only
+`dynamical_matrix` sees the Hessian and the masses; the later stages work
+on D alone.
 """
 
 from __future__ import annotations
@@ -17,11 +18,26 @@ from .model import AsrReport, CrystalStructure, Hessian, PhononBasis
 RESIDUAL_TOL = 1e-8
 
 
-def symmetrize(hessian: Hessian) -> Hessian:
-    """Replace H by (H + H^T)/2; idempotent, bitwise symmetric output."""
-    m = hessian.matrix
+def symmetrize(matrix: np.ndarray) -> np.ndarray:
+    """(H + H^T)/2 as a new array; idempotent, bitwise symmetric output."""
     # a+b == b+a in IEEE754, so both mirror entries come out identical
-    return Hessian(0.5 * (m + m.T), hessian.structure_hash)
+    return 0.5 * (matrix + matrix.T)
+
+
+def dynamical_matrix(hessian: Hessian, structure: CrystalStructure) -> np.ndarray:
+    """D = M^-1/2 (H + H^T)/2 M^-1/2 in eV/(amu A^2), bitwise symmetric.
+
+    The structure alone supplies the masses; a Hessian of another size is
+    refused.
+    """
+    if hessian.dim != 3 * structure.natoms:
+        raise DimensionMismatch(
+            f"hessian dimension {hessian.dim} does not match {structure.natoms} atoms"
+        )
+    inv = 1.0 / np.sqrt(structure.mass_vector_3n())
+    # a bitwise-symmetric H times outer(m^-1/2, m^-1/2) stays bitwise symmetric
+    d = symmetrize(hessian.matrix)
+    return np.multiply(d, np.outer(inv, inv), out=d)
 
 
 def _translation_basis(masses_3n):
@@ -35,11 +51,6 @@ def _translation_basis(masses_3n):
     return t
 
 
-def _mass_weight(matrix, masses_3n):
-    inv = 1.0 / np.sqrt(masses_3n)
-    return matrix * np.outer(inv, inv)
-
-
 def _orient_rows(vecs):
     """Negate, in place, each row whose first entry above 1e-12 max|row| is negative."""
     mag = np.abs(vecs)
@@ -48,17 +59,16 @@ def _orient_rows(vecs):
     np.negative(vecs, out=vecs, where=flip[:, None])
 
 
-def apply_asr(hessian: Hessian, structure: CrystalStructure) -> tuple[Hessian, AsrReport]:
-    """Project rigid translations out of the dynamical matrix of (H + H^T)/2.
+def apply_asr(d: np.ndarray, structure: CrystalStructure) -> tuple[np.ndarray, AsrReport]:
+    """Project the rigid translations out of the dynamical matrix d.
 
     The three mass-weighted translation vectors become exact null vectors;
-    already translation-invariant Hessians pass through unchanged.  The
+    an already translation-invariant d passes through unchanged.  The
     report carries the translational residuals before and after, expressed
-    as equivalent mode energies in meV.  The result is bitwise symmetric.
+    as equivalent mode energies in meV.  The result is a new, bitwise
+    symmetric array; d is left as it is.
     """
-    masses_3n = structure.mass_vector_3n()
-    d = _mass_weight(symmetrize(hessian).matrix, masses_3n)
-    t = _translation_basis(masses_3n)
+    t = _translation_basis(structure.mass_vector_3n())
 
     def _residuals(dt):
         res = np.linalg.norm(dt, axis=0)
@@ -72,29 +82,19 @@ def apply_asr(hessian: Hessian, structure: CrystalStructure) -> tuple[Hessian, A
     d_clean = 0.5 * (d_clean + d_clean.T)
     # the projection cannot increase a residual; clamp matmul noise
     post = np.minimum(_residuals(d_clean @ t.T), pre)
-
-    sq = np.sqrt(masses_3n)
-    h_clean = d_clean * np.outer(sq, sq)
-    return Hessian(h_clean, hessian.structure_hash), AsrReport(pre, post)
+    return d_clean, AsrReport(pre, post)
 
 
-def diagonalize(
-    hessian: Hessian, structure: CrystalStructure, cutoff_bulk_mev: float = 115.0
-) -> PhononBasis:
-    """Eigendecompose the mass-weighted (H + H^T)/2 into a PhononBasis.
+def diagonalize(d: np.ndarray) -> PhononBasis:
+    """Eigendecompose the symmetric dynamical matrix d into a PhononBasis.
 
     Eigenvalues lambda (eV/(amu A^2)) map to hbar*omega = hbar*sqrt(lambda)
-    in meV, with lambda < 0 stored as negative meV.  Modes come out sorted
-    ascending with a deterministic sign (first significant component of
-    each vector is positive).  The residual contract ||D v - lambda v|| <
-    1e-8 ||D|| is checked for every mode.
+    in meV, with lambda < 0 stored as negative meV.  Modes come out
+    ascending, as eigh returns lambda and the map is monotone, with a
+    deterministic sign (first significant component of each vector is
+    positive).  The residual contract ||D v - lambda v|| < 1e-8 ||D|| is
+    checked for every mode.
     """
-    if hessian.dim != 3 * structure.natoms:
-        raise DimensionMismatch(
-            f"hessian dimension {hessian.dim} does not match {structure.natoms} atoms"
-        )
-    # a bitwise-symmetric H times outer(m^-1/2, m^-1/2) stays bitwise symmetric
-    d = _mass_weight(symmetrize(hessian).matrix, structure.mass_vector_3n())
     try:
         lam, vecs = np.linalg.eigh(d)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
@@ -111,9 +111,7 @@ def diagonalize(
             )
 
     _orient_rows(vecs)
-    omegas = units.hbar_omega_from_eigenvalue(lam)
-    order = np.argsort(omegas, kind="stable")
-    return PhononBasis(omegas[order], vecs[order], cutoff_bulk_mev)
+    return PhononBasis(units.hbar_omega_from_eigenvalue(lam), vecs)
 
 
 def localization_table(basis: PhononBasis) -> np.ndarray:

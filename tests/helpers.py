@@ -61,6 +61,13 @@ def random_cluster_structure(natoms, seed, species=("C", "Si")):
     return structure, hessian
 
 
+def hessian_of(d, structure):
+    """The Hessian M^1/2 D M^1/2 of the dynamical matrix d: forces of a
+    displacement on the system d describes."""
+    sq = np.sqrt(structure.mass_vector_3n())
+    return d * np.outer(sq, sq)
+
+
 def poisson_weight(s, n):
     return math.exp(-s) * s**n / math.factorial(n)
 

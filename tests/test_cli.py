@@ -92,7 +92,7 @@ def test_modes_builds_the_basis_once(tmp_path, monkeypatch):
     args = ["modes", "--structure", str(spath), "--hessian", str(hpath), "--cutoff", "50"]
     assert main([*args, "--out", str(out)]) == 0
     assert len(checks) == 1
-    assert lio.load_document(out)["cutoff_bulk_mev"] == 50.0
+    assert lio.load_document(out)["provenance"]["cutoff_bulk_mev"] == 50.0
 
 
 def test_modes_lvm_table_fixture(tmp_path):

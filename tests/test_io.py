@@ -32,7 +32,7 @@ from lumiphon.model import (
     PhononBasis,
     structure_checksum,
 )
-from lumiphon.phonons import diagonalize
+from lumiphon.phonons import diagonalize, dynamical_matrix
 
 
 STRUCTURE_DOC = {
@@ -332,7 +332,7 @@ def test_pair_and_force_roundtrip(tmp_path, diatomic, displaced_pair):
 
 def test_basis_roundtrip_bit_exact(tmp_path, diatomic):
     structure, hessian = diatomic
-    basis = diagonalize(hessian, structure)
+    basis = diagonalize(dynamical_matrix(hessian, structure))
     path = tmp_path / "b.json"
     lio.write_phonon_basis(basis, path, {"hessian_sha256": "abc"})
     back, provenance = lio.parse_phonon_basis(lio.load_document(path))
@@ -350,7 +350,7 @@ def _adversarial_basis():
     vectors[0, 4] = -0.0
     vectors[1, 5] = 2.0**-1074
     omegas = np.array([-12.5, -1e-3, -0.0, 2.0**-1074, 1.0 / 3.0, 40.0 * math.pi])
-    return PhononBasis(omegas, vectors, 117.25)
+    return PhononBasis(omegas, vectors)
 
 
 def _bits(a):
@@ -376,10 +376,10 @@ def test_basis_v2_roundtrip_bit_exact(tmp_path):
     assert doc["schema"] == "phonon_basis/2"
     assert doc["vectors"]["dtype"] == "<f8" and doc["vectors"]["shape"] == [6, 6]
     assert isinstance(doc["omegas_mev"], list)
+    assert "cutoff_bulk_mev" not in doc
     back, provenance = lio.parse_phonon_basis(doc)
     assert _bits(back.omegas_mev) == _bits(basis.omegas_mev)
     assert _bits(back.vectors) == _bits(basis.vectors)
-    assert back.cutoff_bulk_mev == 117.25
     assert provenance == {"note": "x"}
 
 
@@ -387,7 +387,7 @@ def test_basis_v1_still_read_bit_exact():
     basis = _adversarial_basis()
     doc = {
         "schema": "phonon_basis/1",
-        "cutoff_bulk_mev": basis.cutoff_bulk_mev,
+        "cutoff_bulk_mev": 117.25,  # older documents carry it; it is ignored
         "omegas_mev": basis.omegas_mev.tolist(),
         "vectors": basis.vectors.tolist(),
     }
@@ -672,7 +672,7 @@ _WRITERS = {
         ForceDelta(np.array([0.1, -0.2, 0.3, 1e-17, 2.0**-33, -0.0])), p
     ),
     "phonon_basis": lambda p, s, h, pair: lio.write_phonon_basis(
-        diagonalize(h, s), p, {"hessian_sha256": "abc"}
+        diagonalize(dynamical_matrix(h, s)), p, {"hessian_sha256": "abc"}
     ),
     "hr": lambda p, s, h, pair: lio.write_hr(_generated_hr(), p),
     "defects": lambda p, s, h, pair: _defects_with(p),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lumiphon import units
+from lumiphon.errors import DimensionMismatch
 from lumiphon.model import CrystalStructure, Hessian, PhononBasis, classify_lvm
 from lumiphon.phonons import (
-    _mass_weight,
     _orient_rows,
     apply_asr,
     diagonalize,
+    dynamical_matrix,
     localization_table,
     symmetrize,
 )
@@ -27,42 +29,47 @@ LVM_FIXTURE = [119.9, 126.2, 127.6, 159.9, 161.8]
 def test_symmetrize_fixed_point():
     m = np.array([[1.0, 2.0], [2.0, 3.0]])
     m = np.kron(np.eye(3), m)  # 6x6 symmetric
-    out = symmetrize(Hessian(m))
-    assert np.array_equal(out.matrix, m)
+    assert np.array_equal(symmetrize(m), m)
 
 
 def test_symmetrize_averages_mirror_entries():
     m = np.zeros((3, 3))
     m[0, 1] = 1.0
     m[1, 0] = 3.0
-    out = symmetrize(Hessian(m))
-    assert out.matrix[0, 1] == 2.0 and out.matrix[1, 0] == 2.0
+    out = symmetrize(m)
+    assert out[0, 1] == 2.0 and out[1, 0] == 2.0
 
 
 @given(st.integers(0, 2**32 - 1))
 def test_symmetrize_idempotent(seed):
     rng = np.random.default_rng(seed)
-    h = Hessian(rng.normal(size=(6, 6)))
-    once = symmetrize(h)
-    twice = symmetrize(once)
-    assert np.array_equal(once.matrix, once.matrix.T)
-    assert np.array_equal(once.matrix, twice.matrix)
+    once = symmetrize(rng.normal(size=(6, 6)))
+    assert np.array_equal(once, once.T)
+    assert np.array_equal(once, symmetrize(once))
+
+
+def test_dynamical_matrix_refuses_another_size(diatomic):
+    structure, _ = diatomic
+    with pytest.raises(DimensionMismatch, match="does not match 2 atoms"):
+        dynamical_matrix(Hessian(np.eye(9)), structure)
 
 
 # ---------------------------------------------------------------- ASR
 
 def test_asr_leaves_invariant_hessian_alone(small_cluster):
     structure, hessian = small_cluster
-    clean, report = apply_asr(symmetrize(hessian), structure)
-    assert np.max(np.abs(clean.matrix - hessian.matrix)) < 1e-12
+    d = dynamical_matrix(hessian, structure)
+    clean, report = apply_asr(d, structure)
+    # |dH| <= |dD| max(m), so this bounds the Hessian's change by 1e-12
+    assert np.max(np.abs(clean - d)) < 1e-12 / np.max(structure.masses)
     assert np.all(report.post_norms_mev <= report.pre_norms_mev)
 
 
 def test_asr_removes_diagonal_noise(small_cluster):
     structure, hessian = small_cluster
     noisy = Hessian(hessian.matrix + 1e-3 * np.eye(hessian.dim))
-    clean, report = apply_asr(noisy, structure)
-    basis = diagonalize(clean, structure)
+    clean, report = apply_asr(dynamical_matrix(noisy, structure), structure)
+    basis = diagonalize(clean)
     lowest = np.sort(np.abs(basis.omegas_mev))[:3]
     assert np.all(lowest < 0.01)
     assert np.all(report.post_norms_mev < 0.01)
@@ -75,15 +82,12 @@ def _mass_weighted_translations(masses_3n):
     return t
 
 
-def _dense_projector_asr(matrix, masses_3n):
+def _dense_projector_asr(d, masses_3n):
     """Reference ASR: (I - T^T T) D (I - T^T T) with the dense projector."""
-    inv = 1.0 / np.sqrt(masses_3n)
-    d = matrix * np.outer(inv, inv)
     t = _mass_weighted_translations(masses_3n)
     proj = np.eye(d.shape[0]) - t.T @ t
     d_clean = proj @ d @ proj
-    d_clean = 0.5 * (d_clean + d_clean.T)
-    return d_clean / np.outer(inv, inv)
+    return 0.5 * (d_clean + d_clean.T)
 
 
 @settings(max_examples=40, deadline=None)
@@ -98,15 +102,16 @@ def test_asr_rank3_update_matches_dense_projector(natoms, seed, log_scale):
     h = 0.5 * (a + a.T)
     masses = rng.uniform(1.0, 240.0, size=natoms)
     structure = CrystalStructure(np.eye(3) * 8, ("C",) * natoms, masses, np.zeros((natoms, 3)))
-    clean, report = apply_asr(Hessian(h), structure)
     masses_3n = np.repeat(masses, 3)
-    scale = np.max(np.abs(h))
-    assert np.max(np.abs(clean.matrix - _dense_projector_asr(h, masses_3n))) <= 1e-13 * scale
+    inv = 1.0 / np.sqrt(masses_3n)
+    d = h * np.outer(inv, inv)
+    clean, report = apply_asr(d, structure)
+    scale = np.max(np.abs(d))
+    assert np.max(np.abs(clean - _dense_projector_asr(d, masses_3n))) <= 1e-13 * scale
     assert np.all(report.post_norms_mev <= report.pre_norms_mev)
     # the mass-weighted translations are null vectors of the result
-    inv = 1.0 / np.sqrt(masses_3n)
-    null = clean.matrix * np.outer(inv, inv) @ _mass_weighted_translations(masses_3n).T
-    assert np.max(np.abs(null)) <= 1e-13 * np.max(np.abs(h * np.outer(inv, inv)))
+    null = clean @ _mass_weighted_translations(masses_3n).T
+    assert np.max(np.abs(null)) <= 1e-13 * scale
 
 
 # ------------------------------------------------------------ diagonalize
@@ -116,14 +121,14 @@ def test_single_atom_isotropic_mode():
     k, mass = 5.805, 12.0
     expected = units.HBAR_MEV_FS * math.sqrt(k / mass * units.EV_PER_AMU_A2)
     structure = CrystalStructure(np.eye(3) * 8, ("C",), [mass], [[0, 0, 0]])
-    basis = diagonalize(Hessian(np.eye(3) * k), structure)
+    basis = diagonalize(dynamical_matrix(Hessian(np.eye(3) * k), structure))
     np.testing.assert_allclose(basis.omegas_mev, expected, rtol=1e-12)
     assert abs(expected - 44.96834503307843) < 1e-10
 
 
 def test_diatomic_against_analytic(diatomic):
     structure, hessian = diatomic
-    basis = diagonalize(hessian, structure)
+    basis = diagonalize(dynamical_matrix(hessian, structure))
     k, mass = 4.2, 12.011
     analytic = units.HBAR_MEV_FS * math.sqrt(2 * k / mass * units.EV_PER_AMU_A2)
     np.testing.assert_allclose(basis.omegas_mev[:3], 0.0, atol=1e-6)
@@ -132,13 +137,13 @@ def test_diatomic_against_analytic(diatomic):
 
 def test_zero_hessian_all_zero_modes(diatomic):
     structure, _ = diatomic
-    basis = diagonalize(Hessian(np.zeros((6, 6))), structure)
+    basis = diagonalize(dynamical_matrix(Hessian(np.zeros((6, 6))), structure))
     assert np.array_equal(basis.omegas_mev, np.zeros(6))
 
 
 @settings(max_examples=20, deadline=None)
 @given(natoms=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
-def test_asr_and_diagonalize_symmetrize_what_they_are_given(natoms, seed):
+def test_dynamical_matrix_symmetrizes_what_it_is_given(natoms, seed):
     # an asymmetric H gives, bit for bit, what (H + H^T)/2 gives
     rng = np.random.default_rng(seed)
     h = rng.normal(size=(3 * natoms, 3 * natoms))
@@ -147,9 +152,10 @@ def test_asr_and_diagonalize_symmetrize_what_they_are_given(natoms, seed):
     )
 
     def stages(hessian):
-        clean, report = apply_asr(hessian, structure)
-        basis = diagonalize(hessian, structure)
-        arrays = (clean.matrix, report.pre_norms_mev, report.post_norms_mev)
+        d = dynamical_matrix(hessian, structure)
+        clean, report = apply_asr(d, structure)
+        basis = diagonalize(d)
+        arrays = (clean, report.pre_norms_mev, report.post_norms_mev)
         return [a.tobytes() for a in arrays + (basis.omegas_mev, basis.vectors)]
 
     assert stages(Hessian(h)) == stages(Hessian(0.5 * (h + h.T)))
@@ -157,7 +163,7 @@ def test_asr_and_diagonalize_symmetrize_what_they_are_given(natoms, seed):
 
 def test_orthonormality_and_completeness(small_cluster):
     structure, hessian = small_cluster
-    basis = diagonalize(symmetrize(hessian), structure)
+    basis = diagonalize(dynamical_matrix(hessian, structure))
     v = basis.vectors
     gram = v @ v.T
     assert np.max(np.abs(gram - np.eye(v.shape[0]))) < 1e-8
@@ -172,7 +178,7 @@ def test_orthonormality_and_completeness(small_cluster):
 
 def test_residuals_within_contract(small_cluster):
     structure, hessian = small_cluster
-    basis = diagonalize(symmetrize(hessian), structure)
+    basis = diagonalize(dynamical_matrix(hessian, structure))
     inv_sqrt_m = 1.0 / np.sqrt(structure.mass_vector_3n())
     d = hessian.matrix * np.outer(inv_sqrt_m, inv_sqrt_m)
     lam = units.eigenvalue_from_hbar_omega(basis.omegas_mev)
@@ -183,7 +189,7 @@ def test_residuals_within_contract(small_cluster):
 
 def test_spectrum_invariant_under_atom_permutation():
     structure, hessian = random_cluster_structure(6, seed=5)
-    basis = diagonalize(symmetrize(hessian), structure)
+    basis = diagonalize(dynamical_matrix(hessian, structure))
 
     rng = np.random.default_rng(7)
     perm = rng.permutation(structure.natoms)
@@ -197,7 +203,7 @@ def test_spectrum_invariant_under_atom_permutation():
         structure.positions[perm],
     )
     h2 = Hessian(hessian.matrix[np.ix_(scatter, scatter)])
-    basis2 = diagonalize(symmetrize(h2), permuted)
+    basis2 = diagonalize(dynamical_matrix(h2, permuted))
     np.testing.assert_allclose(
         basis2.omegas_mev, basis.omegas_mev, rtol=1e-9, atol=1e-4
     )
@@ -234,16 +240,59 @@ def test_vectorized_sign_convention_matches_loop(rows, cols, seed, zeros):
 @settings(max_examples=30, deadline=None)
 @given(natoms=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
 def test_mass_weighting_keeps_bitwise_symmetry(natoms, seed):
-    # diagonalize relies on it instead of symmetrizing the dynamical matrix
+    # apply_asr's T D = (D T^T)^T and eigh's one triangle rely on it
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(3 * natoms, 3 * natoms))
-    d = _mass_weight(0.5 * (a + a.T), np.repeat(rng.uniform(1.0, 240.0, natoms), 3))
+    structure = CrystalStructure(
+        np.eye(3) * 8, ("C",) * natoms, rng.uniform(1.0, 240.0, natoms), np.zeros((natoms, 3))
+    )
+    d = dynamical_matrix(Hessian(a), structure)
     assert d.tobytes() == np.ascontiguousarray(d.T).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    natoms=st.integers(1, 10),
+    seed=st.integers(0, 2**32 - 1),
+    repeats=st.integers(1, 4),
+    shift=st.floats(-2.0, 2.0),
+)
+def test_modes_ascend_without_a_sort(natoms, seed, repeats, shift):
+    # eigh returns lambda ascending and hbar*omega(lambda) is monotone, so
+    # the modes ascend with repeated, zero and negative eigenvalues alike
+    n = 3 * natoms
+    rng = np.random.default_rng(seed)
+    lam = np.repeat(np.round(rng.normal(size=n) + shift, 1), repeats)[:n]
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    basis = diagonalize(symmetrize((q * lam) @ q.T))
+    assert np.all(np.diff(basis.omegas_mev) >= 0.0)
+    back = units.eigenvalue_from_hbar_omega(basis.omegas_mev)
+    np.testing.assert_allclose(back, np.sort(lam), rtol=0.0, atol=1e-12)
+
+
+def test_modes_memory_stays_below_the_hessian_round_trip():
+    # dynamical_matrix -> apply_asr -> diagonalize at 3N = 384 peaks at
+    # about 4.1 times the matrix's bytes; un-weighting D into a Hessian
+    # after the ASR and weighting it again took 6.0
+    natoms = 128
+    rng = np.random.default_rng(5)
+    structure = CrystalStructure(
+        np.eye(3) * 8, ("C",) * natoms, rng.uniform(1.0, 240.0, natoms), np.zeros((natoms, 3))
+    )
+    hessian = Hessian(rng.normal(size=(3 * natoms, 3 * natoms)))
+    tracemalloc.start()
+    try:
+        d, _ = apply_asr(dynamical_matrix(hessian, structure), structure)
+        diagonalize(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * hessian.matrix.nbytes
 
 
 def test_deterministic_sign_convention(small_cluster):
     structure, hessian = small_cluster
-    basis = diagonalize(symmetrize(hessian), structure)
+    basis = diagonalize(dynamical_matrix(hessian, structure))
     for v in basis.vectors:
         nz = np.nonzero(np.abs(v) > 1e-12 * np.max(np.abs(v)))[0]
         assert v[nz[0]] > 0
@@ -297,7 +346,7 @@ def test_ipr_uniform_and_pair():
 
 def test_ipr_bounds_and_table(small_cluster):
     structure, hessian = small_cluster
-    basis = diagonalize(symmetrize(hessian), structure)
+    basis = diagonalize(dynamical_matrix(hessian, structure))
     table = localization_table(basis)
     assert table.shape == (basis.nmodes,)
     assert np.all(table >= 1.0 / basis.natoms - 1e-12)
