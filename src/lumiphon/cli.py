@@ -19,7 +19,7 @@ import sys
 import warnings
 
 from . import __version__
-from .errors import InputError, LumiphonError, NumericalError
+from .errors import InputError, NumericalError
 
 _THREAD_VARS = (
     "OMP_NUM_THREADS",
@@ -432,9 +432,6 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
-    except LumiphonError as exc:  # unlisted family, treat as input trouble
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

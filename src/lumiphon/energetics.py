@@ -13,7 +13,6 @@ stoichiometry term flips sign accordingly.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -21,10 +20,6 @@ import numpy as np
 
 from . import units
 from .errors import (
-    DuplicateEntry,
-    EmptyGroup,
-    EqualCharges,
-    FermiRangeWarning,
     InputError,
     InvalidDielectric,
     MissingChemicalPotential,
@@ -95,12 +90,6 @@ def _resolved_correction(entry: DefectEntry, host: HostReference) -> float:
 
 def formation_energy(entry: DefectEntry, host: HostReference, e_fermi_ev: float) -> float:
     """Evaluate the formation energy at one Fermi level (eV above the VBM)."""
-    if not 0.0 <= e_fermi_ev <= host.gap_ev:
-        warnings.warn(
-            f"Fermi level {e_fermi_ev} eV outside [0, {host.gap_ev}]",
-            FermiRangeWarning,
-            stacklevel=2,
-        )
     reservoir = 0.0
     for species in sorted(entry.stoichiometry):
         n = entry.stoichiometry[species]
@@ -127,12 +116,10 @@ def formation_line(entry: DefectEntry, host: HostReference) -> FormationLine:
 def transition_level(a: Tuple[int, float], b: Tuple[int, float]) -> float:
     """Fermi level where two charge states have equal formation energy.
 
-    Arguments are (charge, E_f at E_Fermi = 0) pairs; the result is
-    symmetric under swapping them.
+    Arguments are (charge, E_f at E_Fermi = 0) pairs of two different
+    charges; the result is symmetric under swapping them.
     """
     (qa, fa), (qb, fb) = a, b
-    if qa == qb:
-        raise EqualCharges(f"both charge states are {qa}")
     return (fa - fb) / (qb - qa)
 
 
@@ -154,15 +141,13 @@ class StabilityDiagram:
     transitions: Tuple[Transition, ...]
 
     def envelope(self, e_fermi_ev):
-        """Envelope energy evaluated through the segment list."""
+        """Envelope energy evaluated through the segment list; NaN outside
+        [0, gap], which cli.cmd_thermo's Fermi samples never leave."""
         x = np.asarray(e_fermi_ev, dtype=float)
-        out = np.empty(x.shape)
-        out.fill(np.nan)
+        out = np.full(x.shape, np.nan)
         for seg in self.segments:
             sel = (x >= seg.fermi_lo_ev) & (x <= seg.fermi_hi_ev)
             out[sel] = seg.line.energy(x[sel])
-        if np.any(np.isnan(out)):
-            raise InputError(f"Fermi level outside [0, {self.gap_ev}]")
         return out if out.ndim else float(out)
 
     def charge_windows(self) -> List[Tuple[int, float, float]]:
@@ -172,16 +157,11 @@ class StabilityDiagram:
 def stability_diagram(
     entries: Sequence[DefectEntry], host: HostReference
 ) -> StabilityDiagram:
-    """Envelope, stability windows and transition levels for one label."""
-    if not entries:
-        raise EmptyGroup("no charge states supplied")
-    labels = {e.label for e in entries}
-    if len(labels) != 1:
-        raise InputError(f"entries mix labels {sorted(labels)}; group them first")
-    charges = [e.charge for e in entries]
-    if len(set(charges)) != len(charges):
-        raise DuplicateEntry(f"duplicate charge state in group {entries[0].label!r}")
+    """Envelope, stability windows and transition levels for one label.
 
+    entries, one or more charge states of one label (cli.cmd_thermo groups
+    them), each charge once (io.parse_defect_table): neither is re-checked.
+    """
     lines = tuple(sorted((formation_line(e, host) for e in entries), key=lambda l: -l.charge))
     gap = host.gap_ev
 

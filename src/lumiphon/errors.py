@@ -2,7 +2,8 @@
 
 Two error families map onto the CLI exit-code contract: InputError for
 anything wrong with user-supplied data or flags (exit 2), NumericalError
-for failures of the numerics themselves (exit 3).
+for failures of the numerics themselves (exit 3).  Every LumiphonError
+below is of one of the two, so cli.main needs no third branch.
 """
 
 
@@ -58,14 +59,6 @@ class MissingChemicalPotential(InputError):
     pass
 
 
-class EqualCharges(InputError):
-    pass
-
-
-class EmptyGroup(InputError):
-    pass
-
-
 class InvalidDielectric(InputError):
     pass
 
@@ -108,7 +101,3 @@ class ZeroFrequencyModeWarning(UserWarning):
 
 class CapTooSmallWarning(UserWarning):
     """Enumeration cap leaves more than 1e-6 of the total weight in the tail."""
-
-
-class FermiRangeWarning(UserWarning):
-    """Fermi level outside [0, gap]; evaluation proceeds."""

@@ -80,7 +80,7 @@ def enumerate_fc(hr: HRDecomposition, cap: int) -> FCLadder:
     emitted when it exceeds 1e-6.
     """
     if cap < 0 or cap > MAX_CAP:
-        raise InputError(f"cap must be in 0..{MAX_CAP}, got {cap}")
+        raise InputError(f"cap {cap} (--max-quanta) must be in 0..{MAX_CAP}")
     if np.any(hr.omegas_mev < 0):
         raise NegativeFrequency("ladder requires non-negative mode energies")
     live = hr.sk > 0.0

@@ -135,6 +135,18 @@ def _integer(value, locus):
     return value
 
 
+def _label(value, locus):
+    """A table label: a non-empty string, one TSV field of one row (no tab,
+    CR or LF) that is not read back as a comment (no leading '#')."""
+    if not isinstance(value, str) or value[:1] in ("", "#") or set(value) & set("\t\r\n"):
+        raise ParseError(
+            f"label must be a non-empty string without tab, CR or LF, not starting "
+            f"with '#', got {value!r}",
+            locus=locus,
+        )
+    return value
+
+
 _NUMBER_TYPES = frozenset((float, int))  # exact types: bool is not a number here
 
 
@@ -444,8 +456,13 @@ def parse_defect_table(doc) -> Tuple[HostReference, List[DefectEntry]]:
     hostdoc = _field(doc, "host")
     if not isinstance(hostdoc, dict):
         raise ParseError("host must be an object", locus="/host")
+    blocks = hostdoc.get("chemical_potentials", {})
+    if not isinstance(blocks, dict):
+        raise ParseError(
+            "chemical_potentials must be an object", locus="/host/chemical_potentials"
+        )
     potentials = {}
-    for sp, block in hostdoc.get("chemical_potentials", {}).items():
+    for sp, block in blocks.items():
         locus = f"/host/chemical_potentials/{sp}"
         if not isinstance(block, dict):
             raise ParseError("chemical potential must be an object", locus=locus)
@@ -477,7 +494,7 @@ def parse_defect_table(doc) -> Tuple[HostReference, List[DefectEntry]]:
         locus = f"/entries/{i}"
         if not isinstance(row, dict):
             raise ParseError("entry must be an object", locus=locus)
-        label = _field(row, "label", locus)
+        label = _label(_field(row, "label", locus), f"{locus}/label")
         charge = _integer(_field(row, "charge", locus), f"{locus}/charge")
         if (label, charge) in seen:
             raise DuplicateEntry(f"duplicate defect entry ({label!r}, q={charge})")
@@ -553,7 +570,7 @@ def parse_dissociation_table(doc) -> List[dict]:
         locus = f"/entries/{i}"
         if not isinstance(row, dict):
             raise ParseError("entry must be an object", locus=locus)
-        label = _field(row, "label", locus)
+        label = _label(_field(row, "label", locus), f"{locus}/label")
         if label in seen:
             raise DuplicateEntry(f"duplicate dissociation entry {label!r}")
         seen.add(label)

@@ -136,14 +136,6 @@ class Hessian:
             raise DimensionMismatch(f"hessian dimension {m.shape[0]} not divisible by 3")
         _require_finite(m, "hessian")
 
-    @property
-    def dim(self):
-        return self.matrix.shape[0]
-
-    @property
-    def natoms(self):
-        return self.dim // 3
-
 
 #: Orthonormality slack allowed on stored eigenvector sets.
 ORTHONORMALITY_TOL = 1e-8
@@ -294,7 +286,9 @@ class HRDecomposition:
 class SpectralDensity:
     """Smeared partial-HR spectrum S(hw) in 1/meV: values[i] at energy
     lo_mev + i * step_mev, the uniform grid vibronic.spectral_density
-    built, of which only its first energy and its step are kept."""
+    built, of which only its first energy and its step are kept.  Only the
+    integral against total is checked: its Gaussians of finite S_k >= 0
+    are finite and non-negative, on 60 or more ascending points."""
 
     lo_mev: float
     step_mev: float
@@ -303,16 +297,7 @@ class SpectralDensity:
 
     def __post_init__(self):
         object.__setattr__(self, "values", _own(self.values))
-        v = self.values
-        if v.ndim != 1 or v.size < 2:
-            raise DimensionMismatch("spectral density must be a 1-d array of 2 or more values")
-        _require_finite(v, "values")
-        lo, step = self.lo_mev, self.step_mev
-        if not (math.isfinite(lo) and math.isfinite(step) and step > 0):
-            raise InputError(f"spectral grid from {lo!r} meV at step {step!r} meV must ascend")
-        if np.any(v < 0):
-            raise InputError("spectral density must be non-negative")
-        integral = float(np.trapezoid(v, dx=step))
+        integral = float(np.trapezoid(self.values, dx=self.step_mev))
         if self.total > 0 and abs(integral - self.total) > 1e-6 * self.total:
             raise InputError(
                 f"integral {integral!r} deviates from total S {self.total!r}"
@@ -327,16 +312,14 @@ class TimeGrid:
     grid there and only there.  No array is held: dt is the step over the
     whole grid, (t[-1] - t[0]) / (n - 1) of the points built from the
     Nyquist step, which unlike one difference carries no rounding of the
-    grid's largest value.  gamma_mev and reach_mev are the damping and the
-    largest |E - E_zpl| (meV) whose lineshape the grid resolves.
-    S(t) on it is one real FFT of length fft_size = N over a spectral
-    density sampled at spectral_step_mev, D = 2 pi hbar / (N dt).
+    grid's largest value.  Its gamma and reach are not kept: emission
+    builds it from the config that lineshape then reads.  S(t) on it is
+    one real FFT of length fft_size = N over a spectral density sampled at
+    spectral_step_mev, D = 2 pi hbar / (N dt).
     """
 
     n: int
     dt: float
-    gamma_mev: float
-    reach_mev: float
     fft_size: int
 
     def __len__(self):
@@ -354,7 +337,8 @@ class GeneratingFunction:
     so no negative time is stored.
 
     G(0) must be exactly 1 and |G| at most 1 (InputError otherwise).
-    s_total is the S of the zero-phonon weight e^{-S}.
+    s_total is the S of the zero-phonon weight e^{-S}.  generating_function
+    alone sizes values, one per t >= 0, each finite.
     """
 
     grid: TimeGrid
@@ -364,14 +348,6 @@ class GeneratingFunction:
     def __post_init__(self):
         object.__setattr__(self, "values", _own(self.values, dtype=complex))
         g = self.values
-        n = len(self.grid)
-        times = n - n // 2
-        if g.shape != (times,):
-            raise DimensionMismatch(
-                f"{g.size} values for the {times} times t >= 0 of a {n}-point time grid"
-            )
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteValue("generating function has non-finite values")
         if g[0] != 1.0 + 0.0j:
             raise InputError(f"G(0) must be exactly 1, got {g[0]!r}")
         if np.max(np.abs(g)) > 1.0 + 1e-9:
@@ -380,7 +356,8 @@ class GeneratingFunction:
 
 @dataclass(frozen=True, eq=False)
 class Lineshape:
-    """Normalized emission intensity per eV on a uniform energy grid."""
+    """Normalized emission intensity per eV on a uniform energy grid; only
+    the unit integral is checked, vibronic.lineshape builds the rest."""
 
     energy_ev: np.ndarray
     intensity: np.ndarray
@@ -390,14 +367,7 @@ class Lineshape:
     def __post_init__(self):
         object.__setattr__(self, "energy_ev", _own(self.energy_ev))
         object.__setattr__(self, "intensity", _own(self.intensity))
-        e, y = self.energy_ev, self.intensity
-        if e.ndim != 1 or e.shape != y.shape or e.size < 2:
-            raise DimensionMismatch("energy grid and intensity must be matching 1-d")
-        _require_finite(e, "energy_ev")
-        _require_finite(y, "intensity")
-        if float(np.min(y)) < -1e-9:
-            raise InputError(f"intensity dips below -1e-9 ({float(np.min(y)):.3e})")
-        integral = float(np.trapezoid(np.clip(y, 0.0, None), e))
+        integral = float(np.trapezoid(self.intensity, self.energy_ev))
         if abs(integral - 1.0) > 1e-6:
             raise InputError(f"intensity integral {integral!r} is not 1 within 1e-6")
 
@@ -523,10 +493,6 @@ class AsrReport:
     def __post_init__(self):
         object.__setattr__(self, "pre_norms_mev", _own(self.pre_norms_mev))
         object.__setattr__(self, "post_norms_mev", _own(self.post_norms_mev))
-        if self.pre_norms_mev.shape != (3,) or self.post_norms_mev.shape != (3,):
-            raise DimensionMismatch("translational norms must be 3-vectors")
-        if np.any(self.post_norms_mev > self.pre_norms_mev + 1e-30):
-            raise InputError("post-ASR norms must not exceed pre-ASR norms")
 
 
 @dataclass(frozen=True)

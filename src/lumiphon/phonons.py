@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import units
-from .errors import DimensionMismatch, NonConvergence
+from .errors import NonConvergence
 from .model import AsrReport, CrystalStructure, Hessian, PhononBasis
 
 #: Residual contract of the eigendecomposition, relative to ||D||.
@@ -27,13 +27,9 @@ def symmetrize(matrix: np.ndarray) -> np.ndarray:
 def dynamical_matrix(hessian: Hessian, structure: CrystalStructure) -> np.ndarray:
     """D = M^-1/2 (H + H^T)/2 M^-1/2 in eV/(amu A^2), bitwise symmetric.
 
-    The structure alone supplies the masses; a Hessian of another size is
-    refused.
+    The structure alone supplies the masses; the Hessian must be its
+    3N x 3N, which io.parse_hessian guarantees and is not re-checked here.
     """
-    if hessian.dim != 3 * structure.natoms:
-        raise DimensionMismatch(
-            f"hessian dimension {hessian.dim} does not match {structure.natoms} atoms"
-        )
     inv = 1.0 / np.sqrt(structure.mass_vector_3n())
     # a bitwise-symmetric H times outer(m^-1/2, m^-1/2) stays bitwise symmetric
     d = symmetrize(hessian.matrix)

@@ -263,9 +263,9 @@ def make_time_grid(
       least 16, covering twice it.  N dt >= 10 pi hbar/sigma is over twice
       2 _SIDEBAND_SPAN hbar/sigma, so n <= N/2, and the grid ends before
       S(t) sampled at step D recurs, from hbar (2 pi/D - _SIDEBAND_SPAN/sigma).
-    The grid records gamma, the reach it was built for and N; lineshape
-    refuses a config with another gamma or a window reaching further.
-    gamma > 0 is resolve_window's to check.
+    The grid records N but not gamma or the reach: emission builds it from
+    the config whose window and gamma lineshape then evaluates, so the two
+    cannot differ.  gamma > 0 is resolve_window's to check.
     """
     top = _top_coupled_mev(hr) + 6.0 * sigma_mev
     reach = max(reach_mev, 10.0 * gamma_mev)
@@ -291,26 +291,21 @@ def make_time_grid(
     n = 1 << max(4, int(math.ceil(math.log2(2.0 * span / dt))))
     # -t[0] and t[-1] of the points (arange(n) - n // 2) * dt, rounded alike
     half_span, last = (n // 2) * dt, (n - 1 - n // 2) * dt
-    return TimeGrid(n, (last + half_span) / (n - 1), gamma_mev, reach, fft_size)
+    return TimeGrid(n, (last + half_span) / (n - 1), fft_size)
 
 
 def generating_function(sd: SpectralDensity, grid: TimeGrid) -> GeneratingFunction:
     """G(t) = exp(S(t) - S(0)) on grid, S(t) the quadrature Fourier transform.
 
-    sd must be sampled at the grid's spectral step D (AliasedGrid
-    otherwise): then D dt N = 2 pi hbar, and S(t_j) = sum_i c_i e^{-i w_i t_j}
+    sd must be sampled at the grid's spectral step D, as emission samples
+    it (spectral_density at grid.spectral_step_mev; not re-checked here):
+    then D dt N = 2 pi hbar, and S(t_j) = sum_i c_i e^{-i w_i t_j}
     at w_i = w_0 + i D / hbar is e^{-i w_0 t_j} times entry j of one real
     FFT of the quadrature weights c_i, w_0 = sd.lo_mev / hbar.  G is formed
     at the grid's times t = j dt >= 0 alone, j < N / 2 as make_time_grid
     sizes N; G(-t) = conj G(t) needs no samples.  The identically-zero
     S(0) - S(0) is pinned, keeping G(0) = 1 exact.
     """
-    step = grid.spectral_step_mev
-    if abs(sd.step_mev - step) > 1e-9 * step:
-        raise AliasedGrid(
-            f"spectral density sampled at {sd.step_mev:.6g} meV; the time grid "
-            f"needs its spectral step {step:.6g} meV"
-        )
     coeff = sd.step_mev * sd.values  # trapezoid weights: halved at both ends
     coeff[[0, -1]] *= 0.5
     s0 = float(np.sum(coeff))
@@ -480,19 +475,12 @@ def lineshape(
     the (meV, eV) pair that energy_grid built and checked from config's
     window, step and gamma.  LineshapeConfig has checked sigma and the
     omega_cubed window.  gf's time grid must have been built
-    (make_time_grid) for config's gamma and a reach covering the window, or
-    AliasedGrid.  The emission intensity E^3 * A (or A with omega_cubed
-    off) is normalized to unit integral over the output window.
+    (make_time_grid) for config's gamma and a reach covering the window;
+    emission, the one caller, builds it so, and it is not re-checked here.
+    The emission intensity E^3 * A (or A with omega_cubed off) is
+    normalized to unit integral over the output window.
     """
     gamma = config.gamma_mev
-    grid = gf.grid
-    reach = _reach_mev(config.zpl_ev, config.window_ev)
-    if gamma != grid.gamma_mev or reach > grid.reach_mev:
-        raise AliasedGrid(
-            f"time grid built for gamma {grid.gamma_mev:g} meV and reach "
-            f"{grid.reach_mev:g} meV cannot give gamma {gamma:g} meV over reach "
-            f"{reach:g} meV"
-        )
     zpl_mev = config.zpl_ev * 1000.0
     energy_mev, energy_ev = energy
 

@@ -1044,6 +1044,22 @@ def test_no_module_level_import_goes_unused():
     assert unused == []
 
 
+def test_every_error_class_has_an_exit_code():
+    # main turns InputError into exit 2 and NumericalError into exit 3 and
+    # catches nothing else, so no LumiphonError may stand outside both
+    from lumiphon import errors
+
+    families = (errors.InputError, errors.NumericalError)
+    classes = [c for c in vars(errors).values() if isinstance(c, type)]
+    outside = [
+        c.__name__
+        for c in classes
+        if issubclass(c, errors.LumiphonError) and c is not errors.LumiphonError
+        and not issubclass(c, families)
+    ]
+    assert outside == []
+
+
 # public names that no program file calls, and why they stay
 UNCALLED_PUBLIC_NAMES = {
     # the test reference of the first-moment contract, first moment = sum S_k omega_k
@@ -1119,6 +1135,8 @@ def _limit_address_space():
         ("oracle", ["--sigma", "-1"], "--sigma"),
         ("oracle", ["--step", "5"], "--step"),
         ("oracle", ["--window", "1.5:1.50005"], "--window"),
+        ("oracle", ["--max-quanta", "30"], "--max-quanta"),
+        ("oracle", ["--max-quanta", "-1"], "--max-quanta"),
     ],
 )
 def test_refusals_exit_2_naming_the_flag_before_allocating(tmp_path, command, extra, named):

@@ -14,10 +14,6 @@ from lumiphon.energetics import (
     transition_level,
 )
 from lumiphon.errors import (
-    DuplicateEntry,
-    EmptyGroup,
-    EqualCharges,
-    FermiRangeWarning,
     InvalidDielectric,
     MissingChemicalPotential,
     NonFiniteValue,
@@ -62,11 +58,6 @@ def test_charge_term_linear():
     neutral = formation_energy(_entry(), HOST, 0.0)
     charged = formation_energy(_entry(q=1, corr=0.1), HOST, 0.5)
     assert charged - neutral == pytest.approx(0.6)
-
-
-def test_fermi_range_warning():
-    with pytest.warns(FermiRangeWarning):
-        formation_energy(_entry(), HOST, 4.0)
 
 
 def test_missing_chemical_potential():
@@ -129,11 +120,6 @@ def test_transition_level_two_line_crossing():
 def test_transition_level_swap_invariance():
     a, b = (1, 1.5), (0, 2.0)
     assert transition_level(a, b) == pytest.approx(transition_level(b, a), rel=1e-15)
-
-
-def test_transition_level_equal_charges():
-    with pytest.raises(EqualCharges):
-        transition_level((1, 1.0), (1, 2.0))
 
 
 def test_transition_level_is_line_crossing():
@@ -218,13 +204,6 @@ def test_neutral_window_report():
     assert lo == pytest.approx(1.54, abs=1e-12)
     assert hi == pytest.approx(2.52, abs=1e-12)
     assert [s.line.charge for s in diagram.segments] == [1, 0, -1]
-
-
-def test_diagram_input_guards():
-    with pytest.raises(EmptyGroup):
-        stability_diagram([], HOST)
-    with pytest.raises(DuplicateEntry):
-        stability_diagram([_entry(q=0), _entry(q=0, energy=-94.0)], HOST)
 
 
 def test_negative_u_middle_charge_skipped_on_envelope():

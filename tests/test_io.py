@@ -98,7 +98,7 @@ def test_hessian_dense_ok():
     structure = lio.parse_structure(STRUCTURE_DOC)
     doc = {"schema": "hessian/1", "matrix": np.eye(6).tolist()}
     hessian = lio.parse_hessian(doc, structure)
-    assert hessian.dim == 6
+    assert hessian.matrix.shape == (6, 6)
     assert hessian.structure_hash == structure_checksum(structure)
 
 
@@ -279,6 +279,114 @@ def test_defect_table_duplicate_label_charge():
     }
     with pytest.raises(DuplicateEntry):
         lio.parse_defect_table(doc)
+
+
+_DEFECTS_DOC = {
+    "schema": "defects/1",
+    "host": {"host_energy_ev": -100.0, "vbm_ev": 0.0, "gap_ev": 3.0},
+    "entries": [{"label": "a", "charge": 0, "total_energy_ev": -95.0}],
+}
+_DISSOCIATION_DOC = {
+    "schema": "dissociation/1",
+    "entries": [
+        {"label": "a", "cluster_energy_ev": -64.0, "fragment_energy_ev": -50.0,
+         "released_energy_ev": -10.0}
+    ],
+}
+
+
+@pytest.mark.parametrize("label", [["a"], {"x": 1}, 7, None, "", "a\tb", "a\rb", "a\nb", "#a"])
+@pytest.mark.parametrize(
+    "doc, parse",
+    [(_DEFECTS_DOC, lio.parse_defect_table), (_DISSOCIATION_DOC, lio.parse_dissociation_table)],
+)
+def test_label_must_stay_one_tsv_field(doc, parse, label):
+    # a list or dict label cannot be hashed, a tab, CR or LF would split
+    # the table row, and a leading '#' would read back as a comment
+    entry = dict(doc["entries"][0], label=label)
+    with pytest.raises(ParseError) as err:
+        parse(dict(doc, entries=[entry]))
+    assert err.value.locus == "/entries/0/label"
+    parse(dict(doc, entries=[dict(entry, label="C_Si-C_i h #2")]))
+
+
+@pytest.mark.parametrize("value", [[], None, "C", 1.0, True])
+def test_chemical_potentials_must_be_an_object(value):
+    host = dict(_DEFECTS_DOC["host"], chemical_potentials=value)
+    with pytest.raises(ParseError) as err:
+        lio.parse_defect_table(dict(_DEFECTS_DOC, host=host))
+    assert err.value.locus == "/host/chemical_potentials"
+
+
+_MALFORMED_VALUES = ([1], {"x": 1}, "s", None, True, -1.0, [], {})
+
+
+def _mutation_paths(node):
+    """Key paths to every field of every object and to the first 3 items
+    of every list, at any depth."""
+    if isinstance(node, dict):
+        keys = list(node)
+    elif isinstance(node, list):
+        keys = range(min(3, len(node)))
+    else:
+        return
+    for key in keys:
+        yield (key,)
+        for rest in _mutation_paths(node[key]):
+            yield (key,) + rest
+
+
+def _replaced(node, path, value):
+    """node with the entry at path replaced by value; copies only that path."""
+    if not path:
+        return value
+    out = node.copy()
+    out[path[0]] = _replaced(node[path[0]], path[1:], value)
+    return out
+
+
+def test_malformed_documents_raise_only_lumiphon_errors(tmp_path, monkeypatch):
+    # the demo's documents, each field and the first 3 items of each list
+    # replaced by a value of another type: a parser either accepts the
+    # document or raises one of lumiphon's errors, never a traceback
+    from lumiphon import cli
+    from lumiphon.errors import LumiphonError
+
+    from helpers import _load_demo_inputs_script
+
+    monkeypatch.setattr(sys, "argv", ["make_demo_inputs.py", "--out", str(tmp_path)])
+    _load_demo_inputs_script().main()
+    s, modes = str(tmp_path / "structure.json"), str(tmp_path / "modes.json")
+    assert cli.main(["modes", "--structure", s, "--hessian", str(tmp_path / "hessian.json"),
+                     "--asr", "--out", modes]) == 0
+    assert cli.main(["hr", "--structure", s, "--modes", modes, "--pair",
+                     str(tmp_path / "pair.json"), "--out", str(tmp_path / "hr.json")]) == 0
+    structure = lio.parse_structure(lio.load_document(s))
+    parsers = {
+        "structure": lio.parse_structure,
+        "hessian": lambda doc: lio.parse_hessian(doc, structure),
+        "pair": lambda doc: lio.parse_geometry_pair(doc, structure),
+        "forces": lambda doc: lio.parse_force_delta(doc, structure),
+        "defects": lio.parse_defect_table,
+        "dissociation": lio.parse_dissociation_table,
+        "hr": lio.parse_hr,
+        "modes": lio.parse_phonon_basis,
+    }
+    crashes, tried = [], 0
+    for name, parse in parsers.items():
+        doc = lio.load_document(tmp_path / f"{name}.json")
+        parse(doc)
+        for path in _mutation_paths(doc):
+            for value in _MALFORMED_VALUES:
+                tried += 1
+                try:
+                    parse(_replaced(doc, path, value))
+                except LumiphonError:
+                    pass
+                except Exception as exc:
+                    crashes.append(f"{name}{path} = {value!r}: {type(exc).__name__}: {exc}")
+    assert tried > 1000
+    assert crashes == []
 
 
 # -------------------------------------------------------------- round trips
