@@ -132,6 +132,7 @@ def _number(value, locus):
 def _integer(value, locus):
     if isinstance(value, bool) or not isinstance(value, int):
         raise ParseError(f"expected an integer, got {value!r}", locus=locus)
+    _number(value, locus)  # an integer past the float range is refused too
     return value
 
 

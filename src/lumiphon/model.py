@@ -3,6 +3,13 @@
 All types are immutable after construction (arrays are copied in and
 marked read-only), so instances can be shared freely across threads.
 
+Each input field is checked once, by the io parser that reads it, which
+names its JSON-pointer locus: shapes, finiteness, integers and markers.
+A record keeps only the contracts that computed data can also break (a
+positive cell and masses, finite and orthonormal modes, finite and
+non-negative S_k summing to the total); code that builds a record from
+anything else supplies what the parser would have guaranteed.
+
 Sign conventions fixed here once:
 
 * stoichiometry counts: n > 0 means the atom was REMOVED from the
@@ -21,7 +28,7 @@ from typing import List, Mapping, Optional, Tuple, Union
 import numpy as np
 
 from . import units
-from .errors import DimensionMismatch, InputError, NonFiniteValue
+from .errors import InputError, NonFiniteValue
 
 
 def _own(a, dtype=float):
@@ -37,6 +44,15 @@ def _require_finite(a, name):
         bad = np.argwhere(~np.isfinite(a))[0]
         idx = ",".join(str(int(i)) for i in bad)
         raise NonFiniteValue(f"{name}[{idx}] is not finite")
+
+
+def sum_sk(sk) -> float:
+    """Correctly rounded sum of finite partial factors (math.fsum): the
+    total S.  NonFiniteValue when the sum passes the float range."""
+    try:
+        return math.fsum(sk.tolist())
+    except OverflowError:
+        raise NonFiniteValue("total S, the sum of sk, exceeds the float range") from None
 
 
 #: Largest output grid: 20 times the 200,501 points of the largest benchmark spectrum.
@@ -75,20 +91,8 @@ class CrystalStructure:
         object.__setattr__(self, "species", tuple(str(s) for s in self.species))
         object.__setattr__(self, "masses", _own(self.masses))
         object.__setattr__(self, "positions", _own(self.positions))
-        if self.lattice.shape != (3, 3):
-            raise DimensionMismatch(f"lattice must be 3x3, got {self.lattice.shape}")
-        _require_finite(self.lattice, "lattice")
         if np.linalg.det(self.lattice) <= 0:
             raise InputError("lattice determinant must be positive (right-handed cell)")
-        n = len(self.species)
-        if n < 1:
-            raise InputError("structure needs at least one site")
-        if self.masses.shape != (n,):
-            raise DimensionMismatch(f"masses must have length {n}, got {self.masses.shape}")
-        if self.positions.shape != (n, 3):
-            raise DimensionMismatch(f"positions must be {n}x3, got {self.positions.shape}")
-        _require_finite(self.masses, "masses")
-        _require_finite(self.positions, "positions")
         if np.any(self.masses <= 0):
             i = int(np.argwhere(self.masses <= 0)[0][0])
             raise InputError(f"masses[{i}] must be positive")
@@ -122,19 +126,14 @@ def structure_checksum(structure: CrystalStructure) -> str:
 
 @dataclass(frozen=True, eq=False)
 class Hessian:
-    """Second derivatives of the total energy, eV/A^2, atom-major xyz-minor."""
+    """Second derivatives of the total energy, eV/A^2, atom-major xyz-minor:
+    finite and 3N x 3N for its structure, as io.parse_hessian reads it."""
 
     matrix: np.ndarray
     structure_hash: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _own(self.matrix))
-        m = self.matrix
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionMismatch(f"hessian must be square, got {m.shape}")
-        if m.shape[0] % 3 != 0:
-            raise DimensionMismatch(f"hessian dimension {m.shape[0]} not divisible by 3")
-        _require_finite(m, "hessian")
 
 
 #: Orthonormality slack allowed on stored eigenvector sets.
@@ -151,17 +150,8 @@ class PhononBasis:
     def __post_init__(self):
         object.__setattr__(self, "omegas_mev", _own(self.omegas_mev))
         object.__setattr__(self, "vectors", _own(self.vectors))
-        w, v = self.omegas_mev, self.vectors
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise DimensionMismatch(f"mode matrix must be square (3N modes), got {v.shape}")
-        if w.shape != (v.shape[0],):
-            raise DimensionMismatch(
-                f"{w.shape[0]} frequencies for {v.shape[0]} mode vectors"
-            )
-        if v.shape[0] % 3 != 0:
-            raise DimensionMismatch(f"mode dimension {v.shape[0]} not divisible by 3")
-        _require_finite(w, "omegas_mev")
-        _require_finite(v, "vectors")
+        _require_finite(self.omegas_mev, "omegas_mev")
+        _require_finite(self.vectors, "vectors")
         self._check_orthonormal()
 
     def _check_orthonormal(self):
@@ -175,10 +165,6 @@ class PhononBasis:
     @property
     def nmodes(self):
         return self.omegas_mev.shape[0]
-
-    @property
-    def natoms(self):
-        return self.nmodes // 3
 
 
 def classify_lvm(omegas_mev, cutoff_mev: float = 115.0) -> List[int]:
@@ -200,23 +186,6 @@ class GeometryPair:
         object.__setattr__(self, "excited", _own(self.excited))
         if self.species is not None:
             object.__setattr__(self, "species", tuple(str(s) for s in self.species))
-        g, e = self.ground, self.excited
-        if g.ndim != 2 or g.shape[1] != 3:
-            raise DimensionMismatch(f"ground positions must be Nx3, got {g.shape}")
-        if e.shape != g.shape:
-            raise DimensionMismatch(
-                f"excited shape {e.shape} does not match ground shape {g.shape}"
-            )
-        if self.species is not None and len(self.species) != g.shape[0]:
-            raise DimensionMismatch(
-                f"{len(self.species)} species for {g.shape[0]} atoms"
-            )
-        _require_finite(g, "ground")
-        _require_finite(e, "excited")
-
-    @property
-    def natoms(self):
-        return self.ground.shape[0]
 
     @property
     def delta(self):
@@ -231,18 +200,8 @@ class ForceDelta:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=float)
-        if v.ndim == 2 and v.shape[1] == 3:
-            v = v.reshape(-1)
-        if v.ndim != 1 or v.shape[0] % 3 != 0:
-            raise DimensionMismatch(f"force delta must be length 3N, got {v.shape}")
-        _require_finite(v, "force_delta")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    @property
-    def natoms(self):
-        return self.values.shape[0] // 3
+        # io passes the document's N x 3 rows, scripts a flat vector
+        object.__setattr__(self, "values", _own(np.reshape(self.values, -1)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,20 +217,15 @@ class HRDecomposition:
         object.__setattr__(self, "omegas_mev", _own(self.omegas_mev))
         object.__setattr__(self, "qk", _own(self.qk))
         object.__setattr__(self, "sk", _own(self.sk))
-        w, q, s = self.omegas_mev, self.qk, self.sk
-        if not (w.shape == q.shape == s.shape) or w.ndim != 1:
-            raise DimensionMismatch("omega/q/S arrays must share one shape")
-        _require_finite(w, "omegas_mev")
-        _require_finite(q, "qk")
+        w, s = self.omegas_mev, self.sk
+        _require_finite(self.qk, "qk")
         _require_finite(s, "sk")
         if np.any(s < 0):
             i = int(np.argwhere(s < 0)[0][0])
             raise InputError(f"sk[{i}] is negative")
         if np.any(np.diff(w) < 0):
             raise InputError("entries must be sorted ascending by omega")
-        if not math.isfinite(self.total):
-            raise NonFiniteValue(f"total {self.total!r} is not finite")
-        tot = math.fsum(s.tolist())
+        tot = sum_sk(s)
         if abs(tot - self.total) > 1e-12 * max(1.0, abs(tot)):
             raise InputError(
                 f"total {self.total!r} does not match sum of sk {tot!r}"
@@ -429,18 +383,6 @@ class DefectEntry:
 
     def __post_init__(self):
         object.__setattr__(self, "stoichiometry", dict(self.stoichiometry))
-        if not math.isfinite(self.total_energy_ev):
-            raise NonFiniteValue(f"total_energy_ev of {self.label!r} is not finite")
-        if isinstance(self.correction, str):
-            if self.correction != "analytic":
-                raise InputError(
-                    f"correction must be a number or 'analytic', got {self.correction!r}"
-                )
-        elif not math.isfinite(float(self.correction)):
-            raise NonFiniteValue(f"correction of {self.label!r} is not finite")
-        if self.charge != int(self.charge):
-            raise InputError("charge must be an integer")
-        object.__setattr__(self, "charge", int(self.charge))
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,6 @@ from .errors import (
     GridTooNarrow,
     ImaginaryModePresent,
     InputError,
-    NegativeFrequency,
     NonPositiveGamma,
     NumericalError,
     ZeroFrequencyModeWarning,
@@ -52,6 +51,7 @@ from .model import (
     SpectralDensity,
     TimeGrid,
     output_grid,
+    sum_sk,
 )
 from .units import ZERO_MODE_MEV
 
@@ -152,23 +152,17 @@ def partial_hr(qk, omegas_mev) -> HRDecomposition:
 
     Modes at or below ZERO_MODE_MEV (the rigid translations and rotations)
     get S_k = 0, as on the force route, so both routes report one total;
-    their q_k is kept.
+    their q_k is kept.  qk and omegas_mev are the equal 1-d arrays of a
+    qk_from_* route, which has refused modes below -ZERO_MODE_MEV.
     """
     q = np.asarray(qk, dtype=float)
     w = np.asarray(omegas_mev, dtype=float)
-    if q.shape != w.shape or q.ndim != 1:
-        raise DimensionMismatch("qk and omegas must be matching 1-d arrays")
-    if np.any(w < -ZERO_MODE_MEV):
-        i = int(np.argwhere(w < -ZERO_MODE_MEV)[0][0])
-        raise NegativeFrequency(f"omega[{i}] = {w[i]:.4f} meV is negative")
     w_clamped = np.clip(w, 0.0, None)
     sk = units.omega_radfs(w_clamped) * q * q / (2.0 * units.HBAR_AMU_A2_FS)
     sk[w_clamped <= ZERO_MODE_MEV] = 0.0
     order = np.argsort(w_clamped, kind="stable")
     sk_sorted = sk[order]
-    return HRDecomposition(
-        w_clamped[order], q[order], sk_sorted, math.fsum(sk_sorted.tolist())
-    )
+    return HRDecomposition(w_clamped[order], q[order], sk_sorted, sum_sk(sk_sorted))
 
 
 def spectral_density(hr: HRDecomposition, sigma_mev: float, step_mev: float) -> SpectralDensity:
@@ -176,7 +170,7 @@ def spectral_density(hr: HRDecomposition, sigma_mev: float, step_mev: float) -> 
     at step_mev (a time grid's spectral_step_mev) from 6 sigma below every
     contributing mode to 6 sigma above, so the integral reproduces the total.
     The density keeps the grid's first energy and its step grid[1] - grid[0],
-    which is what generating_function reads of it.
+    which is what generating_function reads of it, and hr's total.
     sigma > 0 is LineshapeConfig's to check.
     """
     live = hr.sk > 0.0
@@ -208,9 +202,7 @@ def spectral_density(hr: HRDecomposition, sigma_mev: float, step_mev: float) -> 
         g /= norm
         g *= sks[start : start + rows, None]
         vals = np.add.reduce(block, axis=0)
-    return SpectralDensity(
-        float(grid[0]), float(grid[1] - grid[0]), vals, float(math.fsum(sks.tolist()))
-    )
+    return SpectralDensity(float(grid[0]), float(grid[1] - grid[0]), vals, hr.total)
 
 
 def _nyquist_need_mev(omega_max_mev, s_total, reach_mev):

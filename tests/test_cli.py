@@ -161,6 +161,80 @@ def test_modes_huge_integer_exit_2(tmp_path, capsys, digits, message):
     assert message in capsys.readouterr().err
 
 
+def _set(path, value, add=False):
+    """Edit of a loaded document: the entry at key path set to value, or
+    increased by it."""
+
+    def edit(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = node[path[-1]] + value if add else value
+
+    return edit
+
+
+_HUGE_SK = [_set(("entries", k, "sk"), 1e308) for k in (-2, -1)] + [_set(("total",), 1e308)]
+
+
+# demo documents with one input past what a float holds once computed on:
+# each call exits 2 naming what overflowed.  The basis's finite-omega and
+# the decomposition's finite-sk checks look redundant beside the parsers'
+# but are reached here.
+@pytest.mark.parametrize(
+    "document, edits, command, named",
+    [
+        # (H + H^T)/2 overflows in symmetrize
+        ("hessian.json", [_set(("matrix", 0, 1), 1e308), _set(("matrix", 1, 0), 1e308)],
+         "modes", "omegas_mev[0] is not finite"),
+        ("pair.json", [_set(("excited", 0, 0), 1e200, add=True)], "hr", "sk[6] is not finite"),
+        # every S_k finite, their sum past the float range
+        ("pair.json", [_set(("excited", 0, 0), 2e153, add=True)], "hr", "total S"),
+        ("hr.json", _HUGE_SK, "spectrum", "total S"),
+        ("hr.json", _HUGE_SK, "oracle", "total S"),
+        ("defects.json", [_set(("entries", 0, "charge"), 10**400)], "thermo",
+         "/entries/0/charge"),
+        ("defects.json", [_set(("entries", 0, "stoichiometry", "Si"), 10**400)], "thermo",
+         "/entries/0/stoichiometry/Si"),
+    ],
+    ids=["modes-hessian", "hr-move-1e200", "hr-move-2e153", "spectrum-sk", "oracle-sk",
+         "thermo-charge", "thermo-stoichiometry"],
+)
+def test_demo_input_past_float_range_exit_2(
+    tmp_path, monkeypatch, capsys, document, edits, command, named
+):
+    from helpers import _load_demo_inputs_script
+
+    monkeypatch.setattr(sys, "argv", ["make_demo_inputs.py", "--out", str(tmp_path)])
+    _load_demo_inputs_script().main()
+    s, modes, hr = (str(tmp_path / name) for name in ("structure.json", "modes.json", "hr.json"))
+    assert main(["modes", "--structure", s, "--hessian", str(tmp_path / "hessian.json"),
+                 "--asr", "--out", modes]) == 0
+    assert main(["hr", "--structure", s, "--modes", modes, "--pair",
+                 str(tmp_path / "pair.json"), "--out", hr]) == 0
+    doc = lio.load_document(tmp_path / document)
+    for edit in edits:
+        edit(doc)
+    (tmp_path / document).write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    argv = {
+        "modes": ["--structure", s, "--hessian", str(tmp_path / "hessian.json")],
+        "hr": ["--structure", s, "--modes", modes, "--pair", str(tmp_path / "pair.json")],
+        "spectrum": ["--hr", hr, "--zpl", "2.0"],
+        "oracle": ["--hr", hr, "--zpl", "2.0"],
+        "thermo": ["--defects", str(tmp_path / "defects.json"), "--envelope", str(out),
+                   "--transitions", str(tmp_path / "t.tsv")],
+    }[command]
+    if command != "thermo":
+        argv += ["--out", str(out)]
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow notices
+        assert main([command, *argv]) == 2
+    assert not out.exists()
+    assert named in capsys.readouterr().err
+
+
 def _write_chain(tmp_path, natoms):
     """A structure of `natoms` carbon atoms on a line."""
     positions = [[0.1 * i, 0.0, 0.0] for i in range(natoms)]

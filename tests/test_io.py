@@ -268,6 +268,18 @@ def test_pair_species_order_checked():
         lio.parse_geometry_pair(doc, structure)
 
 
+def test_pair_non_finite_entry_locus():
+    # the parser is the one check of a pair's numbers
+    structure = lio.parse_structure(STRUCTURE_DOC)
+    pos = structure.positions.tolist()
+    excited = [list(row) for row in pos]
+    excited[1][2] = float("nan")
+    doc = {"schema": "geometry_pair/1", "ground": pos, "excited": excited}
+    with pytest.raises(NonFiniteValue) as err:
+        lio.parse_geometry_pair(doc, structure)
+    assert err.value.locus == "/excited/1/2"
+
+
 def test_defect_table_duplicate_label_charge():
     doc = {
         "schema": "defects/1",
@@ -286,6 +298,7 @@ _DEFECTS_DOC = {
     "host": {"host_energy_ev": -100.0, "vbm_ev": 0.0, "gap_ev": 3.0},
     "entries": [{"label": "a", "charge": 0, "total_energy_ev": -95.0}],
 }
+
 _DISSOCIATION_DOC = {
     "schema": "dissociation/1",
     "entries": [
@@ -293,6 +306,22 @@ _DISSOCIATION_DOC = {
          "released_energy_ev": -10.0}
     ],
 }
+
+
+def test_defect_entry_fields_checked_by_the_parser():
+    def parse(**fields):
+        entry = dict(_DEFECTS_DOC["entries"][0], **fields)
+        return lio.parse_defect_table(dict(_DEFECTS_DOC, entries=[entry]))[1][0]
+
+    for fields, error, locus in [
+        ({"correction_ev": "magic"}, ParseError, "/entries/0/correction_ev"),
+        ({"total_energy_ev": float("nan")}, NonFiniteValue, "/entries/0/total_energy_ev"),
+        ({"charge": -1.0}, ParseError, "/entries/0/charge"),
+    ]:
+        with pytest.raises(error) as err:
+            parse(**fields)
+        assert err.value.locus == locus
+    assert parse(charge=-1, correction_ev="analytic").correction == "analytic"
 
 
 @pytest.mark.parametrize("label", [["a"], {"x": 1}, 7, None, "", "a\tb", "a\rb", "a\nb", "#a"])
@@ -318,7 +347,7 @@ def test_chemical_potentials_must_be_an_object(value):
     assert err.value.locus == "/host/chemical_potentials"
 
 
-_MALFORMED_VALUES = ([1], {"x": 1}, "s", None, True, -1.0, [], {})
+_MALFORMED_VALUES = ([1], {"x": 1}, "s", None, True, -1.0, [], {}, 10**400)
 
 
 def _mutation_paths(node):
@@ -586,6 +615,16 @@ def test_hr_roundtrip_bit_exact(tmp_path):
     assert np.array_equal(back.qk, hr.qk)
     assert np.array_equal(back.sk, hr.sk)
     assert back.total == hr.total
+
+
+@pytest.mark.parametrize("total", [float("nan"), float("inf"), float("-inf")])
+def test_hr_refuses_non_finite_total(total):
+    # NaN compares False against any tolerance: the parser's number check
+    # is what refuses it
+    entries = [{"omega_mev": 50.0, "qk": 0.1, "sk": 0.2}]
+    with pytest.raises(NonFiniteValue) as err:
+        lio.parse_hr({"schema": "hr/1", "total": total, "entries": entries})
+    assert err.value.locus == "/total"
 
 
 def test_defects_roundtrip(tmp_path):

@@ -342,5 +342,5 @@ def test_ipr_bounds_and_table(small_cluster):
     basis = diagonalize(dynamical_matrix(hessian, structure))
     table = localization_table(basis)
     assert table.shape == (basis.nmodes,)
-    assert np.all(table >= 1.0 / basis.natoms - 1e-12)
+    assert np.all(table >= 1.0 / (basis.nmodes // 3) - 1e-12)
     assert np.all(table <= 1.0 + 1e-12)

@@ -13,7 +13,6 @@ from lumiphon.errors import (
     GridTooNarrow,
     ImaginaryModePresent,
     InputError,
-    NegativeFrequency,
     NonPositiveGamma,
     NumericalError,
 )
@@ -265,11 +264,6 @@ def test_partial_hr_quadratic_scaling():
     s1 = partial_hr(np.array([0.2]), w).total
     s2 = partial_hr(np.array([0.4]), w).total
     assert s2 == pytest.approx(4.0 * s1, rel=1e-12)
-
-
-def test_partial_hr_negative_frequency():
-    with pytest.raises(NegativeFrequency):
-        partial_hr(np.array([0.1]), np.array([-5.0]))
 
 
 # ---------------------------------------------------------- spectral density
