@@ -16,6 +16,7 @@ import numpy as np
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from lumiphon import io as lio
+from lumiphon.cli import LVM_CUTOFF_MEV
 from lumiphon.model import classify_lvm
 
 
@@ -23,7 +24,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("basis_a")
     parser.add_argument("basis_b")
-    parser.add_argument("--cutoff", type=float, default=115.0, help="meV")
+    parser.add_argument("--cutoff", type=float, default=LVM_CUTOFF_MEV, help="meV")
     args = parser.parse_args()
 
     omegas = []

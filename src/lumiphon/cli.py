@@ -31,6 +31,10 @@ _THREAD_VARS = (
 
 _FIXED_TIMESTAMP = "1970-01-01T00:00:00Z"
 
+#: Bulk phonon cutoff in meV, the --cutoff default of modes and spectrum:
+#: modes strictly above it are local vibrational modes.
+LVM_CUTOFF_MEV = 115.0
+
 
 def _finite_float(text: str) -> float:
     """argparse type of every float flag: nan and inf exit 2 naming the flag."""
@@ -65,7 +69,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--structure", required=True)
     p.add_argument("--hessian", required=True)
     p.add_argument("--asr", action="store_true", help="enforce the acoustic sum rule")
-    p.add_argument("--cutoff", type=_finite_float, default=115.0, help="bulk cutoff in meV")
+    p.add_argument(
+        "--cutoff", type=_finite_float, default=LVM_CUTOFF_MEV, help="bulk cutoff in meV"
+    )
     p.add_argument("--out", required=True, help="phonon basis JSON")
     p.add_argument("--table", help="per-mode TSV (energy, localization, LVM flag)")
     p.set_defaults(func=cmd_modes)
@@ -93,7 +99,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=_parse_window, help="output window LO:HI in eV")
     p.add_argument("--step", type=_finite_float, default=0.1, help="output step in meV")
     p.add_argument("--no-omega-cubed", action="store_true")
-    p.add_argument("--cutoff", type=_finite_float, default=115.0, help="LVM cutoff in meV")
+    p.add_argument(
+        "--cutoff", type=_finite_float, default=LVM_CUTOFF_MEV, help="LVM cutoff in meV"
+    )
     p.add_argument("--out", required=True, help="spectrum TSV")
     p.add_argument("--peaks", help="labelled sideband peaks TSV")
     p.set_defaults(func=cmd_spectrum)
@@ -160,9 +168,9 @@ def cmd_modes(args) -> int:
         "tool_version": __version__,
     }
     if args.asr:
-        d, report = phonons.apply_asr(d, structure)
-        provenance["pre_asr_norms_mev"] = report.pre_norms_mev.tolist()
-        provenance["post_asr_norms_mev"] = report.post_norms_mev.tolist()
+        d, pre, post = phonons.apply_asr(d, structure)
+        provenance["pre_asr_norms_mev"] = pre.tolist()
+        provenance["post_asr_norms_mev"] = post.tolist()
     basis = phonons.diagonalize(d)
     lvm = classify_lvm(basis.omegas_mev, args.cutoff)
     provenance["lvm_indices"] = lvm

@@ -12,19 +12,13 @@ stoichiometry term flips sign accordingly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from . import units
-from .errors import (
-    InputError,
-    InvalidDielectric,
-    MissingChemicalPotential,
-    NonFiniteValue,
-)
+from .errors import InputError, InvalidDielectric, MissingChemicalPotential
 from .model import (
     ChemicalPotential,
     DefectEntry,
@@ -60,13 +54,14 @@ def analytic_correction(charge: int, dielectric_constant: float, volume_a3: floa
 
     q^2 * alpha / (2 eps L) with L the cube root of the cell volume and
     alpha the simple-cubic Madelung constant; zero for neutral cells,
-    even and quadratic in the charge.
+    even and quadratic in the charge.  _resolved_correction, the one
+    caller, has refused a missing dielectric constant or volume.
     """
-    if dielectric_constant is None or dielectric_constant <= 1.0:
+    if dielectric_constant <= 1.0:
         raise InvalidDielectric(
             f"dielectric constant must exceed 1, got {dielectric_constant}"
         )
-    if volume_a3 is None or volume_a3 <= 0.0:
+    if volume_a3 <= 0.0:
         raise InputError(f"cell volume must be positive, got {volume_a3}")
     length = volume_a3 ** (1.0 / 3.0)
     return (
@@ -110,7 +105,7 @@ def formation_energy(entry: DefectEntry, host: HostReference, e_fermi_ev: float)
 
 def formation_line(entry: DefectEntry, host: HostReference) -> FormationLine:
     """The E_f(E_Fermi) line of one charge state (slope = charge)."""
-    return FormationLine(entry.label, entry.charge, formation_energy(entry, host, 0.0))
+    return FormationLine(entry.charge, formation_energy(entry, host, 0.0))
 
 
 def transition_level(a: Tuple[int, float], b: Tuple[int, float]) -> float:
@@ -134,8 +129,6 @@ class EnvelopeSegment:
 class StabilityDiagram:
     """Lower envelope of the formation lines of one defect over [0, gap]."""
 
-    label: str
-    gap_ev: float
     lines: Tuple[FormationLine, ...]
     segments: Tuple[EnvelopeSegment, ...]
     transitions: Tuple[Transition, ...]
@@ -193,7 +186,7 @@ def stability_diagram(
         segments.append(EnvelopeSegment(x, best_x, active))
         transitions.append(Transition(active.charge, best_line.charge, best_x))
         active, x = best_line, best_x
-    return StabilityDiagram(entries[0].label, gap, lines, tuple(segments), tuple(transitions))
+    return StabilityDiagram(lines, tuple(segments), tuple(transitions))
 
 
 @dataclass(frozen=True)
@@ -201,7 +194,6 @@ class ChargeOrdering:
     """Adjacent-triple level ordering; negative_u when the donor level of
     the middle charge lies at or above its acceptor level."""
 
-    label: str
     q_high: int
     q_mid: int
     q_low: int
@@ -222,7 +214,6 @@ def charge_ordering_report(diagram: StabilityDiagram) -> List[ChargeOrdering]:
     pairs = [(line.charge, line.intercept_ev) for line in diagram.lines]
     return [
         ChargeOrdering(
-            diagram.label,
             high[0],
             mid[0],
             low[0],
@@ -247,12 +238,9 @@ class DissociationEnergy:
 def dissociation_energy(
     fragment_energy_ev: float, released_energy_ev: float, cluster_energy_ev: float
 ) -> DissociationEnergy:
-    """E_D = E(fragment cluster) + E(released species) - E(original cluster)."""
-    for name, v in (
-        ("fragment_energy_ev", fragment_energy_ev),
-        ("released_energy_ev", released_energy_ev),
-        ("cluster_energy_ev", cluster_energy_ev),
-    ):
-        if not math.isfinite(v):
-            raise NonFiniteValue(f"{name} is not finite")
+    """E_D = E(fragment cluster) + E(released species) - E(original cluster).
+
+    io.parse_dissociation_table reads each energy finite; write_table_tsv
+    refuses a result that overflows.
+    """
     return DissociationEnergy(fragment_energy_ev + released_energy_ev - cluster_energy_ev)

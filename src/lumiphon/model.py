@@ -8,7 +8,10 @@ names its JSON-pointer locus: shapes, finiteness, integers and markers.
 A record keeps only the contracts that computed data can also break (a
 positive cell and masses, finite and orthonormal modes, finite and
 non-negative S_k summing to the total); code that builds a record from
-anything else supplies what the parser would have guaranteed.
+anything else supplies what the parser would have guaranteed.  A stage
+result read only by the next stage is no record but plain arrays, its
+contract checked by the function that makes it: S(hw) and G(t) in
+vibronic, the ASR residuals in phonons.
 
 Sign conventions fixed here once:
 
@@ -167,7 +170,7 @@ class PhononBasis:
         return self.omegas_mev.shape[0]
 
 
-def classify_lvm(omegas_mev, cutoff_mev: float = 115.0) -> List[int]:
+def classify_lvm(omegas_mev, cutoff_mev: float) -> List[int]:
     """Indices of the local vibrational modes, those strictly above the bulk
     phonon cutoff, ascending: modes' LVM flags and spectrum's peak labels."""
     return [int(i) for i in np.nonzero(np.asarray(omegas_mev) > cutoff_mev)[0]]
@@ -236,28 +239,6 @@ class HRDecomposition:
         return self.omegas_mev.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralDensity:
-    """Smeared partial-HR spectrum S(hw) in 1/meV: values[i] at energy
-    lo_mev + i * step_mev, the uniform grid vibronic.spectral_density
-    built, of which only its first energy and its step are kept.  Only the
-    integral against total is checked: its Gaussians of finite S_k >= 0
-    are finite and non-negative, on 60 or more ascending points."""
-
-    lo_mev: float
-    step_mev: float
-    values: np.ndarray
-    total: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _own(self.values))
-        integral = float(np.trapezoid(self.values, dx=self.step_mev))
-        if self.total > 0 and abs(integral - self.total) > 1e-6 * self.total:
-            raise InputError(
-                f"integral {integral!r} deviates from total S {self.total!r}"
-            )
-
-
 @dataclass(frozen=True)
 class TimeGrid:
     """Symmetric time grid t_j = (j - n // 2) dt, j = 0 .. n - 1, in fs.
@@ -285,30 +266,6 @@ class TimeGrid:
 
 
 @dataclass(frozen=True, eq=False)
-class GeneratingFunction:
-    """G(t) = exp(S(t) - S(0)) at the t >= 0 points of a TimeGrid: values[j]
-    at t = j dt, j = 0 .. n - 1 - n // 2.  G(-t) = conj G(t) by definition,
-    so no negative time is stored.
-
-    G(0) must be exactly 1 and |G| at most 1 (InputError otherwise).
-    s_total is the S of the zero-phonon weight e^{-S}.  generating_function
-    alone sizes values, one per t >= 0, each finite.
-    """
-
-    grid: TimeGrid
-    values: np.ndarray
-    s_total: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _own(self.values, dtype=complex))
-        g = self.values
-        if g[0] != 1.0 + 0.0j:
-            raise InputError(f"G(0) must be exactly 1, got {g[0]!r}")
-        if np.max(np.abs(g)) > 1.0 + 1e-9:
-            raise InputError("generating function magnitude exceeds 1")
-
-
-@dataclass(frozen=True, eq=False)
 class Lineshape:
     """Normalized emission intensity per eV on a uniform energy grid; only
     the unit integral is checked, vibronic.lineshape builds the rest."""
@@ -333,15 +290,16 @@ class LineshapeConfig:
     vibronic.resolve_window has checked zpl and gamma, and works out
     window_ev; vibronic.energy_grid checks the window against step_mev and
     gamma.  Here only what the generating-function route adds: a sigma
-    above 0, and with omega_cubed on a window above 0 eV.
+    above 0, and with omega_cubed on a window above 0 eV.  No field has a
+    default: those of the flags are the spectrum parser's.
     """
 
     zpl_ev: float
     window_ev: Tuple[float, float]
-    gamma_mev: float = 1.0
-    sigma_mev: float = 2.0
-    step_mev: float = 0.1
-    omega_cubed: bool = True
+    gamma_mev: float
+    sigma_mev: float
+    step_mev: float
+    omega_cubed: bool
 
     def __post_init__(self):
         if not self.sigma_mev > 0:
@@ -410,7 +368,6 @@ class HostReference:
 class FormationLine:
     """E_f(E_Fermi) = intercept + charge * E_Fermi for one charge state."""
 
-    label: str
     charge: int
     intercept_ev: float
 
@@ -425,16 +382,6 @@ class Transition:
     q: int
     q2: int
     fermi_ev: float
-
-
-@dataclass(frozen=True, eq=False)
-class AsrReport:
-    pre_norms_mev: np.ndarray
-    post_norms_mev: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "pre_norms_mev", _own(self.pre_norms_mev))
-        object.__setattr__(self, "post_norms_mev", _own(self.post_norms_mev))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import units
 from .errors import NonConvergence
-from .model import AsrReport, CrystalStructure, Hessian, PhononBasis
+from .model import CrystalStructure, Hessian, PhononBasis
 
 #: Residual contract of the eigendecomposition, relative to ||D||.
 RESIDUAL_TOL = 1e-8
@@ -55,14 +55,14 @@ def _orient_rows(vecs):
     np.negative(vecs, out=vecs, where=flip[:, None])
 
 
-def apply_asr(d: np.ndarray, structure: CrystalStructure) -> tuple[np.ndarray, AsrReport]:
+def apply_asr(d: np.ndarray, structure: CrystalStructure) -> tuple:
     """Project the rigid translations out of the dynamical matrix d.
 
     The three mass-weighted translation vectors become exact null vectors;
-    an already translation-invariant d passes through unchanged.  The
-    report carries the translational residuals before and after, expressed
-    as equivalent mode energies in meV.  The result is a new, bitwise
-    symmetric array; d is left as it is.
+    an already translation-invariant d passes through unchanged.  Returns
+    (D, pre, post): D a new, bitwise symmetric array, d left as it is, and
+    the three translational residuals before and after, expressed as
+    equivalent mode energies in meV.
     """
     t = _translation_basis(structure.mass_vector_3n())
 
@@ -78,7 +78,7 @@ def apply_asr(d: np.ndarray, structure: CrystalStructure) -> tuple[np.ndarray, A
     d_clean = 0.5 * (d_clean + d_clean.T)
     # the projection cannot increase a residual; clamp matmul noise
     post = np.minimum(_residuals(d_clean @ t.T), pre)
-    return d_clean, AsrReport(pre, post)
+    return d_clean, pre, post
 
 
 def diagonalize(d: np.ndarray) -> PhononBasis:

@@ -42,13 +42,11 @@ from .errors import (
 from .model import (
     CrystalStructure,
     ForceDelta,
-    GeneratingFunction,
     GeometryPair,
     HRDecomposition,
     Lineshape,
     LineshapeConfig,
     PhononBasis,
-    SpectralDensity,
     TimeGrid,
     output_grid,
     sum_sk,
@@ -165,20 +163,22 @@ def partial_hr(qk, omegas_mev) -> HRDecomposition:
     return HRDecomposition(w_clamped[order], q[order], sk_sorted, sum_sk(sk_sorted))
 
 
-def spectral_density(hr: HRDecomposition, sigma_mev: float, step_mev: float) -> SpectralDensity:
+def spectral_density(hr: HRDecomposition, sigma_mev: float, step_mev: float) -> tuple:
     """Smear the stick decomposition with Gaussians of width sigma, sampled
     at step_mev (a time grid's spectral_step_mev) from 6 sigma below every
-    contributing mode to 6 sigma above, so the integral reproduces the total.
-    The density keeps the grid's first energy and its step grid[1] - grid[0],
-    which is what generating_function reads of it, and hr's total.
-    sigma > 0 is LineshapeConfig's to check.
+    contributing mode to 6 sigma above: (lo_mev, step, values), S(hw) in
+    1/meV with values[i] at lo_mev + i * step, the grid's first energy and
+    its step grid[1] - grid[0] being all generating_function reads of it.
+    Each Gaussian is summed over +-6 sigma at a step <= sigma/5, so the
+    trapezoid integral is hr's total within 2 Phi(-6) = 2e-9 of it; that is
+    not re-checked.  sigma > 0 is LineshapeConfig's to check.
     """
     live = hr.sk > 0.0
     omegas = hr.omegas_mev[live]
     sks = hr.sk[live]
     if omegas.size == 0:
         cells = math.ceil(12.0 * sigma_mev / step_mev)
-        return SpectralDensity(0.0, step_mev, np.zeros(cells), 0.0)
+        return 0.0, step_mev, np.zeros(cells)
     lo_req = float(omegas.min() - 6.0 * sigma_mev)
     hi_req = float(omegas.max() + 6.0 * sigma_mev)
     n = int(math.ceil((hi_req - lo_req) / step_mev)) + 1
@@ -202,7 +202,7 @@ def spectral_density(hr: HRDecomposition, sigma_mev: float, step_mev: float) -> 
         g /= norm
         g *= sks[start : start + rows, None]
         vals = np.add.reduce(block, axis=0)
-    return SpectralDensity(float(grid[0]), float(grid[1] - grid[0]), vals, hr.total)
+    return float(grid[0]), float(grid[1] - grid[0]), vals
 
 
 def _nyquist_need_mev(omega_max_mev, s_total, reach_mev):
@@ -286,51 +286,57 @@ def make_time_grid(
     return TimeGrid(n, (last + half_span) / (n - 1), fft_size)
 
 
-def generating_function(sd: SpectralDensity, grid: TimeGrid) -> GeneratingFunction:
+def generating_function(density, grid: TimeGrid) -> np.ndarray:
     """G(t) = exp(S(t) - S(0)) on grid, S(t) the quadrature Fourier transform.
 
-    sd must be sampled at the grid's spectral step D, as emission samples
-    it (spectral_density at grid.spectral_step_mev; not re-checked here):
-    then D dt N = 2 pi hbar, and S(t_j) = sum_i c_i e^{-i w_i t_j}
-    at w_i = w_0 + i D / hbar is e^{-i w_0 t_j} times entry j of one real
-    FFT of the quadrature weights c_i, w_0 = sd.lo_mev / hbar.  G is formed
-    at the grid's times t = j dt >= 0 alone, j < N / 2 as make_time_grid
-    sizes N; G(-t) = conj G(t) needs no samples.  The identically-zero
-    S(0) - S(0) is pinned, keeping G(0) = 1 exact.
+    density is spectral_density's (lo_mev, step, values) at the grid's
+    spectral step D, as emission samples it (not re-checked here): then
+    D dt N = 2 pi hbar, and S(t_j) = sum_i c_i e^{-i w_i t_j} at
+    w_i = w_0 + i D / hbar is e^{-i w_0 t_j} times entry j of one real FFT
+    of the quadrature weights c_i, w_0 = lo_mev / hbar.  Returns the complex
+    G at the grid's times t = j dt >= 0 alone, j < n - n // 2 <= N / 2 as
+    make_time_grid sizes N; G(-t) = conj G(t) needs no samples.  The
+    identically-zero S(0) - S(0) is pinned, keeping G(0) = 1 exact; the one
+    place G is made checks |G| <= 1 within 1e-9 (InputError).
     """
-    coeff = sd.step_mev * sd.values  # trapezoid weights: halved at both ends
+    lo_mev, step_mev, values = density
+    coeff = step_mev * values  # trapezoid weights: halved at both ends
     coeff[[0, -1]] *= 0.5
     s0 = float(np.sum(coeff))
 
     n, dt = len(grid), grid.dt
     times = n - n // 2  # t = 0, dt, ..., the grid's last time
-    # N D >= 8 times the top of sd, which spans at most twice it: the FFT
-    # pads coeff
+    # N D >= 8 times the top of the density, which spans at most twice it:
+    # the FFT pads coeff
     s_t = np.fft.rfft(coeff, grid.fft_size)[:times]
-    omega_lo = sd.lo_mev / units.HBAR_MEV_FS
+    omega_lo = lo_mev / units.HBAR_MEV_FS
     s_t *= np.exp(-1j * omega_lo * (dt * np.arange(times)))
     diff = s_t - s0
     diff[0] = 0.0  # S(0) - S(0) is identically zero
-    return GeneratingFunction(grid, np.exp(diff), sd.total)
+    g = np.exp(diff)
+    if np.max(np.abs(g)) > 1.0 + 1e-9:
+        raise InputError("generating function magnitude exceeds 1")
+    return g
 
 
-def _fft_spectral_function(gf: GeneratingFunction, gamma_mev: float, resolution_mev: float):
+def _fft_spectral_function(g, grid: TimeGrid, s_total, gamma_mev, resolution_mev):
     """Phonon sideband: the FFT of the damped bracket [G(t) - e^{-S}].
 
     G(-t) = conj G(t) and the damping is even in t, so the bracket is
     Hermitian and its transform real: one inverse real FFT of the bracket
-    at t >= 0, the samples gf holds, zero-padded by numpy to the transform
-    size.  The tails beyond the grid are dropped, which the e^-10 check on
-    the outer 1/16 of the grid bounds.
+    at t >= 0, generating_function's samples of G on grid, zero-padded by
+    numpy to the transform size; s_total is the S of e^{-S}.  The tails
+    beyond the grid are dropped, which the e^-10 check on the outer 1/16 of
+    the grid bounds.
 
     Returns the energy step (meV, at most resolution_mev), the real
     sideband density per meV in FFT order (entry k at the released energy
     k * step, periodic in its size * step) and the zero-phonon weight e^{-S}.
     """
-    n, dt = len(gf.grid), gf.grid.dt
-    zpl_weight = math.exp(-gf.s_total)
+    n, dt = len(grid), grid.dt
+    zpl_weight = math.exp(-s_total)
     # t_j = j dt on the step G was evaluated with
-    bracket = gf.values - zpl_weight
+    bracket = g - zpl_weight
     bracket *= np.exp(-gamma_mev * dt / units.HBAR_MEV_FS * np.arange(bracket.size))
     edge = max(1, n // 16)
     tail = float(np.max(np.abs(bracket[-edge:])))
@@ -449,15 +455,16 @@ def emission(hr: HRDecomposition, config: LineshapeConfig) -> Lineshape:
     energy = energy_grid(config.window_ev, config.step_mev, config.gamma_mev)
     reach = _reach_mev(config.zpl_ev, config.window_ev)
     grid = make_time_grid(hr, config.sigma_mev, config.gamma_mev, reach)
-    sd = spectral_density(hr, config.sigma_mev, grid.spectral_step_mev)
-    gf = generating_function(sd, grid)
-    return lineshape(gf, config, energy)
+    density = spectral_density(hr, config.sigma_mev, grid.spectral_step_mev)
+    g = generating_function(density, grid)
+    return lineshape(g, grid, hr.total, config, energy)
 
 
 def lineshape(
-    gf: GeneratingFunction, config: LineshapeConfig, energy: Tuple[np.ndarray, np.ndarray]
+    g, grid: TimeGrid, s_total: float, config: LineshapeConfig, energy
 ) -> Lineshape:
-    """Normalized emission lineshape from the generating function.
+    """Normalized emission lineshape from generating_function's G(t) on
+    grid and the total S of the zero-phonon weight e^{-S}.
 
     A(E_zpl - hw) is the transform of G(t) e^{-gamma|t|/hbar}: the
     zero-phonon Lorentzian e^{-S} (gamma/pi) / (hw^2 + gamma^2) in closed
@@ -466,9 +473,9 @@ def lineshape(
     step of max(sigma, gamma)/16 and splined onto the output grid energy,
     the (meV, eV) pair that energy_grid built and checked from config's
     window, step and gamma.  LineshapeConfig has checked sigma and the
-    omega_cubed window.  gf's time grid must have been built
-    (make_time_grid) for config's gamma and a reach covering the window;
-    emission, the one caller, builds it so, and it is not re-checked here.
+    omega_cubed window.  grid must have been built (make_time_grid) for
+    config's gamma and a reach covering the window; emission, the one
+    caller, builds it so, and it is not re-checked here.
     The emission intensity E^3 * A (or A with omega_cubed off) is
     normalized to unit integral over the output window.
     """
@@ -477,7 +484,7 @@ def lineshape(
     energy_mev, energy_ev = energy
 
     fft_step, sideband, zpl_weight = _fft_spectral_function(
-        gf, gamma, max(config.sigma_mev, gamma) / 16.0
+        g, grid, s_total, gamma, max(config.sigma_mev, gamma) / 16.0
     )
     released = zpl_mev - energy_mev
     a_win = _periodic_spline(sideband, fft_step, released) + zpl_weight * (

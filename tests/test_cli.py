@@ -445,6 +445,26 @@ def test_spectrum_no_coupling_lorentzian(tmp_path):
     assert float(np.trapezoid(np.abs(y - ref), e)) < 1e-4
 
 
+def test_spectrum_subnormal_total_writes_the_bare_zpl(tmp_path, capsys):
+    # S = 1e-320 is subnormal: the trapezoid sum of S(hw) rounds to
+    # 9.97e-321, and a check of that integral against the total refused
+    # this valid document, which oracle accepts
+    hr_path = tmp_path / "hr.json"
+    hr_path.write_text(
+        '{"schema":"hr/1","total":1e-320,'
+        '"entries":[{"omega_mev":100.0,"qk":0.0,"sk":1e-320}]}'
+    )
+    out = tmp_path / "spec.tsv"
+    argv = ["spectrum", "--hr", str(hr_path), "--zpl", "2.0", "--out", str(out)]
+    assert main(argv) == 0, capsys.readouterr().err
+    assert main(["oracle", *argv[1:-1], str(tmp_path / "oracle.tsv")]) == 0
+    assert main([*argv, "--window", "1.8:2.1", "--no-omega-cubed"]) == 0
+    e, y = lio.read_spectrum_tsv(out)
+    ref = lorentzian_ev(e, 2.0, 1.0)
+    ref /= np.trapezoid(ref, e)
+    assert float(np.trapezoid(np.abs(y - ref), e)) < 1e-4
+
+
 def test_spectrum_window_excluding_support_exit_2(tmp_path, capsys):
     hr_path = _write_single_mode_hr(tmp_path, 0.5, 150.0)
     code = main(

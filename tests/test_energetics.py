@@ -13,11 +13,7 @@ from lumiphon.energetics import (
     stability_diagram,
     transition_level,
 )
-from lumiphon.errors import (
-    InvalidDielectric,
-    MissingChemicalPotential,
-    NonFiniteValue,
-)
+from lumiphon.errors import InvalidDielectric, MissingChemicalPotential
 from lumiphon.model import ChemicalPotential, DefectEntry, HostReference
 
 
@@ -236,11 +232,6 @@ def test_dissociation_additivity_boundary():
     ed = dissociation_energy(-50.0, -10.0, -60.0)
     assert ed.value_ev == 0.0
     assert ed.stable
-
-
-def test_dissociation_non_finite():
-    with pytest.raises(NonFiniteValue):
-        dissociation_energy(float("inf"), -10.0, -60.0)
 
 
 @given(st.floats(-30.0, 30.0))

@@ -324,6 +324,17 @@ def test_defect_entry_fields_checked_by_the_parser():
     assert parse(charge=-1, correction_ev="analytic").correction == "analytic"
 
 
+@pytest.mark.parametrize(
+    "field", ["cluster_energy_ev", "fragment_energy_ev", "released_energy_ev"]
+)
+def test_dissociation_energies_finite_by_the_parser(field):
+    # energetics.dissociation_energy relies on this and does not re-check
+    entry = dict(_DISSOCIATION_DOC["entries"][0], **{field: float("inf")})
+    with pytest.raises(NonFiniteValue) as err:
+        lio.parse_dissociation_table(dict(_DISSOCIATION_DOC, entries=[entry]))
+    assert err.value.locus == f"/entries/0/{field}"
+
+
 @pytest.mark.parametrize("label", [["a"], {"x": 1}, 7, None, "", "a\tb", "a\rb", "a\nb", "#a"])
 @pytest.mark.parametrize(
     "doc, parse",

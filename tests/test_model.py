@@ -113,14 +113,20 @@ def test_hr_decomposition_invariants():
 def test_lineshape_config_validation():
     # only what the generating-function route adds: vibronic.resolve_window
     # checks zpl and gamma, vibronic.energy_grid the window and step
-    LineshapeConfig(zpl_ev=2.0, window_ev=(1.0, 2.1))
+    def config(**fields):
+        knobs = dict(zpl_ev=2.0, window_ev=(1.0, 2.1), gamma_mev=1.0, sigma_mev=2.0,
+                     step_mev=0.1, omega_cubed=True)
+        return LineshapeConfig(**dict(knobs, **fields))
+
+    config()
+    # no field has a default: the spectrum parser holds the flag defaults
     with pytest.raises(TypeError):
-        LineshapeConfig(zpl_ev=2.0)
+        LineshapeConfig(zpl_ev=2.0, window_ev=(1.0, 2.1))
     with pytest.raises(InputError, match="--sigma"):
-        LineshapeConfig(zpl_ev=2.0, window_ev=(1.0, 2.1), sigma_mev=0.0)
+        config(sigma_mev=0.0)
     with pytest.raises(InputError, match="--window"):
-        LineshapeConfig(zpl_ev=2.0, window_ev=(0.0, 2.1))
-    LineshapeConfig(zpl_ev=2.0, window_ev=(-1.0, 2.1), omega_cubed=False)
+        config(window_ev=(0.0, 2.1))
+    config(window_ev=(-1.0, 2.1), omega_cubed=False)
 
 
 @given(st.integers(0, 2**32 - 1))

@@ -20,7 +20,6 @@ from lumiphon.fcoracle import broadened_oracle_spectrum, enumerate_fc
 from lumiphon.model import (
     CrystalStructure,
     ForceDelta,
-    GeneratingFunction,
     GeometryPair,
     Hessian,
     HRDecomposition,
@@ -115,7 +114,7 @@ def test_qk_parseval_identity(seed):
 
 def test_force_route_matches_displacement_route():
     structure, hessian = random_cluster_structure(6, seed=21)
-    d, _ = apply_asr(dynamical_matrix(hessian, structure), structure)
+    d, _, _ = apply_asr(dynamical_matrix(hessian, structure), structure)
     basis = diagonalize(d)
     rng = np.random.default_rng(4)
     delta = rng.normal(scale=0.01, size=(6, 3))
@@ -132,7 +131,7 @@ def test_pair_and_force_routes_report_one_total(seed):
     # the rigid rotations of a free cluster sit below ZERO_MODE_MEV: the
     # force route cannot see them, so neither route may give them S_k
     structure, hessian = random_cluster_structure(6, seed=seed)
-    d, _ = apply_asr(dynamical_matrix(hessian, structure), structure)
+    d, _, _ = apply_asr(dynamical_matrix(hessian, structure), structure)
     basis = diagonalize(d)
     rng = np.random.default_rng(seed)
     delta = rng.normal(scale=0.02, size=(6, 3))
@@ -166,7 +165,7 @@ def _jittered_spring_network(natoms, seed):
 @example(natoms=2, seed=4000)
 def test_routes_agree_on_generated_spring_networks(natoms, seed):
     structure, hessian = _jittered_spring_network(natoms, seed)
-    d, _ = apply_asr(dynamical_matrix(hessian, structure), structure)
+    d, _, _ = apply_asr(dynamical_matrix(hessian, structure), structure)
     basis = diagonalize(d)
     delta = np.random.default_rng(seed + 1).normal(scale=0.01, size=(natoms, 3))
     pair = GeometryPair(structure.positions, structure.positions + delta)
@@ -216,7 +215,7 @@ def test_force_on_rigid_translations_warns(diatomic):
     from lumiphon.errors import ZeroFrequencyModeWarning
 
     structure, hessian = diatomic
-    clean, _ = apply_asr(dynamical_matrix(hessian, structure), structure)
+    clean, _, _ = apply_asr(dynamical_matrix(hessian, structure), structure)
     basis = diagonalize(clean)
     # a net force pushes on the translation modes, which cannot carry a
     # finite displacement; they are dropped with a warning
@@ -269,14 +268,14 @@ def test_partial_hr_quadratic_scaling():
 # ---------------------------------------------------------- spectral density
 
 def test_spectral_density_integral_single_mode():
-    sd = spectral_density(_single_mode_hr(2.0, 150.0), sigma_mev=2.0, step_mev=0.4)
-    assert float(np.trapezoid(sd.values, dx=sd.step_mev)) == pytest.approx(2.0, abs=2e-6)
+    _, step, values = spectral_density(_single_mode_hr(2.0, 150.0), sigma_mev=2.0, step_mev=0.4)
+    assert float(np.trapezoid(values, dx=step)) == pytest.approx(2.0, abs=2e-6)
 
 
 def test_spectral_density_linearity():
     hr = partial_hr(np.array([0.02, 0.03]), np.array([80.0, 160.0]))
-    sd = spectral_density(hr, sigma_mev=2.0, step_mev=0.4)
-    assert float(np.trapezoid(sd.values, dx=sd.step_mev)) == pytest.approx(
+    _, step, values = spectral_density(hr, sigma_mev=2.0, step_mev=0.4)
+    assert float(np.trapezoid(values, dx=step)) == pytest.approx(
         hr.total, rel=1e-6
     )
 
@@ -284,8 +283,8 @@ def test_spectral_density_linearity():
 def test_spectral_density_peak_value():
     # resolved-sigma limit: the peak reaches S / (sigma sqrt(2 pi))
     sigma = 2.0
-    sd = spectral_density(_single_mode_hr(2.0, 150.0), sigma, sigma / 5.0)
-    peak = float(sd.values.max())
+    _, _, values = spectral_density(_single_mode_hr(2.0, 150.0), sigma, sigma / 5.0)
+    peak = float(values.max())
     assert peak == pytest.approx(2.0 / (sigma * math.sqrt(2 * math.pi)), rel=1e-9)
 
 
@@ -314,18 +313,21 @@ def test_spectral_density_is_the_mode_by_mode_sum(nmodes, sigma, seed, per_sigma
     sks = rng.exponential(size=nmodes) * (rng.random(nmodes) > 0.2)
     hr = partial_hr(np.sqrt(2.0 * units.HBAR_AMU_A2_FS * sks / units.omega_radfs(omegas)), omegas)
     step = sigma / per_sigma
-    sd = spectral_density(hr, sigma, step)
+    first, first_step, values = spectral_density(hr, sigma, step)
     # the grid it samples: 6 sigma beyond the outermost coupled modes (12
-    # sigma from 0 when none is), of which the density keeps the first
-    # energy and the first step
+    # sigma from 0 when none is), of which it returns the first energy and
+    # the first step
     live = hr.omegas_mev[hr.sk > 0.0]
     if live.size:
         lo = float(live.min() - 6.0 * sigma)
         grid = lo + step * np.arange(math.ceil((float(live.max() + 6.0 * sigma) - lo) / step) + 1)
     else:
         grid = np.arange(0.0, 12.0 * sigma, step)
-    assert (sd.lo_mev, sd.step_mev) == (grid[0], grid[1] - grid[0])
-    assert np.array_equal(sd.values, _mode_by_mode_density(hr, sigma, grid))
+    assert (first, first_step) == (grid[0], grid[1] - grid[0])
+    assert np.array_equal(values, _mode_by_mode_density(hr, sigma, grid))
+    # its integral is the total S: each Gaussian is summed over +-6 sigma
+    integral = float(np.trapezoid(values, dx=first_step))
+    assert abs(integral - hr.total) <= 1e-6 * hr.total
 
 
 # ------------------------------------------------------- generating function
@@ -339,9 +341,11 @@ def _unchecked_grid(n, dt, sigma_mev):
 
 
 def _generating_function(hr, sigma_mev, gamma_mev, reach_mev=0.0):
-    """The emission chain up to G(t): time grid, S(hw) at its step, G(t)."""
+    """The emission chain up to G(t): time grid, S(hw) at its step, G(t).
+    Returns (G, time grid, total S), the first arguments of lineshape."""
     grid = make_time_grid(hr, sigma_mev, gamma_mev, reach_mev)
-    return generating_function(spectral_density(hr, sigma_mev, grid.spectral_step_mev), grid)
+    density = spectral_density(hr, sigma_mev, grid.spectral_step_mev)
+    return generating_function(density, grid), grid, hr.total
 
 
 def _output_grid(config):
@@ -350,14 +354,14 @@ def _output_grid(config):
 
 
 def _lineshape(gf, config):
-    """lineshape of gf on config's output grid."""
-    return lineshape(gf, config, _output_grid(config))
+    """lineshape of gf, a (G, time grid, total S) triple, on config's output grid."""
+    return lineshape(*gf, config, _output_grid(config))
 
 
 def test_generating_function_no_coupling():
     hr = partial_hr(np.zeros(2), np.array([50.0, 150.0]))
-    gf = _generating_function(hr, 2.0, 1.0)
-    assert np.array_equal(gf.values, np.ones(len(gf.grid) // 2, dtype=complex))
+    g, grid, _ = _generating_function(hr, 2.0, 1.0)
+    assert np.array_equal(g, np.ones(len(grid) // 2, dtype=complex))
 
 
 def test_generating_function_single_mode_closed_form():
@@ -365,11 +369,11 @@ def test_generating_function_single_mode_closed_form():
     sigma = 0.005  # essentially a stick on the 150 fs window below
     hr = _single_mode_hr(s, omega)
     grid = _unchecked_grid(301, 1.0, sigma)
-    sd = spectral_density(hr, sigma, grid.spectral_step_mev)
+    density = spectral_density(hr, sigma, grid.spectral_step_mev)
     t = np.arange(151) * 1.0  # the grid's times t >= 0
-    gf = generating_function(sd, grid)
+    g = generating_function(density, grid)
     exact = np.exp(s * (np.exp(-1j * units.omega_radfs(omega) * t) - 1.0))
-    assert np.max(np.abs(gf.values - exact)) < 1e-6
+    assert np.max(np.abs(g - exact)) < 1e-6
 
 
 def _periodic_samples(n):
@@ -413,6 +417,7 @@ def test_lineshape_no_coupling_is_lorentzian():
     config = LineshapeConfig(
         zpl_ev=zpl,
         gamma_mev=gamma,
+        sigma_mev=2.0,
         window_ev=(zpl - 0.5, zpl + 0.1),
         step_mev=0.1,
         omega_cubed=False,
@@ -470,7 +475,8 @@ def test_lineshape_window_excluding_support():
     hr = partial_hr(np.zeros(1), np.array([100.0]))
     gf = _generating_function(hr, 2.0, 1.0, reach_mev=3000.0)
     config = LineshapeConfig(
-        zpl_ev=2.0, gamma_mev=1.0, window_ev=(0.2, 0.5), step_mev=0.5
+        zpl_ev=2.0, gamma_mev=1.0, sigma_mev=2.0, window_ev=(0.2, 0.5), step_mev=0.5,
+        omega_cubed=True,
     )
     with pytest.raises(GridTooNarrow):
         _lineshape(gf, config)
@@ -481,9 +487,13 @@ def test_lineshape_time_span_floor():
     # sideband has not died at its ends
     hr = _single_mode_hr(0.5, 100.0)
     grid = _unchecked_grid(512, 1.0, 2.0)
-    gf = generating_function(spectral_density(hr, 2.0, grid.spectral_step_mev), grid)
+    g = generating_function(spectral_density(hr, 2.0, grid.spectral_step_mev), grid)
+    config = LineshapeConfig(
+        zpl_ev=2.0, gamma_mev=1.0, sigma_mev=2.0, window_ev=(1.9, 2.01), step_mev=0.1,
+        omega_cubed=True,
+    )
     with pytest.raises(AliasedGrid, match="damped sideband"):
-        _lineshape(gf, LineshapeConfig(zpl_ev=2.0, gamma_mev=1.0, window_ev=(1.9, 2.01)))
+        _lineshape((g, grid, hr.total), config)
 
 
 def test_lineshape_refuses_a_negative_dip():
@@ -495,10 +505,13 @@ def test_lineshape_refuses_a_negative_dip():
     grid = _unchecked_grid(n, 1.0, 2.0)
     t = np.arange(n // 2) * grid.dt
     bracket = 2.0 * np.exp(-0.5 * (t / 300.0) ** 2) - np.exp(-0.5 * (t / 250.0) ** 2)
-    g = math.exp(-s) + (1.0 - math.exp(-s)) * bracket
-    gf = GeneratingFunction(grid, g, s)
+    g = (math.exp(-s) + (1.0 - math.exp(-s)) * bracket).astype(complex)
+    config = LineshapeConfig(
+        zpl_ev=2.0, gamma_mev=0.1, sigma_mev=2.0, window_ev=(1.95, 2.01), step_mev=0.1,
+        omega_cubed=True,
+    )
     with pytest.raises(NumericalError, match="dips"):
-        _lineshape(gf, LineshapeConfig(zpl_ev=2.0, gamma_mev=0.1, window_ev=(1.95, 2.01)))
+        _lineshape((g, grid, s), config)
 
 
 # generated HR documents: modes, total S, gamma and sigma (meV), seed
@@ -527,17 +540,20 @@ def _generated_hr(nmodes, s_total, seed):
 def test_split_sideband_contracts_on_generated_documents(nmodes, s_total, gamma, sigma, seed):
     hr = _generated_hr(nmodes, s_total, seed)
     gf = _generating_function(hr, sigma, gamma)
-    assert gf.values[0] == 1.0
+    g = gf[0]
+    # G(0) = 1 exactly, and |G| <= 1: S(hw) >= 0 bounds |S(t)| by S(0)
+    assert g[0] == 1.0
+    assert float(np.max(np.abs(g))) <= 1.0
     # by the end of the grid the sideband has died: G is down to the ZPL weight
     zpl = math.exp(-hr.total)
-    assert abs(gf.values[-1] - zpl) <= 1e-8 * hr.total
+    assert abs(g[-1] - zpl) <= 1e-8 * hr.total
     resolution = max(sigma, gamma) / 16.0
-    step, sideband, zpl_weight = vibronic._fft_spectral_function(gf, gamma, resolution)
+    step, sideband, zpl_weight = vibronic._fft_spectral_function(*gf, gamma, resolution)
     assert step <= resolution
     assert zpl_weight == pytest.approx(zpl, rel=1e-12)
     assert step * math.fsum(sideband.tolist()) == pytest.approx(1.0 - zpl, abs=1e-9)
     # undamped, the sideband has a first moment: sum S_k hbar w_k
-    step, sideband, _ = vibronic._fft_spectral_function(gf, 1e-12, resolution)
+    step, sideband, _ = vibronic._fft_spectral_function(*gf, 1e-12, resolution)
     released = np.fft.fftfreq(sideband.size, 1.0 / sideband.size) * step
     released[sideband.size // 2] = 0.0  # the unpaired Nyquist bin
     first = step * math.fsum((released * sideband).tolist())
@@ -557,8 +573,8 @@ def test_time_grid_contracts_on_generated_documents(nmodes, s_total, gamma, sigm
     top = float(hr.omegas_mev.max()) + 6.0 * sigma
     need = vibronic._nyquist_need_mev(top, hr.total, reach)
     assert math.pi * units.HBAR_MEV_FS / dt >= need * (1.0 - 1e-12)
-    sd = spectral_density(hr, sigma, grid.spectral_step_mev)
-    assert sd.lo_mev + (sd.values.size - 1) * sd.step_mev <= top + grid.spectral_step_mev
+    lo, step, values = spectral_density(hr, sigma, grid.spectral_step_mev)
+    assert lo + (values.size - 1) * step <= top + grid.spectral_step_mev
     # the FFT of S(t): the smallest power of two whose spectral step is at
     # most sigma/5, so the step lies in (sigma/10, sigma/5]
     fft, spectral = grid.fft_size, grid.spectral_step_mev
@@ -586,11 +602,12 @@ def test_time_grid_contracts_on_generated_documents(nmodes, s_total, gamma, sigm
     assert (n // 2) * dt < onset
 
 
-def _assert_s_is_the_direct_quadrature_sum(sd, gf):
-    """S(t) - S(0) from G(t) matches sum_i c_i exp(-i w_i t) - S(0) within
-    1e-12 S(0) at 200 times from t = 0 to the end of the grid."""
-    n, dt, fft = len(gf.grid), gf.grid.dt, gf.grid.fft_size
-    coeff = np.full(sd.values.size, sd.step_mev) * sd.values
+def _assert_s_is_the_direct_quadrature_sum(density, g, grid):
+    """S(t) - S(0) from G(t) on grid matches sum_i c_i exp(-i w_i t) - S(0)
+    within 1e-12 S(0) at 200 times from t = 0 to the end of the grid."""
+    lo_mev, step_mev, values = density
+    n, dt, fft = len(grid), grid.dt, grid.fft_size
+    coeff = np.full(values.size, step_mev) * values
     coeff[[0, -1]] *= 0.5
     s0 = math.fsum(coeff.tolist())
     # at w_i = w_lo + i D / hbar with D dt N = 2 pi hbar the phase of sample
@@ -598,10 +615,10 @@ def _assert_s_is_the_direct_quadrature_sum(sd, gf):
     # that it does not round with t
     j = np.unique(np.linspace(0, n // 2 - 1, 200).astype(np.int64))
     phase = 2.0 * math.pi * (np.outer(j, np.arange(coeff.size)) % fft) / fft
-    omega_lo = sd.lo_mev / units.HBAR_MEV_FS
+    omega_lo = lo_mev / units.HBAR_MEV_FS
     direct = np.exp(-1j * omega_lo * dt * j) * (np.exp(-1j * phase) @ coeff)
     # G(t) = exp(S(t) - S(0)): its log gives S(t) - S(0) up to 2 pi i
-    diff = np.log(gf.values[j]) - (direct - s0)
+    diff = np.log(g[j]) - (direct - s0)
     diff.imag = (diff.imag + math.pi) % (2.0 * math.pi) - math.pi
     assert float(np.max(np.abs(diff))) <= 1e-12 * s0
 
@@ -612,8 +629,8 @@ def _assert_s_is_the_direct_quadrature_sum(sd, gf):
 def test_fft_of_s_matches_the_direct_quadrature_sum(nmodes, s_total, gamma, sigma, seed):
     hr = _generated_hr(nmodes, s_total, seed)
     grid = make_time_grid(hr, sigma, gamma)
-    sd = spectral_density(hr, sigma, grid.spectral_step_mev)
-    _assert_s_is_the_direct_quadrature_sum(sd, generating_function(sd, grid))
+    density = spectral_density(hr, sigma, grid.spectral_step_mev)
+    _assert_s_is_the_direct_quadrature_sum(density, generating_function(density, grid), grid)
 
 
 def test_make_time_grid_builds_no_array():
@@ -637,14 +654,14 @@ def test_make_time_grid_builds_no_array():
         make_time_grid(hr, 1e-6, 1.0)
 
 
-def _complex_padded_sideband(gf, gamma_mev, resolution_mev):
+def _complex_padded_sideband(g, grid, s_total, gamma_mev, resolution_mev):
     """The former transform: the damped bracket at t >= 0 and its mirror
     b(-t) = conj b(t), zero-padded, through a complex inverse FFT.  Returns
     the energy step and the complex result."""
-    n, dt = len(gf.grid), gf.grid.dt
-    zpl_weight = math.exp(-gf.s_total)
-    damping = np.exp(-gamma_mev * dt / units.HBAR_MEV_FS * np.arange(gf.values.size))
-    bracket = (gf.values - zpl_weight) * damping
+    n, dt = len(grid), grid.dt
+    zpl_weight = math.exp(-s_total)
+    damping = np.exp(-gamma_mev * dt / units.HBAR_MEV_FS * np.arange(g.size))
+    bracket = (g - zpl_weight) * damping
     period_fs = 2.0 * math.pi * units.HBAR_MEV_FS / resolution_mev
     size = max(n, 1 << max(0, math.ceil(math.log2(period_fs / dt))))
     padded = np.zeros(size, dtype=complex)
@@ -664,8 +681,8 @@ def test_real_half_transform_matches_complex_padded_transform(
     hr = _generated_hr(nmodes, s_total, seed)
     gf = _generating_function(hr, sigma, gamma)
     resolution = max(sigma, gamma) / 16.0
-    step, sideband, _ = vibronic._fft_spectral_function(gf, gamma, resolution)
-    ref_step, ref = _complex_padded_sideband(gf, gamma, resolution)
+    step, sideband, _ = vibronic._fft_spectral_function(*gf, gamma, resolution)
+    ref_step, ref = _complex_padded_sideband(*gf, gamma, resolution)
     assert step == ref_step
     peak = float(np.max(np.abs(ref.real)))
     assert float(np.max(np.abs(ref.imag))) <= 1e-12 * peak
@@ -693,9 +710,9 @@ def _stage_chain(hr, config):
     reach = max(zpl_mev - window[0] * 1000.0, abs(window[1] * 1000.0 - zpl_mev))
     energy = _output_grid(config)
     grid = make_time_grid(hr, config.sigma_mev, config.gamma_mev, reach)
-    sd = spectral_density(hr, config.sigma_mev, grid.spectral_step_mev)
-    gf = generating_function(sd, grid)
-    return lineshape(gf, config, energy)
+    density = spectral_density(hr, config.sigma_mev, grid.spectral_step_mev)
+    g = generating_function(density, grid)
+    return lineshape(g, grid, hr.total, config, energy)
 
 
 @settings(max_examples=20, deadline=None)
@@ -705,7 +722,8 @@ def test_emission_is_the_stage_chain_on_generated_documents(nmodes, s_total, gam
     window = _default_window(hr, 3.0, gamma, sigma)
     assert vibronic.resolve_window(hr, 3.0, gamma, sigma) == window
     config = LineshapeConfig(
-        zpl_ev=3.0, window_ev=window, gamma_mev=gamma, sigma_mev=sigma, step_mev=gamma
+        zpl_ev=3.0, window_ev=window, gamma_mev=gamma, sigma_mev=sigma, step_mev=gamma,
+        omega_cubed=True,
     )
     ref = _stage_chain(hr, config)
     ls = emission(hr, config)
@@ -749,7 +767,8 @@ def test_spectrum_and_oracle_share_window_and_grid_on_generated_documents(
     window = vibronic.resolve_window(hr, zpl, gamma, sigma, flag)
     assert flag is None or window == flag
     config = LineshapeConfig(
-        zpl_ev=zpl, gamma_mev=gamma, sigma_mev=sigma, window_ev=window, step_mev=gamma
+        zpl_ev=zpl, gamma_mev=gamma, sigma_mev=sigma, window_ev=window, step_mev=gamma,
+        omega_cubed=True,
     )
     grids = []
     with mock.patch.object(vibronic, "energy_grid", _recording(vibronic.energy_grid, grids)):
@@ -806,15 +825,18 @@ def test_lineshape_transform_memory_below_two_padded_complex_arrays():
     # 2^19 points for the 0.125 meV energy step
     hr = _single_mode_hr(10.0, 200.0)
     # the ladder reaches below 1 meV, where the default window stops
-    config = LineshapeConfig(zpl_ev=2.0, gamma_mev=1.0, sigma_mev=2.0, window_ev=(0.001, 2.062))
+    config = LineshapeConfig(
+        zpl_ev=2.0, gamma_mev=1.0, sigma_mev=2.0, window_ev=(0.001, 2.062), step_mev=0.1,
+        omega_cubed=True,
+    )
     gf = _generating_function(hr, 2.0, 1.0, vibronic._reach_mev(2.0, config.window_ev))
-    step, _, _ = vibronic._fft_spectral_function(gf, 1.0, 2.0 / 16.0)
-    size = round(2.0 * math.pi * units.HBAR_MEV_FS / (step * gf.grid.dt))
+    step, _, _ = vibronic._fft_spectral_function(*gf, 1.0, 2.0 / 16.0)
+    size = round(2.0 * math.pi * units.HBAR_MEV_FS / (step * gf[1].dt))
     assert size == 1 << 19
     energy = _output_grid(config)
     tracemalloc.start()
     try:
-        lineshape(gf, config, energy)
+        lineshape(*gf, config, energy)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -824,14 +846,17 @@ def test_lineshape_transform_memory_below_two_padded_complex_arrays():
 def test_generating_function_holds_g_at_t_from_zero_only():
     # G at the 8 times t >= 0 of a 16-point grid, t = 0 first
     grid = _unchecked_grid(16, 1.0, 2.0)
-    g = np.ones(8, dtype=complex)
-    g[3] = 0.5 + 0.1j
-    GeneratingFunction(grid, g, 1.0)
-    with pytest.raises(InputError, match="G\\(0\\)"):
-        GeneratingFunction(grid, np.roll(g, -3), 1.0)
-    g[5] = 0.9 + 0.5j
-    with pytest.raises(InputError, match="magnitude"):
-        GeneratingFunction(grid, g, 1.0)
+    density = spectral_density(_single_mode_hr(0.5, 100.0), 2.0, grid.spectral_step_mev)
+    assert generating_function(density, grid).shape == (8,)
+
+
+def test_generating_function_refuses_magnitude_above_one():
+    # a negative S(hw) lifts Re S(t) above S(0): the one place G is made
+    # refuses it
+    grid = _unchecked_grid(16, 1.0, 2.0)
+    lo, step, values = spectral_density(_single_mode_hr(0.5, 100.0), 2.0, grid.spectral_step_mev)
+    with pytest.raises(InputError, match="magnitude exceeds 1"):
+        generating_function((lo, step, -values), grid)
 
 
 def test_degenerate_mode_mixing_invariance():
@@ -857,7 +882,8 @@ def test_degenerate_mode_mixing_invariance():
         ls = _lineshape(
             gf,
             LineshapeConfig(
-                zpl_ev=2.0, gamma_mev=1.0, window_ev=(1.4, 2.05), step_mev=0.2
+                zpl_ev=2.0, gamma_mev=1.0, sigma_mev=2.0, window_ev=(1.4, 2.05),
+                step_mev=0.2, omega_cubed=True,
             ),
         )
         out.append((hr.total, ls.intensity))
