@@ -232,21 +232,15 @@ def cmd_hr(args) -> int:
 def cmd_spectrum(args) -> int:
     from . import io as lio
     from . import vibronic
-    from .model import LineshapeConfig, classify_lvm
+    from .model import classify_lvm
 
     hr = lio.parse_hr(lio.load_document(args.hr))
     window = vibronic.resolve_window(hr, args.zpl, args.gamma, args.sigma, args.window)
-    config = LineshapeConfig(
-        zpl_ev=args.zpl,
-        gamma_mev=args.gamma,
-        sigma_mev=args.sigma,
-        window_ev=window,
-        step_mev=args.step,
-        omega_cubed=not args.no_omega_cubed,
+    ls = vibronic.emission(
+        hr, args.zpl, args.gamma, args.sigma, window, args.step, not args.no_omega_cubed
     )
-    ls = vibronic.emission(hr, config)
     lvm = classify_lvm(hr.omegas_mev, args.cutoff)
-    peaks = vibronic.effective_mode_report(hr, ls, lvm or None)
+    peaks = vibronic.effective_mode_report(hr, ls, args.zpl, args.gamma, lvm or None)
     header = (
         f"lumiphon spectrum v{__version__}",
         f"zpl_ev = {args.zpl:.9g} ; gamma_mev = {args.gamma:.9g} ; "
@@ -292,18 +286,25 @@ def cmd_oracle(args) -> int:
                 f"{args.compare} is sampled on a different grid; "
                 "regenerate both spectra with the same window and step"
             )
+        other_mass = float(np.trapezoid(other_i, other_e))
+        if not (math.isfinite(other_mass) and other_mass > 0):
+            raise InputError(
+                f"{args.compare} (--compare) integrates to {other_mass:g}; "
+                "a spectrum to compare against must have a positive finite integral"
+            )
     ladder = fcoracle.enumerate_fc(hr, args.max_quanta)
-    spec = fcoracle.broadened_oracle_spectrum(
+    intensity = fcoracle.broadened_oracle_spectrum(
         ladder, args.gamma, grid, args.zpl, args.sigma
     )
     header = (
         f"lumiphon oracle v{__version__}",
         f"zpl_ev = {args.zpl:.9g} ; gamma_mev = {args.gamma:.9g} ; "
         f"sigma_mev = {args.sigma:.9g} ; max_quanta = {args.max_quanta}",
-        f"lines = {ladder.nlines} ; total_weight = {spec.total_weight:.9g} ; "
+        f"lines = {ladder.nlines} ; "
+        f"total_weight = {math.fsum(ladder.weights.tolist()):.9g} ; "
         f"tail = {ladder.tail:.9g}",
     )
-    lio.write_spectrum_tsv(args.out, spec.energy_ev, spec.intensity, header, overwrite=True)
+    lio.write_spectrum_tsv(args.out, grid, intensity, header, overwrite=True)
     if args.sticks:
         lio.write_table_tsv(
             args.sticks,
@@ -323,9 +324,9 @@ def cmd_oracle(args) -> int:
         )
     print(f"lines = {ladder.nlines}  tail = {ladder.tail:.9g}")
     if args.compare:
-        a = spec.intensity / np.trapezoid(spec.intensity, spec.energy_ev)
-        b = other_i / np.trapezoid(other_i, other_e)
-        l1 = float(np.trapezoid(np.abs(a - b), spec.energy_ev))
+        a = intensity / np.trapezoid(intensity, grid)
+        b = other_i / other_mass
+        l1 = float(np.trapezoid(np.abs(a - b), grid))
         print(f"l1_distance = {l1:.9g}")
     _write_manifest(args, [args.hr])
     return 0

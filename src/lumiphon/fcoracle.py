@@ -41,20 +41,18 @@ class FCLadder:
     """Enumerated emission lines: quanta vectors, weights, phonon energies.
 
     quanta holds one uint8 row per line (the cap is at most MAX_CAP = 24)
-    and one column per coupled mode of omegas_mev.
+    and one column per coupled mode, in the order of hr's modes.
     """
 
     quanta: np.ndarray  # (L, M) uint8
     weights: np.ndarray  # (L,)
     energies_mev: np.ndarray  # (L,) energy released to phonons
-    omegas_mev: np.ndarray  # (M,)
     tail: float  # 1 - sum(weights), never renormalized away
 
     def __post_init__(self):
         object.__setattr__(self, "quanta", _own(self.quanta, dtype=np.uint8))
         object.__setattr__(self, "weights", _own(self.weights))
         object.__setattr__(self, "energies_mev", _own(self.energies_mev))
-        object.__setattr__(self, "omegas_mev", _own(self.omegas_mev))
         balance = math.fsum(self.weights.tolist()) + self.tail
         if abs(balance - 1.0) > 1e-10:
             raise InputError(f"weights + tail = {balance!r}, expected 1")
@@ -121,7 +119,7 @@ def enumerate_fc(hr: HRDecomposition, cap: int) -> FCLadder:
             CapTooSmallWarning,
             stacklevel=2,
         )
-    return FCLadder(quanta, weights, energies, omegas, tail)
+    return FCLadder(quanta, weights, energies, tail)
 
 
 def first_moment_mev(ladder: FCLadder) -> float:
@@ -130,28 +128,15 @@ def first_moment_mev(ladder: FCLadder) -> float:
     return float(np.dot(ladder.weights, ladder.energies_mev) / wsum)
 
 
-@dataclass(frozen=True, eq=False)
-class OracleSpectrum:
-    """Broadened ladder on an energy grid; integral tracks 1 - ladder.tail."""
-
-    energy_ev: np.ndarray
-    intensity: np.ndarray  # per eV
-    total_weight: float
-    window_mass: float  # analytic in-window mass of the broadened lines
-
-    def __post_init__(self):
-        object.__setattr__(self, "energy_ev", _own(self.energy_ev))
-        object.__setattr__(self, "intensity", _own(self.intensity))
-
-
 def broadened_oracle_spectrum(
     ladder: FCLadder,
     gamma_mev: float,
     grid_ev,
     zpl_ev: float,
     sigma_mev: float = 0.0,
-) -> OracleSpectrum:
-    """Sum a Lorentzian of half-width gamma over every enumerated line.
+) -> np.ndarray:
+    """Sum a Lorentzian of half-width gamma over every enumerated line:
+    the intensity per eV on grid_ev.
 
     With sigma > 0 each line is additionally convolved with a Gaussian of
     width sigma * sqrt(total quanta), matching the smearing the
@@ -243,18 +228,4 @@ def broadened_oracle_spectrum(
             )
             sub = full[nk : nk + sub.size]
         out += sub
-    values = out[npad : npad + grid.size]
-
-    # analytic in-window Lorentzian mass (the Gaussian part is narrow and
-    # symmetric, so its effect on the window mass is second order)
-    frac = (
-        np.arctan((grid[-1] - lines_ev) / gamma_ev)
-        - np.arctan((grid[0] - lines_ev) / gamma_ev)
-    ) / math.pi
-    window_mass = float(np.dot(ladder.weights, frac))
-    return OracleSpectrum(
-        grid,
-        values,
-        float(math.fsum(ladder.weights.tolist())),
-        window_mass,
-    )
+    return out[npad : npad + grid.size]

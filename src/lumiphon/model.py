@@ -11,7 +11,8 @@ non-negative S_k summing to the total); code that builds a record from
 anything else supplies what the parser would have guaranteed.  A stage
 result read only by the next stage is no record but plain arrays, its
 contract checked by the function that makes it: S(hw) and G(t) in
-vibronic, the ASR residuals in phonons.
+vibronic, the ASR residuals in phonons.  Nor are flags a record: each
+is checked where vibronic first reads it.
 
 Sign conventions fixed here once:
 
@@ -248,7 +249,7 @@ class TimeGrid:
     whole grid, (t[-1] - t[0]) / (n - 1) of the points built from the
     Nyquist step, which unlike one difference carries no rounding of the
     grid's largest value.  Its gamma and reach are not kept: emission
-    builds it from the config that lineshape then reads.  S(t) on it is
+    builds it from the flags that lineshape then reads.  S(t) on it is
     one real FFT of length fft_size = N over a spectral density sampled at
     spectral_step_mev, D = 2 pi hbar / (N dt).
     """
@@ -267,48 +268,16 @@ class TimeGrid:
 
 @dataclass(frozen=True, eq=False)
 class Lineshape:
-    """Normalized emission intensity per eV on a uniform energy grid; only
-    the unit integral is checked, vibronic.lineshape builds the rest."""
+    """Emission intensity per eV on a uniform energy grid, as
+    vibronic.lineshape builds it: divided by its own trapezoid integral,
+    so the unit integral holds by construction and is not re-checked."""
 
     energy_ev: np.ndarray
     intensity: np.ndarray
-    zpl_ev: float
-    gamma_mev: float
 
     def __post_init__(self):
         object.__setattr__(self, "energy_ev", _own(self.energy_ev))
         object.__setattr__(self, "intensity", _own(self.intensity))
-        integral = float(np.trapezoid(self.intensity, self.energy_ev))
-        if abs(integral - 1.0) > 1e-6:
-            raise InputError(f"intensity integral {integral!r} is not 1 within 1e-6")
-
-
-@dataclass(frozen=True)
-class LineshapeConfig:
-    """Knobs for the emission-lineshape evaluation.
-
-    vibronic.resolve_window has checked zpl and gamma, and works out
-    window_ev; vibronic.energy_grid checks the window against step_mev and
-    gamma.  Here only what the generating-function route adds: a sigma
-    above 0, and with omega_cubed on a window above 0 eV.  No field has a
-    default: those of the flags are the spectrum parser's.
-    """
-
-    zpl_ev: float
-    window_ev: Tuple[float, float]
-    gamma_mev: float
-    sigma_mev: float
-    step_mev: float
-    omega_cubed: bool
-
-    def __post_init__(self):
-        if not self.sigma_mev > 0:
-            raise InputError(f"sigma {self.sigma_mev:g} meV (--sigma) must be positive")
-        if self.omega_cubed and not self.window_ev[0] > 0:
-            raise InputError(
-                f"window {self.window_ev[0]:g}:{self.window_ev[1]:g} eV (--window) must "
-                "stay above 0 eV unless --no-omega-cubed is given"
-            )
 
 
 @dataclass(frozen=True)

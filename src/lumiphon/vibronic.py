@@ -45,7 +45,6 @@ from .model import (
     GeometryPair,
     HRDecomposition,
     Lineshape,
-    LineshapeConfig,
     PhononBasis,
     TimeGrid,
     output_grid,
@@ -171,7 +170,7 @@ def spectral_density(hr: HRDecomposition, sigma_mev: float, step_mev: float) -> 
     its step grid[1] - grid[0] being all generating_function reads of it.
     Each Gaussian is summed over +-6 sigma at a step <= sigma/5, so the
     trapezoid integral is hr's total within 2 Phi(-6) = 2e-9 of it; that is
-    not re-checked.  sigma > 0 is LineshapeConfig's to check.
+    not re-checked.  sigma > 0 is emission's to check.
     """
     live = hr.sk > 0.0
     omegas = hr.omegas_mev[live]
@@ -256,7 +255,7 @@ def make_time_grid(
       2 _SIDEBAND_SPAN hbar/sigma, so n <= N/2, and the grid ends before
       S(t) sampled at step D recurs, from hbar (2 pi/D - _SIDEBAND_SPAN/sigma).
     The grid records N but not gamma or the reach: emission builds it from
-    the config whose window and gamma lineshape then evaluates, so the two
+    the flags whose window and gamma lineshape then evaluates, so the two
     cannot differ.  gamma > 0 is resolve_window's to check.
     """
     top = _top_coupled_mev(hr) + 6.0 * sigma_mev
@@ -443,25 +442,38 @@ def _reach_mev(zpl_ev, window_ev):
     return max(zpl_mev - window_ev[0] * 1000.0, abs(window_ev[1] * 1000.0 - zpl_mev))
 
 
-def emission(hr: HRDecomposition, config: LineshapeConfig) -> Lineshape:
+def emission(
+    hr: HRDecomposition, zpl_ev, gamma_mev, sigma_mev, window_ev, step_mev, omega_cubed
+) -> Lineshape:
     """Emission lineshape of a coupling document: the whole spectrum pipeline.
 
-    Builds, and so checks, the output grid (energy_grid) before any FFT
+    Refuses what the generating-function route adds to resolve_window's
+    checks: sigma <= 0, and with omega_cubed a window reaching 0 eV.  Then
+    builds, and so checks, the output grid (energy_grid) before any FFT
     work, then the sigma-bounded time grid whose Nyquist energy covers the
     multi-phonon support and the window's reach from the ZPL, smears the
     sticks into S(hw) at the grid's spectral step, then G(t) and the
     lineshape on the output grid.
     """
-    energy = energy_grid(config.window_ev, config.step_mev, config.gamma_mev)
-    reach = _reach_mev(config.zpl_ev, config.window_ev)
-    grid = make_time_grid(hr, config.sigma_mev, config.gamma_mev, reach)
-    density = spectral_density(hr, config.sigma_mev, grid.spectral_step_mev)
+    if not sigma_mev > 0:
+        raise InputError(f"sigma {sigma_mev:g} meV (--sigma) must be positive")
+    if omega_cubed and not window_ev[0] > 0:
+        raise InputError(
+            f"window {window_ev[0]:g}:{window_ev[1]:g} eV (--window) must "
+            "stay above 0 eV unless --no-omega-cubed is given"
+        )
+    energy = energy_grid(window_ev, step_mev, gamma_mev)
+    reach = _reach_mev(zpl_ev, window_ev)
+    grid = make_time_grid(hr, sigma_mev, gamma_mev, reach)
+    density = spectral_density(hr, sigma_mev, grid.spectral_step_mev)
     g = generating_function(density, grid)
-    return lineshape(g, grid, hr.total, config, energy)
+    return lineshape(
+        g, grid, hr.total, zpl_ev, gamma_mev, sigma_mev, omega_cubed, window_ev, energy
+    )
 
 
 def lineshape(
-    g, grid: TimeGrid, s_total: float, config: LineshapeConfig, energy
+    g, grid: TimeGrid, s_total, zpl_ev, gamma_mev, sigma_mev, omega_cubed, window_ev, energy
 ) -> Lineshape:
     """Normalized emission lineshape from generating_function's G(t) on
     grid and the total S of the zero-phonon weight e^{-S}.
@@ -471,25 +483,24 @@ def lineshape(
     form plus the real inverse FFT of the t >= 0 half of the damped bracket
     [G(t) - e^{-S}] (the bracket is Hermitian), zero-padded to an energy
     step of max(sigma, gamma)/16 and splined onto the output grid energy,
-    the (meV, eV) pair that energy_grid built and checked from config's
-    window, step and gamma.  LineshapeConfig has checked sigma and the
-    omega_cubed window.  grid must have been built (make_time_grid) for
-    config's gamma and a reach covering the window; emission, the one
-    caller, builds it so, and it is not re-checked here.
-    The emission intensity E^3 * A (or A with omega_cubed off) is
-    normalized to unit integral over the output window.
+    the (meV, eV) pair that energy_grid built and checked from window_ev,
+    the step and gamma; window_ev is only named in GridTooNarrow.  emission,
+    the one caller, has checked sigma and the omega_cubed window and built
+    grid for gamma and a reach covering the window; neither is re-checked.
+    The emission intensity E^3 * A (or A with omega_cubed off) is divided
+    by its trapezoid integral: at least 1e-6 with omega_cubed off
+    (GridTooNarrow), positive with it on (E > 0).
     """
-    gamma = config.gamma_mev
-    zpl_mev = config.zpl_ev * 1000.0
+    zpl_mev = zpl_ev * 1000.0
     energy_mev, energy_ev = energy
 
     fft_step, sideband, zpl_weight = _fft_spectral_function(
-        g, grid, s_total, gamma, max(config.sigma_mev, gamma) / 16.0
+        g, grid, s_total, gamma_mev, max(sigma_mev, gamma_mev) / 16.0
     )
     released = zpl_mev - energy_mev
     a_win = _periodic_spline(sideband, fft_step, released) + zpl_weight * (
-        gamma / math.pi
-    ) / (released * released + gamma * gamma)
+        gamma_mev / math.pi
+    ) / (released * released + gamma_mev * gamma_mev)
     low = float(np.min(a_win))
     if low < -1e-9:
         raise NumericalError(
@@ -498,12 +509,11 @@ def lineshape(
     a_win = np.clip(a_win, 0.0, None)
     if float(np.trapezoid(a_win, energy_mev)) < 1e-3:
         raise GridTooNarrow(
-            f"window [{config.window_ev[0]}, {config.window_ev[1]}] eV captures less "
-            "than 0.1% of the emission"
+            f"window [{window_ev[0]}, {window_ev[1]}] eV captures less than 0.1% of the emission"
         )
-    weighted = a_win * (energy_ev**3 if config.omega_cubed else 1.0)
+    weighted = a_win * (energy_ev**3 if omega_cubed else 1.0)
     norm = float(np.trapezoid(weighted, energy_ev))
-    return Lineshape(energy_ev, weighted / norm, config.zpl_ev, gamma)
+    return Lineshape(energy_ev, weighted / norm)
 
 
 @dataclass(frozen=True)
@@ -519,14 +529,17 @@ class PeakLabel:
 def effective_mode_report(
     hr: HRDecomposition,
     ls: Lineshape,
+    zpl_ev: float,
+    gamma_mev: float,
     lvm_indices: Optional[Sequence[int]] = None,
 ) -> List[PeakLabel]:
     """Label sideband maxima with the strongest-coupling matching modes.
 
-    Local maxima of the intensity below the ZPL are matched against modes
-    (optionally restricted to a list of indices, e.g. the LVMs) whose
-    energy lies within max(3 gamma, 5 meV) of the peak offset; among the
-    candidates the largest S_k wins.  Modes with S_k < 1e-4 never label a
+    zpl_ev and gamma_mev are those ls was computed for.  Local maxima of
+    the intensity below the ZPL are matched against modes (optionally
+    restricted to a list of indices, e.g. the LVMs) whose energy lies
+    within max(3 gamma, 5 meV) of the peak offset; among the candidates
+    the largest S_k wins.  Modes with S_k < 1e-4 never label a
     peak.  Returned sorted by S_k, strongest first.
     """
     eligible = hr.sk >= LABEL_SK_FLOOR
@@ -538,10 +551,10 @@ def effective_mode_report(
     omegas = hr.omegas_mev[candidates]
     sks = hr.sk[candidates]
     free = np.ones(candidates.size, dtype=bool)
-    match_tol_mev = max(3.0 * ls.gamma_mev, 5.0)
+    match_tol_mev = max(3.0 * gamma_mev, 5.0)
     e = ls.energy_ev
     y = ls.intensity
-    below = e < ls.zpl_ev - 2.0 * ls.gamma_mev / 1000.0
+    below = e < zpl_ev - 2.0 * gamma_mev / 1000.0
     interior = np.zeros(e.size, dtype=bool)
     interior[1:-1] = (y[1:-1] >= y[2:]) & (y[1:-1] > y[:-2])
     peaks = np.nonzero(interior & below)[0]
@@ -549,7 +562,7 @@ def effective_mode_report(
 
     labels: List[PeakLabel] = []
     for p in peaks:
-        offset = (ls.zpl_ev - e[p]) * 1000.0
+        offset = (zpl_ev - e[p]) * 1000.0
         near = free & (np.abs(omegas - offset) <= match_tol_mev)
         if not near.any():
             continue

@@ -804,6 +804,35 @@ def test_oracle_compare_non_finite_spectrum_exit_2(tmp_path, capsys):
     assert not (tmp_path / "oracle.tsv").exists()
 
 
+@pytest.mark.parametrize(
+    "intensity",
+    [lambda y: 0.0 * y, lambda y: -y, lambda y: 0.0 * y + 1e308],
+    ids=["zero", "negated", "overflowing"],
+)
+def test_oracle_compare_spectrum_without_positive_integral_exit_2(tmp_path, capsys, intensity):
+    # an all-zero spectrum made the L1 distance nan, a negated one read
+    # the same distance as the original
+    hr_path = _write_single_mode_hr(tmp_path, 0.8, 140.0)
+    spec = tmp_path / "spec.tsv"
+    common = ["--hr", str(hr_path), "--zpl", "2.0", "--window", "0.2:2.06"]
+    assert main(["spectrum", *common, "--no-omega-cubed", "--out", str(spec)]) == 0
+    e, y = lio.read_spectrum_tsv(spec)
+    oracle = ["oracle", *common, "--out", str(tmp_path / "oracle.tsv"), "--compare", str(spec)]
+    # a rounding-level negative sample, as the FFT convolution writes, is no reason
+    y[len(y) // 2] = -1e-12
+    lio.write_spectrum_tsv(spec, e, y, overwrite=True)
+    capsys.readouterr()
+    assert main(oracle) == 0, capsys.readouterr().err
+    (tmp_path / "oracle.tsv").unlink()
+    lio.write_spectrum_tsv(spec, e, intensity(y), overwrite=True)
+    capsys.readouterr()
+    assert main(oracle) == 2
+    captured = capsys.readouterr()
+    assert "--compare" in captured.err and str(spec) in captured.err, captured.err
+    assert "l1_distance" not in captured.out
+    assert not (tmp_path / "oracle.tsv").exists()
+
+
 def test_oracle_compare_non_round_window(tmp_path, capsys):
     # a 16-digit window edge: spectrum writes its energies at 9 significant
     # digits, up to 5e-9 eV from the grid oracle builds
@@ -1192,6 +1221,51 @@ def test_every_public_name_is_referenced_by_the_program():
         if not name.startswith("_") and name not in named | UNCALLED_PUBLIC_NAMES
     ]
     assert unreferenced == []
+
+
+def _is_dataclass(decorator):
+    call = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return isinstance(call, ast.Name) and call.id == "dataclass"
+
+
+def test_every_record_field_is_read_by_the_program():
+    """A dataclass field that no code reads is state no output depends on:
+    src/, scripts/ or lumibench/ must read it as an attribute somewhere
+    outside __post_init__.  Reads are matched by attribute name alone, so
+    a field whose name another record's reader also reads (omegas_mev, say)
+    passes even when nothing reads it on this record."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    fields = []
+    for path in sorted((root / "src" / "lumiphon").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list)):
+                fields.extend(
+                    (path.name, item.lineno, node.name, item.target.id)
+                    for item in node.body
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                )
+    read = set()
+    for folder in ("src", "scripts", "lumibench"):
+        for path in sorted((root / folder).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            checks = {
+                id(node)
+                for fn in ast.walk(tree)
+                if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"
+                for node in ast.walk(fn)
+            }
+            read.update(
+                node.attr
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Load)
+                and id(node) not in checks
+            )
+    unread = [
+        f"{file}:{line} {cls}.{name}" for file, line, cls, name in fields if name not in read
+    ]
+    assert len(fields) > 50  # the scan found the records
+    assert unread == []
 
 
 def _limit_address_space():

@@ -20,7 +20,7 @@ from lumiphon.fcoracle import (
     enumerate_fc,
     first_moment_mev,
 )
-from lumiphon.model import HRDecomposition, LineshapeConfig
+from lumiphon.model import HRDecomposition
 from lumiphon.vibronic import emission, partial_hr
 
 from helpers import poisson_weight
@@ -97,7 +97,6 @@ def test_zero_sk_modes_dropped_from_vectors():
         0.0922,
     )
     ladder = enumerate_fc(hr, cap=8)
-    assert ladder.omegas_mev.tolist() == [100.0]
     assert ladder.quanta.shape[1] == 1
 
 
@@ -111,6 +110,18 @@ def test_first_moment_identity():
     assert first_moment_mev(ladder) == pytest.approx(expected, rel=1e-6)
 
 
+def _window_mass(ladder, gamma_mev, grid, zpl_ev):
+    """Analytic in-window mass of the ladder's Lorentzians on grid: each
+    line's weight times the arctan share of its Lorentzian between the
+    grid's ends."""
+    gamma_ev = gamma_mev / 1000.0
+    lines_ev = zpl_ev - ladder.energies_mev / 1000.0
+    share = (
+        np.arctan((grid[-1] - lines_ev) / gamma_ev) - np.arctan((grid[0] - lines_ev) / gamma_ev)
+    ) / math.pi
+    return float(np.dot(ladder.weights, share))
+
+
 def test_broadened_single_line_lorentzian():
     hr = partial_hr(np.zeros(1), np.array([100.0]))
     ladder = enumerate_fc(hr, cap=4)
@@ -118,14 +129,14 @@ def test_broadened_single_line_lorentzian():
     grid = np.arange(1.8, 2.2 + 1e-12, 0.0001)
     spec = broadened_oracle_spectrum(ladder, gamma, grid, zpl)
     g_ev = gamma / 1000.0
-    peak = float(spec.intensity.max())
+    peak = float(spec.max())
     assert peak == pytest.approx(1.0 / (math.pi * g_ev), rel=1e-6)
     # half maximum at zpl +- gamma: full width 2 gamma
-    at_half = spec.intensity >= peak / 2.0
+    at_half = spec >= peak / 2.0
     width_mev = (grid[at_half][-1] - grid[at_half][0]) * 1000.0
     assert width_mev == pytest.approx(2.0 * gamma, abs=0.25)
-    assert float(np.trapezoid(spec.intensity, grid)) == pytest.approx(
-        spec.window_mass, abs=1e-6
+    assert float(np.trapezoid(spec, grid)) == pytest.approx(
+        _window_mass(ladder, gamma, grid, zpl), abs=1e-6
     )
 
 
@@ -134,10 +145,11 @@ def test_broadened_integral_tracks_window_mass():
     ladder = enumerate_fc(hr, cap=12)
     grid = np.arange(0.3, 2.2 + 1e-12, 0.0002)
     spec = broadened_oracle_spectrum(ladder, 1.0, grid, 2.0)
-    assert float(np.trapezoid(spec.intensity, grid)) == pytest.approx(
-        spec.window_mass, abs=1e-6
+    assert float(np.trapezoid(spec, grid)) == pytest.approx(
+        _window_mass(ladder, 1.0, grid, 2.0), abs=1e-6
     )
-    assert spec.total_weight == pytest.approx(1.0 - ladder.tail, abs=1e-12)
+    # the total_weight oracle writes: the ladder's weights, never the tail
+    assert math.fsum(ladder.weights.tolist()) == pytest.approx(1.0 - ladder.tail, abs=1e-12)
 
 
 def test_broadened_grid_too_narrow():
@@ -161,7 +173,7 @@ def test_voigt_smearing_matches_direct_sum():
         center = zpl - e / 1000.0
         sg = sigma / 1000.0 * math.sqrt(n) if n else 1e-13
         direct += w * voigt_profile(grid - center, sg, gamma / 1000.0)
-    assert np.max(np.abs(spec.intensity - direct)) < 1e-6 * direct.max()
+    assert np.max(np.abs(spec - direct)) < 1e-6 * direct.max()
 
 
 def _chunk_expression_reference(ladder, gamma_mev, grid, zpl_ev, sigma_mev):
@@ -231,16 +243,14 @@ def test_broadening_bit_identical_to_chunk_expression(
     weights = 10.0 ** rng.uniform(-16.0, 0.0, size=nlines)
     weights /= weights.sum()
     energies = quanta @ omegas
-    ladder = FCLadder(
-        quanta, weights, energies, omegas, max(0.0, 1.0 - math.fsum(weights.tolist()))
-    )
+    ladder = FCLadder(quanta, weights, energies, max(0.0, 1.0 - math.fsum(weights.tolist())))
     zpl, step_ev = 2.0, step_fraction * gamma / 1000.0
     lo = zpl - (float(energies.max()) + 12.0 * gamma) / 1000.0
     npts = int((zpl + 12.0 * gamma / 1000.0 - lo) / step_ev) + 1
     grid = lo + step_ev * np.arange(npts)
     spec = broadened_oracle_spectrum(ladder, gamma, grid, zpl, sigma)
     ref = _chunk_expression_reference(ladder, gamma, grid, zpl, sigma)
-    assert np.array_equal(spec.intensity, ref)
+    assert np.array_equal(spec, ref)
 
 
 def test_broadening_memory_stays_below_one_parent_chunk():
@@ -269,7 +279,6 @@ def test_ladder_balance_invariant_enforced():
             np.zeros((1, 1), dtype=int),
             np.array([0.5]),
             np.array([0.0]),
-            np.array([100.0]),
             tail=0.0,
         )
 
@@ -379,10 +388,9 @@ def test_eight_mode_cap_24_ladder_refused_before_it_grows(sk):
 def test_broadening_refuses_work_above_the_limit_before_allocating():
     nlines, npoints = 200_000, 50_000
     assert nlines * npoints > MAX_LINE_POINTS
-    omegas = np.array([0.01])
     quanta = np.zeros((nlines, 1), dtype=np.uint8)
     weights = np.full(nlines, 1.0 / nlines)
-    ladder = FCLadder(quanta, weights, np.zeros(nlines), omegas, 0.0)
+    ladder = FCLadder(quanta, weights, np.zeros(nlines), 0.0)
     grid = 1.5 + 1e-5 * np.arange(npoints)
     tracemalloc.start()
     try:
@@ -421,14 +429,10 @@ def test_oracle_contract_on_generated_documents(omegas, shares, s_total, gamma, 
     zpl = 4.0
     far = float(ladder.energies_mev[ladder.weights >= 1e-14].max())
     window = (zpl - (far + 10.0 * gamma + 8.0 * sigma * math.sqrt(cap) + 5.0) / 1000.0, zpl + 0.1)
-    config = LineshapeConfig(
-        zpl_ev=zpl, gamma_mev=gamma, sigma_mev=sigma, window_ev=window, step_mev=0.1,
-        omega_cubed=False,
-    )
-    ls = emission(hr, config)
+    ls = emission(hr, zpl, gamma, sigma, window, 0.1, False)
     oracle = broadened_oracle_spectrum(
         ladder, gamma, ls.energy_ev, zpl, sigma_mev=sigma
     )
     a = ls.intensity / np.trapezoid(ls.intensity, ls.energy_ev)
-    b = oracle.intensity / np.trapezoid(oracle.intensity, ls.energy_ev)
+    b = oracle / np.trapezoid(oracle, ls.energy_ev)
     assert float(np.trapezoid(np.abs(a - b), ls.energy_ev)) < 1e-4

@@ -9,7 +9,6 @@ from lumiphon.model import (
     CrystalStructure,
     GeometryPair,
     HRDecomposition,
-    LineshapeConfig,
     MAX_OUTPUT_POINTS,
     PhononBasis,
     output_grid,
@@ -108,25 +107,6 @@ def test_hr_decomposition_invariants():
         HRDecomposition(np.array([1.0, 2.0]), np.zeros(2), np.array([0.1, -0.1]), 0.0)
     with pytest.raises(InputError):  # total out of tolerance
         HRDecomposition(np.array([1.0, 2.0]), np.zeros(2), np.array([0.1, 0.2]), 0.4)
-
-
-def test_lineshape_config_validation():
-    # only what the generating-function route adds: vibronic.resolve_window
-    # checks zpl and gamma, vibronic.energy_grid the window and step
-    def config(**fields):
-        knobs = dict(zpl_ev=2.0, window_ev=(1.0, 2.1), gamma_mev=1.0, sigma_mev=2.0,
-                     step_mev=0.1, omega_cubed=True)
-        return LineshapeConfig(**dict(knobs, **fields))
-
-    config()
-    # no field has a default: the spectrum parser holds the flag defaults
-    with pytest.raises(TypeError):
-        LineshapeConfig(zpl_ev=2.0, window_ev=(1.0, 2.1))
-    with pytest.raises(InputError, match="--sigma"):
-        config(sigma_mev=0.0)
-    with pytest.raises(InputError, match="--window"):
-        config(window_ev=(0.0, 2.1))
-    config(window_ev=(-1.0, 2.1), omega_cubed=False)
 
 
 @given(st.integers(0, 2**32 - 1))

@@ -24,7 +24,6 @@ from lumiphon.model import (
     Hessian,
     HRDecomposition,
     Lineshape,
-    LineshapeConfig,
     PhononBasis,
     TimeGrid,
 )
@@ -61,15 +60,7 @@ def _single_mode_hr(s, omega_mev, mass=12.0):
 
 def _single_mode_lineshape(s, omega_mev, zpl_ev, gamma_mev, sigma_mev, window_ev, step_mev=0.1):
     hr = _single_mode_hr(s, omega_mev)
-    config = LineshapeConfig(
-        zpl_ev=zpl_ev,
-        gamma_mev=gamma_mev,
-        sigma_mev=sigma_mev,
-        window_ev=window_ev,
-        step_mev=step_mev,
-        omega_cubed=False,
-    )
-    return hr, emission(hr, config)
+    return hr, emission(hr, zpl_ev, gamma_mev, sigma_mev, window_ev, step_mev, False)
 
 
 # --------------------------------------------------------------- q_k routes
@@ -348,14 +339,16 @@ def _generating_function(hr, sigma_mev, gamma_mev, reach_mev=0.0):
     return generating_function(density, grid), grid, hr.total
 
 
-def _output_grid(config):
-    """The output grid emission builds for config."""
-    return vibronic.energy_grid(config.window_ev, config.step_mev, config.gamma_mev)
+def _output_grid(flags):
+    """The output grid emission builds for flags, its keyword arguments."""
+    return vibronic.energy_grid(flags["window_ev"], flags["step_mev"], flags["gamma_mev"])
 
 
-def _lineshape(gf, config):
-    """lineshape of gf, a (G, time grid, total S) triple, on config's output grid."""
-    return lineshape(*gf, config, _output_grid(config))
+def _lineshape(gf, flags, energy=None):
+    """lineshape of gf, a (G, time grid, total S) triple, for emission's
+    keyword arguments flags, on their output grid unless energy is given."""
+    read = {k: v for k, v in flags.items() if k != "step_mev"}
+    return lineshape(*gf, **read, energy=_output_grid(flags) if energy is None else energy)
 
 
 def test_generating_function_no_coupling():
@@ -414,7 +407,7 @@ def test_lineshape_no_coupling_is_lorentzian():
     hr = partial_hr(np.zeros(1), np.array([100.0]))
     zpl, gamma = 2.0, 1.0
     gf = _generating_function(hr, 2.0, gamma, reach_mev=600.0)
-    config = LineshapeConfig(
+    flags = dict(
         zpl_ev=zpl,
         gamma_mev=gamma,
         sigma_mev=2.0,
@@ -422,7 +415,7 @@ def test_lineshape_no_coupling_is_lorentzian():
         step_mev=0.1,
         omega_cubed=False,
     )
-    ls = _lineshape(gf, config)
+    ls = _lineshape(gf, flags)
     ref = lorentzian_ev(ls.energy_ev, zpl, gamma)
     ref /= np.trapezoid(ref, ls.energy_ev)
     l1 = float(np.trapezoid(np.abs(ls.intensity - ref), ls.energy_ev))
@@ -474,12 +467,12 @@ def test_lineshape_support_is_red_shifted():
 def test_lineshape_window_excluding_support():
     hr = partial_hr(np.zeros(1), np.array([100.0]))
     gf = _generating_function(hr, 2.0, 1.0, reach_mev=3000.0)
-    config = LineshapeConfig(
+    flags = dict(
         zpl_ev=2.0, gamma_mev=1.0, sigma_mev=2.0, window_ev=(0.2, 0.5), step_mev=0.5,
         omega_cubed=True,
     )
     with pytest.raises(GridTooNarrow):
-        _lineshape(gf, config)
+        _lineshape(gf, flags)
 
 
 def test_lineshape_time_span_floor():
@@ -488,12 +481,12 @@ def test_lineshape_time_span_floor():
     hr = _single_mode_hr(0.5, 100.0)
     grid = _unchecked_grid(512, 1.0, 2.0)
     g = generating_function(spectral_density(hr, 2.0, grid.spectral_step_mev), grid)
-    config = LineshapeConfig(
+    flags = dict(
         zpl_ev=2.0, gamma_mev=1.0, sigma_mev=2.0, window_ev=(1.9, 2.01), step_mev=0.1,
         omega_cubed=True,
     )
     with pytest.raises(AliasedGrid, match="damped sideband"):
-        _lineshape((g, grid, hr.total), config)
+        _lineshape((g, grid, hr.total), flags)
 
 
 def test_lineshape_refuses_a_negative_dip():
@@ -506,22 +499,23 @@ def test_lineshape_refuses_a_negative_dip():
     t = np.arange(n // 2) * grid.dt
     bracket = 2.0 * np.exp(-0.5 * (t / 300.0) ** 2) - np.exp(-0.5 * (t / 250.0) ** 2)
     g = (math.exp(-s) + (1.0 - math.exp(-s)) * bracket).astype(complex)
-    config = LineshapeConfig(
+    flags = dict(
         zpl_ev=2.0, gamma_mev=0.1, sigma_mev=2.0, window_ev=(1.95, 2.01), step_mev=0.1,
         omega_cubed=True,
     )
     with pytest.raises(NumericalError, match="dips"):
-        _lineshape((g, grid, s), config)
+        _lineshape((g, grid, s), flags)
 
 
 # generated HR documents: modes, total S, gamma and sigma (meV), seed
-_GENERATED_DOCUMENTS = given(
+_DOCUMENT_STRATEGIES = (
     st.integers(1, 64),
     st.floats(1e-3, 20.0),
     st.floats(0.01, 1.0),
     st.floats(0.5, 4.0),
     st.integers(0, 2**32 - 1),
 )
+_GENERATED_DOCUMENTS = given(*_DOCUMENT_STRATEGIES)
 
 
 def _generated_hr(nmodes, s_total, seed):
@@ -702,35 +696,36 @@ def _default_window(hr, zpl_ev, gamma_mev, sigma_mev):
     return max(zpl_mev - below, 1.0) / 1000.0, (zpl_mev + above) / 1000.0
 
 
-def _stage_chain(hr, config):
+def _stage_chain(hr, flags):
     """The spectrum pipeline assembled stage by stage: the output grid, the
     sigma-bounded time grid, S(hw) at its spectral step, G(t) and the
     lineshape."""
-    zpl_mev, window = config.zpl_ev * 1000.0, config.window_ev
+    zpl_mev, window = flags["zpl_ev"] * 1000.0, flags["window_ev"]
     reach = max(zpl_mev - window[0] * 1000.0, abs(window[1] * 1000.0 - zpl_mev))
-    energy = _output_grid(config)
-    grid = make_time_grid(hr, config.sigma_mev, config.gamma_mev, reach)
-    density = spectral_density(hr, config.sigma_mev, grid.spectral_step_mev)
-    g = generating_function(density, grid)
-    return lineshape(g, grid, hr.total, config, energy)
+    grid = make_time_grid(hr, flags["sigma_mev"], flags["gamma_mev"], reach)
+    density = spectral_density(hr, flags["sigma_mev"], grid.spectral_step_mev)
+    return _lineshape((generating_function(density, grid), grid, hr.total), flags)
 
 
 @settings(max_examples=20, deadline=None)
-@_GENERATED_DOCUMENTS
-def test_emission_is_the_stage_chain_on_generated_documents(nmodes, s_total, gamma, sigma, seed):
+@given(*_DOCUMENT_STRATEGIES, st.booleans())
+@example(nmodes=1, s_total=1.0, gamma=0.5, sigma=1.0, seed=0, omega_cubed=False)
+def test_emission_is_the_stage_chain_on_generated_documents(
+    nmodes, s_total, gamma, sigma, seed, omega_cubed
+):
     hr = _generated_hr(nmodes, s_total, seed)
     window = _default_window(hr, 3.0, gamma, sigma)
     assert vibronic.resolve_window(hr, 3.0, gamma, sigma) == window
-    config = LineshapeConfig(
+    flags = dict(
         zpl_ev=3.0, window_ev=window, gamma_mev=gamma, sigma_mev=sigma, step_mev=gamma,
-        omega_cubed=True,
+        omega_cubed=omega_cubed,
     )
-    ref = _stage_chain(hr, config)
-    ls = emission(hr, config)
+    ref = _stage_chain(hr, flags)
+    ls = emission(hr, **flags)
     assert np.array_equal(ls.energy_ev, ref.energy_ev)
     assert np.array_equal(ls.intensity, ref.intensity)
-    assert (ls.zpl_ev, ls.gamma_mev) == (ref.zpl_ev, ref.gamma_mev)
-    # Lineshape accepted it: unit integral within 1e-6
+    # lineshape divides by the integral it makes: unit within 1e-6, with
+    # omega_cubed on and off
     assert abs(float(np.trapezoid(ls.intensity, ls.energy_ev)) - 1.0) <= 1e-6
 
 
@@ -766,14 +761,14 @@ def test_spectrum_and_oracle_share_window_and_grid_on_generated_documents(
     # spectrum resolves the window from its flags, a given one as it is
     window = vibronic.resolve_window(hr, zpl, gamma, sigma, flag)
     assert flag is None or window == flag
-    config = LineshapeConfig(
+    flags = dict(
         zpl_ev=zpl, gamma_mev=gamma, sigma_mev=sigma, window_ev=window, step_mev=gamma,
         omega_cubed=True,
     )
     grids = []
     with mock.patch.object(vibronic, "energy_grid", _recording(vibronic.energy_grid, grids)):
         try:
-            ls = emission(hr, config)
+            ls = emission(hr, **flags)
         except GridTooNarrow:
             # the window's share of the emission is measured on the built
             # grid; at S = 30 most of the sideband can lie below 0 eV
@@ -820,23 +815,44 @@ def test_resolve_window_and_energy_grid_check_every_flag():
     assert energy_mev.size == 2 and np.array_equal(energy_ev, energy_mev / 1000.0)
 
 
+def test_emission_refuses_what_the_generating_function_route_adds():
+    # only what the generating-function route adds: vibronic.resolve_window
+    # checks zpl and gamma, vibronic.energy_grid the window and step
+    hr = _single_mode_hr(1.0, 100.0)
+
+    def run(**fields):
+        flags = dict(zpl_ev=2.0, window_ev=(1.0, 2.1), gamma_mev=1.0, sigma_mev=2.0,
+                     step_mev=0.1, omega_cubed=True)
+        return emission(hr, **dict(flags, **fields))
+
+    run()
+    # no parameter has a default: the spectrum parser holds the flag defaults
+    with pytest.raises(TypeError):
+        emission(hr, zpl_ev=2.0, window_ev=(1.0, 2.1))
+    with pytest.raises(InputError, match="--sigma"):
+        run(sigma_mev=0.0)
+    with pytest.raises(InputError, match="--window"):
+        run(window_ev=(0.0, 2.1))
+    run(window_ev=(-1.0, 2.1), omega_cubed=False)
+
+
 def test_lineshape_transform_memory_below_two_padded_complex_arrays():
     # S = 10 at 200 meV, gamma = 1 meV: a 2^16-point time grid padded to
     # 2^19 points for the 0.125 meV energy step
     hr = _single_mode_hr(10.0, 200.0)
     # the ladder reaches below 1 meV, where the default window stops
-    config = LineshapeConfig(
+    flags = dict(
         zpl_ev=2.0, gamma_mev=1.0, sigma_mev=2.0, window_ev=(0.001, 2.062), step_mev=0.1,
         omega_cubed=True,
     )
-    gf = _generating_function(hr, 2.0, 1.0, vibronic._reach_mev(2.0, config.window_ev))
+    gf = _generating_function(hr, 2.0, 1.0, vibronic._reach_mev(2.0, flags["window_ev"]))
     step, _, _ = vibronic._fft_spectral_function(*gf, 1.0, 2.0 / 16.0)
     size = round(2.0 * math.pi * units.HBAR_MEV_FS / (step * gf[1].dt))
     assert size == 1 << 19
-    energy = _output_grid(config)
+    energy = _output_grid(flags)
     tracemalloc.start()
     try:
-        lineshape(*gf, config, energy)
+        _lineshape(gf, flags, energy)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -881,7 +897,7 @@ def test_degenerate_mode_mixing_invariance():
         gf = _generating_function(hr, 2.0, 1.0, reach_mev=800.0)
         ls = _lineshape(
             gf,
-            LineshapeConfig(
+            dict(
                 zpl_ev=2.0, gamma_mev=1.0, sigma_mev=2.0, window_ev=(1.4, 2.05),
                 step_mev=0.2, omega_cubed=True,
             ),
@@ -898,7 +914,7 @@ def test_effective_mode_report_single_mode():
     hr, ls = _single_mode_lineshape(
         s, omega, zpl, gamma, sigma, window_ev=(zpl - 1.2, zpl + 0.08)
     )
-    labels = effective_mode_report(hr, ls)
+    labels = effective_mode_report(hr, ls, zpl, gamma)
     assert labels and labels[0].mode_index == 0
     assert labels[0].offset_mev == pytest.approx(omega, abs=1.0)
 
@@ -913,7 +929,7 @@ def test_effective_mode_report_ordering_and_floor():
     gf = _generating_function(hr, sigma, gamma, reach_mev=1600.0)
     ls = _lineshape(
         gf,
-        LineshapeConfig(
+        dict(
             zpl_ev=zpl,
             gamma_mev=gamma,
             sigma_mev=sigma,
@@ -922,7 +938,7 @@ def test_effective_mode_report_ordering_and_floor():
             omega_cubed=False,
         ),
     )
-    labels = effective_mode_report(hr, ls)
+    labels = effective_mode_report(hr, ls, zpl, gamma)
     assert [p.mode_index for p in labels] == [0, 1, 3, 4]  # S_k floor drops mode 2
     assert labels[0].sk >= labels[-1].sk
     for p in labels:
@@ -932,27 +948,26 @@ def test_effective_mode_report_ordering_and_floor():
     # independently broadened ladder as well
     ladder = enumerate_fc(hr, cap=12)
     grid = ls.energy_ev
-    oracle = broadened_oracle_spectrum(ladder, gamma, grid, zpl, sigma)
-    y = oracle.intensity
+    y = broadened_oracle_spectrum(ladder, gamma, grid, zpl, sigma)
     peak_idx = np.nonzero((y[1:-1] >= y[2:]) & (y[1:-1] > y[:-2]))[0] + 1
     peak_offsets = (zpl - grid[peak_idx]) * 1000.0
     for p in labels:
         assert np.min(np.abs(peak_offsets - p.offset_mev)) < 1.0
 
-    lvm_only = effective_mode_report(hr, ls, lvm_indices=[2, 3, 4])
+    lvm_only = effective_mode_report(hr, ls, zpl, gamma, lvm_indices=[2, 3, 4])
     assert [p.mode_index for p in lvm_only] == [3, 4]
 
 
-def _reference_mode_report(hr, ls, lvm_indices=None):
+def _reference_mode_report(hr, ls, zpl_ev, gamma_mev, lvm_indices=None):
     """The labelling loop as first written: one Python pass per peak and mode."""
     candidates = (
         np.arange(hr.nmodes) if lvm_indices is None else np.asarray(lvm_indices, int)
     )
     candidates = candidates[hr.sk[candidates] >= LABEL_SK_FLOOR]
-    match_tol_mev = max(3.0 * ls.gamma_mev, 5.0)
+    match_tol_mev = max(3.0 * gamma_mev, 5.0)
     e = ls.energy_ev
     y = ls.intensity
-    below = e < ls.zpl_ev - 2.0 * ls.gamma_mev / 1000.0
+    below = e < zpl_ev - 2.0 * gamma_mev / 1000.0
     interior = np.zeros(e.size, dtype=bool)
     interior[1:-1] = (y[1:-1] >= y[2:]) & (y[1:-1] > y[:-2])
     peaks = np.nonzero(interior & below)[0]
@@ -961,7 +976,7 @@ def _reference_mode_report(hr, ls, lvm_indices=None):
     labels = []
     used = set()
     for p in peaks:
-        offset = (ls.zpl_ev - e[p]) * 1000.0
+        offset = (zpl_ev - e[p]) * 1000.0
         near = [
             int(k)
             for k in candidates
@@ -993,6 +1008,8 @@ def test_effective_mode_report_matches_reference_loop(mode_mev, sk_pool, heights
     hr = HRDecomposition(omegas, np.zeros_like(omegas), sks, math.fsum(sks.tolist()))
     energy = 2.0 - 0.001 * np.arange(len(heights), 0, -1)
     raw = np.array(heights, dtype=float) + 0.5
-    ls = Lineshape(energy, raw / np.trapezoid(raw, energy), 2.0, gamma)
+    ls = Lineshape(energy, raw / np.trapezoid(raw, energy))
     lvm = None if lvm is None else [k for k in lvm if k < hr.nmodes]
-    assert effective_mode_report(hr, ls, lvm) == _reference_mode_report(hr, ls, lvm)
+    assert effective_mode_report(hr, ls, 2.0, gamma, lvm) == _reference_mode_report(
+        hr, ls, 2.0, gamma, lvm
+    )
