@@ -172,6 +172,7 @@ def cmd_modes(args) -> int:
         provenance["pre_asr_norms_mev"] = pre.tolist()
         provenance["post_asr_norms_mev"] = post.tolist()
     basis = phonons.diagonalize(d)
+    del d  # not alive while the basis document is written
     lvm = classify_lvm(basis.omegas_mev, args.cutoff)
     provenance["lvm_indices"] = lvm
     ipr = phonons.localization_table(basis)
@@ -286,7 +287,8 @@ def cmd_oracle(args) -> int:
                 f"{args.compare} is sampled on a different grid; "
                 "regenerate both spectra with the same window and step"
             )
-        other_mass = float(np.trapezoid(other_i, other_e))
+        with np.errstate(over="ignore"):  # an overflowing sum is refused below
+            other_mass = float(np.trapezoid(other_i, other_e))
         if not (math.isfinite(other_mass) and other_mass > 0):
             raise InputError(
                 f"{args.compare} (--compare) integrates to {other_mass:g}; "

@@ -43,6 +43,7 @@ from .model import (
     HRDecomposition,
     Manifest,
     PhononBasis,
+    _require_finite,
     structure_checksum,
 )
 from .units import ATOMIC_MASS_AMU
@@ -385,8 +386,21 @@ def write_force_delta(delta: ForceDelta, path, overwrite=False):
 
 # ---------------------------------------------------------- phonon basis
 
+#: Every entry of V V^T - I of a basis read must lie below this in magnitude.
+ORTHONORMALITY_TOL = 1e-8
+
+
+def _check_orthonormal(vectors):
+    gram = vectors @ vectors.T
+    gram[np.diag_indices_from(gram)] -= 1.0
+    dev = float(np.max(np.abs(gram, out=gram)))
+    if dev >= ORTHONORMALITY_TOL:
+        raise InputError(f"mode vectors not orthonormal (max deviation {dev:.3e})")
+
+
 def parse_phonon_basis(doc) -> Tuple[PhononBasis, dict]:
-    """Read `phonon_basis/2`, or the older `phonon_basis/1` with inline vectors."""
+    """Read `phonon_basis/2`, or the older `phonon_basis/1` with inline
+    vectors: finite omegas and vectors, the vectors' rows orthonormal."""
     schema = _expect_schema(doc, "phonon_basis", older=("phonon_basis/1",))
     omegas = _field(doc, "omegas_mev")
     if not isinstance(omegas, list) or not omegas:
@@ -398,6 +412,9 @@ def parse_phonon_basis(doc) -> Tuple[PhononBasis, dict]:
     provenance = doc.get("provenance", {})
     if not isinstance(provenance, dict):
         raise ParseError("provenance must be an object", locus="/provenance")
+    if read is _binary_matrix:  # _matrix has refused a non-finite entry
+        _require_finite(vectors, "vectors")
+    _check_orthonormal(vectors)
     return PhononBasis(w, vectors), provenance
 
 

@@ -6,13 +6,15 @@ marked read-only), so instances can be shared freely across threads.
 Each input field is checked once, by the io parser that reads it, which
 names its JSON-pointer locus: shapes, finiteness, integers and markers.
 A record keeps only the contracts that computed data can also break (a
-positive cell and masses, finite and orthonormal modes, finite and
-non-negative S_k summing to the total); code that builds a record from
-anything else supplies what the parser would have guaranteed.  A stage
-result read only by the next stage is no record but plain arrays, its
-contract checked by the function that makes it: S(hw) and G(t) in
-vibronic, the ASR residuals in phonons.  Nor are flags a record: each
-is checked where vibronic first reads it.
+positive cell and masses, finite and non-negative S_k summing to the
+total); code that builds a record from anything else supplies what the
+parser would have guaranteed.  A PhononBasis checks nothing: each of its
+two makers checks the basis it makes, io.parse_phonon_basis one it reads
+(finite, orthonormal) and phonons.diagonalize one it computes (finite,
+residual within contract).  A stage result read only by the next stage
+is no record but plain arrays, its contract checked by the function that
+makes it: S(hw) and G(t) in vibronic, the ASR residuals in phonons.  Nor
+are flags a record: each is checked where vibronic first reads it.
 
 Sign conventions fixed here once:
 
@@ -140,13 +142,11 @@ class Hessian:
         object.__setattr__(self, "matrix", _own(self.matrix))
 
 
-#: Orthonormality slack allowed on stored eigenvector sets.
-ORTHONORMALITY_TOL = 1e-8
-
-
 @dataclass(frozen=True, eq=False)
 class PhononBasis:
-    """Mass-weighted eigenmodes; omegas in meV (imaginary stored negative)."""
+    """Mass-weighted eigenmodes; omegas in meV (imaginary stored negative).
+    Finite, with orthonormal rows, as io.parse_phonon_basis reads it and
+    phonons.diagonalize computes it."""
 
     omegas_mev: np.ndarray
     vectors: np.ndarray  # (3N, 3N), row k is mode k, unit norm
@@ -154,17 +154,6 @@ class PhononBasis:
     def __post_init__(self):
         object.__setattr__(self, "omegas_mev", _own(self.omegas_mev))
         object.__setattr__(self, "vectors", _own(self.vectors))
-        _require_finite(self.omegas_mev, "omegas_mev")
-        _require_finite(self.vectors, "vectors")
-        self._check_orthonormal()
-
-    def _check_orthonormal(self):
-        v = self.vectors
-        gram = v @ v.T
-        gram[np.diag_indices_from(gram)] -= 1.0
-        dev = float(np.max(np.abs(gram, out=gram)))
-        if dev >= ORTHONORMALITY_TOL:
-            raise InputError(f"mode vectors not orthonormal (max deviation {dev:.3e})")
 
     @property
     def nmodes(self):

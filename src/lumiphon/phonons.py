@@ -12,7 +12,7 @@ import numpy as np
 
 from . import units
 from .errors import NonConvergence
-from .model import CrystalStructure, Hessian, PhononBasis
+from .model import CrystalStructure, Hessian, PhononBasis, _require_finite
 
 #: Residual contract of the eigendecomposition, relative to ||D||.
 RESIDUAL_TOL = 1e-8
@@ -88,26 +88,30 @@ def diagonalize(d: np.ndarray) -> PhononBasis:
     in meV, with lambda < 0 stored as negative meV.  Modes come out
     ascending, as eigh returns lambda and the map is monotone, with a
     deterministic sign (first significant component of each vector is
-    positive).  The residual contract ||D v - lambda v|| < 1e-8 ||D|| is
-    checked for every mode.
+    positive).  The basis is checked here, where it is made: NonFiniteValue
+    for a non-finite eigenvalue (a D past the float range), NonConvergence
+    unless ||D v - lambda v|| <= 1e-8 ||D|| for every mode, a NaN residual
+    included.  eigh's vectors are orthonormal; tests assert it.
     """
     try:
         lam, vecs = np.linalg.eigh(d)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise NonConvergence(f"eigensolver failed: {exc}") from None
     vecs = vecs.T  # rows are modes
+    omegas = units.hbar_omega_from_eigenvalue(lam)
+    _require_finite(omegas, "omegas_mev")
 
     norm_d = float(np.max(np.abs(lam))) if lam.size else 0.0
     if norm_d > 0:
         resid = np.linalg.norm(d @ vecs.T - vecs.T * lam[None, :], axis=0)
         worst = float(np.max(resid))
-        if worst > RESIDUAL_TOL * norm_d:
+        if not worst <= RESIDUAL_TOL * norm_d:
             raise NonConvergence(
                 f"eigenvector residual {worst:.3e} exceeds {RESIDUAL_TOL:.0e}*||D||"
             )
 
     _orient_rows(vecs)
-    return PhononBasis(units.hbar_omega_from_eigenvalue(lam), vecs)
+    return PhononBasis(omegas, vecs)
 
 
 def localization_table(basis: PhononBasis) -> np.ndarray:

@@ -82,17 +82,25 @@ def test_modes_diatomic_asr(tmp_path, capsys):
 
 
 def test_modes_builds_the_basis_once(tmp_path, monkeypatch):
-    checks = []
-    check = PhononBasis._check_orthonormal
-    monkeypatch.setattr(
-        PhononBasis, "_check_orthonormal", lambda self: checks.append(check(self))
-    )
-    _, spath, hpath = _write_diatomic(tmp_path)
+    # modes builds one basis and forms no Gram matrix (diagonalize checks
+    # what it computes); each hr call forms one, on the basis it reads
+    built, grams = [], []
+    init, check = PhononBasis.__post_init__, lio._check_orthonormal
+    monkeypatch.setattr(PhononBasis, "__post_init__", lambda self: built.append(init(self)))
+    monkeypatch.setattr(lio, "_check_orthonormal", lambda v: grams.append(check(v)))
+    structure, spath, hpath = _write_diatomic(tmp_path)
     out = tmp_path / "modes.json"
     args = ["modes", "--structure", str(spath), "--hessian", str(hpath), "--cutoff", "50"]
-    assert main([*args, "--out", str(out)]) == 0
-    assert len(checks) == 1
+    assert main([*args, "--asr", "--out", str(out)]) == 0
+    assert (len(built), len(grams)) == (1, 0)
     assert lio.load_document(out)["provenance"]["cutoff_bulk_mev"] == 50.0
+    pair, forces = tmp_path / "pair.json", tmp_path / "forces.json"
+    lio.write_geometry_pair(GeometryPair(structure.positions, structure.positions), pair)
+    lio.write_force_delta(ForceDelta(np.zeros((2, 3))), forces)
+    for calls, route in enumerate([["--pair", str(pair)], ["--forces", str(forces)]], start=2):
+        hr = ["hr", "--structure", str(spath), "--modes", str(out), *route]
+        assert main([*hr, "--out", str(tmp_path / "hr.json")]) == 0
+        assert (len(built), len(grams)) == (calls, calls - 1)
 
 
 def test_modes_lvm_table_fixture(tmp_path):
@@ -178,7 +186,7 @@ _HUGE_SK = [_set(("entries", k, "sk"), 1e308) for k in (-2, -1)] + [_set(("total
 
 
 # demo documents with one input past what a float holds once computed on:
-# each call exits 2 naming what overflowed.  The basis's finite-omega and
+# each call exits 2 naming what overflowed.  diagonalize's finite-omega and
 # the decomposition's finite-sk checks look redundant beside the parsers'
 # but are reached here.
 @pytest.mark.parametrize(
@@ -396,6 +404,27 @@ def test_hr_basis_with_a_repeated_mode_exit_2(tmp_path, capsys):
     out = tmp_path / "hr.json"
     code = main(
         ["hr", "--structure", str(spath), "--modes", str(modes), "--pair", str(ppath),
+         "--out", str(out)]
+    )
+    assert code == 2
+    assert not out.exists()
+    assert "not orthonormal" in capsys.readouterr().err
+
+
+def test_hr_non_orthonormal_v1_basis_exit_2(tmp_path, capsys):
+    # the older schema's inline vectors are held to the same Gram check
+    structure, spath, modes = _prepare_modes(tmp_path)
+    doc = lio.load_document(modes)
+    basis, _ = lio.parse_phonon_basis(doc)
+    vectors = basis.vectors.copy()
+    vectors[2] = vectors[1]
+    doc.update(schema="phonon_basis/1", vectors=vectors.tolist())
+    modes.write_text(json.dumps(doc))
+    pair = tmp_path / "pair.json"
+    lio.write_geometry_pair(GeometryPair(structure.positions, structure.positions), pair)
+    out = tmp_path / "hr.json"
+    code = main(
+        ["hr", "--structure", str(spath), "--modes", str(modes), "--pair", str(pair),
          "--out", str(out)]
     )
     assert code == 2
@@ -826,7 +855,10 @@ def test_oracle_compare_spectrum_without_positive_integral_exit_2(tmp_path, caps
     (tmp_path / "oracle.tsv").unlink()
     lio.write_spectrum_tsv(spec, e, intensity(y), overwrite=True)
     capsys.readouterr()
-    assert main(oracle) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(oracle) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], caught
     captured = capsys.readouterr()
     assert "--compare" in captured.err and str(spec) in captured.err, captured.err
     assert "l1_distance" not in captured.out

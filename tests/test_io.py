@@ -587,6 +587,54 @@ def test_basis_v2_rejects_nan_payload():
     assert "vectors[2,3]" in str(err.value)
 
 
+def _basis_doc(schema, vectors):
+    """A basis document of `schema` holding `vectors` and zero omegas."""
+    n = vectors.shape[0]
+    if schema == "phonon_basis/1":
+        payload = vectors.tolist()
+    else:
+        payload = {
+            "dtype": "<f8",
+            "shape": [n, n],
+            "base64": base64.b64encode(_bits(vectors)).decode("ascii"),
+        }
+    return {"schema": schema, "omegas_mev": [0.0] * n, "vectors": payload}
+
+
+_BASIS_SCHEMAS = pytest.mark.parametrize(
+    "schema", ["phonon_basis/1", "phonon_basis/2"], ids=["v1", "v2"]
+)
+
+
+@_BASIS_SCHEMAS
+def test_basis_rejects_non_orthonormal_rows(schema):
+    vecs = np.eye(3)
+    vecs[0, 1] = 1e-4
+    with pytest.raises(InputError, match="not orthonormal"):
+        lio.parse_phonon_basis(_basis_doc(schema, vecs))
+
+
+@_BASIS_SCHEMAS
+def test_large_basis_orthonormality(schema):
+    # every pair of rows is checked at every size: a dense reflection
+    # I - 2 u u^T is orthonormal
+    n = 1536
+    u = np.random.default_rng(7).normal(size=n)
+    u /= np.linalg.norm(u)
+    vecs = np.eye(n) - 2.0 * np.outer(u, u)
+    lio.parse_phonon_basis(_basis_doc(schema, vecs))
+    # row 0 tilted by 1e-6 toward row 1 keeps its unit norm
+    eps = 1e-6
+    tilted = vecs.copy()
+    tilted[0] = np.cos(eps) * vecs[0] + np.sin(eps) * vecs[1]
+    with pytest.raises(InputError, match="not orthonormal"):
+        lio.parse_phonon_basis(_basis_doc(schema, tilted))
+    # a repeated mode has unit norm and is orthogonal to every other row
+    vecs[2] = vecs[1]
+    with pytest.raises(InputError, match="not orthonormal"):
+        lio.parse_phonon_basis(_basis_doc(schema, vecs))
+
+
 def test_compare_mode_tables_reads_v1_and_v2(tmp_path):
     root = pathlib.Path(__file__).resolve().parent.parent
     basis = _adversarial_basis()

@@ -10,7 +10,6 @@ from lumiphon.model import (
     GeometryPair,
     HRDecomposition,
     MAX_OUTPUT_POINTS,
-    PhononBasis,
     output_grid,
 )
 
@@ -52,33 +51,6 @@ def test_pair_delta_is_exact_difference():
     e = rng.normal(size=(4, 3))
     pair = GeometryPair(g, e)
     assert np.array_equal(pair.delta, e - g)
-
-
-def test_phonon_basis_rejects_non_orthonormal():
-    vecs = np.eye(3)
-    vecs[0, 1] = 1e-4
-    with pytest.raises(InputError):
-        PhononBasis(np.zeros(3), vecs)
-
-
-def test_large_phonon_basis_orthonormality():
-    # every pair of rows is checked at every size: a dense reflection
-    # I - 2 u u^T is orthonormal
-    n = 1536
-    u = np.random.default_rng(7).normal(size=n)
-    u /= np.linalg.norm(u)
-    vecs = np.eye(n) - 2.0 * np.outer(u, u)
-    PhononBasis(np.zeros(n), vecs)
-    # row 0 tilted by 1e-6 toward row 1 keeps its unit norm
-    eps = 1e-6
-    tilted = vecs.copy()
-    tilted[0] = np.cos(eps) * vecs[0] + np.sin(eps) * vecs[1]
-    with pytest.raises(InputError, match="orthonormal"):
-        PhononBasis(np.zeros(n), tilted)
-    # a repeated mode has unit norm and is orthogonal to every other row
-    vecs[2] = vecs[1]
-    with pytest.raises(InputError, match="orthonormal"):
-        PhononBasis(np.zeros(n), vecs)
 
 
 def test_output_grid_rule_and_refusals():

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lumiphon import units
+from lumiphon import phonons, units
+from lumiphon.errors import NonConvergence, NonFiniteValue
+from lumiphon.io import ORTHONORMALITY_TOL
 from lumiphon.model import CrystalStructure, Hessian, PhononBasis, classify_lvm
 from lumiphon.phonons import (
     _orient_rows,
@@ -109,6 +111,12 @@ def test_asr_rank3_update_matches_dense_projector(natoms, seed, log_scale):
 
 # ------------------------------------------------------------ diagonalize
 
+def _gram_defect(vectors):
+    """max |V V^T - I|: the contract io.parse_phonon_basis checks on a read
+    basis and these tests assert on the bases diagonalize computes."""
+    return np.max(np.abs(vectors @ vectors.T - np.eye(vectors.shape[0])))
+
+
 def test_single_atom_isotropic_mode():
     # independent oracle: hbar*sqrt(k/m) evaluated with the unit table
     k, mass = 5.805, 12.0
@@ -148,17 +156,32 @@ def test_dynamical_matrix_symmetrizes_what_it_is_given(natoms, seed):
         d = dynamical_matrix(hessian, structure)
         arrays = apply_asr(d, structure)
         basis = diagonalize(d)
+        assert _gram_defect(basis.vectors) < ORTHONORMALITY_TOL
         return [a.tobytes() for a in arrays + (basis.omegas_mev, basis.vectors)]
 
     assert stages(Hessian(h)) == stages(Hessian(0.5 * (h + h.T)))
+
+
+def test_diagonalize_refuses_a_non_finite_eigendecomposition(monkeypatch):
+    # a D past the float range gives NaN eigenvalues, which the residual
+    # check's comparison alone would let through
+    d = np.eye(6)
+    d[0, 1] = d[1, 0] = np.inf
+    with pytest.raises(NonFiniteValue, match=r"omegas_mev\[0\] is not finite"):
+        diagonalize(d)
+    # finite eigenvalues with a NaN vector: the residual is NaN, not small
+    vecs = np.eye(6)
+    vecs[2, 3] = np.nan
+    monkeypatch.setattr(phonons.np.linalg, "eigh", lambda d: (np.arange(6.0), vecs))
+    with pytest.raises(NonConvergence, match="residual nan"):
+        diagonalize(np.diag(np.arange(6.0)))
 
 
 def test_orthonormality_and_completeness(small_cluster):
     structure, hessian = small_cluster
     basis = diagonalize(dynamical_matrix(hessian, structure))
     v = basis.vectors
-    gram = v @ v.T
-    assert np.max(np.abs(gram - np.eye(v.shape[0]))) < 1e-8
+    assert _gram_defect(v) < ORTHONORMALITY_TOL
     # completeness: resolution of identity, spot-check a few rows
     recon = v.T @ v
     rng = np.random.default_rng(0)
@@ -258,6 +281,8 @@ def test_modes_ascend_without_a_sort(natoms, seed, repeats, shift):
     q, _ = np.linalg.qr(rng.normal(size=(n, n)))
     basis = diagonalize(symmetrize((q * lam) @ q.T))
     assert np.all(np.diff(basis.omegas_mev) >= 0.0)
+    # eigh's vectors stay orthonormal within a repeated eigenvalue's space
+    assert _gram_defect(basis.vectors) < ORTHONORMALITY_TOL
     back = units.eigenvalue_from_hbar_omega(basis.omegas_mev)
     np.testing.assert_allclose(back, np.sort(lam), rtol=0.0, atol=1e-12)
 

@@ -81,3 +81,24 @@ def test_diagonalize_result_carries_the_mode_count():
     count, value = tracing.RESULT_COUNTS["phonons.diagonalize"]
     assert count == "phonons.modes"
     assert value(phonons.diagonalize(np.diag([1.0, 2.0, 3.0]))) == 3
+
+
+def test_tracer_installs_and_restores_every_patched_attribute():
+    # install() fails on an attribute it patches that a refactor deleted
+    # (PhononBasis.__post_init__ among them); uninstall() puts back each
+    from lumiphon import model
+
+    modules = [importlib.import_module(f"lumiphon.{layer}") for layer in tracing.LAYERS]
+    before = [dict(vars(module)) for module in modules]
+    init = model.PhononBasis.__post_init__
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert model.PhononBasis.__post_init__ is not init
+        assert phonons.diagonalize is not before[modules.index(phonons)]["diagonalize"]
+    finally:
+        tracer.uninstall()
+    assert model.PhononBasis.__post_init__ is init
+    for module, attrs in zip(modules, before):
+        assert vars(module).keys() == attrs.keys()
+        assert all(vars(module)[name] is obj for name, obj in attrs.items()), module
