@@ -3,8 +3,8 @@
 Subcommands: modes, hr, spectrum, oracle, thermo, dissoc.  Exit codes:
 0 success, 2 invalid input or flags, 3 numerical failure.  Outputs are
 written atomically and are byte-identical across reruns with the same
-inputs and flags: BLAS runs on one thread and manifests carry a fixed
-timestamp.
+inputs and flags, as BLAS runs on one thread.  --manifest records the
+checksum of every input file, the version and the command line.
 
 numpy is imported lazily so that main's thread pinning takes effect before
 any BLAS library loads.
@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import shlex
 import sys
 import warnings
 
@@ -28,8 +29,6 @@ _THREAD_VARS = (
     "NUMEXPR_NUM_THREADS",
     "VECLIB_MAXIMUM_THREADS",
 )
-
-_FIXED_TIMESTAMP = "1970-01-01T00:00:00Z"
 
 #: Bulk phonon cutoff in meV, the --cutoff default of modes and spectrum:
 #: modes strictly above it are local vibrational modes.
@@ -142,15 +141,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_manifest(args, input_paths):
-    if not args.manifest:
-        return
+def _write_manifest(args, inputs):
+    """Write args.manifest from the io.input_checksums list of the run."""
     from . import io as lio
 
-    manifest = lio.build_manifest(
-        input_paths, __version__, getattr(args, "command_line", ""), _FIXED_TIMESTAMP
-    )
-    lio.write_manifest(manifest, args.manifest, overwrite=True)
+    lio.write_manifest(inputs, __version__, args.command_line, args.manifest, overwrite=True)
 
 
 def cmd_modes(args) -> int:
@@ -161,8 +156,9 @@ def cmd_modes(args) -> int:
     structure = lio.parse_structure(lio.load_document(args.structure))
     # the Hessian record lives only until D is formed
     d = phonons.dynamical_matrix(lio.load_hessian(args.hessian, structure), structure)
+    inputs = lio.input_checksums([args.structure, args.hessian])
     provenance = {
-        "hessian_sha256": lio.sha256_file(args.hessian),
+        "hessian_sha256": inputs[1]["sha256"],
         "asr_applied": bool(args.asr),
         "cutoff_bulk_mev": args.cutoff,
         "tool_version": __version__,
@@ -192,7 +188,8 @@ def cmd_modes(args) -> int:
             ),
             overwrite=True,
         )
-    _write_manifest(args, [args.structure, args.hessian])
+    if args.manifest:
+        _write_manifest(args, inputs)
     print(f"modes: {basis.nmodes}  lvm: {len(lvm)}")
     return 0
 
@@ -223,9 +220,10 @@ def cmd_hr(args) -> int:
             ),
             overwrite=True,
         )
-    _write_manifest(
-        args, [args.structure, args.modes, args.pair or args.forces]
-    )
+    if args.manifest:
+        _write_manifest(
+            args, lio.input_checksums([args.structure, args.modes, args.pair or args.forces])
+        )
     print(f"total_s = {hr.total:.9g}")
     return 0
 
@@ -262,7 +260,8 @@ def cmd_spectrum(args) -> int:
             ),
             overwrite=True,
         )
-    _write_manifest(args, [args.hr])
+    if args.manifest:
+        _write_manifest(args, lio.input_checksums([args.hr]))
     print(f"spectrum points: {ls.energy_ev.size}  labelled peaks: {len(peaks)}")
     return 0
 
@@ -330,7 +329,8 @@ def cmd_oracle(args) -> int:
         b = other_i / other_mass
         l1 = float(np.trapezoid(np.abs(a - b), grid))
         print(f"l1_distance = {l1:.9g}")
-    _write_manifest(args, [args.hr])
+    if args.manifest:
+        _write_manifest(args, lio.input_checksums([args.hr]))
     return 0
 
 
@@ -395,7 +395,8 @@ def cmd_thermo(args) -> int:
     for note in notes:
         print(note)
     print(f"labels: {len(labels)}  transitions: {len(trans_rows)}")
-    _write_manifest(args, [args.defects])
+    if args.manifest:
+        _write_manifest(args, lio.input_checksums([args.defects]))
     return 0
 
 
@@ -422,7 +423,8 @@ def cmd_dissoc(args) -> int:
         overwrite=True,
     )
     print(f"entries: {len(out_rows)}  unstable: {unstable}")
-    _write_manifest(args, [args.energies])
+    if args.manifest:
+        _write_manifest(args, lio.input_checksums([args.energies]))
     return 0
 
 
@@ -431,7 +433,7 @@ def main(argv=None) -> int:
         os.environ[var] = "1"
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.command_line = " ".join(argv if argv is not None else sys.argv[1:])
+    args.command_line = shlex.join(argv if argv is not None else sys.argv[1:])
     try:
         # a fresh filter state per call: warnings shown once per location
         # in a process are shown again by the next call in the same process

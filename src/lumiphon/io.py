@@ -41,7 +41,6 @@ from .model import (
     Hessian,
     HostReference,
     HRDecomposition,
-    Manifest,
     PhononBasis,
     _require_finite,
     structure_checksum,
@@ -57,7 +56,7 @@ SCHEMAS = {
     "hr": "hr/1",
     "defects": "defects/1",
     "dissociation": "dissociation/1",
-    "manifest": "manifest/1",
+    "manifest": "manifest/2",
 }
 
 
@@ -640,45 +639,21 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
-def build_manifest(input_paths, tool_version, command_line, timestamp_utc) -> Manifest:
-    inputs = tuple((str(p), sha256_file(p)) for p in input_paths)
-    return Manifest("1", inputs, tool_version, command_line, timestamp_utc)
+def input_checksums(paths) -> list:
+    """The {"path", "sha256"} entry of every input path, in order."""
+    return [{"path": str(p), "sha256": sha256_file(p)} for p in paths]
 
 
-def write_manifest(manifest: Manifest, path, overwrite=False):
+def write_manifest(inputs, tool_version, command_line, path, overwrite=False):
+    """manifest/2: the input_checksums list of a run, the version that ran
+    and its command line."""
     doc = {
         "schema": SCHEMAS["manifest"],
-        "schema_version": manifest.schema_version,
-        "inputs": [{"path": p, "sha256": s} for p, s in manifest.inputs],
-        "tool_version": manifest.tool_version,
-        "command_line": manifest.command_line,
-        "timestamp_utc": manifest.timestamp_utc,
+        "inputs": inputs,
+        "tool_version": tool_version,
+        "command_line": command_line,
     }
     _write_json(doc, path, overwrite)
-
-
-def load_manifest(path) -> Manifest:
-    doc = load_document(path)
-    _expect_schema(doc, "manifest")
-    inputs = tuple(
-        (_field(row, "path", f"/inputs/{i}"), _field(row, "sha256", f"/inputs/{i}"))
-        for i, row in enumerate(_field(doc, "inputs"))
-    )
-    return Manifest(
-        _field(doc, "schema_version"),
-        inputs,
-        _field(doc, "tool_version"),
-        _field(doc, "command_line"),
-        _field(doc, "timestamp_utc"),
-    )
-
-
-def verify_manifest(manifest: Manifest):
-    """Recompute every input checksum; raise HashMismatch on drift."""
-    for path, digest in manifest.inputs:
-        actual = sha256_file(path)
-        if actual != digest:
-            raise HashMismatch(f"{path}: checksum {actual[:12]}... != recorded {digest[:12]}...")
 
 
 # ------------------------------------------------------------- TSV output

@@ -340,12 +340,3 @@ class Transition:
     q: int
     q2: int
     fermi_ev: float
-
-
-@dataclass(frozen=True)
-class Manifest:
-    schema_version: str
-    inputs: Tuple[Tuple[str, str], ...]  # (path, sha256)
-    tool_version: str
-    command_line: str
-    timestamp_utc: str

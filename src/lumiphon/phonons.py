@@ -20,8 +20,10 @@ RESIDUAL_TOL = 1e-8
 
 def symmetrize(matrix: np.ndarray) -> np.ndarray:
     """(H + H^T)/2 as a new array; idempotent, bitwise symmetric output."""
-    # a+b == b+a in IEEE754, so both mirror entries come out identical
-    return 0.5 * (matrix + matrix.T)
+    # a+b == b+a in IEEE754, so both mirror entries come out identical;
+    # an entry past the float range is refused by diagonalize
+    with np.errstate(over="ignore"):
+        return 0.5 * (matrix + matrix.T)
 
 
 def dynamical_matrix(hessian: Hessian, structure: CrystalStructure) -> np.ndarray:
@@ -70,14 +72,16 @@ def apply_asr(d: np.ndarray, structure: CrystalStructure) -> tuple:
         res = np.linalg.norm(dt, axis=0)
         return units.HBAR_MEV_FS * np.sqrt(res * units.EV_PER_AMU_A2)
 
-    dt = d @ t.T
-    pre = _residuals(dt)
-    # (I - T^T T) D (I - T^T T) expanded, with T D = (D T^T)^T as D is
-    # symmetric: the rank-3 projection costs O(N^2) instead of O(N^3)
-    d_clean = d - dt @ t - t.T @ dt.T + t.T @ ((t @ dt) @ t)
-    d_clean = 0.5 * (d_clean + d_clean.T)
-    # the projection cannot increase a residual; clamp matmul noise
-    post = np.minimum(_residuals(d_clean @ t.T), pre)
+    # an infinite entry of d makes NaN here, which diagonalize refuses
+    with np.errstate(invalid="ignore"):
+        dt = d @ t.T
+        pre = _residuals(dt)
+        # (I - T^T T) D (I - T^T T) expanded, with T D = (D T^T)^T as D is
+        # symmetric: the rank-3 projection costs O(N^2) instead of O(N^3)
+        d_clean = d - dt @ t - t.T @ dt.T + t.T @ ((t @ dt) @ t)
+        d_clean = 0.5 * (d_clean + d_clean.T)
+        # the projection cannot increase a residual; clamp matmul noise
+        post = np.minimum(_residuals(d_clean @ t.T), pre)
     return d_clean, pre, post
 
 

@@ -155,7 +155,8 @@ def partial_hr(qk, omegas_mev) -> HRDecomposition:
     q = np.asarray(qk, dtype=float)
     w = np.asarray(omegas_mev, dtype=float)
     w_clamped = np.clip(w, 0.0, None)
-    sk = units.omega_radfs(w_clamped) * q * q / (2.0 * units.HBAR_AMU_A2_FS)
+    with np.errstate(over="ignore"):  # the record below refuses an infinite S_k
+        sk = units.omega_radfs(w_clamped) * q * q / (2.0 * units.HBAR_AMU_A2_FS)
     sk[w_clamped <= ZERO_MODE_MEV] = 0.0
     order = np.argsort(w_clamped, kind="stable")
     sk_sorted = sk[order]

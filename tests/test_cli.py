@@ -6,6 +6,7 @@ import math
 import os
 import pathlib
 import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -13,6 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
+from lumiphon import __version__
 from lumiphon import io as lio
 from lumiphon import units
 from lumiphon.cli import build_parser, main
@@ -185,16 +187,20 @@ def _set(path, value, add=False):
 _HUGE_SK = [_set(("entries", k, "sk"), 1e308) for k in (-2, -1)] + [_set(("total",), 1e308)]
 
 
+_HUGE_H = [_set(("matrix", 0, 1), 1e308), _set(("matrix", 1, 0), 1e308)]
+
+
 # demo documents with one input past what a float holds once computed on:
-# each call exits 2 naming what overflowed.  diagonalize's finite-omega and
-# the decomposition's finite-sk checks look redundant beside the parsers'
-# but are reached here.
+# each call exits 2 naming what overflowed, and prints nothing but that
+# error line.  diagonalize's finite-omega and the decomposition's finite-sk
+# checks look redundant beside the parsers' but are reached here.
 @pytest.mark.parametrize(
     "document, edits, command, named",
     [
         # (H + H^T)/2 overflows in symmetrize
-        ("hessian.json", [_set(("matrix", 0, 1), 1e308), _set(("matrix", 1, 0), 1e308)],
-         "modes", "omegas_mev[0] is not finite"),
+        ("hessian.json", _HUGE_H, "modes", "omegas_mev[0] is not finite"),
+        # and the ASR projection of that D is NaN
+        ("hessian.json", _HUGE_H, "modes --asr", "omegas_mev[0] is not finite"),
         ("pair.json", [_set(("excited", 0, 0), 1e200, add=True)], "hr", "sk[6] is not finite"),
         # every S_k finite, their sum past the float range
         ("pair.json", [_set(("excited", 0, 0), 2e153, add=True)], "hr", "total S"),
@@ -205,7 +211,7 @@ _HUGE_SK = [_set(("entries", k, "sk"), 1e308) for k in (-2, -1)] + [_set(("total
         ("defects.json", [_set(("entries", 0, "stoichiometry", "Si"), 10**400)], "thermo",
          "/entries/0/stoichiometry/Si"),
     ],
-    ids=["modes-hessian", "hr-move-1e200", "hr-move-2e153", "spectrum-sk", "oracle-sk",
+    ids=["modes-hessian", "modes-asr-hessian", "hr-move-1e200", "hr-move-2e153", "spectrum-sk", "oracle-sk",
          "thermo-charge", "thermo-stoichiometry"],
 )
 def test_demo_input_past_float_range_exit_2(
@@ -225,6 +231,7 @@ def test_demo_input_past_float_range_exit_2(
         edit(doc)
     (tmp_path / document).write_text(json.dumps(doc))
     out = tmp_path / "out"
+    command, *flags = command.split()
     argv = {
         "modes": ["--structure", s, "--hessian", str(tmp_path / "hessian.json")],
         "hr": ["--structure", s, "--modes", modes, "--pair", str(tmp_path / "pair.json")],
@@ -236,11 +243,11 @@ def test_demo_input_past_float_range_exit_2(
     if command != "thermo":
         argv += ["--out", str(out)]
     capsys.readouterr()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow notices
-        assert main([command, *argv]) == 2
+    assert main([command, *flags, *argv]) == 2
     assert not out.exists()
-    assert named in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
 
 
 def _write_chain(tmp_path, natoms):
@@ -1219,10 +1226,6 @@ def test_every_error_class_has_an_exit_code():
 UNCALLED_PUBLIC_NAMES = {
     # the test reference of the first-moment contract, first moment = sum S_k omega_k
     "first_moment_mev",
-    # the checker of a manifest's stored input checksums: safety code for
-    # whoever reruns a recorded command
-    "load_manifest",
-    "verify_manifest",
 }
 
 
@@ -1413,6 +1416,50 @@ def test_manifest_written_deterministically(tmp_path):
     first = man.read_bytes()
     assert main(args) == 0
     assert man.read_bytes() == first
-    manifest = lio.load_manifest(man)
-    lio.verify_manifest(manifest)
-    assert manifest.timestamp_utc == "1970-01-01T00:00:00Z"
+    assert lio.load_document(man) == {
+        "schema": "manifest/2",
+        "inputs": [{"path": str(dpath), "sha256": lio.sha256_file(dpath)}],
+        "tool_version": __version__,
+        "command_line": " ".join(args),
+    }
+
+
+def test_manifest_command_line_splits_back_into_its_arguments(tmp_path):
+    folder = tmp_path / "my dir"
+    folder.mkdir()
+    dpath = _write_defects(folder)
+    man = folder / "run.manifest.json"
+    args = [
+        "thermo",
+        "--defects", str(dpath),
+        "--envelope", str(folder / "e.tsv"),
+        "--transitions", str(folder / "t.tsv"),
+        "--manifest", str(man),
+    ]
+    assert main(args) == 0
+    doc = lio.load_document(man)
+    assert shlex.split(doc["command_line"]) == args
+    assert doc["inputs"] == [{"path": str(dpath), "sha256": lio.sha256_file(dpath)}]
+
+
+def test_modes_manifest_hashes_each_input_once(tmp_path, monkeypatch):
+    _, spath, hpath = _write_diatomic(tmp_path)
+    sha256_file = lio.sha256_file
+    hashed = []
+
+    def counting(path):
+        hashed.append(str(path))
+        return sha256_file(path)
+
+    monkeypatch.setattr(lio, "sha256_file", counting)
+    modes, man = tmp_path / "modes.json", tmp_path / "modes.manifest.json"
+    assert main(["modes", "--structure", str(spath), "--hessian", str(hpath),
+                 "--out", str(modes), "--manifest", str(man)]) == 0
+    assert hashed == [str(spath), str(hpath)]
+    # the basis's provenance and the manifest hold the one Hessian checksum
+    _, provenance = lio.parse_phonon_basis(lio.load_document(modes))
+    assert lio.load_document(man)["inputs"] == [
+        {"path": str(spath), "sha256": sha256_file(spath)},
+        {"path": str(hpath), "sha256": provenance["hessian_sha256"]},
+    ]
+    assert provenance["hessian_sha256"] == sha256_file(hpath)

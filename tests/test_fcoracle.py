@@ -408,11 +408,14 @@ def test_broadening_refuses_work_above_the_limit_before_allocating():
     omegas=st.lists(st.floats(30.0, 180.0), min_size=1, max_size=5),
     shares=st.lists(st.floats(0.1, 1.0), min_size=5, max_size=5),
     s_total=st.floats(0.3, 3.3),
-    gamma=st.sampled_from([0.3, 1.0, 3.0]),
+    gamma=st.sampled_from([0.1, 0.3, 1.0, 3.0]),
     sigma=st.sampled_from([0.5, 2.0, 4.0]),
 )
+@example(omegas=[31.0, 180.0], shares=[1.0] * 5, s_total=3.3, gamma=0.1, sigma=0.5)
 def test_oracle_contract_on_generated_documents(omegas, shares, s_total, gamma, sigma):
-    """FFT lineshape vs broadened ladder, L1 < 1e-4 on a 0.1 meV grid."""
+    """FFT lineshape vs broadened ladder, L1 < 1e-4 on a grid at step
+    min(0.1 meV, gamma/2); on the same ladder the first moment is
+    sum S_k omega_k and the zero-quanta weight is exp(-S)."""
     omegas = np.sort(np.array(omegas))
     shares = np.array(shares[: omegas.size])
     hr = _hr(omegas, s_total * shares / shares.sum())
@@ -425,11 +428,16 @@ def test_oracle_contract_on_generated_documents(omegas, shares, s_total, gamma, 
         < 1e-10
     )
     ladder = enumerate_fc(hr, cap)
+    assert first_moment_mev(ladder) == pytest.approx(
+        float(np.dot(hr.sk, hr.omegas_mev)), rel=1e-6
+    )
+    zero_quanta = np.all(ladder.quanta == 0, axis=1)
+    assert float(ladder.weights[zero_quanta][0]) == pytest.approx(math.exp(-s), rel=1e-12)
     # the window holds every line above 1e-14, its Lorentzian and its smearing
     zpl = 4.0
     far = float(ladder.energies_mev[ladder.weights >= 1e-14].max())
     window = (zpl - (far + 10.0 * gamma + 8.0 * sigma * math.sqrt(cap) + 5.0) / 1000.0, zpl + 0.1)
-    ls = emission(hr, zpl, gamma, sigma, window, 0.1, False)
+    ls = emission(hr, zpl, gamma, sigma, window, min(0.1, gamma / 2.0), False)
     oracle = broadened_oracle_spectrum(
         ladder, gamma, ls.energy_ev, zpl, sigma_mev=sigma
     )

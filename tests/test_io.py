@@ -1,5 +1,6 @@
 import base64
 import enum
+import hashlib
 import json
 import math
 import pathlib
@@ -865,8 +866,7 @@ def _generated_hr(nmodes=1536, seed=7):
 def _write_manifest(path):
     data = path.with_name("input.json")
     data.write_text("{}")
-    manifest = lio.build_manifest([data], "0.1.0", "hr --out x", "1970-01-01T00:00:00Z")
-    lio.write_manifest(manifest, path)
+    lio.write_manifest(lio.input_checksums([data]), "0.1.0", "hr --out x", path)
 
 
 # every public JSON writer, called as write(path, structure, hessian, pair)
@@ -1028,15 +1028,21 @@ def test_stem_tsv_cumulative(tmp_path):
 
 # ------------------------------------------------------------------ manifest
 
-def test_manifest_verify_and_drift(tmp_path):
+def test_manifest_records_each_input_checksum(tmp_path):
     data = tmp_path / "input.json"
     data.write_text('{"schema": "hr/1", "total": 0.0, "entries": []}')
-    manifest = lio.build_manifest([data], "0.1.0", "hr --out x", "1970-01-01T00:00:00Z")
+    other = tmp_path / "other.json"
+    other.write_text("{}")
     path = tmp_path / "m.json"
-    lio.write_manifest(manifest, path)
-    back = lio.load_manifest(path)
-    assert back == manifest
-    lio.verify_manifest(back)
-    data.write_text("{}")
-    with pytest.raises(HashMismatch):
-        lio.verify_manifest(back)
+    lio.write_manifest(lio.input_checksums([data, other]), "0.1.0", "hr --out x", path)
+    assert lio.load_document(path) == {
+        "schema": "manifest/2",
+        "inputs": [
+            {"path": str(data), "sha256": lio.sha256_file(data)},
+            {"path": str(other), "sha256": lio.sha256_file(other)},
+        ],
+        "tool_version": "0.1.0",
+        "command_line": "hr --out x",
+    }
+    # the checksum is of the bytes on disk
+    assert lio.sha256_file(other) == hashlib.sha256(b"{}").hexdigest()
