@@ -339,14 +339,19 @@ def cmd_thermo(args) -> int:
 
     from . import energetics
     from . import io as lio
-    from .model import output_grid
+    from .model import MAX_OUTPUT_POINTS, output_grid
 
     host, entries = lio.parse_defect_table(lio.load_document(args.defects))
-    labels = []
+    groups = {}  # label -> its entries, labels in first-seen order
     for e in entries:
-        if e.label not in labels:
-            labels.append(e.label)
+        groups.setdefault(e.label, []).append(e)
     fermi_mev = output_grid(0.0, host.gap_ev * 1000.0, args.fermi_step, "--fermi-step", "gap")
+    if len(groups) * fermi_mev.size > MAX_OUTPUT_POINTS:
+        raise InputError(
+            f"{len(groups)} labels times {fermi_mev.size} Fermi levels at step "
+            f"{args.fermi_step:g} meV (--fermi-step) need more than the "
+            f"{MAX_OUTPUT_POINTS} envelope rows allowed"
+        )
     fermi = np.minimum(fermi_mev / 1000.0, host.gap_ev)
     header = (
         f"lumiphon thermo v{__version__}",
@@ -355,24 +360,20 @@ def cmd_thermo(args) -> int:
     )
 
     env_rows, trans_rows, window_rows, notes = [], [], [], []
-    for label in labels:
-        group = [e for e in entries if e.label == label]
-        diagram = energetics.stability_diagram(group, host)
-        values = diagram.envelope(fermi)
+    for label, group in groups.items():
+        lines, segments = energetics.stability_diagram(group, host)
+        values = energetics.envelope(segments, fermi)
         env_rows.extend((label, x, v) for x, v in zip(fermi.tolist(), values.tolist()))
-        for tr in diagram.transitions:
-            trans_rows.append(
-                (label, tr.q, tr.q2, tr.fermi_ev, host.gap_ev - tr.fermi_ev)
+        # each boundary between adjacent segments is a transition level
+        for (q, _, _, level), (q2, _, _, _) in zip(segments, segments[1:]):
+            trans_rows.append((label, q, q2, level, host.gap_ev - level))
+        window_rows.extend((label, q, lo, hi) for q, _, lo, hi in segments)
+        for q_high, q_mid, q_low, upper, lower in energetics.negative_u_triples(lines):
+            notes.append(
+                f"negative_u {label} {q_high}/{q_mid}/{q_low} "
+                f"eps({q_high}/{q_mid}) = {upper:.9g} >= "
+                f"eps({q_mid}/{q_low}) = {lower:.9g}"
             )
-        for charge, lo, hi in diagram.charge_windows():
-            window_rows.append((label, charge, lo, hi))
-        for row in energetics.charge_ordering_report(diagram):
-            if row.negative_u:
-                notes.append(
-                    f"negative_u {label} {row.q_high}/{row.q_mid}/{row.q_low} "
-                    f"eps({row.q_high}/{row.q_mid}) = {row.eps_high_mid_ev:.9g} >= "
-                    f"eps({row.q_mid}/{row.q_low}) = {row.eps_mid_low_ev:.9g}"
-                )
     lio.write_table_tsv(
         args.envelope, header, ("label", "fermi_ev", "formation_ev"), env_rows,
         overwrite=True,
@@ -394,7 +395,7 @@ def cmd_thermo(args) -> int:
         )
     for note in notes:
         print(note)
-    print(f"labels: {len(labels)}  transitions: {len(trans_rows)}")
+    print(f"labels: {len(groups)}  transitions: {len(trans_rows)}")
     if args.manifest:
         _write_manifest(args, lio.input_checksums([args.defects]))
     return 0
@@ -413,8 +414,9 @@ def cmd_dissoc(args) -> int:
             row["released_energy_ev"],
             row["cluster_energy_ev"],
         )
-        unstable += 0 if ed.stable else 1
-        out_rows.append((row["label"], ed.value_ev, ed.stable))
+        stable = ed >= 0.0
+        unstable += 0 if stable else 1
+        out_rows.append((row["label"], ed, stable))
     lio.write_table_tsv(
         args.out,
         (f"lumiphon dissoc v{__version__}",),

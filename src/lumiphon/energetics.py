@@ -8,24 +8,24 @@ the VBM):
 with n_i > 0 counting atoms removed from the supercell and n_i < 0 atoms
 added.  If a user's bookkeeping assumes the opposite sign, the
 stoichiometry term flips sign accordingly.
+
+Everything here is arithmetic on what io.parse_defect_table has checked:
+a positive gap, a dielectric constant above 1 and a positive cell volume
+(both present for an "analytic" entry), and a chemical potential for
+every stoichiometry species.  Results are plain numbers: a charge state's
+formation line is the pair (charge, E_f at E_Fermi = 0), and a stability
+diagram is those lines with the (charge, intercept, lo, hi) segments of
+their lower envelope.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from . import units
-from .errors import InputError, InvalidDielectric, MissingChemicalPotential
-from .model import (
-    ChemicalPotential,
-    DefectEntry,
-    FormationLine,
-    HostReference,
-    Transition,
-)
+from .model import ChemicalPotential, DefectEntry, HostReference
 
 
 def carbon_rich_potentials(
@@ -54,15 +54,8 @@ def analytic_correction(charge: int, dielectric_constant: float, volume_a3: floa
 
     q^2 * alpha / (2 eps L) with L the cube root of the cell volume and
     alpha the simple-cubic Madelung constant; zero for neutral cells,
-    even and quadratic in the charge.  _resolved_correction, the one
-    caller, has refused a missing dielectric constant or volume.
+    even and quadratic in the charge.
     """
-    if dielectric_constant <= 1.0:
-        raise InvalidDielectric(
-            f"dielectric constant must exceed 1, got {dielectric_constant}"
-        )
-    if volume_a3 <= 0.0:
-        raise InputError(f"cell volume must be positive, got {volume_a3}")
     length = volume_a3 ** (1.0 / 3.0)
     return (
         charge * charge * units.MADELUNG_SC * units.COULOMB_EV_A
@@ -72,11 +65,6 @@ def analytic_correction(charge: int, dielectric_constant: float, volume_a3: floa
 
 def _resolved_correction(entry: DefectEntry, host: HostReference) -> float:
     if entry.correction == "analytic":
-        if host.dielectric_constant is None or host.cell_volume_a3 is None:
-            raise InvalidDielectric(
-                f"entry {entry.label!r} requests the analytic correction but the "
-                "host reference lacks dielectric_constant / cell_volume_a3"
-            )
         return analytic_correction(
             entry.charge, host.dielectric_constant, host.cell_volume_a3
         )
@@ -87,13 +75,7 @@ def formation_energy(entry: DefectEntry, host: HostReference, e_fermi_ev: float)
     """Evaluate the formation energy at one Fermi level (eV above the VBM)."""
     reservoir = 0.0
     for species in sorted(entry.stoichiometry):
-        n = entry.stoichiometry[species]
-        if species not in host.chemical_potentials:
-            raise MissingChemicalPotential(
-                f"no chemical potential for species {species!r} "
-                f"(needed by entry {entry.label!r})"
-            )
-        reservoir += n * host.chemical_potentials[species].mu_ev
+        reservoir += entry.stoichiometry[species] * host.chemical_potentials[species].mu_ev
     return (
         entry.total_energy_ev
         - host.host_energy_ev
@@ -101,11 +83,6 @@ def formation_energy(entry: DefectEntry, host: HostReference, e_fermi_ev: float)
         + entry.charge * (host.vbm_ev + e_fermi_ev)
         + _resolved_correction(entry, host)
     )
-
-
-def formation_line(entry: DefectEntry, host: HostReference) -> FormationLine:
-    """The E_f(E_Fermi) line of one charge state (slope = charge)."""
-    return FormationLine(entry.charge, formation_energy(entry, host, 0.0))
 
 
 def transition_level(a: Tuple[int, float], b: Tuple[int, float]) -> float:
@@ -118,129 +95,82 @@ def transition_level(a: Tuple[int, float], b: Tuple[int, float]) -> float:
     return (fa - fb) / (qb - qa)
 
 
-@dataclass(frozen=True)
-class EnvelopeSegment:
-    fermi_lo_ev: float
-    fermi_hi_ev: float
-    line: FormationLine
-
-
-@dataclass(frozen=True)
-class StabilityDiagram:
-    """Lower envelope of the formation lines of one defect over [0, gap]."""
-
-    lines: Tuple[FormationLine, ...]
-    segments: Tuple[EnvelopeSegment, ...]
-    transitions: Tuple[Transition, ...]
-
-    def envelope(self, e_fermi_ev):
-        """Envelope energy evaluated through the segment list; NaN outside
-        [0, gap], which cli.cmd_thermo's Fermi samples never leave."""
-        x = np.asarray(e_fermi_ev, dtype=float)
-        out = np.full(x.shape, np.nan)
-        for seg in self.segments:
-            sel = (x >= seg.fermi_lo_ev) & (x <= seg.fermi_hi_ev)
-            out[sel] = seg.line.energy(x[sel])
-        return out if out.ndim else float(out)
-
-    def charge_windows(self) -> List[Tuple[int, float, float]]:
-        return [(s.line.charge, s.fermi_lo_ev, s.fermi_hi_ev) for s in self.segments]
-
-
-def stability_diagram(
-    entries: Sequence[DefectEntry], host: HostReference
-) -> StabilityDiagram:
-    """Envelope, stability windows and transition levels for one label.
+def stability_diagram(entries: Sequence[DefectEntry], host: HostReference):
+    """Formation lines and their lower envelope over [0, gap] for one label.
 
     entries, one or more charge states of one label (cli.cmd_thermo groups
     them), each charge once (io.parse_defect_table): neither is re-checked.
+    Returns (lines, segments): the (charge, intercept) lines by falling
+    charge, and the (charge, intercept, lo, hi) envelope segments, which
+    tile [0, gap] in rising Fermi level.  The transition levels are the
+    boundaries between adjacent segments: segment i's hi, from its charge
+    to the charge of segment i + 1.
     """
-    lines = tuple(sorted((formation_line(e, host) for e in entries), key=lambda l: -l.charge))
+    lines = sorted(
+        ((e.charge, formation_energy(e, host, 0.0)) for e in entries), key=lambda line: -line[0]
+    )
     gap = host.gap_ev
 
-    def lowest_at(x, pool):
-        return min(pool, key=lambda l: (l.energy(x), l.charge))
-
-    segments: List[EnvelopeSegment] = []
-    transitions: List[Transition] = []
-    active = lowest_at(0.0, lines)
+    # the lowest line at the valence band, the smaller charge on a tie
+    active = min(lines, key=lambda line: (line[1], line[0]))
+    segments: List[Tuple[int, float, float, float]] = []
     x = 0.0
     while True:
         # earliest crossing with a shallower-sloped line
         best_x, best_line = None, None
         for line in lines:
-            if line.charge >= active.charge:
+            if line[0] >= active[0]:
                 continue
-            cross = transition_level(
-                (line.charge, line.intercept_ev), (active.charge, active.intercept_ev)
-            )
+            cross = transition_level(line, active)
             if cross <= x or cross >= gap:
                 continue
             if best_x is None or cross < best_x or (
-                cross == best_x and line.charge < best_line.charge
+                cross == best_x and line[0] < best_line[0]
             ):
                 best_x, best_line = cross, line
         if best_x is None:
-            segments.append(EnvelopeSegment(x, gap, active))
+            segments.append((*active, x, gap))
             break
-        segments.append(EnvelopeSegment(x, best_x, active))
-        transitions.append(Transition(active.charge, best_line.charge, best_x))
+        segments.append((*active, x, best_x))
         active, x = best_line, best_x
-    return StabilityDiagram(lines, tuple(segments), tuple(transitions))
+    return lines, segments
 
 
-@dataclass(frozen=True)
-class ChargeOrdering:
-    """Adjacent-triple level ordering; negative_u when the donor level of
-    the middle charge lies at or above its acceptor level."""
-
-    q_high: int
-    q_mid: int
-    q_low: int
-    eps_high_mid_ev: float
-    eps_mid_low_ev: float
-
-    @property
-    def negative_u(self) -> bool:
-        return self.eps_high_mid_ev >= self.eps_mid_low_ev
+def envelope(segments, e_fermi_ev):
+    """Envelope energy at each Fermi level of the array e_fermi_ev, from
+    stability_diagram's segments; the later segment wins at a shared end.
+    NaN outside [0, gap], which cli.cmd_thermo's Fermi samples never leave."""
+    x = np.asarray(e_fermi_ev, dtype=float)
+    out = np.full(x.shape, np.nan)
+    for charge, intercept, lo, hi in segments:
+        sel = (x >= lo) & (x <= hi)
+        out[sel] = intercept + charge * x[sel]
+    return out
 
 
-def charge_ordering_report(diagram: StabilityDiagram) -> List[ChargeOrdering]:
-    """Check ordering of adjacent transition levels for every charge triple.
+def negative_u_triples(lines) -> List[Tuple[int, int, int, float, float]]:
+    """Adjacent charge triples whose levels are inverted: negative U.
 
-    Reads the diagram's lines, sorted by falling charge with intercepts
-    E_f at E_Fermi = 0; fewer than three lines give no triple.
+    lines, stability_diagram's (charge, intercept) pairs by falling charge.
+    Each triple is (q_high, q_mid, q_low, eps(high/mid), eps(mid/low)),
+    kept when the donor level of the middle charge lies at or above its
+    acceptor level; fewer than three lines give none.
     """
-    pairs = [(line.charge, line.intercept_ev) for line in diagram.lines]
-    return [
-        ChargeOrdering(
-            high[0],
-            mid[0],
-            low[0],
-            transition_level(high, mid),
-            transition_level(mid, low),
-        )
-        for high, mid, low in zip(pairs, pairs[1:], pairs[2:])
-    ]
-
-
-@dataclass(frozen=True)
-class DissociationEnergy:
-    """Cost of detaching one atom; negative values mark unstable species."""
-
-    value_ev: float
-
-    @property
-    def stable(self) -> bool:
-        return self.value_ev >= 0.0
+    triples = []
+    for high, mid, low in zip(lines, lines[1:], lines[2:]):
+        upper, lower = transition_level(high, mid), transition_level(mid, low)
+        if upper >= lower:
+            triples.append((high[0], mid[0], low[0], upper, lower))
+    return triples
 
 
 def dissociation_energy(
     fragment_energy_ev: float, released_energy_ev: float, cluster_energy_ev: float
-) -> DissociationEnergy:
-    """E_D = E(fragment cluster) + E(released species) - E(original cluster).
+) -> float:
+    """E_D = E(fragment cluster) + E(released species) - E(original cluster),
+    in eV; a negative value marks an unstable cluster.
 
     io.parse_dissociation_table reads each energy finite; write_table_tsv
     refuses a result that overflows.
     """
-    return DissociationEnergy(fragment_energy_ev + released_energy_ev - cluster_energy_ev)
+    return fragment_energy_ev + released_energy_ev - cluster_energy_ev

@@ -55,18 +55,6 @@ class DuplicateEntry(InputError):
     pass
 
 
-class MissingChemicalPotential(InputError):
-    pass
-
-
-class InvalidDielectric(InputError):
-    pass
-
-
-class NegativeFrequency(InputError):
-    pass
-
-
 class TooManyModes(InputError):
     pass
 

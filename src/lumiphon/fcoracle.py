@@ -14,13 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CapTooSmallWarning,
-    GridTooNarrow,
-    InputError,
-    NegativeFrequency,
-    TooManyModes,
-)
+from .errors import CapTooSmallWarning, GridTooNarrow, InputError, TooManyModes
 from .model import HRDecomposition, _own
 
 MAX_MODES = 8
@@ -75,12 +69,11 @@ def enumerate_fc(hr: HRDecomposition, cap: int) -> FCLadder:
     vectors, with energies summed in mode order.  A mode whose candidates
     would exceed MAX_LINES raises InputError before they are built.  The
     pruned and capped mass is reported as the tail, and a warning is
-    emitted when it exceeds 1e-6.
+    emitted when it exceeds 1e-6.  hr's mode energies are non-negative,
+    as io.parse_hr reads them and vibronic.partial_hr computes them.
     """
     if cap < 0 or cap > MAX_CAP:
         raise InputError(f"cap {cap} (--max-quanta) must be in 0..{MAX_CAP}")
-    if np.any(hr.omegas_mev < 0):
-        raise NegativeFrequency("ladder requires non-negative mode energies")
     live = hr.sk > 0.0
     omegas = hr.omegas_mev[live]
     sks = hr.sk[live]

@@ -447,7 +447,13 @@ def parse_hr(doc) -> HRDecomposition:
         locus = f"/entries/{i}"
         if not isinstance(entry, dict):
             raise ParseError("entry must be an object", locus=locus)
-        omegas.append(_number(_field(entry, "omega_mev", locus), f"{locus}/omega_mev"))
+        omega = _number(_field(entry, "omega_mev", locus), f"{locus}/omega_mev")
+        if omega < 0:
+            # lumiphon hr writes none: partial_hr clamps imaginary modes to 0
+            raise ParseError(
+                f"mode energy must not be negative, got {omega!r}", locus=f"{locus}/omega_mev"
+            )
+        omegas.append(omega)
         qk.append(_number(_field(entry, "qk", locus), f"{locus}/qk"))
         sk.append(_number(_field(entry, "sk", locus), f"{locus}/sk"))
     total = _number(_field(doc, "total"), "/total")
@@ -487,21 +493,26 @@ def parse_defect_table(doc) -> Tuple[HostReference, List[DefectEntry]]:
             _number(_field(block, "reference_energy_ev", locus), f"{locus}/reference_energy_ev"),
             _number(_field(block, "delta_ev", locus), f"{locus}/delta_ev"),
         )
+    gap = _number(_field(hostdoc, "gap_ev", "/host"), "/host/gap_ev")
+    if not gap > 0:
+        raise ParseError(f"gap must be positive, got {gap!r}", locus="/host/gap_ev")
+    # the analytic correction's inputs: eps > 1 and V > 0, each when given
+    optional = {}
+    for key, least, rule in (
+        ("dielectric_constant", 1.0, "must exceed 1"),
+        ("cell_volume_a3", 0.0, "must be positive"),
+    ):
+        if key in hostdoc:
+            value = _number(hostdoc[key], f"/host/{key}")
+            if not value > least:
+                raise ParseError(f"{key} {rule}, got {value!r}", locus=f"/host/{key}")
+            optional[key] = value
     host = HostReference(
         host_energy_ev=_number(_field(hostdoc, "host_energy_ev", "/host"), "/host/host_energy_ev"),
         vbm_ev=_number(_field(hostdoc, "vbm_ev", "/host"), "/host/vbm_ev"),
-        gap_ev=_number(_field(hostdoc, "gap_ev", "/host"), "/host/gap_ev"),
+        gap_ev=gap,
         chemical_potentials=potentials,
-        dielectric_constant=(
-            _number(hostdoc["dielectric_constant"], "/host/dielectric_constant")
-            if "dielectric_constant" in hostdoc
-            else None
-        ),
-        cell_volume_a3=(
-            _number(hostdoc["cell_volume_a3"], "/host/cell_volume_a3")
-            if "cell_volume_a3" in hostdoc
-            else None
-        ),
+        **optional,
     )
     rows = _field(doc, "entries")
     if not isinstance(rows, list) or not rows:
@@ -519,12 +530,22 @@ def parse_defect_table(doc) -> Tuple[HostReference, List[DefectEntry]]:
         corr = row.get("correction_ev", 0.0)
         if corr != "analytic":
             corr = _number(corr, f"{locus}/correction_ev")
+        elif len(optional) < 2:
+            raise ParseError(
+                "the analytic correction needs dielectric_constant and cell_volume_a3 "
+                "on the host",
+                locus=f"{locus}/correction_ev",
+            )
         stoi = row.get("stoichiometry", {})
         if not isinstance(stoi, dict):
             raise ParseError("stoichiometry must be an object", locus=f"{locus}/stoichiometry")
-        stoi = {
-            sp: _integer(n, f"{locus}/stoichiometry/{sp}") for sp, n in stoi.items()
-        }
+        for sp, n in stoi.items():
+            _integer(n, f"{locus}/stoichiometry/{sp}")
+            if sp not in potentials:
+                raise ParseError(
+                    f"no chemical potential for species {sp!r} on the host",
+                    locus=f"{locus}/stoichiometry/{sp}",
+                )
         entries.append(
             DefectEntry(
                 label=label,

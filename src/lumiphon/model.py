@@ -15,6 +15,9 @@ residual within contract).  A stage result read only by the next stage
 is no record but plain arrays, its contract checked by the function that
 makes it: S(hw) and G(t) in vibronic, the ASR residuals in phonons.  Nor
 are flags a record: each is checked where vibronic first reads it.
+DefectEntry and HostReference check nothing: io.parse_defect_table checks
+every rule of a defects/1 document, those tying an entry to the host
+included, and energetics passes its results as plain numbers.
 
 Sign conventions fixed here once:
 
@@ -297,16 +300,15 @@ class DefectEntry:
     stoichiometry: Mapping[str, int] = field(default_factory=dict)
     correction: Union[float, str] = 0.0
 
-    def __post_init__(self):
-        object.__setattr__(self, "stoichiometry", dict(self.stoichiometry))
-
 
 @dataclass(frozen=True)
 class HostReference:
     """Pristine-host energies and reservoir data shared by all entries.
 
     dielectric_constant and cell_volume_a3 are only needed when some
-    entry requests the analytic charge correction.
+    entry requests the analytic charge correction.  io.parse_defect_table
+    reads a positive gap, a dielectric constant above 1 and a positive
+    volume, and a chemical potential for every species an entry names.
     """
 
     host_energy_ev: float
@@ -315,28 +317,3 @@ class HostReference:
     chemical_potentials: Mapping[str, ChemicalPotential] = field(default_factory=dict)
     dielectric_constant: Optional[float] = None
     cell_volume_a3: Optional[float] = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "chemical_potentials", dict(self.chemical_potentials))
-        if self.gap_ev <= 0:
-            raise InputError(f"gap must be positive, got {self.gap_ev}")
-
-
-@dataclass(frozen=True)
-class FormationLine:
-    """E_f(E_Fermi) = intercept + charge * E_Fermi for one charge state."""
-
-    charge: int
-    intercept_ev: float
-
-    def energy(self, e_fermi_ev):
-        return self.intercept_ev + self.charge * np.asarray(e_fermi_ev, dtype=float)
-
-
-@dataclass(frozen=True)
-class Transition:
-    """Fermi level (eV above VBM) where charges q and q2 swap stability."""
-
-    q: int
-    q2: int
-    fermi_ev: float

@@ -1120,6 +1120,87 @@ def test_thermo_missing_potential_exit_2(tmp_path, capsys):
         ]
     )
     assert code == 2
+    assert "/entries/0/stoichiometry/C" in capsys.readouterr().err
+
+
+_HOST = {
+    "host_energy_ev": -100.0,
+    "vbm_ev": 0.0,
+    "gap_ev": 3.17,
+    "chemical_potentials": {"C": {"reference_energy_ev": -9.0, "delta_ev": 0.0}},
+    "dielectric_constant": 9.7,
+    "cell_volume_a3": 6000.0,
+}
+
+
+@pytest.mark.parametrize(
+    "host, entry, pointer",
+    [
+        ({"gap_ev": 0.0}, {}, "/host/gap_ev"),
+        ({"dielectric_constant": 0.5}, {}, "/host/dielectric_constant"),
+        ({"cell_volume_a3": 0.0}, {}, "/host/cell_volume_a3"),
+        ({"dielectric_constant": None}, {}, "/entries/0/correction_ev"),
+        ({"cell_volume_a3": None}, {}, "/entries/0/correction_ev"),
+        ({}, {"stoichiometry": {"C": 1, "N": -1}}, "/entries/0/stoichiometry/N"),
+    ],
+)
+def test_thermo_refuses_a_defect_table_naming_the_pointer(tmp_path, capsys, host, entry, pointer):
+    # the parser makes every check energetics relies on (None drops a field)
+    host = {k: v for k, v in dict(_HOST, **host).items() if v is not None}
+    row = {"label": "d", "charge": 1, "total_energy_ev": -99.0, "correction_ev": "analytic"}
+    doc = {"schema": "defects/1", "host": host, "entries": [dict(row, **entry)]}
+    path = tmp_path / "defects.json"
+    path.write_text(json.dumps(doc))
+    env = tmp_path / "e.tsv"
+    code = main(["thermo", "--defects", str(path), "--envelope", str(env),
+                 "--transitions", str(tmp_path / "t.tsv")])
+    assert code == 2
+    assert pointer in capsys.readouterr().err
+    assert not env.exists()
+
+
+def test_thermo_refuses_more_envelope_rows_than_allowed(tmp_path, capsys, monkeypatch):
+    # labels times Fermi levels is checked before any diagram; a small bound
+    # shows both sides without allocating a large table
+    from lumiphon import model
+
+    host = HostReference(-100.0, 0.0, 3.17, {})
+    entries = [DefectEntry("a", 0, -98.5), DefectEntry("b", 1, -99.0)]
+    path = tmp_path / "defects.json"
+    lio.write_defect_table(host, entries, path)
+    env = tmp_path / "e.tsv"
+    argv = ["thermo", "--defects", str(path), "--envelope", str(env),
+            "--transitions", str(tmp_path / "t.tsv")]
+    rows = 2 * model.output_grid(0.0, 3.17 * 1000.0, 1.0, "--fermi-step", "gap").size
+    monkeypatch.setattr(model, "MAX_OUTPUT_POINTS", rows)
+    assert main(argv) == 0
+    assert sum(not ln.startswith("#") for ln in env.read_text().splitlines()) == rows
+    env.unlink()
+    monkeypatch.setattr(model, "MAX_OUTPUT_POINTS", rows - 1)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "--fermi-step" in err and "2 labels" in err
+    assert not env.exists()
+
+
+@pytest.mark.parametrize("command", ["spectrum", "oracle"])
+def test_negative_mode_energy_exit_2_naming_the_pointer(tmp_path, capsys, command):
+    # lumiphon hr writes none (partial_hr clamps imaginary modes to 0); a
+    # hand-made one would give spectrum blue replicas past ZPL
+    doc = {
+        "schema": "hr/1",
+        "total": 0.8,
+        "entries": [
+            {"omega_mev": -60.0, "qk": 0.0, "sk": 0.3},
+            {"omega_mev": 140.0, "qk": 0.0, "sk": 0.5},
+        ],
+    }
+    path = tmp_path / "neg.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "o.tsv"
+    assert main([command, "--hr", str(path), "--zpl", "2.0", "--out", str(out)]) == 2
+    assert "/entries/0/omega_mev" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_dissoc_fixture(tmp_path):
@@ -1258,6 +1339,36 @@ def test_every_public_name_is_referenced_by_the_program():
     assert unreferenced == []
 
 
+def test_every_error_class_is_raised_by_the_program():
+    # an import counts as a use above, so an error class that is imported
+    # but never raised would pass it: each class in errors.py must be named
+    # by a raise, a warnings.warn call or a subclass in src/
+    root = pathlib.Path(__file__).resolve().parent.parent / "src" / "lumiphon"
+    used = set()
+
+    def names(node):
+        return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+    for path in sorted(root.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                used |= names(exc)
+            elif isinstance(node, ast.ClassDef):
+                used |= set().union(*map(names, node.bases))
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "warn"
+            ):
+                category = node.args[1:] + [k.value for k in node.keywords]
+                used |= set().union(*map(names, category))
+    tree = ast.parse((root / "errors.py").read_text(encoding="utf-8"))
+    classes = [node.name for node in tree.body if isinstance(node, ast.ClassDef)]
+    assert len(classes) > 10  # the scan found the classes
+    assert [name for name in classes if name not in used] == []
+
+
 def _is_dataclass(decorator):
     call = decorator.func if isinstance(decorator, ast.Call) else decorator
     return isinstance(call, ast.Name) and call.id == "dataclass"
@@ -1299,7 +1410,7 @@ def test_every_record_field_is_read_by_the_program():
     unread = [
         f"{file}:{line} {cls}.{name}" for file, line, cls, name in fields if name not in read
     ]
-    assert len(fields) > 50  # the scan found the records
+    assert len(fields) > 35  # the scan found the records
     assert unread == []
 
 

@@ -1,19 +1,20 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lumiphon import io as lio
 from lumiphon.energetics import (
     analytic_correction,
     carbon_rich_potentials,
-    charge_ordering_report,
     dissociation_energy,
+    envelope,
     formation_energy,
-    formation_line,
+    negative_u_triples,
     stability_diagram,
     transition_level,
 )
-from lumiphon.errors import InvalidDielectric, MissingChemicalPotential
+from lumiphon.errors import ParseError
 from lumiphon.model import ChemicalPotential, DefectEntry, HostReference
 
 
@@ -26,9 +27,25 @@ HOST = HostReference(
     cell_volume_a3=6000.0,
 )
 
+_HOST_DOC = {
+    "host_energy_ev": -100.0,
+    "vbm_ev": 0.0,
+    "gap_ev": 3.17,
+    "chemical_potentials": {"C": {"reference_energy_ev": -9.0, "delta_ev": 0.0}},
+}
+
 
 def _entry(label="d", q=0, energy=-95.0, stoi=None, corr=0.0):
     return DefectEntry(label, q, energy, stoi or {}, corr)
+
+
+def _parse_refusal(entry=None, **host):
+    """The ParseError io.parse_defect_table raises on one entry and a host."""
+    row = {"label": "d", "charge": 1, "total_energy_ev": -95.0, **(entry or {})}
+    doc = {"schema": "defects/1", "host": {**_HOST_DOC, **host}, "entries": [row]}
+    with pytest.raises(ParseError) as err:
+        lio.parse_defect_table(doc)
+    return err.value
 
 
 # --------------------------------------------------------- formation energy
@@ -57,8 +74,10 @@ def test_charge_term_linear():
 
 
 def test_missing_chemical_potential():
-    with pytest.raises(MissingChemicalPotential):
-        formation_energy(_entry(stoi={"Si": 1}), HOST, 0.0)
+    # formation_energy reads every potential it needs: the parser refuses
+    # a species the host has none for
+    err = _parse_refusal({"stoichiometry": {"C": 1, "Si": 1}})
+    assert err.locus == "/entries/0/stoichiometry/Si"
 
 
 def test_carbon_rich_preset():
@@ -77,8 +96,10 @@ def test_analytic_correction_properties():
     minus = analytic_correction(-1, 9.7, 6000.0)
     assert plus > 0 and plus == minus
     assert analytic_correction(2, 9.7, 6000.0) == pytest.approx(4.0 * plus, rel=1e-12)
-    with pytest.raises(InvalidDielectric):
-        analytic_correction(1, 0.9, 6000.0)
+    # its inputs are the parser's to check, whether or not an entry uses them
+    for key, bad in [("dielectric_constant", 1.0), ("dielectric_constant", 0.9),
+                     ("cell_volume_a3", 0.0), ("cell_volume_a3", -6000.0)]:
+        assert _parse_refusal(**{key: bad}).locus == f"/host/{key}"
 
 
 def test_analytic_marker_resolution():
@@ -87,9 +108,10 @@ def test_analytic_marker_resolution():
     assert formation_energy(marked, HOST, 0.0) == pytest.approx(
         formation_energy(explicit, HOST, 0.0), rel=1e-12
     )
-    bare_host = HostReference(-100.0, 0.0, 3.17, {"C": ChemicalPotential(-9.0, 0.0)})
-    with pytest.raises(InvalidDielectric):
-        formation_energy(marked, bare_host, 0.0)
+    # the marker needs both host fields: the parser refuses it without one
+    for host in [{}, {"dielectric_constant": 9.7}, {"cell_volume_a3": 6000.0}]:
+        err = _parse_refusal({"correction_ev": "analytic"}, **host)
+        assert err.locus == "/entries/0/correction_ev"
 
 
 @given(st.floats(-50.0, 50.0))
@@ -133,26 +155,29 @@ def test_charge_ordering_flags_negative_u():
         _entry(q=0, energy=-95.0),   # E_f(0)=5.0 -> eps(+/0)=1.5
         _entry(q=-1, energy=-93.0),  # E_f(0)=7.0 -> eps(0/-)=2.0
     ]
-    report = charge_ordering_report(stability_diagram(stable, HOST))
-    assert len(report) == 1 and not report[0].negative_u
+    lines, _ = stability_diagram(stable, HOST)
+    assert negative_u_triples(lines) == []
     inverted = [
         _entry(q=1, energy=-96.5),   # eps(+/0)=2.0
         _entry(q=0, energy=-94.5),   # E_f(0)=5.5
         _entry(q=-1, energy=-93.5),  # eps(0/-)=1.0 < eps(+/0): negative U
     ]
-    report = charge_ordering_report(stability_diagram(inverted, HOST))
-    assert len(report) == 1 and report[0].negative_u
+    lines, _ = stability_diagram(inverted, HOST)
+    [(q_high, q_mid, q_low, upper, lower)] = negative_u_triples(lines)
+    assert (q_high, q_mid, q_low) == (1, 0, -1)
+    assert upper == pytest.approx(2.0) and lower == pytest.approx(1.0)
     # two charge states give no triple
-    assert charge_ordering_report(stability_diagram(inverted[:2], HOST)) == []
+    lines, _ = stability_diagram(inverted[:2], HOST)
+    assert negative_u_triples(lines) == []
 
 
 # ------------------------------------------------------------------ envelope
 
 def test_single_line_diagram():
-    diagram = stability_diagram([_entry()], HOST)
-    assert diagram.transitions == ()
-    assert len(diagram.segments) == 1
-    assert diagram.envelope(1.0) == pytest.approx(5.0)
+    lines, segments = stability_diagram([_entry()], HOST)
+    assert lines == [(0, 5.0)]
+    assert segments == [(0, 5.0, 0.0, HOST.gap_ev)]
+    assert envelope(segments, np.array([1.0])) == pytest.approx([5.0])
 
 
 def test_two_line_transition_at_half_ev():
@@ -160,32 +185,44 @@ def test_two_line_transition_at_half_ev():
         _entry(q=1, energy=-99.0),  # intercept 1.0
         _entry(q=0, energy=-98.5),  # intercept 1.5
     ]
-    diagram = stability_diagram(entries, HOST)
-    assert len(diagram.transitions) == 1
-    tr = diagram.transitions[0]
-    assert (tr.q, tr.q2) == (1, 0)
-    assert tr.fermi_ev == pytest.approx(0.5)
+    _, segments = stability_diagram(entries, HOST)
+    assert [s[0] for s in segments] == [1, 0]
+    # the one transition is the boundary between the two segments
+    assert segments[0][3] == segments[1][2] == pytest.approx(0.5)
 
 
-def test_envelope_matches_grid_scan_oracle():
-    entries = [
-        _entry(q=2, energy=-99.9),
-        _entry(q=1, energy=-99.1),
-        _entry(q=0, energy=-98.0),
-        _entry(q=-1, energy=-96.2),
-        _entry(q=-2, energy=-93.9),
-    ]
-    diagram = stability_diagram(entries, HOST)
-    lines = [formation_line(e, HOST) for e in entries]
-    grid = np.arange(0.0, HOST.gap_ev + 1e-12, 0.001)
-    brute = np.min([ln.energy(grid) for ln in lines], axis=0)
-    np.testing.assert_allclose(diagram.envelope(grid), brute, rtol=0, atol=1e-9)
+@settings(max_examples=200, deadline=None)
+@given(
+    charges=st.lists(st.integers(-3, 3), min_size=1, max_size=6, unique=True),
+    data=st.data(),
+    vbm=st.floats(-2.0, 2.0),
+    gap=st.floats(0.2, 6.0),
+)
+def test_envelope_matches_grid_scan_oracle(charges, data, vbm, gap):
+    energies = [data.draw(st.floats(-5.0, 5.0)) - q * vbm for q in charges]
+    host = HostReference(0.0, vbm, gap)
+    entries = [_entry(q=q, energy=e) for q, e in zip(charges, energies)]
+    lines, segments = stability_diagram(entries, host)
+    assert [q for q, _ in lines] == sorted(charges, reverse=True)
+
+    grid = np.linspace(0.0, gap, 2001)
+    brute = np.min([f + q * grid for q, f in lines], axis=0)
+    np.testing.assert_allclose(envelope(segments, grid), brute, rtol=0, atol=1e-9)
+    # the segments tile [0, gap] in rising Fermi level
+    assert segments[0][2] == 0.0 and segments[-1][3] == gap
+    assert all(lo < hi for _, _, lo, hi in segments)
+    assert all(a[3] == b[2] for a, b in zip(segments, segments[1:]))
     # each transition is a kink: both adjacent lines agree there
-    for tr in diagram.transitions:
-        by_charge = {ln.charge: ln for ln in lines}
-        a = by_charge[tr.q].energy(tr.fermi_ev)
-        b = by_charge[tr.q2].energy(tr.fermi_ev)
-        assert abs(a - b) < 1e-9
+    for (qa, fa, _, level), (qb, fb, _, _) in zip(segments, segments[1:]):
+        assert qa > qb
+        assert abs((fa + qa * level) - (fb + qb * level)) < 1e-9
+    # negative U: exactly the adjacent triples whose levels are inverted
+    inverted = [
+        (high[0], mid[0], low[0])
+        for high, mid, low in zip(lines, lines[1:], lines[2:])
+        if transition_level(high, mid) >= transition_level(mid, low)
+    ]
+    assert [t[:3] for t in negative_u_triples(lines)] == inverted
 
 
 def test_neutral_window_report():
@@ -195,11 +232,11 @@ def test_neutral_window_report():
         _entry(q=0, energy=-100.0 + 3.0),
         _entry(q=-1, energy=-100.0 + 3.0 + 2.52),
     ]
-    diagram = stability_diagram(entries, HOST)
-    [(lo, hi)] = [(lo, hi) for q, lo, hi in diagram.charge_windows() if q == 0]
+    _, segments = stability_diagram(entries, HOST)
+    [(lo, hi)] = [(lo, hi) for q, _, lo, hi in segments if q == 0]
     assert lo == pytest.approx(1.54, abs=1e-12)
     assert hi == pytest.approx(2.52, abs=1e-12)
-    assert [s.line.charge for s in diagram.segments] == [1, 0, -1]
+    assert [s[0] for s in segments] == [1, 0, -1]
 
 
 def test_negative_u_middle_charge_skipped_on_envelope():
@@ -209,34 +246,28 @@ def test_negative_u_middle_charge_skipped_on_envelope():
         _entry(q=0, energy=-94.5),
         _entry(q=-1, energy=-93.5),
     ]
-    diagram = stability_diagram(entries, HOST)
-    assert 0 not in [s.line.charge for s in diagram.segments]
-    assert 0 not in [q for q, _, _ in diagram.charge_windows()]
+    _, segments = stability_diagram(entries, HOST)
+    assert [s[0] for s in segments] == [1, -1]
 
 
 # -------------------------------------------------------------- dissociation
 
 def test_dissociation_arithmetic():
-    ed = dissociation_energy(-50.0, -10.0, -64.0)
-    assert ed.value_ev == pytest.approx(4.0)
-    assert ed.stable
+    assert dissociation_energy(-50.0, -10.0, -64.0) == pytest.approx(4.0)
 
 
 def test_dissociation_negative_flagged_unstable():
-    ed = dissociation_energy(-50.0, -10.0, -59.87)
-    assert ed.value_ev == pytest.approx(-0.13)
-    assert not ed.stable
+    assert dissociation_energy(-50.0, -10.0, -59.87) == pytest.approx(-0.13)
 
 
 def test_dissociation_additivity_boundary():
-    ed = dissociation_energy(-50.0, -10.0, -60.0)
-    assert ed.value_ev == 0.0
-    assert ed.stable
+    # cli.cmd_dissoc writes E_D >= 0 as stable: the boundary counts as stable
+    assert dissociation_energy(-50.0, -10.0, -60.0) == 0.0
 
 
 @given(st.floats(-30.0, 30.0))
 def test_dissociation_shift_invariance(shift):
     # shifting the two cluster supercells together leaves E_D alone
-    base = dissociation_energy(-50.0, -10.0, -64.0).value_ev
-    shifted = dissociation_energy(-50.0 + shift, -10.0, -64.0 + shift).value_ev
+    base = dissociation_energy(-50.0, -10.0, -64.0)
+    shifted = dissociation_energy(-50.0 + shift, -10.0, -64.0 + shift)
     assert shifted == pytest.approx(base, abs=1e-9)

@@ -310,9 +310,10 @@ _DISSOCIATION_DOC = {
 
 
 def test_defect_entry_fields_checked_by_the_parser():
-    def parse(**fields):
+    def parse(host=(), **fields):
         entry = dict(_DEFECTS_DOC["entries"][0], **fields)
-        return lio.parse_defect_table(dict(_DEFECTS_DOC, entries=[entry]))[1][0]
+        doc = dict(_DEFECTS_DOC, host=dict(_DEFECTS_DOC["host"], **dict(host)), entries=[entry])
+        return lio.parse_defect_table(doc)[1][0]
 
     for fields, error, locus in [
         ({"correction_ev": "magic"}, ParseError, "/entries/0/correction_ev"),
@@ -322,7 +323,9 @@ def test_defect_entry_fields_checked_by_the_parser():
         with pytest.raises(error) as err:
             parse(**fields)
         assert err.value.locus == locus
-    assert parse(charge=-1, correction_ev="analytic").correction == "analytic"
+    # the analytic marker needs the host's dielectric constant and volume
+    host = {"dielectric_constant": 9.7, "cell_volume_a3": 6000.0}
+    assert parse(host, charge=-1, correction_ev="analytic").correction == "analytic"
 
 
 @pytest.mark.parametrize(
@@ -685,6 +688,20 @@ def test_hr_refuses_non_finite_total(total):
     with pytest.raises(NonFiniteValue) as err:
         lio.parse_hr({"schema": "hr/1", "total": total, "entries": entries})
     assert err.value.locus == "/total"
+
+
+def test_hr_refuses_a_negative_mode_energy():
+    # emission has no replicas above the ZPL; a mode at -0.0 meV is zero
+    doc = {"schema": "hr/1", "total": 0.5, "entries": [
+        {"omega_mev": -0.0, "qk": 0.0, "sk": 0.0},
+        {"omega_mev": -1e-300, "qk": 0.0, "sk": 0.0},
+        {"omega_mev": 140.0, "qk": 0.0, "sk": 0.5},
+    ]}
+    with pytest.raises(ParseError) as err:
+        lio.parse_hr(doc)
+    assert err.value.locus == "/entries/1/omega_mev"
+    del doc["entries"][1]
+    assert lio.parse_hr(doc).omegas_mev.tolist() == [0.0, 140.0]
 
 
 def test_defects_roundtrip(tmp_path):
