@@ -171,9 +171,9 @@ def cmd_modes(args) -> int:
     del d  # not alive while the basis document is written
     lvm = classify_lvm(basis.omegas_mev, args.cutoff)
     provenance["lvm_indices"] = lvm
-    ipr = phonons.localization_table(basis)
     lio.write_phonon_basis(basis, args.out, provenance, overwrite=True)
     if args.table:
+        ipr = phonons.localization_table(basis)
         lvm_set = set(lvm)
         lio.write_table_tsv(
             args.table,

@@ -2,8 +2,10 @@
 
 Two error families map onto the CLI exit-code contract: InputError for
 anything wrong with user-supplied data or flags (exit 2), NumericalError
-for failures of the numerics themselves (exit 3).  Every LumiphonError
-below is of one of the two, so cli.main needs no third branch.
+for failures of the numerics themselves (exit 3).  A raise names its
+family and says in its message what went wrong; a subclass is kept only
+when it carries more than the message (a locus), and a warning category
+only because its name reaches stderr.
 """
 
 
@@ -17,18 +19,6 @@ class InputError(LumiphonError):
 
 class NumericalError(LumiphonError):
     """A numerical contract could not be met."""
-
-
-class DimensionMismatch(InputError):
-    pass
-
-
-class SpeciesMismatch(InputError):
-    pass
-
-
-class HashMismatch(InputError):
-    """A checksum no longer matches the data it was bound to."""
 
 
 class NonFiniteValue(InputError):
@@ -45,42 +35,6 @@ class ParseError(InputError):
     def __init__(self, message, locus=None):
         self.locus = locus
         super().__init__(f"{message} [at {locus}]" if locus else message)
-
-
-class UnknownSpecies(InputError):
-    pass
-
-
-class DuplicateEntry(InputError):
-    pass
-
-
-class TooManyModes(InputError):
-    pass
-
-
-class NonPositiveGamma(InputError):
-    pass
-
-
-class GridTooNarrow(InputError):
-    pass
-
-
-class IoFailure(InputError):
-    pass
-
-
-class NonConvergence(NumericalError):
-    pass
-
-
-class ImaginaryModePresent(NumericalError):
-    pass
-
-
-class AliasedGrid(NumericalError):
-    """Time grid cannot represent the requested spectral content."""
 
 
 class ZeroFrequencyModeWarning(UserWarning):

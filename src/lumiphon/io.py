@@ -21,17 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    DuplicateEntry,
-    HashMismatch,
-    InputError,
-    IoFailure,
-    NonFiniteValue,
-    ParseError,
-    SpeciesMismatch,
-    UnknownSpecies,
-)
+from .errors import InputError, NonFiniteValue, ParseError
 from .model import (
     ChemicalPotential,
     CrystalStructure,
@@ -66,7 +56,7 @@ def _no_dup_pairs(pairs):
     seen = {}
     for key, value in pairs:
         if key in seen:
-            raise DuplicateEntry(f"duplicate key {key!r} in document")
+            raise InputError(f"duplicate key {key!r} in document")
         seen[key] = value
     return seen
 
@@ -93,7 +83,7 @@ def load_document(path):
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc.strerror}") from None
+        raise InputError(f"cannot read {path}: {exc.strerror}") from None
     return loads_strict(text, source=str(path))
 
 
@@ -222,7 +212,7 @@ def parse_structure(doc) -> CrystalStructure:
         elif sp in ATOMIC_MASS_AMU:
             mass = ATOMIC_MASS_AMU[sp]
         else:
-            raise UnknownSpecies(
+            raise InputError(
                 f"species {sp!r} has no built-in mass; give one explicitly "
                 f"(sites/{i})"
             )
@@ -281,14 +271,14 @@ def parse_hessian(doc, structure: CrystalStructure) -> Hessian:
         if not isinstance(mat, list):
             raise ParseError("matrix must be a list of rows", locus="/matrix")
         if len(mat) != n3:
-            raise DimensionMismatch(
+            raise InputError(
                 f"matrix has {len(mat)} rows, structure requires {n3}"
             )
         matrix = _matrix(mat, n3, n3, "/matrix")
     elif "triplets" in doc:
         dim = _integer(_field(doc, "dim"), "/dim")
         if dim != n3:
-            raise DimensionMismatch(f"dim {dim} does not match 3N = {n3}")
+            raise InputError(f"dim {dim} does not match 3N = {n3}")
         matrix = np.zeros((n3, n3))
         seen = set()
         trip = doc["triplets"]
@@ -303,7 +293,7 @@ def parse_hessian(doc, structure: CrystalStructure) -> Hessian:
             if not (0 <= i < n3 and 0 <= j < n3):
                 raise ParseError(f"index ({i},{j}) outside 0..{n3 - 1}", locus=locus)
             if (i, j) in seen:
-                raise DuplicateEntry(f"duplicate triplet entry ({i},{j})")
+                raise InputError(f"duplicate triplet entry ({i},{j})")
             seen.add((i, j))
             matrix[i, j] = _number(row[2], f"{locus}/2")
     else:
@@ -311,7 +301,7 @@ def parse_hessian(doc, structure: CrystalStructure) -> Hessian:
     expect = structure_checksum(structure)
     if "structure_hash" in doc and doc["structure_hash"]:
         if doc["structure_hash"] != expect:
-            raise HashMismatch(
+            raise InputError(
                 "hessian document was bound to a different structure"
             )
     return Hessian(matrix, expect)
@@ -334,7 +324,7 @@ def parse_geometry_pair(doc, structure: CrystalStructure) -> GeometryPair:
     for key in ("ground", "excited"):
         val = _field(doc, key)
         if not isinstance(val, list) or len(val) != n:
-            raise DimensionMismatch(
+            raise InputError(
                 f"{key} has {len(val) if isinstance(val, list) else '?'} atoms, "
                 f"structure has {n}"
             )
@@ -343,10 +333,10 @@ def parse_geometry_pair(doc, structure: CrystalStructure) -> GeometryPair:
     if "species" in doc:
         sp = doc["species"]
         if not isinstance(sp, list) or len(sp) != n:
-            raise DimensionMismatch(f"species list must have {n} entries")
+            raise InputError(f"species list must have {n} entries")
         for i, (a, b) in enumerate(zip(sp, structure.species)):
             if a != b:
-                raise SpeciesMismatch(
+                raise InputError(
                     f"species[{i}]: document has {a!r}, structure has {b!r}"
                 )
     return GeometryPair(ground, excited, structure.species)
@@ -368,7 +358,7 @@ def parse_force_delta(doc, structure: CrystalStructure) -> ForceDelta:
     n = structure.natoms
     values = _field(doc, "values")
     if not isinstance(values, list) or len(values) != n:
-        raise DimensionMismatch(
+        raise InputError(
             f"values has {len(values) if isinstance(values, list) else '?'} rows, "
             f"structure has {n} atoms"
         )
@@ -525,7 +515,7 @@ def parse_defect_table(doc) -> Tuple[HostReference, List[DefectEntry]]:
         label = _label(_field(row, "label", locus), f"{locus}/label")
         charge = _integer(_field(row, "charge", locus), f"{locus}/charge")
         if (label, charge) in seen:
-            raise DuplicateEntry(f"duplicate defect entry ({label!r}, q={charge})")
+            raise InputError(f"duplicate defect entry ({label!r}, q={charge})")
         seen.add((label, charge))
         corr = row.get("correction_ev", 0.0)
         if corr != "analytic":
@@ -610,7 +600,7 @@ def parse_dissociation_table(doc) -> List[dict]:
             raise ParseError("entry must be an object", locus=locus)
         label = _label(_field(row, "label", locus), f"{locus}/label")
         if label in seen:
-            raise DuplicateEntry(f"duplicate dissociation entry {label!r}")
+            raise InputError(f"duplicate dissociation entry {label!r}")
         seen.add(label)
         out.append(
             {
@@ -656,7 +646,7 @@ def sha256_file(path) -> str:
             for chunk in iter(lambda: fh.read(1 << 20), b""):
                 h.update(chunk)
     except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc.strerror}") from None
+        raise InputError(f"cannot read {path}: {exc.strerror}") from None
     return h.hexdigest()
 
 
@@ -760,7 +750,7 @@ def read_spectrum_tsv(path):
                 energies.append(energy)
                 intensities.append(intensity)
     except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc.strerror}") from None
+        raise InputError(f"cannot read {path}: {exc.strerror}") from None
     return np.array(energies), np.array(intensities)
 
 
@@ -768,7 +758,7 @@ def read_spectrum_tsv(path):
 
 def _check_target(path, overwrite):
     if os.path.exists(path) and not overwrite:
-        raise IoFailure(f"{path} exists; pass overwrite to replace it")
+        raise InputError(f"{path} exists; pass overwrite to replace it")
 
 
 def _atomic_write(chunks, path):
@@ -786,7 +776,7 @@ def _atomic_write(chunks, path):
                 os.unlink(tmp)
             except OSError:
                 pass
-        raise IoFailure(f"cannot write {path}: {exc.strerror}") from None
+        raise InputError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _write_text(text: str, path, overwrite):

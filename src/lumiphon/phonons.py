@@ -11,11 +11,13 @@ from __future__ import annotations
 import numpy as np
 
 from . import units
-from .errors import NonConvergence
+from .errors import NumericalError
 from .model import CrystalStructure, Hessian, PhononBasis, _require_finite
 
 #: Residual contract of the eigendecomposition, relative to ||D||.
 RESIDUAL_TOL = 1e-8
+#: Modes per block of diagonalize's residual check and sign orientation.
+_BLOCK = 256
 
 
 def symmetrize(matrix: np.ndarray) -> np.ndarray:
@@ -50,11 +52,14 @@ def _translation_basis(masses_3n):
 
 
 def _orient_rows(vecs):
-    """Negate, in place, each row whose first entry above 1e-12 max|row| is negative."""
-    mag = np.abs(vecs)
-    first = np.argmax(mag > 1e-12 * np.max(mag, axis=1, keepdims=True), axis=1)
-    flip = vecs[np.arange(vecs.shape[0]), first] < 0
-    np.negative(vecs, out=vecs, where=flip[:, None])
+    """Negate, in place, each row whose first entry above 1e-12 max|row| is
+    negative, _BLOCK rows at a time."""
+    for s in range(0, vecs.shape[0], _BLOCK):
+        v = vecs[s : s + _BLOCK]
+        mag = np.abs(v)
+        first = np.argmax(mag > 1e-12 * np.max(mag, axis=1, keepdims=True), axis=1)
+        flip = v[np.arange(v.shape[0]), first] < 0
+        np.negative(v, out=v, where=flip[:, None])
 
 
 def apply_asr(d: np.ndarray, structure: CrystalStructure) -> tuple:
@@ -93,24 +98,31 @@ def diagonalize(d: np.ndarray) -> PhononBasis:
     ascending, as eigh returns lambda and the map is monotone, with a
     deterministic sign (first significant component of each vector is
     positive).  The basis is checked here, where it is made: NonFiniteValue
-    for a non-finite eigenvalue (a D past the float range), NonConvergence
+    for a non-finite eigenvalue (a D past the float range), NumericalError
     unless ||D v - lambda v|| <= 1e-8 ||D|| for every mode, a NaN residual
-    included.  eigh's vectors are orthonormal; tests assert it.
+    included.  eigh's vectors are orthonormal; tests assert it.  The
+    residuals are formed _BLOCK modes at a time, so the check holds no
+    N x N temporary.
     """
     try:
         lam, vecs = np.linalg.eigh(d)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise NonConvergence(f"eigensolver failed: {exc}") from None
+        raise NumericalError(f"eigensolver failed: {exc}") from None
     vecs = vecs.T  # rows are modes
     omegas = units.hbar_omega_from_eigenvalue(lam)
     _require_finite(omegas, "omegas_mev")
 
     norm_d = float(np.max(np.abs(lam))) if lam.size else 0.0
     if norm_d > 0:
-        resid = np.linalg.norm(d @ vecs.T - vecs.T * lam[None, :], axis=0)
-        worst = float(np.max(resid))
+        peaks = []
+        for s in range(0, lam.size, _BLOCK):
+            v = vecs[s : s + _BLOCK].T
+            resid = np.linalg.norm(d @ v - v * lam[s : s + _BLOCK], axis=0)
+            peaks.append(np.max(resid))
+        # np.max, unlike max(), keeps a NaN block maximum
+        worst = float(np.max(peaks))
         if not worst <= RESIDUAL_TOL * norm_d:
-            raise NonConvergence(
+            raise NumericalError(
                 f"eigenvector residual {worst:.3e} exceeds {RESIDUAL_TOL:.0e}*||D||"
             )
 

@@ -29,16 +29,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import units
-from .errors import (
-    AliasedGrid,
-    DimensionMismatch,
-    GridTooNarrow,
-    ImaginaryModePresent,
-    InputError,
-    NonPositiveGamma,
-    NumericalError,
-    ZeroFrequencyModeWarning,
-)
+from .errors import InputError, NumericalError, ZeroFrequencyModeWarning
 from .model import (
     CrystalStructure,
     ForceDelta,
@@ -85,10 +76,10 @@ _SPLINE_PREFILTER = math.sqrt(3.0) * (math.sqrt(3.0) - 2.0) ** np.abs(
 
 def _masses_3n(basis: PhononBasis, structure: CrystalStructure, change) -> np.ndarray:
     """The structure's per-coordinate masses, once the basis and the geometry
-    or force change both span its 3N coordinates (DimensionMismatch)."""
+    or force change both span its 3N coordinates (InputError otherwise)."""
     n3 = 3 * structure.natoms
     if basis.nmodes != n3 or change.size != n3:
-        raise DimensionMismatch(
+        raise InputError(
             f"basis has {basis.nmodes} modes and the change {change.size} coordinates, "
             f"but structure has {structure.natoms} atoms (3N = {n3})"
         )
@@ -98,7 +89,7 @@ def _masses_3n(basis: PhononBasis, structure: CrystalStructure, change) -> np.nd
 def _reject_imaginary(basis: PhononBasis):
     bad = np.nonzero(basis.omegas_mev < -ZERO_MODE_MEV)[0]
     if bad.size:
-        raise ImaginaryModePresent(
+        raise NumericalError(
             f"basis has {bad.size} imaginary mode(s), first at index {int(bad[0])} "
             f"({basis.omegas_mev[bad[0]]:.3f} meV)"
         )
@@ -341,7 +332,7 @@ def _fft_spectral_function(g, grid: TimeGrid, s_total, gamma_mev, resolution_mev
     edge = max(1, n // 16)
     tail = float(np.max(np.abs(bracket[-edge:])))
     if tail > math.exp(-_DAMPING_FLOOR):
-        raise AliasedGrid(
+        raise NumericalError(
             f"damped sideband still reaches {tail:.2e} at the ends of the time grid "
             f"({(n // 2) * dt:.0f} fs), above e^-{_DAMPING_FLOOR:g}"
         )
@@ -394,12 +385,13 @@ def resolve_window(
     Lorentzians.
 
     Both subcommands call it first, and it alone checks their flags zpl > 0,
-    gamma > 0 (NonPositiveGamma) and sigma >= 0, a given window too.
+    gamma > 0 and sigma >= 0 (InputError naming the flag), a given window
+    too.
     """
     if not zpl_ev > 0:
         raise InputError(f"zpl {zpl_ev:g} eV (--zpl) must be positive")
     if not gamma_mev > 0:
-        raise NonPositiveGamma(f"gamma {gamma_mev:g} meV (--gamma) must be positive")
+        raise InputError(f"gamma {gamma_mev:g} meV (--gamma) must be positive")
     if not sigma_mev >= 0:
         raise InputError(f"sigma {sigma_mev:g} meV (--sigma) must not be negative")
     if window_ev is not None:
@@ -485,12 +477,12 @@ def lineshape(
     [G(t) - e^{-S}] (the bracket is Hermitian), zero-padded to an energy
     step of max(sigma, gamma)/16 and splined onto the output grid energy,
     the (meV, eV) pair that energy_grid built and checked from window_ev,
-    the step and gamma; window_ev is only named in GridTooNarrow.  emission,
+    the step and gamma; window_ev is only named in an InputError.  emission,
     the one caller, has checked sigma and the omega_cubed window and built
     grid for gamma and a reach covering the window; neither is re-checked.
-    The emission intensity E^3 * A (or A with omega_cubed off) is divided
-    by its trapezoid integral: at least 1e-6 with omega_cubed off
-    (GridTooNarrow), positive with it on (E > 0).
+    A window that captures less than 0.1% of A is an InputError.  The
+    emission intensity E^3 * A (or A with omega_cubed off) is divided by its
+    trapezoid integral, positive since E > 0.
     """
     zpl_mev = zpl_ev * 1000.0
     energy_mev, energy_ev = energy
@@ -509,7 +501,7 @@ def lineshape(
         )
     a_win = np.clip(a_win, 0.0, None)
     if float(np.trapezoid(a_win, energy_mev)) < 1e-3:
-        raise GridTooNarrow(
+        raise InputError(
             f"window [{window_ev[0]}, {window_ev[1]}] eV captures less than 0.1% of the emission"
         )
     weighted = a_win * (energy_ev**3 if omega_cubed else 1.0)

@@ -3,11 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lumiphon import phonons, units
-from lumiphon.errors import NonConvergence, NonFiniteValue
+from lumiphon.errors import NonFiniteValue, NumericalError
 from lumiphon.io import ORTHONORMALITY_TOL
 from lumiphon.model import CrystalStructure, Hessian, PhononBasis, classify_lvm
 from lumiphon.phonons import (
@@ -173,7 +173,7 @@ def test_diagonalize_refuses_a_non_finite_eigendecomposition(monkeypatch):
     vecs = np.eye(6)
     vecs[2, 3] = np.nan
     monkeypatch.setattr(phonons.np.linalg, "eigh", lambda d: (np.arange(6.0), vecs))
-    with pytest.raises(NonConvergence, match="residual nan"):
+    with pytest.raises(NumericalError, match="eigenvector residual nan exceeds"):
         diagonalize(np.diag(np.arange(6.0)))
 
 
@@ -233,6 +233,8 @@ def _orient_rows_loop(vecs):
             vecs[k] = -v
 
 
+# rows past two blocks of _BLOCK
+@example(rows=600, cols=3, seed=1, zeros=0.3)
 @settings(max_examples=100, deadline=None)
 @given(
     rows=st.integers(1, 12),
@@ -305,6 +307,21 @@ def test_modes_memory_stays_below_the_hessian_round_trip():
     finally:
         tracemalloc.stop()
     assert peak < 5 * hessian.matrix.nbytes
+
+
+def test_diagonalize_holds_no_full_temporary_beyond_its_basis():
+    # eigh's vectors and the record's copy of them, 2.0 times the matrix;
+    # the residual check formed as whole N x N arrays took it to 3.0
+    n = 768
+    a = np.random.default_rng(0).normal(size=(n, n))
+    d = 0.5 * (a + a.T) + n * np.eye(n)
+    tracemalloc.start()
+    try:
+        diagonalize(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * d.nbytes
 
 
 def test_deterministic_sign_convention(small_cluster):

@@ -8,14 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lumiphon import units, vibronic
-from lumiphon.errors import (
-    AliasedGrid,
-    GridTooNarrow,
-    ImaginaryModePresent,
-    InputError,
-    NonPositiveGamma,
-    NumericalError,
-)
+from lumiphon.errors import InputError, NumericalError
 from lumiphon.fcoracle import broadened_oracle_spectrum, enumerate_fc
 from lumiphon.model import (
     CrystalStructure,
@@ -227,9 +220,9 @@ def test_imaginary_modes_rejected(diatomic):
     structure, hessian = diatomic
     unstable = diagonalize(dynamical_matrix(Hessian(-hessian.matrix), structure))
     pair = GeometryPair(structure.positions, structure.positions)
-    with pytest.raises(ImaginaryModePresent):
+    with pytest.raises(NumericalError, match=r"imaginary mode\(s\), first at index 0"):
         qk_from_displacement(unstable, pair, structure)
-    with pytest.raises(ImaginaryModePresent):
+    with pytest.raises(NumericalError, match=r"imaginary mode\(s\), first at index 0"):
         qk_from_forces(unstable, ForceDelta(np.zeros(6)), structure)
 
 
@@ -471,7 +464,7 @@ def test_lineshape_window_excluding_support():
         zpl_ev=2.0, gamma_mev=1.0, sigma_mev=2.0, window_ev=(0.2, 0.5), step_mev=0.5,
         omega_cubed=True,
     )
-    with pytest.raises(GridTooNarrow):
+    with pytest.raises(InputError, match="captures less than 0.1% of the emission"):
         _lineshape(gf, flags)
 
 
@@ -485,7 +478,7 @@ def test_lineshape_time_span_floor():
         zpl_ev=2.0, gamma_mev=1.0, sigma_mev=2.0, window_ev=(1.9, 2.01), step_mev=0.1,
         omega_cubed=True,
     )
-    with pytest.raises(AliasedGrid, match="damped sideband"):
+    with pytest.raises(NumericalError, match="damped sideband"):
         _lineshape((g, grid, hr.total), flags)
 
 
@@ -769,9 +762,11 @@ def test_spectrum_and_oracle_share_window_and_grid_on_generated_documents(
     with mock.patch.object(vibronic, "energy_grid", _recording(vibronic.energy_grid, grids)):
         try:
             ls = emission(hr, **flags)
-        except GridTooNarrow:
+        except InputError as exc:
             # the window's share of the emission is measured on the built
             # grid; at S = 30 most of the sideband can lie below 0 eV
+            if "captures less than 0.1%" not in str(exc):
+                raise
             ls = None
     # emission evaluates on the one grid the builder makes of it
     ((args, (_, spectrum_grid)),) = grids
@@ -796,7 +791,7 @@ def test_resolve_window_and_energy_grid_check_every_flag():
     given = (1.0, 2.1)
     with pytest.raises(InputError, match="--zpl"):
         vibronic.resolve_window(hr, -1.0, 1.0, 2.0, given)
-    with pytest.raises(NonPositiveGamma, match="--gamma"):
+    with pytest.raises(InputError, match=r"gamma 0 meV \(--gamma\) must be positive"):
         vibronic.resolve_window(hr, 2.0, 0.0, 2.0, given)
     with pytest.raises(InputError, match="--sigma"):
         vibronic.resolve_window(hr, 2.0, 1.0, -1.0, given)
