@@ -149,6 +149,8 @@ def _write_manifest(args, inputs):
 
 
 def cmd_modes(args) -> int:
+    import numpy as np
+
     from . import io as lio
     from . import phonons
     from .model import classify_lvm
@@ -173,8 +175,7 @@ def cmd_modes(args) -> int:
     provenance["lvm_indices"] = lvm
     lio.write_phonon_basis(basis, args.out, provenance, overwrite=True)
     if args.table:
-        ipr = phonons.localization_table(basis)
-        lvm_set = set(lvm)
+        mode = np.arange(basis.nmodes)
         lio.write_table_tsv(
             args.table,
             (
@@ -182,10 +183,7 @@ def cmd_modes(args) -> int:
                 f"cutoff_mev = {args.cutoff} ; asr = {str(bool(args.asr)).lower()}",
             ),
             ("mode", "omega_mev", "ipr", "lvm"),
-            (
-                (k, basis.omegas_mev[k], ipr[k], k in lvm_set)
-                for k in range(basis.nmodes)
-            ),
+            (mode, basis.omegas_mev, phonons.localization_table(basis), np.isin(mode, lvm)),
             overwrite=True,
         )
     if args.manifest:
@@ -254,9 +252,11 @@ def cmd_spectrum(args) -> int:
             args.peaks,
             header,
             ("rank", "mode", "omega_mev", "sk", "offset_mev", "energy_ev"),
-            (
-                (r, p.mode_index, hr.omegas_mev[p.mode_index], p.sk, p.offset_mev, p.energy_ev)
-                for r, p in enumerate(peaks, start=1)
+            zip(
+                *(
+                    (r, p.mode_index, hr.omegas_mev[p.mode_index], p.sk, p.offset_mev, p.energy_ev)
+                    for r, p in enumerate(peaks, start=1)
+                )
             ),
             overwrite=True,
         )
@@ -312,14 +312,9 @@ def cmd_oracle(args) -> int:
             header,
             ("energy_ev", "weight", "quanta"),
             (
-                (
-                    args.zpl - e / 1000.0,
-                    w,
-                    ",".join(str(int(q)) for q in quanta) or "0",
-                )
-                for e, w, quanta in zip(
-                    ladder.energies_mev, ladder.weights, ladder.quanta
-                )
+                args.zpl - ladder.energies_mev / 1000.0,
+                ladder.weights,
+                [",".join(map(str, quanta)) or "0" for quanta in ladder.quanta.tolist()],
             ),
             overwrite=True,
         )
@@ -359,11 +354,10 @@ def cmd_thermo(args) -> int:
         f"fermi_step_mev = {args.fermi_step:.9g}",
     )
 
-    env_rows, trans_rows, window_rows, notes = [], [], [], []
+    values, trans_rows, window_rows, notes = [], [], [], []
     for label, group in groups.items():
         lines, segments = energetics.stability_diagram(group, host)
-        values = energetics.envelope(segments, fermi)
-        env_rows.extend((label, x, v) for x, v in zip(fermi.tolist(), values.tolist()))
+        values.append(energetics.envelope(segments, fermi))
         # each boundary between adjacent segments is a transition level
         for (q, _, _, level), (q2, _, _, _) in zip(segments, segments[1:]):
             trans_rows.append((label, q, q2, level, host.gap_ev - level))
@@ -375,14 +369,21 @@ def cmd_thermo(args) -> int:
                 f"eps({q_mid}/{q_low}) = {lower:.9g}"
             )
     lio.write_table_tsv(
-        args.envelope, header, ("label", "fermi_ev", "formation_ev"), env_rows,
+        args.envelope,
+        header,
+        ("label", "fermi_ev", "formation_ev"),
+        (
+            np.repeat(np.array(list(groups), dtype=object), fermi.size),
+            np.tile(fermi, len(groups)),
+            np.concatenate(values),
+        ),
         overwrite=True,
     )
     lio.write_table_tsv(
         args.transitions,
         header,
         ("label", "q_from", "q_to", "fermi_ev_above_vbm", "fermi_ev_below_cbm"),
-        trans_rows,
+        zip(*trans_rows),
         overwrite=True,
     )
     if args.windows:
@@ -390,7 +391,7 @@ def cmd_thermo(args) -> int:
             args.windows,
             header,
             ("label", "charge", "fermi_lo_ev", "fermi_hi_ev"),
-            window_rows,
+            zip(*window_rows),
             overwrite=True,
         )
     for note in notes:
@@ -406,25 +407,21 @@ def cmd_dissoc(args) -> int:
     from . import io as lio
 
     rows = lio.parse_dissociation_table(lio.load_document(args.energies))
-    out_rows = []
-    unstable = 0
-    for row in rows:
-        ed = energetics.dissociation_energy(
-            row["fragment_energy_ev"],
-            row["released_energy_ev"],
-            row["cluster_energy_ev"],
+    e_d = [
+        energetics.dissociation_energy(
+            row["fragment_energy_ev"], row["released_energy_ev"], row["cluster_energy_ev"]
         )
-        stable = ed >= 0.0
-        unstable += 0 if stable else 1
-        out_rows.append((row["label"], ed, stable))
+        for row in rows
+    ]
+    stable = [ed >= 0.0 for ed in e_d]
     lio.write_table_tsv(
         args.out,
         (f"lumiphon dissoc v{__version__}",),
         ("label", "e_d_ev", "stable"),
-        out_rows,
+        ([row["label"] for row in rows], e_d, stable),
         overwrite=True,
     )
-    print(f"entries: {len(out_rows)}  unstable: {unstable}")
+    print(f"entries: {len(rows)}  unstable: {stable.count(False)}")
     if args.manifest:
         _write_manifest(args, lio.input_checksums([args.energies]))
     return 0

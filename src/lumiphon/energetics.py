@@ -20,11 +20,14 @@ their lower envelope.
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from . import units
+from .errors import NonFiniteValue
 from .model import ChemicalPotential, DefectEntry, HostReference
 
 
@@ -102,38 +105,34 @@ def stability_diagram(entries: Sequence[DefectEntry], host: HostReference):
     them), each charge once (io.parse_defect_table): neither is re-checked.
     Returns (lines, segments): the (charge, intercept) lines by falling
     charge, and the (charge, intercept, lo, hi) envelope segments, which
-    tile [0, gap] in rising Fermi level.  The transition levels are the
-    boundaries between adjacent segments: segment i's hi, from its charge
-    to the charge of segment i + 1.
+    tile [0, gap] in rising Fermi level with lo < hi; segment i's hi is the
+    transition level from its charge to the charge of segment i + 1.  A
+    line past the float range is refused.
+
+    The envelope is the lower hull of the lines, with crossings compared as
+    exact fractions of the float intercepts: lines meeting within rounding
+    of one point cannot hide the lowest, and at a common point the smallest
+    charge goes on.  Ends are rounded to float after the clip to [0, gap],
+    and a segment whose ends round to one float is dropped.
     """
     lines = sorted(
         ((e.charge, formation_energy(e, host, 0.0)) for e in entries), key=lambda line: -line[0]
     )
-    gap = host.gap_ev
+    if not all(math.isfinite(f) for _, f in lines):
+        raise NonFiniteValue(f"a formation energy of {entries[0].label} is past the float range")
 
-    # the lowest line at the valence band, the smaller charge on a tie
-    active = min(lines, key=lambda line: (line[1], line[0]))
-    segments: List[Tuple[int, float, float, float]] = []
-    x = 0.0
-    while True:
-        # earliest crossing with a shallower-sloped line
-        best_x, best_line = None, None
-        for line in lines:
-            if line[0] >= active[0]:
-                continue
-            cross = transition_level(line, active)
-            if cross <= x or cross >= gap:
-                continue
-            if best_x is None or cross < best_x or (
-                cross == best_x and line[0] < best_line[0]
-            ):
-                best_x, best_line = cross, line
-        if best_x is None:
-            segments.append((*active, x, gap))
-            break
-        segments.append((*active, x, best_x))
-        active, x = best_line, best_x
-    return lines, segments
+    def cross(a, b):
+        return (Fraction(a[1]) - Fraction(b[1])) / (b[0] - a[0])
+
+    hull = []
+    for line in lines:
+        # hull[-1] is nowhere lowest if `line` meets hull[-2] no later than it does
+        while len(hull) > 1 and cross(hull[-2], line) <= cross(hull[-2], hull[-1]):
+            hull.pop()
+        hull.append(line)
+    crossings = (cross(a, b) for a, b in zip(hull, hull[1:]))
+    ends = [0.0, *(float(min(max(x, 0), host.gap_ev)) for x in crossings), host.gap_ev]
+    return lines, [(*line, lo, hi) for line, lo, hi in zip(hull, ends, ends[1:]) if lo < hi]
 
 
 def envelope(segments, e_fermi_ev):

@@ -669,51 +669,55 @@ def write_manifest(inputs, tool_version, command_line, path, overwrite=False):
 
 # ------------------------------------------------------------- TSV output
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    v = float(value)
-    if not math.isfinite(v):
+#: Rows per format call of write_table_tsv: the text it holds is one block,
+#: whatever the length of the table.
+TSV_BLOCK_ROWS = 1 << 16
+
+
+def write_table_tsv(path, header_lines: Sequence[str], col_names: Sequence[str], columns, overwrite=False):
+    """Deterministic TSV from equal-length columns (no columns, no rows): a
+    '# ' line per header line, a '# columns:' line, then one tab-separated row
+    per index, LF endings.  Each column's dtype picks its conversion: floats print
+    as %.9g (-0.0 as 0), booleans as true/false, anything else as str prints
+    it; a list of Python ints stays whole, where numpy reads [1, 2**63] as
+    floats.  A non-finite float is refused before any file is created."""
+    _check_target(path, overwrite)
+    columns = [
+        np.array(c, dtype=object) if all(type(v) is int for v in c) else np.asarray(c)
+        for c in columns
+    ]
+    if any(c.dtype.kind == "f" and not np.isfinite(c).all() for c in columns):
         raise NonFiniteValue("refusing to write a non-finite value")
-    return "%.9g" % (v + 0.0)  # normalizes -0.0
+    line = "\t".join("%.9g" if c.dtype.kind == "f" else "%s" for c in columns) + "\n"
+    head = "".join(f"# {h}\n" for h in [*header_lines, "columns: " + "\t".join(col_names)])
 
+    def chunks():
+        yield head.encode("utf-8")
+        for start in range(0, len(columns[0]) if columns else 0, TSV_BLOCK_ROWS):
+            cells = []
+            for c in columns:
+                block = c[start : start + TSV_BLOCK_ROWS]
+                if c.dtype.kind == "b":
+                    block = np.where(block, "true", "false")
+                elif c.dtype.kind == "f":
+                    block = block + 0.0  # normalizes -0.0
+                cells.append(block.tolist())
+            values = tuple(itertools.chain.from_iterable(zip(*cells)))
+            yield ((line * len(cells[0])) % values).encode("utf-8")
 
-def _write_tsv(path, header_lines, col_names, body: str, overwrite):
-    head = [f"# {h}" for h in header_lines]
-    head.append("# columns: " + "\t".join(col_names))
-    _write_text("\n".join(head) + "\n" + body, path, overwrite)
-
-
-def write_table_tsv(path, header_lines: Sequence[str], col_names: Sequence[str], rows, overwrite=False):
-    """Deterministic TSV: '#' headers, 9 significant digits, LF endings."""
-    body = "".join("\t".join(_fmt(v) for v in row) + "\n" for row in rows)
-    _write_tsv(path, header_lines, col_names, body, overwrite)
-
-
-def _float_rows(*columns) -> str:
-    """write_table_tsv's body for equal-length float columns, in one format call."""
-    rows = np.column_stack([np.asarray(c, float) for c in columns])
-    if not np.all(np.isfinite(rows)):
-        raise NonFiniteValue("refusing to write a non-finite value")
-    line = "\t".join(["%.9g"] * len(columns)) + "\n"
-    # + 0.0 normalizes -0.0, as _fmt does
-    return (line * rows.shape[0]) % tuple((rows + 0.0).ravel().tolist())
+    _atomic_write(chunks(), path)
 
 
 def write_spectrum_tsv(path, energy_ev, intensity, header_lines=(), overwrite=False):
-    """write_table_tsv's format for two float columns, in one pass."""
-    body = _float_rows(energy_ev, intensity)
-    _write_tsv(path, header_lines, ("energy_ev", "intensity_per_ev"), body, overwrite)
+    """The spectrum table: energy and intensity columns."""
+    columns = (energy_ev, intensity)
+    write_table_tsv(path, header_lines, ("energy_ev", "intensity_per_ev"), columns, overwrite)
 
 
 def write_stem_tsv(path, hr: HRDecomposition, header_lines=(), overwrite=False):
     """Partial-HR stem data: mode energy, S_k, running cumulative sum."""
-    body = _float_rows(hr.omegas_mev, hr.sk, np.cumsum(hr.sk))
-    _write_tsv(path, header_lines, ("omega_mev", "sk", "cumulative"), body, overwrite)
+    columns = (hr.omegas_mev, hr.sk, np.cumsum(hr.sk))
+    write_table_tsv(path, header_lines, ("omega_mev", "sk", "cumulative"), columns, overwrite)
 
 
 def tsv_rounding(values):
@@ -762,7 +766,8 @@ def _check_target(path, overwrite):
 
 
 def _atomic_write(chunks, path):
-    """Write the byte strings `chunks` to `path` through a temp file and a rename."""
+    """Write the byte strings of the iterable `chunks` to `path` through a
+    temp file and a rename; on any failure the temp file is removed."""
     directory = os.path.dirname(os.path.abspath(path))
     tmp = None
     try:  # mkstemp fails on a missing or unwritable directory
@@ -770,18 +775,15 @@ def _atomic_write(chunks, path):
         with os.fdopen(fd, "wb") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
-    except OSError as exc:
+    except BaseException as exc:  # a chunk can fail while it is made
         if tmp is not None:
             try:
                 os.unlink(tmp)
             except OSError:
                 pass
-        raise InputError(f"cannot write {path}: {exc.strerror}") from None
-
-
-def _write_text(text: str, path, overwrite):
-    _check_target(path, overwrite)
-    _atomic_write([text.encode("utf-8")], path)
+        if isinstance(exc, OSError):
+            raise InputError(f"cannot write {path}: {exc.strerror}") from None
+        raise
 
 
 def _dumps(doc, path) -> str:

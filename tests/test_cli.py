@@ -210,9 +210,16 @@ _HUGE_H = [_set(("matrix", 0, 1), 1e308), _set(("matrix", 1, 0), 1e308)]
          "/entries/0/charge"),
         ("defects.json", [_set(("entries", 0, "stoichiometry", "Si"), 10**400)], "thermo",
          "/entries/0/stoichiometry/Si"),
+        # each energy finite, one formation line at +inf or -inf
+        ("defects.json", [_set(("host", "host_energy_ev"), -1.7e308),
+                          _set(("entries", 0, "total_energy_ev"), 1.7e308)], "thermo",
+         "formation energy of"),
+        ("defects.json", [_set(("host", "host_energy_ev"), 1.7e308),
+                          _set(("entries", 0, "total_energy_ev"), -1.7e308)], "thermo",
+         "formation energy of"),
     ],
     ids=["modes-hessian", "modes-asr-hessian", "hr-move-1e200", "hr-move-2e153", "spectrum-sk", "oracle-sk",
-         "thermo-charge", "thermo-stoichiometry"],
+         "thermo-charge", "thermo-stoichiometry", "thermo-line-above", "thermo-line-below"],
 )
 def test_demo_input_past_float_range_exit_2(
     tmp_path, monkeypatch, capsys, document, edits, command, named
@@ -1104,6 +1111,34 @@ def test_thermo_two_line_fixture(tmp_path, capsys):
     assert (label, q_from, q_to) == ("pair_site", "1", "0")
     assert float(eps_v) == pytest.approx(0.5)
     assert float(eps_c) == pytest.approx(3.17 - 0.5)
+
+
+def test_thermo_keeps_the_lowest_of_near_coincident_lines(tmp_path, capsys):
+    # crossings 3/1 and 3/-3 lie one ulp apart: the q = -3 line, not the
+    # 1 and 0 lines, is lowest from 1.2660068 eV to the gap
+    energies = {-3: -1765.8707, 3: -1778.9924, 0: -1772.4315, 1: -1774.6185, 2: -1776.8054}
+    doc = {
+        "schema": "defects/1",
+        "host": {"host_energy_ev": -1775.3655418580274, "vbm_ev": 0.9209432044283434,
+                 "gap_ev": 3.0, "chemical_potentials": {}},
+        "entries": [
+            {"label": "X", "charge": q, "total_energy_ev": e, "stoichiometry": {},
+             "correction_ev": 0}
+            for q, e in energies.items()
+        ],
+    }
+    path = tmp_path / "defects.json"
+    path.write_text(json.dumps(doc))
+    env, win = tmp_path / "env.tsv", tmp_path / "win.tsv"
+    argv = ["thermo", "--defects", str(path), "--envelope", str(env),
+            "--transitions", str(tmp_path / "t.tsv"), "--windows", str(win)]
+    assert main(argv) == 0
+    rows = [ln.split("\t") for ln in win.read_text().splitlines() if not ln.startswith("#")]
+    assert rows == [["X", "3", "0", "1.2660068"], ["X", "-3", "1.2660068", "3"]]
+    label, fermi, formation = env.read_text().splitlines()[-1].split("\t")
+    assert (label, fermi) == ("X", "3")
+    # the q = -3 line at the gap, 5.2 eV below the q = 0 line
+    assert float(formation) == pytest.approx(-1765.8707 + 1775.3655418580274 - 3 * 3.9209432044283434)
 
 
 def test_thermo_missing_potential_exit_2(tmp_path, capsys):

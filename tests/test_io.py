@@ -928,6 +928,24 @@ def test_syntax_error_carries_locus():
 
 # ------------------------------------------------------------------- tables
 
+def _per_value(v) -> str:
+    if isinstance(v, str):
+        return v
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return "%.9g" % (float(v) + 0.0)  # normalizes -0.0
+
+
+def _per_value_table(header_lines, col_names, rows) -> bytes:
+    """The table format built one value at a time, row by row: the
+    reference for write_table_tsv's column-wise blocks."""
+    head = "".join(f"# {h}\n" for h in header_lines) + "# columns: " + "\t".join(col_names)
+    body = "".join("\t".join(_per_value(v) for v in row) + "\n" for row in rows)
+    return (head + "\n" + body).encode("utf-8")
+
+
 def test_spectrum_tsv_layout_and_determinism(tmp_path):
     path = tmp_path / "s.tsv"
     e = np.array([1.0, 1.1, 1.2])
@@ -970,19 +988,74 @@ def test_tsv_nine_significant_digits(tmp_path):
 def test_spectrum_tsv_matches_per_value_table_format(tmp_path, column):
     e = np.linspace(0.5, 3.0, len(column))
     y = np.array(column)
-    header = ("one-pass writer",)
+    header = ("column writer",)
+    names = ("energy_ev", "intensity_per_ev")
     lio.write_spectrum_tsv(tmp_path / "fast.tsv", e, y, header)
-    lio.write_table_tsv(
-        tmp_path / "slow.tsv", header, ("energy_ev", "intensity_per_ev"), zip(e, y)
-    )
     lio.write_spectrum_tsv(tmp_path / "swapped.tsv", y, e, header)
-    lio.write_table_tsv(
-        tmp_path / "swapped_slow.tsv", header, ("energy_ev", "intensity_per_ev"), zip(y, e)
+    assert (tmp_path / "fast.tsv").read_bytes() == _per_value_table(header, names, zip(e, y))
+    assert (tmp_path / "swapped.tsv").read_bytes() == _per_value_table(
+        header, names, zip(y, e)
     )
-    assert (tmp_path / "fast.tsv").read_bytes() == (tmp_path / "slow.tsv").read_bytes()
-    assert (tmp_path / "swapped.tsv").read_bytes() == (
-        tmp_path / "swapped_slow.tsv"
-    ).read_bytes()
+
+
+def test_table_tsv_converts_each_column_by_its_dtype(tmp_path):
+    columns = (
+        np.array([True, False, True]),
+        [7, -3, 2**63],  # one past int64 prints in full
+        ["X_hk", "C2", "split-int"],
+        np.array([-0.0, 5e-324, -2.5e-310]),
+    )
+    names = ("flag", "charge", "label", "value")
+    path = tmp_path / "mixed.tsv"
+    lio.write_table_tsv(path, ("mixed",), names, columns)
+    assert path.read_bytes() == _per_value_table(("mixed",), names, zip(*columns))
+    assert path.read_text().splitlines()[-1] == "true\t9223372036854775808\tsplit-int\t-2.5e-310"
+    assert path.read_text().splitlines()[2] == "true\t7\tX_hk\t0"
+
+
+def test_table_tsv_without_rows_writes_the_header_only(tmp_path):
+    path = tmp_path / "empty.tsv"
+    lio.write_table_tsv(path, ("no rows",), ("label", "fermi_ev"), ([], np.empty(0)))
+    assert path.read_bytes() == b"# no rows\n# columns: label\tfermi_ev\n"
+
+
+def test_table_tsv_refuses_a_non_finite_column_before_any_file(tmp_path):
+    with pytest.raises(NonFiniteValue):
+        lio.write_table_tsv(
+            tmp_path / "bad.tsv", (), ("label", "e"), (["a", "b"], [1.0, float("inf")])
+        )
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "failure, raised",
+    [(RuntimeError("formatting failed"), RuntimeError), (OSError(28, "No space"), InputError)],
+)
+def test_atomic_write_leaves_nothing_when_a_chunk_fails(tmp_path, failure, raised):
+    def chunks():
+        yield b"# header\n"
+        raise failure
+
+    path = tmp_path / "t.tsv"
+    with pytest.raises(raised):
+        lio._atomic_write(chunks(), path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_spectrum_tsv_memory_does_not_grow_with_rows(tmp_path):
+    # the writer formats fixed blocks of rows: eight times the rows may not
+    # double its traced peak
+    peaks = []
+    for n in (1 << 17, 1 << 20):
+        e = np.linspace(1.0, 3.0, n)
+        y = e / 3.0
+        tracemalloc.start()
+        try:
+            lio.write_spectrum_tsv(tmp_path / f"{n}.tsv", e, y)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 2 * peaks[0], peaks
 
 
 @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
@@ -1023,8 +1096,7 @@ def test_stem_tsv_cumulative(tmp_path):
     path = tmp_path / "stem.tsv"
     lio.write_stem_tsv(path, hr)
     table = [[50.0, 0.25, 0.25], [150.0, 0.5, 0.75]]
-    lio.write_table_tsv(tmp_path / "slow.tsv", (), ("omega_mev", "sk", "cumulative"), table)
-    assert path.read_bytes() == (tmp_path / "slow.tsv").read_bytes()
+    assert path.read_bytes() == _per_value_table((), ("omega_mev", "sk", "cumulative"), table)
     rows = [
         ln.split("\t")
         for ln in path.read_text().splitlines()
