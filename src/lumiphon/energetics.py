@@ -60,10 +60,8 @@ def analytic_correction(charge: int, dielectric_constant: float, volume_a3: floa
     even and quadratic in the charge.
     """
     length = volume_a3 ** (1.0 / 3.0)
-    return (
-        charge * charge * units.MADELUNG_SC * units.COULOMB_EV_A
-        / (2.0 * dielectric_constant * length)
-    )
+    q = float(charge)  # a float square overflows to inf, an integer one cannot convert
+    return q * q * units.MADELUNG_SC * units.COULOMB_EV_A / (2.0 * dielectric_constant * length)
 
 
 def _resolved_correction(entry: DefectEntry, host: HostReference) -> float:

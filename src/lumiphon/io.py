@@ -34,6 +34,7 @@ from .model import (
     PhononBasis,
     _require_finite,
     structure_checksum,
+    sum_sk,
 )
 from .units import ATOMIC_MASS_AMU
 
@@ -193,6 +194,10 @@ def _binary_matrix(value, rows, cols, locus):
 def parse_structure(doc) -> CrystalStructure:
     _expect_schema(doc, "structure")
     lattice = _matrix(_field(doc, "lattice"), 3, 3, "/lattice")
+    if np.linalg.det(lattice) <= 0:
+        raise ParseError(
+            "lattice determinant must be positive (right-handed cell)", locus="/lattice"
+        )
     sites = _field(doc, "sites")
     if not isinstance(sites, list) or not sites:
         raise ParseError("sites must be a non-empty list", locus="/sites")
@@ -209,6 +214,8 @@ def parse_structure(doc) -> CrystalStructure:
             raise ParseError("position must be 3 numbers", locus=f"{locus}/position")
         if "mass" in site:
             mass = _number(site["mass"], f"{locus}/mass")
+            if mass <= 0:
+                raise ParseError(f"mass must be positive, got {mass!r}", locus=f"{locus}/mass")
         elif sp in ATOMIC_MASS_AMU:
             mass = ATOMIC_MASS_AMU[sp]
         else:
@@ -243,8 +250,9 @@ def write_structure(structure: CrystalStructure, path, overwrite=False):
 # --------------------------------------------------------------- hessian
 
 #: Largest Hessian dimension 3N read (2048 atoms).  `modes --asr` peaks at
-#: about 8.6 times the 8 * (3N)^2 bytes of the matrix (162 MB at 3N = 1536),
-#: so this bounds a call at about 2.6 GB.
+#: 7.6 times the 8 * (3N)^2 bytes of the matrix at 3N = 1536 (144 MB) and
+#: 6.5 times at 3N = 3000 (465 MB); the ratio falls as 3N grows, so this
+#: bounds a call at about 2.3 GB.
 MAX_HESSIAN_DIM = 6144
 
 
@@ -362,7 +370,7 @@ def parse_force_delta(doc, structure: CrystalStructure) -> ForceDelta:
             f"values has {len(values) if isinstance(values, list) else '?'} rows, "
             f"structure has {n} atoms"
         )
-    return ForceDelta(_matrix(values, n, 3, "/values"))
+    return ForceDelta(_matrix(values, n, 3, "/values").reshape(-1))
 
 
 def write_force_delta(delta: ForceDelta, path, overwrite=False):
@@ -377,6 +385,8 @@ def write_force_delta(delta: ForceDelta, path, overwrite=False):
 
 #: Every entry of V V^T - I of a basis read must lie below this in magnitude.
 ORTHONORMALITY_TOL = 1e-8
+#: Bytes of vectors the basis writer base64-encodes at a time.
+_B64_BLOCK = 1 << 20
 
 
 def _check_orthonormal(vectors):
@@ -411,7 +421,7 @@ def write_phonon_basis(
     basis: PhononBasis, path, provenance: Optional[dict] = None, overwrite=False
 ):
     _check_target(path, overwrite)
-    vectors = np.ascontiguousarray(basis.vectors, dtype="<f8")
+    vectors = basis.vectors
     doc = {
         "schema": SCHEMAS["phonon_basis"],
         "omegas_mev": basis.omegas_mev.tolist(),
@@ -420,14 +430,25 @@ def write_phonon_basis(
     }
     # base64 needs no JSON escapes, so the payload skips the encoder's scan:
     # it is spliced in at the vectors' empty base64 field, the first in the
-    # text because provenance comes after the vectors
+    # text because provenance comes after the vectors.  Blocks of 3k rows
+    # are whole 3-byte groups, which base64 encodes without padding, so they
+    # join to the encoding of the row-major payload with no contiguous copy
+    # of the vectors (diagonalize leaves them transposed)
+    rows = 3 * max(1, _B64_BLOCK // (24 * vectors.shape[1]))
+    payload = (
+        base64.b64encode(np.ascontiguousarray(vectors[s : s + rows], dtype="<f8"))
+        for s in range(0, vectors.shape[0], rows)
+    )
     head, tail = _dumps(doc, path).encode("ascii").split(b'"base64":""', 1)
-    _atomic_write([head, b'"base64":"', base64.b64encode(vectors), b'"', tail, b"\n"], path)
+    _atomic_write(itertools.chain((head, b'"base64":"'), payload, (b'"', tail, b"\n")), path)
 
 
 # ------------------------------------------------------------------- HR
 
 def parse_hr(doc) -> HRDecomposition:
+    """Read `hr/1`: finite numbers, omegas non-negative and ascending, sk
+    non-negative and summing to total within 1e-12 (NonFiniteValue when
+    the sum passes the float range)."""
     _expect_schema(doc, "hr")
     entries = _field(doc, "entries")
     if not isinstance(entries, list):
@@ -443,11 +464,23 @@ def parse_hr(doc) -> HRDecomposition:
             raise ParseError(
                 f"mode energy must not be negative, got {omega!r}", locus=f"{locus}/omega_mev"
             )
+        if omegas and omega < omegas[-1]:
+            raise ParseError(
+                f"entries must be ascending in omega_mev, got {omega!r} after {omegas[-1]!r}",
+                locus=f"{locus}/omega_mev",
+            )
         omegas.append(omega)
         qk.append(_number(_field(entry, "qk", locus), f"{locus}/qk"))
-        sk.append(_number(_field(entry, "sk", locus), f"{locus}/sk"))
+        s = _number(_field(entry, "sk", locus), f"{locus}/sk")
+        if s < 0:
+            raise ParseError(f"sk must not be negative, got {s!r}", locus=f"{locus}/sk")
+        sk.append(s)
     total = _number(_field(doc, "total"), "/total")
-    return HRDecomposition(np.array(omegas), np.array(qk), np.array(sk), total)
+    sk = np.array(sk)
+    tot = sum_sk(sk)
+    if abs(tot - total) > 1e-12 * max(1.0, abs(tot)):
+        raise ParseError(f"total {total!r} does not match the sum of sk {tot!r}", locus="/total")
+    return HRDecomposition(np.array(omegas), np.array(qk), sk, total)
 
 
 def write_hr(hr: HRDecomposition, path, overwrite=False):

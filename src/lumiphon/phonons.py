@@ -108,7 +108,7 @@ def diagonalize(d: np.ndarray) -> PhononBasis:
         lam, vecs = np.linalg.eigh(d)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise NumericalError(f"eigensolver failed: {exc}") from None
-    vecs = vecs.T  # rows are modes
+    vecs = vecs.T  # rows are modes: a transposed view, which the basis keeps
     omegas = units.hbar_omega_from_eigenvalue(lam)
     _require_finite(omegas, "omegas_mev")
 

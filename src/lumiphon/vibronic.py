@@ -38,6 +38,7 @@ from .model import (
     Lineshape,
     PhononBasis,
     TimeGrid,
+    _require_finite,
     output_grid,
     sum_sk,
 )
@@ -142,16 +143,19 @@ def partial_hr(qk, omegas_mev) -> HRDecomposition:
     get S_k = 0, as on the force route, so both routes report one total;
     their q_k is kept.  qk and omegas_mev are the equal 1-d arrays of a
     qk_from_* route, which has refused modes below -ZERO_MODE_MEV.
+    NonFiniteValue names the first non-finite q_k or S_k in ascending order.
     """
     q = np.asarray(qk, dtype=float)
     w = np.asarray(omegas_mev, dtype=float)
     w_clamped = np.clip(w, 0.0, None)
-    with np.errstate(over="ignore"):  # the record below refuses an infinite S_k
+    with np.errstate(over="ignore"):  # an infinite S_k is refused below
         sk = units.omega_radfs(w_clamped) * q * q / (2.0 * units.HBAR_AMU_A2_FS)
     sk[w_clamped <= ZERO_MODE_MEV] = 0.0
     order = np.argsort(w_clamped, kind="stable")
-    sk_sorted = sk[order]
-    return HRDecomposition(w_clamped[order], q[order], sk_sorted, sum_sk(sk_sorted))
+    q_sorted, sk_sorted = q[order], sk[order]
+    _require_finite(q_sorted, "qk")
+    _require_finite(sk_sorted, "sk")
+    return HRDecomposition(w_clamped[order], q_sorted, sk_sorted, sum_sk(sk_sorted))
 
 
 def spectral_density(hr: HRDecomposition, sigma_mev: float, step_mev: float) -> tuple:

@@ -192,8 +192,8 @@ _HUGE_H = [_set(("matrix", 0, 1), 1e308), _set(("matrix", 1, 0), 1e308)]
 
 # demo documents with one input past what a float holds once computed on:
 # each call exits 2 naming what overflowed, and prints nothing but that
-# error line.  diagonalize's finite-omega and the decomposition's finite-sk
-# checks look redundant beside the parsers' but are reached here.
+# error line.  diagonalize's finite-omega and partial_hr's finite-sk checks
+# look redundant beside the parsers' but are reached here.
 @pytest.mark.parametrize(
     "document, edits, command, named",
     [
@@ -210,6 +210,9 @@ _HUGE_H = [_set(("matrix", 0, 1), 1e308), _set(("matrix", 1, 0), 1e308)]
          "/entries/0/charge"),
         ("defects.json", [_set(("entries", 0, "stoichiometry", "Si"), 10**400)], "thermo",
          "/entries/0/stoichiometry/Si"),
+        # a charge within the float range whose analytic correction is not
+        ("defects.json", [_set(("entries", 0, "charge"), 10**200)], "thermo",
+         "formation energy of cluster_a"),
         # each energy finite, one formation line at +inf or -inf
         ("defects.json", [_set(("host", "host_energy_ev"), -1.7e308),
                           _set(("entries", 0, "total_energy_ev"), 1.7e308)], "thermo",
@@ -219,7 +222,8 @@ _HUGE_H = [_set(("matrix", 0, 1), 1e308), _set(("matrix", 1, 0), 1e308)]
          "formation energy of"),
     ],
     ids=["modes-hessian", "modes-asr-hessian", "hr-move-1e200", "hr-move-2e153", "spectrum-sk", "oracle-sk",
-         "thermo-charge", "thermo-stoichiometry", "thermo-line-above", "thermo-line-below"],
+         "thermo-charge", "thermo-stoichiometry", "thermo-analytic-charge", "thermo-line-above",
+         "thermo-line-below"],
 )
 def test_demo_input_past_float_range_exit_2(
     tmp_path, monkeypatch, capsys, document, edits, command, named

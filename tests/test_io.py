@@ -139,6 +139,24 @@ def test_hessian_above_size_limit_refused_before_allocating(tmp_path, layout):
     assert peak < 1 << 20
 
 
+def test_parse_hessian_allocates_one_matrix():
+    # the dense rows become one array plus its 1-byte finiteness mask; the
+    # record holds that array, where a copy into it read 2.0 times the matrix
+    natoms = 128
+    sites = [{"species": "C", "position": [0.1 * i, 0.0, 0.0]} for i in range(natoms)]
+    structure = lio.parse_structure(dict(STRUCTURE_DOC, sites=sites))
+    matrix = np.random.default_rng(5).normal(size=(3 * natoms, 3 * natoms))
+    doc = {"schema": "hessian/1", "matrix": matrix.tolist()}
+    tracemalloc.start()
+    try:
+        hessian = lio.parse_hessian(doc, structure)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(hessian.matrix, matrix)
+    assert peak < 1.5 * matrix.nbytes
+
+
 def test_hessian_hash_mismatch_detected():
     structure = lio.parse_structure(STRUCTURE_DOC)
     doc = {"schema": "hessian/1", "structure_hash": "deadbeef", "matrix": np.eye(6).tolist()}
@@ -509,6 +527,17 @@ def test_binary_block_encodes_the_row_major_bits(tmp_path):
     doc = json.loads(path.read_text())
     assert doc["vectors"]["base64"] == base64.b64encode(_bits(basis.vectors)).decode("ascii")
     assert doc["provenance"] == {"base64": ""}
+
+
+@pytest.mark.parametrize("block", [1, 24 * 7 * 2, 1 << 20])
+def test_binary_block_joins_its_base64_blocks(tmp_path, monkeypatch, block):
+    # 3 rows a block, 6 rows a block (a last block of 1 row), one block
+    monkeypatch.setattr(lio, "_B64_BLOCK", block)
+    vectors = np.random.default_rng(4).normal(size=(7, 7)).T
+    path = tmp_path / "b.json"
+    lio.write_phonon_basis(PhononBasis(np.arange(7.0), vectors), path)
+    doc = json.loads(path.read_text())
+    assert doc["vectors"]["base64"] == base64.b64encode(_bits(vectors)).decode("ascii")
 
 
 def test_basis_v2_roundtrip_bit_exact(tmp_path):

@@ -3,15 +3,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lumiphon import io as lio
 from lumiphon import units
-from lumiphon.errors import InputError
-from lumiphon.model import (
-    CrystalStructure,
-    GeometryPair,
-    HRDecomposition,
-    MAX_OUTPUT_POINTS,
-    output_grid,
-)
+from lumiphon.errors import InputError, ParseError
+from lumiphon.model import GeometryPair, MAX_OUTPUT_POINTS, output_grid
 
 
 def test_unit_table_consistency():
@@ -23,26 +18,26 @@ def test_unit_table_consistency():
     np.testing.assert_allclose(back, w, rtol=1e-12, atol=1e-15)
 
 
+def _structure_doc(lattice, masses):
+    return {
+        "schema": "structure/1",
+        "lattice": lattice,
+        "sites": [{"species": "C", "position": [i, 0, 0], "mass": m} for i, m in enumerate(masses)],
+    }
+
+
 def test_structure_invariants():
-    with pytest.raises(InputError):
-        CrystalStructure(-np.eye(3), ("C",), [12.0], [[0, 0, 0]])
-    with pytest.raises(InputError):
-        CrystalStructure(np.eye(3), ("C",), [-1.0], [[0, 0, 0]])
-
-
-def test_types_are_immutable(diatomic):
-    structure, hessian = diatomic
-    with pytest.raises(ValueError):
-        structure.positions[0, 0] = 5.0
-    with pytest.raises(ValueError):
-        hessian.matrix[0, 0] = 5.0
-
-
-def test_construction_copies_input_arrays():
-    src = np.zeros((2, 3))
-    pair = GeometryPair(src, src)
-    src[0, 0] = 7.0  # caller's array stays writable and detached
-    assert pair.ground[0, 0] == 0.0
+    eye = np.eye(3).tolist()
+    assert lio.parse_structure(_structure_doc(eye, [12.0, 13.0])).natoms == 2
+    for lattice, masses, locus in [
+        ((-np.eye(3)).tolist(), [12.0], "/lattice"),
+        (np.diag([1.0, 1.0, 0.0]).tolist(), [12.0], "/lattice"),
+        (eye, [12.0, -1.0], "/sites/1/mass"),
+        (eye, [0.0], "/sites/0/mass"),
+    ]:
+        with pytest.raises(ParseError) as info:
+            lio.parse_structure(_structure_doc(lattice, masses))
+        assert info.value.locus == locus
 
 
 def test_pair_delta_is_exact_difference():
@@ -72,13 +67,20 @@ def test_output_grid_rule_and_refusals():
     )
 
 
+def _hr_doc(omegas, sks, total):
+    entries = [{"omega_mev": w, "qk": 0.0, "sk": s} for w, s in zip(omegas, sks)]
+    return {"schema": "hr/1", "total": total, "entries": entries}
+
+
 def test_hr_decomposition_invariants():
-    with pytest.raises(InputError):  # not sorted
-        HRDecomposition(np.array([2.0, 1.0]), np.zeros(2), np.zeros(2), 0.0)
-    with pytest.raises(InputError):  # negative sk
-        HRDecomposition(np.array([1.0, 2.0]), np.zeros(2), np.array([0.1, -0.1]), 0.0)
-    with pytest.raises(InputError):  # total out of tolerance
-        HRDecomposition(np.array([1.0, 2.0]), np.zeros(2), np.array([0.1, 0.2]), 0.4)
+    for omegas, sks, total, locus in [
+        ([2.0, 1.0], [0.0, 0.0], 0.0, "/entries/1/omega_mev"),  # not sorted
+        ([1.0, 2.0], [0.1, -0.1], 0.0, "/entries/1/sk"),  # negative sk
+        ([1.0, 2.0], [0.1, 0.2], 0.4, "/total"),  # total out of tolerance
+    ]:
+        with pytest.raises(ParseError) as info:
+            lio.parse_hr(_hr_doc(omegas, sks, total))
+        assert info.value.locus == locus
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -86,10 +88,9 @@ def test_hr_total_matches_fsum(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 12))
     w = np.sort(rng.uniform(1.0, 200.0, n))
-    q = rng.normal(size=n)
     s = rng.uniform(0.0, 1.0, n)
     import math
 
-    hr = HRDecomposition(w, q, s, math.fsum(s.tolist()))
+    hr = lio.parse_hr(_hr_doc(w.tolist(), s.tolist(), math.fsum(s.tolist())))
     assert hr.nmodes == n
 
