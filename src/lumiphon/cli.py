@@ -356,13 +356,13 @@ def cmd_thermo(args) -> int:
 
     values, trans_rows, window_rows, notes = [], [], [], []
     for label, group in groups.items():
-        lines, segments = energetics.stability_diagram(group, host)
+        segments, triples = energetics.stability_diagram(group, host)
         values.append(energetics.envelope(segments, fermi))
         # each boundary between adjacent segments is a transition level
         for (q, _, _, level), (q2, _, _, _) in zip(segments, segments[1:]):
             trans_rows.append((label, q, q2, level, host.gap_ev - level))
         window_rows.extend((label, q, lo, hi) for q, _, lo, hi in segments)
-        for q_high, q_mid, q_low, upper, lower in energetics.negative_u_triples(lines):
+        for q_high, q_mid, q_low, upper, lower in triples:
             notes.append(
                 f"negative_u {label} {q_high}/{q_mid}/{q_low} "
                 f"eps({q_high}/{q_mid}) = {upper:.9g} >= "

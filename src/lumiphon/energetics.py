@@ -14,15 +14,16 @@ a positive gap, a dielectric constant above 1 and a positive cell volume
 (both present for an "analytic" entry), and a chemical potential for
 every stoichiometry species.  Results are plain numbers: a charge state's
 formation line is the pair (charge, E_f at E_Fermi = 0), and a stability
-diagram is those lines with the (charge, intercept, lo, hi) segments of
-their lower envelope.
+diagram is the (charge, intercept, lo, hi) segments of those lines' lower
+envelope with the negative-U triples among them.  Both come from one rule,
+the exact crossing of two lines, rounded to float only for output.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -86,32 +87,32 @@ def formation_energy(entry: DefectEntry, host: HostReference, e_fermi_ev: float)
     )
 
 
-def transition_level(a: Tuple[int, float], b: Tuple[int, float]) -> float:
-    """Fermi level where two charge states have equal formation energy.
-
-    Arguments are (charge, E_f at E_Fermi = 0) pairs of two different
-    charges; the result is symmetric under swapping them.
-    """
-    (qa, fa), (qb, fb) = a, b
-    return (fa - fb) / (qb - qa)
+def _crossing(a, b) -> Fraction:
+    """Exact Fermi level where two formation lines, (charge, E_f at
+    E_Fermi = 0) pairs of different charges, meet: a fraction of their float
+    intercepts, symmetric under swapping them."""
+    return (Fraction(a[1]) - Fraction(b[1])) / (b[0] - a[0])
 
 
 def stability_diagram(entries: Sequence[DefectEntry], host: HostReference):
-    """Formation lines and their lower envelope over [0, gap] for one label.
+    """Lower envelope over [0, gap] and negative-U triples for one label.
 
     entries, one or more charge states of one label (cli.cmd_thermo groups
     them), each charge once (io.parse_defect_table): neither is re-checked.
-    Returns (lines, segments): the (charge, intercept) lines by falling
-    charge, and the (charge, intercept, lo, hi) envelope segments, which
-    tile [0, gap] in rising Fermi level with lo < hi; segment i's hi is the
-    transition level from its charge to the charge of segment i + 1.  A
+    Returns (segments, triples).  segments are the (charge, intercept, lo,
+    hi) envelope segments, which tile [0, gap] in rising Fermi level with
+    lo < hi; segment i's hi is the transition level from its charge to the
+    charge of segment i + 1.  triples are the adjacent charges, by falling
+    charge, whose levels are inverted (negative U): (q_high, q_mid, q_low,
+    eps(high/mid), eps(mid/low)) with eps(high/mid) >= eps(mid/low).  A
     line past the float range is refused.
 
-    The envelope is the lower hull of the lines, with crossings compared as
-    exact fractions of the float intercepts: lines meeting within rounding
-    of one point cannot hide the lowest, and at a common point the smallest
-    charge goes on.  Ends are rounded to float after the clip to [0, gap],
-    and a segment whose ends round to one float is dropped.
+    Every level is an exact _crossing of the float intercepts, rounded to
+    float last.  The envelope is the lower hull of the lines: lines meeting
+    within rounding of one point cannot hide the lowest, and at a common
+    point the smallest charge goes on.  So a triple's middle charge never
+    owns a segment.  Ends are rounded after the clip to [0, gap], and a
+    segment whose ends round to one float is dropped.
     """
     lines = sorted(
         ((e.charge, formation_energy(e, host, 0.0)) for e in entries), key=lambda line: -line[0]
@@ -119,18 +120,23 @@ def stability_diagram(entries: Sequence[DefectEntry], host: HostReference):
     if not all(math.isfinite(f) for _, f in lines):
         raise NonFiniteValue(f"a formation energy of {entries[0].label} is past the float range")
 
-    def cross(a, b):
-        return (Fraction(a[1]) - Fraction(b[1])) / (b[0] - a[0])
-
     hull = []
     for line in lines:
         # hull[-1] is nowhere lowest if `line` meets hull[-2] no later than it does
-        while len(hull) > 1 and cross(hull[-2], line) <= cross(hull[-2], hull[-1]):
+        while len(hull) > 1 and _crossing(hull[-2], line) <= _crossing(hull[-2], hull[-1]):
             hull.pop()
         hull.append(line)
-    crossings = (cross(a, b) for a, b in zip(hull, hull[1:]))
+    crossings = (_crossing(a, b) for a, b in zip(hull, hull[1:]))
     ends = [0.0, *(float(min(max(x, 0), host.gap_ev)) for x in crossings), host.gap_ev]
-    return lines, [(*line, lo, hi) for line, lo, hi in zip(hull, ends, ends[1:]) if lo < hi]
+    segments = [(*line, lo, hi) for line, lo, hi in zip(hull, ends, ends[1:]) if lo < hi]
+
+    levels = [_crossing(a, b) for a, b in zip(lines, lines[1:])]
+    triples = [
+        (high[0], mid[0], low[0], float(upper), float(lower))
+        for high, mid, low, upper, lower in zip(lines, lines[1:], lines[2:], levels, levels[1:])
+        if upper >= lower
+    ]
+    return segments, triples
 
 
 def envelope(segments, e_fermi_ev):
@@ -143,22 +149,6 @@ def envelope(segments, e_fermi_ev):
         sel = (x >= lo) & (x <= hi)
         out[sel] = intercept + charge * x[sel]
     return out
-
-
-def negative_u_triples(lines) -> List[Tuple[int, int, int, float, float]]:
-    """Adjacent charge triples whose levels are inverted: negative U.
-
-    lines, stability_diagram's (charge, intercept) pairs by falling charge.
-    Each triple is (q_high, q_mid, q_low, eps(high/mid), eps(mid/low)),
-    kept when the donor level of the middle charge lies at or above its
-    acceptor level; fewer than three lines give none.
-    """
-    triples = []
-    for high, mid, low in zip(lines, lines[1:], lines[2:]):
-        upper, lower = transition_level(high, mid), transition_level(mid, low)
-        if upper >= lower:
-            triples.append((high[0], mid[0], low[0], upper, lower))
-    return triples
 
 
 def dissociation_energy(

@@ -61,10 +61,11 @@ def enumerate_fc(hr: HRDecomposition, cap: int) -> FCLadder:
     in mode order) is at least PRUNE_WEIGHT and its total quanta at most
     cap.  Lines therefore come in lexicographic order of their uint8 quanta
     vectors, with energies summed in mode order.  A mode whose candidates
-    would exceed MAX_LINES raises InputError before they are built.  The
-    pruned and capped mass is reported as the tail, and a warning is
-    emitted when it exceeds 1e-6.  hr's mode energies are non-negative,
-    as io.parse_hr reads them and vibronic.partial_hr computes them.
+    would exceed MAX_LINES raises InputError before they are built, and so
+    does a ladder that keeps no line.  The pruned and capped mass is
+    reported as the tail, and a warning is emitted when it exceeds 1e-6.
+    hr's mode energies are non-negative, as io.parse_hr reads them and
+    vibronic.partial_hr computes them.
     """
     if cap < 0 or cap > MAX_CAP:
         raise InputError(f"cap {cap} (--max-quanta) must be in 0..{MAX_CAP}")
@@ -99,6 +100,11 @@ def enumerate_fc(hr: HRDecomposition, cap: int) -> FCLadder:
         energies = np.repeat(energies, counts) + q * omega
         quanta = np.column_stack([np.repeat(quanta, counts, axis=0), q])
 
+    if weights.size == 0:
+        raise InputError(
+            f"no line of at most {cap} quanta (--max-quanta) weighs {PRUNE_WEIGHT:g} "
+            f"or more at total S = {hr.total:.6g}: the ladder keeps no line"
+        )
     tail = max(1.0 - math.fsum(weights.tolist()), 0.0)
     if tail > 1e-6:
         warnings.warn(

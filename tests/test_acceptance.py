@@ -16,8 +16,8 @@ from lumiphon.cli import main
 from lumiphon.energetics import (
     dissociation_energy,
     envelope,
+    formation_energy,
     stability_diagram,
-    transition_level,
 )
 from lumiphon.fcoracle import broadened_oracle_spectrum, enumerate_fc, first_moment_mev
 from lumiphon.model import (
@@ -227,12 +227,16 @@ def test_lvm_classification_reference():
 
 def test_energetics_fixtures():
     """Transition arithmetic, envelope oracle, dissociation arithmetic."""
-    eps = transition_level((1, 1.5), (0, 2.0))
-    assert eps == 0.5
-
     host = HostReference(
         -100.0, 0.0, 3.17, {"C": ChemicalPotential(-9.0, 0.0)}
     )
+    # the lines (1, 1.5) and (0, 2.0) cross at 0.5
+    segments, _ = stability_diagram(
+        [DefectEntry("t", 1, -98.5), DefectEntry("t", 0, -98.0)], host
+    )
+    eps = segments[0][3]
+    assert eps == 0.5
+
     entries = [
         DefectEntry("d", 2, -99.9),
         DefectEntry("d", 1, -99.1),
@@ -240,9 +244,11 @@ def test_energetics_fixtures():
         DefectEntry("d", -1, -96.2),
         DefectEntry("d", -2, -93.9),
     ]
-    lines, segments = stability_diagram(entries, host)
+    segments, _ = stability_diagram(entries, host)
     grid = np.arange(0.0, host.gap_ev + 1e-12, 0.001)
-    brute = np.min([f + q * grid for q, f in lines], axis=0)
+    brute = np.min(
+        [formation_energy(e, host, 0.0) + e.charge * grid for e in entries], axis=0
+    )
     worst = float(np.max(np.abs(envelope(segments, grid) - brute)))
     assert worst < 1e-9
 

@@ -1078,6 +1078,22 @@ def test_oracle_too_many_modes_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "total, extra",
+    [(80.0, []), (50.0, ["--max-quanta", "4", "--sigma", "0"])],
+    ids=["default-cap", "cap-4-unbroadened"],
+)
+def test_oracle_ladder_without_a_line_exit_2(tmp_path, capsys, total, extra):
+    # every Poisson factor of at most the cap quanta is below the prune weight
+    hr_path = tmp_path / "hr.json"
+    hr_path.write_text(json.dumps({"schema": "hr/1", "total": total, "entries": [
+        {"omega_mev": 100.0, "qk": 1.0, "sk": total}]}))
+    out = tmp_path / "o.tsv"
+    assert main(["oracle", "--hr", str(hr_path), "--zpl", "2.6", *extra, "--out", str(out)]) == 2
+    assert "--max-quanta" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _write_defects(tmp_path):
     host = HostReference(
         -100.0, 0.0, 3.17, {"C": ChemicalPotential(-9.0, 0.0)}
@@ -1117,13 +1133,12 @@ def test_thermo_two_line_fixture(tmp_path, capsys):
     assert float(eps_c) == pytest.approx(3.17 - 0.5)
 
 
-def test_thermo_keeps_the_lowest_of_near_coincident_lines(tmp_path, capsys):
-    # crossings 3/1 and 3/-3 lie one ulp apart: the q = -3 line, not the
-    # 1 and 0 lines, is lowest from 1.2660068 eV to the gap
-    energies = {-3: -1765.8707, 3: -1778.9924, 0: -1772.4315, 1: -1774.6185, 2: -1776.8054}
+def _thermo_one_label(tmp_path, host_energy, vbm, energies):
+    """Run thermo on label X with total energies by charge and a 3 eV gap;
+    return the envelope and windows paths."""
     doc = {
         "schema": "defects/1",
-        "host": {"host_energy_ev": -1775.3655418580274, "vbm_ev": 0.9209432044283434,
+        "host": {"host_energy_ev": host_energy, "vbm_ev": vbm,
                  "gap_ev": 3.0, "chemical_potentials": {}},
         "entries": [
             {"label": "X", "charge": q, "total_energy_ev": e, "stoichiometry": {},
@@ -1137,12 +1152,29 @@ def test_thermo_keeps_the_lowest_of_near_coincident_lines(tmp_path, capsys):
     argv = ["thermo", "--defects", str(path), "--envelope", str(env),
             "--transitions", str(tmp_path / "t.tsv"), "--windows", str(win)]
     assert main(argv) == 0
+    return env, win
+
+
+def test_thermo_keeps_the_lowest_of_near_coincident_lines(tmp_path, capsys):
+    # crossings 3/1 and 3/-3 lie one ulp apart: the q = -3 line, not the
+    # 1 and 0 lines, is lowest from 1.2660068 eV to the gap
+    energies = {-3: -1765.8707, 3: -1778.9924, 0: -1772.4315, 1: -1774.6185, 2: -1776.8054}
+    env, win = _thermo_one_label(tmp_path, -1775.3655418580274, 0.9209432044283434, energies)
     rows = [ln.split("\t") for ln in win.read_text().splitlines() if not ln.startswith("#")]
     assert rows == [["X", "3", "0", "1.2660068"], ["X", "-3", "1.2660068", "3"]]
     label, fermi, formation = env.read_text().splitlines()[-1].split("\t")
     assert (label, fermi) == ("X", "3")
     # the q = -3 line at the gap, 5.2 eV below the q = 0 line
     assert float(formation) == pytest.approx(-1765.8707 + 1775.3655418580274 - 3 * 3.9209432044283434)
+
+
+def test_thermo_notes_no_negative_u_for_a_charge_with_a_window(tmp_path, capsys):
+    # float quotients put eps(2/0) = eps(0/-3) = 1.9807, but the exact
+    # crossings give the neutral line a window, so its levels are not inverted
+    _, win = _thermo_one_label(tmp_path, 0.0, 0.0, {2: -3.1132, 0: 0.8482, -3: 6.7903})
+    assert "negative_u" not in capsys.readouterr().out
+    rows = [ln.split("\t") for ln in win.read_text().splitlines() if not ln.startswith("#")]
+    assert [row[1] for row in rows] == ["2", "0", "-3"]
 
 
 def test_thermo_missing_potential_exit_2(tmp_path, capsys):

@@ -89,6 +89,19 @@ def test_guards():
         enumerate_fc(hr1, cap=-1)
 
 
+@pytest.mark.parametrize(
+    "omegas, sks, cap",
+    [([100.0], [80.0], 16), ([100.0], [50.0], 4), ([100.0, 150.0], [40.0, 40.0], 16)],
+    ids=["one-mode", "one-mode-cap-4", "lines-pruned-at-the-second-mode"],
+)
+def test_ladder_without_a_line_refused(omegas, sks, cap):
+    # every weight of at most cap quanta is below PRUNE_WEIGHT; in the last
+    # case the first mode alone still keeps lines
+    with pytest.raises(InputError, match="--max-quanta") as err:
+        enumerate_fc(_hr(omegas, sks), cap=cap)
+    assert "total S" in str(err.value)
+
+
 def test_zero_sk_modes_dropped_from_vectors():
     hr = HRDecomposition(
         np.array([10.0, 100.0]),
