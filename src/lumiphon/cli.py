@@ -199,7 +199,7 @@ def cmd_hr(args) -> int:
     if bool(args.pair) == bool(args.forces):
         raise InputError("give exactly one of --pair or --forces")
     structure = lio.parse_structure(lio.load_document(args.structure))
-    basis, _ = lio.parse_phonon_basis(lio.load_document(args.modes))
+    basis = lio.parse_phonon_basis(lio.load_document(args.modes))
     if args.pair:
         pair = lio.parse_geometry_pair(lio.load_document(args.pair), structure)
         qk = vibronic.qk_from_displacement(basis, pair, structure)
@@ -272,6 +272,7 @@ def cmd_oracle(args) -> int:
     from . import fcoracle
     from . import io as lio
     from . import vibronic
+    from .model import tsv_rounding
 
     hr = lio.parse_hr(lio.load_document(args.hr))
     window = vibronic.resolve_window(hr, args.zpl, args.gamma, args.sigma, args.window)
@@ -280,7 +281,7 @@ def cmd_oracle(args) -> int:
         # check the comparison spectrum before any output is written
         other_e, other_i = lio.read_spectrum_tsv(args.compare)
         # energies read back carry the table's 9-digit rounding
-        slack = lio.tsv_rounding(grid)
+        slack = tsv_rounding(grid)
         if other_e.shape != grid.shape or np.any(np.abs(other_e - grid) > slack):
             raise InputError(
                 f"{args.compare} is sampled on a different grid; "

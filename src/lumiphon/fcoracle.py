@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapTooSmallWarning, InputError
-from .model import HRDecomposition
+from .model import MAX_OUTPUT_POINTS, HRDecomposition
 
 MAX_MODES = 8
 MAX_CAP = 24
@@ -25,6 +25,8 @@ MAX_LINES = 2**22
 #: Line-point pairs one broadening may sum (lines times padded points),
 #: about 20 s of work.
 MAX_LINE_POINTS = 2**33
+#: Padded points one broadening may build: the largest output grid, twice.
+MAX_PADDED_POINTS = 2 * MAX_OUTPUT_POINTS
 
 #: Quanta vectors whose partial weight falls below this are pruned.
 PRUNE_WEIGHT = 1e-16
@@ -137,9 +139,9 @@ def broadened_oracle_spectrum(
     routes become comparable profile by profile.  The ladder's tail mass
     is never folded back in.  grid_ev is an output grid that
     vibronic.energy_grid built and checked, its step against gamma too, and
-    vibronic.resolve_window checked gamma.  The summed lines times the
-    padded points must not exceed MAX_LINE_POINTS (InputError, raised
-    before any scratch is allocated).
+    vibronic.resolve_window checked gamma.  The padded points must not
+    exceed MAX_PADDED_POINTS, nor the summed lines times them
+    MAX_LINE_POINTS (InputError, raised before any scratch is allocated).
 
     Lines are summed in row chunks of 4e6 // (padded points) lines, one
     column tile of 2^20 // chunk points at a time, in one scratch buffer
@@ -171,11 +173,11 @@ def broadened_oracle_spectrum(
     )
     npad = int(math.ceil(pad_ev / step_ev)) + 1
     npoints = grid.size + 2 * npad
-    if ladder.nlines * npoints > MAX_LINE_POINTS:
+    if npoints > MAX_PADDED_POINTS or ladder.nlines * npoints > MAX_LINE_POINTS:
         raise InputError(
             f"broadening {ladder.nlines} lines over {npoints} points exceeds the limit of "
-            f"{MAX_LINE_POINTS} line-points; lower --max-quanta, narrow --window "
-            "or raise --step"
+            f"{MAX_PADDED_POINTS} points or {MAX_LINE_POINTS} line-points; lower --max-quanta "
+            "or --gamma, narrow --window or raise --step"
         )
     padded = np.concatenate(
         [

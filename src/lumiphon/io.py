@@ -90,16 +90,14 @@ def load_document(path):
 
 # ------------------------------------------------------------- doc access
 
-def _expect_schema(doc, kind, older=()):
-    """Check the schema field; `older` lists earlier versions still read."""
+def _expect_schema(doc, kind):
     if not isinstance(doc, dict):
         raise ParseError(f"expected an object for a {kind} document", locus="/")
     got = doc.get("schema")
-    if got != SCHEMAS[kind] and got not in older:
+    if got != SCHEMAS[kind]:
         raise ParseError(
             f"expected schema {SCHEMAS[kind]!r}, got {got!r}", locus="/schema"
         )
-    return got
 
 
 def _field(doc, key, path=""):
@@ -397,24 +395,21 @@ def _check_orthonormal(vectors):
         raise InputError(f"mode vectors not orthonormal (max deviation {dev:.3e})")
 
 
-def parse_phonon_basis(doc) -> Tuple[PhononBasis, dict]:
-    """Read `phonon_basis/2`, or the older `phonon_basis/1` with inline
-    vectors: finite omegas and vectors, the vectors' rows orthonormal."""
-    schema = _expect_schema(doc, "phonon_basis", older=("phonon_basis/1",))
+def parse_phonon_basis(doc) -> PhononBasis:
+    """Read `phonon_basis/2`: finite omegas and vectors, the vectors' rows
+    orthonormal, and a provenance that is an object when given."""
+    _expect_schema(doc, "phonon_basis")
     omegas = _field(doc, "omegas_mev")
     if not isinstance(omegas, list) or not omegas:
         raise ParseError("omegas_mev must be a non-empty list", locus="/omegas_mev")
     nm = len(omegas)
     w = np.array([_number(x, f"/omegas_mev/{i}") for i, x in enumerate(omegas)])
-    read = _matrix if schema == "phonon_basis/1" else _binary_matrix
-    vectors = read(_field(doc, "vectors"), nm, nm, "/vectors")
-    provenance = doc.get("provenance", {})
-    if not isinstance(provenance, dict):
+    vectors = _binary_matrix(_field(doc, "vectors"), nm, nm, "/vectors")
+    if not isinstance(doc.get("provenance", {}), dict):
         raise ParseError("provenance must be an object", locus="/provenance")
-    if read is _binary_matrix:  # _matrix has refused a non-finite entry
-        _require_finite(vectors, "vectors")
+    _require_finite(vectors, "vectors")
     _check_orthonormal(vectors)
-    return PhononBasis(w, vectors), provenance
+    return PhononBasis(w, vectors)
 
 
 def write_phonon_basis(
@@ -751,13 +746,6 @@ def write_stem_tsv(path, hr: HRDecomposition, header_lines=(), overwrite=False):
     """Partial-HR stem data: mode energy, S_k, running cumulative sum."""
     columns = (hr.omegas_mev, hr.sk, np.cumsum(hr.sk))
     write_table_tsv(path, header_lines, ("omega_mev", "sk", "cumulative"), columns, overwrite)
-
-
-def tsv_rounding(values):
-    """Largest change the tables' %.9g makes to each value: half a unit in
-    its ninth significant digit."""
-    with np.errstate(divide="ignore"):
-        return 0.5 * 10.0 ** (np.floor(np.log10(np.abs(values))) - 8)
 
 
 def read_spectrum_tsv(path):

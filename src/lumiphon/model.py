@@ -79,6 +79,13 @@ def output_grid(lo_mev, hi_mev, step_mev, step_flag, range_flag):
     return lo_mev + step_mev * np.arange(int(math.floor(cells)) + 1)
 
 
+def tsv_rounding(values):
+    """Largest change the tables' %.9g makes to each value: half a unit in
+    its ninth significant digit."""
+    with np.errstate(divide="ignore"):
+        return 0.5 * 10.0 ** (np.floor(np.log10(np.abs(values))) - 8)
+
+
 @dataclass(frozen=True, eq=False)
 class CrystalStructure:
     """Supercell: lattice rows are cell vectors in A, positions Cartesian A;

@@ -41,6 +41,7 @@ from .model import (
     _require_finite,
     output_grid,
     sum_sk,
+    tsv_rounding,
 )
 from .units import ZERO_MODE_MEV
 
@@ -242,7 +243,8 @@ def make_time_grid(
       support (_nyquist_need_mev, from that top and hr's total S), the
       reach (largest |E - E_zpl| of the output window, at least 10 gamma),
       the Lorentzian tails that would fold back into that window, and 4
-      times the top.
+      times the top.  A step of 0, from a Nyquist energy past the float
+      range, is refused (InputError).
     - N: the smallest power of two with D = 2 pi hbar / (N dt) <= sigma/5.
       An FFT over more than MAX_TIME_POINTS is refused (InputError).
     - Span: min(25 hbar/gamma, _SIDEBAND_SPAN hbar/sigma), past which
@@ -263,6 +265,11 @@ def make_time_grid(
     need = max(need, math.sqrt(2.0 * reach * gamma_mev / (math.pi * 2e-6)))
     need = max(need, 4.0 * top)
     dt = math.pi * units.HBAR_MEV_FS / need
+    if not dt > 0:
+        raise InputError(
+            f"a reach of {reach:.4g} meV (--window from --zpl, or 10 --gamma) "
+            "has no finite time step"
+        )
     # N >= fft_cells keeps the spectral step D = 2 pi hbar / (N dt) <= sigma/5
     fft_cells = 2.0 * math.pi * units.HBAR_MEV_FS / (dt * sigma_mev / 5.0)
     if not fft_cells <= MAX_TIME_POINTS:
@@ -415,8 +422,9 @@ def energy_grid(window_ev, step_mev, gamma_mev):
     The one check of the output grid, InputError naming the flag: a step
     above 0, a non-empty window and at most MAX_OUTPUT_POINTS points
     (output_grid), a step of at most gamma within 1e-9, and at least two
-    points.  Sampled at a step above its half-width gamma, the zero-phonon
-    line's area depends on where the samples fall.
+    points, which print apart at %.9g.  Sampled at a step above its
+    half-width gamma, the zero-phonon line's area depends on where the
+    samples fall.
     """
     if step_mev > gamma_mev * (1.0 + 1e-9):
         raise InputError(
@@ -430,7 +438,14 @@ def energy_grid(window_ev, step_mev, gamma_mev):
             f"range {lo_mev:g} to {hi_mev:g} meV (--window) at step {step_mev:g} meV "
             "(--step) holds one output point; at least 2 are needed"
         )
-    return energy_mev, energy_mev / 1000.0
+    energy_ev = energy_mev / 1000.0
+    lo, hi = energy_ev[[0, -2]], energy_ev[[1, -1]]  # neighbours where %.9g is coarsest
+    if np.any(hi - lo <= tsv_rounding(lo) + tsv_rounding(hi)):
+        raise InputError(
+            f"range {lo_mev:g} to {hi_mev:g} meV (--window) at step {step_mev:g} meV "
+            "(--step) prints neighbouring energies alike at 9 significant digits"
+        )
+    return energy_mev, energy_ev
 
 
 def _reach_mev(zpl_ev, window_ev):

@@ -396,7 +396,7 @@ def test_roundtrip_all_schemas(tmp_path, diatomic, displaced_pair):
 
     basis = diagonalize(dynamical_matrix(hessian, diatomic[0]))
     lio.write_phonon_basis(basis, tmp_path / "b.json", {"hessian_sha256": "x"})
-    bback, _ = lio.parse_phonon_basis(lio.load_document(tmp_path / "b.json"))
+    bback = lio.parse_phonon_basis(lio.load_document(tmp_path / "b.json"))
     assert np.array_equal(bback.omegas_mev, basis.omegas_mev)
     assert np.array_equal(bback.vectors, basis.vectors)
     checked.append("phonon_basis")

@@ -9,6 +9,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -28,6 +29,7 @@ from lumiphon.model import (
     HostReference,
     PhononBasis,
     structure_checksum,
+    tsv_rounding,
 )
 from lumiphon.vibronic import partial_hr
 
@@ -76,7 +78,8 @@ def test_modes_diatomic_asr(tmp_path, capsys):
         ]
     )
     assert code == 0
-    basis, provenance = lio.parse_phonon_basis(lio.load_document(out))
+    doc = lio.load_document(out)
+    basis, provenance = lio.parse_phonon_basis(doc), doc["provenance"]
     assert basis.nmodes == 6
     assert np.sum(np.abs(basis.omegas_mev) < 0.01) == 3
     assert provenance["asr_applied"] is True
@@ -131,8 +134,9 @@ def test_modes_lvm_table_fixture(tmp_path):
         ]
     )
     assert code == 0
-    _, provenance = lio.parse_phonon_basis(lio.load_document(out))
-    assert len(provenance["lvm_indices"]) == 5
+    doc = lio.load_document(out)
+    lio.parse_phonon_basis(doc)
+    assert len(doc["provenance"]["lvm_indices"]) == 5
 
 
 def test_modes_missing_file_exit_2(tmp_path, capsys):
@@ -429,13 +433,11 @@ def test_hr_basis_with_a_repeated_mode_exit_2(tmp_path, capsys):
     assert "not orthonormal" in capsys.readouterr().err
 
 
-def test_hr_non_orthonormal_v1_basis_exit_2(tmp_path, capsys):
-    # the older schema's inline vectors are held to the same Gram check
+def test_hr_refuses_v1_basis_exit_2(tmp_path, capsys):
+    # phonon_basis/2 is the one basis format read; the nested-list /1 is refused
     structure, spath, modes = _prepare_modes(tmp_path)
     doc = lio.load_document(modes)
-    basis, _ = lio.parse_phonon_basis(doc)
-    vectors = basis.vectors.copy()
-    vectors[2] = vectors[1]
+    vectors = lio.parse_phonon_basis(doc).vectors
     doc.update(schema="phonon_basis/1", vectors=vectors.tolist())
     modes.write_text(json.dumps(doc))
     pair = tmp_path / "pair.json"
@@ -447,7 +449,10 @@ def test_hr_non_orthonormal_v1_basis_exit_2(tmp_path, capsys):
     )
     assert code == 2
     assert not out.exists()
-    assert "not orthonormal" in capsys.readouterr().err
+    assert (
+        "expected schema 'phonon_basis/2', got 'phonon_basis/1' [at /schema]"
+        in capsys.readouterr().err
+    )
 
 
 def test_hr_basis_from_another_structure_exit_2(tmp_path, capsys):
@@ -597,6 +602,45 @@ def test_spectrum_step_above_gamma_exit_2(tmp_path, capsys):
     assert "--step" in err and "--gamma" in err
     assert not (tmp_path / "s.tsv").exists()
     assert main(argv + ["--step", "0.01"]) == 0
+
+
+def _write_one_line_hr(tmp_path, total, omega_mev):
+    path = tmp_path / "hr.json"
+    path.write_text(json.dumps({"schema": "hr/1", "total": total, "entries": [
+        {"omega_mev": omega_mev, "qk": 0.0, "sk": total}]}))
+    return path
+
+
+@pytest.mark.parametrize(
+    "flags", [["--zpl", "1e300"], ["--zpl", "2.6", "--gamma", "1e160", "--step", "1"]],
+    ids=["zpl", "gamma"],
+)
+def test_spectrum_window_past_any_time_step_exit_2(tmp_path, capsys, flags):
+    # a reach of 1e303 or 1e161 meV: the folded-tail Nyquist energy
+    # overflowed and its time step of 0 divided by zero
+    hr_path = _write_one_line_hr(tmp_path, 0.8, 140.0)
+    out = tmp_path / "a.tsv"
+    assert main(["spectrum", "--hr", str(hr_path), *flags, "--window", "2.55:2.65",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--zpl" in err and "--window" in err and "--gamma" in err
+    assert not out.exists()
+
+
+def test_spectrum_step_below_the_printed_resolution_exit_2(tmp_path, capsys):
+    # at 1e6 eV, %.9g keeps 10 meV: a 0.1 meV step printed 15,474 rows with
+    # 1,492 distinct energies
+    hr_path = _write_one_line_hr(tmp_path, 0.8, 140.0)
+    out = tmp_path / "s.tsv"
+    argv = ["spectrum", "--hr", str(hr_path), "--zpl", "1e6", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "--step" in err and "--window" in err
+    assert not out.exists()
+    assert main([*argv, "--gamma", "100", "--step", "100"]) == 0
+    energy, intensity = lio.read_spectrum_tsv(out)
+    assert np.all(np.diff(energy) > 0)
+    assert abs(np.trapezoid(intensity, energy) - 1.0) < 0.01
 
 
 _REQUIRED_FLAGS = {
@@ -944,7 +988,7 @@ def test_spectrum_and_oracle_resolve_window_and_grid_once(tmp_path, monkeypatch)
     energy, _ = lio.read_spectrum_tsv(oracle)
     _, grid = build(window, 0.1, 1.0)
     assert energy.shape == grid.shape
-    assert np.all(np.abs(energy - grid) <= lio.tsv_rounding(grid))
+    assert np.all(np.abs(energy - grid) <= tsv_rounding(grid))
 
 
 # a window 0.05 meV wide holds one point at the default 0.1 meV step
@@ -1057,6 +1101,26 @@ def test_oracle_broadening_above_work_limit_exit_2(tmp_path, capsys):
     for name in ("--max-quanta", "--window", "--step", str(MAX_LINE_POINTS)):
         assert name in err
     assert not (tmp_path / "o.tsv").exists()
+
+
+@pytest.mark.filterwarnings("ignore::lumiphon.errors.CapTooSmallWarning")
+def test_oracle_padded_grid_above_the_limit_exit_2(tmp_path, capsys):
+    # one line passes MAX_LINE_POINTS, but 10 gamma of padding at the step
+    # is 2e8 points, which the padded grid allocated before
+    hr_path = _write_one_line_hr(tmp_path, 30.0, 5.0)
+    out = tmp_path / "o.tsv"
+    tracemalloc.start()
+    try:
+        code = main(["oracle", "--hr", str(hr_path), "--zpl", "2.6", "--max-quanta", "0",
+                     "--gamma", "1e6", "--window", "1e-6:0.100001", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--gamma" in err and "--step" in err
+    assert not out.exists()
+    assert peak < 16e6
 
 
 def test_oracle_too_many_modes_exit_2(tmp_path, capsys):
@@ -1653,7 +1717,9 @@ def test_modes_manifest_hashes_each_input_once(tmp_path, monkeypatch):
                  "--out", str(modes), "--manifest", str(man)]) == 0
     assert hashed == [str(spath), str(hpath)]
     # the basis's provenance and the manifest hold the one Hessian checksum
-    _, provenance = lio.parse_phonon_basis(lio.load_document(modes))
+    doc = lio.load_document(modes)
+    lio.parse_phonon_basis(doc)
+    provenance = doc["provenance"]
     assert lio.load_document(man)["inputs"] == [
         {"path": str(spath), "sha256": sha256_file(spath)},
         {"path": str(hpath), "sha256": provenance["hessian_sha256"]},

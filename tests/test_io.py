@@ -207,14 +207,6 @@ def _per_element_error(rows, locus):
     return None
 
 
-def _six_mode_basis_v1():
-    return {
-        "schema": "phonon_basis/1",
-        "omegas_mev": [0.0, 0.0, 0.0, 10.0, 20.0, 30.0],
-        "vectors": np.eye(6).tolist(),
-    }
-
-
 @pytest.mark.parametrize("literal,error", BAD_ENTRIES)
 def test_hessian_matrix_bad_entry_locus(literal, error):
     structure = lio.parse_structure(STRUCTURE_DOC)
@@ -224,15 +216,6 @@ def test_hessian_matrix_bad_entry_locus(literal, error):
         lio.parse_hessian(doc, structure)
     assert err.value.locus == "/matrix/2/3"
     assert _per_element_error(doc["matrix"], "/matrix") == (error, "/matrix/2/3")
-
-
-@pytest.mark.parametrize("literal,error", BAD_ENTRIES)
-def test_basis_v1_vectors_bad_entry_locus(literal, error):
-    doc = _doc_with_bad_entry(_six_mode_basis_v1(), "vectors", literal)
-    with pytest.raises(error) as err:
-        lio.parse_phonon_basis(doc)
-    assert err.value.locus == "/vectors/2/3"
-    assert _per_element_error(doc["vectors"], "/vectors") == (error, "/vectors/2/3")
 
 
 def test_matrix_mixed_ints_and_floats_parse_exactly():
@@ -496,10 +479,11 @@ def test_basis_roundtrip_bit_exact(tmp_path, diatomic):
     basis = diagonalize(dynamical_matrix(hessian, structure))
     path = tmp_path / "b.json"
     lio.write_phonon_basis(basis, path, {"hessian_sha256": "abc"})
-    back, provenance = lio.parse_phonon_basis(lio.load_document(path))
+    doc = lio.load_document(path)
+    back = lio.parse_phonon_basis(doc)
     assert np.array_equal(back.omegas_mev, basis.omegas_mev)
     assert np.array_equal(back.vectors, basis.vectors)
-    assert provenance["hessian_sha256"] == "abc"
+    assert doc["provenance"]["hessian_sha256"] == "abc"
 
 
 def _adversarial_basis():
@@ -549,23 +533,10 @@ def test_basis_v2_roundtrip_bit_exact(tmp_path):
     assert doc["vectors"]["dtype"] == "<f8" and doc["vectors"]["shape"] == [6, 6]
     assert isinstance(doc["omegas_mev"], list)
     assert "cutoff_bulk_mev" not in doc
-    back, provenance = lio.parse_phonon_basis(doc)
+    back = lio.parse_phonon_basis(doc)
     assert _bits(back.omegas_mev) == _bits(basis.omegas_mev)
     assert _bits(back.vectors) == _bits(basis.vectors)
-    assert provenance == {"note": "x"}
-
-
-def test_basis_v1_still_read_bit_exact():
-    basis = _adversarial_basis()
-    doc = {
-        "schema": "phonon_basis/1",
-        "cutoff_bulk_mev": 117.25,  # older documents carry it; it is ignored
-        "omegas_mev": basis.omegas_mev.tolist(),
-        "vectors": basis.vectors.tolist(),
-    }
-    back, _ = lio.parse_phonon_basis(lio.loads_strict(json.dumps(doc)))
-    assert _bits(back.omegas_mev) == _bits(basis.omegas_mev)
-    assert _bits(back.vectors) == _bits(basis.vectors)
+    assert doc["provenance"] == {"note": "x"}
 
 
 def _v2_doc():
@@ -614,20 +585,15 @@ def test_basis_v2_rejects_nan_payload():
 def _basis_doc(schema, vectors):
     """A basis document of `schema` holding `vectors` and zero omegas."""
     n = vectors.shape[0]
-    if schema == "phonon_basis/1":
-        payload = vectors.tolist()
-    else:
-        payload = {
-            "dtype": "<f8",
-            "shape": [n, n],
-            "base64": base64.b64encode(_bits(vectors)).decode("ascii"),
-        }
+    payload = {
+        "dtype": "<f8",
+        "shape": [n, n],
+        "base64": base64.b64encode(_bits(vectors)).decode("ascii"),
+    }
     return {"schema": schema, "omegas_mev": [0.0] * n, "vectors": payload}
 
 
-_BASIS_SCHEMAS = pytest.mark.parametrize(
-    "schema", ["phonon_basis/1", "phonon_basis/2"], ids=["v1", "v2"]
-)
+_BASIS_SCHEMAS = pytest.mark.parametrize("schema", ["phonon_basis/2"], ids=["v2"])
 
 
 @_BASIS_SCHEMAS
@@ -659,29 +625,27 @@ def test_large_basis_orthonormality(schema):
         lio.parse_phonon_basis(_basis_doc(schema, vecs))
 
 
-def test_compare_mode_tables_reads_v1_and_v2(tmp_path):
+def test_compare_mode_tables_reads_two_bases(tmp_path):
     root = pathlib.Path(__file__).resolve().parent.parent
     basis = _adversarial_basis()
-    v1, v2 = tmp_path / "v1.json", tmp_path / "v2.json"
-    v1.write_text(
-        json.dumps(
-            {
-                "schema": "phonon_basis/1",
-                "omegas_mev": basis.omegas_mev.tolist(),
-                "vectors": basis.vectors.tolist(),
-            }
-        )
-    )
-    lio.write_phonon_basis(basis, v2)
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    lio.write_phonon_basis(basis, a)
+    lio.write_phonon_basis(PhononBasis(basis.omegas_mev + 0.5, basis.vectors), b)
     done = subprocess.run(
         [sys.executable, str(root / "scripts" / "compare_mode_tables.py"),
-         str(v1), str(v2), "--cutoff", "100"],
+         str(a), str(b), "--cutoff", "100"],
         capture_output=True,
         text=True,
     )
     assert done.returncode == 0, done.stderr
     rows = [ln for ln in done.stdout.splitlines() if not ln.startswith("#")]
-    assert rows == ["125.664\t125.664\t0.000"]
+    assert rows == ["125.664\t126.164\t0.500"]
+
+
+def test_formats_doc_has_one_section_per_schema_read():
+    root = pathlib.Path(__file__).resolve().parent.parent
+    text = (root / "docs" / "formats.md").read_text(encoding="utf-8")
+    assert set(re.findall(r"^## (\w+/\d+)$", text, re.M)) == set(lio.SCHEMAS.values())
 
 
 def test_hr_roundtrip_bit_exact(tmp_path):
@@ -1071,11 +1035,12 @@ def test_atomic_write_leaves_nothing_when_a_chunk_fails(tmp_path, failure, raise
     assert list(tmp_path.iterdir()) == []
 
 
-def test_spectrum_tsv_memory_does_not_grow_with_rows(tmp_path):
-    # the writer formats fixed blocks of rows: eight times the rows may not
-    # double its traced peak
+def test_spectrum_tsv_memory_does_not_grow_with_rows(tmp_path, monkeypatch):
+    # the writer formats fixed blocks of rows: eight times the rows, each
+    # many blocks, may not double its traced peak
+    monkeypatch.setattr(lio, "TSV_BLOCK_ROWS", 1 << 10)
     peaks = []
-    for n in (1 << 17, 1 << 20):
+    for n in (1 << 14, 1 << 17):
         e = np.linspace(1.0, 3.0, n)
         y = e / 3.0
         tracemalloc.start()
