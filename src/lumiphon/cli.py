@@ -156,7 +156,7 @@ def cmd_modes(args) -> int:
     from .model import classify_lvm
 
     structure = lio.parse_structure(lio.load_document(args.structure))
-    # the Hessian record lives only until D is formed
+    # the Hessian lives only until D is formed
     d = phonons.dynamical_matrix(lio.load_hessian(args.hessian, structure), structure)
     inputs = lio.input_checksums([args.structure, args.hessian])
     provenance = {
@@ -201,11 +201,11 @@ def cmd_hr(args) -> int:
     structure = lio.parse_structure(lio.load_document(args.structure))
     basis = lio.parse_phonon_basis(lio.load_document(args.modes))
     if args.pair:
-        pair = lio.parse_geometry_pair(lio.load_document(args.pair), structure)
-        qk = vibronic.qk_from_displacement(basis, pair, structure)
+        delta = lio.parse_geometry_pair(lio.load_document(args.pair), structure)
+        qk = vibronic.qk_from_displacement(basis, delta, structure)
     else:
-        delta = lio.parse_force_delta(lio.load_document(args.forces), structure)
-        qk = vibronic.qk_from_forces(basis, delta, structure)
+        forces = lio.parse_force_delta(lio.load_document(args.forces), structure)
+        qk = vibronic.qk_from_forces(basis, forces, structure)
     hr = vibronic.partial_hr(qk, basis.omegas_mev)
     lio.write_hr(hr, args.out, overwrite=True)
     if args.stem:
@@ -227,9 +227,11 @@ def cmd_hr(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    import numpy as np
+
     from . import io as lio
     from . import vibronic
-    from .model import classify_lvm
+    from .model import classify_lvm, tsv_printed
 
     hr = lio.parse_hr(lio.load_document(args.hr))
     window = vibronic.resolve_window(hr, args.zpl, args.gamma, args.sigma, args.window)
@@ -246,7 +248,14 @@ def cmd_spectrum(args) -> int:
         f"omega_cubed = {str(not args.no_omega_cubed).lower()}",
         f"total_s = {hr.total:.9g}",
     )
-    lio.write_spectrum_tsv(args.out, ls.energy_ev, ls.intensity, header, overwrite=True)
+    # where the table's 9 digits move its integral by more than 5e-7 (energies
+    # past 10 eV, whose printed step changes at a power of ten, or a step of
+    # many digits), its intensities are divided by the integral as printed
+    intensity = ls.intensity
+    printed = float(np.trapezoid(tsv_printed(intensity), tsv_printed(ls.energy_ev)))
+    if abs(printed - 1.0) > 5e-7:
+        intensity = intensity / printed
+    lio.write_spectrum_tsv(args.out, ls.energy_ev, intensity, header, overwrite=True)
     if args.peaks:
         lio.write_table_tsv(
             args.peaks,
@@ -326,7 +335,8 @@ def cmd_oracle(args) -> int:
         l1 = float(np.trapezoid(np.abs(a - b), grid))
         print(f"l1_distance = {l1:.9g}")
     if args.manifest:
-        _write_manifest(args, lio.input_checksums([args.hr]))
+        inputs = [args.hr, args.compare] if args.compare else [args.hr]
+        _write_manifest(args, lio.input_checksums(inputs))
     return 0
 
 

@@ -81,9 +81,12 @@ def enumerate_fc(hr: HRDecomposition, cap: int) -> FCLadder:
     quanta = np.zeros((1, 0), dtype=np.uint8)
     weights, energies = np.ones(1), np.zeros(1)
     for k, (s, omega) in enumerate(zip(sks, omegas)):
-        pois = np.array(
-            [math.exp(-s) * s**q / math.factorial(q) for q in range(cap + 1)]
-        )
+        # S^q overflows only past S = 1e12, where e^-S is 0 already: the
+        # NaN factor of 0 * inf is pruned below, like any other below 1e-16
+        with np.errstate(over="ignore", invalid="ignore"):
+            pois = np.array(
+                [math.exp(-s) * s**q / math.factorial(q) for q in range(cap + 1)]
+            )
         # weights never exceed 1, so a factor below PRUNE_WEIGHT prunes every line
         qs = np.flatnonzero(pois >= PRUNE_WEIGHT).astype(np.uint8)
         if weights.size * qs.size > MAX_LINES:
@@ -99,7 +102,10 @@ def enumerate_fc(hr: HRDecomposition, cap: int) -> FCLadder:
         del cand
         counts = keep.sum(axis=1)
         q = np.broadcast_to(qs, keep.shape)[keep]
-        energies = np.repeat(energies, counts) + q * omega
+        # a line past the float range lies at -inf eV, outside every window,
+        # where broadened_oracle_spectrum refuses it
+        with np.errstate(over="ignore"):
+            energies = np.repeat(energies, counts) + q * omega
         quanta = np.column_stack([np.repeat(quanta, counts, axis=0), q])
 
     if weights.size == 0:
@@ -179,6 +185,12 @@ def broadened_oracle_spectrum(
             f"{MAX_PADDED_POINTS} points or {MAX_LINE_POINTS} line-points; lower --max-quanta "
             "or --gamma, narrow --window or raise --step"
         )
+    span_ev = (npoints - 1) * step_ev  # the largest line-to-point distance
+    if not 2.0 * span_ev * span_ev < math.inf:
+        raise InputError(
+            f"the padded grid spans {span_ev:.4g} eV, whose square passes the float "
+            "range; lower --gamma or narrow --window"
+        )
     padded = np.concatenate(
         [
             grid[0] - step_ev * np.arange(npad, 0, -1),
@@ -199,21 +211,26 @@ def broadened_oracle_spectrum(
         heights = ladder.weights[sel, None] * (gamma_ev / math.pi)
         ens = lines_ev[sel, None]
         sub = np.zeros(padded.size)
-        for i in range(0, ens.shape[0], chunk):
-            e, h = ens[i : i + chunk], heights[i : i + chunk]
-            for j in range(0, padded.size, cols):
-                x = padded[j : j + cols]
-                b, a = buf[: e.shape[0], : x.size], acc[: x.size]
-                np.subtract(x, e, out=b)
-                np.square(b, out=b)
-                np.add(b, gamma_ev**2, out=b)
-                np.divide(h, b, out=b)
-                np.add.reduce(b, axis=0, out=a)
-                sub[j : j + cols] += a
-        if sigma_mev > 0 and q > 0:
+        # a distance whose square passes the float range makes a term of 0;
+        # the span check leaves that to lines off the grid, at most 1e-9 of
+        # the weight
+        with np.errstate(over="ignore"):
+            for i in range(0, ens.shape[0], chunk):
+                e, h = ens[i : i + chunk], heights[i : i + chunk]
+                for j in range(0, padded.size, cols):
+                    x = padded[j : j + cols]
+                    b, a = buf[: e.shape[0], : x.size], acc[: x.size]
+                    np.subtract(x, e, out=b)
+                    np.square(b, out=b)
+                    np.add(b, gamma_ev**2, out=b)
+                    np.divide(h, b, out=b)
+                    np.add.reduce(b, axis=0, out=a)
+                    sub[j : j + cols] += a
+        if sigma_ev > 0 and q > 0:  # a --sigma below 3e-321 meV is 0 eV: no smearing
             sg = sigma_ev * math.sqrt(float(q))
             nk = int(math.ceil(8.0 * sg / step_ev))
-            kernel = np.exp(-0.5 * ((np.arange(-nk, nk + 1) * step_ev) / sg) ** 2)
+            with np.errstate(over="ignore"):  # a tap past the float range is 0
+                kernel = np.exp(-0.5 * ((np.arange(-nk, nk + 1) * step_ev) / sg) ** 2)
             kernel /= kernel.sum()
             # linear convolution by a zero-padded real FFT; the kernel is
             # centred, so the same-size result starts nk samples in

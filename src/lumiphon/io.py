@@ -17,6 +17,7 @@ import json
 import math
 import os
 import tempfile
+from io import StringIO
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -77,15 +78,28 @@ def loads_strict(text: str, source: str = "<string>"):
         ) from None
     except ValueError as exc:  # an integer literal past Python's digit limit
         raise ParseError(f"{source}: {exc}") from None
+    except RecursionError:
+        raise ParseError(f"{source}: arrays or objects nested too deeply") from None
+
+
+def _read_utf8(path) -> str:
+    """The text of the file at path, decoded as strict UTF-8 (no encoding
+    is detected); ParseError at the offset of the first invalid byte."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror}") from None
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"{path}: not UTF-8 text ({exc.reason})", locus=f"byte {exc.start}"
+        ) from None
 
 
 def load_document(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc.strerror}") from None
-    return loads_strict(text, source=str(path))
+    return loads_strict(_read_utf8(path), source=str(path))
 
 
 # ------------------------------------------------------------- doc access
@@ -192,7 +206,9 @@ def _binary_matrix(value, rows, cols, locus):
 def parse_structure(doc) -> CrystalStructure:
     _expect_schema(doc, "structure")
     lattice = _matrix(_field(doc, "lattice"), 3, 3, "/lattice")
-    if np.linalg.det(lattice) <= 0:
+    with np.errstate(over="ignore", invalid="ignore"):  # a vast cell counts by its sign
+        det = np.linalg.det(lattice)
+    if det <= 0:
         raise ParseError(
             "lattice determinant must be positive (right-handed cell)", locus="/lattice"
         )
@@ -254,9 +270,9 @@ def write_structure(structure: CrystalStructure, path, overwrite=False):
 MAX_HESSIAN_DIM = 6144
 
 
-def load_hessian(path, structure: CrystalStructure) -> Hessian:
-    """The hessian/1 document at path, for structure.  3N above
-    MAX_HESSIAN_DIM is refused before the file is opened."""
+def load_hessian(path, structure: CrystalStructure) -> np.ndarray:
+    """The 3N x 3N matrix of the hessian/1 document at path, for structure.
+    3N above MAX_HESSIAN_DIM is refused before the file is opened."""
     n3 = 3 * structure.natoms
     if n3 > MAX_HESSIAN_DIM:
         raise InputError(
@@ -266,8 +282,10 @@ def load_hessian(path, structure: CrystalStructure) -> Hessian:
     return parse_hessian(load_document(path), structure)
 
 
-def parse_hessian(doc, structure: CrystalStructure) -> Hessian:
-    """A parsed hessian/1 document; load_hessian applies the size limit."""
+def parse_hessian(doc, structure: CrystalStructure) -> np.ndarray:
+    """The finite 3N x 3N matrix of a parsed hessian/1 document, eV/A^2,
+    atom-major xyz-minor; a structure_hash other than the structure's is
+    refused.  load_hessian applies the size limit."""
     _expect_schema(doc, "hessian")
     n3 = 3 * structure.natoms
     if "matrix" in doc and "triplets" in doc:
@@ -304,13 +322,9 @@ def parse_hessian(doc, structure: CrystalStructure) -> Hessian:
             matrix[i, j] = _number(row[2], f"{locus}/2")
     else:
         raise ParseError("hessian needs a matrix or triplets field", locus="/")
-    expect = structure_checksum(structure)
-    if "structure_hash" in doc and doc["structure_hash"]:
-        if doc["structure_hash"] != expect:
-            raise InputError(
-                "hessian document was bound to a different structure"
-            )
-    return Hessian(matrix, expect)
+    if doc.get("structure_hash") and doc["structure_hash"] != structure_checksum(structure):
+        raise InputError("hessian document was bound to a different structure")
+    return matrix
 
 
 def write_hessian(hessian: Hessian, path, overwrite=False):
@@ -324,7 +338,8 @@ def write_hessian(hessian: Hessian, path, overwrite=False):
 
 # --------------------------------------------------- geometries and forces
 
-def parse_geometry_pair(doc, structure: CrystalStructure) -> GeometryPair:
+def parse_geometry_pair(doc, structure: CrystalStructure) -> np.ndarray:
+    """excited - ground of a parsed geometry_pair/1 document, (N, 3) in A."""
     _expect_schema(doc, "geometry_pair")
     n = structure.natoms
     for key in ("ground", "excited"):
@@ -345,7 +360,10 @@ def parse_geometry_pair(doc, structure: CrystalStructure) -> GeometryPair:
                 raise InputError(
                     f"species[{i}]: document has {a!r}, structure has {b!r}"
                 )
-    return GeometryPair(ground, excited, structure.species)
+    with np.errstate(over="ignore"):
+        delta = excited - ground
+    _require_finite(delta, "excited - ground")
+    return delta
 
 
 def write_geometry_pair(pair: GeometryPair, path, overwrite=False):
@@ -359,7 +377,8 @@ def write_geometry_pair(pair: GeometryPair, path, overwrite=False):
     _write_json(doc, path, overwrite)
 
 
-def parse_force_delta(doc, structure: CrystalStructure) -> ForceDelta:
+def parse_force_delta(doc, structure: CrystalStructure) -> np.ndarray:
+    """F_excited - F_ground of a parsed force_delta/1 document, flat 3N in eV/A."""
     _expect_schema(doc, "force_delta")
     n = structure.natoms
     values = _field(doc, "values")
@@ -368,7 +387,7 @@ def parse_force_delta(doc, structure: CrystalStructure) -> ForceDelta:
             f"values has {len(values) if isinstance(values, list) else '?'} rows, "
             f"structure has {n} atoms"
         )
-    return ForceDelta(_matrix(values, n, 3, "/values").reshape(-1))
+    return _matrix(values, n, 3, "/values").reshape(-1)
 
 
 def write_force_delta(delta: ForceDelta, path, overwrite=False):
@@ -751,31 +770,24 @@ def write_stem_tsv(path, hr: HRDecomposition, header_lines=(), overwrite=False):
 def read_spectrum_tsv(path):
     """Read back a two-column spectrum written by write_spectrum_tsv."""
     energies, intensities = [], []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for ln, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise ParseError(
-                        f"{path}: expected 2 columns", locus=f"line {ln}"
-                    )
-                try:
-                    energy, intensity = float(parts[0]), float(parts[1])
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: not a number", locus=f"line {ln}"
-                    ) from None
-                if not (math.isfinite(energy) and math.isfinite(intensity)):
-                    raise NonFiniteValue(
-                        f"{path}: non-finite number at line {ln}", locus=f"line {ln}"
-                    )
-                energies.append(energy)
-                intensities.append(intensity)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc.strerror}") from None
+    # newline=None splits lines at LF, CR and CRLF, as text-mode files do
+    for ln, line in enumerate(StringIO(_read_utf8(path), newline=None), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ParseError(f"{path}: expected 2 columns", locus=f"line {ln}")
+        try:
+            energy, intensity = float(parts[0]), float(parts[1])
+        except ValueError:
+            raise ParseError(f"{path}: not a number", locus=f"line {ln}") from None
+        if not (math.isfinite(energy) and math.isfinite(intensity)):
+            raise NonFiniteValue(
+                f"{path}: non-finite number at line {ln}", locus=f"line {ln}"
+            )
+        energies.append(energy)
+        intensities.append(intensity)
     return np.array(energies), np.array(intensities)
 
 

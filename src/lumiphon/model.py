@@ -12,10 +12,13 @@ it makes (finite modes and the eigenvector residual in
 phonons.diagonalize, finite q_k and S_k in vibronic.partial_hr, the unit
 integral of a Lineshape by construction in vibronic.lineshape).  Code
 that builds a record from anything else supplies what that maker would
-have guaranteed.  A stage result read only by the next stage is no
-record but plain arrays, its contract checked by the function that makes
-it: S(hw) and G(t) in vibronic, the ASR residuals in phonons.  Nor are
-flags a record: each is checked where vibronic first reads it.
+have guaranteed.  A value with one reader is no record but plain arrays,
+its contract checked by the function that makes it, whether a stage
+result (S(hw) and G(t) in vibronic, the ASR residuals in phonons) or a
+parsed input (the Hessian, the geometry change and the force change,
+which io's parsers return as arrays; Hessian, GeometryPair and
+ForceDelta are only the writers' arguments).  Nor are flags a record:
+each is checked where vibronic first reads it.
 DefectEntry and HostReference are checked by io.parse_defect_table, and
 energetics passes its results as plain numbers.
 
@@ -86,6 +89,19 @@ def tsv_rounding(values):
         return 0.5 * 10.0 ** (np.floor(np.log10(np.abs(values))) - 8)
 
 
+def tsv_printed(values):
+    """The finite values as the tables' %.9g prints them, within an ulp."""
+    unit = 2.0 * tsv_rounding(values)  # 0 for 0 and the smallest subnormals
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = values / unit
+        digits = np.rint(scaled)
+        out = np.where(unit > 0, digits * unit, values)
+        # within rounding of a tie, only the exact expansion of a value tells
+        ties = np.flatnonzero(np.abs(np.abs(scaled - digits) - 0.5) < 1e-6)
+    out[ties] = [float("%.9g" % v) for v in values[ties].tolist()]
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class CrystalStructure:
     """Supercell: lattice rows are cell vectors in A, positions Cartesian A;
@@ -130,8 +146,8 @@ def structure_checksum(structure: CrystalStructure) -> str:
 
 @dataclass(frozen=True, eq=False)
 class Hessian:
-    """Second derivatives of the total energy, eV/A^2, atom-major xyz-minor:
-    finite and 3N x 3N for its structure, as io.parse_hessian reads it."""
+    """io.write_hessian's argument: second derivatives of the total energy,
+    eV/A^2, atom-major xyz-minor, and the checksum of their structure."""
 
     matrix: np.ndarray
     structure_hash: str = ""
@@ -162,21 +178,18 @@ def classify_lvm(omegas_mev, cutoff_mev: float) -> List[int]:
 
 @dataclass(frozen=True, eq=False)
 class GeometryPair:
-    """Ground and excited geometries on the same atom ordering (A)."""
+    """io.write_geometry_pair's argument: ground and excited geometries on
+    the same atom ordering (A)."""
 
     ground: np.ndarray
     excited: np.ndarray
     species: Optional[Tuple[str, ...]] = None
 
-    @property
-    def delta(self):
-        """excited - ground, exactly."""
-        return self.excited - self.ground
-
 
 @dataclass(frozen=True, eq=False)
 class ForceDelta:
-    """F_excited - F_ground at fixed positions, flat 3N vector in eV/A."""
+    """io.write_force_delta's argument: F_excited - F_ground at fixed
+    positions, flat 3N vector in eV/A."""
 
     values: np.ndarray
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import units
 from .errors import NumericalError
-from .model import CrystalStructure, Hessian, PhononBasis, _require_finite
+from .model import CrystalStructure, PhononBasis, _require_finite
 
 #: Residual contract of the eigendecomposition, relative to ||D||.
 RESIDUAL_TOL = 1e-8
@@ -28,7 +28,7 @@ def symmetrize(matrix: np.ndarray) -> np.ndarray:
         return 0.5 * (matrix + matrix.T)
 
 
-def dynamical_matrix(hessian: Hessian, structure: CrystalStructure) -> np.ndarray:
+def dynamical_matrix(hessian: np.ndarray, structure: CrystalStructure) -> np.ndarray:
     """D = M^-1/2 (H + H^T)/2 M^-1/2 in eV/(amu A^2), bitwise symmetric.
 
     The structure alone supplies the masses; the Hessian must be its
@@ -36,7 +36,7 @@ def dynamical_matrix(hessian: Hessian, structure: CrystalStructure) -> np.ndarra
     """
     inv = 1.0 / np.sqrt(structure.mass_vector_3n())
     # a bitwise-symmetric H times outer(m^-1/2, m^-1/2) stays bitwise symmetric
-    d = symmetrize(hessian.matrix)
+    d = symmetrize(hessian)
     return np.multiply(d, np.outer(inv, inv), out=d)
 
 
@@ -77,8 +77,9 @@ def apply_asr(d: np.ndarray, structure: CrystalStructure) -> tuple:
         res = np.linalg.norm(dt, axis=0)
         return units.HBAR_MEV_FS * np.sqrt(res * units.EV_PER_AMU_A2)
 
-    # an infinite entry of d makes NaN here, which diagonalize refuses
-    with np.errstate(invalid="ignore"):
+    # an infinite entry of d makes NaN here, which diagonalize refuses; a
+    # residual past the float range is refused where the basis is written
+    with np.errstate(over="ignore", invalid="ignore"):
         dt = d @ t.T
         pre = _residuals(dt)
         # (I - T^T T) D (I - T^T T) expanded, with T D = (D T^T)^T as D is
@@ -117,13 +118,14 @@ def diagonalize(d: np.ndarray) -> PhononBasis:
         peaks = []
         for s in range(0, lam.size, _BLOCK):
             v = vecs[s : s + _BLOCK].T
-            resid = np.linalg.norm(d @ v - v * lam[s : s + _BLOCK], axis=0)
+            # relative to ||D||, so that the norm squares no entry past the float range
+            resid = np.linalg.norm((d @ v - v * lam[s : s + _BLOCK]) / norm_d, axis=0)
             peaks.append(np.max(resid))
         # np.max, unlike max(), keeps a NaN block maximum
         worst = float(np.max(peaks))
-        if not worst <= RESIDUAL_TOL * norm_d:
+        if not worst <= RESIDUAL_TOL:
             raise NumericalError(
-                f"eigenvector residual {worst:.3e} exceeds {RESIDUAL_TOL:.0e}*||D||"
+                f"eigenvector residual {worst * norm_d:.3e} exceeds {RESIDUAL_TOL:.0e}*||D||"
             )
 
     _orient_rows(vecs)

@@ -32,8 +32,6 @@ from . import units
 from .errors import InputError, NumericalError, ZeroFrequencyModeWarning
 from .model import (
     CrystalStructure,
-    ForceDelta,
-    GeometryPair,
     HRDecomposition,
     Lineshape,
     PhononBasis,
@@ -98,16 +96,19 @@ def _reject_imaginary(basis: PhononBasis):
 
 
 def qk_from_displacement(
-    basis: PhononBasis, pair: GeometryPair, structure: CrystalStructure
+    basis: PhononBasis, displacement: np.ndarray, structure: CrystalStructure
 ) -> np.ndarray:
-    """Per-mode displacements q_k = sum sqrt(m) * dR . e_k, in amu^1/2 A."""
+    """Per-mode displacements q_k = sum sqrt(m) * dR . e_k, in amu^1/2 A,
+    from the geometry change dR = excited - ground, (N, 3) or flat 3N."""
     _reject_imaginary(basis)
-    delta = pair.delta.reshape(-1)
-    return basis.vectors @ (np.sqrt(_masses_3n(basis, structure, delta)) * delta)
+    delta = displacement.reshape(-1)
+    # partial_hr refuses a q_k past the float range
+    with np.errstate(over="ignore", invalid="ignore"):
+        return basis.vectors @ (np.sqrt(_masses_3n(basis, structure, delta)) * delta)
 
 
 def qk_from_forces(
-    basis: PhononBasis, force_delta: ForceDelta, structure: CrystalStructure
+    basis: PhononBasis, forces: np.ndarray, structure: CrystalStructure
 ) -> np.ndarray:
     """q_k from the force change at fixed geometry.
 
@@ -118,12 +119,14 @@ def qk_from_forces(
     if their projection is not negligible.
     """
     _reject_imaginary(basis)
-    f = force_delta.values
-    proj = basis.vectors @ (f / np.sqrt(_masses_3n(basis, structure, f)))
-    lam = units.eigenvalue_from_hbar_omega(basis.omegas_mev)
-    qk = np.zeros_like(proj)
-    live = basis.omegas_mev > ZERO_MODE_MEV
-    qk[live] = proj[live] / lam[live]
+    # partial_hr refuses a q_k past the float range; a mode stiffer than
+    # the float range (lambda_k = inf) carries q_k = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        proj = basis.vectors @ (forces / np.sqrt(_masses_3n(basis, structure, forces)))
+        lam = units.eigenvalue_from_hbar_omega(basis.omegas_mev)
+        qk = np.zeros_like(proj)
+        live = basis.omegas_mev > ZERO_MODE_MEV
+        qk[live] = proj[live] / lam[live]
     dead = ~live
     if np.any(dead) and np.max(np.abs(proj[dead])) > 1e-8 * max(
         1.0, float(np.max(np.abs(proj)))
@@ -149,7 +152,8 @@ def partial_hr(qk, omegas_mev) -> HRDecomposition:
     q = np.asarray(qk, dtype=float)
     w = np.asarray(omegas_mev, dtype=float)
     w_clamped = np.clip(w, 0.0, None)
-    with np.errstate(over="ignore"):  # an infinite S_k is refused below
+    # an infinite S_k, or a q_k past the float range, is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
         sk = units.omega_radfs(w_clamped) * q * q / (2.0 * units.HBAR_AMU_A2_FS)
     sk[w_clamped <= ZERO_MODE_MEV] = 0.0
     order = np.argsort(w_clamped, kind="stable")
@@ -270,8 +274,10 @@ def make_time_grid(
             f"a reach of {reach:.4g} meV (--window from --zpl, or 10 --gamma) "
             "has no finite time step"
         )
-    # N >= fft_cells keeps the spectral step D = 2 pi hbar / (N dt) <= sigma/5
-    fft_cells = 2.0 * math.pi * units.HBAR_MEV_FS / (dt * sigma_mev / 5.0)
+    # N >= fft_cells keeps the spectral step D = 2 pi hbar / (N dt) <= sigma/5;
+    # at a subnormal sigma, dt sigma/5 underflows to 0 and N is unbounded
+    least_d = dt * sigma_mev / 5.0
+    fft_cells = 2.0 * math.pi * units.HBAR_MEV_FS / least_d if least_d > 0 else math.inf
     if not fft_cells <= MAX_TIME_POINTS:
         raise InputError(
             f"sigma {sigma_mev:.4g} meV (--sigma) at time step {dt:.4g} fs "

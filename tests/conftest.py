@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lumiphon.model import CrystalStructure, GeometryPair, Hessian, structure_checksum
+from lumiphon.model import CrystalStructure, GeometryPair
 
 from helpers import isotropic_pair_hessian, random_cluster_structure
 
@@ -15,8 +15,7 @@ def diatomic():
         [12.011, 12.011],
         [[0.0, 0.0, 0.0], [1.5, 0.0, 0.0]],
     )
-    hessian = Hessian(isotropic_pair_hessian(4.2), structure_checksum(structure))
-    return structure, hessian
+    return structure, isotropic_pair_hessian(4.2)
 
 
 @pytest.fixture

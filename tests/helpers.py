@@ -12,7 +12,7 @@ import pathlib
 import numpy as np
 from scipy.special import voigt_profile
 
-from lumiphon.model import CrystalStructure, Hessian
+from lumiphon.model import CrystalStructure
 
 
 def _load_demo_inputs_script():
@@ -57,8 +57,7 @@ def random_cluster_structure(natoms, seed, species=("C", "Si")):
         for a in range(natoms)
         for b in range(a + 1, natoms)
     ]
-    hessian = Hessian(spring_hessian(positions, springs))
-    return structure, hessian
+    return structure, spring_hessian(positions, springs)
 
 
 def hessian_of(d, structure):

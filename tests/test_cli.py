@@ -343,7 +343,7 @@ def test_hr_pair_and_forces_agree(tmp_path):
     ppath = tmp_path / "pair.json"
     lio.write_geometry_pair(pair, ppath)
     fpath = tmp_path / "forces.json"
-    lio.write_force_delta(ForceDelta(hessian.matrix @ delta.reshape(-1)), fpath)
+    lio.write_force_delta(ForceDelta(hessian @ delta.reshape(-1)), fpath)
 
     out1, out2 = tmp_path / "hr1.json", tmp_path / "hr2.json"
     base = ["hr", "--structure", str(spath), "--modes", str(modes)]
@@ -1725,3 +1725,77 @@ def test_modes_manifest_hashes_each_input_once(tmp_path, monkeypatch):
         {"path": str(hpath), "sha256": provenance["hessian_sha256"]},
     ]
     assert provenance["hessian_sha256"] == sha256_file(hpath)
+
+
+def _refused_naming(path, capsys, out):
+    """One `error:` line naming path, and no output file."""
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(path) in err[0], err
+    assert not out.exists()
+    return err[0]
+
+
+def test_document_that_is_not_utf8_exit_2(tmp_path, capsys):
+    # UTF-16 with its byte-order mark: no encoding is detected
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    out = tmp_path / "x.tsv"
+    assert main(["spectrum", "--hr", str(bad), "--zpl", "2", "--out", str(out)]) == 2
+    message = _refused_naming(bad, capsys, out)
+    assert message.endswith("not UTF-8 text (invalid start byte) [at byte 0]")
+    bad.write_bytes('{"schema":"hr/1"}'.encode("utf-16"))
+    assert main(["spectrum", "--hr", str(bad), "--zpl", "2", "--out", str(out)]) == 2
+    _refused_naming(bad, capsys, out)
+
+
+def test_compare_spectrum_that_is_not_utf8_exit_2(tmp_path, capsys):
+    hr_path = _write_one_line_hr(tmp_path, 0.8, 140.0)
+    bad = tmp_path / "bad.tsv"
+    bad.write_bytes(b"# x\n\xff\t1\n")
+    out = tmp_path / "o.tsv"
+    assert main(["oracle", "--hr", str(hr_path), "--zpl", "2.0", "--window", "0.2:2.06",
+                 "--out", str(out), "--compare", str(bad)]) == 2
+    assert _refused_naming(bad, capsys, out).endswith("[at byte 4]")
+
+
+def test_deeply_nested_document_exit_2(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    out = tmp_path / "x.tsv"
+    assert main(["spectrum", "--hr", str(deep), "--zpl", "2", "--out", str(out)]) == 2
+    assert _refused_naming(deep, capsys, out).endswith("nested too deeply")
+
+
+def test_oracle_manifest_lists_the_compare_file(tmp_path, capsys):
+    hr_path = _write_one_line_hr(tmp_path, 0.8, 140.0)
+    grid = ["--zpl", "2.0", "--window", "0.2:2.06"]
+    s1, o1, man = tmp_path / "s1.tsv", tmp_path / "o1.tsv", tmp_path / "m.json"
+    assert main(["spectrum", "--hr", str(hr_path), *grid, "--no-omega-cubed",
+                 "--out", str(s1)]) == 0
+    assert main(["oracle", "--hr", str(hr_path), *grid, "--out", str(o1),
+                 "--compare", str(s1), "--manifest", str(man)]) == 0
+    assert "l1_distance" in capsys.readouterr().out
+    assert lio.load_document(man)["inputs"] == lio.input_checksums([hr_path, s1])
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--zpl", "10"],
+        ["--zpl", "100"],
+        ["--zpl", "1e4"],
+        ["--zpl", "3", "--gamma", "0.2265625", "--step", "0.2265625", "--sigma", "1",
+         "--no-omega-cubed"],
+    ],
+    ids=["10", "100", "1e4", "step-of-7-digits"],
+)
+def test_spectrum_table_integrates_to_one_as_printed(tmp_path, flags):
+    # %.9g prints energies past 10 eV a tenth as finely above a power of
+    # ten as below it, and rounds a step of 7 significant digits unevenly
+    # at 3 eV: read back, these tables integrated to 1 - 2.9e-5 (100 eV)
+    # and 1 + 1.8e-6 (step of 7 digits)
+    hr_path = _write_one_line_hr(tmp_path, 0.8, 140.0)
+    out = tmp_path / "s.tsv"
+    assert main(["spectrum", "--hr", str(hr_path), *flags, "--out", str(out)]) == 0
+    energy, intensity = lio.read_spectrum_tsv(out)
+    assert abs(np.trapezoid(intensity, energy) - 1.0) <= 1e-6

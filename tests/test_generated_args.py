@@ -1,0 +1,401 @@
+"""Generated arguments for every subcommand, through cli.main in-process.
+
+Each draw runs one subcommand in a fresh temporary directory and checks
+the exit contract:
+
+* the exit code is 0, 2 or 3, and no exception escapes main;
+* a refusal prints exactly one `error:` (exit 2) or `numerical error:`
+  (exit 3) line and leaves no file behind;
+* an accepted call writes finite files; the first column of a spectrum
+  or oracle table increases strictly as printed, and a spectrum table
+  integrates to 1 within 1e-6 as read back.
+
+The documents are drawn as bytes: valid documents, junk, other encodings,
+deep nesting, truncated files and valid documents with one field
+replaced.  spectrum and oracle also run on generated hr/1 documents and
+flags that span the float range: zero, subnormals, 1e-300 to 1e300, ties
+and integers past it.
+"""
+
+import contextlib
+import functools
+import io
+import json
+import math
+import pathlib
+import tempfile
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from lumiphon.cli import main
+
+# ------------------------------------------------------------- documents
+
+_ONE_MODE = '{"schema":"hr/1","total":0.8,"entries":[{"omega_mev":140.0,"qk":0.0,"sk":0.8}]}'
+_NO_MODE = '{"schema":"hr/1","total":0.0,"entries":[]}'
+# 30 quanta of one 5 meV mode
+_S30 = '{"schema":"hr/1","total":30.0,"entries":[{"omega_mev":5.0,"qk":1.0,"sk":30.0}]}'
+
+_K = 4.2  # the diatomic's isotropic spring, eV/A^2
+_HESSIAN = [
+    [(_K if i % 3 == j % 3 else 0.0) * (1 if (i < 3) == (j < 3) else -1) for j in range(6)]
+    for i in range(6)
+]
+
+_VALID = {
+    "structure": {
+        "schema": "structure/1",
+        "lattice": [[10.0, 0.0, 0.0], [0.0, 10.0, 0.0], [0.0, 0.0, 10.0]],
+        "sites": [
+            {"species": "C", "position": [0.0, 0.0, 0.0]},
+            {"species": "C", "position": [1.5, 0.0, 0.0]},
+        ],
+    },
+    "hessian": {"schema": "hessian/1", "matrix": _HESSIAN},
+    "pair": {
+        "schema": "geometry_pair/1",
+        "ground": [[0.0, 0.0, 0.0], [1.5, 0.0, 0.0]],
+        "excited": [[0.02, 0.0, 0.0], [1.48, 0.0, 0.0]],
+        "species": ["C", "C"],
+    },
+    # H dR of the pair's move
+    "forces": {"schema": "force_delta/1", "values": [[0.168, 0.0, 0.0], [-0.168, 0.0, 0.0]]},
+    "hr": json.loads(_ONE_MODE),
+    "defects": {
+        "schema": "defects/1",
+        "host": {
+            "host_energy_ev": -100.0,
+            "vbm_ev": 0.0,
+            "gap_ev": 3.17,
+            "chemical_potentials": {"C": {"reference_energy_ev": -9.0, "delta_ev": 0.0}},
+            "dielectric_constant": 9.7,
+            "cell_volume_a3": 1000.0,
+        },
+        "entries": [
+            {"label": "c2", "charge": 1, "total_energy_ev": -99.0, "stoichiometry": {"C": -2}},
+            {"label": "c2", "charge": 0, "total_energy_ev": -98.5, "stoichiometry": {"C": -2},
+             "correction_ev": "analytic"},
+        ],
+    },
+    "dissociation": {
+        "schema": "dissociation/1",
+        "entries": [
+            {"label": "c2", "cluster_energy_ev": -64.0, "fragment_energy_ev": -50.0,
+             "released_energy_ev": -10.0},
+        ],
+    },
+}
+
+_WINDOW = "0.2:2.06"  # holds every line of _ONE_MODE at a ZPL of 2 eV
+
+# each run: its argv, with {kind} for an input file and bare names for outputs
+_RUNS = {
+    "modes": ["modes", "--structure", "{structure}", "--hessian", "{hessian}", "--asr",
+              "--out", "m.json", "--table", "m.tsv"],
+    "hr-pair": ["hr", "--structure", "{structure}", "--modes", "{modes}", "--pair", "{pair}",
+                "--out", "hr.json", "--stem", "stem.tsv"],
+    "hr-forces": ["hr", "--structure", "{structure}", "--modes", "{modes}",
+                  "--forces", "{forces}", "--out", "hr.json"],
+    "spectrum": ["spectrum", "--hr", "{hr}", "--zpl", "2.0", "--window", _WINDOW,
+                 "--no-omega-cubed", "--out", "s.tsv", "--peaks", "peaks.tsv"],
+    "oracle": ["oracle", "--hr", "{hr}", "--zpl", "2.0", "--window", _WINDOW,
+               "--out", "o.tsv", "--sticks", "sticks.tsv", "--compare", "{compare}"],
+    "thermo": ["thermo", "--defects", "{defects}", "--envelope", "env.tsv",
+               "--transitions", "trans.tsv", "--windows", "win.tsv"],
+    "dissoc": ["dissoc", "--energies", "{dissociation}", "--out", "ed.tsv"],
+}
+_TABLES = ("s.tsv", "o.tsv")  # spectrum-shaped outputs: energy first, then intensity
+
+
+def _inputs(run):
+    return [arg[1:-1] for arg in _RUNS[run] if arg.startswith("{")]
+
+
+def _call(argv):
+    """main(argv) with its output captured: (code, stderr).
+    Warnings are recorded, not shown; a RuntimeWarning, which would reach
+    stderr as numpy's noise, fails the call."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", RuntimeWarning)
+            code = main(argv)
+    noise = [f"{w.filename}:{w.lineno}: {w.message}" for w in caught
+             if issubclass(w.category, RuntimeWarning)]
+    assert noise == []
+    return code, err.getvalue()
+
+
+@functools.cache
+def _valid_files():
+    """Every input of _RUNS as valid bytes: the documents above, plus the
+    basis and the comparison spectrum that lumiphon makes from them."""
+    files = {kind: json.dumps(doc).encode() for kind, doc in _VALID.items()}
+    with tempfile.TemporaryDirectory() as tmp:
+        work = pathlib.Path(tmp)
+        for kind in ("structure", "hessian", "hr"):
+            (work / kind).write_bytes(files[kind])
+        assert _call(["modes", "--structure", str(work / "structure"), "--hessian",
+                      str(work / "hessian"), "--asr", "--out", str(work / "modes")])[0] == 0
+        assert _call(["spectrum", "--hr", str(work / "hr"), "--zpl", "2.0", "--window", _WINDOW,
+                      "--no-omega-cubed", "--out", str(work / "compare")])[0] == 0
+        files["modes"] = (work / "modes").read_bytes()
+        files["compare"] = (work / "compare").read_bytes()
+    return files
+
+
+_PREFIXES = ("error: ", "numerical error: ")
+
+
+def _no_constant(token):
+    pytest.fail(f"non-finite literal {token} written")
+
+
+def _rows(path):
+    return [
+        line.split("\t")
+        for line in path.read_text(encoding="utf-8").splitlines()
+        if not line.startswith("#")
+    ]
+
+
+def _check_accepted(work, made):
+    """The contract of every file an exit-0 call wrote."""
+    for name in made:
+        path = work / name
+        if name.endswith(".json"):
+            doc = json.loads(path.read_text(encoding="utf-8"), parse_constant=_no_constant)
+            assert isinstance(doc, dict) and "schema" in doc, name
+            continue
+        columns = path.read_text(encoding="utf-8").split("# columns: ", 1)[1].split("\n", 1)[0]
+        numeric = [c not in ("label", "quanta", "lvm", "stable") for c in columns.split("\t")]
+        for row in _rows(path):
+            assert len(row) == len(numeric), (name, row)
+            assert all(math.isfinite(float(v)) for v, n in zip(row, numeric) if n), (name, row)
+    for name in set(made) & set(_TABLES):
+        rows = np.array(_rows(work / name), dtype=float).reshape(-1, 2)
+        energy, intensity = rows.T
+        assert energy.size >= 2 and np.all(np.diff(energy) > 0), name
+        if name == "s.tsv":
+            assert abs(np.trapezoid(intensity, energy) - 1.0) <= 1e-6
+
+
+def _run(argv, files):
+    """Write files into a fresh directory, run argv there and check the
+    exit contract; returns the exit code."""
+    with tempfile.TemporaryDirectory() as tmp:
+        work = pathlib.Path(tmp)
+        for name, data in files.items():
+            (work / name).write_bytes(data)
+        args = [
+            str(work / arg[1:-1]) if arg.startswith("{")
+            else str(work / arg) if arg.endswith((".json", ".tsv"))
+            else arg
+            for arg in argv
+        ]
+        code, err = _call([*args, "--manifest", str(work / "manifest.json")])
+        assert code in (0, 2, 3), err
+        made = sorted({p.name for p in work.iterdir()} - set(files))
+        if code:
+            prefix = "error: " if code == 2 else "numerical error: "
+            errors = [ln for ln in err.splitlines() if ln.startswith(_PREFIXES)]
+            assert len(errors) == 1 and errors[0].startswith(prefix), err
+            assert made == [], made
+        else:
+            assert "manifest.json" in made
+            _check_accepted(work, made)
+        return code
+
+
+# ------------------------------------------------------- byte strategies
+
+def _json_values():
+    return st.one_of(
+        _floats(),
+        st.sampled_from([0, -1, 2**53 + 1, 10**20, 10**400, True, None, "", "C", [], {}]),
+        st.lists(_floats(), max_size=3),
+    )
+
+
+@st.composite
+def _replace_one_field(draw, doc):
+    """doc as JSON text with one value, anywhere in it, replaced."""
+    doc = json.loads(json.dumps(doc))
+    paths = []
+
+    def walk(node, path):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in items:
+            paths.append(path + (key,))
+            if isinstance(value, (dict, list)):
+                walk(value, path + (key,))
+
+    walk(doc, ())
+    path = draw(st.sampled_from(paths))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = draw(_json_values())
+    return json.dumps(doc)
+
+
+def _document_bytes(kind):
+    valid = _valid_files()[kind]
+    text = valid.decode()
+    is_json = kind != "compare"
+    # an unknown field or a comment holding characters past ASCII: only
+    # their UTF-8 encoding is read
+    accented = text.rstrip()[:-1] + ',"note":"é"}' if is_json else text + "# é\n"
+    nesting = st.integers(1, 100_000)
+    options = [
+        st.just(valid),
+        st.binary(max_size=64),
+        st.text(max_size=64).map(lambda t: t.encode("utf-8")),
+        st.integers(0, len(valid) - 1).map(lambda k: valid[:k]),
+        st.sampled_from(["utf-8", "utf-8-sig", "utf-16", "utf-16-be", "utf-32", "latin-1",
+                         "cp1252"]).map(accented.encode),
+        nesting.map(lambda n: b"[" * n + b"]" * n),
+        nesting.map(lambda n: b'{"a":' * n + b"1" + b"}" * n),
+    ]
+    if is_json:
+        options += [
+            nesting.map(
+                lambda n: text.replace('"schema"', f'"x":{"[" * n}{"]" * n},"schema"', 1).encode()
+            ),
+            _replace_one_field(json.loads(text)).map(str.encode),
+        ]
+    return st.one_of(*options)
+
+
+@st.composite
+def _document_cases(draw):
+    run = draw(st.sampled_from(sorted(_RUNS)))
+    kind = draw(st.sampled_from(_inputs(run)))
+    return run, kind, draw(_document_bytes(kind))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_document_cases())
+@example(case=("spectrum", "hr", b"\xff\xfe{}"))
+@example(case=("oracle", "compare", b"# x\n\xff\t1\n"))
+@example(case=("spectrum", "hr", b"[" * 100_000 + b"]" * 100_000))
+@example(case=("modes", "hessian", b"[" * 100_000 + b"]" * 100_000))
+def test_every_document_flag_on_generated_bytes(case):
+    run, kind, data = case
+    files = {k: _valid_files()[k] for k in _inputs(run)}
+    files[kind] = data
+    code = _run(_RUNS[run], files)
+    if data == _valid_files()[kind]:
+        assert code == 0
+
+
+# --------------------------------------------- spectrum and oracle flags
+
+_SPECIAL = [0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e-5, 0.5, 1.0, 2.0, 1e300,
+            1.7976931348623157e308]
+
+
+def _floats(lo=None, hi=None):
+    """Finite floats: the special values above, a log-uniform magnitude in
+    1e-300 .. 1e300 and hypothesis' own floats, each of either sign, and,
+    given lo and hi, the physical band between them."""
+    magnitude = st.one_of(
+        st.sampled_from(_SPECIAL),
+        st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 9.99), st.integers(-300, 299)),
+        st.floats(0.0, allow_infinity=False),
+    )
+    signed = st.builds(lambda x, neg: -x if neg else x, magnitude, st.booleans())
+    if lo is None:
+        return signed
+    return st.one_of(st.floats(lo, hi), signed)
+
+
+@st.composite
+def _hr_documents(draw):
+    """hr/1 text of 0 to 4 entries: omegas ascending (ties included), total
+    the sum of sk on most draws, and now and then an integer in a field."""
+    n = draw(st.integers(0, 4))
+    omegas = sorted(draw(st.lists(_floats(1.0, 200.0).map(abs), min_size=n, max_size=n)))
+    sks = draw(st.lists(_floats(0.0, 3.0).map(abs), min_size=n, max_size=n))
+    qks = draw(st.lists(_floats(-1.0, 1.0), min_size=n, max_size=n))
+    try:
+        total = math.fsum(sks)
+    except OverflowError:
+        total = 1.7976931348623157e308
+    if draw(st.integers(0, 4)) == 0:
+        total = draw(_floats(0.0, 3.0))
+    doc = {
+        "schema": "hr/1",
+        "total": total,
+        "entries": [{"omega_mev": w, "qk": q, "sk": s} for w, q, s in zip(omegas, qks, sks)],
+    }
+    if n and draw(st.integers(0, 5)) == 0:
+        entry = draw(st.sampled_from(doc["entries"]))
+        entry[draw(st.sampled_from(sorted(entry)))] = draw(
+            st.sampled_from([0, 1, 140, 10**20, 10**308, 10**400])
+        )
+    return json.dumps(doc)
+
+
+def _flag(name, values):
+    """--name=value for a drawn value, or nothing (the default)."""
+    return st.one_of(st.just([]), values.map(lambda v: [f"--{name}={v!r}"]))
+
+
+def _window():
+    band = st.tuples(_floats(0.2, 2.2), _floats(0.2, 2.2))
+    return st.one_of(st.just([]), band.map(lambda w: [f"--window={w[0]!r}:{w[1]!r}"]))
+
+
+@st.composite
+def _spectrum_flags(draw):
+    flags = ["--zpl=%r" % draw(_floats(0.5, 5.0))]
+    for name, lo, hi in (("gamma", 0.01, 10.0), ("sigma", 0.5, 20.0), ("step", 0.01, 1.0),
+                         ("cutoff", 0.0, 200.0)):
+        flags += draw(_flag(name, _floats(lo, hi)))
+    flags += draw(_window())
+    flags += draw(st.sampled_from([[], ["--no-omega-cubed"]]))
+    return flags
+
+
+@st.composite
+def _oracle_flags(draw):
+    flags = ["--zpl=%r" % draw(_floats(0.5, 5.0))]
+    for name, lo, hi in (("gamma", 0.01, 10.0), ("sigma", 0.0, 20.0), ("step", 0.01, 1.0)):
+        flags += draw(_flag(name, _floats(lo, hi)))
+    flags += draw(_flag("max-quanta", st.sampled_from([-1, 0, 1, 4, 16, 60, 10**30])))
+    flags += draw(_window())
+    return flags
+
+
+@settings(max_examples=45, deadline=None)
+@given(doc=_hr_documents(), flags=_spectrum_flags())
+# a ZPL past every time step, one whose 9-digit energies collapse, and
+# two whose 9-digit energies moved the integral read back by 5e-5 and 2e-6
+@example(doc=_ONE_MODE, flags=["--zpl=1e300", "--window=2.55:2.65"])
+@example(doc=_ONE_MODE, flags=["--zpl=1000000.0"])
+@example(doc=_NO_MODE, flags=["--zpl=100.0", "--step=0.6875"])
+@example(
+    doc=_ONE_MODE,
+    flags=["--zpl=3.0", "--gamma=0.2265625", "--step=0.2265625", "--sigma=1.0",
+           "--no-omega-cubed"],
+)
+def test_spectrum_on_generated_documents_and_flags(doc, flags):
+    argv = ["spectrum", "--hr", "{hr}", *flags, "--out", "s.tsv", "--peaks", "peaks.tsv"]
+    _run(argv, {"hr": doc.encode()})
+
+
+@settings(max_examples=45, deadline=None)
+@given(doc=_hr_documents(), flags=_oracle_flags())
+# 10 gamma of padding at the step: 2e8 points
+@example(
+    doc=_S30,
+    flags=["--zpl=2.6", "--max-quanta=0", "--gamma=1000000.0", "--window=1e-06:0.100001"],
+)
+def test_oracle_on_generated_documents_and_flags(doc, flags):
+    argv = ["oracle", "--hr", "{hr}", *flags, "--out", "o.tsv", "--sticks", "sticks.tsv"]
+    _run(argv, {"hr": doc.encode()})

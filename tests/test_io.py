@@ -19,6 +19,7 @@ from lumiphon.model import (
     CrystalStructure,
     DefectEntry,
     ForceDelta,
+    Hessian,
     HostReference,
     HRDecomposition,
     PhononBasis,
@@ -90,8 +91,9 @@ def test_hessian_dense_ok():
     structure = lio.parse_structure(STRUCTURE_DOC)
     doc = {"schema": "hessian/1", "matrix": np.eye(6).tolist()}
     hessian = lio.parse_hessian(doc, structure)
-    assert hessian.matrix.shape == (6, 6)
-    assert hessian.structure_hash == structure_checksum(structure)
+    assert np.array_equal(hessian, np.eye(6))
+    doc["structure_hash"] = structure_checksum(structure)
+    assert np.array_equal(lio.parse_hessian(doc, structure), np.eye(6))
 
 
 def test_hessian_triplets_duplicate_rejected():
@@ -109,7 +111,7 @@ def test_hessian_asymmetric_accepted():
     structure = lio.parse_structure(STRUCTURE_DOC)
     doc = {"schema": "hessian/1", "dim": 6, "triplets": [[0, 1, 0.5]]}
     hessian = lio.parse_hessian(doc, structure)
-    assert not np.array_equal(hessian.matrix, hessian.matrix.T)
+    assert not np.array_equal(hessian, hessian.T)
 
 
 def test_hessian_dimension_mismatch():
@@ -141,7 +143,7 @@ def test_hessian_above_size_limit_refused_before_allocating(tmp_path, layout):
 
 def test_parse_hessian_allocates_one_matrix():
     # the dense rows become one array plus its 1-byte finiteness mask; the
-    # record holds that array, where a copy into it read 2.0 times the matrix
+    # parse returns that array, where a copy into it read 2.0 times the matrix
     natoms = 128
     sites = [{"species": "C", "position": [0.1 * i, 0.0, 0.0]} for i in range(natoms)]
     structure = lio.parse_structure(dict(STRUCTURE_DOC, sites=sites))
@@ -153,7 +155,7 @@ def test_parse_hessian_allocates_one_matrix():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.array_equal(hessian.matrix, matrix)
+    assert np.array_equal(hessian, matrix)
     assert peak < 1.5 * matrix.nbytes
 
 
@@ -225,7 +227,7 @@ def test_matrix_mixed_ints_and_floats_parse_exactly():
     matrix[1][0] = 2.0**-1074
     matrix[4][5] = -0.0
     hessian = lio.parse_hessian({"schema": "hessian/1", "matrix": matrix}, structure)
-    assert hessian.matrix.tobytes() == np.array(matrix, dtype=float).tobytes()
+    assert hessian.tobytes() == np.array(matrix, dtype=float).tobytes()
 
 
 # ----------------------------------------------------------------- pair etc.
@@ -233,10 +235,19 @@ def test_matrix_mixed_ints_and_floats_parse_exactly():
 def test_pair_identical_geometries_zero_delta():
     structure = lio.parse_structure(STRUCTURE_DOC)
     pos = structure.positions.tolist()
-    pair = lio.parse_geometry_pair(
+    delta = lio.parse_geometry_pair(
         {"schema": "geometry_pair/1", "ground": pos, "excited": pos}, structure
     )
-    assert np.array_equal(pair.delta, np.zeros((2, 3)))
+    assert np.array_equal(delta, np.zeros((2, 3)))
+
+
+def test_pair_delta_is_exact_difference():
+    structure = lio.parse_structure(STRUCTURE_DOC)
+    rng = np.random.default_rng(3)
+    g = rng.normal(size=(2, 3))
+    e = rng.normal(size=(2, 3))
+    doc = {"schema": "geometry_pair/1", "ground": g.tolist(), "excited": e.tolist()}
+    assert np.array_equal(lio.parse_geometry_pair(doc, structure), e - g)
 
 
 def test_pair_atom_count_mismatch():
@@ -453,25 +464,27 @@ def test_structure_roundtrip_bit_exact(tmp_path):
 def test_hessian_roundtrip_bit_exact(tmp_path, diatomic):
     structure, hessian = diatomic
     path = tmp_path / "h.json"
-    lio.write_hessian(hessian, path)
+    lio.write_hessian(Hessian(hessian, structure_checksum(structure)), path)
+    assert lio.load_document(path)["structure_hash"] == structure_checksum(structure)
     back = lio.load_hessian(path, structure)
-    assert np.array_equal(back.matrix, hessian.matrix)
-    assert back.structure_hash == hessian.structure_hash
+    assert np.array_equal(back, hessian)
 
 
 def test_pair_and_force_roundtrip(tmp_path, diatomic, displaced_pair):
     structure, _ = diatomic
     p1 = tmp_path / "p.json"
     lio.write_geometry_pair(displaced_pair, p1)
-    back = lio.parse_geometry_pair(lio.load_document(p1), structure)
-    assert np.array_equal(back.ground, displaced_pair.ground)
-    assert np.array_equal(back.excited, displaced_pair.excited)
+    doc = lio.load_document(p1)
+    assert np.array_equal(doc["ground"], displaced_pair.ground)
+    assert np.array_equal(doc["excited"], displaced_pair.excited)
+    back = lio.parse_geometry_pair(doc, structure)
+    assert np.array_equal(back, displaced_pair.excited - displaced_pair.ground)
 
     delta = ForceDelta(np.array([0.1, -0.2, 0.3, 1e-17, 2.0**-33, -0.0]))
     p2 = tmp_path / "f.json"
     lio.write_force_delta(delta, p2)
     back2 = lio.parse_force_delta(lio.load_document(p2), structure)
-    assert np.array_equal(back2.values, delta.values)
+    assert np.array_equal(back2, delta.values)
 
 
 def test_basis_roundtrip_bit_exact(tmp_path, diatomic):
@@ -873,7 +886,7 @@ def _write_manifest(path):
 # every public JSON writer, called as write(path, structure, hessian, pair)
 _WRITERS = {
     "structure": lambda p, s, h, pair: lio.write_structure(s, p),
-    "hessian": lambda p, s, h, pair: lio.write_hessian(h, p),
+    "hessian": lambda p, s, h, pair: lio.write_hessian(Hessian(h, structure_checksum(s)), p),
     "geometry_pair": lambda p, s, h, pair: lio.write_geometry_pair(pair, p),
     "force_delta": lambda p, s, h, pair: lio.write_force_delta(
         ForceDelta(np.array([0.1, -0.2, 0.3, 1e-17, 2.0**-33, -0.0])), p

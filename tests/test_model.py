@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from lumiphon import io as lio
 from lumiphon import units
 from lumiphon.errors import InputError, ParseError
-from lumiphon.model import GeometryPair, MAX_OUTPUT_POINTS, output_grid
+from lumiphon.model import MAX_OUTPUT_POINTS, output_grid
 
 
 def test_unit_table_consistency():
@@ -38,14 +38,6 @@ def test_structure_invariants():
         with pytest.raises(ParseError) as info:
             lio.parse_structure(_structure_doc(lattice, masses))
         assert info.value.locus == locus
-
-
-def test_pair_delta_is_exact_difference():
-    rng = np.random.default_rng(3)
-    g = rng.normal(size=(4, 3))
-    e = rng.normal(size=(4, 3))
-    pair = GeometryPair(g, e)
-    assert np.array_equal(pair.delta, e - g)
 
 
 def test_output_grid_rule_and_refusals():

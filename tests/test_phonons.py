@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from lumiphon import phonons, units
 from lumiphon.errors import NonFiniteValue, NumericalError
 from lumiphon.io import ORTHONORMALITY_TOL
-from lumiphon.model import CrystalStructure, Hessian, PhononBasis, classify_lvm
+from lumiphon.model import CrystalStructure, PhononBasis, classify_lvm
 from lumiphon.phonons import (
     _orient_rows,
     apply_asr,
@@ -62,7 +62,7 @@ def test_asr_leaves_invariant_hessian_alone(small_cluster):
 
 def test_asr_removes_diagonal_noise(small_cluster):
     structure, hessian = small_cluster
-    noisy = Hessian(hessian.matrix + 1e-3 * np.eye(3 * structure.natoms))
+    noisy = hessian + 1e-3 * np.eye(3 * structure.natoms)
     clean, _, post = apply_asr(dynamical_matrix(noisy, structure), structure)
     basis = diagonalize(clean)
     lowest = np.sort(np.abs(basis.omegas_mev))[:3]
@@ -122,7 +122,7 @@ def test_single_atom_isotropic_mode():
     k, mass = 5.805, 12.0
     expected = units.HBAR_MEV_FS * math.sqrt(k / mass * units.EV_PER_AMU_A2)
     structure = CrystalStructure(np.eye(3) * 8, ("C",), [mass], [[0, 0, 0]])
-    basis = diagonalize(dynamical_matrix(Hessian(np.eye(3) * k), structure))
+    basis = diagonalize(dynamical_matrix(np.eye(3) * k, structure))
     np.testing.assert_allclose(basis.omegas_mev, expected, rtol=1e-12)
     assert abs(expected - 44.96834503307843) < 1e-10
 
@@ -138,7 +138,7 @@ def test_diatomic_against_analytic(diatomic):
 
 def test_zero_hessian_all_zero_modes(diatomic):
     structure, _ = diatomic
-    basis = diagonalize(dynamical_matrix(Hessian(np.zeros((6, 6))), structure))
+    basis = diagonalize(dynamical_matrix(np.zeros((6, 6)), structure))
     assert np.array_equal(basis.omegas_mev, np.zeros(6))
 
 
@@ -159,7 +159,7 @@ def test_dynamical_matrix_symmetrizes_what_it_is_given(natoms, seed):
         assert _gram_defect(basis.vectors) < ORTHONORMALITY_TOL
         return [a.tobytes() for a in arrays + (basis.omegas_mev, basis.vectors)]
 
-    assert stages(Hessian(h)) == stages(Hessian(0.5 * (h + h.T)))
+    assert stages(h) == stages(0.5 * (h + h.T))
 
 
 def test_diagonalize_refuses_a_non_finite_eigendecomposition(monkeypatch):
@@ -195,7 +195,7 @@ def test_residuals_within_contract(small_cluster):
     structure, hessian = small_cluster
     basis = diagonalize(dynamical_matrix(hessian, structure))
     inv_sqrt_m = 1.0 / np.sqrt(structure.mass_vector_3n())
-    d = hessian.matrix * np.outer(inv_sqrt_m, inv_sqrt_m)
+    d = hessian * np.outer(inv_sqrt_m, inv_sqrt_m)
     lam = units.eigenvalue_from_hbar_omega(basis.omegas_mev)
     norm = np.max(np.abs(lam))
     resid = np.linalg.norm(d @ basis.vectors.T - basis.vectors.T * lam[None, :], axis=0)
@@ -217,7 +217,7 @@ def test_spectrum_invariant_under_atom_permutation():
         structure.masses[perm],
         structure.positions[perm],
     )
-    h2 = Hessian(hessian.matrix[np.ix_(scatter, scatter)])
+    h2 = hessian[np.ix_(scatter, scatter)]
     basis2 = diagonalize(dynamical_matrix(h2, permuted))
     np.testing.assert_allclose(
         basis2.omegas_mev, basis.omegas_mev, rtol=1e-9, atol=1e-4
@@ -263,7 +263,7 @@ def test_mass_weighting_keeps_bitwise_symmetry(natoms, seed):
     structure = CrystalStructure(
         np.eye(3) * 8, ("C",) * natoms, rng.uniform(1.0, 240.0, natoms), np.zeros((natoms, 3))
     )
-    d = dynamical_matrix(Hessian(a), structure)
+    d = dynamical_matrix(a, structure)
     assert d.tobytes() == np.ascontiguousarray(d.T).tobytes()
 
 
@@ -298,7 +298,7 @@ def test_modes_memory_stays_below_the_hessian_round_trip():
     structure = CrystalStructure(
         np.eye(3) * 8, ("C",) * natoms, rng.uniform(1.0, 240.0, natoms), np.zeros((natoms, 3))
     )
-    hessian = Hessian(rng.normal(size=(3 * natoms, 3 * natoms)))
+    hessian = rng.normal(size=(3 * natoms, 3 * natoms))
     tracemalloc.start()
     try:
         d, _, _ = apply_asr(dynamical_matrix(hessian, structure), structure)
@@ -306,7 +306,7 @@ def test_modes_memory_stays_below_the_hessian_round_trip():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 5 * hessian.matrix.nbytes
+    assert peak < 5 * hessian.nbytes
 
 
 def test_diagonalize_holds_no_full_temporary_beyond_its_basis():

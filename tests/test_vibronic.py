@@ -12,9 +12,6 @@ from lumiphon.errors import InputError, NumericalError
 from lumiphon.fcoracle import broadened_oracle_spectrum, enumerate_fc
 from lumiphon.model import (
     CrystalStructure,
-    ForceDelta,
-    GeometryPair,
-    Hessian,
     HRDecomposition,
     Lineshape,
     PhononBasis,
@@ -61,8 +58,7 @@ def _single_mode_lineshape(s, omega_mev, zpl_ev, gamma_mev, sigma_mev, window_ev
 def test_qk_zero_displacement(diatomic):
     structure, hessian = diatomic
     basis = diagonalize(dynamical_matrix(hessian, structure))
-    pair = GeometryPair(structure.positions, structure.positions)
-    qk = qk_from_displacement(basis, pair, structure)
+    qk = qk_from_displacement(basis, np.zeros((2, 3)), structure)
     assert np.array_equal(qk, np.zeros(6))
 
 
@@ -74,8 +70,7 @@ def test_qk_recovers_single_mode(diatomic):
     c = 0.013
     j = 5
     disp = c * basis.vectors[j].reshape(-1, 3)
-    pair = GeometryPair(structure.positions, structure.positions + disp)
-    qk = qk_from_displacement(basis, pair, structure)
+    qk = qk_from_displacement(basis, disp, structure)
     expected = np.zeros(6)
     expected[j] = math.sqrt(12.011) * c
     np.testing.assert_allclose(qk, expected, rtol=1e-10, atol=1e-14)
@@ -89,8 +84,7 @@ def test_qk_parseval_identity(seed):
     structure, hessian = random_cluster_structure(5, seed=2)
     basis = diagonalize(dynamical_matrix(hessian, structure))
     delta = rng.normal(scale=0.02, size=(5, 3))
-    pair = GeometryPair(structure.positions, structure.positions + delta)
-    qk = qk_from_displacement(basis, pair, structure)
+    qk = qk_from_displacement(basis, delta, structure)
     lhs = float(np.sum(qk * qk))
     rhs = float(np.sum(structure.mass_vector_3n() * delta.reshape(-1) ** 2))
     assert lhs == pytest.approx(rhs, rel=1e-10)
@@ -102,9 +96,8 @@ def test_force_route_matches_displacement_route():
     basis = diagonalize(d)
     rng = np.random.default_rng(4)
     delta = rng.normal(scale=0.01, size=(6, 3))
-    pair = GeometryPair(structure.positions, structure.positions + delta)
-    force = ForceDelta(hessian_of(d, structure) @ delta.reshape(-1))
-    qd = qk_from_displacement(basis, pair, structure)
+    force = hessian_of(d, structure) @ delta.reshape(-1)
+    qd = qk_from_displacement(basis, delta, structure)
     qf = qk_from_forces(basis, force, structure)
     live = basis.omegas_mev > 0.01
     np.testing.assert_allclose(qf[live], qd[live], rtol=1e-8)
@@ -119,9 +112,8 @@ def test_pair_and_force_routes_report_one_total(seed):
     basis = diagonalize(d)
     rng = np.random.default_rng(seed)
     delta = rng.normal(scale=0.02, size=(6, 3))
-    pair = GeometryPair(structure.positions, structure.positions + delta)
-    force = ForceDelta(hessian_of(d, structure) @ delta.reshape(-1))
-    by_pair = partial_hr(qk_from_displacement(basis, pair, structure), basis.omegas_mev)
+    force = hessian_of(d, structure) @ delta.reshape(-1)
+    by_pair = partial_hr(qk_from_displacement(basis, delta, structure), basis.omegas_mev)
     by_force = partial_hr(qk_from_forces(basis, force, structure), basis.omegas_mev)
     assert by_pair.total == pytest.approx(by_force.total, rel=1e-12)
 
@@ -139,7 +131,7 @@ def _jittered_spring_network(natoms, seed):
     dist = np.linalg.norm(positions[:, None, :] - positions[None, :, :], axis=2)
     a, b = np.nonzero(np.triu(dist < 3.3, k=1))
     springs = zip(a.tolist(), b.tolist(), rng.uniform(2.0, 9.0, size=a.size).tolist())
-    return structure, Hessian(spring_hessian(positions, springs))
+    return structure, spring_hessian(positions, springs)
 
 
 @settings(max_examples=60, deadline=None)
@@ -152,9 +144,8 @@ def test_routes_agree_on_generated_spring_networks(natoms, seed):
     d, _, _ = apply_asr(dynamical_matrix(hessian, structure), structure)
     basis = diagonalize(d)
     delta = np.random.default_rng(seed + 1).normal(scale=0.01, size=(natoms, 3))
-    pair = GeometryPair(structure.positions, structure.positions + delta)
-    force = ForceDelta(hessian_of(d, structure) @ delta.reshape(-1))
-    qd = qk_from_displacement(basis, pair, structure)
+    force = hessian_of(d, structure) @ delta.reshape(-1)
+    qd = qk_from_displacement(basis, delta, structure)
     qf = qk_from_forces(basis, force, structure)
     live = basis.omegas_mev > units.ZERO_MODE_MEV
     # the force route divides by lambda_k, so its rounding in q_k grows with
@@ -176,7 +167,7 @@ def test_routes_agree_on_generated_spring_networks(natoms, seed):
 def test_force_route_zero_forces(diatomic):
     structure, hessian = diatomic
     basis = diagonalize(dynamical_matrix(hessian, structure))
-    qk = qk_from_forces(basis, ForceDelta(np.zeros(6)), structure)
+    qk = qk_from_forces(basis, np.zeros(6), structure)
     assert np.array_equal(qk, np.zeros(6))
 
 
@@ -186,8 +177,8 @@ def test_force_route_1d_oscillator():
     lam = units.eigenvalue_from_hbar_omega(omega_mev)  # eV/(amu A^2)
     k = mass * lam
     structure = CrystalStructure(np.eye(3) * 8, ("C",), [mass], [[0, 0, 0]])
-    basis = diagonalize(dynamical_matrix(Hessian(np.eye(3) * k), structure))
-    force = ForceDelta(np.array([k * dx, 0.0, 0.0]))
+    basis = diagonalize(dynamical_matrix(np.eye(3) * k, structure))
+    force = np.array([k * dx, 0.0, 0.0])
     qk = qk_from_forces(basis, force, structure)
     # the x-polarized mode is degenerate with y,z; compare the projection norm
     assert np.linalg.norm(qk) == pytest.approx(math.sqrt(mass) * dx, rel=1e-10)
@@ -205,7 +196,7 @@ def test_force_on_rigid_translations_warns(diatomic):
     # finite displacement; they are dropped with a warning
     net = np.tile([0.3, 0.0, 0.0], 2)
     with pytest.warns(ZeroFrequencyModeWarning):
-        qk = qk_from_forces(basis, ForceDelta(net), structure)
+        qk = qk_from_forces(basis, net, structure)
     dead = basis.omegas_mev <= 0.01
     assert np.all(qk[dead] == 0.0)
     # a force with no rigid component stays silent
@@ -213,17 +204,16 @@ def test_force_on_rigid_translations_warns(diatomic):
     clean_force = hessian_of(clean, structure) @ delta
     with _warnings.catch_warnings():
         _warnings.simplefilter("error", ZeroFrequencyModeWarning)
-        qk_from_forces(basis, ForceDelta(clean_force), structure)
+        qk_from_forces(basis, clean_force, structure)
 
 
 def test_imaginary_modes_rejected(diatomic):
     structure, hessian = diatomic
-    unstable = diagonalize(dynamical_matrix(Hessian(-hessian.matrix), structure))
-    pair = GeometryPair(structure.positions, structure.positions)
+    unstable = diagonalize(dynamical_matrix(-hessian, structure))
     with pytest.raises(NumericalError, match=r"imaginary mode\(s\), first at index 0"):
-        qk_from_displacement(unstable, pair, structure)
+        qk_from_displacement(unstable, np.zeros((2, 3)), structure)
     with pytest.raises(NumericalError, match=r"imaginary mode\(s\), first at index 0"):
-        qk_from_forces(unstable, ForceDelta(np.zeros(6)), structure)
+        qk_from_forces(unstable, np.zeros(6), structure)
 
 
 # --------------------------------------------------------------- partial HR
@@ -873,9 +863,8 @@ def test_generating_function_refuses_magnitude_above_one():
 def test_degenerate_mode_mixing_invariance():
     # rotating a degenerate pair must leave total S and the spectrum alone
     structure = CrystalStructure(np.eye(3) * 8, ("C",), [12.0], [[0, 0, 0]])
-    basis = diagonalize(dynamical_matrix(Hessian(np.eye(3) * 5.0), structure))
+    basis = diagonalize(dynamical_matrix(np.eye(3) * 5.0, structure))
     delta = np.array([[0.02, -0.013, 0.007]])
-    pair = GeometryPair(structure.positions, structure.positions + delta)
 
     theta = 0.37
     rot = np.eye(3)
@@ -887,7 +876,7 @@ def test_degenerate_mode_mixing_invariance():
 
     out = []
     for b in (basis, mixed):
-        qk = qk_from_displacement(b, pair, structure)
+        qk = qk_from_displacement(b, delta, structure)
         hr = partial_hr(qk, b.omegas_mev)
         gf = _generating_function(hr, 2.0, 1.0, reach_mev=800.0)
         ls = _lineshape(
