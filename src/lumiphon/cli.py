@@ -64,13 +64,45 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"lumiphon {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("modes", help="diagonalize a Hessian into phonon modes")
+    # flags two subcommands share, each declared once
+    cutoff = argparse.ArgumentParser(add_help=False)
+    cutoff.add_argument(
+        "--cutoff",
+        type=_finite_float,
+        default=LVM_CUTOFF_MEV,
+        help="bulk phonon cutoff in meV: modes strictly above it are local vibrational modes",
+    )
+    line = argparse.ArgumentParser(add_help=False)
+    line.add_argument("--hr", required=True, help="coupling JSON")
+    line.add_argument("--zpl", type=_finite_float, required=True, help="zero-phonon line in eV")
+    line.add_argument(
+        "--gamma", type=_finite_float, default=1.0, help="Lorentzian damping in meV"
+    )
+    line.add_argument(
+        "--sigma",
+        type=_finite_float,
+        default=2.0,
+        help="Gaussian smearing in meV: of each mode in spectrum, whose S(hw) is sampled "
+        "at a step of sigma/10 to sigma/5 and which refuses a sigma needing an FFT of "
+        "S(t) over 2^24 points; of each oracle line, scaled by the root of its quanta, "
+        "0 for pure Lorentzians",
+    )
+    line.add_argument(
+        "--window",
+        type=_parse_window,
+        metavar="LO:HI",
+        help="output window in eV, written --window=LO:HI (the = is needed when LO "
+        "is negative)",
+    )
+    line.add_argument("--step", type=_finite_float, default=0.1, help="output step in meV")
+    line.add_argument("--out", required=True, help="spectrum TSV")
+
+    p = sub.add_parser(
+        "modes", parents=[cutoff], help="diagonalize a Hessian into phonon modes"
+    )
     p.add_argument("--structure", required=True)
     p.add_argument("--hessian", required=True)
     p.add_argument("--asr", action="store_true", help="enforce the acoustic sum rule")
-    p.add_argument(
-        "--cutoff", type=_finite_float, default=LVM_CUTOFF_MEV, help="bulk cutoff in meV"
-    )
     p.add_argument("--out", required=True, help="phonon basis JSON")
     p.add_argument("--table", help="per-mode TSV (energy, localization, LVM flag)")
     p.set_defaults(func=cmd_modes)
@@ -84,41 +116,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stem", help="stem TSV (energy, S_k, cumulative)")
     p.set_defaults(func=cmd_hr)
 
-    p = sub.add_parser("spectrum", help="emission lineshape from a coupling document")
-    p.add_argument("--hr", required=True)
-    p.add_argument("--zpl", type=_finite_float, required=True, help="zero-phonon line in eV")
-    p.add_argument("--gamma", type=_finite_float, default=1.0, help="Lorentzian damping in meV")
-    p.add_argument(
-        "--sigma",
-        type=_finite_float,
-        default=2.0,
-        help="mode smearing in meV; S(hw) is sampled at a step of sigma/10 to sigma/5, "
-        "and a sigma needing an FFT of S(t) over 2^24 points is refused",
+    p = sub.add_parser(
+        "spectrum",
+        parents=[line, cutoff],
+        help="emission lineshape from a coupling document",
     )
-    p.add_argument("--window", type=_parse_window, help="output window LO:HI in eV")
-    p.add_argument("--step", type=_finite_float, default=0.1, help="output step in meV")
     p.add_argument("--no-omega-cubed", action="store_true")
-    p.add_argument(
-        "--cutoff", type=_finite_float, default=LVM_CUTOFF_MEV, help="LVM cutoff in meV"
-    )
-    p.add_argument("--out", required=True, help="spectrum TSV")
     p.add_argument("--peaks", help="labelled sideband peaks TSV")
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("oracle", help="brute-force ladder spectrum for few modes")
-    p.add_argument("--hr", required=True)
-    p.add_argument("--zpl", type=_finite_float, required=True)
-    p.add_argument("--gamma", type=_finite_float, default=1.0)
-    p.add_argument(
-        "--sigma",
-        type=_finite_float,
-        default=2.0,
-        help="per-line quanta-scaled smearing in meV; 0 for pure Lorentzians",
+    p = sub.add_parser(
+        "oracle", parents=[line], help="brute-force ladder spectrum for few modes"
     )
     p.add_argument("--max-quanta", type=int, default=16)
-    p.add_argument("--window", type=_parse_window)
-    p.add_argument("--step", type=_finite_float, default=0.1)
-    p.add_argument("--out", required=True)
     p.add_argument("--sticks", help="stick list TSV with quanta labels")
     p.add_argument("--compare", help="spectrum TSV to measure an L1 distance against")
     p.set_defaults(func=cmd_oracle)
@@ -231,15 +241,14 @@ def cmd_spectrum(args) -> int:
 
     from . import io as lio
     from . import vibronic
-    from .model import classify_lvm, tsv_printed
+    from .model import tsv_printed
 
     hr = lio.parse_hr(lio.load_document(args.hr))
     window = vibronic.resolve_window(hr, args.zpl, args.gamma, args.sigma, args.window)
     ls = vibronic.emission(
         hr, args.zpl, args.gamma, args.sigma, window, args.step, not args.no_omega_cubed
     )
-    lvm = classify_lvm(hr.omegas_mev, args.cutoff)
-    peaks = vibronic.effective_mode_report(hr, ls, args.zpl, args.gamma, lvm or None)
+    peaks = vibronic.effective_mode_report(hr, ls, args.zpl, args.gamma, args.cutoff)
     header = (
         f"lumiphon spectrum v{__version__}",
         f"zpl_ev = {args.zpl:.9g} ; gamma_mev = {args.gamma:.9g} ; "
@@ -261,12 +270,7 @@ def cmd_spectrum(args) -> int:
             args.peaks,
             header,
             ("rank", "mode", "omega_mev", "sk", "offset_mev", "energy_ev"),
-            zip(
-                *(
-                    (r, p.mode_index, hr.omegas_mev[p.mode_index], p.sk, p.offset_mev, p.energy_ev)
-                    for r, p in enumerate(peaks, start=1)
-                )
-            ),
+            zip(*((rank, *row) for rank, row in enumerate(peaks, start=1))),
             overwrite=True,
         )
     if args.manifest:

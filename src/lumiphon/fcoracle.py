@@ -123,12 +123,6 @@ def enumerate_fc(hr: HRDecomposition, cap: int) -> FCLadder:
     return FCLadder(quanta, weights, energies, tail)
 
 
-def first_moment_mev(ladder: FCLadder) -> float:
-    """Mean phonon energy released per emission event (the Stokes shift)."""
-    wsum = math.fsum(ladder.weights.tolist())
-    return float(np.dot(ladder.weights, ladder.energies_mev) / wsum)
-
-
 def broadened_oracle_spectrum(
     ladder: FCLadder,
     gamma_mev: float,

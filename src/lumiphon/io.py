@@ -155,8 +155,13 @@ _NUMBER_TYPES = frozenset((float, int))  # exact types: bool is not a number her
 
 
 def _matrix(value, rows, cols, locus):
-    if not isinstance(value, list) or len(value) != rows:
-        raise ParseError(f"expected {rows} rows", locus=locus)
+    """The finite rows x cols float array of a list of rows: the one check
+    of a matrix field's shape and numbers, ParseError or NonFiniteValue at
+    the JSON pointer of the first fault."""
+    if not isinstance(value, list):
+        raise ParseError(f"expected a list of {rows} rows", locus=locus)
+    if len(value) != rows:
+        raise ParseError(f"expected {rows} rows, got {len(value)}", locus=locus)
     for i, row in enumerate(value):
         if not isinstance(row, list) or len(row) != cols:
             raise ParseError(f"expected {cols} numbers per row", locus=f"{locus}/{i}")
@@ -291,14 +296,7 @@ def parse_hessian(doc, structure: CrystalStructure) -> np.ndarray:
     if "matrix" in doc and "triplets" in doc:
         raise ParseError("give either matrix or triplets, not both", locus="/")
     if "matrix" in doc:
-        mat = doc["matrix"]
-        if not isinstance(mat, list):
-            raise ParseError("matrix must be a list of rows", locus="/matrix")
-        if len(mat) != n3:
-            raise InputError(
-                f"matrix has {len(mat)} rows, structure requires {n3}"
-            )
-        matrix = _matrix(mat, n3, n3, "/matrix")
+        matrix = _matrix(doc["matrix"], n3, n3, "/matrix")
     elif "triplets" in doc:
         dim = _integer(_field(doc, "dim"), "/dim")
         if dim != n3:
@@ -342,15 +340,8 @@ def parse_geometry_pair(doc, structure: CrystalStructure) -> np.ndarray:
     """excited - ground of a parsed geometry_pair/1 document, (N, 3) in A."""
     _expect_schema(doc, "geometry_pair")
     n = structure.natoms
-    for key in ("ground", "excited"):
-        val = _field(doc, key)
-        if not isinstance(val, list) or len(val) != n:
-            raise InputError(
-                f"{key} has {len(val) if isinstance(val, list) else '?'} atoms, "
-                f"structure has {n}"
-            )
-    ground = _matrix(doc["ground"], n, 3, "/ground")
-    excited = _matrix(doc["excited"], n, 3, "/excited")
+    ground = _matrix(_field(doc, "ground"), n, 3, "/ground")
+    excited = _matrix(_field(doc, "excited"), n, 3, "/excited")
     if "species" in doc:
         sp = doc["species"]
         if not isinstance(sp, list) or len(sp) != n:
@@ -380,14 +371,7 @@ def write_geometry_pair(pair: GeometryPair, path, overwrite=False):
 def parse_force_delta(doc, structure: CrystalStructure) -> np.ndarray:
     """F_excited - F_ground of a parsed force_delta/1 document, flat 3N in eV/A."""
     _expect_schema(doc, "force_delta")
-    n = structure.natoms
-    values = _field(doc, "values")
-    if not isinstance(values, list) or len(values) != n:
-        raise InputError(
-            f"values has {len(values) if isinstance(values, list) else '?'} rows, "
-            f"structure has {n} atoms"
-        )
-    return _matrix(values, n, 3, "/values").reshape(-1)
+    return _matrix(_field(doc, "values"), structure.natoms, 3, "/values").reshape(-1)
 
 
 def write_force_delta(delta: ForceDelta, path, overwrite=False):

@@ -75,6 +75,11 @@ def apply_asr(d: np.ndarray, structure: CrystalStructure) -> tuple:
 
     def _residuals(dt):
         res = np.linalg.norm(dt, axis=0)
+        # a column whose squares pass the float range is normed scaled by its
+        # largest entry; finite norms keep their unscaled bits
+        for j in np.flatnonzero(~np.isfinite(res)):
+            scale = np.max(np.abs(dt[:, j]))
+            res[j] = scale * np.linalg.norm(dt[:, j] / scale)
         return units.HBAR_MEV_FS * np.sqrt(res * units.EV_PER_AMU_A2)
 
     # an infinite entry of d makes NaN here, which diagonalize refuses; a

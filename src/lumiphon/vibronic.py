@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -37,6 +36,7 @@ from .model import (
     PhononBasis,
     TimeGrid,
     _require_finite,
+    classify_lvm,
     output_grid,
     sum_sk,
     tsv_rounding,
@@ -534,38 +534,23 @@ def lineshape(
     return Lineshape(energy_ev, weighted / norm)
 
 
-@dataclass(frozen=True)
-class PeakLabel:
-    """One labelled sideband replica: offset below the ZPL and its mode."""
-
-    offset_mev: float
-    sk: float
-    mode_index: int
-    energy_ev: float
-
-
 def effective_mode_report(
-    hr: HRDecomposition,
-    ls: Lineshape,
-    zpl_ev: float,
-    gamma_mev: float,
-    lvm_indices: Optional[Sequence[int]] = None,
-) -> List[PeakLabel]:
-    """Label sideband maxima with the strongest-coupling matching modes.
+    hr: HRDecomposition, ls: Lineshape, zpl_ev: float, gamma_mev: float, cutoff_mev: float
+) -> List[Tuple[int, float, float, float, float]]:
+    """The rows (mode, omega_mev, sk, offset_mev, energy_ev) of spectrum's
+    labelled sideband peaks, strongest S_k first.
 
-    zpl_ev and gamma_mev are those ls was computed for.  Local maxima of
-    the intensity below the ZPL are matched against modes (optionally
-    restricted to a list of indices, e.g. the LVMs) whose energy lies
-    within max(3 gamma, 5 meV) of the peak offset; among the candidates
-    the largest S_k wins.  Modes with S_k < 1e-4 never label a
-    peak.  Returned sorted by S_k, strongest first.
+    zpl_ev and gamma_mev are those ls was computed for.  The candidate
+    modes are the local vibrational modes, those above cutoff_mev
+    (model.classify_lvm), or every mode when none is; modes with S_k below
+    LABEL_SK_FLOOR never label a peak.  Local maxima of the intensity below
+    the ZPL, highest first, are matched against the free candidates whose
+    energy lies within max(3 gamma, 5 meV) of the peak's offset below the
+    ZPL; among them the largest S_k wins.
     """
-    eligible = hr.sk >= LABEL_SK_FLOOR
-    if lvm_indices is not None:
-        listed = np.zeros(hr.nmodes, dtype=bool)
-        listed[np.asarray(lvm_indices, int)] = True
-        eligible &= listed
-    candidates = np.flatnonzero(eligible)
+    lvm = classify_lvm(hr.omegas_mev, cutoff_mev)
+    candidates = np.array(lvm, dtype=int) if lvm else np.arange(hr.nmodes)
+    candidates = candidates[hr.sk[candidates] >= LABEL_SK_FLOOR]
     omegas = hr.omegas_mev[candidates]
     sks = hr.sk[candidates]
     free = np.ones(candidates.size, dtype=bool)
@@ -578,7 +563,7 @@ def effective_mode_report(
     peaks = np.nonzero(interior & below)[0]
     peaks = peaks[np.argsort(y[peaks], kind="stable")[::-1]]
 
-    labels: List[PeakLabel] = []
+    rows = []
     for p in peaks:
         offset = (zpl_ev - e[p]) * 1000.0
         near = free & (np.abs(omegas - offset) <= match_tol_mev)
@@ -588,6 +573,6 @@ def effective_mode_report(
         best = int(np.argmax(np.where(near, sks, -np.inf)))
         free[best] = False
         k = int(candidates[best])
-        labels.append(PeakLabel(offset, float(hr.sk[k]), k, float(e[p])))
-    labels.sort(key=lambda pl: -pl.sk)
-    return labels
+        rows.append((k, float(hr.omegas_mev[k]), float(hr.sk[k]), float(offset), float(e[p])))
+    rows.sort(key=lambda row: -row[2])
+    return rows

@@ -99,6 +99,13 @@ def extract_peak_weights(
     return weights / weights.sum()
 
 
+def first_moment_mev(ladder):
+    """Mean phonon energy released per emission event of an fcoracle ladder
+    (the Stokes shift): the reference of first moment = sum S_k omega_k."""
+    wsum = math.fsum(ladder.weights.tolist())
+    return float(np.dot(ladder.weights, ladder.energies_mev) / wsum)
+
+
 def lorentzian_ev(x_ev, center_ev, gamma_mev):
     g = gamma_mev / 1000.0
     return (g / math.pi) / ((x_ev - center_ev) ** 2 + g * g)

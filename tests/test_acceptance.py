@@ -19,7 +19,7 @@ from lumiphon.energetics import (
     formation_energy,
     stability_diagram,
 )
-from lumiphon.fcoracle import broadened_oracle_spectrum, enumerate_fc, first_moment_mev
+from lumiphon.fcoracle import broadened_oracle_spectrum, enumerate_fc
 from lumiphon.model import (
     ChemicalPotential,
     CrystalStructure,
@@ -46,6 +46,7 @@ from lumiphon.vibronic import (
 
 from helpers import (
     extract_peak_weights,
+    first_moment_mev,
     hessian_of,
     poisson_weight,
     random_cluster_structure,

@@ -18,12 +18,11 @@ from lumiphon.fcoracle import (
     FCLadder,
     broadened_oracle_spectrum,
     enumerate_fc,
-    first_moment_mev,
 )
 from lumiphon.model import HRDecomposition
 from lumiphon.vibronic import emission, partial_hr
 
-from helpers import poisson_weight
+from helpers import first_moment_mev, poisson_weight
 
 
 def _hr(omegas, sks):

@@ -14,7 +14,9 @@ The documents are drawn as bytes: valid documents, junk, other encodings,
 deep nesting, truncated files and valid documents with one field
 replaced.  spectrum and oracle also run on generated hr/1 documents and
 flags that span the float range: zero, subnormals, 1e-300 to 1e300, ties
-and integers past it.
+and integers past it; thermo and dissoc on generated defects/1 and
+dissociation/1 documents with near-tie and float-range energies, whose
+printed results are checked against exact rational arithmetic.
 """
 
 import contextlib
@@ -25,6 +27,7 @@ import math
 import pathlib
 import tempfile
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -155,12 +158,8 @@ def _no_constant(token):
     pytest.fail(f"non-finite literal {token} written")
 
 
-def _rows(path):
-    return [
-        line.split("\t")
-        for line in path.read_text(encoding="utf-8").splitlines()
-        if not line.startswith("#")
-    ]
+def _rows(text):
+    return [line.split("\t") for line in text.splitlines() if not line.startswith("#")]
 
 
 def _check_accepted(work, made):
@@ -173,11 +172,12 @@ def _check_accepted(work, made):
             continue
         columns = path.read_text(encoding="utf-8").split("# columns: ", 1)[1].split("\n", 1)[0]
         numeric = [c not in ("label", "quanta", "lvm", "stable") for c in columns.split("\t")]
-        for row in _rows(path):
+        for row in _rows(path.read_text(encoding="utf-8")):
             assert len(row) == len(numeric), (name, row)
             assert all(math.isfinite(float(v)) for v, n in zip(row, numeric) if n), (name, row)
     for name in set(made) & set(_TABLES):
-        rows = np.array(_rows(work / name), dtype=float).reshape(-1, 2)
+        rows = np.array(_rows((work / name).read_text(encoding="utf-8")), dtype=float)
+        rows = rows.reshape(-1, 2)
         energy, intensity = rows.T
         assert energy.size >= 2 and np.all(np.diff(energy) > 0), name
         if name == "s.tsv":
@@ -186,7 +186,7 @@ def _check_accepted(work, made):
 
 def _run(argv, files):
     """Write files into a fresh directory, run argv there and check the
-    exit contract; returns the exit code."""
+    exit contract; returns the exit code and the text of each table written."""
     with tempfile.TemporaryDirectory() as tmp:
         work = pathlib.Path(tmp)
         for name, data in files.items():
@@ -208,7 +208,9 @@ def _run(argv, files):
         else:
             assert "manifest.json" in made
             _check_accepted(work, made)
-        return code
+        tables = {name: (work / name).read_text(encoding="utf-8") for name in made
+                  if name.endswith(".tsv")}
+        return code, tables
 
 
 # ------------------------------------------------------- byte strategies
@@ -288,7 +290,7 @@ def test_every_document_flag_on_generated_bytes(case):
     run, kind, data = case
     files = {k: _valid_files()[k] for k in _inputs(run)}
     files[kind] = data
-    code = _run(_RUNS[run], files)
+    code, _ = _run(_RUNS[run], files)
     if data == _valid_files()[kind]:
         assert code == 0
 
@@ -399,3 +401,157 @@ def test_spectrum_on_generated_documents_and_flags(doc, flags):
 def test_oracle_on_generated_documents_and_flags(doc, flags):
     argv = ["oracle", "--hr", "{hr}", *flags, "--out", "o.tsv", "--sticks", "sticks.tsv"]
     _run(argv, {"hr": doc.encode()})
+
+
+# ------------------------------------------------ thermo and dissoc tables
+
+_EPS = 2.0**-52
+_LABELS = st.text(alphabet="ab2_é", min_size=1, max_size=4)
+# offsets that put lines or sums within rounding of a tie
+_NUDGES = st.sampled_from([0.0, 0.0, 5e-324, -1e-15, 1e-15, 1e-12, -1e-9])
+
+
+def _half_unit(text):
+    """Exact bound on the rounding of a value %.9g printed as text."""
+    value = float(text)
+    return Fraction(0) if value == 0 else Fraction(1, 2) * Fraction(10) ** (
+        math.floor(math.log10(abs(value))) - 8)
+
+
+def _float_error(magnitude, ops):
+    """Bound on the rounding of ops float additions or products of terms
+    whose absolute values sum to magnitude; 0 past the float range, where
+    the bound says nothing."""
+    bound = ops * _EPS * magnitude
+    return Fraction(bound) if math.isfinite(bound) else None
+
+
+@st.composite
+def _defect_tables(draw):
+    """defects/1 of 1 to 4 labels with 1 to 4 charges each.  Adjacent
+    charges of a label mostly cross at drawn Fermi levels in the gap, in
+    rising order or not (negative U), each level now and then within a
+    nudge of the one before (near-ties); other energies span the float range."""
+    host = {
+        "host_energy_ev": draw(_floats(-2000.0, -10.0)),
+        "vbm_ev": draw(_floats(-2.0, 8.0)),
+        "gap_ev": draw(_floats(0.1, 5.0)),
+        "chemical_potentials": {
+            sp: {"reference_energy_ev": draw(_floats(-10.0, -1.0)),
+                 "delta_ev": draw(_floats(-1.0, 0.0))}
+            for sp in ("C", "Si")
+        },
+    }
+    potentials = host["chemical_potentials"]
+    entries = []
+    for label in draw(st.lists(_LABELS, min_size=1, max_size=4, unique=True)):
+        charges = sorted(draw(st.lists(st.integers(-3, 3), min_size=1, max_size=4, unique=True)),
+                         reverse=True)
+        levels = [draw(st.floats(0.0, 5.0))]
+        for _ in charges[2:]:
+            levels.append(draw(st.one_of(st.floats(0.0, 5.0), _NUDGES.map(levels[-1].__add__))))
+        if draw(st.booleans()):
+            levels.sort()
+        intercept = draw(_floats(-5.0, 5.0))  # E_f at E_Fermi = 0 of the highest charge
+        for i, q in enumerate(charges):
+            if i:  # meets the line of the charge before at levels[i - 1]
+                intercept += (charges[i - 1] - q) * levels[i - 1]
+            stoichiometry = draw(st.dictionaries(st.sampled_from(["C", "Si"]),
+                                                 st.integers(-2, 2), max_size=2))
+            correction = draw(st.one_of(st.just(0.0), _floats(-1.0, 1.0)))
+            reservoir = sum(
+                n * (potentials[sp]["reference_energy_ev"] + potentials[sp]["delta_ev"])
+                for sp, n in stoichiometry.items()
+            )
+            energy = draw(st.one_of(
+                st.just(intercept + host["host_energy_ev"] - reservoir - correction
+                        - q * host["vbm_ev"]),
+                _floats(-2000.0, 0.0),
+            ))
+            entries.append({"label": label, "charge": q, "total_energy_ev": energy,
+                            "stoichiometry": stoichiometry, "correction_ev": correction})
+    return {"schema": "defects/1", "host": host, "entries": entries}
+
+
+def _formation_lines(doc, label):
+    """(charge, exact E_f at E_Fermi = 0, absolute sum of its terms) of
+    each entry of label, from the document's floats."""
+    host = doc["host"]
+    potentials = host["chemical_potentials"]
+    lines = []
+    for e in doc["entries"]:
+        if e["label"] != label:
+            continue
+        terms = [Fraction(e["total_energy_ev"]), -Fraction(host["host_energy_ev"]),
+                 e["charge"] * Fraction(host["vbm_ev"]), Fraction(e["correction_ev"])]
+        for sp, n in e["stoichiometry"].items():
+            terms += [n * Fraction(potentials[sp]["reference_energy_ev"]),
+                      n * Fraction(potentials[sp]["delta_ev"])]
+        magnitude = sum(abs(float(t)) for t in terms) + abs(e["charge"]) * host["gap_ev"]
+        lines.append((e["charge"], sum(terms), magnitude))
+    return lines
+
+
+@settings(max_examples=30, deadline=None)
+# every printed row is checked exactly; a step below 5 meV, the 1 meV
+# default included, would only add rows
+@given(
+    doc=_defect_tables(),
+    step=st.one_of(st.floats(5.0, 200.0), st.sampled_from([0.0, -1.0, 5e-324, 1e300])).map(
+        lambda v: [f"--fermi-step={v!r}"]),
+)
+def test_thermo_envelope_is_the_least_line_on_generated_tables(doc, step):
+    # every printed envelope value is, within its printing and the float
+    # rounding of its terms, the least of its label's lines at the printed
+    # Fermi level, the lines taken exactly
+    argv = ["thermo", "--defects", "{defects}", *step, "--envelope", "env.tsv",
+            "--transitions", "trans.tsv", "--windows", "win.tsv"]
+    code, tables = _run(argv, {"defects": json.dumps(doc).encode()})
+    if code:
+        return
+    lines = {}
+    for label, fermi, formation in _rows(tables["env.tsv"]):
+        if label not in lines:
+            lines[label] = _formation_lines(doc, label)
+        x = Fraction(fermi)
+        least = min(intercept + q * x for q, intercept, _ in lines[label])
+        charge = max(abs(q) for q, _, _ in lines[label])
+        rounding = _float_error(max(m for _, _, m in lines[label]), 16)
+        if rounding is None:
+            continue
+        slack = _half_unit(formation) + charge * _half_unit(fermi) + rounding
+        assert abs(Fraction(formation) - least) <= slack, (label, fermi, formation, float(least))
+    assert sorted(lines) == sorted({e["label"] for e in doc["entries"]})
+
+
+@st.composite
+def _dissociation_tables(draw):
+    """dissociation/1 of 1 to 4 labels; on about half the entries the
+    released energy brings E_D within a nudge of zero."""
+    entries = []
+    for label in draw(st.lists(_LABELS, min_size=1, max_size=4, unique=True)):
+        cluster, fragment = draw(_floats(-500.0, -1.0)), draw(_floats(-500.0, -1.0))
+        released = draw(st.one_of(
+            _floats(-20.0, 0.0), _NUDGES.map(lambda nudge: cluster - fragment + nudge)))
+        entries.append({"label": label, "cluster_energy_ev": cluster,
+                        "fragment_energy_ev": fragment, "released_energy_ev": released})
+    return {"schema": "dissociation/1", "entries": entries}
+
+
+@settings(max_examples=30, deadline=None)
+@given(doc=_dissociation_tables())
+def test_dissoc_prints_fragment_plus_released_minus_cluster(doc):
+    code, tables = _run(_RUNS["dissoc"], {"dissociation": json.dumps(doc).encode()})
+    if code:
+        return
+    rows = _rows(tables["ed.tsv"])
+    assert [row[0] for row in rows] == [e["label"] for e in doc["entries"]]
+    for (_, e_d, stable), e in zip(rows, doc["entries"]):
+        terms = (e["fragment_energy_ev"], e["released_energy_ev"], -e["cluster_energy_ev"])
+        exact = sum(map(Fraction, terms))
+        rounding = _float_error(sum(map(abs, terms)), 2)
+        if rounding is None:
+            continue
+        assert abs(Fraction(e_d) - exact) <= _half_unit(e_d) + rounding, (e, e_d)
+        if abs(exact) > rounding:
+            assert stable == ("true" if exact > 0 else "false"), (e, e_d, stable)

@@ -116,8 +116,9 @@ def test_hessian_asymmetric_accepted():
 
 def test_hessian_dimension_mismatch():
     structure = lio.parse_structure(STRUCTURE_DOC)
-    with pytest.raises(InputError, match="matrix has 9 rows, structure requires 6"):
+    with pytest.raises(ParseError, match="expected 6 rows, got 9") as err:
         lio.parse_hessian({"schema": "hessian/1", "matrix": np.eye(9).tolist()}, structure)
+    assert err.value.locus == "/matrix"
 
 
 @pytest.mark.parametrize("layout", ["matrix", "triplets"])
@@ -252,11 +253,21 @@ def test_pair_delta_is_exact_difference():
 
 def test_pair_atom_count_mismatch():
     structure = lio.parse_structure(STRUCTURE_DOC)
-    with pytest.raises(InputError, match="ground has 1 atoms, structure has 2"):
-        lio.parse_geometry_pair(
-            {"schema": "geometry_pair/1", "ground": [[0, 0, 0]], "excited": [[0, 0, 0]]},
-            structure,
-        )
+    for short in ("ground", "excited"):
+        doc = {"schema": "geometry_pair/1", "ground": [[0, 0, 0]] * 2,
+               "excited": [[0, 0, 0]] * 2, short: [[0, 0, 0]]}
+        with pytest.raises(ParseError, match="expected 2 rows, got 1") as err:
+            lio.parse_geometry_pair(doc, structure)
+        assert err.value.locus == f"/{short}"
+
+
+@pytest.mark.parametrize("values", [[[0.0, 0.0, 0.0]] * 3, {"x": 1.0}])
+def test_force_delta_row_count_mismatch(values):
+    # _matrix is the one check of a matrix field's row count
+    structure = lio.parse_structure(STRUCTURE_DOC)
+    with pytest.raises(ParseError, match="rows") as err:
+        lio.parse_force_delta({"schema": "force_delta/1", "values": values}, structure)
+    assert err.value.locus == "/values"
 
 
 def test_pair_species_order_checked():

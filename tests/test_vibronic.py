@@ -20,7 +20,6 @@ from lumiphon.model import (
 from lumiphon.phonons import apply_asr, diagonalize, dynamical_matrix
 from lumiphon.vibronic import (
     LABEL_SK_FLOOR,
-    PeakLabel,
     _periodic_spline,
     effective_mode_report,
     emission,
@@ -898,9 +897,10 @@ def test_effective_mode_report_single_mode():
     hr, ls = _single_mode_lineshape(
         s, omega, zpl, gamma, sigma, window_ev=(zpl - 1.2, zpl + 0.08)
     )
-    labels = effective_mode_report(hr, ls, zpl, gamma)
-    assert labels and labels[0].mode_index == 0
-    assert labels[0].offset_mev == pytest.approx(omega, abs=1.0)
+    labels = effective_mode_report(hr, ls, zpl, gamma, 115.0)
+    assert labels and labels[0][0] == 0
+    assert labels[0][1] == omega
+    assert labels[0][3] == pytest.approx(omega, abs=1.0)
 
 
 def test_effective_mode_report_ordering_and_floor():
@@ -922,11 +922,13 @@ def test_effective_mode_report_ordering_and_floor():
             omega_cubed=False,
         ),
     )
-    labels = effective_mode_report(hr, ls, zpl, gamma)
-    assert [p.mode_index for p in labels] == [0, 1, 3, 4]  # S_k floor drops mode 2
-    assert labels[0].sk >= labels[-1].sk
-    for p in labels:
-        assert p.offset_mev == pytest.approx(hr.omegas_mev[p.mode_index], abs=1.5)
+    labels = effective_mode_report(hr, ls, zpl, gamma, 0.0)  # every mode is above 0 meV
+    assert [mode for mode, *_ in labels] == [0, 1, 3, 4]  # S_k floor drops mode 2
+    assert labels[0][2] >= labels[-1][2]
+    for mode, _, _, offset, _ in labels:
+        assert offset == pytest.approx(hr.omegas_mev[mode], abs=1.5)
+    # with no mode above the cutoff, every mode is a candidate
+    assert effective_mode_report(hr, ls, zpl, gamma, 200.0) == labels
 
     # oracle cross-check: every labelled offset is a maximum of the
     # independently broadened ladder as well
@@ -935,18 +937,17 @@ def test_effective_mode_report_ordering_and_floor():
     y = broadened_oracle_spectrum(ladder, gamma, grid, zpl, sigma)
     peak_idx = np.nonzero((y[1:-1] >= y[2:]) & (y[1:-1] > y[:-2]))[0] + 1
     peak_offsets = (zpl - grid[peak_idx]) * 1000.0
-    for p in labels:
-        assert np.min(np.abs(peak_offsets - p.offset_mev)) < 1.0
+    for _, _, _, offset, _ in labels:
+        assert np.min(np.abs(peak_offsets - offset)) < 1.0
 
-    lvm_only = effective_mode_report(hr, ls, zpl, gamma, lvm_indices=[2, 3, 4])
-    assert [p.mode_index for p in lvm_only] == [3, 4]
+    lvm_only = effective_mode_report(hr, ls, zpl, gamma, 100.0)  # modes 2, 3 and 4
+    assert [mode for mode, *_ in lvm_only] == [3, 4]
 
 
-def _reference_mode_report(hr, ls, zpl_ev, gamma_mev, lvm_indices=None):
+def _reference_mode_report(hr, ls, zpl_ev, gamma_mev, cutoff_mev):
     """The labelling loop as first written: one Python pass per peak and mode."""
-    candidates = (
-        np.arange(hr.nmodes) if lvm_indices is None else np.asarray(lvm_indices, int)
-    )
+    above = [k for k in range(hr.nmodes) if hr.omegas_mev[k] > cutoff_mev]
+    candidates = np.array(above or range(hr.nmodes), dtype=int)
     candidates = candidates[hr.sk[candidates] >= LABEL_SK_FLOOR]
     match_tol_mev = max(3.0 * gamma_mev, 5.0)
     e = ls.energy_ev
@@ -970,8 +971,8 @@ def _reference_mode_report(hr, ls, zpl_ev, gamma_mev, lvm_indices=None):
             continue
         best = max(near, key=lambda k: (hr.sk[k], -k))
         used.add(best)
-        labels.append(PeakLabel(offset, float(hr.sk[best]), best, float(e[p])))
-    labels.sort(key=lambda pl: -pl.sk)
+        labels.append((best, hr.omegas_mev[best], hr.sk[best], offset, e[p]))
+    labels.sort(key=lambda row: -row[2])
     return labels
 
 
@@ -982,9 +983,10 @@ def _reference_mode_report(hr, ls, zpl_ev, gamma_mev, lvm_indices=None):
     st.lists(st.integers(0, 6), min_size=4, max_size=60),
     # the match tolerance max(3 gamma, 5 meV) is 5 meV up to gamma = 5/3 meV
     st.sampled_from([0.1, 0.5, 1.0, 2.0, 3.0]),
-    st.one_of(st.none(), st.lists(st.integers(0, 13), max_size=8)),
+    # cutoffs on and between the modes, below all of them and above all of them
+    st.integers(-2, 82).map(lambda half: half / 2.0),
 )
-def test_effective_mode_report_matches_reference_loop(mode_mev, sk_pool, heights, gamma, lvm):
+def test_effective_mode_report_matches_reference_loop(mode_mev, sk_pool, heights, gamma, cutoff):
     # integer mode energies and intensities on a 1 meV grid give exact ties
     # in S_k, in peak height and in the distance of modes from a peak
     omegas = np.sort(np.array(mode_mev, dtype=float))
@@ -993,7 +995,6 @@ def test_effective_mode_report_matches_reference_loop(mode_mev, sk_pool, heights
     energy = 2.0 - 0.001 * np.arange(len(heights), 0, -1)
     raw = np.array(heights, dtype=float) + 0.5
     ls = Lineshape(energy, raw / np.trapezoid(raw, energy))
-    lvm = None if lvm is None else [k for k in lvm if k < hr.nmodes]
-    assert effective_mode_report(hr, ls, 2.0, gamma, lvm) == _reference_mode_report(
-        hr, ls, 2.0, gamma, lvm
+    assert effective_mode_report(hr, ls, 2.0, gamma, cutoff) == _reference_mode_report(
+        hr, ls, 2.0, gamma, cutoff
     )
