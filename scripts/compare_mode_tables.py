@@ -29,7 +29,7 @@ def main():
 
     omegas = []
     for path in (args.basis_a, args.basis_b):
-        basis = lio.parse_phonon_basis(lio.load_document(path))
+        basis = lio.parse_phonon_basis(lio.load_document(path), path)
         omegas.append(basis.omegas_mev[classify_lvm(basis.omegas_mev, args.cutoff)])
     a, b = omegas
     if a.size == 0 or b.size == 0:

@@ -209,7 +209,7 @@ def cmd_hr(args) -> int:
     if bool(args.pair) == bool(args.forces):
         raise InputError("give exactly one of --pair or --forces")
     structure = lio.parse_structure(lio.load_document(args.structure))
-    basis = lio.parse_phonon_basis(lio.load_document(args.modes))
+    basis = lio.parse_phonon_basis(lio.load_document(args.modes), args.modes)
     if args.pair:
         delta = lio.parse_geometry_pair(lio.load_document(args.pair), structure)
         qk = vibronic.qk_from_displacement(basis, delta, structure)

@@ -1,7 +1,9 @@
 """Parsers and writers for every interchange document.
 
 Native formats are self-describing JSON documents (schema field per type)
-plus tab-separated tables for plot-ready output.  Energies are always eV,
+plus tab-separated tables for plot-ready output; a phonon basis keeps its
+vectors as raw float64 bytes in a sibling file that its document names
+and hashes.  Energies are always eV,
 phonon energies meV, positions A, masses amu; there are no unit fields and
 no auto-detection.  Numeric fields survive a write/read cycle bit-exactly.
 Semantic parse errors carry a JSON-pointer locus, syntax errors a
@@ -11,7 +13,6 @@ rename; existing files are only replaced when overwrite is set.
 
 from __future__ import annotations
 
-import base64
 import itertools
 import json
 import math
@@ -44,7 +45,7 @@ SCHEMAS = {
     "hessian": "hessian/1",
     "geometry_pair": "geometry_pair/1",
     "force_delta": "force_delta/1",
-    "phonon_basis": "phonon_basis/2",
+    "phonon_basis": "phonon_basis/3",
     "hr": "hr/1",
     "defects": "defects/1",
     "dissociation": "dissociation/1",
@@ -181,27 +182,47 @@ def _matrix(value, rows, cols, locus):
     return out
 
 
-def _binary_matrix(value, rows, cols, locus):
-    """A row-major little-endian float64 block: dtype, shape and base64."""
+def _binary_matrix(value, rows, cols, locus, directory):
+    """A row-major little-endian float64 block held in a sibling file: dtype,
+    shape, the file's bare name in `directory` and the sha256 of its bytes.
+    The file's size is checked before it is read, in one read."""
+    import hashlib
+
     if not isinstance(value, dict):
-        raise ParseError("expected an object with dtype, shape and base64", locus=locus)
+        raise ParseError("expected an object with dtype, shape, file and sha256", locus=locus)
     dtype = _field(value, "dtype", locus)
     if dtype != "<f8":
         raise ParseError(f"dtype must be '<f8', got {dtype!r}", locus=f"{locus}/dtype")
     shape = _field(value, "shape", locus)
     if shape != [rows, cols] or not all(type(n) is int for n in shape):
         raise ParseError(f"shape must be [{rows}, {cols}], got {shape!r}", locus=f"{locus}/shape")
-    text = _field(value, "base64", locus)
-    if not isinstance(text, str):
-        raise ParseError("base64 must be a string", locus=f"{locus}/base64")
-    try:
-        raw = base64.b64decode(text, validate=True)
-    except ValueError as exc:
-        raise ParseError(f"invalid base64: {exc}", locus=f"{locus}/base64") from None
-    if len(raw) != rows * cols * 8:
+    name = _field(value, "file", locus)
+    if (
+        not isinstance(name, str)
+        or name in ("", ".", "..")
+        or "\0" in name
+        or os.path.basename(name) != name
+    ):
         raise ParseError(
-            f"payload has {len(raw)} bytes, shape needs {rows * cols * 8}",
-            locus=f"{locus}/base64",
+            f"file must name a file beside the document, with no directory part, got {name!r}",
+            locus=f"{locus}/file",
+        )
+    digest = _field(value, "sha256", locus)
+    if not isinstance(digest, str):
+        raise ParseError("sha256 must be a string", locus=f"{locus}/sha256")
+    path = os.path.join(directory, name)
+    size = rows * cols * 8
+    try:
+        with open(path, "rb") as fh:
+            held = os.fstat(fh.fileno()).st_size
+            raw = fh.read(size) if held == size else b""  # a wrong size is not read
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror}", locus=f"{locus}/file") from None
+    if len(raw) != size:
+        raise ParseError(f"{path} holds {held} bytes, shape needs {size}", locus=f"{locus}/file")
+    if hashlib.sha256(raw).hexdigest() != digest:
+        raise ParseError(
+            f"{path} does not match the recorded sha256", locus=f"{locus}/sha256"
         )
     return np.frombuffer(raw, dtype="<f8").reshape(rows, cols)
 
@@ -301,27 +322,54 @@ def parse_hessian(doc, structure: CrystalStructure) -> np.ndarray:
         dim = _integer(_field(doc, "dim"), "/dim")
         if dim != n3:
             raise InputError(f"dim {dim} does not match 3N = {n3}")
-        matrix = np.zeros((n3, n3))
-        seen = set()
-        trip = doc["triplets"]
-        if not isinstance(trip, list):
-            raise ParseError("triplets must be a list", locus="/triplets")
-        for k, row in enumerate(trip):
-            locus = f"/triplets/{k}"
-            if not isinstance(row, list) or len(row) != 3:
-                raise ParseError("triplet must be [i, j, value]", locus=locus)
-            i = _integer(row[0], f"{locus}/0")
-            j = _integer(row[1], f"{locus}/1")
-            if not (0 <= i < n3 and 0 <= j < n3):
-                raise ParseError(f"index ({i},{j}) outside 0..{n3 - 1}", locus=locus)
-            if (i, j) in seen:
-                raise InputError(f"duplicate triplet entry ({i},{j})")
-            seen.add((i, j))
-            matrix[i, j] = _number(row[2], f"{locus}/2")
+        matrix = _triplets(doc["triplets"], n3)
     else:
         raise ParseError("hessian needs a matrix or triplets field", locus="/")
     if doc.get("structure_hash") and doc["structure_hash"] != structure_checksum(structure):
         raise InputError("hessian document was bound to a different structure")
+    return matrix
+
+
+def _triplets(trip, n3):
+    """The n3 x n3 matrix of a `triplets` list of [i, j, value]: integer
+    indices in 0..n3-1, each pair at most once, finite values, zeros
+    elsewhere; ParseError or InputError naming the first bad triplet."""
+    if not isinstance(trip, list):
+        raise ParseError("triplets must be a list", locus="/triplets")
+    matrix = np.zeros((n3, n3))
+    if {list}.issuperset(map(type, trip)) and {3}.issuperset(map(len, trip)):
+        flat = list(itertools.chain.from_iterable(trip))
+        values = flat[2::3]
+        del flat[2::3]
+        if {int}.issuperset(map(type, flat)) and _NUMBER_TYPES.issuperset(map(type, values)):
+            try:
+                rows, cols = np.array(flat, dtype=np.int64).reshape(-1, 2).T
+                values = np.array(values, dtype=float)
+            except OverflowError:  # an integer past int64 or the float range
+                pass
+            else:
+                inside = ((0 <= rows) & (rows < n3) & (0 <= cols) & (cols < n3)).all()
+                if (
+                    inside
+                    and np.isfinite(values).all()
+                    and np.unique(rows * n3 + cols).size == rows.size
+                ):
+                    matrix[rows, cols] = values
+                    return matrix
+    # failure path: the element loop names the first offending triplet
+    seen = set()
+    for k, row in enumerate(trip):
+        locus = f"/triplets/{k}"
+        if not isinstance(row, list) or len(row) != 3:
+            raise ParseError("triplet must be [i, j, value]", locus=locus)
+        i = _integer(row[0], f"{locus}/0")
+        j = _integer(row[1], f"{locus}/1")
+        if not (0 <= i < n3 and 0 <= j < n3):
+            raise ParseError(f"index ({i},{j}) outside 0..{n3 - 1}", locus=locus)
+        if (i, j) in seen:
+            raise InputError(f"duplicate triplet entry ({i},{j})")
+        seen.add((i, j))
+        matrix[i, j] = _number(row[2], f"{locus}/2")
     return matrix
 
 
@@ -386,8 +434,8 @@ def write_force_delta(delta: ForceDelta, path, overwrite=False):
 
 #: Every entry of V V^T - I of a basis read must lie below this in magnitude.
 ORTHONORMALITY_TOL = 1e-8
-#: Bytes of vectors the basis writer base64-encodes at a time.
-_B64_BLOCK = 1 << 20
+#: Bytes of vectors the basis writer copies, hashes and writes at a time.
+_PAYLOAD_BLOCK = 1 << 20
 
 
 def _check_orthonormal(vectors):
@@ -398,19 +446,22 @@ def _check_orthonormal(vectors):
         raise InputError(f"mode vectors not orthonormal (max deviation {dev:.3e})")
 
 
-def parse_phonon_basis(doc) -> PhononBasis:
-    """Read `phonon_basis/2`: finite omegas and vectors, the vectors' rows
-    orthonormal, and a provenance that is an object when given."""
+def parse_phonon_basis(doc, path) -> PhononBasis:
+    """Read `phonon_basis/3`, the parsed document at path: finite omegas,
+    the vectors from the sibling file the document names (its size and
+    sha256 checked), finite with orthonormal rows, and a provenance that
+    is an object when given."""
     _expect_schema(doc, "phonon_basis")
     omegas = _field(doc, "omegas_mev")
     if not isinstance(omegas, list) or not omegas:
         raise ParseError("omegas_mev must be a non-empty list", locus="/omegas_mev")
     nm = len(omegas)
     w = np.array([_number(x, f"/omegas_mev/{i}") for i, x in enumerate(omegas)])
-    vectors = _binary_matrix(_field(doc, "vectors"), nm, nm, "/vectors")
     if not isinstance(doc.get("provenance", {}), dict):
         raise ParseError("provenance must be an object", locus="/provenance")
-    _require_finite(vectors, "vectors")
+    directory = os.path.dirname(os.fspath(path))
+    vectors = _binary_matrix(_field(doc, "vectors"), nm, nm, "/vectors", directory)
+    _require_finite(vectors, "/vectors/file: vectors")
     _check_orthonormal(vectors)
     return PhononBasis(w, vectors)
 
@@ -418,27 +469,41 @@ def parse_phonon_basis(doc) -> PhononBasis:
 def write_phonon_basis(
     basis: PhononBasis, path, provenance: Optional[dict] = None, overwrite=False
 ):
+    """The basis document at path and, first, its vectors' row-major bytes
+    in the sibling file path + ".f8"; the document, renamed last, commits
+    the pair."""
+    import hashlib
+
+    payload = os.fspath(path) + ".f8"
     _check_target(path, overwrite)
+    _check_target(payload, overwrite)
     vectors = basis.vectors
     doc = {
         "schema": SCHEMAS["phonon_basis"],
         "omegas_mev": basis.omegas_mev.tolist(),
-        "vectors": {"dtype": "<f8", "shape": list(vectors.shape), "base64": ""},
+        "vectors": {
+            "dtype": "<f8",
+            "shape": list(vectors.shape),
+            "file": os.path.basename(payload),
+            "sha256": "",
+        },
         "provenance": provenance or {},
     }
-    # base64 needs no JSON escapes, so the payload skips the encoder's scan:
-    # it is spliced in at the vectors' empty base64 field, the first in the
-    # text because provenance comes after the vectors.  Blocks of 3k rows
-    # are whole 3-byte groups, which base64 encodes without padding, so they
-    # join to the encoding of the row-major payload with no contiguous copy
-    # of the vectors (diagonalize leaves them transposed)
-    rows = 3 * max(1, _B64_BLOCK // (24 * vectors.shape[1]))
-    payload = (
-        base64.b64encode(np.ascontiguousarray(vectors[s : s + rows], dtype="<f8"))
-        for s in range(0, vectors.shape[0], rows)
-    )
-    head, tail = _dumps(doc, path).encode("ascii").split(b'"base64":""', 1)
-    _atomic_write(itertools.chain((head, b'"base64":"'), payload, (b'"', tail, b"\n")), path)
+    _dumps(doc, path)  # a field json refuses is refused before any file is written
+    digest = hashlib.sha256()
+
+    def blocks():
+        # blocks of rows, hashed as written: no contiguous copy of the
+        # vectors, which diagonalize leaves transposed
+        rows = max(1, _PAYLOAD_BLOCK // (8 * vectors.shape[1]))
+        for start in range(0, vectors.shape[0], rows):
+            block = np.ascontiguousarray(vectors[start : start + rows], dtype="<f8")
+            digest.update(block)
+            yield block
+
+    _atomic_write(blocks(), payload)
+    doc["vectors"]["sha256"] = digest.hexdigest()
+    _atomic_write([_dumps(doc, path).encode("ascii"), b"\n"], path)
 
 
 # ------------------------------------------------------------------- HR

@@ -1,6 +1,7 @@
 import argparse
 import ast
 import base64
+import hashlib
 import json
 import math
 import os
@@ -31,9 +32,15 @@ from lumiphon.model import (
     structure_checksum,
     tsv_rounding,
 )
+from lumiphon.phonons import diagonalize, dynamical_matrix
 from lumiphon.vibronic import partial_hr
 
-from helpers import isotropic_pair_hessian, lorentzian_ev, recurrence_free_spectrum
+from helpers import (
+    isotropic_pair_hessian,
+    lorentzian_ev,
+    random_cluster_structure,
+    recurrence_free_spectrum,
+)
 
 
 def _write_diatomic(tmp_path, spring=4.2):
@@ -79,7 +86,7 @@ def test_modes_diatomic_asr(tmp_path, capsys):
     )
     assert code == 0
     doc = lio.load_document(out)
-    basis, provenance = lio.parse_phonon_basis(doc), doc["provenance"]
+    basis, provenance = lio.parse_phonon_basis(doc, out), doc["provenance"]
     assert basis.nmodes == 6
     assert np.sum(np.abs(basis.omegas_mev) < 0.01) == 3
     assert provenance["asr_applied"] is True
@@ -153,7 +160,7 @@ def test_modes_lvm_table_fixture(tmp_path):
     )
     assert code == 0
     doc = lio.load_document(out)
-    lio.parse_phonon_basis(doc)
+    lio.parse_phonon_basis(doc, out)
     assert len(doc["provenance"]["lvm_indices"]) == 5
 
 
@@ -427,13 +434,16 @@ def test_hr_basis_with_a_repeated_mode_exit_2(tmp_path, capsys):
     u /= np.linalg.norm(u)
     vectors = np.eye(n) - 2.0 * np.outer(u, u)
     vectors[2] = vectors[1]
+    payload = vectors.astype("<f8").tobytes()
+    (tmp_path / "modes.json.f8").write_bytes(payload)
     doc = {
-        "schema": "phonon_basis/2",
+        "schema": "phonon_basis/3",
         "omegas_mev": np.linspace(20.0, 160.0, n).tolist(),
         "vectors": {
             "dtype": "<f8",
             "shape": [n, n],
-            "base64": base64.b64encode(vectors.astype("<f8").tobytes()).decode("ascii"),
+            "file": "modes.json.f8",
+            "sha256": hashlib.sha256(payload).hexdigest(),
         },
     }
     modes = tmp_path / "modes.json"
@@ -451,12 +461,38 @@ def test_hr_basis_with_a_repeated_mode_exit_2(tmp_path, capsys):
     assert "not orthonormal" in capsys.readouterr().err
 
 
-def test_hr_refuses_v1_basis_exit_2(tmp_path, capsys):
-    # phonon_basis/2 is the one basis format read; the nested-list /1 is refused
+def test_hr_qk_are_the_row_major_basis_times_the_mass_weighted_move(tmp_path):
+    # the payload is the row-major copy of diagonalize's vectors, so hr's
+    # q_k are bit-identical to that copy times sqrt(m) dR (the transposed
+    # layout diagonalize returns is summed in another order by BLAS)
+    structure, hessian = random_cluster_structure(20, seed=4)
+    spath, hpath = tmp_path / "s.json", tmp_path / "h.json"
+    lio.write_structure(structure, spath)
+    lio.write_hessian(Hessian(hessian, structure_checksum(structure)), hpath)
+    modes = tmp_path / "modes.json"
+    assert main(["modes", "--structure", str(spath), "--hessian", str(hpath),
+                 "--out", str(modes)]) == 0
+    move = np.random.default_rng(9).normal(scale=0.01, size=(20, 3))
+    ppath = tmp_path / "pair.json"
+    lio.write_geometry_pair(
+        GeometryPair(structure.positions, structure.positions + move), ppath
+    )
+    out = tmp_path / "hr.json"
+    assert main(["hr", "--structure", str(spath), "--modes", str(modes), "--pair", str(ppath),
+                 "--out", str(out)]) == 0
+    qk = [entry["qk"] for entry in lio.load_document(out)["entries"]]
+    vectors = diagonalize(dynamical_matrix(hessian, structure)).vectors
+    delta = (structure.positions + move - structure.positions).reshape(-1)
+    y = np.sqrt(structure.mass_vector_3n()) * delta
+    assert qk == (np.ascontiguousarray(vectors) @ y).tolist()
+
+
+def _hr_on_rewritten_basis(tmp_path, rewrite):
+    """Exit code of hr --pair on the diatomic's basis document after
+    rewrite(doc, vectors) edits it in place."""
     structure, spath, modes = _prepare_modes(tmp_path)
     doc = lio.load_document(modes)
-    vectors = lio.parse_phonon_basis(doc).vectors
-    doc.update(schema="phonon_basis/1", vectors=vectors.tolist())
+    rewrite(doc, lio.parse_phonon_basis(doc, modes).vectors)
     modes.write_text(json.dumps(doc))
     pair = tmp_path / "pair.json"
     lio.write_geometry_pair(GeometryPair(structure.positions, structure.positions), pair)
@@ -465,10 +501,31 @@ def test_hr_refuses_v1_basis_exit_2(tmp_path, capsys):
         ["hr", "--structure", str(spath), "--modes", str(modes), "--pair", str(pair),
          "--out", str(out)]
     )
-    assert code == 2
     assert not out.exists()
+    return code
+
+
+def test_hr_refuses_v1_basis_exit_2(tmp_path, capsys):
+    # phonon_basis/3 is the one basis format read; the nested-list /1 is refused
+    def rewrite(doc, vectors):
+        doc.update(schema="phonon_basis/1", vectors=vectors.tolist())
+
+    assert _hr_on_rewritten_basis(tmp_path, rewrite) == 2
     assert (
-        "expected schema 'phonon_basis/2', got 'phonon_basis/1' [at /schema]"
+        "expected schema 'phonon_basis/3', got 'phonon_basis/1' [at /schema]"
+        in capsys.readouterr().err
+    )
+
+
+def test_hr_refuses_v2_basis_exit_2(tmp_path, capsys):
+    # /2 held the same payload as base64 text inside the document
+    def rewrite(doc, vectors):
+        text = base64.b64encode(vectors.astype("<f8").tobytes()).decode("ascii")
+        doc.update(schema="phonon_basis/2", vectors={"dtype": "<f8", "shape": [6, 6], "base64": text})
+
+    assert _hr_on_rewritten_basis(tmp_path, rewrite) == 2
+    assert (
+        "expected schema 'phonon_basis/3', got 'phonon_basis/2' [at /schema]"
         in capsys.readouterr().err
     )
 
@@ -1759,7 +1816,7 @@ def test_modes_manifest_hashes_each_input_once(tmp_path, monkeypatch):
     assert hashed == [str(spath), str(hpath)]
     # the basis's provenance and the manifest hold the one Hessian checksum
     doc = lio.load_document(modes)
-    lio.parse_phonon_basis(doc)
+    lio.parse_phonon_basis(doc, modes)
     provenance = doc["provenance"]
     assert lio.load_document(man)["inputs"] == [
         {"path": str(spath), "sha256": sha256_file(spath)},

@@ -12,7 +12,10 @@ the exit contract:
 
 The documents are drawn as bytes: valid documents, junk, other encodings,
 deep nesting, truncated files and valid documents with one field
-replaced.  spectrum and oracle also run on generated hr/1 documents and
+replaced.  hr also runs on a damaged basis payload: missing, truncated,
+junk, a NaN entry or the payload of another basis, and on a document
+naming its payload outside its own directory.  spectrum and oracle also
+run on generated hr/1 documents and
 flags that span the float range: zero, subnormals, 1e-300 to 1e300, ties
 and integers past it; thermo and dissoc on generated defects/1 and
 dissociation/1 documents with near-tie and float-range energies, whose
@@ -21,9 +24,11 @@ printed results are checked against exact rational arithmetic.
 
 import contextlib
 import functools
+import hashlib
 import io
 import json
 import math
+import os
 import pathlib
 import tempfile
 import warnings
@@ -147,7 +152,16 @@ def _valid_files():
         assert _call(["spectrum", "--hr", str(work / "hr"), "--zpl", "2.0", "--window", _WINDOW,
                       "--no-omega-cubed", "--out", str(work / "compare")])[0] == 0
         files["modes"] = (work / "modes").read_bytes()
+        files["modes.f8"] = (work / "modes.f8").read_bytes()
         files["compare"] = (work / "compare").read_bytes()
+    return files
+
+
+def _files(run):
+    """The valid inputs of run, with the basis's payload beside its document."""
+    files = {kind: _valid_files()[kind] for kind in _inputs(run)}
+    if "modes" in files:
+        files["modes.f8"] = _valid_files()["modes.f8"]
     return files
 
 
@@ -166,6 +180,9 @@ def _check_accepted(work, made):
     """The contract of every file an exit-0 call wrote."""
     for name in made:
         path = work / name
+        if name.endswith(".f8"):  # a basis payload: raw float64, each finite
+            assert np.isfinite(np.frombuffer(path.read_bytes(), dtype="<f8")).all(), name
+            continue
         if name.endswith(".json"):
             doc = json.loads(path.read_text(encoding="utf-8"), parse_constant=_no_constant)
             assert isinstance(doc, dict) and "schema" in doc, name
@@ -186,7 +203,8 @@ def _check_accepted(work, made):
 
 def _run(argv, files):
     """Write files into a fresh directory, run argv there and check the
-    exit contract; returns the exit code and the text of each table written."""
+    exit contract; returns the exit code, the text of each table written
+    and the call's stderr."""
     with tempfile.TemporaryDirectory() as tmp:
         work = pathlib.Path(tmp)
         for name, data in files.items():
@@ -210,7 +228,7 @@ def _run(argv, files):
             _check_accepted(work, made)
         tables = {name: (work / name).read_text(encoding="utf-8") for name in made
                   if name.endswith(".tsv")}
-        return code, tables
+        return code, tables, err
 
 
 # ------------------------------------------------------- byte strategies
@@ -288,11 +306,85 @@ def _document_cases(draw):
 @example(case=("modes", "hessian", b"[" * 100_000 + b"]" * 100_000))
 def test_every_document_flag_on_generated_bytes(case):
     run, kind, data = case
-    files = {k: _valid_files()[k] for k in _inputs(run)}
+    files = _files(run)
     files[kind] = data
-    code, _ = _run(_RUNS[run], files)
+    code, _, _ = _run(_RUNS[run], files)
     if data == _valid_files()[kind]:
         assert code == 0
+
+
+# ------------------------------------------------------- basis payload
+
+def _hr_files(payload, **vectors):
+    """The inputs of hr --pair with the basis's payload file holding
+    `payload` (None: no payload file) and its document's vectors fields
+    updated by `vectors`."""
+    files = _files("hr-pair")
+    doc = json.loads(files["modes"])
+    doc["vectors"].update(vectors)
+    files["modes"] = json.dumps(doc).encode()
+    del files["modes.f8"]
+    if payload is not None:
+        files["modes.f8"] = payload
+    return files
+
+
+def _entries(payload):
+    return np.frombuffer(payload, dtype="<f8")
+
+
+def _with_nan(payload, k):
+    entries = _entries(payload).copy()
+    entries[k] = math.nan
+    return entries.tobytes()
+
+
+def _rows_reversed(payload):
+    """The payload of another basis of the same size: the rows reversed."""
+    n = math.isqrt(_entries(payload).size)
+    return _entries(payload).reshape(n, n)[::-1].tobytes()
+
+
+@st.composite
+def _damaged_payloads(draw):
+    valid = _valid_files()["modes.f8"]
+    size = len(valid)
+    return draw(st.one_of(
+        st.none(),  # missing
+        st.integers(0, size - 1).map(lambda k: valid[:k]),  # truncated, one byte, empty
+        st.binary(min_size=size, max_size=size),  # junk of the right size
+        st.binary(max_size=2 * size),  # junk of any size
+        st.just(valid + valid[:8]),  # one entry too many
+        st.just(_rows_reversed(valid)),  # stale: another basis of the same size
+        st.integers(0, size // 8 - 1).map(lambda k: _with_nan(valid, k)),
+    ))
+
+
+@settings(max_examples=40, deadline=None)
+@given(payload=_damaged_payloads())
+@example(payload=None)
+@example(payload=b"\0")
+def test_hr_refuses_a_damaged_basis_payload(payload):
+    code, _, err = _run(_RUNS["hr-pair"], _hr_files(payload))
+    assert code == 2 and "[at /vectors/" in err, err
+
+
+@pytest.mark.parametrize("k", [0, 7, 35])
+def test_hr_refuses_a_nan_entry_of_a_hashed_payload(k):
+    # the sha256 matches, so the finite check names the entry
+    payload = _with_nan(_valid_files()["modes.f8"], k)
+    files = _hr_files(payload, sha256=hashlib.sha256(payload).hexdigest())
+    code, _, err = _run(_RUNS["hr-pair"], files)
+    assert code == 2 and f"/vectors/file: vectors[{k // 6},{k % 6}] is not finite" in err, err
+
+
+@pytest.mark.parametrize(
+    "name", ["../x.f8", "/modes.f8", os.devnull, ".", "..", "", "sub/x.f8", "modes.f8/", "x\0.f8"]
+)
+def test_hr_refuses_a_payload_name_outside_the_directory(name):
+    valid = _valid_files()["modes.f8"]
+    code, _, err = _run(_RUNS["hr-pair"], _hr_files(valid, file=name))
+    assert code == 2 and "[at /vectors/file]" in err, err
 
 
 # --------------------------------------------- spectrum and oracle flags
@@ -506,7 +598,7 @@ def test_thermo_envelope_is_the_least_line_on_generated_tables(doc, step):
     # Fermi level, the lines taken exactly
     argv = ["thermo", "--defects", "{defects}", *step, "--envelope", "env.tsv",
             "--transitions", "trans.tsv", "--windows", "win.tsv"]
-    code, tables = _run(argv, {"defects": json.dumps(doc).encode()})
+    code, tables, _ = _run(argv, {"defects": json.dumps(doc).encode()})
     if code:
         return
     lines = {}
@@ -541,7 +633,7 @@ def _dissociation_tables(draw):
 @settings(max_examples=30, deadline=None)
 @given(doc=_dissociation_tables())
 def test_dissoc_prints_fragment_plus_released_minus_cluster(doc):
-    code, tables = _run(_RUNS["dissoc"], {"dissociation": json.dumps(doc).encode()})
+    code, tables, _ = _run(_RUNS["dissoc"], {"dissociation": json.dumps(doc).encode()})
     if code:
         return
     rows = _rows(tables["ed.tsv"])

@@ -1,4 +1,3 @@
-import base64
 import enum
 import hashlib
 import json
@@ -103,6 +102,82 @@ def test_hessian_triplets_duplicate_rejected():
         "dim": 6,
         "triplets": [[0, 1, 0.5], [0, 1, 0.7]],
     }
+    with pytest.raises(InputError, match=r"duplicate triplet entry \(0,1\)"):
+        lio.parse_hessian(doc, structure)
+
+
+def _triplets_by_loop(trip, n3):
+    """The one-triplet-at-a-time read the vectorized parse must match, in
+    its matrix and in its first refusal."""
+    matrix = np.zeros((n3, n3))
+    seen = set()
+    for k, row in enumerate(trip):
+        locus = f"/triplets/{k}"
+        if not isinstance(row, list) or len(row) != 3:
+            raise ParseError("triplet must be [i, j, value]", locus=locus)
+        i = lio._integer(row[0], f"{locus}/0")
+        j = lio._integer(row[1], f"{locus}/1")
+        if not (0 <= i < n3 and 0 <= j < n3):
+            raise ParseError(f"index ({i},{j}) outside 0..{n3 - 1}", locus=locus)
+        if (i, j) in seen:
+            raise InputError(f"duplicate triplet entry ({i},{j})")
+        seen.add((i, j))
+        matrix[i, j] = lio._number(row[2], f"{locus}/2")
+    return matrix
+
+
+def _outcome(read):
+    try:
+        return "matrix", _bits(read())
+    except InputError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "locus", None)
+
+
+_BAD_TRIPLETS = [
+    "x", [0, 1], [0, 1, 0.5, 0.0], [0.0, 1, 0.5], [0, True, 0.5], [0, "1", 0.5],
+    [6, 0, 0.5], [0, -1, 0.5], [2**70, 0, 0.5], [0, -(2**70), 0.5],
+    [0, 1, None], [0, 1, False], [0, 1, 10**400], [0, 1, "0.5"],
+]
+
+
+def test_triplets_read_matches_the_element_loop_on_generated_documents():
+    structure = lio.parse_structure(STRUCTURE_DOC)
+    rng = np.random.default_rng(11)
+    for case in range(400):
+        count = int(rng.integers(0, 40))
+        pairs = rng.integers(0, 6, size=(count, 2)).tolist()
+        if case % 2:  # half the documents hold each pair once
+            pairs = list(dict.fromkeys(map(tuple, pairs)))
+        values = [
+            int(v) if k % 3 == 0 else float(v)
+            for k, v in enumerate(rng.normal(scale=10.0 ** rng.integers(-300, 300), size=len(pairs)))
+        ]
+        trip = [[i, j, v] for (i, j), v in zip(pairs, values)]
+        if trip and case % 3 == 0:  # one bad entry at a random place
+            trip[int(rng.integers(len(trip)))] = _BAD_TRIPLETS[case % len(_BAD_TRIPLETS)]
+        doc = {"schema": "hessian/1", "dim": 6, "triplets": trip}
+        got = _outcome(lambda: lio.parse_hessian(doc, structure))
+        assert got == _outcome(lambda: _triplets_by_loop(trip, 6)), trip
+
+
+@pytest.mark.parametrize("bad", _BAD_TRIPLETS)
+def test_triplets_read_names_each_bad_entry(bad):
+    structure = lio.parse_structure(STRUCTURE_DOC)
+    trip = [[0, 0, 1.0], bad, [5, 5, 2.0]]
+    doc = {"schema": "hessian/1", "dim": 6, "triplets": trip}
+    with pytest.raises(InputError) as err:
+        lio.parse_hessian(doc, structure)
+    with pytest.raises(InputError) as want:
+        _triplets_by_loop(trip, 6)
+    assert (type(err.value), str(err.value)) == (type(want.value), str(want.value))
+    assert err.value.locus == want.value.locus
+    assert err.value.locus.startswith("/triplets/1")
+
+
+def test_triplets_read_names_the_first_repeat_in_document_order():
+    structure = lio.parse_structure(STRUCTURE_DOC)
+    trip = [[3, 4, 1.0], [0, 1, 1.0], [0, 2, 1.0], [0, 1, 2.0], [3, 4, 2.0]]
+    doc = {"schema": "hessian/1", "dim": 6, "triplets": trip}
     with pytest.raises(InputError, match=r"duplicate triplet entry \(0,1\)"):
         lio.parse_hessian(doc, structure)
 
@@ -428,7 +503,7 @@ def test_malformed_documents_raise_only_lumiphon_errors(tmp_path, monkeypatch):
         "defects": lio.parse_defect_table,
         "dissociation": lio.parse_dissociation_table,
         "hr": lio.parse_hr,
-        "modes": lio.parse_phonon_basis,
+        "modes": lambda doc: lio.parse_phonon_basis(doc, modes),
     }
     crashes, tried = [], 0
     for name, parse in parsers.items():
@@ -504,7 +579,7 @@ def test_basis_roundtrip_bit_exact(tmp_path, diatomic):
     path = tmp_path / "b.json"
     lio.write_phonon_basis(basis, path, {"hessian_sha256": "abc"})
     doc = lio.load_document(path)
-    back = lio.parse_phonon_basis(doc)
+    back = lio.parse_phonon_basis(doc, path)
     assert np.array_equal(back.omegas_mev, basis.omegas_mev)
     assert np.array_equal(back.vectors, basis.vectors)
     assert doc["provenance"]["hessian_sha256"] == "abc"
@@ -531,21 +606,25 @@ def test_binary_block_encodes_the_row_major_bits(tmp_path):
     # transposed: the basis is built from an array that is not C-contiguous
     basis = PhononBasis(adversarial.omegas_mev, adversarial.vectors.T)
     path = tmp_path / "b.json"
-    lio.write_phonon_basis(basis, path, {"base64": ""})
+    lio.write_phonon_basis(basis, path, {"file": "", "sha256": ""})
     doc = json.loads(path.read_text())
-    assert doc["vectors"]["base64"] == base64.b64encode(_bits(basis.vectors)).decode("ascii")
-    assert doc["provenance"] == {"base64": ""}
+    assert (tmp_path / "b.json.f8").read_bytes() == _bits(basis.vectors)
+    assert doc["vectors"]["file"] == "b.json.f8"
+    assert doc["vectors"]["sha256"] == hashlib.sha256(_bits(basis.vectors)).hexdigest()
+    assert doc["provenance"] == {"file": "", "sha256": ""}
 
 
-@pytest.mark.parametrize("block", [1, 24 * 7 * 2, 1 << 20])
+@pytest.mark.parametrize("block", [1, 8 * 7 * 6, 1 << 20])
 def test_binary_block_joins_its_base64_blocks(tmp_path, monkeypatch, block):
-    # 3 rows a block, 6 rows a block (a last block of 1 row), one block
-    monkeypatch.setattr(lio, "_B64_BLOCK", block)
+    # the payload's row blocks join to the row-major bytes and their hash:
+    # 1 row a block, 6 rows a block (a last block of 1 row), one block
+    monkeypatch.setattr(lio, "_PAYLOAD_BLOCK", block)
     vectors = np.random.default_rng(4).normal(size=(7, 7)).T
     path = tmp_path / "b.json"
     lio.write_phonon_basis(PhononBasis(np.arange(7.0), vectors), path)
     doc = json.loads(path.read_text())
-    assert doc["vectors"]["base64"] == base64.b64encode(_bits(vectors)).decode("ascii")
+    assert (tmp_path / "b.json.f8").read_bytes() == _bits(vectors)
+    assert doc["vectors"]["sha256"] == hashlib.sha256(_bits(vectors)).hexdigest()
 
 
 def test_basis_v2_roundtrip_bit_exact(tmp_path):
@@ -553,27 +632,36 @@ def test_basis_v2_roundtrip_bit_exact(tmp_path):
     path = tmp_path / "b.json"
     lio.write_phonon_basis(basis, path, {"note": "x"})
     doc = lio.load_document(path)
-    assert doc["schema"] == "phonon_basis/2"
+    assert doc["schema"] == "phonon_basis/3"
     assert doc["vectors"]["dtype"] == "<f8" and doc["vectors"]["shape"] == [6, 6]
     assert isinstance(doc["omegas_mev"], list)
     assert "cutoff_bulk_mev" not in doc
-    back = lio.parse_phonon_basis(doc)
+    back = lio.parse_phonon_basis(doc, path)
     assert _bits(back.omegas_mev) == _bits(basis.omegas_mev)
     assert _bits(back.vectors) == _bits(basis.vectors)
     assert doc["provenance"] == {"note": "x"}
 
 
-def _v2_doc():
-    basis = _adversarial_basis()
-    return {
-        "schema": "phonon_basis/2",
-        "omegas_mev": basis.omegas_mev.tolist(),
-        "vectors": {
-            "dtype": "<f8",
-            "shape": [6, 6],
-            "base64": base64.b64encode(_bits(basis.vectors)).decode("ascii"),
-        },
+def _basis_doc(directory, vectors, name="b.json"):
+    """A phonon_basis/3 document holding `vectors` and zero omegas, its
+    payload written beside it in directory: (document, its path)."""
+    n = vectors.shape[0]
+    (directory / f"{name}.f8").write_bytes(_bits(vectors))
+    payload = {
+        "dtype": "<f8",
+        "shape": [n, n],
+        "file": f"{name}.f8",
+        "sha256": hashlib.sha256(_bits(vectors)).hexdigest(),
     }
+    doc = {"schema": "phonon_basis/3", "omegas_mev": [0.0] * n, "vectors": payload}
+    return doc, directory / name
+
+
+def _adversarial_doc(directory):
+    """_adversarial_basis as a phonon_basis/3 document in directory and its path."""
+    basis = _adversarial_basis()
+    doc, path = _basis_doc(directory, basis.vectors)
+    return dict(doc, omegas_mev=basis.omegas_mev.tolist()), path
 
 
 @pytest.mark.parametrize(
@@ -583,70 +671,101 @@ def _v2_doc():
         ({"shape": [6, 3]}, "/vectors/shape"),
         ({"shape": [36]}, "/vectors/shape"),
         ({"shape": [6.0, 6.0]}, "/vectors/shape"),
-        ({"base64": "!" + _v2_doc()["vectors"]["base64"][1:]}, "/vectors/base64"),
-        ({"base64": _v2_doc()["vectors"]["base64"][:-4]}, "/vectors/base64"),
-        ({"base64": None}, "/vectors/base64"),
+        ({"file": "missing.f8"}, "/vectors/file"),
+        ({"file": None}, "/vectors/file"),
+        ({"sha256": "0" * 64}, "/vectors/sha256"),
     ],
 )
-def test_basis_v2_rejects_malformed_vectors(change, locus):
-    doc = _v2_doc()
+def test_basis_v2_rejects_malformed_vectors(tmp_path, change, locus):
+    doc, path = _adversarial_doc(tmp_path)
     doc["vectors"].update(change)
     with pytest.raises(ParseError) as err:
-        lio.parse_phonon_basis(doc)
+        lio.parse_phonon_basis(doc, path)
     assert err.value.locus == locus
 
 
-def test_basis_v2_rejects_nan_payload():
-    doc = _v2_doc()
+def test_basis_reads_a_payload_of_the_wrong_size_no_further(tmp_path):
+    # a document naming a vast shape and a small file: the size is compared
+    # before any of the file is read
+    n = 1 << 15
+    doc = {
+        "schema": "phonon_basis/3",
+        "omegas_mev": [0.0] * n,
+        "vectors": {"dtype": "<f8", "shape": [n, n], "file": "b.f8", "sha256": ""},
+    }
+    (tmp_path / "b.f8").write_bytes(b"\0" * 8)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as err:
+            lio.parse_phonon_basis(doc, tmp_path / "b.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.locus == "/vectors/file"
+    assert peak < 8 << 20
+
+
+def test_basis_v2_rejects_nan_payload(tmp_path):
     vectors = _adversarial_basis().vectors.copy()
     vectors[2, 3] = math.nan
-    doc["vectors"]["base64"] = base64.b64encode(_bits(vectors)).decode("ascii")
+    doc, path = _basis_doc(tmp_path, vectors)
     with pytest.raises(NonFiniteValue) as err:
-        lio.parse_phonon_basis(doc)
-    assert "vectors[2,3]" in str(err.value)
+        lio.parse_phonon_basis(doc, path)
+    assert "vectors[2,3]" in str(err.value) and "/vectors/file" in str(err.value)
 
 
-def _basis_doc(schema, vectors):
-    """A basis document of `schema` holding `vectors` and zero omegas."""
-    n = vectors.shape[0]
-    payload = {
-        "dtype": "<f8",
-        "shape": [n, n],
-        "base64": base64.b64encode(_bits(vectors)).decode("ascii"),
-    }
-    return {"schema": schema, "omegas_mev": [0.0] * n, "vectors": payload}
-
-
-_BASIS_SCHEMAS = pytest.mark.parametrize("schema", ["phonon_basis/2"], ids=["v2"])
+_BASIS_SCHEMAS = pytest.mark.parametrize("schema", ["phonon_basis/3"], ids=["v3"])
 
 
 @_BASIS_SCHEMAS
-def test_basis_rejects_non_orthonormal_rows(schema):
+def test_basis_rejects_non_orthonormal_rows(tmp_path, schema):
     vecs = np.eye(3)
     vecs[0, 1] = 1e-4
+    doc, path = _basis_doc(tmp_path, vecs)
     with pytest.raises(InputError, match="not orthonormal"):
-        lio.parse_phonon_basis(_basis_doc(schema, vecs))
+        lio.parse_phonon_basis(dict(doc, schema=schema), path)
 
 
 @_BASIS_SCHEMAS
-def test_large_basis_orthonormality(schema):
+def test_large_basis_orthonormality(tmp_path, schema):
     # every pair of rows is checked at every size: a dense reflection
     # I - 2 u u^T is orthonormal
     n = 1536
     u = np.random.default_rng(7).normal(size=n)
     u /= np.linalg.norm(u)
     vecs = np.eye(n) - 2.0 * np.outer(u, u)
-    lio.parse_phonon_basis(_basis_doc(schema, vecs))
+    lio.parse_phonon_basis(*_basis_doc(tmp_path, vecs))
     # row 0 tilted by 1e-6 toward row 1 keeps its unit norm
     eps = 1e-6
     tilted = vecs.copy()
     tilted[0] = np.cos(eps) * vecs[0] + np.sin(eps) * vecs[1]
     with pytest.raises(InputError, match="not orthonormal"):
-        lio.parse_phonon_basis(_basis_doc(schema, tilted))
+        lio.parse_phonon_basis(*_basis_doc(tmp_path, tilted))
     # a repeated mode has unit norm and is orthogonal to every other row
     vecs[2] = vecs[1]
     with pytest.raises(InputError, match="not orthonormal"):
-        lio.parse_phonon_basis(_basis_doc(schema, vecs))
+        lio.parse_phonon_basis(*_basis_doc(tmp_path, vecs))
+
+
+def test_basis_read_holds_the_payload_and_the_gram_matrix_only(tmp_path):
+    # reading a 1536-mode basis holds its 8 n^2 payload bytes, the array
+    # over them and the Gram matrix of the orthonormality check: below 2.5
+    # times the bytes, where base64 text and its decoded copy read 3.7 times
+    n = 1536
+    u = np.random.default_rng(8).normal(size=n)
+    u /= np.linalg.norm(u)
+    basis = PhononBasis(np.linspace(1.0, 180.0, n), np.eye(n) - 2.0 * np.outer(u, u))
+    path = tmp_path / "b.json"
+    lio.write_phonon_basis(basis, path)
+    del basis, u
+    tracemalloc.start()
+    try:
+        back = lio.parse_phonon_basis(lio.load_document(path), path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.vectors.shape == (n, n)
+    assert peak < 2.5 * 8 * n * n
 
 
 def test_compare_mode_tables_reads_two_bases(tmp_path):
@@ -849,7 +968,7 @@ def test_writers_refuse_non_finite(tmp_path, bad, write):
     path = tmp_path / "bad.json"
     with pytest.raises(NonFiniteValue, match="refusing to write"):
         write(path, bad)
-    assert not path.exists()
+    assert list(tmp_path.iterdir()) == []  # the basis's payload file too
 
 
 @pytest.mark.parametrize(
@@ -874,7 +993,7 @@ def test_json_writer_raises_type_error_like_reference(tmp_path, value, where):
 def test_phonon_basis_writer_raises_type_error_on_numpy_integer(tmp_path):
     with pytest.raises(TypeError):
         _basis_with_provenance({"lvm_indices": [np.int64(5)]}, tmp_path / "b.json")
-    assert not (tmp_path / "b.json").exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 def _generated_hr(nmodes=1536, seed=7):
