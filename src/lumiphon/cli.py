@@ -3,8 +3,10 @@
 Subcommands: modes, hr, spectrum, oracle, thermo, dissoc.  Exit codes:
 0 success, 2 invalid input or flags, 3 numerical failure.  Outputs are
 written atomically and are byte-identical across reruns with the same
-inputs and flags, as BLAS runs on one thread.  --manifest records the
-checksum of every input file, the version and the command line.
+inputs and flags, as BLAS runs on one thread.  Before a call runs, main
+refuses outputs that name one file, an input, a directory or a place no
+file can be created; after it, --manifest records the checksum of every
+input file, the version and the command line.
 
 numpy is imported lazily so that main's thread pinning takes effect before
 any BLAS library loads.
@@ -13,6 +15,8 @@ any BLAS library loads.
 from __future__ import annotations
 
 import argparse
+import errno
+import functools
 import math
 import os
 import shlex
@@ -29,6 +33,16 @@ _THREAD_VARS = (
     "NUMEXPR_NUM_THREADS",
     "VECLIB_MAXIMUM_THREADS",
 )
+
+#: Flags naming a file a call reads, in the order its manifest lists them.
+READS = ("structure", "hessian", "modes", "pair", "forces", "hr", "compare", "defects", "energies")
+#: Flags naming a file a call writes.
+WRITES = (
+    "out", "table", "stem", "peaks", "sticks", "envelope", "transitions", "windows", "manifest"
+)
+#: The flag of each subcommand that names a phonon basis document, whose
+#: vectors file beside it (io.PAYLOAD_SUFFIX) is read or written with it.
+BASIS_FLAG = {"modes": "--out", "hr": "--modes"}
 
 #: Bulk phonon cutoff in meV, the --cutoff default of modes and spectrum:
 #: modes strictly above it are local vibrational modes.
@@ -151,13 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_manifest(args, inputs):
-    """Write args.manifest from the io.input_checksums list of the run."""
-    from . import io as lio
-
-    lio.write_manifest(inputs, __version__, args.command_line, args.manifest, overwrite=True)
-
-
 def cmd_modes(args) -> int:
     import numpy as np
 
@@ -168,9 +175,8 @@ def cmd_modes(args) -> int:
     structure = lio.parse_structure(lio.load_document(args.structure))
     # the Hessian lives only until D is formed
     d = phonons.dynamical_matrix(lio.load_hessian(args.hessian, structure), structure)
-    inputs = lio.input_checksums([args.structure, args.hessian])
-    provenance = {
-        "hessian_sha256": inputs[1]["sha256"],
+    provenance = {  # input_checksums follows READS: --structure, then --hessian
+        "hessian_sha256": args.input_checksums()[1]["sha256"],
         "asr_applied": bool(args.asr),
         "cutoff_bulk_mev": args.cutoff,
         "tool_version": __version__,
@@ -196,8 +202,6 @@ def cmd_modes(args) -> int:
             (mode, basis.omegas_mev, phonons.localization_table(basis), np.isin(mode, lvm)),
             overwrite=True,
         )
-    if args.manifest:
-        _write_manifest(args, inputs)
     print(f"modes: {basis.nmodes}  lvm: {len(lvm)}")
     return 0
 
@@ -227,10 +231,6 @@ def cmd_hr(args) -> int:
                 f"route = {'pair' if args.pair else 'forces'} ; total_s = {hr.total:.9g}",
             ),
             overwrite=True,
-        )
-    if args.manifest:
-        _write_manifest(
-            args, lio.input_checksums([args.structure, args.modes, args.pair or args.forces])
         )
     print(f"total_s = {hr.total:.9g}")
     return 0
@@ -273,8 +273,6 @@ def cmd_spectrum(args) -> int:
             zip(*((rank, *row) for rank, row in enumerate(peaks, start=1))),
             overwrite=True,
         )
-    if args.manifest:
-        _write_manifest(args, lio.input_checksums([args.hr]))
     print(f"spectrum points: {ls.energy_ev.size}  labelled peaks: {len(peaks)}")
     return 0
 
@@ -338,9 +336,6 @@ def cmd_oracle(args) -> int:
         b = other_i / other_mass
         l1 = float(np.trapezoid(np.abs(a - b), grid))
         print(f"l1_distance = {l1:.9g}")
-    if args.manifest:
-        inputs = [args.hr, args.compare] if args.compare else [args.hr]
-        _write_manifest(args, lio.input_checksums(inputs))
     return 0
 
 
@@ -412,8 +407,6 @@ def cmd_thermo(args) -> int:
     for note in notes:
         print(note)
     print(f"labels: {len(groups)}  transitions: {len(trans_rows)}")
-    if args.manifest:
-        _write_manifest(args, lio.input_checksums([args.defects]))
     return 0
 
 
@@ -437,9 +430,60 @@ def cmd_dissoc(args) -> int:
         overwrite=True,
     )
     print(f"entries: {len(rows)}  unstable: {stable.count(False)}")
-    if args.manifest:
-        _write_manifest(args, lio.input_checksums([args.energies]))
     return 0
+
+
+def _named_files(args, flags):
+    """(flag, path) of each file that one of flags names in args, in flags' order."""
+    given = [flag for flag in flags if getattr(args, flag, None) is not None]
+    return [(f"--{flag}", getattr(args, flag)) for flag in given]
+
+
+def _same_file(a, b) -> bool:
+    if os.path.realpath(a) == os.path.realpath(b):
+        return True
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # one of them does not exist
+        return False
+
+
+def _unwritable(path):
+    """Why no file can be renamed into place at path, or None."""
+    if os.path.isdir(path):
+        return os.strerror(errno.EISDIR)
+    directory = os.path.dirname(path) or os.curdir
+    if not os.path.isdir(directory):
+        return os.strerror(errno.ENOTDIR if os.path.exists(directory) else errno.ENOENT)
+    if not os.access(directory, os.W_OK | os.X_OK):
+        return os.strerror(errno.EACCES)
+    return None
+
+
+def _refuse_clashing_outputs(command, reads, writes):
+    """InputError, before any file is read or written, for an output that
+    is another output or an input, or that cannot be written; the vectors
+    file beside a basis document counts as one of the call's files."""
+    from .io import PAYLOAD_SUFFIX
+
+    def described(files, role):
+        for flag, path in files:
+            yield f"{role}{flag} {path}", path
+            if BASIS_FLAG.get(command) == flag:
+                yield f"the vectors file of {role}{flag} {path}", path + PAYLOAD_SUFFIX
+
+    reads, writes = list(described(reads, "the input ")), list(described(writes, ""))
+    for i, (name, path) in enumerate(writes):
+        for other, other_path in writes[:i]:
+            if _same_file(path, other_path):
+                raise InputError(f"{name} is {other}; give each output its own file")
+        for other, other_path in reads:
+            if _same_file(path, other_path):
+                raise InputError(f"{name} is {other}; an output may not replace an input")
+    for name, path in writes:
+        reason = _unwritable(path)
+        if reason:
+            raise InputError(f"cannot write {name}: {reason}")
 
 
 def main(argv=None) -> int:
@@ -447,12 +491,26 @@ def main(argv=None) -> int:
         os.environ[var] = "1"
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.command_line = shlex.join(argv if argv is not None else sys.argv[1:])
+    command_line = shlex.join(argv if argv is not None else sys.argv[1:])
     try:
+        reads, writes = _named_files(args, READS), _named_files(args, WRITES)
+        _refuse_clashing_outputs(args.command, reads, writes)
+        from . import io as lio
+
+        # the checksums of the reads, taken once, when first asked for: by
+        # modes for its provenance, and for the manifest
+        args.input_checksums = functools.cache(
+            lambda: lio.input_checksums([path for _, path in reads])
+        )
         # a fresh filter state per call: warnings shown once per location
         # in a process are shown again by the next call in the same process
         with warnings.catch_warnings():
-            return args.func(args)
+            code = args.func(args)
+        if code == 0 and args.manifest:
+            lio.write_manifest(
+                args.input_checksums(), __version__, command_line, args.manifest, overwrite=True
+            )
+        return code
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -112,7 +112,8 @@ def stability_diagram(entries: Sequence[DefectEntry], host: HostReference):
     within rounding of one point cannot hide the lowest, and at a common
     point the smallest charge goes on.  So a triple's middle charge never
     owns a segment.  Ends are rounded after the clip to [0, gap], and a
-    segment whose ends round to one float is dropped.
+    segment whose ends round to one float is dropped.  A triple's level
+    past the float range is refused.
     """
     lines = sorted(
         ((e.charge, formation_energy(e, host, 0.0)) for e in entries), key=lambda line: -line[0]
@@ -131,11 +132,16 @@ def stability_diagram(entries: Sequence[DefectEntry], host: HostReference):
     segments = [(*line, lo, hi) for line, lo, hi in zip(hull, ends, ends[1:]) if lo < hi]
 
     levels = [_crossing(a, b) for a, b in zip(lines, lines[1:])]
-    triples = [
-        (high[0], mid[0], low[0], float(upper), float(lower))
-        for high, mid, low, upper, lower in zip(lines, lines[1:], lines[2:], levels, levels[1:])
-        if upper >= lower
-    ]
+    try:
+        triples = [
+            (high[0], mid[0], low[0], float(upper), float(lower))
+            for high, mid, low, upper, lower in zip(lines, lines[1:], lines[2:], levels, levels[1:])
+            if upper >= lower
+        ]
+    except OverflowError:  # finite lines can cross past the float range
+        raise NonFiniteValue(
+            f"an inverted transition level of {entries[0].label} is past the float range"
+        ) from None
     return segments, triples
 
 

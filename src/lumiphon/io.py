@@ -17,7 +17,6 @@ import itertools
 import json
 import math
 import os
-import tempfile
 from io import StringIO
 from typing import List, Optional, Sequence, Tuple
 
@@ -434,14 +433,24 @@ def write_force_delta(delta: ForceDelta, path, overwrite=False):
 
 #: Every entry of V V^T - I of a basis read must lie below this in magnitude.
 ORTHONORMALITY_TOL = 1e-8
+#: Suffix of the file beside a basis document that holds its vectors.
+PAYLOAD_SUFFIX = ".f8"
 #: Bytes of vectors the basis writer copies, hashes and writes at a time.
 _PAYLOAD_BLOCK = 1 << 20
+#: Rows of V whose block of V V^T the orthonormality check forms at a time.
+_GRAM_ROWS = 256
 
 
 def _check_orthonormal(vectors):
-    gram = vectors @ vectors.T
-    gram[np.diag_indices_from(gram)] -= 1.0
-    dev = float(np.max(np.abs(gram, out=gram)))
+    """Refuse rows that are not orthonormal, from the triangle of V V^T - I
+    taken a block of rows at a time: V[s:s+b] V[s:]^T, whose leading b x b
+    square holds the block's diagonal."""
+    dev = 0.0
+    for start in range(0, vectors.shape[0], _GRAM_ROWS):
+        gram = vectors[start : start + _GRAM_ROWS] @ vectors[start:].T
+        rows = np.arange(gram.shape[0])
+        gram[rows, rows] -= 1.0
+        dev = max(dev, float(np.max(np.abs(gram, out=gram))))
     if dev >= ORTHONORMALITY_TOL:
         raise InputError(f"mode vectors not orthonormal (max deviation {dev:.3e})")
 
@@ -470,11 +479,11 @@ def write_phonon_basis(
     basis: PhononBasis, path, provenance: Optional[dict] = None, overwrite=False
 ):
     """The basis document at path and, first, its vectors' row-major bytes
-    in the sibling file path + ".f8"; the document, renamed last, commits
-    the pair."""
+    in the sibling file path + PAYLOAD_SUFFIX; the document, renamed last,
+    commits the pair."""
     import hashlib
 
-    payload = os.fspath(path) + ".f8"
+    payload = os.fspath(path) + PAYLOAD_SUFFIX
     _check_target(path, overwrite)
     _check_target(payload, overwrite)
     vectors = basis.vectors
@@ -849,16 +858,19 @@ def _check_target(path, overwrite):
 
 def _atomic_write(chunks, path):
     """Write the byte strings of the iterable `chunks` to `path` through a
-    temp file and a rename; on any failure the temp file is removed."""
+    temp file and a rename; on any failure the temp file is removed.  The
+    file is created with mode 0o666 less the umask, as a shell redirect is."""
     directory = os.path.dirname(os.path.abspath(path))
-    tmp = None
-    try:  # mkstemp fails on a missing or unwritable directory
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = os.path.join(directory, f".tmp-{os.getpid()}-{os.urandom(6).hex()}~")
+    created = False
+    try:  # the open fails on a missing or unwritable directory
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        created = True
         with os.fdopen(fd, "wb") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException as exc:  # a chunk can fail while it is made
-        if tmp is not None:
+        if created:
             try:
                 os.unlink(tmp)
             except OSError:

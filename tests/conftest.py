@@ -1,9 +1,20 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from lumiphon.model import CrystalStructure, GeometryPair
 
 from helpers import isotropic_pair_hessian, random_cluster_structure
+
+# tier-1 draws the same examples on every run, each test's max_examples of
+# them; HYPOTHESIS_PROFILE=explore draws at random, ten times as many
+# (helpers.examples; 1000 where a test keeps Hypothesis' 100), and prints
+# a failure's reproducing blob
+settings.register_profile("default", derandomize=True)
+settings.register_profile("explore", derandomize=False, max_examples=1000, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

@@ -7,12 +7,19 @@ they are checking.
 
 import importlib.util
 import math
+import os
 import pathlib
 
 import numpy as np
 from scipy.special import voigt_profile
 
 from lumiphon.model import CrystalStructure
+
+
+def examples(n):
+    """max_examples of a generated test that draws n examples in tier-1:
+    ten times n under HYPOTHESIS_PROFILE=explore (tests/conftest.py)."""
+    return 10 * n if os.environ.get("HYPOTHESIS_PROFILE") == "explore" else n
 
 
 def _load_demo_inputs_script():

@@ -1825,6 +1825,45 @@ def test_modes_manifest_hashes_each_input_once(tmp_path, monkeypatch):
     assert provenance["hessian_sha256"] == sha256_file(hpath)
 
 
+def _tree(folder):
+    """Every file under folder, by relative path, with its bytes."""
+    return {str(p.relative_to(folder)): p.read_bytes() for p in folder.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (["spectrum", "--hr", "hr.json", "--zpl", "2", "--out", "a.tsv", "--peaks", "a.tsv"],
+         ["--out", "--peaks"]),
+        (["spectrum", "--hr", "hr.json", "--zpl", "2", "--out", "hr.json"], ["--hr", "--out"]),
+        (["spectrum", "--hr", "hr.json", "--zpl", "2", "--out", "b.tsv",
+          "--peaks", "nodir/p.tsv"], ["--peaks"]),
+        (["modes", "--structure", "structure.json", "--hessian", "hessian.json",
+          "--out", "m.json", "--table", "m.json.f8"], ["--out", "--table"]),
+        (["spectrum", "--hr", "hr.json", "--zpl", "2", "--out", "m.tsv",
+          "--manifest", "m.tsv"], ["--out", "--manifest"]),
+    ],
+    ids=["two-outputs", "output-is-input", "missing-directory", "table-is-payload",
+         "manifest-is-output"],
+)
+def test_clashing_or_unwritable_outputs_are_refused_before_any_write(
+    tmp_path, monkeypatch, capsys, argv, flags
+):
+    # each call exited 0 or wrote some of its files before it failed; now
+    # it is refused with every file as it was, earlier outputs included
+    monkeypatch.chdir(tmp_path)
+    _write_diatomic(tmp_path)
+    _write_one_line_hr(tmp_path, 0.8, 140.0)
+    for name in ("a.tsv", "b.tsv", "m.json"):
+        (tmp_path / name).write_text(f"# an earlier {name}\n")
+    before = _tree(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert all(flag in err[0] for flag in flags), err
+    assert _tree(tmp_path) == before
+
+
 def _refused_naming(path, capsys, out):
     """One `error:` line naming path, and no output file."""
     err = capsys.readouterr().err.splitlines()

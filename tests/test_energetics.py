@@ -17,6 +17,8 @@ from lumiphon.energetics import (
 from lumiphon.errors import ParseError
 from lumiphon.model import ChemicalPotential, DefectEntry, HostReference
 
+from helpers import examples
+
 
 HOST = HostReference(
     host_energy_ev=-100.0,
@@ -214,7 +216,7 @@ def _line_tables(draw):
 NEAR_TIE = ([2, 0, -3], [-3.1132, 0.8482, 6.7903], 0.0, 0.0, 3.0)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200), deadline=None)
 @given(table=_line_tables())
 @example(table=NEAR_COINCIDENT)
 @example(table=NEAR_TIE)

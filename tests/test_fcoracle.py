@@ -22,7 +22,7 @@ from lumiphon.fcoracle import (
 from lumiphon.model import HRDecomposition
 from lumiphon.vibronic import emission, partial_hr
 
-from helpers import first_moment_mev, poisson_weight
+from helpers import examples, first_moment_mev, poisson_weight
 
 
 def _hr(omegas, sks):
@@ -236,7 +236,7 @@ def _chunk_expression_reference(ladder, gamma_mev, grid, zpl_ev, sigma_mev):
 @example(nmodes=2, cap=2, nlines=3000, gamma=0.05, sigma=4.0, step_fraction=0.5, seed=1)
 @example(nmodes=8, cap=16, nlines=1500, gamma=0.05, sigma=4.0, step_fraction=0.5, seed=1)
 @example(nmodes=1, cap=0, nlines=1, gamma=3.0, sigma=0.0, step_fraction=1.0, seed=2)
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=examples(30), deadline=None)
 @given(
     nmodes=st.integers(1, 8),
     cap=st.integers(0, 16),
@@ -345,7 +345,7 @@ def _ladder_size_bound(sks, cap):
 @example(m=2, omegas=[20.0, 90.0] * 4, sks=[0.0002213486324054305, 1.0] * 4, cap=24)
 @example(m=0, omegas=[0.0] * 8, sks=[1.0] * 8, cap=3)
 @example(m=3, omegas=[0.0, 40.0, 40.0] * 3, sks=[5.0, 0.0, 1e-17] * 3, cap=0)
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 @given(
     m=st.integers(0, 8),
     omegas=st.lists(st.floats(0.0, 200.0), min_size=8, max_size=8),
@@ -407,7 +407,7 @@ def test_broadening_refuses_work_above_the_limit_before_allocating():
     assert peak < 2**20 * 8
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=examples(30), deadline=None)
 @given(
     omegas=st.lists(st.floats(30.0, 180.0), min_size=1, max_size=5),
     shares=st.lists(st.floats(0.1, 1.0), min_size=5, max_size=5),

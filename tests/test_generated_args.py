@@ -41,6 +41,8 @@ from hypothesis import strategies as st
 
 from lumiphon.cli import main
 
+from helpers import examples
+
 # ------------------------------------------------------------- documents
 
 _ONE_MODE = '{"schema":"hr/1","total":0.8,"entries":[{"omega_mev":140.0,"qk":0.0,"sk":0.8}]}'
@@ -298,7 +300,7 @@ def _document_cases(draw):
     return run, kind, draw(_document_bytes(kind))
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=examples(100), deadline=None)
 @given(case=_document_cases())
 @example(case=("spectrum", "hr", b"\xff\xfe{}"))
 @example(case=("oracle", "compare", b"# x\n\xff\t1\n"))
@@ -360,7 +362,7 @@ def _damaged_payloads(draw):
     ))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 @given(payload=_damaged_payloads())
 @example(payload=None)
 @example(payload=b"\0")
@@ -385,6 +387,84 @@ def test_hr_refuses_a_payload_name_outside_the_directory(name):
     valid = _valid_files()["modes.f8"]
     code, _, err = _run(_RUNS["hr-pair"], _hr_files(valid, file=name))
     assert code == 2 and "[at /vectors/file]" in err, err
+
+
+# ------------------------------------------------------- output names
+
+def _output_flags(run):
+    """(flag, default name) of each output of run, --manifest last."""
+    argv = _RUNS[run]
+    flags = [(argv[i - 1], arg) for i, arg in enumerate(argv) if arg.endswith((".json", ".tsv"))]
+    return [*flags, ("--manifest", "manifest.json")]
+
+
+@st.composite
+def _output_cases(draw):
+    """A run whose outputs are each named from a pool: its own name, its
+    inputs, its other outputs, a basis vectors file, a directory, a path
+    in a missing directory, one under a regular file and, when directory
+    permissions hold (not for root), one in a read-only directory; and
+    the outputs an earlier run left."""
+    run = draw(st.sampled_from(sorted(_RUNS)))
+    flags = _output_flags(run)
+    inputs = _inputs(run)
+    pool = sorted({*inputs, *(name for _, name in flags), "modes.f8", "m.json.f8", "sub",
+                   "nodir/x.tsv", f"{inputs[0]}/x.tsv", *(["ro/x.tsv"] if os.geteuid() else [])})
+    names = [draw(st.one_of(st.just(name), st.sampled_from(pool))) for _, name in flags]
+    earlier = draw(st.sets(st.sampled_from([name for _, name in flags])))
+    return run, names, sorted(earlier)
+
+
+def _faults(run, names):
+    """The flags of the outputs main must refuse: each naming a file that
+    another output or an input names (a basis vectors file included), or
+    a directory, or a path under anything but a writable directory."""
+    files = [(flag, name) for (flag, _), name in zip(_output_flags(run), names)]
+    if run == "modes":  # --out's vectors file is written too
+        files.append(("--out", names[0] + ".f8"))
+    taken = set(_files(run))
+    faults = set()
+    for i, (flag, name) in enumerate(files):
+        clash = [other for other, n in files[:i] if n == name]
+        if clash or name in taken or name == "sub" or "/" in name:
+            faults.update([flag, *clash])
+    return faults
+
+
+@settings(max_examples=examples(50), deadline=None)
+@given(case=_output_cases())
+# test_cli's reproducers cover the other refusals named in its ids
+@example(case=("hr-pair", ["modes.f8", "stem.tsv", "manifest.json"], []))
+def test_outputs_that_clash_or_cannot_be_written_are_refused_before_any_write(case):
+    run, names, earlier = case
+    faults = _faults(run, names)
+    with tempfile.TemporaryDirectory() as tmp:
+        work = pathlib.Path(tmp)
+        for name, data in _files(run).items():
+            (work / name).write_bytes(data)
+        for name in earlier:
+            (work / name).write_bytes(b"# an earlier output\n")
+        (work / "sub").mkdir()
+        (work / "ro").mkdir(mode=0o555)
+        before = {p.relative_to(work): p.read_bytes() for p in work.rglob("*") if p.is_file()}
+        outputs = iter(names)
+        argv = [
+            str(work / arg[1:-1]) if arg.startswith("{")
+            else str(work / next(outputs)) if arg.endswith((".json", ".tsv"))
+            else arg
+            for arg in _RUNS[run]
+        ]
+        code, err = _call([*argv, "--manifest", str(work / next(outputs))])
+        after = {p.relative_to(work): p.read_bytes() for p in work.rglob("*") if p.is_file()}
+    if not faults:
+        assert code == 0, err
+        written = {str(p) for p, data in after.items() if before.get(p) != data}
+        assert written <= {*names, *([names[0] + ".f8"] if run == "modes" else [])}, written
+        return
+    errors = [ln for ln in err.splitlines() if ln.startswith(_PREFIXES)]
+    assert code == 2 and len(errors) == 1 and errors[0].startswith("error: "), err
+    assert any(flag in errors[0] for flag in faults), (faults, errors)
+    assert after == before
 
 
 # --------------------------------------------- spectrum and oracle flags
@@ -466,7 +546,7 @@ def _oracle_flags(draw):
     return flags
 
 
-@settings(max_examples=45, deadline=None)
+@settings(max_examples=examples(45), deadline=None)
 @given(doc=_hr_documents(), flags=_spectrum_flags())
 # a ZPL past every time step, one whose 9-digit energies collapse, and
 # two whose 9-digit energies moved the integral read back by 5e-5 and 2e-6
@@ -483,7 +563,7 @@ def test_spectrum_on_generated_documents_and_flags(doc, flags):
     _run(argv, {"hr": doc.encode()})
 
 
-@settings(max_examples=45, deadline=None)
+@settings(max_examples=examples(45), deadline=None)
 @given(doc=_hr_documents(), flags=_oracle_flags())
 # 10 gamma of padding at the step: 2e8 points
 @example(
@@ -584,13 +664,31 @@ def _formation_lines(doc, label):
     return lines
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=examples(30), deadline=None)
 # every printed row is checked exactly; a step below 5 meV, the 1 meV
 # default included, would only add rows
 @given(
     doc=_defect_tables(),
     step=st.one_of(st.floats(5.0, 200.0), st.sampled_from([0.0, -1.0, 5e-324, 1e300])).map(
         lambda v: [f"--fermi-step={v!r}"]),
+)
+# finite lines whose inverted (negative-U) levels cross past the float range
+@example(
+    doc={"schema": "defects/1",
+         "host": {"host_energy_ev": -10.0, "vbm_ev": 0.0, "gap_ev": 1.0,
+                  "chemical_potentials": {
+                      "C": {"reference_energy_ev": -1.0, "delta_ev": 0.0},
+                      "Si": {"reference_energy_ev": -1.0, "delta_ev": -1.7976931348623157e308}}},
+         "entries": [
+             {"label": "2", "charge": 3, "total_energy_ev": -10.0, "stoichiometry": {},
+              "correction_ev": 0.0},
+             {"label": "2", "charge": 2, "total_energy_ev": 0.0, "stoichiometry": {"Si": 1},
+              "correction_ev": 0.0},
+             {"label": "2", "charge": 1, "total_energy_ev": 9.9792015476736e291,
+              "stoichiometry": {}, "correction_ev": 0.0},
+             {"label": "2", "charge": 0, "total_energy_ev": -10.0, "stoichiometry": {},
+              "correction_ev": 0.0}]},
+    step=["--fermi-step=5.0"],
 )
 def test_thermo_envelope_is_the_least_line_on_generated_tables(doc, step):
     # every printed envelope value is, within its printing and the float
@@ -630,7 +728,7 @@ def _dissociation_tables(draw):
     return {"schema": "dissociation/1", "entries": entries}
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=examples(30), deadline=None)
 @given(doc=_dissociation_tables())
 def test_dissoc_prints_fragment_plus_released_minus_cluster(doc):
     code, tables, _ = _run(_RUNS["dissoc"], {"dissociation": json.dumps(doc).encode()})

@@ -2,8 +2,10 @@ import enum
 import hashlib
 import json
 import math
+import os
 import pathlib
 import re
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -747,6 +749,46 @@ def test_large_basis_orthonormality(tmp_path, schema):
         lio.parse_phonon_basis(*_basis_doc(tmp_path, vecs))
 
 
+def _reflection(n, seed):
+    """The dense orthonormal n x n reflection I - 2 u u^T of a random unit u."""
+    u = np.random.default_rng(seed).normal(size=n)
+    u /= np.linalg.norm(u)
+    return np.eye(n) - 2.0 * np.outer(u, u)
+
+
+@pytest.mark.parametrize(
+    "fault",
+    ["rows-in-far-blocks", "rows-in-the-last-block", "norm-in-the-last-block"],
+)
+def test_blocked_gram_check_sees_every_pair_of_rows(fault):
+    # 600 rows are blocks of 256, 256 and 88: a fault between two blocks
+    # or on the diagonal of the short last block is refused
+    vecs = _reflection(600, 3)
+    lio._check_orthonormal(vecs)
+    eps = 1e-6
+    if fault == "norm-in-the-last-block":
+        vecs[599] *= 1.0 + eps
+    else:
+        i, j = (300, 580) if fault == "rows-in-far-blocks" else (590, 599)
+        vecs[j] = np.cos(eps) * vecs[j] + np.sin(eps) * vecs[i]
+    with pytest.raises(InputError, match="not orthonormal"):
+        lio._check_orthonormal(vecs)
+
+
+def test_orthonormality_check_holds_less_than_half_the_payload():
+    # the check forms V V^T a block of rows at a time: at 1536 modes it
+    # holds below half the 8 n^2 bytes, where the whole Gram matrix is all of them
+    n = 1536
+    vecs = _reflection(n, 8)
+    tracemalloc.start()
+    try:
+        lio._check_orthonormal(vecs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 8 * n * n, peak
+
+
 def test_basis_read_holds_the_payload_and_the_gram_matrix_only(tmp_path):
     # reading a 1536-mode basis holds its 8 n^2 payload bytes, the array
     # over them and the Gram matrix of the orthonormality check: below 2.5
@@ -1217,6 +1259,21 @@ def test_overwrite_protection(tmp_path):
     lio.write_spectrum_tsv(path, np.array([1.0]), np.array([1.0]))
     with pytest.raises(InputError, match="exists; pass overwrite to replace it"):
         lio.write_spectrum_tsv(path, np.array([1.0]), np.array([1.0]))
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_written_files_follow_the_umask(tmp_path, umask):
+    # a table, a document and a basis payload are each created 0o666 less
+    # the umask, as a shell redirect would create them
+    old = os.umask(umask)
+    try:
+        lio.write_spectrum_tsv(tmp_path / "s.tsv", np.array([1.0]), np.array([1.0]))
+        lio.write_phonon_basis(_adversarial_basis(), tmp_path / "b.json")
+    finally:
+        os.umask(old)
+    for name in ("s.tsv", "b.json", "b.json.f8"):
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o666 & ~umask, name
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["b.json", "b.json.f8", "s.tsv"]
 
 
 def test_write_into_missing_directory_is_io_failure(tmp_path):

@@ -19,7 +19,7 @@ from lumiphon.phonons import (
     symmetrize,
 )
 
-from helpers import random_cluster_structure
+from helpers import examples, random_cluster_structure
 
 # LVM frequencies of a di-interstitial reference system, meV
 LVM_FIXTURE = [119.9, 126.2, 127.6, 159.9, 161.8]
@@ -85,7 +85,7 @@ def _dense_projector_asr(d, masses_3n):
     return 0.5 * (d_clean + d_clean.T)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 @given(
     natoms=st.integers(2, 100),
     seed=st.integers(0, 2**32 - 1),
@@ -142,7 +142,7 @@ def test_zero_hessian_all_zero_modes(diatomic):
     assert np.array_equal(basis.omegas_mev, np.zeros(6))
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=examples(20), deadline=None)
 @given(natoms=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
 def test_dynamical_matrix_symmetrizes_what_it_is_given(natoms, seed):
     # an asymmetric H gives, bit for bit, what (H + H^T)/2 gives
@@ -235,7 +235,7 @@ def _orient_rows_loop(vecs):
 
 # rows past two blocks of _BLOCK
 @example(rows=600, cols=3, seed=1, zeros=0.3)
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=examples(100), deadline=None)
 @given(
     rows=st.integers(1, 12),
     cols=st.integers(1, 12),
@@ -254,7 +254,7 @@ def test_vectorized_sign_convention_matches_loop(rows, cols, seed, zeros):
     assert v.tobytes() == ref.tobytes()
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=examples(30), deadline=None)
 @given(natoms=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
 def test_mass_weighting_keeps_bitwise_symmetry(natoms, seed):
     # apply_asr's T D = (D T^T)^T and eigh's one triangle rely on it
@@ -267,7 +267,7 @@ def test_mass_weighting_keeps_bitwise_symmetry(natoms, seed):
     assert d.tobytes() == np.ascontiguousarray(d.T).tobytes()
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=examples(100), deadline=None)
 @given(
     natoms=st.integers(1, 10),
     seed=st.integers(0, 2**32 - 1),

@@ -33,6 +33,7 @@ from lumiphon.vibronic import (
 )
 
 from helpers import (
+    examples,
     extract_peak_weights,
     hessian_of,
     lorentzian_ev,
@@ -133,7 +134,7 @@ def _jittered_spring_network(natoms, seed):
     return structure, spring_hessian(positions, springs)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(natoms=st.integers(2, 40), seed=st.integers(0, 2**32 - 1))
 # S = 8.7e-9: the totals differ by 2.47e-19, more than the rounding part
 # of the bound (2.16e-19) but well within what the q_k bound allows
@@ -272,7 +273,7 @@ def _mode_by_mode_density(hr, sigma_mev, grid):
     return vals
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 @given(
     st.integers(1, 600),
     st.floats(0.05, 5.0),
@@ -508,7 +509,7 @@ def _generated_hr(nmodes, s_total, seed):
     return partial_hr(np.sqrt(2.0 * units.HBAR_AMU_A2_FS * sks / units.omega_radfs(omegas)), omegas)
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=examples(20), deadline=None)
 @_GENERATED_DOCUMENTS
 # S = 1: a time step covering 10 quanta folds the 12-phonon replica back
 # across the Nyquist energy and moves the first moment by -2.1e-8
@@ -536,7 +537,7 @@ def test_split_sideband_contracts_on_generated_documents(nmodes, s_total, gamma,
     assert first == pytest.approx(float(np.dot(hr.sk, hr.omegas_mev)), rel=1e-8)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=examples(25), deadline=None)
 @_GENERATED_DOCUMENTS
 @example(nmodes=1, s_total=1.0, gamma=0.5, sigma=1.0, seed=0)
 def test_time_grid_contracts_on_generated_documents(nmodes, s_total, gamma, sigma, seed):
@@ -599,7 +600,7 @@ def _assert_s_is_the_direct_quadrature_sum(density, g, grid):
     assert float(np.max(np.abs(diff))) <= 1e-12 * s0
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=examples(20), deadline=None)
 @_GENERATED_DOCUMENTS
 @example(nmodes=1, s_total=1.0, gamma=0.5, sigma=1.0, seed=0)
 def test_fft_of_s_matches_the_direct_quadrature_sum(nmodes, s_total, gamma, sigma, seed):
@@ -648,7 +649,7 @@ def _complex_padded_sideband(g, grid, s_total, gamma_mev, resolution_mev):
     return 2.0 * math.pi * units.HBAR_MEV_FS / (size * dt), a
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=examples(20), deadline=None)
 @_GENERATED_DOCUMENTS
 @example(nmodes=1, s_total=1.0, gamma=0.5, sigma=1.0, seed=0)
 def test_real_half_transform_matches_complex_padded_transform(
@@ -689,7 +690,7 @@ def _stage_chain(hr, flags):
     return _lineshape((generating_function(density, grid), grid, hr.total), flags)
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=examples(20), deadline=None)
 @given(*_DOCUMENT_STRATEGIES, st.booleans())
 @example(nmodes=1, s_total=1.0, gamma=0.5, sigma=1.0, seed=0, omega_cubed=False)
 def test_emission_is_the_stage_chain_on_generated_documents(
@@ -722,7 +723,7 @@ def _recording(fn, calls):
     return record
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=examples(25), deadline=None)
 @given(
     nmodes=st.integers(1, 64),
     s_total=st.floats(0.1, 30.0),
@@ -976,7 +977,7 @@ def _reference_mode_report(hr, ls, zpl_ev, gamma_mev, cutoff_mev):
     return labels
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150), deadline=None)
 @given(
     st.lists(st.integers(0, 40), min_size=1, max_size=14),
     st.lists(st.sampled_from([0.0, 5e-5, 0.01, 0.1, 0.1, 0.3, 0.3]), min_size=14, max_size=14),
