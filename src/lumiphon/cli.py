@@ -237,11 +237,8 @@ def cmd_hr(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    import numpy as np
-
     from . import io as lio
     from . import vibronic
-    from .model import tsv_printed
 
     hr = lio.parse_hr(lio.load_document(args.hr))
     window = vibronic.resolve_window(hr, args.zpl, args.gamma, args.sigma, args.window)
@@ -257,14 +254,7 @@ def cmd_spectrum(args) -> int:
         f"omega_cubed = {str(not args.no_omega_cubed).lower()}",
         f"total_s = {hr.total:.9g}",
     )
-    # where the table's 9 digits move its integral by more than 5e-7 (energies
-    # past 10 eV, whose printed step changes at a power of ten, or a step of
-    # many digits), its intensities are divided by the integral as printed
-    intensity = ls.intensity
-    printed = float(np.trapezoid(tsv_printed(intensity), tsv_printed(ls.energy_ev)))
-    if abs(printed - 1.0) > 5e-7:
-        intensity = intensity / printed
-    lio.write_spectrum_tsv(args.out, ls.energy_ev, intensity, header, overwrite=True)
+    lio.write_spectrum_tsv(args.out, ls.energy_ev, ls.intensity, header, overwrite=True)
     if args.peaks:
         lio.write_table_tsv(
             args.peaks,
@@ -287,7 +277,7 @@ def cmd_oracle(args) -> int:
 
     hr = lio.parse_hr(lio.load_document(args.hr))
     window = vibronic.resolve_window(hr, args.zpl, args.gamma, args.sigma, args.window)
-    _, grid = vibronic.energy_grid(window, args.step, args.gamma)
+    _, grid, _ = vibronic.energy_grid(window, args.step, args.gamma)
     if args.compare:
         # check the comparison spectrum before any output is written
         other_e, other_i = lio.read_spectrum_tsv(args.compare)

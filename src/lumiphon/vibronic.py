@@ -39,7 +39,7 @@ from .model import (
     classify_lvm,
     output_grid,
     sum_sk,
-    tsv_rounding,
+    tsv_printed,
 )
 from .units import ZERO_MODE_MEV
 
@@ -421,14 +421,14 @@ def resolve_window(
 
 
 def energy_grid(window_ev, step_mev, gamma_mev):
-    """(meV, eV) output energies on window_ev at step_mev: output_grid of
-    the window's ends in meV, and it over 1000, the grid that lineshape and
-    oracle both evaluate on.
+    """(meV, eV, printed) output energies on window_ev at step_mev:
+    output_grid of the window's ends in meV, it over 1000 (the grid that
+    lineshape and oracle evaluate on), and that grid as the tables print it.
 
     The one check of the output grid, InputError naming the flag: a step
     above 0, a non-empty window and at most MAX_OUTPUT_POINTS points
     (output_grid), a step of at most gamma within 1e-9, and at least two
-    points, which print apart at %.9g.  Sampled at a step above its
+    points, printed strictly increasing.  Sampled at a step above its
     half-width gamma, the zero-phonon line's area depends on where the
     samples fall.
     """
@@ -445,13 +445,13 @@ def energy_grid(window_ev, step_mev, gamma_mev):
             "(--step) holds one output point; at least 2 are needed"
         )
     energy_ev = energy_mev / 1000.0
-    lo, hi = energy_ev[[0, -2]], energy_ev[[1, -1]]  # neighbours where %.9g is coarsest
-    if np.any(hi - lo <= tsv_rounding(lo) + tsv_rounding(hi)):
+    printed = tsv_printed(energy_ev)
+    if not np.all(printed[1:] > printed[:-1]):
         raise InputError(
             f"range {lo_mev:g} to {hi_mev:g} meV (--window) at step {step_mev:g} meV "
             "(--step) prints neighbouring energies alike at 9 significant digits"
         )
-    return energy_mev, energy_ev
+    return energy_mev, energy_ev, printed
 
 
 def _reach_mev(zpl_ev, window_ev):
@@ -501,16 +501,21 @@ def lineshape(
     form plus the real inverse FFT of the t >= 0 half of the damped bracket
     [G(t) - e^{-S}] (the bracket is Hermitian), zero-padded to an energy
     step of max(sigma, gamma)/16 and splined onto the output grid energy,
-    the (meV, eV) pair that energy_grid built and checked from window_ev,
-    the step and gamma; window_ev is only named in an InputError.  emission,
-    the one caller, has checked sigma and the omega_cubed window and built
-    grid for gamma and a reach covering the window; neither is re-checked.
-    A window that captures less than 0.1% of A is an InputError.  The
-    emission intensity E^3 * A (or A with omega_cubed off) is divided by its
-    trapezoid integral, positive since E > 0.
+    the (meV, eV, printed) triple energy_grid built and checked from
+    window_ev, the step and gamma; window_ev is only named in an InputError.
+    emission, the one caller, has checked sigma and the omega_cubed window
+    and built grid for gamma and a reach covering the window; neither is
+    re-checked.  A window that captures less than 0.1% of A is an
+    InputError.  The emission intensity E^3 * A (or A with omega_cubed
+    off) is divided by its trapezoid integral over the printed energies,
+    positive since E > 0.  So the table integrates to 1 within 1e-8 as
+    printed: %.9g moves each intensity, none negative, by at most a
+    relative 5e-9, and so their sum with the positive trapezoid weights of
+    strictly increasing energies; float rounding adds under 1e-9 at
+    MAX_OUTPUT_POINTS.
     """
     zpl_mev = zpl_ev * 1000.0
-    energy_mev, energy_ev = energy
+    energy_mev, energy_ev, printed = energy
 
     fft_step, sideband, zpl_weight = _fft_spectral_function(
         g, grid, s_total, gamma_mev, max(sigma_mev, gamma_mev) / 16.0
@@ -530,7 +535,7 @@ def lineshape(
             f"window [{window_ev[0]}, {window_ev[1]}] eV captures less than 0.1% of the emission"
         )
     weighted = a_win * (energy_ev**3 if omega_cubed else 1.0)
-    norm = float(np.trapezoid(weighted, energy_ev))
+    norm = float(np.trapezoid(weighted, printed))
     return Lineshape(energy_ev, weighted / norm)
 
 

@@ -1073,7 +1073,7 @@ def test_spectrum_and_oracle_resolve_window_and_grid_once(tmp_path, monkeypatch)
         ("energy_grid", (window, 0.1, 1.0)),
     ]
     energy, _ = lio.read_spectrum_tsv(oracle)
-    _, grid = build(window, 0.1, 1.0)
+    _, grid, _ = build(window, 0.1, 1.0)
     assert energy.shape == grid.shape
     assert np.all(np.abs(energy - grid) <= tsv_rounding(grid))
 
@@ -1095,15 +1095,18 @@ _ONE_POINT_WINDOW = (["--window", "1.5:1.50005"], ("--window", "--step"))
         (["--sigma", "-1"], ("--sigma",)),
         (["--step", "5"], ("--step", "--gamma")),
         _ONE_POINT_WINDOW,
+        (["--compare", "junk.tsv"], ("junk.tsv: not a number [at line 2]",)),
     ],
     ids=["step-zero", "step-too-fine", "window-empty", "compare-other-grid", "gamma-zero",
-         "zpl-negative", "sigma-negative", "step-above-gamma", "window-one-point"],
+         "zpl-negative", "sigma-negative", "step-above-gamma", "window-one-point",
+         "compare-not-a-number"],
 )
 def test_oracle_refuses_bad_grid_before_enumerating(tmp_path, monkeypatch, capsys, extra, named):
     from lumiphon import fcoracle
 
     monkeypatch.chdir(tmp_path)
     hr_path = _write_single_mode_hr(tmp_path, 0.8, 140.0)
+    (tmp_path / "junk.tsv").write_text("# columns: energy_ev\tintensity_per_ev\n1.0\tabc\n")
     common = ["--hr", str(hr_path), "--zpl", "2.0"]
     assert main(
         ["spectrum", *common, "--window", "1.7:2.06", "--step", "0.5", "--out", "spec.tsv"]
@@ -1116,6 +1119,18 @@ def test_oracle_refuses_bad_grid_before_enumerating(tmp_path, monkeypatch, capsy
     assert all(name in err for name in named), err
     assert enumerated == []
     assert not (tmp_path / "oracle.tsv").exists()
+
+
+def test_oracle_grid_whose_square_passes_the_float_range_exit_2(tmp_path, capsys):
+    # each flag finite, the padded grid's squared span past the float range
+    hr_path = _write_single_mode_hr(tmp_path, 0.8, 140.0)
+    out = tmp_path / "oracle.tsv"
+    assert main(["oracle", "--hr", str(hr_path), "--zpl", "2e300", "--gamma", "1e299",
+                 "--step", "1e299", "--window=1e300:3e300", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the padded grid spans 2.002e+300 eV, whose square passes "
+                          "the float range") and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -1916,23 +1931,42 @@ def test_oracle_manifest_lists_the_compare_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "flags",
+    "line, flags",
     [
-        ["--zpl", "10"],
-        ["--zpl", "100"],
-        ["--zpl", "1e4"],
-        ["--zpl", "3", "--gamma", "0.2265625", "--step", "0.2265625", "--sigma", "1",
-         "--no-omega-cubed"],
+        ((0.8, 140.0), ["--zpl", "10"]),
+        ((0.8, 140.0), ["--zpl", "100"]),
+        ((0.8, 140.0), ["--zpl", "1e4"]),
+        ((0.8, 140.0), ["--zpl", "3", "--gamma", "0.2265625", "--step", "0.2265625",
+                        "--sigma", "1", "--no-omega-cubed"]),
+        ((0.9768966746550835, 108.0198535068398),
+         ["--zpl=3.810079640640673", "--gamma=0.10173251776548731",
+          "--step=0.024257018847683377", "--sigma=2.0040929103757428", "--no-omega-cubed"]),
     ],
-    ids=["10", "100", "1e4", "step-of-7-digits"],
+    ids=["10", "100", "1e4", "step-of-7-digits", "step-of-17-digits"],
 )
-def test_spectrum_table_integrates_to_one_as_printed(tmp_path, flags):
+def test_spectrum_table_integrates_to_one_as_printed(tmp_path, line, flags):
     # %.9g prints energies past 10 eV a tenth as finely above a power of
-    # ten as below it, and rounds a step of 7 significant digits unevenly
-    # at 3 eV: read back, these tables integrated to 1 - 2.9e-5 (100 eV)
-    # and 1 + 1.8e-6 (step of 7 digits)
-    hr_path = _write_one_line_hr(tmp_path, 0.8, 140.0)
-    out = tmp_path / "s.tsv"
-    assert main(["spectrum", "--hr", str(hr_path), *flags, "--out", str(out)]) == 0
+    # ten as below it, and rounds a step of many significant digits
+    # unevenly: normalized over the float energies, these tables read back
+    # integrated to 1 - 2.9e-5 (100 eV), 1 + 1.8e-6 (step of 7 digits) and
+    # 1 + 4.8e-7 (step of 17 digits)
+    from lumiphon import vibronic
+
+    hr_path = _write_one_line_hr(tmp_path, *line)
+    out, expected = tmp_path / "s.tsv", tmp_path / "expected.tsv"
+    argv = ["spectrum", "--hr", str(hr_path), *flags, "--out", str(out)]
+    assert main(argv) == 0
     energy, intensity = lio.read_spectrum_tsv(out)
-    assert abs(np.trapezoid(intensity, energy) - 1.0) <= 1e-6
+    assert abs(np.trapezoid(intensity, energy) - 1.0) <= 1e-8
+    # and the table is vibronic.emission's curve as it comes: the command
+    # does no arithmetic on it
+    args = build_parser().parse_args(argv)
+    hr = lio.parse_hr(lio.load_document(hr_path))
+    window = vibronic.resolve_window(hr, args.zpl, args.gamma, args.sigma, args.window)
+    ls = vibronic.emission(
+        hr, args.zpl, args.gamma, args.sigma, window, args.step, not args.no_omega_cubed
+    )
+    header = [text[2:] for text in out.read_text().splitlines()
+              if text.startswith("# ") and not text.startswith("# columns:")]
+    lio.write_spectrum_tsv(expected, ls.energy_ev, ls.intensity, header)
+    assert out.read_bytes() == expected.read_bytes()

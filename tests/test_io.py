@@ -191,6 +191,24 @@ def test_hessian_asymmetric_accepted():
     assert not np.array_equal(hessian, hessian.T)
 
 
+@pytest.mark.parametrize(
+    "natoms, doc, error, message",
+    [
+        (2, {"matrix": np.eye(6).tolist(), "triplets": []}, ParseError,
+         r"give either matrix or triplets, not both \[at /\]"),
+        (1, {"dim": 6, "triplets": []}, InputError, r"^dim 6 does not match 3N = 3$"),
+        (2, {}, ParseError, r"hessian needs a matrix or triplets field \[at /\]"),
+        (2, {"dim": 6, "triplets": {}}, ParseError, r"triplets must be a list \[at /triplets\]"),
+    ],
+    ids=["both", "dim", "neither", "triplets-object"],
+)
+def test_hessian_layout_refused(natoms, doc, error, message):
+    sites = STRUCTURE_DOC["sites"][:natoms]
+    structure = lio.parse_structure(dict(STRUCTURE_DOC, sites=sites))
+    with pytest.raises(error, match=message):
+        lio.parse_hessian({"schema": "hessian/1", **doc}, structure)
+
+
 def test_hessian_dimension_mismatch():
     structure = lio.parse_structure(STRUCTURE_DOC)
     with pytest.raises(ParseError, match="expected 6 rows, got 9") as err:
@@ -417,6 +435,12 @@ def test_defect_entry_fields_checked_by_the_parser():
     # the analytic marker needs the host's dielectric constant and volume
     host = {"dielectric_constant": 9.7, "cell_volume_a3": 6000.0}
     assert parse(host, charge=-1, correction_ev="analytic").correction == "analytic"
+
+
+def test_dissociation_table_duplicate_label():
+    entries = _DISSOCIATION_DOC["entries"] * 2
+    with pytest.raises(InputError, match="duplicate dissociation entry 'a'"):
+        lio.parse_dissociation_table(dict(_DISSOCIATION_DOC, entries=entries))
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,7 @@ from lumiphon.model import (
     Lineshape,
     PhononBasis,
     TimeGrid,
+    tsv_printed,
 )
 from lumiphon.phonons import apply_asr, diagonalize, dynamical_matrix
 from lumiphon.vibronic import (
@@ -693,6 +694,9 @@ def _stage_chain(hr, flags):
 @settings(max_examples=examples(20), deadline=None)
 @given(*_DOCUMENT_STRATEGIES, st.booleans())
 @example(nmodes=1, s_total=1.0, gamma=0.5, sigma=1.0, seed=0, omega_cubed=False)
+# a step of 17 digits, whose printed energies move the integral by 1.2e-6
+@example(nmodes=1, s_total=1.0, gamma=0.7404708839070748, sigma=0.7421875, seed=1,
+         omega_cubed=False)
 def test_emission_is_the_stage_chain_on_generated_documents(
     nmodes, s_total, gamma, sigma, seed, omega_cubed
 ):
@@ -707,9 +711,9 @@ def test_emission_is_the_stage_chain_on_generated_documents(
     ls = emission(hr, **flags)
     assert np.array_equal(ls.energy_ev, ref.energy_ev)
     assert np.array_equal(ls.intensity, ref.intensity)
-    # lineshape divides by the integral it makes: unit within 1e-6, with
-    # omega_cubed on and off
-    assert abs(float(np.trapezoid(ls.intensity, ls.energy_ev)) - 1.0) <= 1e-6
+    # lineshape divides by the integral it makes over the energies as
+    # printed: unit there within 1e-12, with omega_cubed on and off
+    assert abs(float(np.trapezoid(ls.intensity, tsv_printed(ls.energy_ev))) - 1.0) <= 1e-12
 
 
 def _recording(fn, calls):
@@ -759,14 +763,14 @@ def test_spectrum_and_oracle_share_window_and_grid_on_generated_documents(
                 raise
             ls = None
     # emission evaluates on the one grid the builder makes of it
-    ((args, (_, spectrum_grid)),) = grids
+    ((args, (_, spectrum_grid, _)),) = grids
     assert args == (window, gamma, gamma)
     if ls is not None:
         assert ls.energy_ev.tobytes() == spectrum_grid.tobytes()
     # oracle for the same flags: the resolver, then the builder
     oracle_window = vibronic.resolve_window(hr, zpl, gamma, sigma, flag)
     assert oracle_window == window
-    _, oracle_grid = vibronic.energy_grid(oracle_window, gamma, gamma)
+    _, oracle_grid, _ = vibronic.energy_grid(oracle_window, gamma, gamma)
     assert oracle_grid.tobytes() == spectrum_grid.tobytes()
     # at sigma = 0 (oracle's pure Lorentzians) the default loses its 6 sigma margins
     lo, hi = vibronic.resolve_window(hr, zpl, gamma, sigma)
@@ -796,8 +800,9 @@ def test_resolve_window_and_energy_grid_check_every_flag():
         vibronic.energy_grid(given, 0.1 * (1.0 + 1e-8), 0.1)
     with pytest.raises(InputError, match="--window.*--step"):
         vibronic.energy_grid((1.5, 1.50005), 0.1, 1.0)
-    energy_mev, energy_ev = vibronic.energy_grid((1.5, 1.5001), 0.1, 1.0)
+    energy_mev, energy_ev, printed = vibronic.energy_grid((1.5, 1.5001), 0.1, 1.0)
     assert energy_mev.size == 2 and np.array_equal(energy_ev, energy_mev / 1000.0)
+    assert printed.tolist() == [1.5, 1.5001]
 
 
 def test_emission_refuses_what_the_generating_function_route_adds():
