@@ -87,7 +87,7 @@ def main():
         gap_ev=3.17,
         chemical_potentials=carbon_rich_potentials(-9.1, -5.4, -15.2),
         dielectric_constant=9.7,
-        cell_volume_a3=structure.volume_a3,
+        cell_volume_a3=float(np.linalg.det(structure.lattice)),
     )
     entries = [
         DefectEntry("cluster_a", 1, -110.1, {"Si": 1, "C": -2}, "analytic"),

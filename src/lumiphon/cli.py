@@ -273,17 +273,15 @@ def cmd_oracle(args) -> int:
     from . import fcoracle
     from . import io as lio
     from . import vibronic
-    from .model import tsv_rounding
+    from .model import tsv_printed
 
     hr = lio.parse_hr(lio.load_document(args.hr))
     window = vibronic.resolve_window(hr, args.zpl, args.gamma, args.sigma, args.window)
-    _, grid, _ = vibronic.energy_grid(window, args.step, args.gamma)
+    grid = vibronic.energy_grid(window, args.step, args.gamma)
     if args.compare:
         # check the comparison spectrum before any output is written
         other_e, other_i = lio.read_spectrum_tsv(args.compare)
-        # energies read back carry the table's 9-digit rounding
-        slack = tsv_rounding(grid)
-        if other_e.shape != grid.shape or np.any(np.abs(other_e - grid) > slack):
+        if not np.array_equal(tsv_printed(other_e), grid):
             raise InputError(
                 f"{args.compare} is sampled on a different grid; "
                 "regenerate both spectra with the same window and step"

@@ -151,7 +151,8 @@ def broadened_oracle_spectrum(
     allocated two fresh 4e6-element (32 MB) arrays per chunk.
     """
     grid = np.asarray(grid_ev, dtype=float)
-    step_ev = float(grid[1] - grid[0])
+    # the whole grid's step, as TimeGrid.dt: one printed difference may be off in digit 9
+    step_ev = float((grid[-1] - grid[0]) / (grid.size - 1))
     gamma_ev = gamma_mev / 1000.0
     lines_ev = zpl_ev - ladder.energies_mev / 1000.0
     # lines of appreciable weight must sit inside the grid by 10 gamma;

@@ -82,23 +82,25 @@ def output_grid(lo_mev, hi_mev, step_mev, step_flag, range_flag):
     return lo_mev + step_mev * np.arange(int(math.floor(cells)) + 1)
 
 
-def tsv_rounding(values):
-    """Largest change the tables' %.9g makes to each value: half a unit in
-    its ninth significant digit."""
-    with np.errstate(divide="ignore"):
-        return 0.5 * 10.0 ** (np.floor(np.log10(np.abs(values))) - 8)
+#: 10^k for k = 0 .. 22, the powers of ten a float holds exactly.
+_POW10 = np.array([float(10**k) for k in range(23)])
 
 
 def tsv_printed(values):
-    """The finite values as the tables' %.9g prints them, within an ulp."""
-    unit = 2.0 * tsv_rounding(values)  # 0 for 0 and the smallest subnormals
+    """The finite values of an array exactly as the tables' %.9g prints
+    them: the nine digits rint(v 10^m), m = 8 - floor(log10 |v|), over the
+    exact power 10^m (times 10^-m for m < 0), one correctly rounded
+    operation as float("%.9g" % v) is; printed for |m| > 22 and near ties."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = values / unit
+        m = 8.0 - np.floor(np.log10(np.abs(values)))
+        exact, up = np.abs(m) <= 22, m >= 0
+        power = _POW10[np.where(exact, np.abs(m), 0).astype(np.int64)]
+        scaled = np.where(up, values * power, values / power)
         digits = np.rint(scaled)
-        out = np.where(unit > 0, digits * unit, values)
+        out = np.where(up, digits / power, digits * power)
         # within rounding of a tie, only the exact expansion of a value tells
-        ties = np.flatnonzero(np.abs(np.abs(scaled - digits) - 0.5) < 1e-6)
-    out[ties] = [float("%.9g" % v) for v in values[ties].tolist()]
+        printed = np.flatnonzero(~exact | (np.abs(np.abs(scaled - digits) - 0.5) < 1e-6))
+    out[printed] = [float("%.9g" % v) for v in values[printed].tolist()]
     return out
 
 
@@ -120,10 +122,6 @@ class CrystalStructure:
     @property
     def natoms(self):
         return len(self.species)
-
-    @property
-    def volume_a3(self):
-        return float(np.linalg.det(self.lattice))
 
     def mass_vector_3n(self):
         """Per-coordinate masses (each atom's mass repeated for x,y,z)."""
@@ -238,11 +236,10 @@ class TimeGrid:
 
 @dataclass(frozen=True, eq=False)
 class Lineshape:
-    """Emission intensity per eV on a uniform energy grid, as
+    """Emission intensity per eV on the output energies, as
     vibronic.lineshape builds it: divided by its trapezoid integral over
-    the energies as printed, so the written table integrates to 1 within
-    1e-8 by construction (%.9g moves each intensity, none negative, by at
-    most a relative 5e-9; float sums add under 1e-9), not re-checked."""
+    its own energies, which are the printed ones, so the written table
+    integrates to 1 within 1e-8 by construction, not re-checked."""
 
     energy_ev: np.ndarray
     intensity: np.ndarray

@@ -421,9 +421,10 @@ def resolve_window(
 
 
 def energy_grid(window_ev, step_mev, gamma_mev):
-    """(meV, eV, printed) output energies on window_ev at step_mev:
-    output_grid of the window's ends in meV, it over 1000 (the grid that
-    lineshape and oracle evaluate on), and that grid as the tables print it.
+    """Output energies in eV on window_ev at step_mev, exactly as the tables
+    print them (tsv_printed): output_grid of the window's ends in meV over
+    1000.  lineshape and oracle evaluate on it, so a table is its curve at
+    the energies it prints.
 
     The one check of the output grid, InputError naming the flag: a step
     above 0, a non-empty window and at most MAX_OUTPUT_POINTS points
@@ -444,14 +445,13 @@ def energy_grid(window_ev, step_mev, gamma_mev):
             f"range {lo_mev:g} to {hi_mev:g} meV (--window) at step {step_mev:g} meV "
             "(--step) holds one output point; at least 2 are needed"
         )
-    energy_ev = energy_mev / 1000.0
-    printed = tsv_printed(energy_ev)
-    if not np.all(printed[1:] > printed[:-1]):
+    energy_ev = tsv_printed(energy_mev / 1000.0)
+    if not np.all(energy_ev[1:] > energy_ev[:-1]):
         raise InputError(
             f"range {lo_mev:g} to {hi_mev:g} meV (--window) at step {step_mev:g} meV "
             "(--step) prints neighbouring energies alike at 9 significant digits"
         )
-    return energy_mev, energy_ev, printed
+    return energy_ev
 
 
 def _reach_mev(zpl_ev, window_ev):
@@ -480,18 +480,18 @@ def emission(
             f"window {window_ev[0]:g}:{window_ev[1]:g} eV (--window) must "
             "stay above 0 eV unless --no-omega-cubed is given"
         )
-    energy = energy_grid(window_ev, step_mev, gamma_mev)
+    energy_ev = energy_grid(window_ev, step_mev, gamma_mev)
     reach = _reach_mev(zpl_ev, window_ev)
     grid = make_time_grid(hr, sigma_mev, gamma_mev, reach)
     density = spectral_density(hr, sigma_mev, grid.spectral_step_mev)
     g = generating_function(density, grid)
     return lineshape(
-        g, grid, hr.total, zpl_ev, gamma_mev, sigma_mev, omega_cubed, window_ev, energy
+        g, grid, hr.total, zpl_ev, gamma_mev, sigma_mev, omega_cubed, window_ev, energy_ev
     )
 
 
 def lineshape(
-    g, grid: TimeGrid, s_total, zpl_ev, gamma_mev, sigma_mev, omega_cubed, window_ev, energy
+    g, grid: TimeGrid, s_total, zpl_ev, gamma_mev, sigma_mev, omega_cubed, window_ev, energy_ev
 ) -> Lineshape:
     """Normalized emission lineshape from generating_function's G(t) on
     grid and the total S of the zero-phonon weight e^{-S}.
@@ -500,22 +500,22 @@ def lineshape(
     zero-phonon Lorentzian e^{-S} (gamma/pi) / (hw^2 + gamma^2) in closed
     form plus the real inverse FFT of the t >= 0 half of the damped bracket
     [G(t) - e^{-S}] (the bracket is Hermitian), zero-padded to an energy
-    step of max(sigma, gamma)/16 and splined onto the output grid energy,
-    the (meV, eV, printed) triple energy_grid built and checked from
-    window_ev, the step and gamma; window_ev is only named in an InputError.
-    emission, the one caller, has checked sigma and the omega_cubed window
-    and built grid for gamma and a reach covering the window; neither is
-    re-checked.  A window that captures less than 0.1% of A is an
-    InputError.  The emission intensity E^3 * A (or A with omega_cubed
-    off) is divided by its trapezoid integral over the printed energies,
+    step of max(sigma, gamma)/16 and splined onto energy_ev, the output
+    energies energy_grid built and checked from window_ev, the step and
+    gamma; window_ev is only named in an InputError.  emission, the one
+    caller, has checked sigma and the omega_cubed window and built grid for
+    gamma and a reach covering the window; neither is re-checked.  A window
+    that captures less than 0.1% of A is an InputError.  The emission
+    intensity E^3 * A (or A with omega_cubed off) is divided by its
+    trapezoid integral over its own energies, which are the printed ones,
     positive since E > 0.  So the table integrates to 1 within 1e-8 as
-    printed: %.9g moves each intensity, none negative, by at most a
+    read back: %.9g moves each intensity, none negative, by at most a
     relative 5e-9, and so their sum with the positive trapezoid weights of
     strictly increasing energies; float rounding adds under 1e-9 at
     MAX_OUTPUT_POINTS.
     """
     zpl_mev = zpl_ev * 1000.0
-    energy_mev, energy_ev, printed = energy
+    energy_mev = 1000.0 * energy_ev
 
     fft_step, sideband, zpl_weight = _fft_spectral_function(
         g, grid, s_total, gamma_mev, max(sigma_mev, gamma_mev) / 16.0
@@ -535,7 +535,7 @@ def lineshape(
             f"window [{window_ev[0]}, {window_ev[1]}] eV captures less than 0.1% of the emission"
         )
     weighted = a_win * (energy_ev**3 if omega_cubed else 1.0)
-    norm = float(np.trapezoid(weighted, printed))
+    norm = float(np.trapezoid(weighted, energy_ev))
     return Lineshape(energy_ev, weighted / norm)
 
 

@@ -30,7 +30,6 @@ from lumiphon.model import (
     HostReference,
     PhononBasis,
     structure_checksum,
-    tsv_rounding,
 )
 from lumiphon.phonons import diagonalize, dynamical_matrix
 from lumiphon.vibronic import partial_hr
@@ -1072,10 +1071,9 @@ def test_spectrum_and_oracle_resolve_window_and_grid_once(tmp_path, monkeypatch)
         ("resolve_window", (2.0, 1.0, 0.0, None)),
         ("energy_grid", (window, 0.1, 1.0)),
     ]
+    # the table's energies read back are the grid's floats, bit for bit
     energy, _ = lio.read_spectrum_tsv(oracle)
-    _, grid, _ = build(window, 0.1, 1.0)
-    assert energy.shape == grid.shape
-    assert np.all(np.abs(energy - grid) <= tsv_rounding(grid))
+    assert energy.tobytes() == build(window, 0.1, 1.0).tobytes()
 
 
 # a window 0.05 meV wide holds one point at the default 0.1 meV step
@@ -1970,3 +1968,5 @@ def test_spectrum_table_integrates_to_one_as_printed(tmp_path, line, flags):
               if text.startswith("# ") and not text.startswith("# columns:")]
     lio.write_spectrum_tsv(expected, ls.energy_ev, ls.intensity, header)
     assert out.read_bytes() == expected.read_bytes()
+    # whose energies are the ones the table prints, bit for bit
+    assert energy.tobytes() == ls.energy_ev.tobytes()

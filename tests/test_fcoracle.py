@@ -190,8 +190,8 @@ def test_voigt_smearing_matches_direct_sum():
 
 def _chunk_expression_reference(ladder, gamma_mev, grid, zpl_ev, sigma_mev):
     """The broadened intensity as summed before the column tiles: one fresh
-    (chunk, points) expression per row chunk, same padding and smearing."""
-    step_ev = float(grid[1] - grid[0])
+    (chunk, points) expression per row chunk, same step, padding and smearing."""
+    step_ev = float((grid[-1] - grid[0]) / (grid.size - 1))
     gamma_ev, sigma_ev = gamma_mev / 1000.0, sigma_mev / 1000.0
     lines_ev = zpl_ev - ladder.energies_mev / 1000.0
     totals = ladder.quanta.sum(axis=1)
@@ -449,3 +449,16 @@ def test_oracle_contract_on_generated_documents(omegas, shares, s_total, gamma, 
     a = ls.intensity / np.trapezoid(ls.intensity, ls.energy_ev)
     b = oracle / np.trapezoid(oracle, ls.energy_ev)
     assert float(np.trapezoid(np.abs(a - b), ls.energy_ev)) < 1e-4
+
+
+def test_oracle_takes_its_step_over_the_whole_printed_grid():
+    # the first two printed energies, 0.999990151 and 1.00009015 eV, are
+    # 0.099999 meV apart on a 0.1 meV grid: a padded grid stepped by that
+    # one difference drifts, and the L1 below reads 4.0e-6 instead of 8.8e-7
+    hr = _hr([60.0, 90.0], [0.6, 0.4])
+    zpl, gamma, sigma = 2.0, 1.0, 2.0
+    ls = emission(hr, zpl, gamma, sigma, (0.99999015141426, 2.06), 0.1, False)
+    oracle = broadened_oracle_spectrum(enumerate_fc(hr, 20), gamma, ls.energy_ev, zpl, sigma)
+    a = ls.intensity / np.trapezoid(ls.intensity, ls.energy_ev)
+    b = oracle / np.trapezoid(oracle, ls.energy_ev)
+    assert float(np.trapezoid(np.abs(a - b), ls.energy_ev)) <= 1e-6

@@ -1,12 +1,16 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lumiphon import io as lio
 from lumiphon import units
 from lumiphon.errors import InputError, ParseError
-from lumiphon.model import MAX_OUTPUT_POINTS, output_grid
+from lumiphon.model import MAX_OUTPUT_POINTS, output_grid, tsv_printed
+
+from helpers import examples
 
 
 def test_unit_table_consistency():
@@ -86,3 +90,54 @@ def test_hr_total_matches_fsum(seed):
     hr = lio.parse_hr(_hr_doc(w.tolist(), s.tolist(), math.fsum(s.tolist())))
     assert hr.nmodes == n
 
+
+
+def _assert_printed_bit_for_bit(values):
+    values = np.asarray(values, dtype=float)
+    expected = np.array([float("%.9g" % v) for v in values.tolist()])
+    assert tsv_printed(values).tobytes() == expected.tobytes()
+
+
+def test_tsv_printed_is_the_printed_float_at_every_exponent():
+    # every binary exponent, subnormals included, a few mantissas each and
+    # both signs, then each power of ten and its float neighbours
+    rng = np.random.default_rng(5)
+    exponents = np.repeat(np.arange(-1074, 1024), 8)
+    mantissas = 1.0 + rng.random(exponents.size)
+    signs = rng.choice([-1.0, 1.0], exponents.size)
+    _assert_printed_bit_for_bit(signs * np.ldexp(mantissas, exponents))
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    _assert_printed_bit_for_bit(
+        np.concatenate([np.nextafter(tens, 0.0), tens, np.nextafter(tens, np.inf), -tens])
+    )
+    _assert_printed_bit_for_bit([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308])
+
+
+def _exact_tie(d, k, sign, toward):
+    """(2 d + 1) 10^k / 2, halfway between two 9-digit values, or its float
+    neighbour toward -inf or +inf: the odd part (2 d + 1) 5^k of the tie is
+    below 2^53 for d < 10^9 and k <= 9, so the float holds it exactly."""
+    tie = sign * float((2 * d + 1) * 10**k) / 2.0
+    return math.nextafter(tie, tie + toward)
+
+
+_EXACT_TIES = st.builds(
+    _exact_tie,
+    st.integers(10**8, 10**9 - 1),
+    st.integers(0, 9),
+    st.sampled_from([-1.0, 1.0]),
+    st.sampled_from([-math.inf, 0.0, math.inf]),
+)
+
+
+@settings(max_examples=examples(300), deadline=None)
+@given(
+    st.lists(
+        st.floats(allow_nan=False, allow_infinity=False) | _EXACT_TIES, min_size=1, max_size=32
+    )
+)
+@example([1.5 + 1e-4 * k for k in range(4)])
+@example([100000000.5, -12345678.25, 123456789.5e9])
+def test_tsv_printed_is_the_printed_float_on_generated_values(values):
+    # %.9g rounds an exact tie half to even
+    _assert_printed_bit_for_bit(values)

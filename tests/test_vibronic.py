@@ -332,7 +332,7 @@ def _lineshape(gf, flags, energy=None):
     """lineshape of gf, a (G, time grid, total S) triple, for emission's
     keyword arguments flags, on their output grid unless energy is given."""
     read = {k: v for k, v in flags.items() if k != "step_mev"}
-    return lineshape(*gf, **read, energy=_output_grid(flags) if energy is None else energy)
+    return lineshape(*gf, **read, energy_ev=_output_grid(flags) if energy is None else energy)
 
 
 def test_generating_function_no_coupling():
@@ -711,9 +711,10 @@ def test_emission_is_the_stage_chain_on_generated_documents(
     ls = emission(hr, **flags)
     assert np.array_equal(ls.energy_ev, ref.energy_ev)
     assert np.array_equal(ls.intensity, ref.intensity)
-    # lineshape divides by the integral it makes over the energies as
-    # printed: unit there within 1e-12, with omega_cubed on and off
-    assert abs(float(np.trapezoid(ls.intensity, tsv_printed(ls.energy_ev))) - 1.0) <= 1e-12
+    # lineshape computes on the energies as printed and divides by its
+    # integral over them: unit there within 1e-12, with omega_cubed on and off
+    assert np.array_equal(tsv_printed(ls.energy_ev), ls.energy_ev)
+    assert abs(float(np.trapezoid(ls.intensity, ls.energy_ev)) - 1.0) <= 1e-12
 
 
 def _recording(fn, calls):
@@ -763,14 +764,14 @@ def test_spectrum_and_oracle_share_window_and_grid_on_generated_documents(
                 raise
             ls = None
     # emission evaluates on the one grid the builder makes of it
-    ((args, (_, spectrum_grid, _)),) = grids
+    ((args, spectrum_grid),) = grids
     assert args == (window, gamma, gamma)
     if ls is not None:
         assert ls.energy_ev.tobytes() == spectrum_grid.tobytes()
     # oracle for the same flags: the resolver, then the builder
     oracle_window = vibronic.resolve_window(hr, zpl, gamma, sigma, flag)
     assert oracle_window == window
-    _, oracle_grid, _ = vibronic.energy_grid(oracle_window, gamma, gamma)
+    oracle_grid = vibronic.energy_grid(oracle_window, gamma, gamma)
     assert oracle_grid.tobytes() == spectrum_grid.tobytes()
     # at sigma = 0 (oracle's pure Lorentzians) the default loses its 6 sigma margins
     lo, hi = vibronic.resolve_window(hr, zpl, gamma, sigma)
@@ -800,9 +801,8 @@ def test_resolve_window_and_energy_grid_check_every_flag():
         vibronic.energy_grid(given, 0.1 * (1.0 + 1e-8), 0.1)
     with pytest.raises(InputError, match="--window.*--step"):
         vibronic.energy_grid((1.5, 1.50005), 0.1, 1.0)
-    energy_mev, energy_ev, printed = vibronic.energy_grid((1.5, 1.5001), 0.1, 1.0)
-    assert energy_mev.size == 2 and np.array_equal(energy_ev, energy_mev / 1000.0)
-    assert printed.tolist() == [1.5, 1.5001]
+    energy_ev = vibronic.energy_grid((1.5, 1.5001), 0.1, 1.0)
+    assert energy_ev.tolist() == [1.5, 1.5001]
 
 
 def test_emission_refuses_what_the_generating_function_route_adds():
