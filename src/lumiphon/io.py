@@ -2,8 +2,8 @@
 
 Native formats are self-describing JSON documents (schema field per type)
 plus tab-separated tables for plot-ready output; a phonon basis keeps its
-vectors as raw float64 bytes in a sibling file that its document names
-and hashes.  Energies are always eV,
+vectors as raw float64 bytes at its document's path plus PAYLOAD_SUFFIX,
+hashed by the document.  Energies are always eV,
 phonon energies meV, positions A, masses amu; there are no unit fields and
 no auto-detection.  Numeric fields survive a write/read cycle bit-exactly.
 Semantic parse errors carry a JSON-pointer locus, syntax errors a
@@ -44,7 +44,7 @@ SCHEMAS = {
     "hessian": "hessian/1",
     "geometry_pair": "geometry_pair/1",
     "force_delta": "force_delta/1",
-    "phonon_basis": "phonon_basis/3",
+    "phonon_basis": "phonon_basis/4",
     "hr": "hr/1",
     "defects": "defects/1",
     "dissociation": "dissociation/1",
@@ -179,51 +179,6 @@ def _matrix(value, rows, cols, locus):
         for j, x in enumerate(row):
             out[i, j] = _number(x, f"{locus}/{i}/{j}")
     return out
-
-
-def _binary_matrix(value, rows, cols, locus, directory):
-    """A row-major little-endian float64 block held in a sibling file: dtype,
-    shape, the file's bare name in `directory` and the sha256 of its bytes.
-    The file's size is checked before it is read, in one read."""
-    import hashlib
-
-    if not isinstance(value, dict):
-        raise ParseError("expected an object with dtype, shape, file and sha256", locus=locus)
-    dtype = _field(value, "dtype", locus)
-    if dtype != "<f8":
-        raise ParseError(f"dtype must be '<f8', got {dtype!r}", locus=f"{locus}/dtype")
-    shape = _field(value, "shape", locus)
-    if shape != [rows, cols] or not all(type(n) is int for n in shape):
-        raise ParseError(f"shape must be [{rows}, {cols}], got {shape!r}", locus=f"{locus}/shape")
-    name = _field(value, "file", locus)
-    if (
-        not isinstance(name, str)
-        or name in ("", ".", "..")
-        or "\0" in name
-        or os.path.basename(name) != name
-    ):
-        raise ParseError(
-            f"file must name a file beside the document, with no directory part, got {name!r}",
-            locus=f"{locus}/file",
-        )
-    digest = _field(value, "sha256", locus)
-    if not isinstance(digest, str):
-        raise ParseError("sha256 must be a string", locus=f"{locus}/sha256")
-    path = os.path.join(directory, name)
-    size = rows * cols * 8
-    try:
-        with open(path, "rb") as fh:
-            held = os.fstat(fh.fileno()).st_size
-            raw = fh.read(size) if held == size else b""  # a wrong size is not read
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc.strerror}", locus=f"{locus}/file") from None
-    if len(raw) != size:
-        raise ParseError(f"{path} holds {held} bytes, shape needs {size}", locus=f"{locus}/file")
-    if hashlib.sha256(raw).hexdigest() != digest:
-        raise ParseError(
-            f"{path} does not match the recorded sha256", locus=f"{locus}/sha256"
-        )
-    return np.frombuffer(raw, dtype="<f8").reshape(rows, cols)
 
 
 # ------------------------------------------------------------- structure
@@ -456,10 +411,12 @@ def _check_orthonormal(vectors):
 
 
 def parse_phonon_basis(doc, path) -> PhononBasis:
-    """Read `phonon_basis/3`, the parsed document at path: finite omegas,
-    the vectors from the sibling file the document names (its size and
-    sha256 checked), finite with orthonormal rows, and a provenance that
-    is an object when given."""
+    """Read `phonon_basis/4`, the parsed document at path: finite omegas, a
+    provenance that is an object when given, and the n x n vectors from the
+    file path + PAYLOAD_SUFFIX, its size compared before it is read in one
+    read, then its sha256 checked, finite with orthonormal rows."""
+    import hashlib
+
     _expect_schema(doc, "phonon_basis")
     omegas = _field(doc, "omegas_mev")
     if not isinstance(omegas, list) or not omegas:
@@ -468,9 +425,22 @@ def parse_phonon_basis(doc, path) -> PhononBasis:
     w = np.array([_number(x, f"/omegas_mev/{i}") for i, x in enumerate(omegas)])
     if not isinstance(doc.get("provenance", {}), dict):
         raise ParseError("provenance must be an object", locus="/provenance")
-    directory = os.path.dirname(os.fspath(path))
-    vectors = _binary_matrix(_field(doc, "vectors"), nm, nm, "/vectors", directory)
-    _require_finite(vectors, "/vectors/file: vectors")
+    digest = _field(doc, "vectors_sha256")
+    if not isinstance(digest, str):
+        raise ParseError("vectors_sha256 must be a string", locus="/vectors_sha256")
+    payload, size = os.fspath(path) + PAYLOAD_SUFFIX, nm * nm * 8
+    try:
+        with open(payload, "rb") as fh:
+            held = os.fstat(fh.fileno()).st_size
+            raw = fh.read(size) if held == size else b""  # a wrong size is not read
+    except OSError as exc:
+        raise InputError(f"cannot read {payload}: {exc.strerror}") from None
+    if len(raw) != size:
+        raise InputError(f"{payload} holds {held} bytes, {nm} modes need {size}")
+    if hashlib.sha256(raw).hexdigest() != digest:
+        raise ParseError(f"{payload} does not match vectors_sha256", locus="/vectors_sha256")
+    vectors = np.frombuffer(raw, dtype="<f8").reshape(nm, nm)
+    _require_finite(vectors, f"{payload}: vectors")
     _check_orthonormal(vectors)
     return PhononBasis(w, vectors)
 
@@ -479,8 +449,8 @@ def write_phonon_basis(
     basis: PhononBasis, path, provenance: Optional[dict] = None, overwrite=False
 ):
     """The basis document at path and, first, its vectors' row-major bytes
-    in the sibling file path + PAYLOAD_SUFFIX; the document, renamed last,
-    commits the pair."""
+    in the file path + PAYLOAD_SUFFIX; the document, renamed last, commits
+    the pair."""
     import hashlib
 
     payload = os.fspath(path) + PAYLOAD_SUFFIX
@@ -490,12 +460,7 @@ def write_phonon_basis(
     doc = {
         "schema": SCHEMAS["phonon_basis"],
         "omegas_mev": basis.omegas_mev.tolist(),
-        "vectors": {
-            "dtype": "<f8",
-            "shape": list(vectors.shape),
-            "file": os.path.basename(payload),
-            "sha256": "",
-        },
+        "vectors_sha256": "",
         "provenance": provenance or {},
     }
     _dumps(doc, path)  # a field json refuses is refused before any file is written
@@ -511,7 +476,7 @@ def write_phonon_basis(
             yield block
 
     _atomic_write(blocks(), payload)
-    doc["vectors"]["sha256"] = digest.hexdigest()
+    doc["vectors_sha256"] = digest.hexdigest()
     _atomic_write([_dumps(doc, path).encode("ascii"), b"\n"], path)
 
 
@@ -826,11 +791,13 @@ def write_stem_tsv(path, hr: HRDecomposition, header_lines=(), overwrite=False):
 
 
 def read_spectrum_tsv(path):
-    """Read back a two-column spectrum written by write_spectrum_tsv."""
+    """Read back a two-column spectrum written by write_spectrum_tsv: each
+    line that is not empty and does not start with '#' is a row of exactly
+    two tab-separated numbers, read as written."""
     energies, intensities = [], []
     # newline=None splits lines at LF, CR and CRLF, as text-mode files do
     for ln, line in enumerate(StringIO(_read_utf8(path), newline=None), start=1):
-        line = line.strip()
+        line = line.rstrip("\n")
         if not line or line.startswith("#"):
             continue
         parts = line.split("\t")

@@ -436,14 +436,9 @@ def test_hr_basis_with_a_repeated_mode_exit_2(tmp_path, capsys):
     payload = vectors.astype("<f8").tobytes()
     (tmp_path / "modes.json.f8").write_bytes(payload)
     doc = {
-        "schema": "phonon_basis/3",
+        "schema": "phonon_basis/4",
         "omegas_mev": np.linspace(20.0, 160.0, n).tolist(),
-        "vectors": {
-            "dtype": "<f8",
-            "shape": [n, n],
-            "file": "modes.json.f8",
-            "sha256": hashlib.sha256(payload).hexdigest(),
-        },
+        "vectors_sha256": hashlib.sha256(payload).hexdigest(),
     }
     modes = tmp_path / "modes.json"
     modes.write_text(json.dumps(doc))
@@ -504,29 +499,55 @@ def _hr_on_rewritten_basis(tmp_path, rewrite):
     return code
 
 
+def _as_v3(doc, vectors):
+    """Rewrite a basis document as phonon_basis/3, as the previous writer
+    laid it out: the payload's dtype, shape, file name and hash nested."""
+    old = dict(doc)
+    doc.clear()
+    doc.update(
+        schema="phonon_basis/3",
+        omegas_mev=old["omegas_mev"],
+        vectors={"dtype": "<f8", "shape": list(vectors.shape), "file": "modes.json.f8",
+                 "sha256": old["vectors_sha256"]},
+        provenance=old["provenance"],
+    )
+
+
+def _refuses_v3_basis(tmp_path, capsys):
+    tmp_path.mkdir()
+    assert _hr_on_rewritten_basis(tmp_path, _as_v3) == 2
+    assert (
+        "expected schema 'phonon_basis/4', got 'phonon_basis/3' [at /schema]"
+        in capsys.readouterr().err
+    )
+
+
 def test_hr_refuses_v1_basis_exit_2(tmp_path, capsys):
-    # phonon_basis/3 is the one basis format read; the nested-list /1 is refused
+    # phonon_basis/4 is the one basis format read; the nested-list /1 is
+    # refused, and so is /3, which named its payload
     def rewrite(doc, vectors):
         doc.update(schema="phonon_basis/1", vectors=vectors.tolist())
 
     assert _hr_on_rewritten_basis(tmp_path, rewrite) == 2
     assert (
-        "expected schema 'phonon_basis/3', got 'phonon_basis/1' [at /schema]"
+        "expected schema 'phonon_basis/4', got 'phonon_basis/1' [at /schema]"
         in capsys.readouterr().err
     )
+    _refuses_v3_basis(tmp_path / "v3", capsys)
 
 
 def test_hr_refuses_v2_basis_exit_2(tmp_path, capsys):
-    # /2 held the same payload as base64 text inside the document
+    # /2 held the same payload as base64 text inside the document, /3 beside it
     def rewrite(doc, vectors):
         text = base64.b64encode(vectors.astype("<f8").tobytes()).decode("ascii")
         doc.update(schema="phonon_basis/2", vectors={"dtype": "<f8", "shape": [6, 6], "base64": text})
 
     assert _hr_on_rewritten_basis(tmp_path, rewrite) == 2
     assert (
-        "expected schema 'phonon_basis/3', got 'phonon_basis/2' [at /schema]"
+        "expected schema 'phonon_basis/4', got 'phonon_basis/2' [at /schema]"
         in capsys.readouterr().err
     )
+    _refuses_v3_basis(tmp_path / "v3", capsys)
 
 
 def test_hr_basis_from_another_structure_exit_2(tmp_path, capsys):
@@ -1094,17 +1115,21 @@ _ONE_POINT_WINDOW = (["--window", "1.5:1.50005"], ("--window", "--step"))
         (["--step", "5"], ("--step", "--gamma")),
         _ONE_POINT_WINDOW,
         (["--compare", "junk.tsv"], ("junk.tsv: not a number [at line 2]",)),
+        # a row is read as written: an empty first or last field is a field
+        (["--compare", "lead.tsv"], ("lead.tsv: expected 2 columns [at line 2]",)),
+        (["--compare", "trail.tsv"], ("trail.tsv: expected 2 columns [at line 2]",)),
     ],
     ids=["step-zero", "step-too-fine", "window-empty", "compare-other-grid", "gamma-zero",
          "zpl-negative", "sigma-negative", "step-above-gamma", "window-one-point",
-         "compare-not-a-number"],
+         "compare-not-a-number", "compare-leading-tab", "compare-trailing-tab"],
 )
 def test_oracle_refuses_bad_grid_before_enumerating(tmp_path, monkeypatch, capsys, extra, named):
     from lumiphon import fcoracle
 
     monkeypatch.chdir(tmp_path)
     hr_path = _write_single_mode_hr(tmp_path, 0.8, 140.0)
-    (tmp_path / "junk.tsv").write_text("# columns: energy_ev\tintensity_per_ev\n1.0\tabc\n")
+    for name, row in (("junk", "1.0\tabc"), ("lead", "\t1.7\t1.0"), ("trail", "1.7\t1.0\t")):
+        (tmp_path / f"{name}.tsv").write_text(f"# columns: energy_ev\tintensity_per_ev\n{row}\n")
     common = ["--hr", str(hr_path), "--zpl", "2.0"]
     assert main(
         ["spectrum", *common, "--window", "1.7:2.06", "--step", "0.5", "--out", "spec.tsv"]
@@ -1874,6 +1899,25 @@ def test_clashing_or_unwritable_outputs_are_refused_before_any_write(
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
     assert all(flag in err[0] for flag in flags), err
+    assert _tree(tmp_path) == before
+
+
+def test_hr_output_over_the_vectors_of_a_renamed_basis_exit_2(tmp_path, monkeypatch, capsys):
+    # m.json renamed to b.json alone: b.json's vectors are b.json.f8, which
+    # is missing, so hr exits 2 naming it and m.json.f8, which b.json no
+    # longer reads, is not replaced by hr's output
+    monkeypatch.chdir(tmp_path)
+    structure, _, _ = _write_diatomic(tmp_path)
+    assert main(["modes", "--structure", "structure.json", "--hessian", "hessian.json",
+                 "--out", "m.json"]) == 0
+    os.rename("m.json", "b.json")
+    lio.write_geometry_pair(GeometryPair(structure.positions, structure.positions), "pair.json")
+    before = _tree(tmp_path)
+    capsys.readouterr()
+    assert main(["hr", "--structure", "structure.json", "--modes", "b.json",
+                 "--pair", "pair.json", "--out", "m.json.f8"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "b.json.f8" in err[0], err
     assert _tree(tmp_path) == before
 
 

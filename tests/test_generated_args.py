@@ -317,13 +317,13 @@ def test_every_document_flag_on_generated_bytes(case):
 
 # ------------------------------------------------------- basis payload
 
-def _hr_files(payload, **vectors):
+def _hr_files(payload, **fields):
     """The inputs of hr --pair with the basis's payload file holding
-    `payload` (None: no payload file) and its document's vectors fields
-    updated by `vectors`."""
+    `payload` (None: no payload file) and its document's fields updated
+    by `fields`."""
     files = _files("hr-pair")
     doc = json.loads(files["modes"])
-    doc["vectors"].update(vectors)
+    doc.update(fields)
     files["modes"] = json.dumps(doc).encode()
     del files["modes.f8"]
     if payload is not None:
@@ -367,26 +367,19 @@ def _damaged_payloads(draw):
 @example(payload=None)
 @example(payload=b"\0")
 def test_hr_refuses_a_damaged_basis_payload(payload):
+    # missing, of the wrong size or of another hash: each error names the
+    # vectors file beside the document
     code, _, err = _run(_RUNS["hr-pair"], _hr_files(payload))
-    assert code == 2 and "[at /vectors/" in err, err
+    assert code == 2 and "modes.f8" in err, err
 
 
 @pytest.mark.parametrize("k", [0, 7, 35])
 def test_hr_refuses_a_nan_entry_of_a_hashed_payload(k):
     # the sha256 matches, so the finite check names the entry
     payload = _with_nan(_valid_files()["modes.f8"], k)
-    files = _hr_files(payload, sha256=hashlib.sha256(payload).hexdigest())
+    files = _hr_files(payload, vectors_sha256=hashlib.sha256(payload).hexdigest())
     code, _, err = _run(_RUNS["hr-pair"], files)
-    assert code == 2 and f"/vectors/file: vectors[{k // 6},{k % 6}] is not finite" in err, err
-
-
-@pytest.mark.parametrize(
-    "name", ["../x.f8", "/modes.f8", os.devnull, ".", "..", "", "sub/x.f8", "modes.f8/", "x\0.f8"]
-)
-def test_hr_refuses_a_payload_name_outside_the_directory(name):
-    valid = _valid_files()["modes.f8"]
-    code, _, err = _run(_RUNS["hr-pair"], _hr_files(valid, file=name))
-    assert code == 2 and "[at /vectors/file]" in err, err
+    assert code == 2 and f"modes.f8: vectors[{k // 6},{k % 6}] is not finite" in err, err
 
 
 # ------------------------------------------------------- output names

@@ -632,12 +632,11 @@ def test_binary_block_encodes_the_row_major_bits(tmp_path):
     # transposed: the basis is built from an array that is not C-contiguous
     basis = PhononBasis(adversarial.omegas_mev, adversarial.vectors.T)
     path = tmp_path / "b.json"
-    lio.write_phonon_basis(basis, path, {"file": "", "sha256": ""})
+    lio.write_phonon_basis(basis, path, {"vectors_sha256": ""})
     doc = json.loads(path.read_text())
     assert (tmp_path / "b.json.f8").read_bytes() == _bits(basis.vectors)
-    assert doc["vectors"]["file"] == "b.json.f8"
-    assert doc["vectors"]["sha256"] == hashlib.sha256(_bits(basis.vectors)).hexdigest()
-    assert doc["provenance"] == {"file": "", "sha256": ""}
+    assert doc["vectors_sha256"] == hashlib.sha256(_bits(basis.vectors)).hexdigest()
+    assert doc["provenance"] == {"vectors_sha256": ""}
 
 
 @pytest.mark.parametrize("block", [1, 8 * 7 * 6, 1 << 20])
@@ -650,7 +649,7 @@ def test_binary_block_joins_its_base64_blocks(tmp_path, monkeypatch, block):
     lio.write_phonon_basis(PhononBasis(np.arange(7.0), vectors), path)
     doc = json.loads(path.read_text())
     assert (tmp_path / "b.json.f8").read_bytes() == _bits(vectors)
-    assert doc["vectors"]["sha256"] == hashlib.sha256(_bits(vectors)).hexdigest()
+    assert doc["vectors_sha256"] == hashlib.sha256(_bits(vectors)).hexdigest()
 
 
 def test_basis_v2_roundtrip_bit_exact(tmp_path):
@@ -658,10 +657,9 @@ def test_basis_v2_roundtrip_bit_exact(tmp_path):
     path = tmp_path / "b.json"
     lio.write_phonon_basis(basis, path, {"note": "x"})
     doc = lio.load_document(path)
-    assert doc["schema"] == "phonon_basis/3"
-    assert doc["vectors"]["dtype"] == "<f8" and doc["vectors"]["shape"] == [6, 6]
+    assert list(doc) == ["schema", "omegas_mev", "vectors_sha256", "provenance"]
+    assert doc["schema"] == "phonon_basis/4"
     assert isinstance(doc["omegas_mev"], list)
-    assert "cutoff_bulk_mev" not in doc
     back = lio.parse_phonon_basis(doc, path)
     assert _bits(back.omegas_mev) == _bits(basis.omegas_mev)
     assert _bits(back.vectors) == _bits(basis.vectors)
@@ -669,65 +667,63 @@ def test_basis_v2_roundtrip_bit_exact(tmp_path):
 
 
 def _basis_doc(directory, vectors, name="b.json"):
-    """A phonon_basis/3 document holding `vectors` and zero omegas, its
+    """A phonon_basis/4 document holding `vectors` and zero omegas, its
     payload written beside it in directory: (document, its path)."""
     n = vectors.shape[0]
     (directory / f"{name}.f8").write_bytes(_bits(vectors))
-    payload = {
-        "dtype": "<f8",
-        "shape": [n, n],
-        "file": f"{name}.f8",
-        "sha256": hashlib.sha256(_bits(vectors)).hexdigest(),
-    }
-    doc = {"schema": "phonon_basis/3", "omegas_mev": [0.0] * n, "vectors": payload}
+    digest = hashlib.sha256(_bits(vectors)).hexdigest()
+    doc = {"schema": "phonon_basis/4", "omegas_mev": [0.0] * n, "vectors_sha256": digest}
     return doc, directory / name
 
 
 def _adversarial_doc(directory):
-    """_adversarial_basis as a phonon_basis/3 document in directory and its path."""
+    """_adversarial_basis as a phonon_basis/4 document in directory and its path."""
     basis = _adversarial_basis()
     doc, path = _basis_doc(directory, basis.vectors)
     return dict(doc, omegas_mev=basis.omegas_mev.tolist()), path
 
 
 @pytest.mark.parametrize(
-    "change,locus",
-    [
-        ({"dtype": ">f8"}, "/vectors/dtype"),
-        ({"shape": [6, 3]}, "/vectors/shape"),
-        ({"shape": [36]}, "/vectors/shape"),
-        ({"shape": [6.0, 6.0]}, "/vectors/shape"),
-        ({"file": "missing.f8"}, "/vectors/file"),
-        ({"file": None}, "/vectors/file"),
-        ({"sha256": "0" * 64}, "/vectors/sha256"),
-    ],
+    "fields", [{"vectors_sha256": "0" * 64}, {"vectors_sha256": None}, {}],
+    ids=["stale", "null", "missing"],
 )
-def test_basis_v2_rejects_malformed_vectors(tmp_path, change, locus):
+def test_basis_refuses_a_bad_vectors_sha256(tmp_path, fields):
     doc, path = _adversarial_doc(tmp_path)
-    doc["vectors"].update(change)
+    del doc["vectors_sha256"]
+    doc.update(fields)
     with pytest.raises(ParseError) as err:
         lio.parse_phonon_basis(doc, path)
-    assert err.value.locus == locus
+    assert err.value.locus == "/vectors_sha256"
+
+
+def test_basis_reads_the_payload_beside_its_own_path(tmp_path):
+    # a renamed document reads the payload of its new name, never the one
+    # it was written beside: the pair is renamed or copied together
+    basis = _adversarial_basis()
+    lio.write_phonon_basis(basis, tmp_path / "a.json")
+    os.rename(tmp_path / "a.json", tmp_path / "b.json")
+    doc = lio.load_document(tmp_path / "b.json")
+    with pytest.raises(InputError, match=r"cannot read .*b\.json\.f8: No such file"):
+        lio.parse_phonon_basis(doc, tmp_path / "b.json")
+    os.rename(tmp_path / "a.json.f8", tmp_path / "b.json.f8")
+    back = lio.parse_phonon_basis(doc, tmp_path / "b.json")
+    assert _bits(back.vectors) == _bits(basis.vectors)
 
 
 def test_basis_reads_a_payload_of_the_wrong_size_no_further(tmp_path):
-    # a document naming a vast shape and a small file: the size is compared
+    # a document of vast n beside a small payload: the size is compared
     # before any of the file is read
     n = 1 << 15
-    doc = {
-        "schema": "phonon_basis/3",
-        "omegas_mev": [0.0] * n,
-        "vectors": {"dtype": "<f8", "shape": [n, n], "file": "b.f8", "sha256": ""},
-    }
-    (tmp_path / "b.f8").write_bytes(b"\0" * 8)
+    doc = {"schema": "phonon_basis/4", "omegas_mev": [0.0] * n, "vectors_sha256": ""}
+    (tmp_path / "b.json.f8").write_bytes(b"\0" * 8)
     tracemalloc.start()
     try:
-        with pytest.raises(ParseError) as err:
+        with pytest.raises(InputError) as err:
             lio.parse_phonon_basis(doc, tmp_path / "b.json")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert err.value.locus == "/vectors/file"
+    assert f"b.json.f8 holds 8 bytes, {n} modes need {8 * n * n}" in str(err.value)
     assert peak < 8 << 20
 
 
@@ -737,23 +733,17 @@ def test_basis_v2_rejects_nan_payload(tmp_path):
     doc, path = _basis_doc(tmp_path, vectors)
     with pytest.raises(NonFiniteValue) as err:
         lio.parse_phonon_basis(doc, path)
-    assert "vectors[2,3]" in str(err.value) and "/vectors/file" in str(err.value)
+    assert str(err.value) == f"{path}.f8: vectors[2,3] is not finite"
 
 
-_BASIS_SCHEMAS = pytest.mark.parametrize("schema", ["phonon_basis/3"], ids=["v3"])
-
-
-@_BASIS_SCHEMAS
-def test_basis_rejects_non_orthonormal_rows(tmp_path, schema):
+def test_basis_rejects_non_orthonormal_rows(tmp_path):
     vecs = np.eye(3)
     vecs[0, 1] = 1e-4
-    doc, path = _basis_doc(tmp_path, vecs)
     with pytest.raises(InputError, match="not orthonormal"):
-        lio.parse_phonon_basis(dict(doc, schema=schema), path)
+        lio.parse_phonon_basis(*_basis_doc(tmp_path, vecs))
 
 
-@_BASIS_SCHEMAS
-def test_large_basis_orthonormality(tmp_path, schema):
+def test_large_basis_orthonormality(tmp_path):
     # every pair of rows is checked at every size: a dense reflection
     # I - 2 u u^T is orthonormal
     n = 1536
