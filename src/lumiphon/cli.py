@@ -50,14 +50,27 @@ LVM_CUTOFF_MEV = 115.0
 
 
 def _finite_float(text: str) -> float:
-    """argparse type of every float flag: nan and inf exit 2 naming the flag."""
+    """argparse type of every float flag: text io.plain_number refuses, nan
+    and inf exit 2 naming the flag."""
+    from .io import plain_number
+
     try:
-        value = float(text)
+        value = plain_number(text)
     except ValueError:
         value = math.nan
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
     return value
+
+
+def _count(text: str) -> int:
+    """argparse type of --max-quanta: an integer as io.plain_number reads it."""
+    from .io import plain_number
+
+    try:
+        return plain_number(text, int)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
 
 
 def _parse_window(text: str):
@@ -142,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "oracle", parents=[line], help="brute-force ladder spectrum for few modes"
     )
-    p.add_argument("--max-quanta", type=int, default=16)
+    p.add_argument("--max-quanta", type=_count, default=16)
     p.add_argument("--sticks", help="stick list TSV with quanta labels")
     p.add_argument("--compare", help="spectrum TSV to measure an L1 distance against")
     p.set_defaults(func=cmd_oracle)

@@ -114,10 +114,31 @@ def _expect_schema(doc, kind):
         )
 
 
-def _field(doc, key, path=""):
-    if key not in doc:
-        raise ParseError(f"missing field {key!r}", locus=f"{path}/{key}")
-    return doc[key]
+_REQUIRED = object()
+
+
+def _get(obj, key, path="", read=None, default=_REQUIRED):
+    """Field key of the object obj at the JSON pointer path, read by
+    read(value, pointer) when given; default when the field is absent,
+    ParseError when it is absent and no default is given."""
+    if key not in obj:
+        if default is _REQUIRED:
+            raise ParseError(f"missing field {key!r}", locus=f"{path}/{key}")
+        return default
+    return obj[key] if read is None else read(obj[key], f"{path}/{key}")
+
+
+def _records(doc, key, item=None, nonempty=True):
+    """(pointer, value) of each item of the list field key of doc: ParseError
+    for a field that is not a list, or is empty when nonempty, and, when item
+    names the object each must be, for one that is not when the walk reaches it."""
+    records = _get(doc, key)
+    if not isinstance(records, list) or (nonempty and not records):
+        raise ParseError(f"{key} must be a {'non-empty ' * nonempty}list", locus=f"/{key}")
+    for i, record in enumerate(records):
+        if item and not isinstance(record, dict):
+            raise ParseError(f"{item} must be an object", locus=f"/{key}/{i}")
+        yield f"/{key}/{i}", record
 
 
 def _number(value, locus):
@@ -185,38 +206,28 @@ def _matrix(value, rows, cols, locus):
 
 def parse_structure(doc) -> CrystalStructure:
     _expect_schema(doc, "structure")
-    lattice = _matrix(_field(doc, "lattice"), 3, 3, "/lattice")
+    lattice = _get(doc, "lattice", read=lambda v, at: _matrix(v, 3, 3, at))
     with np.errstate(over="ignore", invalid="ignore"):  # a vast cell counts by its sign
         det = np.linalg.det(lattice)
     if det <= 0:
         raise ParseError(
             "lattice determinant must be positive (right-handed cell)", locus="/lattice"
         )
-    sites = _field(doc, "sites")
-    if not isinstance(sites, list) or not sites:
-        raise ParseError("sites must be a non-empty list", locus="/sites")
     species, masses, positions = [], [], []
-    for i, site in enumerate(sites):
-        locus = f"/sites/{i}"
-        if not isinstance(site, dict):
-            raise ParseError("site must be an object", locus=locus)
-        sp = _field(site, "species", locus)
+    for locus, site in _records(doc, "sites", "site"):
+        sp = _get(site, "species", locus)
         if not isinstance(sp, str):
             raise ParseError("species must be a string", locus=f"{locus}/species")
-        pos = site.get("position")
+        pos = _get(site, "position", locus, default=None)
         if not isinstance(pos, list) or len(pos) != 3:
             raise ParseError("position must be 3 numbers", locus=f"{locus}/position")
-        if "mass" in site:
-            mass = _number(site["mass"], f"{locus}/mass")
-            if mass <= 0:
-                raise ParseError(f"mass must be positive, got {mass!r}", locus=f"{locus}/mass")
-        elif sp in ATOMIC_MASS_AMU:
-            mass = ATOMIC_MASS_AMU[sp]
-        else:
+        mass = _get(site, "mass", locus, _number, default=ATOMIC_MASS_AMU.get(sp))
+        if mass is None:
             raise InputError(
-                f"species {sp!r} has no built-in mass; give one explicitly "
-                f"(sites/{i})"
+                f"species {sp!r} has no built-in mass; give one explicitly ({locus[1:]})"
             )
+        if mass <= 0:
+            raise ParseError(f"mass must be positive, got {mass!r}", locus=f"{locus}/mass")
         species.append(sp)
         masses.append(mass)
         positions.append([_number(x, f"{locus}/position/{j}") for j, x in enumerate(pos)])
@@ -271,25 +282,26 @@ def parse_hessian(doc, structure: CrystalStructure) -> np.ndarray:
     if "matrix" in doc and "triplets" in doc:
         raise ParseError("give either matrix or triplets, not both", locus="/")
     if "matrix" in doc:
-        matrix = _matrix(doc["matrix"], n3, n3, "/matrix")
+        matrix = _get(doc, "matrix", read=lambda v, at: _matrix(v, n3, n3, at))
     elif "triplets" in doc:
-        dim = _integer(_field(doc, "dim"), "/dim")
+        dim = _get(doc, "dim", read=_integer)
         if dim != n3:
             raise InputError(f"dim {dim} does not match 3N = {n3}")
-        matrix = _triplets(doc["triplets"], n3)
+        matrix = _get(doc, "triplets", read=lambda v, at: _triplets(v, n3, at))
     else:
         raise ParseError("hessian needs a matrix or triplets field", locus="/")
-    if doc.get("structure_hash") and doc["structure_hash"] != structure_checksum(structure):
+    bound = _get(doc, "structure_hash", default="")
+    if bound and bound != structure_checksum(structure):
         raise InputError("hessian document was bound to a different structure")
     return matrix
 
 
-def _triplets(trip, n3):
-    """The n3 x n3 matrix of a `triplets` list of [i, j, value]: integer
-    indices in 0..n3-1, each pair at most once, finite values, zeros
+def _triplets(trip, n3, locus):
+    """The n3 x n3 matrix of the `triplets` list of [i, j, value] at locus:
+    integer indices in 0..n3-1, each pair at most once, finite values, zeros
     elsewhere; ParseError or InputError naming the first bad triplet."""
     if not isinstance(trip, list):
-        raise ParseError("triplets must be a list", locus="/triplets")
+        raise ParseError("triplets must be a list", locus=locus)
     matrix = np.zeros((n3, n3))
     if {list}.issuperset(map(type, trip)) and {3}.issuperset(map(len, trip)):
         flat = list(itertools.chain.from_iterable(trip))
@@ -313,17 +325,17 @@ def _triplets(trip, n3):
     # failure path: the element loop names the first offending triplet
     seen = set()
     for k, row in enumerate(trip):
-        locus = f"/triplets/{k}"
+        at = f"{locus}/{k}"
         if not isinstance(row, list) or len(row) != 3:
-            raise ParseError("triplet must be [i, j, value]", locus=locus)
-        i = _integer(row[0], f"{locus}/0")
-        j = _integer(row[1], f"{locus}/1")
+            raise ParseError("triplet must be [i, j, value]", locus=at)
+        i = _integer(row[0], f"{at}/0")
+        j = _integer(row[1], f"{at}/1")
         if not (0 <= i < n3 and 0 <= j < n3):
-            raise ParseError(f"index ({i},{j}) outside 0..{n3 - 1}", locus=locus)
+            raise ParseError(f"index ({i},{j}) outside 0..{n3 - 1}", locus=at)
         if (i, j) in seen:
             raise InputError(f"duplicate triplet entry ({i},{j})")
         seen.add((i, j))
-        matrix[i, j] = _number(row[2], f"{locus}/2")
+        matrix[i, j] = _number(row[2], f"{at}/2")
     return matrix
 
 
@@ -342,17 +354,14 @@ def parse_geometry_pair(doc, structure: CrystalStructure) -> np.ndarray:
     """excited - ground of a parsed geometry_pair/1 document, (N, 3) in A."""
     _expect_schema(doc, "geometry_pair")
     n = structure.natoms
-    ground = _matrix(_field(doc, "ground"), n, 3, "/ground")
-    excited = _matrix(_field(doc, "excited"), n, 3, "/excited")
-    if "species" in doc:
-        sp = doc["species"]
-        if not isinstance(sp, list) or len(sp) != n:
-            raise InputError(f"species list must have {n} entries")
-        for i, (a, b) in enumerate(zip(sp, structure.species)):
-            if a != b:
-                raise InputError(
-                    f"species[{i}]: document has {a!r}, structure has {b!r}"
-                )
+    ground = _get(doc, "ground", read=lambda v, at: _matrix(v, n, 3, at))
+    excited = _get(doc, "excited", read=lambda v, at: _matrix(v, n, 3, at))
+    sp = _get(doc, "species", default=list(structure.species))  # absent: the structure's
+    if not isinstance(sp, list) or len(sp) != n:
+        raise InputError(f"species list must have {n} entries")
+    for i, (a, b) in enumerate(zip(sp, structure.species)):
+        if a != b:
+            raise InputError(f"species[{i}]: document has {a!r}, structure has {b!r}")
     with np.errstate(over="ignore"):
         delta = excited - ground
     _require_finite(delta, "excited - ground")
@@ -373,7 +382,8 @@ def write_geometry_pair(pair: GeometryPair, path, overwrite=False):
 def parse_force_delta(doc, structure: CrystalStructure) -> np.ndarray:
     """F_excited - F_ground of a parsed force_delta/1 document, flat 3N in eV/A."""
     _expect_schema(doc, "force_delta")
-    return _matrix(_field(doc, "values"), structure.natoms, 3, "/values").reshape(-1)
+    n = structure.natoms
+    return _get(doc, "values", read=lambda v, at: _matrix(v, n, 3, at)).reshape(-1)
 
 
 def write_force_delta(delta: ForceDelta, path, overwrite=False):
@@ -418,14 +428,11 @@ def parse_phonon_basis(doc, path) -> PhononBasis:
     import hashlib
 
     _expect_schema(doc, "phonon_basis")
-    omegas = _field(doc, "omegas_mev")
-    if not isinstance(omegas, list) or not omegas:
-        raise ParseError("omegas_mev must be a non-empty list", locus="/omegas_mev")
-    nm = len(omegas)
-    w = np.array([_number(x, f"/omegas_mev/{i}") for i, x in enumerate(omegas)])
-    if not isinstance(doc.get("provenance", {}), dict):
+    w = np.array([_number(x, at) for at, x in _records(doc, "omegas_mev")])
+    nm = len(w)
+    if not isinstance(_get(doc, "provenance", default={}), dict):
         raise ParseError("provenance must be an object", locus="/provenance")
-    digest = _field(doc, "vectors_sha256")
+    digest = _get(doc, "vectors_sha256")
     if not isinstance(digest, str):
         raise ParseError("vectors_sha256 must be a string", locus="/vectors_sha256")
     payload, size = os.fspath(path) + PAYLOAD_SUFFIX, nm * nm * 8
@@ -487,15 +494,9 @@ def parse_hr(doc) -> HRDecomposition:
     non-negative and summing to total within 1e-12 (NonFiniteValue when
     the sum passes the float range)."""
     _expect_schema(doc, "hr")
-    entries = _field(doc, "entries")
-    if not isinstance(entries, list):
-        raise ParseError("entries must be a list", locus="/entries")
     omegas, qk, sk = [], [], []
-    for i, entry in enumerate(entries):
-        locus = f"/entries/{i}"
-        if not isinstance(entry, dict):
-            raise ParseError("entry must be an object", locus=locus)
-        omega = _number(_field(entry, "omega_mev", locus), f"{locus}/omega_mev")
+    for locus, entry in _records(doc, "entries", "entry", nonempty=False):
+        omega = _get(entry, "omega_mev", locus, _number)
         if omega < 0:
             # lumiphon hr writes none: partial_hr clamps imaginary modes to 0
             raise ParseError(
@@ -507,12 +508,12 @@ def parse_hr(doc) -> HRDecomposition:
                 locus=f"{locus}/omega_mev",
             )
         omegas.append(omega)
-        qk.append(_number(_field(entry, "qk", locus), f"{locus}/qk"))
-        s = _number(_field(entry, "sk", locus), f"{locus}/sk")
+        qk.append(_get(entry, "qk", locus, _number))
+        s = _get(entry, "sk", locus, _number)
         if s < 0:
             raise ParseError(f"sk must not be negative, got {s!r}", locus=f"{locus}/sk")
         sk.append(s)
-    total = _number(_field(doc, "total"), "/total")
+    total = _get(doc, "total", read=_number)
     sk = np.array(sk)
     tot = sum_sk(sk)
     if abs(tot - total) > 1e-12 * max(1.0, abs(tot)):
@@ -536,10 +537,10 @@ def write_hr(hr: HRDecomposition, path, overwrite=False):
 
 def parse_defect_table(doc) -> Tuple[HostReference, List[DefectEntry]]:
     _expect_schema(doc, "defects")
-    hostdoc = _field(doc, "host")
+    hostdoc = _get(doc, "host")
     if not isinstance(hostdoc, dict):
         raise ParseError("host must be an object", locus="/host")
-    blocks = hostdoc.get("chemical_potentials", {})
+    blocks = _get(hostdoc, "chemical_potentials", "/host", default={})
     if not isinstance(blocks, dict):
         raise ParseError(
             "chemical_potentials must be an object", locus="/host/chemical_potentials"
@@ -550,10 +551,10 @@ def parse_defect_table(doc) -> Tuple[HostReference, List[DefectEntry]]:
         if not isinstance(block, dict):
             raise ParseError("chemical potential must be an object", locus=locus)
         potentials[sp] = ChemicalPotential(
-            _number(_field(block, "reference_energy_ev", locus), f"{locus}/reference_energy_ev"),
-            _number(_field(block, "delta_ev", locus), f"{locus}/delta_ev"),
+            _get(block, "reference_energy_ev", locus, _number),
+            _get(block, "delta_ev", locus, _number),
         )
-    gap = _number(_field(hostdoc, "gap_ev", "/host"), "/host/gap_ev")
+    gap = _get(hostdoc, "gap_ev", "/host", _number)
     if not gap > 0:
         raise ParseError(f"gap must be positive, got {gap!r}", locus="/host/gap_ev")
     # the analytic correction's inputs: eps > 1 and V > 0, each when given
@@ -562,45 +563,40 @@ def parse_defect_table(doc) -> Tuple[HostReference, List[DefectEntry]]:
         ("dielectric_constant", 1.0, "must exceed 1"),
         ("cell_volume_a3", 0.0, "must be positive"),
     ):
-        if key in hostdoc:
-            value = _number(hostdoc[key], f"/host/{key}")
+        value = _get(hostdoc, key, "/host", _number, default=None)
+        if value is not None:
             if not value > least:
                 raise ParseError(f"{key} {rule}, got {value!r}", locus=f"/host/{key}")
             optional[key] = value
     host = HostReference(
-        host_energy_ev=_number(_field(hostdoc, "host_energy_ev", "/host"), "/host/host_energy_ev"),
-        vbm_ev=_number(_field(hostdoc, "vbm_ev", "/host"), "/host/vbm_ev"),
+        host_energy_ev=_get(hostdoc, "host_energy_ev", "/host", _number),
+        vbm_ev=_get(hostdoc, "vbm_ev", "/host", _number),
         gap_ev=gap,
         chemical_potentials=potentials,
         **optional,
     )
-    rows = _field(doc, "entries")
-    if not isinstance(rows, list) or not rows:
-        raise ParseError("entries must be a non-empty list", locus="/entries")
+
+    def correction(value, locus):  # a number, or "analytic" on a host that has its inputs
+        if value == "analytic" and len(optional) < 2:
+            raise ParseError(
+                "the analytic correction needs dielectric_constant and cell_volume_a3 on the host",
+                locus=locus,
+            )
+        return value if value == "analytic" else _number(value, locus)
+
     entries, seen = [], set()
-    for i, row in enumerate(rows):
-        locus = f"/entries/{i}"
-        if not isinstance(row, dict):
-            raise ParseError("entry must be an object", locus=locus)
-        label = _label(_field(row, "label", locus), f"{locus}/label")
-        charge = _integer(_field(row, "charge", locus), f"{locus}/charge")
+    for locus, row in _records(doc, "entries", "entry"):
+        label = _get(row, "label", locus, _label)
+        charge = _get(row, "charge", locus, _integer)
         if (label, charge) in seen:
             raise InputError(f"duplicate defect entry ({label!r}, q={charge})")
         seen.add((label, charge))
-        corr = row.get("correction_ev", 0.0)
-        if corr != "analytic":
-            corr = _number(corr, f"{locus}/correction_ev")
-        elif len(optional) < 2:
-            raise ParseError(
-                "the analytic correction needs dielectric_constant and cell_volume_a3 "
-                "on the host",
-                locus=f"{locus}/correction_ev",
-            )
-        stoi = row.get("stoichiometry", {})
+        corr = _get(row, "correction_ev", locus, correction, default=0.0)
+        stoi = _get(row, "stoichiometry", locus, default={})
         if not isinstance(stoi, dict):
             raise ParseError("stoichiometry must be an object", locus=f"{locus}/stoichiometry")
-        for sp, n in stoi.items():
-            _integer(n, f"{locus}/stoichiometry/{sp}")
+        for sp in stoi:
+            _get(stoi, sp, f"{locus}/stoichiometry", _integer)
             if sp not in potentials:
                 raise ParseError(
                     f"no chemical potential for species {sp!r} on the host",
@@ -610,9 +606,7 @@ def parse_defect_table(doc) -> Tuple[HostReference, List[DefectEntry]]:
             DefectEntry(
                 label=label,
                 charge=charge,
-                total_energy_ev=_number(
-                    _field(row, "total_energy_ev", locus), f"{locus}/total_energy_ev"
-                ),
+                total_energy_ev=_get(row, "total_energy_ev", locus, _number),
                 stoichiometry=stoi,
                 correction=corr,
             )
@@ -660,32 +654,14 @@ def write_defect_table(host: HostReference, entries, path, overwrite=False):
 
 def parse_dissociation_table(doc) -> List[dict]:
     _expect_schema(doc, "dissociation")
-    rows = _field(doc, "entries")
-    if not isinstance(rows, list) or not rows:
-        raise ParseError("entries must be a non-empty list", locus="/entries")
+    energies = ("cluster_energy_ev", "fragment_energy_ev", "released_energy_ev")
     out, seen = [], set()
-    for i, row in enumerate(rows):
-        locus = f"/entries/{i}"
-        if not isinstance(row, dict):
-            raise ParseError("entry must be an object", locus=locus)
-        label = _label(_field(row, "label", locus), f"{locus}/label")
+    for locus, row in _records(doc, "entries", "entry"):
+        label = _get(row, "label", locus, _label)
         if label in seen:
             raise InputError(f"duplicate dissociation entry {label!r}")
         seen.add(label)
-        out.append(
-            {
-                "label": label,
-                "cluster_energy_ev": _number(
-                    _field(row, "cluster_energy_ev", locus), f"{locus}/cluster_energy_ev"
-                ),
-                "fragment_energy_ev": _number(
-                    _field(row, "fragment_energy_ev", locus), f"{locus}/fragment_energy_ev"
-                ),
-                "released_energy_ev": _number(
-                    _field(row, "released_energy_ev", locus), f"{locus}/released_energy_ev"
-                ),
-            }
-        )
+        out.append({"label": label, **{k: _get(row, k, locus, _number) for k in energies}})
     return out
 
 
@@ -790,10 +766,19 @@ def write_stem_tsv(path, hr: HRDecomposition, header_lines=(), overwrite=False):
     write_table_tsv(path, header_lines, ("omega_mev", "sk", "cumulative"), columns, overwrite)
 
 
+def plain_number(text: str, kind=float):
+    """kind(text) of a number as written, the rule of every number flag and
+    table row: ValueError for text that is not ASCII, holds '_' or has
+    whitespace around it, all of which float() and int() would read."""
+    if not text.isascii() or "_" in text or text != text.strip():
+        raise ValueError(f"not a plain number: {text!r}")
+    return kind(text)
+
+
 def read_spectrum_tsv(path):
     """Read back a two-column spectrum written by write_spectrum_tsv: each
     line that is not empty and does not start with '#' is a row of exactly
-    two tab-separated numbers, read as written."""
+    two tab-separated plain_number texts."""
     energies, intensities = [], []
     # newline=None splits lines at LF, CR and CRLF, as text-mode files do
     for ln, line in enumerate(StringIO(_read_utf8(path), newline=None), start=1):
@@ -804,7 +789,7 @@ def read_spectrum_tsv(path):
         if len(parts) != 2:
             raise ParseError(f"{path}: expected 2 columns", locus=f"line {ln}")
         try:
-            energy, intensity = float(parts[0]), float(parts[1])
+            energy, intensity = map(plain_number, parts)
         except ValueError:
             raise ParseError(f"{path}: not a number", locus=f"line {ln}") from None
         if not (math.isfinite(energy) and math.isfinite(intensity)):

@@ -359,11 +359,6 @@ def _fft_spectral_function(g, grid: TimeGrid, s_total, gamma_mev, resolution_mev
     a = np.fft.irfft(bracket, size)
     a *= size * dt / (2.0 * math.pi * units.HBAR_MEV_FS)
     step = 2.0 * math.pi * units.HBAR_MEV_FS / (size * dt)
-    integral = step * float(np.sum(a)) + zpl_weight
-    if abs(integral - 1.0) > 1e-6:
-        raise NumericalError(
-            f"spectral function integral {integral!r} deviates from 1 by > 1e-6"
-        )
     return step, a, zpl_weight
 
 

@@ -119,6 +119,9 @@ def lorentzian_ev(x_ev, center_ev, gamma_mev):
 
 
 HBAR_MEV_FS = 658.2119569  # hbar in meV fs (CODATA 2018), kept apart from lumiphon.units
+# 1 eV/(amu A^2) in (rad/fs)^2, kept apart likewise, with lumiphon.units'
+# nine digits: e / u (CODATA 2018) gives 9.6485332157e-3, 4.5e-10 away
+EV_PER_AMU_A2 = 9.64853322e-3
 
 
 def recurrence_free_spectrum(

@@ -19,7 +19,7 @@ import pytest
 from lumiphon import __version__
 from lumiphon import io as lio
 from lumiphon import units
-from lumiphon.cli import build_parser, main
+from lumiphon.cli import BASIS_FLAG, READS, WRITES, build_parser, main
 from lumiphon.model import (
     ChemicalPotential,
     CrystalStructure,
@@ -758,13 +758,21 @@ _REQUIRED_FLAGS = {
 }
 
 
-@pytest.mark.parametrize("value", ["nan", "inf"])
+# a number flag reads its text as written: float() would read each of the
+# last four (as 20, 2, 2 and 2), int() the first and the third
+@pytest.mark.parametrize(
+    "value",
+    ["nan", "inf", pytest.param("2_0", id="underscore"),
+     pytest.param(" 2.0", id="leading-space"), pytest.param("\u0662", id="arabic-indic-two"),
+     pytest.param("\uff12.0", id="fullwidth-two")],
+)
 @pytest.mark.parametrize(
     "command, flag",
     [("modes", "--cutoff")]
     + [("spectrum", f) for f in ("--zpl", "--gamma", "--sigma", "--window", "--step",
                                  "--cutoff")]
-    + [("oracle", f) for f in ("--zpl", "--gamma", "--sigma", "--window", "--step")]
+    + [("oracle", f) for f in ("--zpl", "--gamma", "--sigma", "--window", "--step",
+                               "--max-quanta")]
     + [("thermo", "--fermi-step")],
 )
 def test_non_finite_float_flag_exit_2(tmp_path, monkeypatch, capsys, command, flag, value):
@@ -1118,17 +1126,23 @@ _ONE_POINT_WINDOW = (["--window", "1.5:1.50005"], ("--window", "--step"))
         # a row is read as written: an empty first or last field is a field
         (["--compare", "lead.tsv"], ("lead.tsv: expected 2 columns [at line 2]",)),
         (["--compare", "trail.tsv"], ("trail.tsv: expected 2 columns [at line 2]",)),
+        # and each field as written: float() reads both of these as 1.7
+        (["--compare", "under.tsv"], ("under.tsv: not a number [at line 2]",)),
+        (["--compare", "space.tsv"], ("space.tsv: not a number [at line 2]",)),
     ],
     ids=["step-zero", "step-too-fine", "window-empty", "compare-other-grid", "gamma-zero",
          "zpl-negative", "sigma-negative", "step-above-gamma", "window-one-point",
-         "compare-not-a-number", "compare-leading-tab", "compare-trailing-tab"],
+         "compare-not-a-number", "compare-leading-tab", "compare-trailing-tab",
+         "compare-underscore", "compare-leading-space"],
 )
 def test_oracle_refuses_bad_grid_before_enumerating(tmp_path, monkeypatch, capsys, extra, named):
     from lumiphon import fcoracle
 
     monkeypatch.chdir(tmp_path)
     hr_path = _write_single_mode_hr(tmp_path, 0.8, 140.0)
-    for name, row in (("junk", "1.0\tabc"), ("lead", "\t1.7\t1.0"), ("trail", "1.7\t1.0\t")):
+    rows = {"junk": "1.0\tabc", "lead": "\t1.7\t1.0", "trail": "1.7\t1.0\t",
+            "under": "1_7\t1.0", "space": " 1.7\t1.0"}
+    for name, row in rows.items():
         (tmp_path / f"{name}.tsv").write_text(f"# columns: energy_ev\tintensity_per_ev\n{row}\n")
     common = ["--hr", str(hr_path), "--zpl", "2.0"]
     assert main(
@@ -1544,6 +1558,30 @@ def test_each_shared_flag_is_declared_once_with_help():
             action = subs[a]._option_string_actions[flag]
             assert action is subs[b]._option_string_actions[flag], flag
             assert action.help, flag
+
+
+def test_file_flag_tables_match_the_parser():
+    # the clash check and the manifest find a call's files through READS,
+    # WRITES and BASIS_FLAG: a file flag left out of them would skip both
+    tables = {*READS, *WRITES}
+    assert len(tables) == len(READS) + len(WRITES)  # no repeats, no flag in both
+    parser = build_parser()
+    (subparsers,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    named = set()
+    for command, sub in subparsers.choices.items():
+        # a file flag is an option whose value stays the string given
+        files = {
+            action.dest: action.option_strings
+            for action in sub._actions
+            if type(action) is argparse._StoreAction and action.type is None
+        }
+        assert set(files) == {action.dest for action in sub._actions} & tables, command
+        assert all(strings == [f"--{dest}"] for dest, strings in files.items()), command
+        if command in BASIS_FLAG:
+            assert BASIS_FLAG[command] in (f"--{dest}" for dest in files), command
+        named |= set(files)
+    assert named == tables
+    assert set(BASIS_FLAG) <= set(subparsers.choices)
 
 
 def test_no_module_level_import_goes_unused():

@@ -529,7 +529,7 @@ def test_split_sideband_contracts_on_generated_documents(nmodes, s_total, gamma,
     step, sideband, zpl_weight = vibronic._fft_spectral_function(*gf, gamma, resolution)
     assert step <= resolution
     assert zpl_weight == pytest.approx(zpl, rel=1e-12)
-    assert step * math.fsum(sideband.tolist()) == pytest.approx(1.0 - zpl, abs=1e-9)
+    assert step * math.fsum(sideband.tolist()) == pytest.approx(1.0 - zpl, abs=1e-12)
     # undamped, the sideband has a first moment: sum S_k hbar w_k
     step, sideband, _ = vibronic._fft_spectral_function(*gf, 1e-12, resolution)
     released = np.fft.fftfreq(sideband.size, 1.0 / sideband.size) * step
